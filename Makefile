@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz bench bench-auth bench-wire bench-replication bench-cluster bench-cas bench-fleet race-pool race-replication race-retrain race-cas race-cluster check-scenarios
+.PHONY: check build vet fmt test race fuzz bench bench-auth bench-wire bench-replication bench-cluster bench-cas bench-fleet race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark
 
-check: build vet fmt race race-pool race-replication race-retrain race-cas race-cluster check-scenarios
+check: build vet fmt race race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark
 
 build:
 	$(GO) build ./...
@@ -60,11 +60,11 @@ bench:
 bench-auth:
 	$(GO) test -run=xxx -bench='BenchmarkFFT300$$|BenchmarkFeatureExtraction6sWindow$$|BenchmarkAuthenticateWindow$$|BenchmarkEndToEndWindow$$|BenchmarkKRRTrain$$|BenchmarkIncrementalVsColdRetrain$$' -benchmem -benchtime=200x .
 
-# Wire-level per-window benchmarks: the four ways a window crosses the
-# wire (v1 JSON request, v2 binary request, v2 batch burst, v2 stream)
-# against one trained in-process server. Every bench iterates per window,
-# so the ns/op columns compare directly; the wire block in
-# BENCH_auth.json records the spread.
+# Wire-level per-window benchmarks: the three ways a window crosses the
+# wire (single request, batch burst, stream) against one trained
+# in-process server. Every bench iterates per window, so the ns/op
+# columns compare directly; the wire block in BENCH_auth.json records the
+# spread.
 bench-wire:
 	$(GO) test -run=xxx -bench='BenchmarkWireAuth' -benchmem ./internal/transport/
 
@@ -138,6 +138,15 @@ bench-cas:
 # mid-run — and must hold its SLO. Pinned by name like race-pool.
 check-scenarios:
 	$(GO) test -race -run='TestScenarioSmoke|TestFailoverUnderLoad|TestRebalanceUnderLoad' ./internal/fleet/
+
+# The benchmark is its own module (benchmark/go.mod, replace smarteryou =>
+# ../), invisible to `go build ./...` and `go test ./...` above — so a
+# product change that deletes or renames an identifier the benchmark
+# imports would otherwise only fail when the benchmark is next run. Vet
+# and its unit tests (a few seconds) catch that here.
+check-benchmark:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
 
 # Fleet-scale load benchmark: replays every shipped scenario through
 # cmd/loadgen and refreshes BENCH_fleet.json. The profiles carry full

@@ -589,8 +589,6 @@ func BenchmarkStoreEnrollParallel(b *testing.B) {
 
 // BenchmarkStoreRecovery replays a 10 000-window population (binary WAL,
 // no snapshot) — the restart cost a crashed server pays before serving.
-// The JSON-baseline comparison lives in internal/store
-// (BenchmarkStoreRecoveryCodec), where the legacy framing can be planted.
 func BenchmarkStoreRecovery(b *testing.B) {
 	dir := b.TempDir()
 	s, err := store.Open(dir, store.Options{SnapshotEvery: -1, NoSync: true})

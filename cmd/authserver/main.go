@@ -23,14 +23,18 @@
 //     leader. SIGHUP promotes a running follower to leader in place;
 //     -promote starts a former follower's data dir as the new leader.
 //
-// On the wire the server speaks the binary envelope v2 by default and
-// answers every request in the format it arrived in, so legacy JSON-v1
-// clients keep working against the same listener with no flag day. v2
-// adds two hot-path shapes on top of the single authenticate request:
+// On the wire the server speaks one format, the binary envelope; a frame
+// in any other format (a JSON envelope included) closes the connection.
+// Besides the single authenticate request there are two hot-path shapes:
 // batched authentication (many windows for one user in one envelope, one
 // HMAC verification and one model resolution) and streaming sessions
 // (handshake once, then raw CRC-tailed window frames in and decision
-// frames out). Server stats report per-format traffic counters.
+// frames out). Server stats report per-shape traffic counters.
+//
+// On disk likewise: the store reads only what it writes (snapshot.cas plus
+// a binary WAL). A -data-dir written in an earlier format is refused at
+// startup, untouched, with an error naming the offending file; see the
+// README's "Upgrading a data directory".
 //
 // A shard-ownership cluster replaces the single write leader with N
 // writable nodes, each the leader for a subset of the store's FNV shards

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"smarteryou/internal/binio"
 	"smarteryou/internal/store"
 )
 
@@ -157,9 +158,9 @@ func (m *ShardMap) AppendBinary(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, m.Version)
 	dst = binary.AppendUvarint(dst, uint64(len(m.Nodes)))
 	for _, n := range m.Nodes {
-		dst = appendMapStr(dst, n.ClientAddr)
-		dst = appendMapStr(dst, n.ReplAddr)
-		dst = appendMapStr(dst, n.CtrlAddr)
+		dst = binio.AppendString(dst, n.ClientAddr)
+		dst = binio.AppendString(dst, n.ReplAddr)
+		dst = binio.AppendString(dst, n.CtrlAddr)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(m.Owner)))
 	for _, owner := range m.Owner {
@@ -185,91 +186,34 @@ func DecodeShardMap(data []byte) (*ShardMap, error) {
 	if body[len(mapMagic)] != mapCodecV1 {
 		return nil, fmt.Errorf("%w: unknown codec version %d", ErrBadMap, body[len(mapMagic)])
 	}
-	r := &mapReader{b: body, off: len(mapMagic) + 1}
-	m := &ShardMap{Version: r.uvarint()}
-	nodes := r.uvarint()
-	if nodes > uint64(r.remaining()) {
-		return nil, fmt.Errorf("%w: node count %d exceeds %d remaining bytes", ErrBadMap, nodes, r.remaining())
+	r := binio.NewReader(body[len(mapMagic)+1:])
+	m := &ShardMap{Version: r.Uvarint()}
+	nodes := r.Uvarint()
+	if nodes > uint64(r.Remaining()) {
+		r.Fail("node count %d exceeds %d remaining bytes", nodes, r.Remaining())
 	}
-	for i := uint64(0); i < nodes && r.err == nil; i++ {
+	for i := uint64(0); i < nodes && r.Err() == nil; i++ {
 		m.Nodes = append(m.Nodes, NodeInfo{
-			ClientAddr: r.str(),
-			ReplAddr:   r.str(),
-			CtrlAddr:   r.str(),
+			ClientAddr: r.Str(),
+			ReplAddr:   r.Str(),
+			CtrlAddr:   r.Str(),
 		})
 	}
-	shards := r.uvarint()
-	if shards > uint64(r.remaining())+1 {
-		return nil, fmt.Errorf("%w: shard count %d exceeds %d remaining bytes", ErrBadMap, shards, r.remaining())
+	shards := r.Uvarint()
+	if shards > uint64(r.Remaining())+1 {
+		r.Fail("shard count %d exceeds %d remaining bytes", shards, r.Remaining())
 	}
-	for i := uint64(0); i < shards && r.err == nil; i++ {
-		m.Owner = append(m.Owner, int32(r.uvarint()))
+	for i := uint64(0); i < shards && r.Err() == nil; i++ {
+		m.Owner = append(m.Owner, int32(r.Uvarint()))
 	}
-	if r.err == nil && r.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadMap, len(body)-r.off)
+	if r.Err() == nil && r.Remaining() != 0 {
+		r.Fail("%d trailing bytes", r.Remaining())
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadMap, err)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-// mapReader is the failure-latching byte cursor shared by the map and
-// control-frame decoders.
-type mapReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *mapReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrBadMap, fmt.Sprintf(format, args...))
-	}
-}
-
-func (r *mapReader) remaining() int { return len(r.b) - r.off }
-
-func (r *mapReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("bad uvarint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *mapReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(r.remaining()) {
-		r.fail("string length %d exceeds %d remaining bytes", n, r.remaining())
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-func (r *mapReader) rest() []byte {
-	if r.err != nil {
-		return nil
-	}
-	b := r.b[r.off:]
-	r.off = len(r.b)
-	return b
-}
-
-func appendMapStr(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
 }

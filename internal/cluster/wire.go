@@ -22,6 +22,8 @@ import (
 	"io"
 	"net"
 	"time"
+
+	"smarteryou/internal/binio"
 )
 
 // Control frame type bytes.
@@ -118,18 +120,25 @@ func encodeSealRequest(req sealRequest, key []byte) []byte {
 }
 
 func decodeSealRequest(body []byte) (sealRequest, error) {
-	r := &mapReader{b: body}
-	if t := r.uvarint(); r.err == nil && t != ctrlSeal {
-		r.fail("frame type %#x, want seal", t)
+	shard, err := decodeCtrlUvarint(body, ctrlSeal, "seal")
+	return sealRequest{shard: int(shard)}, err
+}
+
+// decodeCtrlUvarint decodes a control frame body that is a type byte
+// followed by exactly one uvarint.
+func decodeCtrlUvarint(body []byte, wantType uint64, name string) (uint64, error) {
+	r := binio.NewReader(body)
+	if t := r.Uvarint(); t != wantType {
+		r.Fail("frame type %#x, want %s", t, name)
 	}
-	req := sealRequest{shard: int(r.uvarint())}
-	if r.err == nil && r.off != len(body) {
-		r.fail("%d trailing bytes", len(body)-r.off)
+	v := r.Uvarint()
+	if r.Err() == nil && r.Remaining() != 0 {
+		r.Fail("%d trailing bytes", r.Remaining())
 	}
-	if r.err != nil {
-		return sealRequest{}, fmt.Errorf("%w: %v", ErrBadCtrlFrame, r.err)
+	if err := r.Err(); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadCtrlFrame, err)
 	}
-	return req, nil
+	return v, nil
 }
 
 // encodeCursorResponse answers a seal with the shard's frozen cursor.
@@ -140,18 +149,7 @@ func encodeCursorResponse(cursor uint64, key []byte) []byte {
 }
 
 func decodeCursorResponse(body []byte) (uint64, error) {
-	r := &mapReader{b: body}
-	if t := r.uvarint(); r.err == nil && t != ctrlCursor {
-		r.fail("frame type %#x, want cursor", t)
-	}
-	cursor := r.uvarint()
-	if r.err == nil && r.off != len(body) {
-		r.fail("%d trailing bytes", len(body)-r.off)
-	}
-	if r.err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadCtrlFrame, r.err)
-	}
-	return cursor, nil
+	return decodeCtrlUvarint(body, ctrlCursor, "cursor")
 }
 
 // encodeMapFrame carries an encoded shard map as a push request or a
@@ -184,15 +182,15 @@ func encodeOK(key []byte) []byte {
 // encodeCtrlErr carries a failure message back to the requester.
 func encodeCtrlErr(msg string, key []byte) []byte {
 	body := []byte{ctrlErr}
-	body = appendMapStr(body, msg)
+	body = binio.AppendString(body, msg)
 	return sealCtrl(body, key)
 }
 
 func decodeCtrlErr(body []byte) string {
-	r := &mapReader{b: body}
-	r.uvarint() // type byte
-	msg := r.str()
-	if r.err != nil {
+	r := binio.NewReader(body)
+	r.Uvarint() // type byte
+	msg := r.Str()
+	if r.Err() != nil {
 		return "unreadable error frame"
 	}
 	return msg

@@ -26,8 +26,8 @@ import (
 // requests. Data frames rely on the CRC plus the authenticated session.
 //
 // Record frames embed the WAL record payload verbatim — first byte is
-// the store codec's format byte (binary v1, or '{' for a legacy JSON
-// record) — so the follower logs exactly the bytes the leader logged.
+// the store codec's format byte — so the follower logs exactly the bytes
+// the leader logged.
 
 // Frame type bytes.
 const (

@@ -1,14 +1,11 @@
 package store
 
-// Codec-level store benchmarks. These live in-package because the JSON
-// baseline has to be handcrafted: the store no longer *writes* JSON
-// records, so the only way to measure "what recovery used to cost" is to
-// plant a legacy-framed WAL and replay it. The end-to-end store benches
+// Codec-level store benchmarks. These live in-package because they plant
+// a WAL directly and call the record codec. The end-to-end store benches
 // (BenchmarkStoreEnroll*, BenchmarkStoreRecovery) are in the repo-root
 // bench_test.go with the other artifact benches.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,9 +13,8 @@ import (
 )
 
 // writeBenchWAL plants a wal.log of `records` enroll records, `windowsPer`
-// windows each, in either the legacy JSON or the current binary framing.
-// It returns the file's size in bytes.
-func writeBenchWAL(b *testing.B, dir string, records, windowsPer int, legacyJSON bool) int64 {
+// windows each. It returns the file's size in bytes.
+func writeBenchWAL(b *testing.B, dir string, records, windowsPer int) int64 {
 	b.Helper()
 	f, err := os.Create(filepath.Join(dir, walFile))
 	if err != nil {
@@ -33,17 +29,9 @@ func writeBenchWAL(b *testing.B, dir string, records, windowsPer int, legacyJSON
 			User:    user,
 			Samples: fakeSamples(user, windowsPer, float64(i)),
 		}
-		var data []byte
-		if legacyJSON {
-			payload, err := json.Marshal(rec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			data = frame(payload)
-		} else {
-			if data, err = encodeRecord(rec); err != nil {
-				b.Fatal(err)
-			}
+		data, err := encodeRecord(rec)
+		if err != nil {
+			b.Fatal(err)
 		}
 		n, err := f.Write(data)
 		if err != nil {
@@ -57,37 +45,31 @@ func writeBenchWAL(b *testing.B, dir string, records, windowsPer int, legacyJSON
 	return total
 }
 
-// BenchmarkStoreRecoveryCodec replays the same 10 000-window population
-// from a legacy JSON WAL and from the binary WAL — the recovery speedup
-// (and the bytes/window shrink) the binary codec buys. Compaction is
-// disabled so each Open replays the full log and leaves the directory
-// untouched for the next iteration.
+// BenchmarkStoreRecoveryCodec replays a 10 000-window population from a
+// planted WAL — recovery cost and bytes/window of the record codec.
+// Compaction is disabled so each Open replays the full log and leaves the
+// directory untouched for the next iteration.
 func BenchmarkStoreRecoveryCodec(b *testing.B) {
 	const records, windowsPer = 625, 16 // 10 000 windows
-	for _, c := range []struct {
-		name   string
-		legacy bool
-	}{{"json", true}, {"binary", false}} {
-		b.Run(c.name, func(b *testing.B) {
-			dir := b.TempDir()
-			size := writeBenchWAL(b, dir, records, windowsPer, c.legacy)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, err := Open(dir, Options{SnapshotEvery: -1, NoSync: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st := s.Stats(); st.Windows != records*windowsPer {
-					b.Fatalf("recovered %d windows, want %d", st.Windows, records*windowsPer)
-				}
-				if err := s.Close(); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("binary", func(b *testing.B) {
+		dir := b.TempDir()
+		size := writeBenchWAL(b, dir, records, windowsPer)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s, err := Open(dir, Options{SnapshotEvery: -1, NoSync: true})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(size)/float64(records*windowsPer), "bytes/window")
-		})
-	}
+			if st := s.Stats(); st.Windows != records*windowsPer {
+				b.Fatalf("recovered %d windows, want %d", st.Windows, records*windowsPer)
+			}
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(size)/float64(records*windowsPer), "bytes/window")
+	})
 }
 
 // BenchmarkStoreSnapshotWrite measures one full compaction of a 10 000-

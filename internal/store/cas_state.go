@@ -1,9 +1,9 @@
-// Content-addressed shard state (snapshot v2). A v1 snapshot.bin inlines
-// every window and model bundle, so each compaction rewrites every byte
-// of the shard even when almost nothing changed. The v2 snapshot.cas
-// instead stores manifests — content-addressed chunk lists (internal/cas)
-// — for each user's window blob and each registered model version; the
-// bulk bytes live once per chunk in the store-wide chunk directory.
+// Content-addressed shard state. A snapshot that inlined every window
+// and model bundle would rewrite every byte of the shard on each
+// compaction even when almost nothing changed. snapshot.cas instead
+// stores manifests — content-addressed chunk lists (internal/cas) — for
+// each user's window blob and each registered model version; the bulk
+// bytes live once per chunk in the store-wide chunk directory.
 // Compacting a mostly-unchanged shard then writes only the changed
 // chunks plus a small manifest file: incremental compaction falls out of
 // content addressing. The same body encoding ships over the wire as a
@@ -43,8 +43,8 @@ const (
 	// casDirName is the store-root chunk directory, shared by all shards
 	// so chunks dedup across the whole store.
 	casDirName = "cas"
-	// casFormatV2 tags the content-addressed snapshot body. Distinct from
-	// binFormatV1 and from '{' so every loader can dispatch on byte 0.
+	// casFormatV2 tags the content-addressed snapshot body; distinct from
+	// binFormatV1 so the two can never be mistaken for each other.
 	casFormatV2 = 0x02
 )
 
@@ -218,13 +218,13 @@ func decodeWindowBlob(blob []byte) ([]features.WindowSample, error) {
 	return samples, nil
 }
 
-// writeStateCAS publishes a shard's state as a v2 snapshot: every chunk
+// writeStateCAS publishes a shard's state as snapshot.cas: every chunk
 // is made durable (new chunks written, unchanged chunks reused in place —
 // the incremental part), the manifest body is atomically renamed into
 // place, and the shard's pin set is moved to the new snapshot's chunks.
 // The publish-token protection covers the gap between chunk flush and
 // pin update, so a concurrent sweep for another shard cannot reclaim the
-// new chunks. Superseded v1 snapshot files are removed on success.
+// new chunks.
 func writeStateCAS(dir string, cs *cas.Store, lastSeq uint64, users map[string][]features.WindowSample, models map[string][]modelRef) error {
 	token := "publish:" + dir
 	defer cs.Unprotect(token)
@@ -255,8 +255,8 @@ func writeStateCAS(dir string, cs *cas.Store, lastSeq uint64, users map[string][
 	return nil
 }
 
-// writeCASBodyFile atomically replaces snapshot.cas (same temp + fsync +
-// rename discipline as the v1 writer) and retires superseded v1 files.
+// writeCASBodyFile atomically replaces snapshot.cas: temp file, fsync,
+// rename, directory fsync.
 func writeCASBodyFile(dir string, data []byte) error {
 	tmp := filepath.Join(dir, casSnapshotFile+tmpSuffix)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -278,8 +278,6 @@ func writeCASBodyFile(dir string, data []byte) error {
 		return fmt.Errorf("store: publish cas snapshot: %w", err)
 	}
 	syncDir(dir)
-	_ = os.Remove(filepath.Join(dir, snapshotFile))
-	_ = os.Remove(filepath.Join(dir, snapshotBinFile))
 	return nil
 }
 
@@ -290,71 +288,52 @@ type shardState struct {
 	models  map[string][]modelRef
 }
 
-// loadShardState recovers a shard's snapshot in whichever format is on
-// disk — v2 snapshot.cas first, then the v1 binary and legacy JSON files.
-// A v1 snapshot's inline bundles are interned into the CAS (in memory;
-// the first compaction writes them out as chunks and completes the
-// migration). v2 registry manifests are retained and the snapshot's
-// chunks pinned, so reads and sweeps are safe from the first moment.
+// loadShardState recovers a shard's snapshot.cas, reporting ok=false when
+// the shard has never compacted. Registry manifests are retained and the
+// snapshot's chunks pinned, so reads and sweeps are safe from the first
+// moment. A stale temporary from an interrupted compaction is removed.
 func loadShardState(dir string, cs *cas.Store) (st shardState, mtime time.Time, ok bool, err error) {
 	_ = os.Remove(filepath.Join(dir, casSnapshotFile+tmpSuffix))
 
 	path := filepath.Join(dir, casSnapshotFile)
 	data, err := os.ReadFile(path)
-	if err == nil {
-		body, err := decodeCASBody(data)
+	if os.IsNotExist(err) {
+		return shardState{}, time.Time{}, false, nil
+	}
+	if err != nil {
+		return shardState{}, time.Time{}, false, fmt.Errorf("store: read cas snapshot: %w", err)
+	}
+	body, err := decodeCASBody(data)
+	if err != nil {
+		return shardState{}, time.Time{}, false, err
+	}
+	st = shardState{
+		lastSeq: body.LastSeq,
+		users:   make(map[string][]features.WindowSample, len(body.Users)),
+		models:  make(map[string][]modelRef, len(body.Models)),
+	}
+	for id, m := range body.Users {
+		blob, err := cs.Get(m)
+		if err != nil {
+			return shardState{}, time.Time{}, false, fmt.Errorf("store: load windows for %q: %w", id, err)
+		}
+		samples, err := decodeWindowBlob(blob)
 		if err != nil {
 			return shardState{}, time.Time{}, false, err
 		}
-		st = shardState{
-			lastSeq: body.LastSeq,
-			users:   make(map[string][]features.WindowSample, len(body.Users)),
-			models:  make(map[string][]modelRef, len(body.Models)),
-		}
-		for id, m := range body.Users {
-			blob, err := cs.Get(m)
-			if err != nil {
-				return shardState{}, time.Time{}, false, fmt.Errorf("store: load windows for %q: %w", id, err)
-			}
-			samples, err := decodeWindowBlob(blob)
-			if err != nil {
-				return shardState{}, time.Time{}, false, err
-			}
-			st.users[id] = samples
-		}
-		for id, vs := range body.Models {
-			for _, mv := range vs {
-				if err := cs.Retain(mv.Man); err != nil {
-					return shardState{}, time.Time{}, false, fmt.Errorf("store: load model %q v%d: %w", id, mv.Version, err)
-				}
-			}
-			st.models[id] = vs
-		}
-		cs.SetPins(dir, body.hashes())
-		if info, statErr := os.Stat(path); statErr == nil {
-			mtime = info.ModTime()
-		}
-		return st, mtime, true, nil
+		st.users[id] = samples
 	}
-	if !os.IsNotExist(err) {
-		return shardState{}, time.Time{}, false, fmt.Errorf("store: read cas snapshot: %w", err)
-	}
-
-	snap, mtime, ok, err := loadSnapshot(dir)
-	if err != nil || !ok {
-		return shardState{}, mtime, ok, err
-	}
-	st = shardState{
-		lastSeq: snap.LastSeq,
-		users:   snap.Users,
-		models:  make(map[string][]modelRef, len(snap.Models)),
-	}
-	for id, vs := range snap.Models {
-		refs := make([]modelRef, 0, len(vs))
+	for id, vs := range body.Models {
 		for _, mv := range vs {
-			refs = append(refs, modelRef{Version: mv.Version, Man: cs.Put(mv.Bundle)})
+			if err := cs.Retain(mv.Man); err != nil {
+				return shardState{}, time.Time{}, false, fmt.Errorf("store: load model %q v%d: %w", id, mv.Version, err)
+			}
 		}
-		st.models[id] = refs
+		st.models[id] = vs
+	}
+	cs.SetPins(dir, body.hashes())
+	if info, statErr := os.Stat(path); statErr == nil {
+		mtime = info.ModTime()
 	}
 	return st, mtime, true, nil
 }

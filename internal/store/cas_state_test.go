@@ -80,14 +80,8 @@ func TestCASSnapshotRoundTripAcrossReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// The v2 file replaced the older formats.
 	if _, err := os.Stat(filepath.Join(dir, casSnapshotFile)); err != nil {
 		t.Fatalf("snapshot.cas missing after compaction: %v", err)
-	}
-	for _, stale := range []string{snapshotFile, snapshotBinFile} {
-		if _, err := os.Stat(filepath.Join(dir, stale)); !os.IsNotExist(err) {
-			t.Fatalf("legacy %s still present after v2 snapshot", stale)
-		}
 	}
 
 	s = openStore(t, dir, Options{KeepModelVersions: 5, SnapshotEvery: -1})
@@ -189,81 +183,6 @@ func TestCrashMidSweepOrphansScrubbed(t *testing.T) {
 	rep, err = s.ScrubCAS(false)
 	if err != nil || rep.Orphans != 0 {
 		t.Fatalf("orphans survived removal: %d (err=%v)", rep.Orphans, err)
-	}
-}
-
-// TestCrashMidMigrationRecovers interrupts the legacy→CAS migration at
-// its ugliest point — shard directories partially written, stray chunks
-// flushed, a torn snapshot.cas.tmp left behind, and the legacy top-level
-// files still in place — then opens again and requires a full, correct
-// migration.
-func TestCrashMidMigrationRecovers(t *testing.T) {
-	dir := t.TempDir()
-	want := writeLegacyStore(t, dir,
-		[]string{"anon-a", "anon-b", "anon-c"}, []string{"anon-d", "anon-e"}, 4)
-
-	// Debris from the imagined first attempt: a half-written shard with a
-	// torn tmp file, and chunks that made it to disk before the crash.
-	shardDir0 := filepath.Join(dir, "shard-0000")
-	if err := os.MkdirAll(shardDir0, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(shardDir0, casSnapshotFile+".tmp"), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	casDir := filepath.Join(dir, casDirName)
-	if err := os.MkdirAll(casDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	stray := blobRand(42, 8<<10)
-	strayHash := cas.HashOf(stray)
-	if err := os.WriteFile(filepath.Join(casDir, strayHash.Hex()+".chunk"), stray, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s := openStore(t, dir, Options{Shards: 4, SnapshotEvery: -1})
-	if s.migration == (Recovery{}) {
-		t.Fatal("expected a migration record")
-	}
-	got := s.Population()
-	if len(got) != len(want) {
-		t.Fatalf("migrated %d users, want %d", len(got), len(want))
-	}
-	for user, samples := range want {
-		if len(got[user]) != len(samples) {
-			t.Fatalf("user %s: %d windows, want %d", user, len(got[user]), len(samples))
-		}
-	}
-	// The legacy top-level files must be gone — a second crash here must
-	// not re-trigger migration over live shards.
-	for _, stale := range []string{walFile, snapshotFile, snapshotBinFile, casSnapshotFile} {
-		if _, err := os.Stat(filepath.Join(dir, stale)); !os.IsNotExist(err) {
-			t.Fatalf("legacy %s survived migration", stale)
-		}
-	}
-	// The stray chunk is an orphan now; scrub reclaims it.
-	rep, err := s.ScrubCAS(true)
-	if err != nil {
-		t.Fatalf("ScrubCAS: %v", err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("migration left damage: corrupt=%d missing=%d", len(rep.Corrupt), len(rep.Missing))
-	}
-	if s.cs.Contains(strayHash) {
-		t.Fatal("stray pre-migration chunk survived scrub -remove")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	// Reopen once more: the migrated layout must load as-is.
-	s = openStore(t, dir, Options{Shards: 4, SnapshotEvery: -1})
-	defer s.Close()
-	if s.migration != (Recovery{}) {
-		t.Fatal("migration ran twice")
-	}
-	if got := s.Population(); len(got) != len(want) {
-		t.Fatalf("reopen after migration lost users: %d of %d", len(got), len(want))
 	}
 }
 

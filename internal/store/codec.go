@@ -9,30 +9,28 @@ import (
 	"smarteryou/internal/features"
 )
 
-// Binary payload format (format byte 0x01), introduced to replace the
-// ~1.5 KB/window JSON records on the enroll hot path. The WindowSample
-// block encoding lives in internal/features (codec.go) and is shared with
-// the wire protocol's envelope v2; the decode cursor is binio.Reader.
+// Binary payload format (format byte 0x01). The WindowSample block
+// encoding lives in internal/features (codec.go) and is shared with the
+// wire protocol's envelope; the decode cursor is binio.Reader.
 //
 //	record payload:
-//	  [0]    format byte (binFormatV1; legacy JSON payloads start with '{')
+//	  [0]    format byte (binFormatV1)
 //	  [1]    op byte (1 enroll, 2 replace, 3 publish-model)
 //	  [2:10] sequence number, uint64 LE
 //	  user   uvarint length + bytes
 //	  enroll/replace: uvarint sample count, then each WindowSample
 //	  publish-model:  uvarint version, uvarint length + bundle JSON
 //
-// The format byte is the version/dispatch switch: decodeRecord inspects
-// the first payload byte and routes to this decoder or the legacy JSON
-// one, so pre-existing logs replay unchanged. The same WindowSample
-// encoding is shared by binary snapshots (snapshot.go).
+// The format byte is the version switch: decodeRecord refuses any other
+// value with ErrUnsupportedFormat rather than guessing. The same
+// WindowSample encoding is shared by the replication full-snapshot frame
+// below and by snapshot.cas window blobs (cas_state.go).
 
-// binFormatV1 tags version 1 of the binary payload and snapshot formats.
-// It must never collide with '{' (0x7B), the first byte of every legacy
-// JSON payload.
+// binFormatV1 tags version 1 of the binary record payload and of the
+// replication full-snapshot body.
 const binFormatV1 = 0x01
 
-// Binary op bytes, mapped to/from the string ops of the JSON format.
+// Binary op bytes, mapped to/from the string ops of walRecord.Op.
 const (
 	binOpEnroll  = 1
 	binOpReplace = 2
@@ -119,7 +117,8 @@ func decodeBinaryPayload(payload []byte) (walRecord, error) {
 	return rec, nil
 }
 
-// Binary snapshot format (snapshot.bin):
+// Binary full-snapshot format — the body of a replication full-snapshot
+// frame (ShardSnapshotBytes → InstallShardSnapshot); never a file:
 //
 //	[0]    format byte (binFormatV1)
 //	[1:9]  last sequence number, uint64 LE
@@ -129,8 +128,8 @@ func decodeBinaryPayload(payload []byte) (walRecord, error) {
 //	        per version: uvarint version, uvarint len + bundle JSON
 //	[last 4] CRC32 (IEEE) of everything before it, big-endian
 //
-// The trailing checksum guards against bit rot between compactions; the
-// write itself is already atomic (temp + rename).
+// The trailing checksum guards the body end to end, independent of the
+// replication frame that carries it.
 
 func encodeBinarySnapshot(snap snapshot) []byte {
 	size := 9 + 8

@@ -2,9 +2,7 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,19 +26,16 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte("not a wal record at all"))
 	f.Add([]byte{})
 
-	// A complete frame whose payload is valid JSON but an unknown op.
-	bad := []byte(`{"seq":1,"op":"format-disk"}`)
-	frame := make([]byte, recordHeaderSize+len(bad))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(bad)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(bad))
-	copy(frame[recordHeaderSize:], bad)
-	f.Add(frame)
+	// Complete, checksum-valid frames in payload formats this build does
+	// not read: a JSON record and an unassigned format byte.
+	f.Add(frame([]byte(`{"seq":1,"op":"enroll"}`)))
+	f.Add(frame([]byte{0x7F, 1, 2, 3}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := decodeRecord(data)
 		if err != nil {
-			if !errors.Is(err, ErrTruncatedRecord) && !errors.Is(err, ErrCorruptRecord) {
-				t.Fatalf("decode error outside the two sentinel classes: %v", err)
+			if !errors.Is(err, ErrTruncatedRecord) && !errors.Is(err, ErrCorruptRecord) && !errors.Is(err, ErrUnsupportedFormat) {
+				t.Fatalf("decode error outside the three sentinel classes: %v", err)
 			}
 			return
 		}
@@ -48,7 +43,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("decoded record claims %d bytes of a %d-byte buffer", n, len(data))
 		}
 		// A record that decodes must re-encode and decode to the same
-		// sequence/op (the payload may normalize, e.g. JSON key order).
+		// sequence/op.
 		again, err := encodeRecord(rec)
 		if err != nil {
 			t.Fatalf("re-encode decoded record: %v", err)
@@ -141,8 +136,10 @@ func FuzzDecodeBinarySnapshot(f *testing.F) {
 	})
 }
 
-// FuzzOpenWAL plants arbitrary bytes as a WAL file: Open must always
-// succeed by truncating at the damage, and the store must stay usable.
+// FuzzOpenWAL plants arbitrary bytes as a WAL file: Open must succeed by
+// truncating at the damage and leave the store usable — or, when the
+// bytes hold an intact record in a format this build cannot read, fail
+// with ErrUnsupportedFormat and leave wal.log exactly as planted.
 func FuzzOpenWAL(f *testing.F) {
 	var log bytes.Buffer
 	for i := uint64(1); i <= 3; i++ {
@@ -156,13 +153,21 @@ func FuzzOpenWAL(f *testing.F) {
 	f.Add(log.Bytes()[:log.Len()-4])
 	f.Add([]byte("garbage"))
 	f.Add([]byte{})
+	f.Add(append(log.Bytes(), frame([]byte{0x7F, 1, 2, 3})...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, walFile), data, 0o644); err != nil {
+		walPath := filepath.Join(dir, walFile)
+		if err := os.WriteFile(walPath, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, err := Open(dir, Options{})
+		if errors.Is(err, ErrUnsupportedFormat) {
+			if after, readErr := os.ReadFile(walPath); readErr != nil || !bytes.Equal(after, data) {
+				t.Fatalf("refused Open changed wal.log (read err %v): %d bytes planted, %d left", readErr, len(data), len(after))
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("Open on arbitrary wal bytes: %v", err)
 		}

@@ -60,8 +60,8 @@ const (
 )
 
 // ReplRecord is one replicable WAL record: its shard-local sequence
-// number and the encoded payload (binary codec or legacy JSON — the
-// format byte is the first payload byte either way).
+// number and the encoded payload (codec.go; the format byte is its first
+// byte).
 type ReplRecord struct {
 	Seq     uint64
 	Payload []byte

@@ -21,6 +21,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -95,9 +96,9 @@ type shard struct {
 	workerDone   chan struct{}
 }
 
-// openShard recovers one shard directory: snapshot, then sealed segments
-// in order, then the active WAL, truncating at the first damage. It
-// starts the shard's compaction worker.
+// openShard recovers one shard directory: snapshot.cas, then sealed
+// segments in order, then the active WAL, truncating at the first damage
+// (see replay). It starts the shard's compaction worker.
 func openShard(dir string, opt Options, cs *cas.Store) (*shard, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create shard directory: %w", err)
@@ -163,7 +164,10 @@ func sealedSegments(dir string) (paths []string, next uint64, err error) {
 // makes everything after it untrustworthy — the rest of that file and all
 // later segments are discarded (counted in recovery.TruncatedBytes), the
 // damaged file is truncated at the damage, and later sealed segments are
-// removed.
+// removed. An intact record in an unreadable format aborts the replay
+// before any of that: nothing has been truncated or removed when
+// ErrUnsupportedFormat is returned, because files are only ever cut at or
+// after the first damage and nothing past damage is decoded.
 func (s *shard) replay(snapSeq uint64, lastSeq *uint64) error {
 	sealed, next, err := sealedSegments(s.dir)
 	if err != nil {
@@ -186,7 +190,10 @@ func (s *shard) replay(snapSeq uint64, lastSeq *uint64) error {
 		if err != nil {
 			return fmt.Errorf("store: read sealed segment: %w", err)
 		}
-		keep := s.replayBuf(data, snapSeq, lastSeq)
+		keep, err := s.replayBuf(data, snapSeq, lastSeq)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
 		if keep < len(data) {
 			damaged = true
 			if err := os.Truncate(path, int64(keep)); err != nil {
@@ -201,7 +208,8 @@ func (s *shard) replay(snapSeq uint64, lastSeq *uint64) error {
 		}
 	}
 
-	wal, err := os.OpenFile(filepath.Join(s.dir, walFile), os.O_CREATE|os.O_RDWR, 0o644)
+	walPath := filepath.Join(s.dir, walFile)
+	wal, err := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: open wal: %w", err)
 	}
@@ -210,12 +218,12 @@ func (s *shard) replay(snapSeq uint64, lastSeq *uint64) error {
 		_ = wal.Close()
 		return fmt.Errorf("store: read wal: %w", err)
 	}
-	keep := len(data)
+	keep := 0
 	if damaged {
 		s.recovery.TruncatedBytes += int64(len(data))
-		keep = 0
-	} else {
-		keep = s.replayBuf(data, snapSeq, lastSeq)
+	} else if keep, err = s.replayBuf(data, snapSeq, lastSeq); err != nil {
+		_ = wal.Close()
+		return fmt.Errorf("%s: %w", walPath, err)
 	}
 	if keep < len(data) {
 		if err := wal.Truncate(int64(keep)); err != nil {
@@ -233,15 +241,19 @@ func (s *shard) replay(snapSeq uint64, lastSeq *uint64) error {
 }
 
 // replayBuf applies intact records from one segment buffer and returns
-// how many prefix bytes were intact; anything damaged past that is
-// accounted to recovery.TruncatedBytes by the caller via the shortfall.
-func (s *shard) replayBuf(data []byte, snapSeq uint64, lastSeq *uint64) int {
+// how many prefix bytes were intact, accounting anything torn or corrupt
+// past that to recovery.TruncatedBytes for the caller to truncate. An
+// intact record in an unreadable format is not damage: it is the error.
+func (s *shard) replayBuf(data []byte, snapSeq uint64, lastSeq *uint64) (int, error) {
 	off := 0
 	for off < len(data) {
 		rec, n, err := decodeRecord(data[off:])
 		if err != nil {
+			if errors.Is(err, ErrUnsupportedFormat) {
+				return off, fmt.Errorf("record at offset %d: %w", off, err)
+			}
 			s.recovery.TruncatedBytes += int64(len(data) - off)
-			return off
+			return off, nil
 		}
 		if rec.Seq > snapSeq {
 			s.apply(rec)
@@ -254,7 +266,7 @@ func (s *shard) replayBuf(data []byte, snapSeq uint64, lastSeq *uint64) int {
 		}
 		off += n
 	}
-	return off
+	return off, nil
 }
 
 // apply executes one logged mutation against the in-memory state. For

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -12,60 +11,6 @@ import (
 
 	"smarteryou/internal/features"
 )
-
-// encodeLegacyRecord frames a record exactly as the pre-binary (PR 1)
-// store did: JSON payload behind the length+CRC header.
-func encodeLegacyRecord(t *testing.T, rec walRecord) []byte {
-	t.Helper()
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatalf("marshal legacy record: %v", err)
-	}
-	return frame(payload)
-}
-
-// writeLegacyStore plants a PR 1-layout store at the top of dir: a JSON
-// snapshot holding snapUsers plus a JSON-record WAL appending walUsers —
-// no meta file, no shard directories, no binary records anywhere. It
-// returns the planted population for later comparison.
-func writeLegacyStore(t *testing.T, dir string, snapUsers, walUsers []string, perUser int) map[string][]features.WindowSample {
-	t.Helper()
-	want := make(map[string][]features.WindowSample)
-	seq := uint64(0)
-
-	snap := snapshot{
-		Users:  make(map[string][]features.WindowSample),
-		Models: make(map[string][]ModelVersion),
-	}
-	for i, user := range snapUsers {
-		seq++
-		samples := fakeSamples(user, perUser, float64(i))
-		snap.Users[user] = samples
-		want[user] = append(want[user], samples...)
-	}
-	snap.LastSeq = seq
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatalf("marshal legacy snapshot: %v", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), data, 0o644); err != nil {
-		t.Fatalf("write legacy snapshot: %v", err)
-	}
-
-	var wal []byte
-	for i, user := range walUsers {
-		seq++
-		samples := fakeSamples(user, perUser, 100+float64(i))
-		wal = append(wal, encodeLegacyRecord(t, walRecord{
-			Seq: seq, Op: opEnroll, User: user, Samples: samples,
-		})...)
-		want[user] = append(want[user], samples...)
-	}
-	if err := os.WriteFile(filepath.Join(dir, walFile), wal, 0o644); err != nil {
-		t.Fatalf("write legacy wal: %v", err)
-	}
-	return want
-}
 
 func TestShardedRoundTripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
@@ -140,50 +85,67 @@ func TestShardCountPinnedByMeta(t *testing.T) {
 	}
 }
 
-// TestLegacyMigrationToSharded is the acceptance round-trip: a pre-PR
-// single-file data dir (JSON snapshot + JSON WAL records) opened with
-// Shards > 1 must recover every record, convert to the sharded binary
-// layout, and keep working there.
-func TestLegacyMigrationToSharded(t *testing.T) {
+// TestReshardSingleDirStore is the reshard round-trip: a single-directory
+// (Shards: 1) store with a compacted snapshot plus a live WAL tail,
+// reopened with Shards > 1, must recover every record, convert to the
+// sharded layout, and keep working there.
+func TestReshardSingleDirStore(t *testing.T) {
 	dir := t.TempDir()
-	want := writeLegacyStore(t, dir,
-		[]string{"anon-a", "anon-b", "anon-c"},
-		[]string{"anon-c", "anon-d", "anon-e", "anon-f"}, 4)
+	want := make(map[string][]features.WindowSample)
+	enroll := func(s *Store, users []string, bias float64) {
+		t.Helper()
+		for i, user := range users {
+			samples := fakeSamples(user, 4, bias+float64(i))
+			if err := s.Enroll(user, samples, false); err != nil {
+				t.Fatalf("Enroll %s: %v", user, err)
+			}
+			want[user] = append(want[user], samples...)
+		}
+	}
+	single := openStore(t, dir, Options{Shards: 1, SnapshotEvery: -1})
+	enroll(single, []string{"anon-a", "anon-b", "anon-c"}, 0)
+	if err := single.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	enroll(single, []string{"anon-c", "anon-d", "anon-e", "anon-f"}, 100)
+	if err := single.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 
 	s := openStore(t, dir, Options{Shards: 4})
 	if got := s.Population(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("migration lost data: got %d users / %d windows", len(got), countWindows(got))
+		t.Fatalf("reshard lost data: got %d users / %d windows", len(got), countWindows(got))
 	}
 	if rec := s.Stats().Recovery; rec.Replayed != 4 {
-		t.Errorf("migration replayed %d wal records, want 4", rec.Replayed)
+		t.Errorf("reshard replayed %d wal records, want 4", rec.Replayed)
 	}
-	// Legacy files must be gone; shard dirs and meta must exist.
-	for _, name := range []string{walFile, snapshotFile} {
+	// The top-level files must be gone; shard dirs and meta must exist.
+	for _, name := range []string{walFile, casSnapshotFile} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Errorf("legacy %s survived migration", name)
+			t.Errorf("top-level %s survived the reshard", name)
 		}
 	}
 	meta, ok, err := readMeta(dir)
 	if err != nil || !ok || meta.Shards != 4 {
-		t.Errorf("meta after migration = (%+v, %v, %v), want 4 shards", meta, ok, err)
+		t.Errorf("meta after reshard = (%+v, %v, %v), want 4 shards", meta, ok, err)
 	}
 
-	// The migrated store must keep accepting writes in the new layout...
+	// The resharded store must keep accepting writes in the new layout...
 	if err := s.Enroll("anon-a", fakeSamples("anon-a", 2, 50), false); err != nil {
-		t.Fatalf("Enroll after migration: %v", err)
+		t.Fatalf("Enroll after reshard: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// ...and a plain reopen (even with the old Shards=1 default) must see
-	// everything, pinned to the migrated count.
+	// ...and a plain reopen (even with the Shards=1 default) must see
+	// everything, pinned to the new count.
 	s2 := openStore(t, dir, Options{})
 	defer func() { _ = s2.Close() }()
 	if got := len(s2.Stats().Shards); got != 4 {
-		t.Errorf("reopen after migration: %d shards, want 4", got)
+		t.Errorf("reopen after reshard: %d shards, want 4", got)
 	}
 	if got := len(s2.Population()["anon-a"]); got != 4+2 {
-		t.Errorf("anon-a has %d windows after migration+append+reopen, want 6", got)
+		t.Errorf("anon-a has %d windows after reshard+append+reopen, want 6", got)
 	}
 }
 
@@ -193,18 +155,6 @@ func countWindows(pop map[string][]features.WindowSample) int {
 		n += len(s)
 	}
 	return n
-}
-
-// TestLegacyJSONWALReplaysDirectly: without migration (Shards=1), a
-// legacy JSON log must replay through the format-dispatching decoder.
-func TestLegacyJSONWALReplaysDirectly(t *testing.T) {
-	dir := t.TempDir()
-	want := writeLegacyStore(t, dir, []string{"s1"}, []string{"w1", "w2"}, 3)
-	s := openStore(t, dir, Options{})
-	defer func() { _ = s.Close() }()
-	if got := s.Population(); !reflect.DeepEqual(got, want) {
-		t.Errorf("legacy JSON store did not replay: got %d users", len(got))
-	}
 }
 
 func TestModelVersionRetention(t *testing.T) {
@@ -342,7 +292,7 @@ func TestCrashMidBackgroundCompactionLosesNothing(t *testing.T) {
 	if err != nil || len(sealed) == 0 {
 		t.Fatalf("no sealed segment while compaction wedged (err=%v)", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotBinFile)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, casSnapshotFile)); !os.IsNotExist(err) {
 		t.Fatalf("snapshot present while worker wedged")
 	}
 

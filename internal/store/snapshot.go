@@ -1,11 +1,10 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
+	"strings"
 
 	"smarteryou/internal/features"
 )
@@ -14,14 +13,37 @@ import (
 const (
 	// walFile is the active WAL segment. Compaction seals it by renaming
 	// it to a numbered sealedSegmentPattern file and starting a fresh one.
-	walFile = "wal.log"
-	// snapshotFile is the legacy JSON snapshot (PR 1 layout); it is read
-	// but no longer written.
-	snapshotFile = "snapshot.json"
-	// snapshotBinFile is the binary snapshot (codec.go format).
-	snapshotBinFile = "snapshot.bin"
-	tmpSuffix       = ".tmp"
+	walFile   = "wal.log"
+	tmpSuffix = ".tmp"
 )
+
+// retiredSnapshotFiles are the snapshot file names of earlier store
+// generations. This build cannot read them, and opening around one would
+// silently drop the state it holds, so Open refuses a directory that
+// contains either (refuseRetiredSnapshots).
+var retiredSnapshotFiles = []string{"snapshot.json", "snapshot.bin"}
+
+// refuseRetiredSnapshots fails with ErrUnsupportedFormat when dir, or any
+// shard directory under it, holds a snapshot file this build cannot read.
+// It runs before Open creates, truncates or removes anything.
+func refuseRetiredSnapshots(dir string) error {
+	dirs := []string{dir}
+	entries, _ := os.ReadDir(dir) // a missing dir holds nothing to refuse
+	for _, e := range entries {
+		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
+			dirs = append(dirs, filepath.Join(dir, e.Name()))
+		}
+	}
+	for _, d := range dirs {
+		for _, name := range retiredSnapshotFiles {
+			path := filepath.Join(d, name)
+			if _, err := os.Stat(path); err == nil {
+				return fmt.Errorf("%w: %s", ErrUnsupportedFormat, path)
+			}
+		}
+	}
+	return nil
+}
 
 // sealedSegmentName formats a sealed (read-only) WAL segment name; the
 // counter orders segments for replay.
@@ -29,58 +51,14 @@ func sealedSegmentName(n uint64) string {
 	return fmt.Sprintf("wal-%08d.sealed", n)
 }
 
-// snapshot is the compacted store state: everything the WAL contained up
-// to (and including) LastSeq. Replay applies only records with a higher
-// sequence number, so a crash between snapshot publication and WAL
-// truncation cannot double-apply mutations.
+// snapshot is a shard's full state with every window and bundle inline,
+// up to (and including) LastSeq — the body of a replication full-snapshot
+// frame (encodeBinarySnapshot). On disk the state is content-addressed
+// instead (cas_state.go).
 type snapshot struct {
-	LastSeq uint64                             `json:"last_seq"`
-	Users   map[string][]features.WindowSample `json:"users"`
-	Models  map[string][]ModelVersion          `json:"models"`
-}
-
-// Snapshots are no longer written in this file's formats — compaction
-// writes the content-addressed layout (cas_state.go). loadSnapshot stays
-// as the read half so stores from earlier layouts migrate on open.
-
-// loadSnapshot reads the current snapshot — binary first, then the legacy
-// JSON file — reporting ok=false when neither exists. Stale temporaries
-// from an interrupted compaction are removed.
-func loadSnapshot(dir string) (snap snapshot, mtime time.Time, ok bool, err error) {
-	_ = os.Remove(filepath.Join(dir, snapshotFile+tmpSuffix))
-	_ = os.Remove(filepath.Join(dir, snapshotBinFile+tmpSuffix))
-
-	path := filepath.Join(dir, snapshotBinFile)
-	data, err := os.ReadFile(path)
-	if err == nil {
-		snap, err = decodeBinarySnapshot(data)
-		if err != nil {
-			return snapshot{}, time.Time{}, false, err
-		}
-		if info, statErr := os.Stat(path); statErr == nil {
-			mtime = info.ModTime()
-		}
-		return snap, mtime, true, nil
-	}
-	if !os.IsNotExist(err) {
-		return snapshot{}, time.Time{}, false, fmt.Errorf("store: read snapshot: %w", err)
-	}
-
-	path = filepath.Join(dir, snapshotFile)
-	data, err = os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return snapshot{}, time.Time{}, false, nil
-	}
-	if err != nil {
-		return snapshot{}, time.Time{}, false, fmt.Errorf("store: read snapshot: %w", err)
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return snapshot{}, time.Time{}, false, fmt.Errorf("store: decode snapshot: %w", err)
-	}
-	if info, statErr := os.Stat(path); statErr == nil {
-		mtime = info.ModTime()
-	}
-	return snap, mtime, true, nil
+	LastSeq uint64
+	Users   map[string][]features.WindowSample
+	Models  map[string][]ModelVersion
 }
 
 // syncDir fsyncs a directory so a rename within it is durable. Best

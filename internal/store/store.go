@@ -14,8 +14,7 @@
 //     is appended to its shard's append-only, CRC32-checksummed log
 //     before it is applied in memory;
 //   - feature windows are stored in a fixed-width binary encoding
-//     (codec.go, ~5x smaller than the JSON it replaced); logs written
-//     before the binary codec still replay via a format byte;
+//     (codec.go) behind a format byte;
 //   - compaction runs on a per-shard background worker from a
 //     copy-on-write view, so no enroll ever blocks on a full-state
 //     rewrite; sealed WAL segments are deleted only after the covering
@@ -23,10 +22,13 @@
 //
 // Recovery tolerates a torn final record — the half-written tail of a
 // crashed append — by truncating the log at the last intact record and
-// continuing. Corruption is reported, never panicked on. Opening a legacy
-// single-directory store (PR 1 layout) with Shards > 1 migrates it into
-// the sharded layout in one pass; the shard count is then pinned in a
-// meta file so later opens route users identically.
+// continuing. Corruption is reported, never panicked on. The store reads
+// only the formats it writes: a directory holding a snapshot file or an
+// intact WAL record from another format generation is refused with
+// ErrUnsupportedFormat, untouched, rather than opened around. Opening a
+// single-directory store with Shards > 1 reshards it in one pass; the
+// shard count is then pinned in a meta file so later opens route users
+// identically.
 //
 // The store also acts as the versioned model registry: each published
 // bundle gets the user's next monotonic version number and can be fetched
@@ -57,6 +59,14 @@ var (
 	// ErrNoModel indicates the registry holds no model for the user (or
 	// not the requested version).
 	ErrNoModel = errors.New("store: no such model")
+	// ErrUnsupportedFormat indicates the directory holds state in a format
+	// this build does not read: a snapshot.json or snapshot.bin file, or a
+	// WAL record that is intact (length and checksum hold) but carries an
+	// unknown payload format byte. The error names the offending file and
+	// Open has truncated and removed nothing. Such a directory was written
+	// by another build and must be rewritten by one that reads its format
+	// (README, "Upgrading a data directory").
+	ErrUnsupportedFormat = errors.New("store: unsupported on-disk format")
 )
 
 // Options tunes a store.
@@ -106,8 +116,8 @@ func (o Options) withDefaults() Options {
 // number and the bundle's JSON encoding (the exact bytes the phone
 // downloads).
 type ModelVersion struct {
-	Version int             `json:"version"`
-	Bundle  json.RawMessage `json:"bundle"`
+	Version int
+	Bundle  json.RawMessage
 }
 
 // Recovery describes what Open found in the logs (summed across shards).
@@ -177,7 +187,7 @@ type Store struct {
 	// model bundles and snapshot window blobs are chunked into it, shared
 	// across versions and shards, and garbage-collected by sweep.
 	cs *cas.Store
-	// migration holds recovery counters from a legacy-layout migration,
+	// migration holds recovery counters from a single-directory reshard,
 	// folded into Stats so the caller sees the full recovery picture.
 	migration Recovery
 
@@ -189,11 +199,15 @@ type Store struct {
 
 // Open creates or recovers a store rooted at dir: every shard loads its
 // snapshot (if any), replays its WAL segments on top, truncates any torn
-// tail, and leaves its log open for appends. A legacy single-directory
-// store opened with Shards > 1 is migrated into the sharded layout first.
+// tail, and leaves its log open for appends. A single-directory store
+// opened with Shards > 1 is resharded first. A directory in a format this
+// build does not read fails with ErrUnsupportedFormat.
 func Open(dir string, opt Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
+	}
+	if err := refuseRetiredSnapshots(dir); err != nil {
+		return nil, err
 	}
 	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -217,16 +231,14 @@ func Open(dir string, opt Options) (*Store, error) {
 		// caller asked for — rehashing users across a different count
 		// would break replace semantics.
 		shardCount = meta.Shards
-	case hasLegacyLayout(dir) && shardCount > 1:
-		// Single-directory store (PR 1 layout, or a Shards=1 store)
-		// being opened with more shards: migrate in one pass.
-		rec, err := migrateLegacy(dir, opt, shardCount, cs)
+	case shardCount > 1 && hasSingleDirState(dir):
+		// A Shards=1 store being opened with more shards: reshard in one
+		// pass. (An empty single-shard store just takes the new count.)
+		rec, err := reshardSingleDir(dir, opt, shardCount, cs)
 		if err != nil {
 			return nil, err
 		}
 		st.migration = rec
-	case hasMeta && meta.Shards == 1 && shardCount > 1 && !hasLegacyLayout(dir):
-		// Empty single-shard store; honor the new count.
 	}
 	opt.Shards = shardCount
 	st.opt = opt
@@ -254,7 +266,7 @@ func Open(dir string, opt Options) (*Store, error) {
 }
 
 // shardDir maps a shard index to its directory. A single-shard store
-// lives directly in dir — byte-compatible with the pre-sharding layout.
+// lives directly in dir.
 func shardDir(dir string, i, count int) string {
 	if count <= 1 {
 		return dir
@@ -262,10 +274,10 @@ func shardDir(dir string, i, count int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d", i))
 }
 
-// hasLegacyLayout reports whether dir holds single-directory store state
-// (an active WAL or snapshot at the top level).
-func hasLegacyLayout(dir string) bool {
-	for _, name := range []string{walFile, snapshotFile, snapshotBinFile, casSnapshotFile} {
+// hasSingleDirState reports whether dir holds a single-shard store's
+// state (an active WAL, sealed segments or a snapshot at the top level).
+func hasSingleDirState(dir string) bool {
+	for _, name := range []string{walFile, casSnapshotFile} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
 			return true
 		}
@@ -276,26 +288,26 @@ func hasLegacyLayout(dir string) bool {
 	return false
 }
 
-// migrateLegacy rewrites a single-directory store into count shard
-// directories: the legacy state is recovered through the normal shard
-// open path (so torn tails, legacy JSON records and legacy snapshots are
-// all handled), partitioned by user hash, and written as one binary
-// snapshot per shard. The legacy files are removed only after every
-// shard snapshot has been atomically published, so a crash mid-migration
-// just migrates again from the untouched legacy state.
-func migrateLegacy(dir string, opt Options, count int, cs *cas.Store) (Recovery, error) {
-	legacyOpt := opt
-	legacyOpt.Shards = 1
-	legacyOpt.SnapshotEvery = -1 // recovery only; no compaction churn
-	legacy, err := openShard(dir, legacyOpt, cs)
+// reshardSingleDir rewrites a single-directory (Shards=1) store into
+// count shard directories: its state is recovered through the normal
+// shard open path (so torn tails are handled the same way), partitioned
+// by user hash, and written as one snapshot per shard. The top-level
+// files are removed only after every shard snapshot has been atomically
+// published, so a crash mid-reshard just reshards again from the
+// untouched single-directory state.
+func reshardSingleDir(dir string, opt Options, count int, cs *cas.Store) (Recovery, error) {
+	singleOpt := opt
+	singleOpt.Shards = 1
+	singleOpt.SnapshotEvery = -1 // recovery only; no compaction churn
+	single, err := openShard(dir, singleOpt, cs)
 	if err != nil {
-		return Recovery{}, fmt.Errorf("store: open legacy store for migration: %w", err)
+		return Recovery{}, fmt.Errorf("store: open single-directory store for resharding: %w", err)
 	}
-	rec := legacy.recovery
-	users := legacy.users
-	models := legacy.models
-	if err := legacy.close(); err != nil {
-		return Recovery{}, fmt.Errorf("store: close legacy store: %w", err)
+	rec := single.recovery
+	users := single.users
+	models := single.models
+	if err := single.close(); err != nil {
+		return Recovery{}, fmt.Errorf("store: close single-directory store: %w", err)
 	}
 
 	partUsers := make([]map[string][]features.WindowSample, count)
@@ -319,12 +331,12 @@ func migrateLegacy(dir string, opt Options, count int, cs *cas.Store) (Recovery,
 			return Recovery{}, fmt.Errorf("store: write shard %d snapshot: %w", i, err)
 		}
 	}
-	// Every record now lives in a shard snapshot; retire the legacy files
-	// and the legacy shard's transient CAS references (each shard's open
-	// will re-retain from its own snapshot). A crash before this point
-	// leaves the legacy state untouched and migrates again; the already
-	// written shard snapshots and chunks are simply rewritten.
-	for _, name := range []string{walFile, snapshotFile, snapshotBinFile, casSnapshotFile} {
+	// Every record now lives in a shard snapshot; retire the top-level
+	// files and the single shard's transient CAS references (each shard's
+	// open will re-retain from its own snapshot). A crash before this point
+	// leaves the single-directory state untouched and reshards again; the
+	// already written shard snapshots and chunks are simply rewritten.
+	for _, name := range []string{walFile, casSnapshotFile} {
 		_ = os.Remove(filepath.Join(dir, name))
 	}
 	if sealed, _, err := sealedSegments(dir); err == nil {

@@ -2,10 +2,14 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"smarteryou/internal/core"
@@ -374,7 +378,7 @@ func TestOpenValidation(t *testing.T) {
 
 func TestStaleSnapshotTempIsRemoved(t *testing.T) {
 	dir := t.TempDir()
-	tmp := filepath.Join(dir, snapshotFile+tmpSuffix)
+	tmp := filepath.Join(dir, casSnapshotFile+tmpSuffix)
 	if err := os.WriteFile(tmp, []byte("half-written"), 0o644); err != nil {
 		t.Fatalf("plant temp: %v", err)
 	}
@@ -382,5 +386,104 @@ func TestStaleSnapshotTempIsRemoved(t *testing.T) {
 	defer func() { _ = s.Close() }()
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Errorf("interrupted snapshot temp survived Open")
+	}
+}
+
+// treeDigest maps every path under dir to its content hash (directories to
+// "dir"), so two digests are equal exactly when nothing was created,
+// removed, truncated or rewritten in between.
+func treeDigest(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	fsys := os.DirFS(dir)
+	err := fs.WalkDir(fsys, ".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			out[path] = "dir"
+			return nil
+		}
+		data, err := fs.ReadFile(fsys, path)
+		out[path] = fmt.Sprintf("%x", sha256.Sum256(data))
+		return err
+	})
+	if err != nil {
+		t.Fatalf("digest %s: %v", dir, err)
+	}
+	return out
+}
+
+// TestOpenRefusesUnsupportedFormats pins "the store reads only what it
+// writes" from the refusing side: a snapshot file of an earlier
+// generation, or an intact WAL record whose format byte this build does
+// not know, fails Open with ErrUnsupportedFormat naming the file, and the
+// data directory is byte-identical afterwards. Opening around such state
+// (ignoring the file, or truncating the log at the record as if it were
+// torn) would silently drop enrollments another build acknowledged.
+func TestOpenRefusesUnsupportedFormats(t *testing.T) {
+	jsonRecord := frame([]byte(`{"seq":9,"op":"enroll","user":"anon-z"}`))
+	for _, tc := range []struct {
+		name, file string // file is relative to the store directory
+		data       []byte
+		extend     bool // append to the existing file instead of creating it
+	}{
+		{name: "snapshot.json", file: "snapshot.json", data: []byte(`{"last_seq":1,"users":{},"models":{}}`)},
+		{name: "snapshot.bin", file: "shard-0001/snapshot.bin", data: encodeBinarySnapshot(snapshot{LastSeq: 1})},
+		{name: "json record in wal.log", file: "shard-0000/" + walFile, data: jsonRecord, extend: true},
+		{name: "json record in a sealed segment", file: "shard-0001/" + sealedSegmentName(0), data: jsonRecord},
+		{name: "format byte 0x7F in wal.log", file: "shard-0001/" + walFile, data: frame([]byte{0x7F, 1, 2, 3}), extend: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opt := Options{Shards: 2, SnapshotEvery: -1, NoSync: true}
+			s := openStore(t, dir, opt)
+			for i, user := range []string{"anon-a", "anon-b", "anon-c", "anon-d", "anon-e", "anon-f", "anon-g", "anon-h"} {
+				if i == 4 { // the first four are compacted, the rest stay in the WALs
+					if err := s.Snapshot(); err != nil {
+						t.Fatalf("Snapshot: %v", err)
+					}
+				}
+				if err := s.Enroll(user, fakeSamples(user, 2, 1), false); err != nil {
+					t.Fatalf("Enroll %s: %v", user, err)
+				}
+			}
+			for i, shs := range s.Stats().Shards {
+				if shs.WALBytes == 0 {
+					t.Fatalf("fixture: shard %d has no WAL tail to protect", i)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+
+			path := filepath.Join(dir, tc.file)
+			flags := os.O_WRONLY | os.O_CREATE | os.O_EXCL
+			if tc.extend {
+				flags = os.O_WRONLY | os.O_APPEND
+			}
+			f, err := os.OpenFile(path, flags, 0o644)
+			if err == nil {
+				_, err = f.Write(tc.data)
+			}
+			if err == nil {
+				err = f.Close()
+			}
+			if err != nil {
+				t.Fatalf("plant %s: %v", tc.file, err)
+			}
+			before := treeDigest(t, dir)
+
+			s, err = Open(dir, opt)
+			if err == nil {
+				_ = s.Close()
+			}
+			if !errors.Is(err, ErrUnsupportedFormat) || !strings.Contains(err.Error(), path) {
+				t.Fatalf("Open err = %v, want ErrUnsupportedFormat naming %s", err, path)
+			}
+			if after := treeDigest(t, dir); !reflect.DeepEqual(after, before) {
+				t.Errorf("refused Open changed the data directory:\nbefore %v\nafter  %v", before, after)
+			}
+		})
 	}
 }

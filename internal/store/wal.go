@@ -17,11 +17,11 @@ import (
 //	[payload: binary-encoded walRecord (codec.go)]
 //
 // The length prefix makes replay O(records) without scanning for
-// delimiters; the checksum detects torn writes and bit rot. New records
-// are written in the fixed-width binary format of codec.go (~5x smaller
-// than the JSON they replace); the decoder dispatches on the payload's
-// first byte — '{' selects the legacy JSON format — so logs written
-// before the binary codec replay unchanged.
+// delimiters; the checksum detects torn writes and bit rot. The payload
+// is the fixed-width binary format of codec.go, introduced by a format
+// byte. A record whose checksum holds but whose format byte this build
+// does not know was written whole by some other build: it is reported as
+// ErrUnsupportedFormat, never treated as damage.
 
 // Operations recorded in the WAL.
 const (
@@ -56,12 +56,12 @@ var (
 // life of the store; snapshots remember the last sequence number they
 // contain so replay can skip records already compacted into the snapshot.
 type walRecord struct {
-	Seq     uint64                  `json:"seq"`
-	Op      string                  `json:"op"`
-	User    string                  `json:"user,omitempty"`
-	Samples []features.WindowSample `json:"samples,omitempty"`
-	Version int                     `json:"version,omitempty"`
-	Bundle  json.RawMessage         `json:"bundle,omitempty"`
+	Seq     uint64
+	Op      string
+	User    string
+	Samples []features.WindowSample
+	Version int
+	Bundle  json.RawMessage
 }
 
 // encodeRecord frames a record for appending to the WAL, in the binary
@@ -90,8 +90,9 @@ func frameHeader(payload []byte) []byte {
 // decodeRecord decodes the first record in b, returning the record and the
 // number of bytes it occupied. ErrTruncatedRecord means b ends mid-record
 // (recoverable: truncate the log there); ErrCorruptRecord means the bytes
-// at the head of b are not a valid record. It never panics, whatever b
-// holds.
+// at the head of b are not a valid record; ErrUnsupportedFormat means they
+// are an intact record (length and checksum hold) in a payload format
+// this build cannot read. It never panics, whatever b holds.
 func decodeRecord(b []byte) (walRecord, int, error) {
 	if len(b) < recordHeaderSize {
 		return walRecord{}, 0, ErrTruncatedRecord
@@ -110,25 +111,12 @@ func decodeRecord(b []byte) (walRecord, int, error) {
 	if len(payload) == 0 {
 		return walRecord{}, 0, fmt.Errorf("%w: empty payload", ErrCorruptRecord)
 	}
-	var rec walRecord
-	switch payload[0] {
-	case binFormatV1:
-		dec, err := decodeBinaryPayload(payload)
-		if err != nil {
-			return walRecord{}, 0, fmt.Errorf("%w: %v", ErrCorruptRecord, err)
-		}
-		rec = dec
-	case '{': // legacy JSON payload from a pre-binary-codec log
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return walRecord{}, 0, fmt.Errorf("%w: %v", ErrCorruptRecord, err)
-		}
-	default:
-		return walRecord{}, 0, fmt.Errorf("%w: unknown payload format byte %#x", ErrCorruptRecord, payload[0])
+	if payload[0] != binFormatV1 {
+		return walRecord{}, 0, fmt.Errorf("%w: wal record payload format byte %#x", ErrUnsupportedFormat, payload[0])
 	}
-	switch rec.Op {
-	case opEnroll, opReplace, opPublish:
-	default:
-		return walRecord{}, 0, fmt.Errorf("%w: unknown op %q", ErrCorruptRecord, rec.Op)
+	rec, err := decodeBinaryPayload(payload)
+	if err != nil {
+		return walRecord{}, 0, fmt.Errorf("%w: %v", ErrCorruptRecord, err)
 	}
 	return rec, recordHeaderSize + int(n), nil
 }

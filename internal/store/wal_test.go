@@ -75,38 +75,23 @@ func TestDecodeRecordRejectsUnknownOp(t *testing.T) {
 	if _, err := encodeRecord(walRecord{Seq: 1, Op: "drop-table"}); err == nil {
 		t.Errorf("encodeRecord accepted an unknown op")
 	}
-	// Legacy JSON payload with an unknown op.
-	if _, _, err := decodeRecord(frame([]byte(`{"seq":1,"op":"drop-table"}`))); !errors.Is(err, ErrCorruptRecord) {
-		t.Errorf("unknown JSON op err = %v, want ErrCorruptRecord", err)
-	}
 	// Binary payload with an unknown op byte.
 	bin := []byte{binFormatV1, 0x7F, 0, 0, 0, 0, 0, 0, 0, 0, 0}
 	if _, _, err := decodeRecord(frame(bin)); !errors.Is(err, ErrCorruptRecord) {
 		t.Errorf("unknown binary op err = %v, want ErrCorruptRecord", err)
 	}
-	// Unknown payload format byte.
-	if _, _, err := decodeRecord(frame([]byte{0x42, 1, 2, 3})); !errors.Is(err, ErrCorruptRecord) {
-		t.Errorf("unknown format byte err = %v, want ErrCorruptRecord", err)
-	}
 }
 
-// TestLegacyJSONRecordReplays pins the format-dispatch contract: a
-// payload produced by the pre-binary JSON encoder must still decode.
-func TestLegacyJSONRecordReplays(t *testing.T) {
-	rec := walRecord{Seq: 9, Op: opEnroll, User: "legacy", Samples: fakeSamples("legacy", 2, 1)}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatalf("marshal legacy payload: %v", err)
-	}
-	got, n, err := decodeRecord(frame(payload))
-	if err != nil {
-		t.Fatalf("decode legacy record: %v", err)
-	}
-	if n != recordHeaderSize+len(payload) {
-		t.Errorf("consumed %d bytes, want %d", n, recordHeaderSize+len(payload))
-	}
-	if !reflect.DeepEqual(got, rec) {
-		t.Errorf("legacy decode mismatch:\n got %+v\nwant %+v", got, rec)
+// TestDecodeRecordUnknownFormatIsNotDamage pins the line between damage
+// and a foreign format: an intact frame whose payload format byte this
+// build does not know — '{', the retired JSON records, included — is
+// ErrUnsupportedFormat, never one of the two classes replay truncates on.
+func TestDecodeRecordUnknownFormatIsNotDamage(t *testing.T) {
+	for _, payload := range [][]byte{{0x7F, 1, 2, 3}, []byte(`{"seq":1,"op":"enroll"}`)} {
+		_, _, err := decodeRecord(frame(payload))
+		if !errors.Is(err, ErrUnsupportedFormat) || errors.Is(err, ErrCorruptRecord) || errors.Is(err, ErrTruncatedRecord) {
+			t.Errorf("format byte %#x: err = %v, want only ErrUnsupportedFormat", payload[0], err)
+		}
 	}
 }
 

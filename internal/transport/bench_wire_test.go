@@ -10,12 +10,12 @@ import (
 	"smarteryou/internal/sensing"
 )
 
-// The wire benches measure the per-window cost of the four ways a window
-// can cross the wire: a v1 JSON request, a v2 binary request, a v2 batch
-// burst and a v2 streaming session. Every bench iterates per WINDOW (one
-// batch op advances the counter by its burst size), so ns/op columns
-// compare directly across all four. `make bench-wire` runs them and
-// BENCH_auth.json records the spread.
+// The wire benches measure the per-window cost of the three ways a window
+// can cross the wire: a single request, a batch burst and a streaming
+// session. Every bench iterates per WINDOW (one batch op advances the
+// counter by its burst size), so ns/op columns compare directly across
+// all three. `make bench-wire` runs them and BENCH_auth.json records the
+// spread.
 
 const benchBatchSize = 16
 
@@ -98,10 +98,10 @@ func buildBenchWire() error {
 	return nil
 }
 
-func benchWireSession(b *testing.B, jsonV1 bool) *Session {
+func benchWireSession(b *testing.B) *Session {
 	b.Helper()
 	addr, _, _ := benchWireFixture(b)
-	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey, JSONv1: jsonV1})
+	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -121,25 +121,11 @@ func reportWindowsPerSec(b *testing.B) {
 	}
 }
 
-// BenchmarkWireAuthSingleV1 is the pre-v2 baseline: one JSON envelope
-// round trip per window over a kept-alive session.
-func BenchmarkWireAuthSingleV1(b *testing.B) {
-	sess := benchWireSession(b, true)
-	_, userID, samples := benchWireFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.Authenticate(userID, samples[i%len(samples)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportWindowsPerSec(b)
-}
-
-// BenchmarkWireAuthSingleV2 is the same round trip on the binary
-// envelope: fixed-width payload encode, no JSON or base64 on either side.
+// BenchmarkWireAuthSingleV2 is one envelope round trip per window over a
+// kept-alive session: fixed-width payload encode, no JSON or base64 on
+// either side.
 func BenchmarkWireAuthSingleV2(b *testing.B) {
-	sess := benchWireSession(b, false)
+	sess := benchWireSession(b)
 	_, userID, samples := benchWireFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -155,7 +141,7 @@ func BenchmarkWireAuthSingleV2(b *testing.B) {
 // benchBatchSize windows per envelope, one HMAC and one model resolution
 // per burst. The loop advances per window, so ns/op stays per-window.
 func BenchmarkWireAuthBatch(b *testing.B) {
-	sess := benchWireSession(b, false)
+	sess := benchWireSession(b)
 	_, userID, samples := benchWireFixture(b)
 	burst := make([]features.WindowSample, benchBatchSize)
 	for i := range burst {
@@ -180,7 +166,7 @@ func BenchmarkWireAuthBatch(b *testing.B) {
 // raw window frames in and decision frames out with a pipeline of 32
 // windows in flight — the continuous-authentication shape.
 func BenchmarkWireAuthStream(b *testing.B) {
-	sess := benchWireSession(b, false)
+	sess := benchWireSession(b)
 	_, userID, samples := benchWireFixture(b)
 	st, err := sess.StartStream(userID)
 	if err != nil {

@@ -22,7 +22,6 @@ type Client struct {
 	timeout time.Duration
 	dial    DialFunc
 	retry   busyPolicy
-	format  byte
 	pool    connPool
 	// route, when non-nil, caches the cluster shard map and steers write
 	// requests straight to the owning node.
@@ -121,12 +120,6 @@ type ClientConfig struct {
 	// (default 8 s). The first retry honors the server's hint exactly;
 	// each further retry doubles it up to this cap.
 	MaxBusyBackoff time.Duration
-	// JSONv1 makes the client speak the legacy length-prefixed JSON
-	// envelope instead of the binary envelope v2. Servers answer in
-	// whichever format a request arrived in, so this only trades hot-path
-	// throughput for debuggability (or compatibility with a pre-v2
-	// server, which would reject binary frames).
-	JSONv1 bool
 	// RouteByShard makes the client fetch and cache the cluster's
 	// versioned shard map (from Addr) and send each write straight to the
 	// node that owns the user's shard, refreshing the map when a redirect
@@ -172,17 +165,12 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if dial == nil {
 		dial = net.DialTimeout
 	}
-	format := wireFormatV2
-	if cfg.JSONv1 {
-		format = wireFormatJSON
-	}
 	c := &Client{
 		addr:    cfg.Addr,
 		key:     cfg.Key,
 		timeout: timeout,
 		dial:    dial,
 		retry:   newBusyPolicy(cfg.BusyRetries, cfg.MaxBusyBackoff),
-		format:  format,
 	}
 	if cfg.RouteByShard {
 		c.route = &routeState{}
@@ -225,7 +213,7 @@ func (c *Client) roundTrip(reqType string, payload any, out any) error {
 // discarded and the request runs once more on a fresh dial.
 func (c *Client) roundTripTo(addr, reqType string, payload any, out any) error {
 	if conn := c.pool.get(addr); conn != nil {
-		err := doRequest(conn, c.key, c.format, c.timeout, reqType, payload, out)
+		err := doRequest(conn, c.key, c.timeout, reqType, payload, out)
 		if err == nil || isResponseError(err) {
 			c.pool.put(addr, conn)
 			return err
@@ -239,7 +227,7 @@ func (c *Client) roundTripTo(addr, reqType string, payload any, out any) error {
 	if err != nil {
 		return fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	if err := doRequest(conn, c.key, c.format, c.timeout, reqType, payload, out); err != nil {
+	if err := doRequest(conn, c.key, c.timeout, reqType, payload, out); err != nil {
 		if isResponseError(err) {
 			c.pool.put(addr, conn)
 		} else {

@@ -22,6 +22,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 5, 'j', 'u', 'n', 'k', '!'})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte("GET / HTTP/1.1"))
+	f.Add([]byte("\x00\x00\x00\x10" + `{"type":"stats"}`)) // JSON envelope: no longer a wire format
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -53,7 +54,7 @@ func FuzzEnvelopeV2(f *testing.F) {
 	key := []byte("k")
 	// Seed with valid v2 frames for the binary payload types.
 	seed := func(msgType string, payload any) {
-		env, err := sealFormat(wireFormatV2, key, msgType, payload)
+		env, err := Seal(key, msgType, payload)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -4,11 +4,11 @@
 // enrolls, downloads models and requests retraining, and the simulated
 // Bluetooth link that streams smartwatch sensor data to the phone.
 //
-// The wire protocol is length-prefixed JSON over TCP. Every message
-// carries an HMAC-SHA256 tag keyed by a pre-shared secret, standing in for
-// the SSL/TLS channel protection of Section IV-C (stdlib-only constraint:
-// no certificate infrastructure, but integrity and a form of origin
-// authentication are real).
+// The wire protocol is one length-prefixed binary envelope over TCP
+// (wirev2.go). Every message carries an HMAC-SHA256 tag keyed by a
+// pre-shared secret, standing in for the SSL/TLS channel protection of
+// Section IV-C (stdlib-only constraint: no certificate infrastructure, but
+// integrity and a form of origin authentication are real).
 package transport
 
 import (
@@ -101,17 +101,13 @@ var (
 	ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
 )
 
-// Wire formats, distinguished by the first byte of the frame body. JSON v1
-// envelopes start with '{' (0x7B), so the binary format bytes below can
-// never collide with one; ReadFrame dispatches on that byte and both
-// generations interoperate on the same port.
+// Frame kinds, distinguished by the first byte of the frame body. Any
+// other first byte is rejected by ReadFrame and the server drops the
+// connection — '{' (0x7B) included, so a client speaking a JSON envelope
+// fails on its first frame instead of being half-understood.
 const (
-	// wireFormatJSON marks the legacy length-prefixed JSON envelope. It is
-	// the zero value so an Envelope built by json.Unmarshal (or by older
-	// code) round-trips as JSON unchanged.
-	wireFormatJSON byte = 0
-	// wireFormatV2 marks the binary envelope v2: format byte, type byte,
-	// raw HMAC-SHA256, then the payload bytes.
+	// wireFormatV2 marks the binary envelope: format byte, type byte, raw
+	// HMAC-SHA256, then the payload bytes.
 	wireFormatV2 byte = 0x02
 	// wireFormatStream marks a raw streaming frame (window in, decision
 	// out) inside an open streaming session; see stream.go. Never valid in
@@ -119,16 +115,11 @@ const (
 	wireFormatStream byte = 0x03
 )
 
-// Envelope is the authenticated wrapper around every protocol message. The
-// unexported format field records which wire generation the envelope was
-// read with (or should be written with); responses echo the request's
-// format so old JSON clients keep working against a v2 server.
+// Envelope is the authenticated wrapper around every protocol message.
 type Envelope struct {
-	Type    string          `json:"type"`
-	Payload json.RawMessage `json:"payload,omitempty"`
-	MAC     []byte          `json:"mac"`
-
-	format byte
+	Type    string
+	Payload json.RawMessage
+	MAC     []byte
 }
 
 // macPools recycles HMAC states per key: hmac.New allocates two hash
@@ -161,30 +152,20 @@ func computeMAC(dst, key []byte, msgType string, payload []byte) []byte {
 	return sum
 }
 
-// Seal builds an authenticated JSON (v1) envelope for the payload value.
+// Seal builds an authenticated envelope for the payload value. Payloads
+// implementing binaryAppender (the hot verbs) are encoded as fixed-width
+// binary; everything else stays JSON inside the frame (the payload is
+// self-describing: binary starts with binPayloadMarker, JSON with '{').
 func Seal(key []byte, msgType string, payload any) (Envelope, error) {
-	return sealFormat(wireFormatJSON, key, msgType, payload)
-}
-
-// sealFormat builds an authenticated envelope in the requested wire
-// format. v2 envelopes encode payloads implementing binaryAppender as
-// fixed-width binary; everything else stays JSON inside the v2 frame (the
-// payload is self-describing: binary starts with binPayloadMarker, JSON
-// with '{').
-func sealFormat(format byte, key []byte, msgType string, payload any) (Envelope, error) {
 	var raw []byte
-	switch {
-	case payload == nil:
-	case format == wireFormatV2:
-		if enc, ok := payload.(binaryAppender); ok {
-			buf, err := enc.appendBinary([]byte{binPayloadMarker})
-			if err != nil {
-				return Envelope{}, fmt.Errorf("transport: encode %s payload: %w", msgType, err)
-			}
-			raw = buf
-			break
+	switch enc := payload.(type) {
+	case nil:
+	case binaryAppender:
+		buf, err := enc.appendBinary([]byte{binPayloadMarker})
+		if err != nil {
+			return Envelope{}, fmt.Errorf("transport: encode %s payload: %w", msgType, err)
 		}
-		fallthrough
+		raw = buf
 	default:
 		b, err := json.Marshal(payload)
 		if err != nil {
@@ -196,14 +177,13 @@ func sealFormat(format byte, key []byte, msgType string, payload any) (Envelope,
 		Type:    msgType,
 		Payload: raw,
 		MAC:     computeMAC(nil, key, msgType, raw),
-		format:  format,
 	}, nil
 }
 
 // Open verifies the envelope's MAC and decodes the payload into out (out
 // may be nil for payload-less messages). Binary payloads (first byte
 // binPayloadMarker) require out to implement binaryDecoder; JSON payloads
-// unmarshal as before, whichever envelope generation carried them.
+// are unmarshalled.
 func (e Envelope) Open(key []byte, out any) error {
 	var sum [sha256.Size]byte
 	if !hmac.Equal(e.MAC, computeMAC(sum[:0], key, e.Type, e.Payload)) {
@@ -265,31 +245,17 @@ func readFrameBody(r io.Reader) ([]byte, error) {
 	return body, nil
 }
 
-// WriteFrame writes one envelope as a length-prefixed frame in the
-// envelope's wire format (JSON v1 by default).
+// WriteFrame writes one envelope as a length-prefixed frame.
 func WriteFrame(w io.Writer, e Envelope) error {
-	var body []byte
-	switch e.format {
-	case wireFormatV2:
-		b, err := encodeEnvelopeV2(e)
-		if err != nil {
-			return err
-		}
-		body = b
-	default:
-		b, err := json.Marshal(e)
-		if err != nil {
-			return fmt.Errorf("transport: marshal envelope: %w", err)
-		}
-		body = b
+	body, err := encodeEnvelopeV2(e)
+	if err != nil {
+		return err
 	}
 	return writeLengthPrefixed(w, body)
 }
 
-// ReadFrame reads one length-prefixed envelope, dispatching on the first
-// body byte: '{' is a JSON v1 envelope, wireFormatV2 a binary one. The
-// returned envelope remembers its format so a response can be sealed to
-// match.
+// ReadFrame reads one length-prefixed envelope. The MAC is not checked
+// here — Open does that.
 func ReadFrame(r io.Reader) (Envelope, error) {
 	body, err := readFrameBody(r)
 	if err != nil {
@@ -305,12 +271,6 @@ func envelopeFromBody(body []byte) (Envelope, error) {
 		return Envelope{}, fmt.Errorf("transport: empty frame")
 	}
 	switch body[0] {
-	case '{':
-		var e Envelope
-		if err := json.Unmarshal(body, &e); err != nil {
-			return Envelope{}, fmt.Errorf("transport: decode envelope: %w", err)
-		}
-		return e, nil
 	case wireFormatV2:
 		return parseEnvelopeV2(body)
 	case wireFormatStream:

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -89,8 +90,7 @@ type authResponse struct {
 }
 
 // batchAuthRequest classifies many windows for one user in one round
-// trip. JSON tags keep the batch message usable from v1 clients too; the
-// binary codec in wirev2.go is what the hot path uses.
+// trip; it travels in the binary codec of wirev2.go.
 type batchAuthRequest struct {
 	UserID  string                  `json:"user_id"`
 	Samples []features.WindowSample `json:"samples"`
@@ -127,16 +127,14 @@ type ServerStats struct {
 	// Retrain reports the drift-triggered retraining subsystem when it is
 	// enabled.
 	Retrain *RetrainStats `json:"retrain,omitempty"`
-	// Wire reports wire-protocol traffic counters (absent before any v2,
-	// batch or stream traffic).
+	// Wire reports wire-protocol traffic counters.
 	Wire *WireStats `json:"wire,omitempty"`
 }
 
-// WireStats counts wire-protocol traffic by generation, mostly for
-// observability and interop tests: a fleet migration to v2 shows up here
-// before it shows up in CPU profiles.
+// WireStats counts wire-protocol traffic by request shape.
 type WireStats struct {
-	// V2Requests counts requests that arrived as binary v2 envelopes.
+	// V2Requests counts every request envelope read (single, batch and
+	// stream-open alike; windows inside a stream are StreamWindows).
 	V2Requests uint64 `json:"v2_requests,omitempty"`
 	// BatchWindows counts windows served through batch authenticate.
 	BatchWindows uint64 `json:"batch_windows,omitempty"`
@@ -539,14 +537,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	for {
 		env, err := ReadFrame(conn)
 		if err != nil {
-			if !errors.Is(err, net.ErrClosed) && err.Error() != "EOF" {
+			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
 				s.logf("read frame: %v", err)
 			}
 			return
 		}
-		if env.format == wireFormatV2 {
-			s.wireV2Requests.Add(1)
-		}
+		s.wireV2Requests.Add(1)
 		if env.Type == TypeStreamOpen {
 			if !s.handleStream(conn, env) {
 				return
@@ -562,15 +558,13 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // dispatch verifies and executes one request, always producing a response
-// envelope (errors become TypeError). Responses are sealed in the wire
-// format the request arrived in, so v1 JSON clients and v2 binary clients
-// interoperate against the same server.
+// envelope (errors become TypeError).
 func (s *Server) dispatch(env Envelope) Envelope {
 	respond := func(msgType string, payload any) Envelope {
-		out, err := sealFormat(env.format, s.key, msgType, payload)
+		out, err := Seal(s.key, msgType, payload)
 		if err != nil {
 			s.logf("seal response: %v", err)
-			fallback, _ := sealFormat(env.format, s.key, TypeError, errorPayload{Message: "internal error"})
+			fallback, _ := Seal(s.key, TypeError, errorPayload{Message: "internal error"})
 			return fallback
 		}
 		return out
@@ -579,40 +573,44 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		s.logf("request %s failed: %v", env.Type, err)
 		return respond(TypeError, errorPayload{Message: err.Error()})
 	}
-	redirect := func() Envelope {
-		s.mu.Lock()
-		leader := s.leaderAddr
-		s.mu.Unlock()
-		return respond(TypeRedirect, redirectPayload{
-			Message: fmt.Sprintf("%s requests must go to the leader", env.Type),
-			Leader:  leader,
-		})
-	}
 	sealedBusy := func() Envelope {
 		return respond(TypeBusy, busyPayload{
 			Message:           "shard is mid-handoff, retry shortly",
 			RetryAfterSeconds: 0.05,
 		})
 	}
-	// routeCheck asks the cluster router where a write for anon belongs.
-	// A remote owner becomes a redirect carrying its address (the client
-	// refreshes its shard map and follows); a sealed shard becomes a brief
-	// busy (the handoff publishes the new owner within the backoff).
-	routeCheck := func(anon string) (Envelope, bool) {
-		if s.router == nil {
-			return Envelope{}, false
+	// admitWrite is the one place a write (enroll, train, retrain) is
+	// admitted or turned away: a follower redirects to its leader; on a
+	// cluster node a remote owner becomes a redirect carrying its address
+	// (the client refreshes its shard map and follows) and a sealed shard a
+	// brief busy (the handoff publishes the new owner within the backoff).
+	// ok=false means refusal is the response to send.
+	admitWrite := func(userID string) (anon string, refusal Envelope, ok bool) {
+		if s.follower.Load() {
+			s.mu.Lock()
+			leader := s.leaderAddr
+			s.mu.Unlock()
+			return "", respond(TypeRedirect, redirectPayload{
+				Message: fmt.Sprintf("%s requests must go to the leader", env.Type),
+				Leader:  leader,
+			}), false
 		}
-		switch decision, owner := s.router.RouteWrite(anon); decision {
-		case RouteRemote:
-			return respond(TypeRedirect, redirectPayload{
-				Message: fmt.Sprintf("%s: shard owned by another node", env.Type),
-				Leader:  owner,
-			}), true
-		case RouteSealed:
-			return sealedBusy(), true
-		default:
-			return Envelope{}, false
+		if userID == "" {
+			return "", fail(fmt.Errorf("%s: missing user id", env.Type)), false
 		}
+		anon = anonymize(userID)
+		if s.router != nil {
+			switch decision, owner := s.router.RouteWrite(anon); decision {
+			case RouteRemote:
+				return "", respond(TypeRedirect, redirectPayload{
+					Message: fmt.Sprintf("%s: shard owned by another node", env.Type),
+					Leader:  owner,
+				}), false
+			case RouteSealed:
+				return "", sealedBusy(), false
+			}
+		}
+		return anon, Envelope{}, true
 	}
 
 	switch env.Type {
@@ -621,15 +619,9 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		if err := env.Open(s.key, &req); err != nil {
 			return fail(err)
 		}
-		if s.follower.Load() {
-			return redirect()
-		}
-		if req.UserID == "" {
-			return fail(fmt.Errorf("enroll: missing user id"))
-		}
-		anon := anonymize(req.UserID)
-		if resp, routed := routeCheck(anon); routed {
-			return resp
+		anon, refusal, ok := admitWrite(req.UserID)
+		if !ok {
+			return refusal
 		}
 		anonymized := anonymizeSamples(anon, req.Samples)
 		s.mu.Lock()
@@ -665,15 +657,9 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		if err := env.Open(s.key, &req); err != nil {
 			return fail(err)
 		}
-		if s.follower.Load() {
-			return redirect()
-		}
-		if req.UserID == "" {
-			return fail(fmt.Errorf("train: missing user id"))
-		}
-		anon := anonymize(req.UserID)
-		if resp, routed := routeCheck(anon); routed {
-			return resp
+		anon, refusal, ok := admitWrite(req.UserID)
+		if !ok {
+			return refusal
 		}
 		// Training is the one CPU-heavy request; it runs on the bounded
 		// worker pool. A full queue fails fast with TypeBusy so a burst of
@@ -725,18 +711,12 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		if err := env.Open(s.key, &req); err != nil {
 			return fail(err)
 		}
-		if s.follower.Load() {
-			return redirect()
+		anon, refusal, ok := admitWrite(req.UserID)
+		if !ok {
+			return refusal
 		}
 		if s.drift == nil {
 			return fail(fmt.Errorf("retrain: drift-triggered retraining is disabled on this server"))
-		}
-		if req.UserID == "" {
-			return fail(fmt.Errorf("retrain: missing user id"))
-		}
-		anon := anonymize(req.UserID)
-		if resp, routed := routeCheck(anon); routed {
-			return resp
 		}
 		s.mu.Lock()
 		_, known := s.store[anon]
@@ -865,14 +845,11 @@ func (s *Server) dispatch(env Envelope) Envelope {
 			resp.Replication = s.replInfo()
 		}
 		resp.Retrain = s.driftStats()
-		wire := WireStats{
+		resp.Wire = &WireStats{
 			V2Requests:     s.wireV2Requests.Load(),
 			BatchWindows:   s.wireBatchWindows.Load(),
 			StreamSessions: s.wireStreamSessions.Load(),
 			StreamWindows:  s.wireStreamWindows.Load(),
-		}
-		if wire != (WireStats{}) {
-			resp.Wire = &wire
 		}
 		return respond(TypeOK, resp)
 

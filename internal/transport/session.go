@@ -12,12 +12,12 @@ import (
 )
 
 // doRequest performs one request/response exchange on an established
-// connection, sealing the request in the given wire format.
-func doRequest(conn net.Conn, key []byte, format byte, timeout time.Duration, reqType string, payload, out any) error {
+// connection.
+func doRequest(conn net.Conn, key []byte, timeout time.Duration, reqType string, payload, out any) error {
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return fmt.Errorf("transport: set deadline: %w", err)
 	}
-	env, err := sealFormat(format, key, reqType, payload)
+	env, err := Seal(key, reqType, payload)
 	if err != nil {
 		return err
 	}
@@ -73,7 +73,6 @@ type Session struct {
 	key     []byte
 	timeout time.Duration
 	retry   busyPolicy
-	format  byte
 
 	mu        sync.Mutex
 	conn      net.Conn
@@ -88,7 +87,7 @@ func (c *Client) NewSession() (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", c.addr, err)
 	}
-	return &Session{key: c.key, timeout: c.timeout, retry: c.retry, format: c.format, conn: conn}, nil
+	return &Session{key: c.key, timeout: c.timeout, retry: c.retry, conn: conn}, nil
 }
 
 // Close releases the underlying connection.
@@ -112,7 +111,7 @@ func (s *Session) roundTrip(reqType string, payload, out any) error {
 	if s.streaming {
 		return fmt.Errorf("transport: session has an open stream; close it first")
 	}
-	return doRequest(s.conn, s.key, s.format, s.timeout, reqType, payload, out)
+	return doRequest(s.conn, s.key, s.timeout, reqType, payload, out)
 }
 
 // Enroll uploads feature windows on the session connection.

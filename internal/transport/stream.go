@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -99,7 +100,6 @@ type Stream struct {
 	conn    net.Conn
 	timeout time.Duration
 	key     []byte
-	format  byte
 
 	mu      sync.Mutex
 	err     error
@@ -125,7 +125,7 @@ func (s *Session) StartStream(userID string) (*Stream, error) {
 	if err := s.conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
 		return nil, fmt.Errorf("transport: set deadline: %w", err)
 	}
-	env, err := sealFormat(s.format, s.key, TypeStreamOpen, streamOpenRequest{UserID: userID})
+	env, err := Seal(s.key, TypeStreamOpen, streamOpenRequest{UserID: userID})
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,6 @@ func (s *Session) StartStream(userID string) (*Stream, error) {
 		conn:    s.conn,
 		timeout: s.timeout,
 		key:     s.key,
-		format:  s.format,
 	}, nil
 }
 
@@ -317,7 +316,7 @@ type streamOpenRequest struct {
 // false when serveConn should stop serving the connection.
 func (s *Server) handleStream(conn net.Conn, env Envelope) bool {
 	seal := func(msgType string, payload any) (Envelope, bool) {
-		out, err := sealFormat(env.format, s.key, msgType, payload)
+		out, err := Seal(s.key, msgType, payload)
 		if err != nil {
 			s.logf("seal stream response: %v", err)
 			return Envelope{}, false
@@ -359,7 +358,7 @@ func (s *Server) handleStream(conn net.Conn, env Envelope) bool {
 	for {
 		body, err := readFrameBody(conn)
 		if err != nil {
-			if !errors.Is(err, net.ErrClosed) && err.Error() != "EOF" {
+			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
 				s.logf("read stream frame: %v", err)
 			}
 			return false

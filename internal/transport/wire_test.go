@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -15,10 +17,10 @@ import (
 
 // startTrainedServer builds the usual fixture, enrolls user-00 and trains
 // a model for them, returning the server address and the user's windows.
-func startTrainedServer(t *testing.T) (srv *Server, addr, userID string, samples []features.WindowSample) {
+func startTrainedServer(t *testing.T) (addr, userID string, samples []features.WindowSample) {
 	t.Helper()
 	det, byUser := buildFixture(t)
-	srv, addr = startServer(t, det)
+	srv, addr := startServer(t, det)
 	seed := make(map[string][]features.WindowSample)
 	for id, s := range byUser {
 		if id != "user-00" {
@@ -36,83 +38,13 @@ func startTrainedServer(t *testing.T) (srv *Server, addr, userID string, samples
 	if _, err := client.Train("user-00", TrainParams{Mode: core.Mode{Combined: true, UseContext: true}, Seed: 3}); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	return srv, addr, "user-00", byUser["user-00"]
-}
-
-// TestWireInterop is the mixed-version compatibility test: a v1 JSON
-// client and a v2 binary client ask the same server to authenticate the
-// same user's windows and must get identical decisions. The enrollment
-// and training above already ran over v2 (the default), so the v1 check
-// also proves a v1 client reads state written through v2.
-func TestWireInterop(t *testing.T) {
-	srv, addr, userID, samples := startTrainedServer(t)
-	_ = srv
-	v1, err := NewClient(ClientConfig{Addr: addr, Key: testKey, JSONv1: true})
-	if err != nil {
-		t.Fatalf("NewClient v1: %v", err)
-	}
-	v2, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
-	if err != nil {
-		t.Fatalf("NewClient v2: %v", err)
-	}
-	for i, sample := range samples[:3] {
-		d1, err := v1.Authenticate(userID, sample)
-		if err != nil {
-			t.Fatalf("v1 Authenticate window %d: %v", i, err)
-		}
-		d2, err := v2.Authenticate(userID, sample)
-		if err != nil {
-			t.Fatalf("v2 Authenticate window %d: %v", i, err)
-		}
-		if d1 != d2 {
-			t.Errorf("window %d: v1 decision %+v != v2 decision %+v", i, d1, d2)
-		}
-	}
-
-	// The v1 client exercises every other verb too: enroll, stats, batch.
-	if _, err := v1.Enroll(userID, samples[:2]); err != nil {
-		t.Errorf("v1 Enroll: %v", err)
-	}
-	if _, _, err := v1.Stats(); err != nil {
-		t.Errorf("v1 Stats: %v", err)
-	}
-	batch1, err := v1.AuthenticateBatch(userID, samples[:3])
-	if err != nil {
-		t.Fatalf("v1 AuthenticateBatch: %v", err)
-	}
-	batch2, err := v2.AuthenticateBatch(userID, samples[:3])
-	if err != nil {
-		t.Fatalf("v2 AuthenticateBatch: %v", err)
-	}
-	for i := range batch1 {
-		if batch1[i] != batch2[i] {
-			t.Errorf("batch window %d: v1 %+v != v2 %+v", i, batch1[i], batch2[i])
-		}
-	}
-
-	// The server counted the v2 traffic and none of the v1 traffic.
-	stats, err := v2.FullStats()
-	if err != nil {
-		t.Fatalf("FullStats: %v", err)
-	}
-	if stats.Wire == nil || stats.Wire.V2Requests == 0 {
-		t.Errorf("server wire stats missed the v2 traffic: %+v", stats.Wire)
-	}
-	if stats.Wire.BatchWindows != 6 {
-		t.Errorf("BatchWindows = %d, want 6 (two batches of 3)", stats.Wire.BatchWindows)
-	}
-}
-
-func startTrainedServerOnce(t *testing.T) (string, string, []features.WindowSample) {
-	t.Helper()
-	_, addr, userID, samples := startTrainedServer(t)
-	return addr, userID, samples
+	return addr, "user-00", byUser["user-00"]
 }
 
 // TestBatchMatchesSingle pins batch semantics: one batch round trip must
 // produce exactly the decisions of N single round trips, in window order.
 func TestBatchMatchesSingle(t *testing.T) {
-	addr, userID, samples := startTrainedServerOnce(t)
+	addr, userID, samples := startTrainedServer(t)
 	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -137,6 +69,62 @@ func TestBatchMatchesSingle(t *testing.T) {
 	if _, err := client.AuthenticateBatch("ghost", samples[:1]); !errors.As(err, &remote) {
 		t.Errorf("batch for unknown user: err = %v, want RemoteError", err)
 	}
+
+	// The server counted every request it read — the fixture's enroll and
+	// train, the batch, the singles, the refused batch and this stats call
+	// — and only the served batch's windows.
+	stats, err := client.FullStats()
+	if err != nil {
+		t.Fatalf("FullStats: %v", err)
+	}
+	if want := uint64(2 + 1 + len(samples) + 1 + 1); stats.Wire == nil || stats.Wire.V2Requests != want {
+		t.Errorf("wire stats = %+v, want %d requests", stats.Wire, want)
+	}
+	if stats.Wire.BatchWindows != uint64(len(samples)) {
+		t.Errorf("BatchWindows = %d, want %d", stats.Wire.BatchWindows, len(samples))
+	}
+}
+
+// TestServerRejectsJSONEnvelope pins that the JSON envelope is gone from
+// the wire, not merely unused: a correctly length-prefixed frame whose
+// body starts with '{' closes the connection without being dispatched or
+// counted, and the server keeps serving other connections.
+func TestServerRejectsJSONEnvelope(t *testing.T) {
+	det, _ := buildFixture(t)
+	srv, addr := startServer(t, det)
+	before := srv.wireV2Requests.Load()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer func() { _ = conn.Close() }()
+	mac := computeMAC(nil, testKey, TypeStats, nil)
+	body := fmt.Sprintf(`{"type":"stats","mac":%q}`, base64.StdEncoding.EncodeToString(mac))
+	if err := writeLengthPrefixed(conn, []byte(body)); err != nil {
+		t.Fatalf("write JSON frame: %v", err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("read after JSON frame = (%d, %v), want the connection closed with no response", n, err)
+	}
+	if got := srv.wireV2Requests.Load(); got != before {
+		t.Errorf("JSON frame was counted as a request: %d -> %d", before, got)
+	}
+
+	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	stats, err := client.FullStats()
+	if err != nil {
+		t.Fatalf("FullStats on a new connection: %v", err)
+	}
+	if stats.Wire == nil || stats.Wire.V2Requests != before+1 {
+		t.Errorf("wire stats = %+v, want exactly the stats request counted", stats.Wire)
+	}
 }
 
 // TestStreamRoundTrip drives the streaming session end to end: open,
@@ -144,7 +132,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 // connection returns to request mode with decisions identical to the
 // request path.
 func TestStreamRoundTrip(t *testing.T) {
-	addr, userID, samples := startTrainedServerOnce(t)
+	addr, userID, samples := startTrainedServer(t)
 	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -223,7 +211,7 @@ func TestStreamRoundTrip(t *testing.T) {
 // TestStreamCloseDrainsPending pins the close handshake with decisions
 // still in flight: Close must drain them and still find the sealed OK.
 func TestStreamCloseDrainsPending(t *testing.T) {
-	addr, userID, samples := startTrainedServerOnce(t)
+	addr, userID, samples := startTrainedServer(t)
 	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -254,7 +242,7 @@ func TestStreamCloseDrainsPending(t *testing.T) {
 // answers with a sealed error and the connection stays usable in request
 // mode.
 func TestStreamOpenUnknownUser(t *testing.T) {
-	addr, _, _ := startTrainedServerOnce(t)
+	addr, _, _ := startTrainedServer(t)
 	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -270,32 +258,6 @@ func TestStreamOpenUnknownUser(t *testing.T) {
 	}
 	if _, _, err := sess.Stats(); err != nil {
 		t.Errorf("Stats after refused stream-open: %v", err)
-	}
-}
-
-// TestStreamFromJSONv1Session proves the streaming handshake is
-// format-agnostic: a legacy-JSON client opens a stream (the handshake
-// travels as JSON, the frames are binary either way).
-func TestStreamFromJSONv1Session(t *testing.T) {
-	addr, userID, samples := startTrainedServerOnce(t)
-	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey, JSONv1: true})
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	sess, err := client.NewSession()
-	if err != nil {
-		t.Fatalf("NewSession: %v", err)
-	}
-	defer func() { _ = sess.Close() }()
-	stream, err := sess.StartStream(userID)
-	if err != nil {
-		t.Fatalf("StartStream over JSON v1: %v", err)
-	}
-	if _, err := stream.Authenticate(samples[0]); err != nil {
-		t.Fatalf("stream Authenticate: %v", err)
-	}
-	if err := stream.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
 	}
 }
 
@@ -417,7 +379,7 @@ func TestStreamHammerConcurrentClose(t *testing.T) {
 
 // TestStreamWireStats confirms the server counts streamed traffic.
 func TestStreamWireStats(t *testing.T) {
-	addr, userID, samples := startTrainedServerOnce(t)
+	addr, userID, samples := startTrainedServer(t)
 	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -451,16 +413,16 @@ func TestStreamWireStats(t *testing.T) {
 	}
 }
 
-// TestEnvelopeV2RoundTrip pins the v2 envelope codec itself, including
-// MAC rejection — the same properties the v1 tests pin for JSON.
+// TestEnvelopeV2RoundTrip pins the envelope codec itself, including MAC
+// rejection.
 func TestEnvelopeV2RoundTrip(t *testing.T) {
 	req := authRequest{UserID: "alice"}
 	req.Sample.UserID = "alice"
 	req.Sample.Day = 2.5
 	req.Sample.Phone.Acc.Mean = 1.25
-	env, err := sealFormat(wireFormatV2, testKey, TypeAuthenticate, req)
+	env, err := Seal(testKey, TypeAuthenticate, req)
 	if err != nil {
-		t.Fatalf("sealFormat: %v", err)
+		t.Fatalf("Seal: %v", err)
 	}
 	body, err := encodeEnvelopeV2(env)
 	if err != nil {

@@ -10,30 +10,25 @@ import (
 	"smarteryou/internal/features"
 )
 
-// Envelope v2: the binary wire format for the hot path. The JSON envelope
-// spends most of a request's serialization budget base64-ing the MAC and
-// stringifying 37 float64s per window; v2 reuses the store's binary
-// WindowSample codec (internal/features) on the wire instead.
+// The wire envelope — the only one the server reads or writes. Hot
+// payloads reuse the store's binary WindowSample codec (internal/features)
+// so a window is never stringified on its way to the scorer.
 //
 //	frame body:
 //	  [0]     wireFormatV2
-//	  [1]     type byte (mapped 1:1 to the v1 type strings below)
-//	  [2:34]  HMAC-SHA256 over type-string || 0x00 || payload — the same
-//	          tag a v1 envelope would carry, raw instead of base64
+//	  [1]     type byte (mapped 1:1 to the Type* strings below)
+//	  [2:34]  raw HMAC-SHA256 over type-string || 0x00 || payload
 //	  [34:]   payload bytes
 //
 // The payload is self-describing: binPayloadMarker (0x01) introduces a
 // binary payload (hot types: authenticate, batch, enroll, model
-// downloads), '{' a JSON one (everything else — stats, detector, errors —
-// rides inside the v2 frame unchanged). A v2 server answers each request
-// in the format it arrived in, so v1 JSON clients interoperate without a
-// flag day.
+// downloads), '{' a JSON one (everything else — stats, detector, errors).
 
-// binPayloadMarker introduces a binary payload inside a v2 envelope. Like
+// binPayloadMarker introduces a binary payload inside an envelope. Like
 // the store's format byte it can never collide with '{'.
 const binPayloadMarker byte = 0x01
 
-// v2 type bytes, mapped 1:1 to the v1 type strings.
+// Type bytes, mapped 1:1 to the Type* strings.
 const (
 	typeByteEnroll        byte = 1
 	typeByteFetchDetector byte = 2
@@ -100,8 +95,7 @@ func encodeEnvelopeV2(e Envelope) ([]byte, error) {
 }
 
 // parseEnvelopeV2 decodes a v2 frame body (first byte already verified to
-// be wireFormatV2). The MAC is not checked here — Open does that, exactly
-// as for v1.
+// be wireFormatV2). The MAC is not checked here — Open does that.
 func parseEnvelopeV2(body []byte) (Envelope, error) {
 	if len(body) < v2HeaderBytes {
 		return Envelope{}, fmt.Errorf("transport: v2 envelope truncated (%d bytes)", len(body))
@@ -114,11 +108,10 @@ func parseEnvelopeV2(body []byte) (Envelope, error) {
 		Type:    msgType,
 		MAC:     body[2:v2HeaderBytes],
 		Payload: body[v2HeaderBytes:],
-		format:  wireFormatV2,
 	}, nil
 }
 
-// binaryAppender is the encode half of a v2 binary payload: append the
+// binaryAppender is the encode half of a binary payload: append the
 // encoding to dst and return it. Implemented on payload values.
 type binaryAppender interface {
 	appendBinary(dst []byte) ([]byte, error)

@@ -272,10 +272,10 @@ type (
 	AuthSession = transport.Session
 	// AuthStream is a streaming authentication session: the HMAC handshake
 	// and model resolution happen once, then raw window frames flow in and
-	// decision frames flow out over envelope v2's stream mode. Open one
+	// decision frames flow out over the envelope's stream mode. Open one
 	// with AuthSession.StartStream.
 	AuthStream = transport.Stream
-	// WireStats is the wire-protocol slice of AuthServerStats: v2 request,
+	// WireStats is the wire-protocol slice of AuthServerStats: request,
 	// batch-window and stream counters.
 	WireStats = transport.WireStats
 )
