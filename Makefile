@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz bench bench-auth bench-wire bench-replication bench-cluster bench-cas bench-fleet race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark
+.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas bench-fleet race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark
 
 check: build vet fmt race race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark
 
@@ -44,6 +44,22 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzScenarioConfig -fuzztime=10s ./internal/fleet/
 	$(GO) test -run=Fuzz -fuzz=FuzzShardMap -fuzztime=10s ./internal/cluster/
 
+# Line delta of the working tree (staged, unstaged and committed) against
+# BASE, split the way CHANGES.md reports it: product .go (non-test, outside
+# benchmark/), test .go, everything else. `make loc BASE=<ref>`.
+BASE ?= HEAD
+loc:
+	@git diff --numstat $(BASE) -- . ':!ISSUE.md' | awk ' \
+		{ k = "other" } \
+		$$3 ~ /\.go$$/ && $$3 !~ /^benchmark\// { k = "product .go" } \
+		$$3 ~ /_test\.go$$/ { k = "test .go" } \
+		{ add[k] += $$1; del[k] += $$2 } \
+		END { n = split("product .go,test .go,other", ks, ","); \
+			for (i = 1; i <= n; i++) { k = ks[i]; \
+				printf "%-12s +%d -%d = %+d\n", k, add[k], del[k], add[k] - del[k]; \
+				ta += add[k]; td += del[k] } \
+			printf "%-12s +%d -%d = %+d\n", "total", ta, td, ta - td }'
+
 # Smoke-run the store benchmarks under the race detector: one iteration
 # each, so the hot-path assertions (recovered counts, parallel enroll)
 # execute with full instrumentation without turning CI into a perf run.
@@ -80,9 +96,12 @@ race-pool:
 # Replication hammer under the race detector: concurrent enrollments
 # racing a cold follower's catch-up exercise the subscribe-before-scan
 # overlap, the per-connection queues, and the shard-lock notify path.
+# The transport line keeps the hookless read path — a server serving
+# whatever replication wrote into its store — under the detector too.
 # Pinned by name for the same reason as race-pool.
 race-replication:
 	$(GO) test -race -run='TestReplicationHammer|TestFollowerCrashRestartMidStream' ./internal/replication/
+	$(GO) test -race -run='TestServerFollowsStoreWithoutHooks' ./internal/transport/
 
 # Drift-retraining hammer under the race detector: concurrent
 # authenticates drive the per-user drift monitor while the scheduler

@@ -20,8 +20,12 @@
 //   - A follower runs with -replicate-from pointing at that listener. It
 //     serves authenticate, fetch-model, fetch-detector and stats from its
 //     replicated store, and answers enroll/train with a redirect to the
-//     leader. SIGHUP promotes a running follower to leader in place;
-//     -promote starts a former follower's data dir as the new leader.
+//     leader. It starts its replication stream once, waits for the
+//     leader's context detector to arrive over it, and then starts
+//     serving the store the stream keeps writing — the server reads the
+//     store on every request, so nothing has to stop or reload. SIGHUP
+//     promotes a running follower to leader in place; -promote starts a
+//     former follower's data dir as the new leader.
 //
 // On the wire the server speaks one format, the binary envelope; a frame
 // in any other format (a JSON envelope included) closes the connection.
@@ -85,6 +89,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -344,13 +349,27 @@ func run() int {
 // monitors drift on its own authenticate traffic but defers scheduling to
 // the leader until promoted.
 func runFollower(store *smarteryou.PopulationStore, addr, key, leaderAddr, replicationAddr string, retrainCfg *smarteryou.ServerRetrainConfig) int {
-	// First pass without serving: pull the leader's state until the
-	// context detector — which every response path needs — is replicated.
-	boot, err := smarteryou.StartReplicationFollower(smarteryou.ReplicationFollowerConfig{
+	// The stream starts once and runs for the process's lifetime. The
+	// server is built later — it needs the replicated context detector —
+	// so until then the leader's advertised client address is parked here.
+	var (
+		mu         sync.Mutex
+		serving    *smarteryou.AuthServer
+		clientAddr string
+	)
+	follower, err := smarteryou.StartReplicationFollower(smarteryou.ReplicationFollowerConfig{
 		Store:      store,
 		Key:        []byte(key),
 		LeaderAddr: leaderAddr,
 		Logf:       log.Printf,
+		OnLeaderAddr: func(addr string) {
+			mu.Lock()
+			defer mu.Unlock()
+			clientAddr = addr
+			if serving != nil {
+				serving.SetLeaderAddr(addr)
+			}
+		},
 	})
 	if err != nil {
 		log.Print(err)
@@ -364,19 +383,16 @@ func runFollower(store *smarteryou.PopulationStore, addr, key, leaderAddr, repli
 			break
 		}
 		if time.Now().After(deadline) {
-			_ = boot.Close()
+			_ = follower.Close()
 			log.Printf("no context detector replicated from %s after 2m; is the leader seeded?", leaderAddr)
 			return 1
 		}
 		time.Sleep(250 * time.Millisecond)
 	}
-	// Stop the bootstrap stream so the server's construction-time replay
-	// of the store races nothing; the serving stream below resumes from
-	// the durable cursors.
-	_ = boot.Close()
 	log.Printf("context detector replicated; store at %d users", store.Stats().Users)
 
-	var follower *smarteryou.ReplicationFollower
+	// The server reads the store the stream keeps writing, so it can be
+	// built and started mid-stream.
 	server, err := smarteryou.NewAuthServer(smarteryou.AuthServerConfig{
 		Key:        []byte(key),
 		Detector:   detector,
@@ -386,29 +402,20 @@ func runFollower(store *smarteryou.PopulationStore, addr, key, leaderAddr, repli
 		LeaderAddr: leaderAddr,
 		Retrain:    retrainCfg,
 		ReplicationInfo: func() *smarteryou.ReplicationInfo {
-			if follower == nil {
-				return nil
-			}
 			return replicationInfo(follower.Status())
 		},
 	})
 	if err != nil {
+		_ = follower.Close()
 		log.Print(err)
 		return 1
 	}
-	follower, err = smarteryou.StartReplicationFollower(smarteryou.ReplicationFollowerConfig{
-		Store:        store,
-		Key:          []byte(key),
-		LeaderAddr:   leaderAddr,
-		Logf:         log.Printf,
-		OnApply:      server.ApplyReplicatedOp,
-		OnSnapshot:   func(int) { server.ReloadFromStore() },
-		OnLeaderAddr: server.SetLeaderAddr,
-	})
-	if err != nil {
-		log.Print(err)
-		return 1
+	mu.Lock()
+	serving = server
+	if clientAddr != "" {
+		server.SetLeaderAddr(clientAddr)
 	}
+	mu.Unlock()
 	bound, err := server.Start(addr)
 	if err != nil {
 		log.Print(err)
@@ -632,10 +639,7 @@ func runCluster(cfg clusterSettings) int {
 		log.Printf("seeded %d of %d synthetic users (this node's shards)", len(mine), len(population))
 	}
 
-	if err := node.Start(smarteryou.ClusterHooks{
-		OnApply:    server.ApplyReplicatedOp,
-		OnSnapshot: func(int) { server.ReloadFromStore() },
-	}); err != nil {
+	if err := node.Start(); err != nil {
 		log.Print(err)
 		return 1
 	}

@@ -100,7 +100,7 @@ func startCluster(t testing.TB, count, shards int, opt store.Options) []*testNod
 		if err != nil {
 			t.Fatalf("NewNode(%d): %v", i, err)
 		}
-		if err := n.Start(Hooks{}); err != nil {
+		if err := n.Start(); err != nil {
 			t.Fatalf("Start(%d): %v", i, err)
 		}
 		t.Cleanup(func() { _ = n.Close() })
@@ -374,7 +374,7 @@ func TestJoinAndAcquireColdNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
-	if err := n.Start(Hooks{}); err != nil {
+	if err := n.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
 	t.Cleanup(func() { _ = n.Close() })

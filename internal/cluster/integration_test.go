@@ -116,10 +116,7 @@ func startServedCluster(t testing.TB, count, shards int, opt store.Options, retr
 		if err != nil {
 			t.Fatalf("NewServer(%d): %v", i, err)
 		}
-		if err := node.Start(Hooks{
-			OnApply:    srv.ApplyReplicatedOp,
-			OnSnapshot: func(int) { srv.ReloadFromStore() },
-		}); err != nil {
+		if err := node.Start(); err != nil {
 			t.Fatalf("node.Start(%d): %v", i, err)
 		}
 		if _, err := srv.StartListener(clientLns[i]); err != nil {

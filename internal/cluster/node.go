@@ -53,17 +53,6 @@ type NodeConfig struct {
 	CtrlListener net.Listener
 }
 
-// Hooks observe mesh replication so the serving layer stays in step
-// with the store; wired to the transport server's cache maintenance.
-type Hooks struct {
-	// OnApply observes every replicated operation after it is durable
-	// locally. Called from replication goroutines.
-	OnApply func(op store.ReplicatedOp)
-	// OnSnapshot observes each installed shard snapshot (wholesale state
-	// replacement, not an incremental mutation).
-	OnSnapshot func(shard int)
-}
-
 // installedMap pairs a shard map with this node's index in it (-1 when
 // the node is not a member), so the routing hot path resolves both with
 // one atomic load.
@@ -85,7 +74,6 @@ type Node struct {
 	mu        sync.Mutex
 	sealed    map[int]*time.Timer              // locally-owned shards frozen mid-handoff
 	followers map[string]*replication.Follower // peer ReplAddr -> mesh follower
-	hooks     Hooks
 	started   bool
 	closed    bool
 
@@ -154,16 +142,16 @@ func (n *Node) Map() *ShardMap { return n.cur.Load().m }
 
 // Start brings the node online: replication leader over the local
 // store, mesh followers to every peer in the current map, and the
-// control listener. Call after the transport server exists (hooks point
-// at it) and before serving client traffic.
-func (n *Node) Start(h Hooks) error {
+// control listener. Call before serving client traffic; a transport
+// server over the same store needs no wiring to it, because it reads the
+// store the mesh writes.
+func (n *Node) Start() error {
 	n.mu.Lock()
 	if n.started {
 		n.mu.Unlock()
 		return fmt.Errorf("cluster: node already started")
 	}
 	n.started = true
-	n.hooks = h
 	n.mu.Unlock()
 
 	leader, err := replication.NewLeader(replication.LeaderConfig{
@@ -257,8 +245,6 @@ func (n *Node) reconcileFollowers(m *ShardMap) {
 			Key:        n.key,
 			LeaderAddr: info.ReplAddr,
 			Logf:       n.logf,
-			OnApply:    n.hooks.OnApply,
-			OnSnapshot: n.hooks.OnSnapshot,
 		})
 		if err != nil {
 			n.logf("cluster: follow %s: %v", info.ReplAddr, err)

@@ -183,8 +183,6 @@ func startFollowerPair(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster,
 		Key:          opts.Key,
 		LeaderAddr:   replAddr.String(),
 		Logf:         opts.Logf,
-		OnApply:      c.followerSrv.ApplyReplicatedOp,
-		OnSnapshot:   func(int) { c.followerSrv.ReloadFromStore() },
 		OnLeaderAddr: c.followerSrv.SetLeaderAddr,
 	})
 	if err != nil {
@@ -285,14 +283,10 @@ func startMulti(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster, error)
 		if err != nil {
 			return fail(fmt.Sprintf("node %d server", i), err)
 		}
-		srv := mn.srv
-		if err := mn.node.Start(cluster.Hooks{
-			OnApply:    srv.ApplyReplicatedOp,
-			OnSnapshot: func(int) { srv.ReloadFromStore() },
-		}); err != nil {
+		if err := mn.node.Start(); err != nil {
 			return fail(fmt.Sprintf("start node %d", i), err)
 		}
-		if _, err := srv.StartListener(clientLns[i]); err != nil {
+		if _, err := mn.srv.StartListener(clientLns[i]); err != nil {
 			return fail(fmt.Sprintf("serve node %d", i), err)
 		}
 	}

@@ -158,8 +158,6 @@ func TestLeaderFollowerFailover(t *testing.T) {
 		Key:          testKey,
 		LeaderAddr:   replAddr,
 		Logf:         t.Logf,
-		OnApply:      followerSrv.ApplyReplicatedOp,
-		OnSnapshot:   func(int) { followerSrv.ReloadFromStore() },
 		OnLeaderAddr: followerSrv.SetLeaderAddr,
 	})
 	if err != nil {

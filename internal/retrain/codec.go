@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"math"
 	"sort"
+
+	"smarteryou/internal/binio"
 )
 
 // Drift-state blob format, persisted under a reserved key in the store
@@ -69,78 +71,6 @@ func EncodeStates(states map[string]UserState) []byte {
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// stateReader is a bounds-checked cursor over a state blob with a sticky
-// error, mirroring the store WAL codec's reader idiom.
-type stateReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *stateReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrCorruptState, fmt.Sprintf(format, args...))
-	}
-}
-
-func (r *stateReader) remaining() int { return len(r.b) - r.off }
-
-func (r *stateReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 1 {
-		r.fail("truncated at byte")
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *stateReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 8 {
-		r.fail("truncated at u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *stateReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *stateReader) str(limit int) string {
-	if r.err != nil {
-		return ""
-	}
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(limit) || n > uint64(r.remaining()) {
-		r.fail("string of %d bytes exceeds bounds", n)
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
 // DecodeStates parses a drift-state blob produced by EncodeStates. It
 // never panics, whatever data holds.
 func DecodeStates(data []byte) (map[string]UserState, error) {
@@ -154,25 +84,29 @@ func DecodeStates(data []byte) (map[string]UserState, error) {
 	if crc := crc32.ChecksumIEEE(body); crc != binary.BigEndian.Uint32(tail) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptState)
 	}
-	r := &stateReader{b: body, off: 1}
-	count := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
+	corrupt := func(r *binio.Reader) error { return fmt.Errorf("%w: %v", ErrCorruptState, r.Err()) }
+	r := binio.NewReader(body[1:])
+	count := r.Uvarint()
+	if r.Err() != nil {
+		return nil, corrupt(r)
 	}
-	if count > uint64(r.remaining()/minEntrySize) {
-		return nil, fmt.Errorf("%w: %d users cannot fit in %d bytes", ErrCorruptState, count, r.remaining())
+	if count > uint64(r.Remaining()/minEntrySize) {
+		return nil, fmt.Errorf("%w: %d users cannot fit in %d bytes", ErrCorruptState, count, r.Remaining())
 	}
 	states := make(map[string]UserState, count)
 	for i := uint64(0); i < count; i++ {
-		user := r.str(maxUserIDLen)
+		user := r.Str()
 		st := UserState{
-			EWMA:   math.Float64frombits(r.u64()),
-			Primed: r.byte() != 0,
+			EWMA:   r.F64(),
+			Primed: r.Byte() != 0,
 		}
-		st.Windows = r.uvarint()
-		st.LastTrainUnix = int64(r.u64())
-		if r.err != nil {
-			return nil, r.err
+		st.Windows = r.Uvarint()
+		st.LastTrainUnix = int64(r.U64())
+		if r.Err() != nil {
+			return nil, corrupt(r)
+		}
+		if len(user) > maxUserIDLen {
+			return nil, fmt.Errorf("%w: user id of %d bytes exceeds %d", ErrCorruptState, len(user), maxUserIDLen)
 		}
 		if math.IsNaN(st.EWMA) || math.IsInf(st.EWMA, 0) {
 			return nil, fmt.Errorf("%w: non-finite ewma for %q", ErrCorruptState, user)
@@ -182,8 +116,8 @@ func DecodeStates(data []byte) (map[string]UserState, error) {
 		}
 		states[user] = st
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptState, r.remaining())
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptState, r.Remaining())
 	}
 	return states, nil
 }

@@ -48,17 +48,6 @@ var (
 	ErrSealed = errors.New("store: shard is sealed for handoff")
 )
 
-// Exported WAL operation names, as they appear in ReplicatedOp.Op.
-const (
-	// OpEnroll appends feature windows to a user's population data.
-	OpEnroll = opEnroll
-	// OpReplace discards a user's stored windows and stores the uploaded
-	// ones.
-	OpReplace = opReplace
-	// OpPublish registers a model bundle under a version number.
-	OpPublish = opPublish
-)
-
 // ReplRecord is one replicable WAL record: its shard-local sequence
 // number and the encoded payload (codec.go; the format byte is its first
 // byte).
@@ -67,19 +56,12 @@ type ReplRecord struct {
 	Payload []byte
 }
 
-// ReplicatedOp describes a mutation applied through ApplyReplicated, so
-// a serving layer stacked on the store (the read-only follower server)
-// can keep its own caches in step without re-reading the store.
+// ReplicatedOp locates a mutation applied through ApplyReplicated: the
+// cursor a replication follower acknowledges. It says nothing of the
+// mutation's content — whoever serves the data reads it from the store.
 type ReplicatedOp struct {
 	Shard int
 	Seq   uint64
-	// Op is one of OpEnroll, OpReplace, OpPublish.
-	Op   string
-	User string
-	// Samples is set for enroll/replace ops.
-	Samples []features.WindowSample
-	// Version is set for publish ops.
-	Version int
 }
 
 // ReplSink receives every durably appended record. It is invoked
@@ -423,14 +405,7 @@ func (s *shard) applyReplicated(idx int, payload []byte) (ReplicatedOp, bool, er
 		s.notify(idx, rec.Seq, payload)
 	}
 	s.maybeCompactLocked()
-	return ReplicatedOp{
-		Shard:   idx,
-		Seq:     rec.Seq,
-		Op:      rec.Op,
-		User:    rec.User,
-		Samples: rec.Samples,
-		Version: rec.Version,
-	}, true, nil
+	return ReplicatedOp{Shard: idx, Seq: rec.Seq}, true, nil
 }
 
 // frameRecordPayload wraps an already-encoded record payload in the WAL

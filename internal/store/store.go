@@ -452,8 +452,7 @@ const (
 )
 
 // IsReservedKey reports whether a registry identifier is server-internal
-// (NUL-prefixed) rather than a user pseudonym. The transport layer uses
-// it to skip reserved keys when reacting to replicated publishes.
+// (NUL-prefixed) rather than a user pseudonym.
 func IsReservedKey(id string) bool {
 	return len(id) > 0 && id[0] == 0
 }
@@ -548,6 +547,25 @@ func (s *Store) ModelAt(user string, version int) (*core.ModelBundle, error) {
 	return core.UnmarshalModelBundle(blob)
 }
 
+// LatestModelHash reports the version and content hash of the user's
+// latest published model without reading it — a lock and a map lookup, no
+// CAS access — so a serving layer can validate a decoded bundle it caches
+// and answer a conditional fetch. ErrNoModel is returned bare.
+func (s *Store) LatestModelHash(user string) (int, cas.Hash, error) {
+	sh := s.shardFor(user)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.closed {
+		return 0, cas.Hash{}, ErrClosed
+	}
+	vs := sh.models[user]
+	if len(vs) == 0 {
+		return 0, cas.Hash{}, ErrNoModel
+	}
+	latest := vs[len(vs)-1]
+	return latest.Version, latest.Man.Sum, nil
+}
+
 // LatestModelBlob fetches the latest published bundle for a registry key
 // as raw bytes plus its content hash and version. The transport layer
 // serves fetches from it so the hash can ride the response for
@@ -556,7 +574,7 @@ func (s *Store) LatestModelBlob(user string) ([]byte, cas.Hash, int, error) {
 	return s.shardFor(user).modelBlob(user, 0)
 }
 
-// ModelBlobAt is LatestModelBlob for a specific version.
+// ModelBlobAt is LatestModelBlob for a specific version (0: the latest).
 func (s *Store) ModelBlobAt(user string, version int) ([]byte, cas.Hash, int, error) {
 	return s.shardFor(user).modelBlob(user, version)
 }
@@ -597,16 +615,39 @@ func (s *Store) ModelVersions() map[string]int {
 	return out
 }
 
-// Population returns a copy of the recovered/current population windows,
-// keyed by the (anonymized) user identifiers they were enrolled under.
-func (s *Store) Population() map[string][]features.WindowSample {
+// UserWindows returns one user's stored windows without copying them: a
+// frozen view the caller may read without a lock and must not write. The
+// store only ever appends past a handed-out slice's length or replaces a
+// user's entry wholesale — the rule the compaction worker's copy-on-write
+// view already depends on (shard.go).
+func (s *Store) UserWindows(user string) []features.WindowSample {
+	sh := s.shardFor(user)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.users[user]
+}
+
+// PopulationView returns every user's stored windows by (anonymized)
+// identifier. The map is the caller's; its slices are frozen views like
+// UserWindows', so no window is copied however large the population.
+func (s *Store) PopulationView() map[string][]features.WindowSample {
 	out := make(map[string][]features.WindowSample)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for id, samples := range sh.users {
-			out[id] = append([]features.WindowSample(nil), samples...)
+			out[id] = samples
 		}
 		sh.mu.Unlock()
+	}
+	return out
+}
+
+// Population is PopulationView with every window copied, for callers
+// that want to own (or mutate) what they get back.
+func (s *Store) Population() map[string][]features.WindowSample {
+	out := s.PopulationView()
+	for id, samples := range out {
+		out[id] = append([]features.WindowSample(nil), samples...)
 	}
 	return out
 }

@@ -303,13 +303,14 @@ func (c *Client) FetchDetector() (*ctxdetect.Detector, error) {
 	return &det, nil
 }
 
-// TrainParams are the client-visible knobs of a training request.
+// TrainParams are the client-visible knobs of a training request; they
+// travel embedded in it.
 type TrainParams struct {
-	Mode        core.Mode
-	Rho         float64
-	MaxPerClass int
-	TargetFRR   float64
-	Seed        int64
+	Mode        core.Mode `json:"mode"`
+	Rho         float64   `json:"rho,omitempty"`
+	MaxPerClass int       `json:"max_per_class,omitempty"`
+	TargetFRR   float64   `json:"target_frr,omitempty"`
+	Seed        int64     `json:"seed,omitempty"`
 }
 
 // Train asks the server to train authentication models for the user and
@@ -325,14 +326,7 @@ func (c *Client) Train(userID string, p TrainParams) (*core.ModelBundle, error) 
 // exponential backoff seeded by the server's hint — busy means the job
 // never started, so a retry cannot double-train.
 func (c *Client) TrainVersioned(userID string, p TrainParams) (*core.ModelBundle, int, error) {
-	req := trainRequest{
-		UserID:      userID,
-		Mode:        p.Mode,
-		Rho:         p.Rho,
-		MaxPerClass: p.MaxPerClass,
-		TargetFRR:   p.TargetFRR,
-		Seed:        p.Seed,
-	}
+	req := trainRequest{UserID: userID, TrainParams: p}
 	var resp trainResponse
 	err := c.routedWrite(userID, TypeTrain, req, &resp)
 	if err != nil {

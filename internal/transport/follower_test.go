@@ -2,9 +2,11 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"smarteryou/internal/retrain"
 	"smarteryou/internal/store"
 )
 
@@ -197,4 +199,177 @@ func TestTrainVersionedRetriesBusyOnce(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+}
+
+// replicateStore ships every record the follower store lacks from the
+// leader store — what a replication stream does, minus the network.
+func replicateStore(leader, follower *store.Store) error {
+	for shard, from := range follower.ShardLastSeqs() {
+		recs, err := leader.ShardRecordsSince(shard, from)
+		if err != nil {
+			return fmt.Errorf("ShardRecordsSince(%d, %d): %w", shard, from, err)
+		}
+		for _, r := range recs {
+			if _, _, err := follower.ApplyReplicated(shard, r.Payload); err != nil {
+				return fmt.Errorf("ApplyReplicated(%d): %w", shard, err)
+			}
+		}
+	}
+	return nil
+}
+
+// publishWithThreshold republishes the user's latest model in the store
+// with every context's threshold replaced: +1e9 rejects every window,
+// -1e9 accepts every window, so which version scored a window is visible
+// in the decision.
+func publishWithThreshold(t *testing.T, st *store.Store, anon string, threshold float64) int {
+	t.Helper()
+	bundle, _, err := st.LatestModel(anon)
+	if err != nil {
+		t.Fatalf("LatestModel: %v", err)
+	}
+	for _, m := range bundle.Models {
+		m.Threshold = threshold
+	}
+	version, err := st.PublishModel(anon, bundle)
+	if err != nil {
+		t.Fatalf("PublishModel: %v", err)
+	}
+	return version
+}
+
+// TestServerFollowsStoreWithoutHooks pins the ownership rule: a server
+// over a store serves whatever the store holds, however it got there.
+// Everything below reaches the follower's store after NewServer and
+// nothing is wired between the two.
+func TestServerFollowsStoreWithoutHooks(t *testing.T) {
+	det, byUser := buildFixture(t)
+	openStore := func() *store.Store {
+		st, err := store.Open(t.TempDir(), store.Options{Shards: 2})
+		if err != nil {
+			t.Fatalf("store.Open: %v", err)
+		}
+		t.Cleanup(func() { _ = st.Close() })
+		return st
+	}
+	leaderStore, followerStore := openStore(), openStore()
+	leaderSrv, err := NewServer(ServerConfig{Key: testKey, Detector: det, Store: leaderStore})
+	if err != nil {
+		t.Fatalf("NewServer leader: %v", err)
+	}
+	leaderAddr, err := leaderSrv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Start leader: %v", err)
+	}
+	defer func() { _ = leaderSrv.Close() }()
+	leader, err := NewClient(ClientConfig{Addr: leaderAddr.String(), Key: testKey})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+
+	followerSrv, err := NewServer(ServerConfig{
+		Key:        testKey,
+		Detector:   det,
+		Store:      followerStore,
+		Follower:   true,
+		LeaderAddr: leaderAddr.String(),
+		Retrain:    &retrain.Config{Threshold: -1}, // monitor on, never fires
+	})
+	if err != nil {
+		t.Fatalf("NewServer follower: %v", err)
+	}
+	addr, err := followerSrv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Start follower: %v", err)
+	}
+	defer func() { _ = followerSrv.Close() }()
+	client, err := NewClient(ClientConfig{Addr: addr.String(), Key: testKey})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	wantPopulation := func(leg string) {
+		t.Helper()
+		want := leaderStore.Stats()
+		users, windows, err := client.Stats()
+		if err != nil {
+			t.Fatalf("%s: stats: %v", leg, err)
+		}
+		if users != want.Users || windows != want.Windows {
+			t.Errorf("%s: follower serves %d users / %d windows, its store holds %d / %d",
+				leg, users, windows, want.Users, want.Windows)
+		}
+	}
+	owner, own := "user-00", byUser["user-00"]
+	anon := anonymize(owner)
+	wantDecision := func(leg string, accepted bool) {
+		t.Helper()
+		d, err := client.Authenticate(owner, own[0])
+		if err != nil {
+			t.Fatalf("%s: authenticate: %v", leg, err)
+		}
+		if d.Accepted != accepted {
+			t.Errorf("%s: accepted = %v, want %v", leg, d.Accepted, accepted)
+		}
+	}
+
+	// (a) Replicated enrolls for users the server has never heard of.
+	for _, id := range []string{"user-00", "user-01"} {
+		if _, err := leader.Enroll(id, byUser[id]); err != nil {
+			t.Fatalf("Enroll %s: %v", id, err)
+		}
+	}
+	if _, _, err := leader.TrainVersioned(owner, TrainParams{Seed: 1}); err != nil {
+		t.Fatalf("TrainVersioned: %v", err)
+	}
+	publishWithThreshold(t, leaderStore, anon, -1e9) // v2 accepts everything
+	if err := replicateStore(leaderStore, followerStore); err != nil {
+		t.Fatal(err)
+	}
+	wantPopulation("replicated enroll")
+
+	// (b) A replicated publish supersedes a bundle the server has cached
+	// by serving it.
+	for range 3 {
+		wantDecision("v2", true)
+	}
+	if st, _ := followerSrv.drift.monitor.State(anon); st.Windows != 3 {
+		t.Fatalf("drift monitor saw %d accepted windows under v2, want 3", st.Windows)
+	}
+	v3 := publishWithThreshold(t, leaderStore, anon, 1e9) // v3 rejects everything
+	if err := replicateStore(leaderStore, followerStore); err != nil {
+		t.Fatal(err)
+	}
+	wantDecision("replicated publish of v3", false)
+	if _, version, err := client.FetchModel(owner, 0); err != nil || version != v3 {
+		t.Errorf("fetch-model after replicated publish: version %d, err %v, want v%d", version, err, v3)
+	}
+	if st, _ := followerSrv.drift.monitor.State(anon); st.Windows != 0 {
+		t.Errorf("drift state not reset by the superseding publish: %d windows", st.Windows)
+	}
+
+	// (c) Both shards replaced wholesale — one by a full snapshot, one by
+	// a chunk delta — carrying a new user, a shrunk enrollment and v4.
+	if _, err := leader.Enroll("user-02", byUser["user-02"]); err != nil {
+		t.Fatalf("Enroll user-02: %v", err)
+	}
+	if _, err := leader.ReplaceEnrollment("user-01", byUser["user-01"][:2]); err != nil {
+		t.Fatalf("ReplaceEnrollment: %v", err)
+	}
+	publishWithThreshold(t, leaderStore, anon, -1e9) // v4 accepts everything
+	snap, _, err := leaderStore.ShardSnapshotBytes(0)
+	if err != nil {
+		t.Fatalf("ShardSnapshotBytes: %v", err)
+	}
+	if _, err := followerStore.InstallShardSnapshot(0, snap); err != nil {
+		t.Fatalf("InstallShardSnapshot: %v", err)
+	}
+	body, _, chunks, err := leaderStore.ShardDelta(1)
+	if err != nil {
+		t.Fatalf("ShardDelta: %v", err)
+	}
+	if _, err := followerStore.InstallShardDelta(1, body, chunks); err != nil {
+		t.Fatalf("InstallShardDelta: %v", err)
+	}
+	wantPopulation("installed snapshots")
+	wantDecision("installed v4", true)
 }

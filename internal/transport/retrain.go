@@ -240,17 +240,17 @@ func (s *Server) flushDriftState() {
 // instead of dropping the candidate.
 func (s *Server) runScheduledRetrain(c retrain.Candidate, severe bool) error {
 	anon := c.User
-	bundle := s.currentBundle(anon)
-	if bundle == nil {
-		return fmt.Errorf("retrain %s: no current model", anon)
+	bundle, err := s.currentBundle(anon)
+	if err != nil {
+		s.logf("scheduled retrain %s: current model: %v", anon, err)
+		return fmt.Errorf("retrain %s: current model: %w", anon, err)
 	}
 	job := trainJob{
-		req: trainRequest{
-			UserID:      anon,
+		req: trainRequest{UserID: anon, TrainParams: TrainParams{
 			Mode:        bundle.Mode,
 			MaxPerClass: s.drift.cfg.RecentWindows,
 			Seed:        time.Now().UnixNano(),
-		},
+		}},
 		anon:        anon,
 		incremental: !severe,
 		recent:      s.drift.cfg.RecentWindows,
@@ -272,41 +272,20 @@ func (s *Server) runScheduledRetrain(c retrain.Candidate, severe bool) error {
 	return nil
 }
 
-// currentBundle returns the user's serving model: the cached bundle, or
-// the registry's latest.
-func (s *Server) currentBundle(anon string) *core.ModelBundle {
-	s.mu.Lock()
-	bundle := s.models[anon]
-	s.mu.Unlock()
-	if bundle == nil && s.persist != nil {
-		if b, _, err := s.persist.LatestModel(anon); err == nil {
-			bundle = b
-		}
-	}
-	return bundle
-}
-
 // refresh is the incremental retrain path: rebuild the user's bundle
 // from their newest windows around the previous model's standardizer
-// (core.RefreshBundle). Unlike train, its critical section under s.mu is
-// O(sample budget), not O(population) — it never copies the whole
-// impostor population.
+// (core.RefreshBundle). Unlike train it copies O(sample budget) windows,
+// never the whole impostor population.
 func (s *Server) refresh(anon string, req trainRequest, recent int) (*core.ModelBundle, error) {
-	prev := s.currentBundle(anon)
-	if prev == nil {
-		return nil, fmt.Errorf("refresh: user %s has no previous model", anon)
+	prev, err := s.currentBundle(anon)
+	if err != nil {
+		return nil, fmt.Errorf("refresh: previous model of %s: %w", anon, err)
 	}
-	s.mu.Lock()
-	src := s.store[anon]
-	if recent > 0 && len(src) > recent {
-		src = src[len(src)-recent:]
-	}
-	legit := append([]features.WindowSample(nil), src...)
-	impostor := s.sampleImpostorsLocked(anon, 2*max(recent, len(legit)))
-	s.mu.Unlock()
+	legit := tailWindows(s.windowsOf(anon), recent)
 	if len(legit) == 0 {
 		return nil, fmt.Errorf("refresh: user %s has no enrolled data", anon)
 	}
+	impostor := s.sampleImpostors(anon, 2*max(recent, len(legit)))
 	if len(impostor) == 0 {
 		return nil, fmt.Errorf("refresh: population store has no other users")
 	}
@@ -316,14 +295,16 @@ func (s *Server) refresh(anon string, req trainRequest, recent int) (*core.Model
 	})
 }
 
-// sampleImpostorsLocked draws a bounded, evenly spread impostor sample:
-// a per-user quota of evenly strided windows, so every other user and
-// both coarse contexts are represented without copying (or shuffling)
-// the full population. Caller holds s.mu.
-func (s *Server) sampleImpostorsLocked(anon string, budget int) []features.WindowSample {
+// sampleImpostors draws a bounded, evenly spread impostor sample: a
+// per-user quota of evenly strided windows, so every other user and both
+// coarse contexts are represented without copying (or shuffling) the
+// full population.
+func (s *Server) sampleImpostors(anon string, budget int) []features.WindowSample {
+	pop := s.population()
+	delete(pop, anon)
 	others := 0
-	for id, samples := range s.store {
-		if id != anon && len(samples) > 0 {
+	for _, samples := range pop {
+		if len(samples) > 0 {
 			others++
 		}
 	}
@@ -335,10 +316,7 @@ func (s *Server) sampleImpostorsLocked(anon string, budget int) []features.Windo
 		quota = 1
 	}
 	out := make([]features.WindowSample, 0, budget+others)
-	for id, samples := range s.store {
-		if id == anon || len(samples) == 0 {
-			continue
-		}
+	for _, samples := range pop {
 		if len(samples) <= quota {
 			out = append(out, samples...)
 			continue

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -456,13 +457,17 @@ func TestRetrainRequestOutcomes(t *testing.T) {
 	}
 }
 
-// TestRetrainRaceHammer drives authenticates, stats and retrain nudges
-// concurrently against a drift-enabled durable server. Run with -race
-// (make race-retrain); the assertions are liveness, the value is the
-// detector.
+// TestRetrainRaceHammer drives authenticates, enrolls, trains, stats and
+// retrain nudges concurrently against a drift-enabled durable 4-shard
+// server, while replicated records land in the shards the server does not
+// write — the server reads the store's live population with no copy of
+// its own, so this is where a reader racing an append would show. Run with
+// -race (make race-retrain); the assertions are liveness, the value is
+// the detector.
 func TestRetrainRaceHammer(t *testing.T) {
 	owner, enroll, impostors, det := driftServerFixture(t)
-	st, err := store.Open(t.TempDir(), store.Options{})
+	const shards = 4
+	st, err := store.Open(t.TempDir(), store.Options{Shards: shards})
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
@@ -505,7 +510,57 @@ func TestRetrainRaceHammer(t *testing.T) {
 		t.Fatalf("train: %v", err)
 	}
 
+	// A peer store at the same cursors plays the owner of every shard this
+	// server does not write locally (the owner's and the drift checkpoint's
+	// take local writes): it enrolls there and its records are applied here.
+	peer, err := store.Open(t.TempDir(), store.Options{Shards: shards})
+	if err != nil {
+		t.Fatalf("store.Open peer: %v", err)
+	}
+	defer peer.Close()
+	if err := replicateStore(st, peer); err != nil {
+		t.Fatal(err)
+	}
+	local := map[int]bool{
+		store.ShardIndex(anonymize(owner.ID), shards): true,
+		store.ShardIndex(store.DriftStateKey, shards): true,
+	}
+	var ghosts []string
+	for k := 0; len(ghosts) < 3; k++ {
+		if id := fmt.Sprintf("anon-ghost-%d", k); !local[store.ShardIndex(id, shards)] {
+			ghosts = append(ghosts, id)
+		}
+	}
+
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 30; i++ {
+			if err := peer.Enroll(ghosts[i%len(ghosts)], enroll[i:i+2], false); err != nil {
+				t.Errorf("peer enroll: %v", err)
+				return
+			}
+			if err := replicateStore(peer, st); err != nil {
+				t.Errorf("replicate: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			if _, err := client.Enroll(owner.ID, enroll[i:i+2]); err != nil {
+				t.Errorf("enroll: %v", err)
+				return
+			}
+			if _, err := client.Train(owner.ID, TrainParams{Mode: core.Mode{Combined: true, UseContext: true}, Seed: int64(i), MaxPerClass: 60}); err != nil {
+				t.Errorf("train: %v", err)
+				return
+			}
+		}
+	}()
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {

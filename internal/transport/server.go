@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -35,12 +36,8 @@ type enrollResponse struct {
 
 // trainRequest asks for authentication models for a user.
 type trainRequest struct {
-	UserID      string    `json:"user_id"`
-	Mode        core.Mode `json:"mode"`
-	Rho         float64   `json:"rho,omitempty"`
-	MaxPerClass int       `json:"max_per_class,omitempty"`
-	TargetFRR   float64   `json:"target_frr,omitempty"`
-	Seed        int64     `json:"seed,omitempty"`
+	UserID string `json:"user_id"`
+	TrainParams
 }
 
 // trainResponse carries the trained bundle. Version is the model's
@@ -202,11 +199,15 @@ type Server struct {
 	key      []byte
 	detector *ctxdetect.Detector
 	logf     func(format string, args ...any)
-	persist  *store.Store // nil: in-memory only
+	// persist, when set, owns the population and the model registry: the
+	// server reads both through it on every request and keeps a copy of
+	// neither, so whatever writes the store — a request, a replication
+	// stream, a snapshot install — is served without the server being told.
+	persist *store.Store // nil: in-memory only
 
 	mu         sync.Mutex
-	store      map[string][]features.WindowSample // anonymized user id -> windows
-	models     map[string]*core.ModelBundle       // anonymized user id -> last trained bundle
+	mem        map[string][]features.WindowSample // store-less only: anonymized user id -> windows
+	models     map[string]cachedBundle            // anonymized user id -> decoded bundle, see currentBundle
 	leaderAddr string                             // follower mode: leader's client address
 
 	// follower makes the server read-only: enroll and train answer with a
@@ -241,6 +242,13 @@ type Server struct {
 	wireStreamWindows  atomic.Uint64
 }
 
+// cachedBundle is a decoded bundle and the content hash of the registry
+// blob it came from (zero on a store-less server).
+type cachedBundle struct {
+	bundle *core.ModelBundle
+	hash   cas.Hash
+}
+
 // ServerConfig configures a new server.
 type ServerConfig struct {
 	// Key is the pre-shared HMAC key; required.
@@ -250,13 +258,14 @@ type ServerConfig struct {
 	Detector *ctxdetect.Detector
 	// Logf receives server logs; nil discards them.
 	Logf func(format string, args ...any)
-	// Store, when set, makes the population and trained models durable:
-	// the server replays the store's recovered state on construction,
-	// appends every enroll/replace to its write-ahead log before
-	// acknowledging, and publishes every trained bundle to its versioned
-	// model registry. Nil keeps today's in-memory behaviour. The caller
-	// retains ownership and must Close the store after Close-ing the
-	// server.
+	// Store, when set, makes the population and trained models durable and
+	// is their only owner: the server appends every enroll/replace to its
+	// write-ahead log before acknowledging, publishes every trained bundle
+	// to its versioned model registry, and reads enrolled windows and
+	// current models from it on every request, so state recovered at Open
+	// or written by a replication stream is served with no further wiring.
+	// Nil keeps the population in the server's memory. The caller retains
+	// ownership and must Close the store after Close-ing the server.
 	Store *store.Store
 	// TrainWorkers bounds concurrent training jobs; 0 means GOMAXPROCS.
 	TrainWorkers int
@@ -310,8 +319,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		detector:   cfg.Detector,
 		logf:       logf,
 		persist:    cfg.Store,
-		store:      make(map[string][]features.WindowSample),
-		models:     make(map[string]*core.ModelBundle),
+		models:     make(map[string]cachedBundle),
 		leaderAddr: cfg.LeaderAddr,
 		replInfo:   cfg.ReplicationInfo,
 		router:     cfg.Router,
@@ -327,12 +335,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Router != nil && cfg.Store == nil {
 		return nil, fmt.Errorf("transport: a cluster node needs a durable store")
 	}
-	if s.persist != nil {
-		// Replay the recovered population: the persisted identifiers are
-		// already the anonymized pseudonyms, so they load verbatim.
-		for anon, samples := range s.persist.Population() {
-			s.store[anon] = samples
-		}
+	if s.persist == nil {
+		s.mem = make(map[string][]features.WindowSample)
 	}
 	s.pool = newWorkerPool(cfg.TrainWorkers, cfg.TrainQueueDepth, s.runTrainJob)
 	if cfg.Retrain != nil {
@@ -348,8 +352,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // sequence numbers — so seed each node with the same map and the
 // population lands partitioned exactly as live enrolls would.
 func (s *Server) SeedPopulation(byUser map[string][]features.WindowSample) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for id, samples := range byUser {
 		anon := anonymize(id)
 		if s.router != nil {
@@ -357,15 +359,54 @@ func (s *Server) SeedPopulation(byUser map[string][]features.WindowSample) {
 				continue
 			}
 		}
-		anonymized := anonymizeSamples(anon, samples)
-		if s.persist != nil {
-			if err := s.persist.Enroll(anon, anonymized, false); err != nil {
-				s.logf("persist seed for %s: %v", anon, err)
-				continue // keep memory and log consistent: skip both
-			}
+		if _, err := s.enrollWindows(anon, anonymizeSamples(anon, samples), false); err != nil {
+			s.logf("persist seed for %s: %v", anon, err)
 		}
-		s.store[anon] = append(s.store[anon], anonymized...)
 	}
+}
+
+// enrollWindows, windowsOf and population are the only code that knows
+// where the population lives: in the store, or, without one, in s.mem.
+// Reads return frozen views (store.UserWindows): both homes only append
+// past a handed-out slice or replace a user's entry wholesale.
+//
+// enrollWindows stores already-anonymized windows and returns how many
+// the user then has. With a store the write is WAL-first — durable before
+// applied or acknowledged — and holds only the user's shard lock, never
+// s.mu, so other shards and every authenticate proceed during the fsync.
+func (s *Server) enrollWindows(anon string, samples []features.WindowSample, replace bool) (int, error) {
+	if s.persist != nil {
+		if err := s.persist.Enroll(anon, samples, replace); err != nil {
+			return 0, err
+		}
+		return len(s.persist.UserWindows(anon)), nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if replace {
+		s.mem[anon] = nil
+	}
+	s.mem[anon] = append(s.mem[anon], samples...)
+	return len(s.mem[anon]), nil
+}
+
+func (s *Server) windowsOf(anon string) []features.WindowSample {
+	if s.persist != nil {
+		return s.persist.UserWindows(anon)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.mem[anon]
+}
+
+// population returns every user's windows; the map is the caller's.
+func (s *Server) population() map[string][]features.WindowSample {
+	if s.persist != nil {
+		return s.persist.PopulationView()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return maps.Clone(s.mem)
 }
 
 // Promote flips a follower server to read-write: enroll and train start
@@ -381,48 +422,6 @@ func (s *Server) Promote() {
 func (s *Server) SetLeaderAddr(addr string) {
 	s.mu.Lock()
 	s.leaderAddr = addr
-	s.mu.Unlock()
-}
-
-// ApplyReplicatedOp folds one replicated mutation into the server's
-// serving caches, keeping a follower's reads in step with its store
-// without re-reading it. Wire it to replication.FollowerConfig.OnApply.
-func (s *Server) ApplyReplicatedOp(op store.ReplicatedOp) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch op.Op {
-	case store.OpEnroll:
-		s.store[op.User] = append(s.store[op.User], op.Samples...)
-	case store.OpReplace:
-		s.store[op.User] = append([]features.WindowSample(nil), op.Samples...)
-	case store.OpPublish:
-		// The record carries the version, not the bundle; drop the cached
-		// bundle so the next authenticate reloads the registry's latest.
-		delete(s.models, op.User)
-		// The leader retrained this user: reset the follower's drift state
-		// too, so a later promotion does not immediately re-fire on drift
-		// the new model already absorbed. Reserved keys (the drift-state
-		// checkpoint itself, the detector) are not users.
-		if s.drift != nil && !store.IsReservedKey(op.User) {
-			s.drift.monitor.MarkTrained(op.User, time.Now())
-		}
-	}
-}
-
-// ReloadFromStore rebuilds the serving caches from the durable store
-// after wholesale state replacement (a replicated snapshot install).
-// Wire it to replication.FollowerConfig.OnSnapshot.
-func (s *Server) ReloadFromStore() {
-	if s.persist == nil {
-		return
-	}
-	pop := s.persist.Population()
-	s.mu.Lock()
-	s.store = make(map[string][]features.WindowSample, len(pop))
-	for anon, samples := range pop {
-		s.store[anon] = samples
-	}
-	s.models = make(map[string]*core.ModelBundle)
 	s.mu.Unlock()
 }
 
@@ -623,27 +622,15 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		if !ok {
 			return refusal
 		}
-		anonymized := anonymizeSamples(anon, req.Samples)
-		s.mu.Lock()
-		// WAL-first: the mutation is durable before it is applied or
-		// acknowledged, so an acknowledged enrollment survives a crash.
-		if s.persist != nil {
-			if err := s.persist.Enroll(anon, anonymized, req.Replace); err != nil {
-				s.mu.Unlock()
-				if errors.Is(err, store.ErrSealed) {
-					// The shard sealed between the route check and the
-					// append; nothing was applied.
-					return sealedBusy()
-				}
-				return fail(fmt.Errorf("enroll: persist: %w", err))
+		stored, err := s.enrollWindows(anon, anonymizeSamples(anon, req.Samples), req.Replace)
+		if err != nil {
+			if errors.Is(err, store.ErrSealed) {
+				// The shard sealed between the route check and the append;
+				// nothing was applied.
+				return sealedBusy()
 			}
+			return fail(fmt.Errorf("enroll: persist: %w", err))
 		}
-		if req.Replace {
-			s.store[anon] = nil
-		}
-		s.store[anon] = append(s.store[anon], anonymized...)
-		stored := len(s.store[anon])
-		s.mu.Unlock()
 		return respond(TypeOK, enrollResponse{Stored: stored})
 
 	case TypeFetchDetector:
@@ -718,10 +705,7 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		if s.drift == nil {
 			return fail(fmt.Errorf("retrain: drift-triggered retraining is disabled on this server"))
 		}
-		s.mu.Lock()
-		_, known := s.store[anon]
-		s.mu.Unlock()
-		if !known {
+		if len(s.windowsOf(anon)) == 0 {
 			return fail(fmt.Errorf("retrain: user %s has no enrolled data", req.UserID))
 		}
 		// Build the candidate from the monitor's current view; a user the
@@ -761,17 +745,14 @@ func (s *Server) dispatch(env Envelope) Envelope {
 			return fail(fmt.Errorf("fetch-model: server has no model registry (persistence disabled)"))
 		}
 		anon := anonymize(req.UserID)
-		var (
-			blob    []byte
-			hash    cas.Hash
-			version int
-			err     error
-		)
-		if req.Version == 0 {
-			blob, hash, version, err = s.persist.LatestModelBlob(anon)
-		} else {
-			blob, hash, version, err = s.persist.ModelBlobAt(anon, req.Version)
+		if req.Version == 0 && req.IfHash != "" {
+			// Answer from the registry entry alone rather than reassemble a
+			// blob that would not be sent; the read below reports failures.
+			if version, hash, err := s.persist.LatestModelHash(anon); err == nil && hash.Hex() == req.IfHash {
+				return respond(TypeOK, fetchModelResponse{Version: version, Hash: req.IfHash, Unchanged: true})
+			}
 		}
+		blob, hash, version, err := s.persist.ModelBlobAt(anon, req.Version)
 		if err != nil {
 			return fail(err)
 		}
@@ -809,12 +790,11 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		if err := env.Open(s.key, nil); err != nil {
 			return fail(err)
 		}
-		s.mu.Lock()
-		resp := statsResponse{Users: len(s.store)}
-		for _, samples := range s.store {
+		pop := s.population()
+		resp := statsResponse{Users: len(pop)}
+		for _, samples := range pop {
 			resp.Windows += len(samples)
 		}
-		s.mu.Unlock()
 		resp.Train = TrainPoolStats{
 			Workers:    s.pool.workers,
 			QueueDepth: cap(s.pool.jobs),
@@ -880,52 +860,109 @@ func (s *Server) runTrainJob(job trainJob) trainResult {
 	if err != nil {
 		return trainResult{err: err}
 	}
-	version := 0
+	var (
+		version int
+		hash    cas.Hash
+		ours    = true
+	)
 	if s.persist != nil {
 		version, err = s.persist.PublishModel(anon, bundle)
 		if err != nil {
 			return trainResult{err: fmt.Errorf("train: publish model: %w", err)}
 		}
+		// Cache the bundle under the hash it was published as. If another
+		// publish already overtook this one, that hash is not ours: cache
+		// nothing and let currentBundle load whatever is latest.
+		var latest int
+		latest, hash, err = s.persist.LatestModelHash(anon)
+		ours = err == nil && latest == version
 	}
-	s.mu.Lock()
-	s.models[anon] = bundle
-	s.mu.Unlock()
+	if ours {
+		s.mu.Lock()
+		s.models[anon] = cachedBundle{bundle: bundle, hash: hash}
+		s.mu.Unlock()
+	}
 	if s.drift != nil {
 		s.drift.monitor.MarkTrained(anon, time.Now())
 	}
 	return trainResult{bundle: bundle, version: version}
 }
 
+// currentBundle is the one place a user's serving model is resolved. A
+// store-less server serves the last bundle it trained. With a store the
+// cached bundle is served only while its hash is still the registry's
+// latest (a lock and a map lookup: no CAS read, no allocation) and is
+// reloaded otherwise, so a model that was replicated, installed with a
+// snapshot or recovered at Open is picked up unprompted. Only
+// store.ErrNoModel means "no model"; anything else is a registry failure.
+func (s *Server) currentBundle(anon string) (*core.ModelBundle, error) {
+	s.mu.Lock()
+	cached := s.models[anon]
+	s.mu.Unlock()
+	if s.persist == nil {
+		if cached.bundle == nil {
+			return nil, store.ErrNoModel
+		}
+		return cached.bundle, nil
+	}
+	_, latest, err := s.persist.LatestModelHash(anon)
+	if err != nil {
+		return nil, err
+	}
+	if cached.bundle != nil && cached.hash == latest {
+		return cached.bundle, nil
+	}
+	blob, hash, _, err := s.persist.LatestModelBlob(anon)
+	if err != nil {
+		return nil, err
+	}
+	bundle, err := core.UnmarshalModelBundle(blob)
+	if err != nil {
+		return nil, fmt.Errorf("decode registry model for %s: %w", anon, err)
+	}
+	s.mu.Lock()
+	s.models[anon] = cachedBundle{bundle: bundle, hash: hash}
+	s.mu.Unlock()
+	if cached.bundle != nil && s.drift != nil {
+		// A publish this server did not make superseded the model it was
+		// serving (the leader retrained the user): reset the drift state
+		// too, so a later promotion does not immediately re-fire on drift
+		// the new model already absorbed.
+		s.drift.monitor.MarkTrained(anon, time.Now())
+	}
+	return bundle, nil
+}
+
 // resolveAuth maps a user to a ready authenticator over their current
-// model: the last bundle this server trained, or the registry's latest
-// when the server restarted since. Single-window, batch and streaming
-// authentication all start here; batch and stream pay the cost once for
-// many windows.
+// model. Single-window, batch and streaming authentication all start
+// here; batch and stream pay the cost once for many windows.
 func (s *Server) resolveAuth(userID string) (anon string, auth *core.Authenticator, err error) {
 	if userID == "" {
 		return "", nil, fmt.Errorf("authenticate: missing user id")
 	}
 	anon = anonymize(userID)
-	s.mu.Lock()
-	bundle := s.models[anon]
-	s.mu.Unlock()
-	if bundle == nil && s.persist != nil {
-		b, _, err := s.persist.LatestModel(anon)
-		if err == nil {
-			bundle = b
-			s.mu.Lock()
-			s.models[anon] = b
-			s.mu.Unlock()
-		}
-	}
-	if bundle == nil {
+	bundle, err := s.currentBundle(anon)
+	if errors.Is(err, store.ErrNoModel) {
 		return "", nil, fmt.Errorf("authenticate: user %s has no trained model", userID)
+	}
+	if err != nil {
+		return "", nil, fmt.Errorf("authenticate: model registry: %w", err)
 	}
 	auth, err = core.NewAuthenticator(s.detector, bundle)
 	if err != nil {
 		return "", nil, fmt.Errorf("authenticate: %w", err)
 	}
 	return anon, auth, nil
+}
+
+// decisionResponse shapes a scoring decision for the wire.
+func decisionResponse(d core.Decision) authResponse {
+	return authResponse{
+		Context:           d.Context.String(),
+		ContextConfidence: d.ContextConfidence,
+		Score:             d.Score,
+		Accepted:          d.Accepted,
+	}
 }
 
 // authenticate classifies one window with the user's current model. Runs
@@ -942,12 +979,7 @@ func (s *Server) authenticate(req authRequest) (authResponse, error) {
 	}
 	// Feed the drift monitor: this is the retraining loop's only sensor.
 	s.observeDrift(anon, d.Score, d.Accepted)
-	return authResponse{
-		Context:           d.Context.String(),
-		ContextConfidence: d.ContextConfidence,
-		Score:             d.Score,
-		Accepted:          d.Accepted,
-	}, nil
+	return decisionResponse(d), nil
 }
 
 // authenticateBatch classifies many windows for one user: the model is
@@ -967,14 +999,17 @@ func (s *Server) authenticateBatch(req batchAuthRequest) (batchAuthResponse, err
 	resp := batchAuthResponse{Decisions: make([]authResponse, len(decisions))}
 	for i, d := range decisions {
 		s.observeDrift(anon, d.Score, d.Accepted)
-		resp.Decisions[i] = authResponse{
-			Context:           d.Context.String(),
-			ContextConfidence: d.ContextConfidence,
-			Score:             d.Score,
-			Accepted:          d.Accepted,
-		}
+		resp.Decisions[i] = decisionResponse(d)
 	}
 	return resp, nil
+}
+
+// tailWindows keeps the newest n windows (all of them when n <= 0).
+func tailWindows(w []features.WindowSample, n int) []features.WindowSample {
+	if n > 0 && len(w) > n {
+		return w[len(w)-n:]
+	}
+	return w
 }
 
 // train runs the training module for one user: positives are the user's
@@ -982,24 +1017,22 @@ func (s *Server) authenticateBatch(req batchAuthRequest) (batchAuthResponse, err
 // scheduled cold retrains that should track current behaviour), negatives
 // are every other (anonymized) user's.
 func (s *Server) train(anon string, req trainRequest, recent int) (*core.ModelBundle, error) {
-	s.mu.Lock()
-	src := s.store[anon]
-	if recent > 0 && len(src) > recent {
-		src = src[len(src)-recent:]
-	}
-	legit := append([]features.WindowSample(nil), src...)
-	var impostor []features.WindowSample
-	for id, samples := range s.store {
-		if id != anon {
-			impostor = append(impostor, samples...)
-		}
-	}
-	s.mu.Unlock()
+	legit := tailWindows(s.windowsOf(anon), recent)
 	if len(legit) == 0 {
 		return nil, fmt.Errorf("train: user %s has no enrolled data", req.UserID)
 	}
-	if len(impostor) == 0 {
+	pop := s.population()
+	delete(pop, anon)
+	n := 0
+	for _, samples := range pop {
+		n += len(samples)
+	}
+	if n == 0 {
 		return nil, fmt.Errorf("train: population store has no other users")
+	}
+	impostor := make([]features.WindowSample, 0, n)
+	for _, samples := range pop {
+		impostor = append(impostor, samples...)
 	}
 	return core.Train(legit, impostor, core.TrainConfig{
 		Mode:        req.Mode,

@@ -142,14 +142,7 @@ func (s *Session) FetchDetector() (*ctxdetect.Detector, error) {
 // Client.TrainVersioned, busy responses are retried with capped
 // exponential backoff from the server's hint.
 func (s *Session) Train(userID string, p TrainParams) (*core.ModelBundle, error) {
-	req := trainRequest{
-		UserID:      userID,
-		Mode:        p.Mode,
-		Rho:         p.Rho,
-		MaxPerClass: p.MaxPerClass,
-		TargetFRR:   p.TargetFRR,
-		Seed:        p.Seed,
-	}
+	req := trainRequest{UserID: userID, TrainParams: p}
 	var resp trainResponse
 	err := s.retry.run(func() error {
 		return s.roundTrip(TypeTrain, req, &resp)

@@ -397,12 +397,7 @@ func (s *Server) handleStream(conn net.Conn, env Envelope) bool {
 			}
 			s.wireStreamWindows.Add(1)
 			s.observeDrift(anon, d.Score, d.Accepted)
-			resp := authResponse{
-				Context:           d.Context.String(),
-				ContextConfidence: d.ContextConfidence,
-				Score:             d.Score,
-				Accepted:          d.Accepted,
-			}
+			resp := decisionResponse(d)
 			buf, start := beginStreamFrame(scratch[:0], streamKindDecision, resp.encodedSize())
 			if buf, err = resp.appendBinary(buf); err != nil {
 				s.logf("encode decision frame: %v", err)

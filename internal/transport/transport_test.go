@@ -3,8 +3,12 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"smarteryou/internal/cas"
 	"smarteryou/internal/core"
 	"smarteryou/internal/ctxdetect"
 	"smarteryou/internal/features"
@@ -223,9 +227,7 @@ func TestServerAnonymizesPopulation(t *testing.T) {
 	det, byUser := buildFixture(t)
 	srv, _ := startServer(t, det)
 	srv.SeedPopulation(byUser)
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	for anonID, samples := range srv.store {
+	for anonID, samples := range srv.population() {
 		if anonID == "user-00" || anonID == "user-01" {
 			t.Errorf("store key %q leaks a real user id", anonID)
 		}
@@ -480,6 +482,78 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 	}
 	if frac := float64(accepted) / float64(len(byUser["user-00"])); frac < 0.8 {
 		t.Errorf("recovered model accepts only %v of the owner's windows", frac)
+	}
+}
+
+// TestAuthenticateReportsRegistryFailure: a registry that cannot produce
+// the user's model is a server fault and must say so; only a user with no
+// published model is told they have none.
+func TestAuthenticateReportsRegistryFailure(t *testing.T) {
+	det, byUser := buildFixture(t)
+	dir := t.TempDir()
+	srv1, st1, addr1 := startPersistentServer(t, det, dir)
+	client, err := NewClient(ClientConfig{Addr: addr1, Key: testKey})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	for _, id := range []string{"user-00", "user-01"} {
+		if _, err := client.Enroll(id, byUser[id]); err != nil {
+			t.Fatalf("Enroll %s: %v", id, err)
+		}
+	}
+	if _, err := client.Train("user-00", TrainParams{Seed: 1}); err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	if err := srv1.Close(); err != nil {
+		t.Fatalf("Close server: %v", err)
+	}
+	// Flush the model's chunks to disk, then damage one of them.
+	if err := st1.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	blob, _, _, err := st1.LatestModelBlob(anonymize("user-00"))
+	if err != nil {
+		t.Fatalf("LatestModelBlob: %v", err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatalf("Close store: %v", err)
+	}
+	man, _ := cas.ManifestOf(blob)
+	files, _ := filepath.Glob(filepath.Join(dir, "cas", man.Chunks[0].Hash.Hex()+"*"))
+	if len(files) != 1 {
+		t.Fatalf("model chunk %s: found files %v, want one", man.Chunks[0].Hash.Hex(), files)
+	}
+	// Open checks that every referenced chunk file exists, not what is in
+	// it, so damage the content: the read, not the open, must catch it.
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatalf("read chunk: %v", err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(files[0], data, 0o644); err != nil {
+		t.Fatalf("damage chunk: %v", err)
+	}
+
+	srv2, st2, addr2 := startPersistentServer(t, det, dir)
+	defer func() {
+		_ = srv2.Close()
+		_ = st2.Close()
+	}()
+	client2, err := NewClient(ClientConfig{Addr: addr2, Key: testKey})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	var remote *RemoteError
+	_, err = client2.Authenticate("user-00", byUser["user-00"][0])
+	if !errors.As(err, &remote) {
+		t.Fatalf("authenticate over a damaged registry: err = %v, want RemoteError", err)
+	}
+	if strings.Contains(remote.Message, "no trained model") || !strings.Contains(remote.Message, "registry") {
+		t.Errorf("damaged registry reported as %q, want a registry failure", remote.Message)
+	}
+	_, err = client2.Authenticate("user-01", byUser["user-01"][0])
+	if !errors.As(err, &remote) || !strings.Contains(remote.Message, "user user-01 has no trained model") {
+		t.Errorf("untrained user: err = %v, want the no-trained-model message", err)
 	}
 }
 

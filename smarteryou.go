@@ -391,9 +391,6 @@ type (
 	ClusterNodeInfo = cluster.NodeInfo
 	// ClusterShardMap is the versioned shard→owner routing artifact.
 	ClusterShardMap = cluster.ShardMap
-	// ClusterHooks observe mesh replication so the serving layer stays in
-	// step with the store.
-	ClusterHooks = cluster.Hooks
 	// ShardMapInfo is the client-facing slice of the shard map, as served
 	// over the wire and cached by routing clients.
 	ShardMapInfo = transport.ShardMapInfo
@@ -402,8 +399,9 @@ type (
 	DriftStateEntry = transport.DriftStateEntry
 )
 
-// NewClusterNode validates the config and builds a cluster node; Start
-// it with ClusterHooks pointing at the serving AuthServer.
+// NewClusterNode validates the config and builds a cluster node. An
+// AuthServer over the same store serves what the mesh replicates with no
+// wiring between the two beyond AuthServerConfig.Router.
 func NewClusterNode(cfg ClusterNodeConfig) (*ClusterNode, error) {
 	return cluster.NewNode(cfg)
 }
