@@ -96,9 +96,9 @@ race-pool:
 # Replication hammer under the race detector: concurrent enrollments
 # racing a cold follower's catch-up exercise the subscribe-before-scan
 # overlap, the per-connection queues, and the shard-lock notify path.
-# The transport line keeps the hookless read path — a server serving
-# whatever replication wrote into its store — under the detector too.
-# Pinned by name for the same reason as race-pool.
+# The transport line keeps the hookless read path — a cluster node that
+# owns nothing serving whatever replication wrote into its store — under
+# the detector too. Pinned by name for the same reason as race-pool.
 race-replication:
 	$(GO) test -race -run='TestReplicationHammer|TestFollowerCrashRestartMidStream' ./internal/replication/
 	$(GO) test -race -run='TestServerFollowsStoreWithoutHooks' ./internal/transport/
@@ -123,10 +123,13 @@ race-cas:
 # Shard-handoff hammer under the race detector: concurrent routed
 # writes race a live shard acquisition between two full cluster nodes —
 # seal, mesh convergence, map publish, and the no-acked-write-lost
-# invariant all execute with full instrumentation. Pinned by name like
+# invariant all execute with full instrumentation — then race the owner's
+# death and the survivor's takeover. TestTakeOverDeadOwner pins the
+# takeover verb itself (refused against a live owner, lossless for
+# converged writes, ex-owner rejoins as a replica). Pinned by name like
 # race-pool.
 race-cluster:
-	$(GO) test -race -run='TestHandoffUnderConcurrentWrites' ./internal/cluster/
+	$(GO) test -race -run='TestHandoffUnderConcurrentWrites|TestTakeOverDeadOwner' ./internal/cluster/
 
 # Follower catch-up throughput: a cold follower replaying a seeded
 # leader's log over TCP. Baseline lives in BENCH_store.json.
@@ -152,9 +155,10 @@ bench-cas:
 
 # Scenario regression suite under the race detector: every shipped
 # profile in scenarios/ runs at smoke scale (200-identity fleet, 30 s op
-# budget) against an in-process topology — the follower one fails over
-# mid-run, the cluster one rebalances shard ownership onto a spare node
-# mid-run — and must hold its SLO. Pinned by name like race-pool.
+# budget) against an in-process topology — the two-node cluster layout
+# loses its shard owner mid-run and the replica takes over, the three-node
+# one rebalances shard ownership onto a spare node mid-run — and must hold
+# its SLO. Pinned by name like race-pool.
 check-scenarios:
 	$(GO) test -race -run='TestScenarioSmoke|TestFailoverUnderLoad|TestRebalanceUnderLoad' ./internal/fleet/
 

@@ -13,20 +13,6 @@
 // -keep-models bounds each user's registry history. Without -data-dir the
 // server is in-memory, exactly as before.
 //
-// Replication turns one durable server into a leader–follower pair:
-//
-//   - The leader adds -replication-addr, a second listener from which
-//     followers stream the store's WAL.
-//   - A follower runs with -replicate-from pointing at that listener. It
-//     serves authenticate, fetch-model, fetch-detector and stats from its
-//     replicated store, and answers enroll/train with a redirect to the
-//     leader. It starts its replication stream once, waits for the
-//     leader's context detector to arrive over it, and then starts
-//     serving the store the stream keeps writing — the server reads the
-//     store on every request, so nothing has to stop or reload. SIGHUP
-//     promotes a running follower to leader in place; -promote starts a
-//     former follower's data dir as the new leader.
-//
 // On the wire the server speaks one format, the binary envelope; a frame
 // in any other format (a JSON envelope included) closes the connection.
 // Besides the single authenticate request there are two hot-path shapes:
@@ -40,41 +26,55 @@
 // startup, untouched, with an error naming the offending file; see the
 // README's "Upgrading a data directory".
 //
-// A shard-ownership cluster replaces the single write leader with N
-// writable nodes, each the leader for a subset of the store's FNV shards
-// while replicating every shard to its peers over a full mesh:
+// The server runs in one of two modes. Without -cluster-peers it is a
+// single server. With -cluster-peers it is one node of a shard-ownership
+// cluster — the only replicated topology: each node is the write owner of
+// a subset of the store's FNV shards and replicates every shard to its
+// peers over a full mesh, so any node serves reads (authenticate,
+// fetch-model, stats) for the whole population.
 //
-//   - Every node runs with the same -cluster-peers list: comma-separated
+//   - Every node runs with a -cluster-peers list: comma-separated
 //     client/repl/ctrl address triples, one per node, in a canonical
 //     order shared by the whole cluster. -cluster-ctrl names this node's
 //     own control address, identifying it inside the list.
-//   - Shard ownership auto-balances round-robin across the peers. With
-//     -owned-shards, the node instead takes the listed shards from their
+//   - At startup the node adopts the live cluster map from any answering
+//     peer (joining it, owning nothing, if absent) and falls back to the
+//     balanced founding map over its peer list when no peer is up yet, so
+//     the same command line cold-starts a cluster and rejoins a running
+//     one.
+//   - With -owned-shards, the node takes the listed shards from their
 //     current owners at startup with a live handoff (seal, converge over
 //     the mesh, publish the new map) — no acked write is lost.
-//   - At startup the node adopts the live cluster map from any answering
-//     peer (joining it if absent) and falls back to the balanced
-//     founding map when no peer is up yet, so the same command line
-//     cold-starts a cluster and rejoins a running one.
+//   - SIGHUP is the dead-owner takeover: the node probes every other
+//     owner's control endpoint and claims the shards of those that do not
+//     answer. It refuses while every owner answers. Issue it on one
+//     survivor, and only when the owner's process is gone for good.
+//
+// A primary with a read replica is the cluster in which one node owns
+// every shard: start the primary with itself as the only peer, the
+// replica with the primary and itself (it adopts the primary's map and
+// joins owning nothing); SIGHUP on the replica promotes it once the
+// primary is dead; a former replica's -data-dir starts as the primary by
+// listing itself as the only peer.
 //
 // Writes for shards a node does not own answer with a redirect to the
 // owner; clients with RouteByShard cache the versioned shard map and go
-// straight to the right node.
+// straight to the right node. Server stats carry the node's replication
+// role, per-shard cursors and every peer's lag.
 //
 // -retrain enables autonomous drift-triggered retraining (the paper's
 // Fig. 7 loop, server side): every served authenticate decision updates a
 // per-user confidence EWMA, and users that sink below -retrain-threshold
 // are retrained through a coalesced, budgeted scheduler — no client or
 // operator action. With -data-dir, drift state checkpoints into the store
-// registry so restarts resume with the accumulated drift. A follower
-// observes drift but defers scheduling to the leader until promoted.
+// registry so restarts resume with the accumulated drift. A cluster node
+// observes drift for every user it authenticates but schedules retrains
+// only for users whose shard it owns.
 //
 // Usage:
 //
 //	authserver -addr 127.0.0.1:7600 -key secret [-seed-users 10] \
 //	    [-data-dir /var/lib/smarteryou] [-shards 8] [-keep-models 16] \
-//	    [-replication-addr 127.0.0.1:7700] \
-//	    [-replicate-from 127.0.0.1:7700] [-promote] \
 //	    [-cluster-peers host1:7600/host1:7700/host1:7800,host2:7600/host2:7700/host2:7800] \
 //	    [-cluster-ctrl host1:7800] [-owned-shards 0,2,4] \
 //	    [-retrain] [-retrain-threshold 0.2] [-retrain-budget 2] \
@@ -89,7 +89,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -102,19 +101,16 @@ func main() {
 
 func run() int {
 	var (
-		addr            = flag.String("addr", "127.0.0.1:7600", "listen address")
-		key             = flag.String("key", "", "pre-shared HMAC key (required)")
-		seedUsers       = flag.Int("seed-users", 10, "synthetic users to seed the population store and train the context detector")
-		seed            = flag.Int64("seed", 1, "synthetic data seed")
-		dataDir         = flag.String("data-dir", "", "directory for the durable population store and model registry (empty: in-memory only)")
-		shards          = flag.Int("shards", 1, "independent WAL+snapshot shards in the durable store (fixed at store creation; reopening uses the on-disk count)")
-		keepModels      = flag.Int("keep-models", 0, "model versions retained per user in the registry (0: unbounded)")
-		trainWorkers    = flag.Int("train-workers", 0, "concurrent model-training jobs (0: GOMAXPROCS); excess requests queue up to twice this, then get a busy response")
-		replicationAddr = flag.String("replication-addr", "", "additional listener streaming the store's WAL to replication followers (requires -data-dir)")
-		replicateFrom   = flag.String("replicate-from", "", "run as a read-only follower of the leader's replication listener at this address (requires -data-dir)")
-		promote         = flag.Bool("promote", false, "start a former follower's -data-dir as the new leader (the store must not be empty)")
+		addr         = flag.String("addr", "127.0.0.1:7600", "listen address")
+		key          = flag.String("key", "", "pre-shared HMAC key (required)")
+		seedUsers    = flag.Int("seed-users", 10, "synthetic users to seed the population store and train the context detector")
+		seed         = flag.Int64("seed", 1, "synthetic data seed")
+		dataDir      = flag.String("data-dir", "", "directory for the durable population store and model registry (empty: in-memory only)")
+		shards       = flag.Int("shards", 1, "independent WAL+snapshot shards in the durable store (fixed at store creation; reopening uses the on-disk count)")
+		keepModels   = flag.Int("keep-models", 0, "model versions retained per user in the registry (0: unbounded)")
+		trainWorkers = flag.Int("train-workers", 0, "concurrent model-training jobs (0: GOMAXPROCS); excess requests queue up to twice this, then get a busy response")
 
-		clusterPeers = flag.String("cluster-peers", "", "comma-separated client/repl/ctrl address triples of every cluster node, in an order shared by the whole cluster (enables shard-ownership cluster mode; requires -data-dir)")
+		clusterPeers = flag.String("cluster-peers", "", "comma-separated client/repl/ctrl address triples of every cluster node, in an order shared by the whole cluster (enables shard-ownership cluster mode, SIGHUP takes over a dead owner's shards; requires -data-dir)")
 		clusterCtrl  = flag.String("cluster-ctrl", "", "this node's control-endpoint address, identifying it inside -cluster-peers")
 		ownedShards  = flag.String("owned-shards", "", "comma-separated shard indexes this node should own; missing ones are taken from their owners with a live handoff at startup (default: the auto-balanced share)")
 
@@ -143,24 +139,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "authserver: -seed-users must be at least 2")
 		return 2
 	}
-	if (*replicationAddr != "" || *replicateFrom != "" || *promote) && *dataDir == "" {
-		fmt.Fprintln(os.Stderr, "authserver: replication needs -data-dir (the WAL is the replication log)")
+	if *clusterPeers != "" && *dataDir == "" {
+		fmt.Fprintln(os.Stderr, "authserver: cluster mode needs -data-dir (the WAL is the mesh replication log)")
 		return 2
 	}
-	if *replicateFrom != "" && *promote {
-		fmt.Fprintln(os.Stderr, "authserver: -promote and -replicate-from are mutually exclusive (promote takes over as leader)")
-		return 2
-	}
-	if *clusterPeers != "" {
-		if *dataDir == "" {
-			fmt.Fprintln(os.Stderr, "authserver: cluster mode needs -data-dir (the WAL is the mesh replication log)")
-			return 2
-		}
-		if *replicateFrom != "" || *promote || *replicationAddr != "" {
-			fmt.Fprintln(os.Stderr, "authserver: -cluster-peers is exclusive with -replicate-from/-promote/-replication-addr (a cluster node runs its own replication listener from its address triple)")
-			return 2
-		}
-	} else if *clusterCtrl != "" || *ownedShards != "" {
+	if *clusterPeers == "" && (*clusterCtrl != "" || *ownedShards != "") {
 		fmt.Fprintln(os.Stderr, "authserver: -cluster-ctrl and -owned-shards need -cluster-peers")
 		return 2
 	}
@@ -200,77 +183,12 @@ func run() int {
 		log.Printf("durable store %s: %d shards, recovered %d users, %d windows, %d model versions (replayed %d wal records, dropped %d torn bytes)",
 			*dataDir, len(st.Shards), st.Users, st.Windows, len(st.ModelVersions), st.Recovery.Replayed, st.Recovery.TruncatedBytes)
 	}
-	if *promote && store.Stats().Users == 0 {
-		log.Printf("-promote: store at %s is empty; nothing to take over", *dataDir)
+
+	detector, population, err := bootstrapDetector(store, *seedUsers, *seed, true)
+	if err != nil {
+		log.Print(err)
 		return 1
 	}
-	if *promote {
-		log.Printf("promoting %s: serving as leader with the replicated state", *dataDir)
-	}
-
-	if *replicateFrom != "" {
-		return runFollower(store, *addr, *key, *replicateFrom, *replicationAddr, retrainCfg)
-	}
-
-	// A recovered store may already hold the published context detector;
-	// loading it skips the startup corpus generation and forest training
-	// entirely when the population is also recovered.
-	var detector *smarteryou.Detector
-	if store != nil {
-		if det, err := store.LatestDetector(); err == nil {
-			detector = det
-			log.Printf("loaded context detector from registry")
-		}
-	}
-	needSeed := store == nil || store.Stats().Users == 0
-
-	var population map[string][]smarteryou.WindowSample
-	if detector == nil || needSeed {
-		log.Printf("generating %d-user context-training corpus...", *seedUsers)
-		var ctxTrain []smarteryou.WindowSample
-		var err error
-		population, ctxTrain, err = synthesizeCorpus(*seedUsers, *seed)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		if detector == nil {
-			detector, err = smarteryou.TrainContextDetector(
-				smarteryou.ContextTrainingData(ctxTrain), smarteryou.DetectorConfig{Seed: *seed})
-			if err != nil {
-				log.Print(err)
-				return 1
-			}
-			if store != nil {
-				if err := store.PublishDetector(detector); err != nil {
-					log.Print(err)
-					return 1
-				}
-				log.Printf("published context detector to registry")
-			}
-		}
-	} else {
-		log.Printf("skipping corpus generation: detector and population recovered from store")
-	}
-
-	// The replication leader is created before the server so the stats
-	// provider below reads a stable variable; it starts listening after
-	// the client listener is up.
-	var leader *smarteryou.ReplicationLeader
-	if *replicationAddr != "" {
-		var err error
-		leader, err = smarteryou.NewReplicationLeader(smarteryou.ReplicationLeaderConfig{
-			Store:         store,
-			Key:           []byte(*key),
-			AdvertiseAddr: *addr,
-			Logf:          log.Printf,
-		})
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-	}
-
 	server, err := smarteryou.NewAuthServer(smarteryou.AuthServerConfig{
 		Key:          []byte(*key),
 		Detector:     detector,
@@ -278,24 +196,13 @@ func run() int {
 		Store:        store,
 		TrainWorkers: *trainWorkers,
 		Retrain:      retrainCfg,
-		ReplicationInfo: func() *smarteryou.ReplicationInfo {
-			if leader == nil {
-				return nil
-			}
-			return replicationInfo(leader.Status())
-		},
 	})
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
-	// Seed the synthetic population only into a store that has none yet;
-	// a recovered store already holds (possibly real) enrollments, and
-	// reseeding would append duplicate windows on every restart.
-	if needSeed {
+	if population != nil {
 		server.SeedPopulation(population)
-	} else {
-		log.Printf("skipping synthetic seed: store already populated")
 	}
 	bound, err := server.Start(*addr)
 	if err != nil {
@@ -307,32 +214,78 @@ func run() int {
 		popUsers = store.Stats().Users
 	}
 	log.Printf("authentication server listening on %s (population: %d users)", bound, popUsers)
-	if leader != nil {
-		raddr, err := leader.Serve(*replicationAddr)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		log.Printf("replication listener on %s (followers catch up from the WAL)", raddr)
-	}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
-	log.Print("shutting down")
-	code := 0
-	if leader != nil {
-		if err := leader.Close(); err != nil {
-			log.Printf("close replication: %v", err)
-			code = 1
+	return shutdown(server, nil, store)
+}
+
+// bootstrapDetector resolves the context detector both modes serve: the
+// one recovered from the store's registry, else one trained from the
+// synthetic corpus — deterministic in (seedUsers, seed), so every cluster
+// node started with the same flags trains the identical detector — and
+// published to the registry when publish is set. It also returns the
+// corpus population to seed while the store holds no users yet; nil once
+// it does, because a recovered store already holds (possibly real)
+// enrollments and reseeding would append duplicates on every restart.
+// When both are recovered the corpus generation is skipped entirely.
+func bootstrapDetector(store *smarteryou.PopulationStore, seedUsers int, seed int64, publish bool) (*smarteryou.Detector, map[string][]smarteryou.WindowSample, error) {
+	var detector *smarteryou.Detector
+	needSeed := true
+	if store != nil {
+		if det, err := store.LatestDetector(); err == nil {
+			detector = det
+			log.Printf("loaded context detector from registry")
+		}
+		needSeed = store.Stats().Users == 0
+	}
+	if detector != nil && !needSeed {
+		log.Printf("skipping corpus generation: detector and population recovered from store")
+		return detector, nil, nil
+	}
+	log.Printf("generating %d-user context-training corpus...", seedUsers)
+	population, ctxTrain, err := synthesizeCorpus(seedUsers, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if detector == nil {
+		detector, err = smarteryou.TrainContextDetector(
+			smarteryou.ContextTrainingData(ctxTrain), smarteryou.DetectorConfig{Seed: seed})
+		if err != nil {
+			return nil, nil, err
+		}
+		if store != nil && publish {
+			if err := store.PublishDetector(detector); err != nil {
+				return nil, nil, err
+			}
+			log.Printf("published context detector to registry")
 		}
 	}
+	if !needSeed {
+		log.Printf("skipping synthetic seed: store already populated")
+		population = nil
+	}
+	return detector, population, nil
+}
+
+// shutdown closes the server, then the cluster node (nil outside cluster
+// mode), then the store (nil when in-memory) and returns the exit code.
+// The store outlives the server so in-flight requests can still append;
+// it is flushed and closed only once the listener has drained.
+func shutdown(server *smarteryou.AuthServer, node *smarteryou.ClusterNode, store *smarteryou.PopulationStore) int {
+	log.Print("shutting down")
+	code := 0
 	if err := server.Close(); err != nil {
 		log.Printf("close: %v", err)
 		code = 1
 	}
-	// The store outlives the server so in-flight requests can still
-	// append; flush and close it only once the listener has drained.
+	if node != nil {
+		if err := node.Close(); err != nil {
+			log.Printf("close cluster node: %v", err)
+			code = 1
+		}
+	}
 	if store != nil {
 		if err := store.Close(); err != nil {
 			log.Printf("close store: %v", err)
@@ -340,151 +293,6 @@ func run() int {
 		}
 		log.Printf("durable store flushed")
 	}
-	return code
-}
-
-// runFollower runs the read-only follower mode: replicate the leader's
-// store (including the published context detector), serve reads, redirect
-// writes, and promote to leader on SIGHUP. With retrainCfg, the follower
-// monitors drift on its own authenticate traffic but defers scheduling to
-// the leader until promoted.
-func runFollower(store *smarteryou.PopulationStore, addr, key, leaderAddr, replicationAddr string, retrainCfg *smarteryou.ServerRetrainConfig) int {
-	// The stream starts once and runs for the process's lifetime. The
-	// server is built later — it needs the replicated context detector —
-	// so until then the leader's advertised client address is parked here.
-	var (
-		mu         sync.Mutex
-		serving    *smarteryou.AuthServer
-		clientAddr string
-	)
-	follower, err := smarteryou.StartReplicationFollower(smarteryou.ReplicationFollowerConfig{
-		Store:      store,
-		Key:        []byte(key),
-		LeaderAddr: leaderAddr,
-		Logf:       log.Printf,
-		OnLeaderAddr: func(addr string) {
-			mu.Lock()
-			defer mu.Unlock()
-			clientAddr = addr
-			if serving != nil {
-				serving.SetLeaderAddr(addr)
-			}
-		},
-	})
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	log.Printf("follower of %s: waiting for the replicated context detector...", leaderAddr)
-	var detector *smarteryou.Detector
-	for deadline := time.Now().Add(2 * time.Minute); ; {
-		if det, err := store.LatestDetector(); err == nil {
-			detector = det
-			break
-		}
-		if time.Now().After(deadline) {
-			_ = follower.Close()
-			log.Printf("no context detector replicated from %s after 2m; is the leader seeded?", leaderAddr)
-			return 1
-		}
-		time.Sleep(250 * time.Millisecond)
-	}
-	log.Printf("context detector replicated; store at %d users", store.Stats().Users)
-
-	// The server reads the store the stream keeps writing, so it can be
-	// built and started mid-stream.
-	server, err := smarteryou.NewAuthServer(smarteryou.AuthServerConfig{
-		Key:        []byte(key),
-		Detector:   detector,
-		Logf:       log.Printf,
-		Store:      store,
-		Follower:   true,
-		LeaderAddr: leaderAddr,
-		Retrain:    retrainCfg,
-		ReplicationInfo: func() *smarteryou.ReplicationInfo {
-			return replicationInfo(follower.Status())
-		},
-	})
-	if err != nil {
-		_ = follower.Close()
-		log.Print(err)
-		return 1
-	}
-	mu.Lock()
-	serving = server
-	if clientAddr != "" {
-		server.SetLeaderAddr(clientAddr)
-	}
-	mu.Unlock()
-	bound, err := server.Start(addr)
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	log.Printf("read-only follower listening on %s (writes redirect to the leader; SIGHUP promotes)", bound)
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
-	promoted := false
-	var leader *smarteryou.ReplicationLeader
-	for {
-		sig := <-stop
-		if sig != syscall.SIGHUP {
-			break
-		}
-		if promoted {
-			log.Printf("SIGHUP: already promoted")
-			continue
-		}
-		// Promotion: stop replicating, then open writes. The store keeps
-		// the leader-assigned sequence numbers, so new enrollments continue
-		// each shard's sequence space.
-		follower.Promote()
-		server.Promote()
-		promoted = true
-		log.Printf("promoted to leader at %v", store.ShardLastSeqs())
-		if replicationAddr != "" {
-			var err error
-			leader, err = smarteryou.NewReplicationLeader(smarteryou.ReplicationLeaderConfig{
-				Store:         store,
-				Key:           []byte(key),
-				AdvertiseAddr: addr,
-				Logf:          log.Printf,
-			})
-			if err != nil {
-				log.Print(err)
-				continue
-			}
-			raddr, err := leader.Serve(replicationAddr)
-			if err != nil {
-				log.Print(err)
-				leader = nil
-				continue
-			}
-			log.Printf("replication listener on %s", raddr)
-		}
-	}
-	log.Print("shutting down")
-	code := 0
-	if leader != nil {
-		if err := leader.Close(); err != nil {
-			log.Printf("close replication: %v", err)
-			code = 1
-		}
-	}
-	if err := follower.Close(); err != nil {
-		log.Printf("close follower: %v", err)
-		code = 1
-	}
-	if err := server.Close(); err != nil {
-		log.Printf("close: %v", err)
-		code = 1
-	}
-	if err := store.Close(); err != nil {
-		log.Printf("close store: %v", err)
-		code = 1
-	}
-	log.Printf("durable store flushed")
 	return code
 }
 
@@ -501,8 +309,9 @@ type clusterSettings struct {
 // runCluster runs one node of the shard-ownership cluster: replication
 // leader for the shards it owns, mesh follower of every peer, serving
 // reads for the whole population and redirecting writes it does not
-// own. The node listens on its own triple from -cluster-peers (-addr is
-// ignored; the triple is the one source of addresses).
+// own — all of them, while it owns nothing. The node listens on its own
+// triple from -cluster-peers (-addr is ignored; the triple is the one
+// source of addresses). SIGHUP takes over the shards of dead owners.
 func runCluster(cfg clusterSettings) int {
 	infos, selfIdx, err := parseClusterPeers(cfg.peers, cfg.ctrl)
 	if err != nil {
@@ -531,9 +340,6 @@ func runCluster(cfg clusterSettings) int {
 	st := store.Stats()
 	log.Printf("durable store %s: %d shards, recovered %d users, %d windows",
 		cfg.dataDir, len(st.Shards), st.Users, st.Windows)
-	if store.ShardCount() < len(infos) {
-		log.Printf("warning: %d shards over %d nodes leaves nodes with no writable share; create the store with -shards >= node count", store.ShardCount(), len(infos))
-	}
 
 	// Bootstrap map: adopt the live cluster's map from any answering
 	// peer; found the cluster on the balanced map when nobody is up yet
@@ -561,43 +367,20 @@ func runCluster(cfg clusterSettings) int {
 			return 1
 		}
 		log.Printf("no peer answered; founding on the balanced map (%d shards over %d nodes)", m.Shards(), len(infos))
+		if m.Shards() < len(infos) {
+			log.Printf("warning: %d shards over %d founding nodes leaves nodes with no writable share; create the store with -shards >= node count", m.Shards(), len(infos))
+		}
 	}
 
-	// Detector: recover from the registry, else train it from the
-	// deterministic corpus — identical on every node for the same -seed.
 	// Only the node owning the detector's registry shard publishes it;
 	// the record reaches everyone else over the mesh.
-	var detector *smarteryou.Detector
-	if det, err := store.LatestDetector(); err == nil {
-		detector = det
-		log.Printf("loaded context detector from registry")
-	}
-	needSeed := st.Users == 0
-	var population map[string][]smarteryou.WindowSample
-	if detector == nil || needSeed {
-		log.Printf("generating %d-user context-training corpus...", cfg.seedUsers)
-		var ctxTrain []smarteryou.WindowSample
-		population, ctxTrain, err = synthesizeCorpus(cfg.seedUsers, cfg.seed)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		if detector == nil {
-			detector, err = smarteryou.TrainContextDetector(
-				smarteryou.ContextTrainingData(ctxTrain), smarteryou.DetectorConfig{Seed: cfg.seed})
-			if err != nil {
-				log.Print(err)
-				return 1
-			}
-			selfInMap := mapIndexOf(m, self.CtrlAddr)
-			if detShard := m.ShardForUser(smarteryou.DetectorRegistryKey); selfInMap >= 0 && m.OwnerOf(detShard) == selfInMap {
-				if err := store.PublishDetector(detector); err != nil {
-					log.Print(err)
-					return 1
-				}
-				log.Printf("published context detector to registry (this node owns its shard %d)", detShard)
-			}
-		}
+	selfInMap := mapIndexOf(m, self.CtrlAddr)
+	detShard := m.ShardForUser(smarteryou.DetectorRegistryKey)
+	detector, population, err := bootstrapDetector(store, cfg.seedUsers, cfg.seed,
+		selfInMap >= 0 && m.OwnerOf(detShard) == selfInMap)
+	if err != nil {
+		log.Print(err)
+		return 1
 	}
 
 	node, err := smarteryou.NewClusterNode(smarteryou.ClusterNodeConfig{
@@ -612,13 +395,14 @@ func runCluster(cfg clusterSettings) int {
 		return 1
 	}
 	server, err := smarteryou.NewAuthServer(smarteryou.AuthServerConfig{
-		Key:          []byte(cfg.key),
-		Detector:     detector,
-		Logf:         log.Printf,
-		Store:        store,
-		TrainWorkers: cfg.trainWorkers,
-		Retrain:      cfg.retrain,
-		Router:       node,
+		Key:             []byte(cfg.key),
+		Detector:        detector,
+		Logf:            log.Printf,
+		Store:           store,
+		TrainWorkers:    cfg.trainWorkers,
+		Retrain:         cfg.retrain,
+		Router:          node,
+		ReplicationInfo: node.ReplicationInfo,
 	})
 	if err != nil {
 		log.Print(err)
@@ -627,8 +411,7 @@ func runCluster(cfg clusterSettings) int {
 	// Seed only the users whose shards this node owns: every node runs
 	// the same flags, derives the same corpus, and contributes exactly
 	// its share — the mesh converges the full population everywhere.
-	if needSeed && population != nil {
-		selfInMap := mapIndexOf(m, self.CtrlAddr)
+	if population != nil {
 		mine := make(map[string][]smarteryou.WindowSample)
 		for id, samples := range population {
 			if selfInMap >= 0 && m.OwnerOf(m.ShardForUser(smarteryou.AnonymizeUser(id))) == selfInMap {
@@ -677,24 +460,19 @@ func runCluster(cfg clusterSettings) int {
 		bound, node.Map().Version, owned, total, node.Map().OwnedBy(mapIndexOf(node.Map(), self.CtrlAddr)))
 
 	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-	log.Print("shutting down")
-	code := 0
-	if err := server.Close(); err != nil {
-		log.Printf("close: %v", err)
-		code = 1
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
+	for sig := <-stop; sig == syscall.SIGHUP; sig = <-stop {
+		// Operator-triggered, like every ownership change: the node never
+		// decides on its own that a peer is dead.
+		if err := node.TakeOver(0); err != nil {
+			log.Printf("SIGHUP: %v", err)
+			continue
+		}
+		owned, total := node.OwnedShards()
+		log.Printf("SIGHUP: takeover complete: map v%d, owning %d of %d shards at cursors %v",
+			node.Map().Version, owned, total, store.ShardLastSeqs())
 	}
-	if err := node.Close(); err != nil {
-		log.Printf("close cluster node: %v", err)
-		code = 1
-	}
-	if err := store.Close(); err != nil {
-		log.Printf("close store: %v", err)
-		code = 1
-	}
-	log.Printf("durable store flushed")
-	return code
+	return shutdown(server, node, store)
 }
 
 // parseClusterPeers parses the -cluster-peers triples and locates this
@@ -782,22 +560,4 @@ func synthesizeCorpus(seedUsers int, seed int64) (map[string][]smarteryou.Window
 		ctxTrain = append(ctxTrain, samples...)
 	}
 	return population, ctxTrain, nil
-}
-
-// replicationInfo shapes a replication status for the stats response.
-func replicationInfo(st smarteryou.ReplicationStatus) *smarteryou.ReplicationInfo {
-	info := &smarteryou.ReplicationInfo{
-		Role:       st.Role,
-		Connected:  st.Connected,
-		LeaderAddr: st.LeaderAddr,
-		ShardSeqs:  st.ShardSeqs,
-	}
-	for _, f := range st.Followers {
-		info.Followers = append(info.Followers, smarteryou.ReplicationFollowerInfo{
-			Addr:  f.Addr,
-			Acked: f.Acked,
-			Lag:   f.Lag,
-		})
-	}
-	return info
 }

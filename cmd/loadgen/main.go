@@ -5,8 +5,9 @@
 //
 // By default each scenario self-hosts: loadgen synthesizes the template
 // workload, starts the scenario's in-process topology (a single server,
-// a leader–follower pair with traffic aimed at the follower, or a
-// shard-ownership cluster with a spare node for mid-run rebalance), runs
+// or a shard-ownership cluster — an owner plus a read replica with
+// traffic aimed at the replica, or three nodes with a spare for mid-run
+// rebalance), runs
 // the load through the scenario's simulated network conditions, and
 // tears the cluster down. With -addr the same traffic targets an
 // already-running authserver instead (network conditioning still
@@ -149,7 +150,7 @@ func runScenario(sc fleet.Scenario, extAddr string, key []byte, logf func(string
 		opts.MidRun = func() {
 			took := cluster.Failover()
 			failoverTook = float64(took.Milliseconds())
-			logf("loadgen: %s: leader killed, follower promoted in %s", sc.Name, took)
+			logf("loadgen: %s: owner killed, replica took over in %s", sc.Name, took)
 		}
 	}
 	if sc.RebalanceAt > 0 {

@@ -16,6 +16,11 @@
 // If the acquirer dies between seal and publish, the owner's seal
 // timer expires and it resumes serving writes — no acked write is lost
 // either way, because sealed writes were never acked.
+//
+// Takeover is the same publish with nobody left to seal: when an owner's
+// process is gone, a survivor claims its shards with steps 1 and 2
+// skipped (TakeOver). It is an operator's verb, not a failure detector's:
+// nothing in the cluster decides on its own that a node is dead.
 package cluster
 
 import (
@@ -37,7 +42,7 @@ func (n *Node) Join(timeout time.Duration) error {
 	if !n.installMap(next) {
 		return fmt.Errorf("cluster: join lost a map race, retry")
 	}
-	return n.pushMap(next, timeout)
+	return n.pushMap(next, nil, timeout)
 }
 
 // AcquireShards takes ownership of the given shards with a live
@@ -121,21 +126,82 @@ func (n *Node) AcquireShards(shards []int, timeout time.Duration) error {
 	if !n.installMap(next) {
 		return fmt.Errorf("cluster: handoff lost a map race, retry")
 	}
-	return n.pushMap(next, time.Until(deadline))
+	return n.pushMap(next, nil, time.Until(deadline))
 }
 
-// pushMap delivers a map to every peer's control endpoint. A push
-// failure is reported but does not roll back: peers that missed it
-// converge on the next exchange (a redirect chase, FetchMap, or a later
-// push), and stale peers only cost redirects, never correctness.
-func (n *Node) pushMap(m *ShardMap, timeout time.Duration) error {
+// TakeOver claims every shard whose owner's process is gone: it probes
+// each other owner's control endpoint and, for those that do not answer
+// within timeout (0 means 5s), syncs the local copy of their shards and
+// publishes a Version+1 map owning them. There is nothing to seal and
+// nothing more to converge — the local store holds whatever the dead
+// owner shipped, and writes it acked but had not shipped yet are lost.
+//
+// An owner that answers keeps its shards, and when every owner answers
+// the call fails: moving shards between live nodes is AcquireShards'
+// job, which loses nothing. The caller — an operator — must issue it on
+// one survivor only (two concurrent takeovers publish conflicting maps
+// of the same version) and only when the owner is down for good: a
+// partitioned owner that is still serving clients keeps acking writes
+// the new map orphans. A restarted ex-owner must adopt the new map
+// before it serves (FetchMap from a peer, as authserver does at start).
+func (n *Node) TakeOver(timeout time.Duration) error {
+	if timeout <= 0 {
+		timeout = defaultCtrlTimeout
+	}
+	im := n.cur.Load()
+	if im.self < 0 {
+		return errNotMember
+	}
+	m := im.m
+	next := m.Clone()
+	next.Version++
+	dead := make(map[string]bool)
+	answered := ""
+	for owner, info := range m.Nodes {
+		shards := m.OwnedBy(owner)
+		if owner == im.self || len(shards) == 0 {
+			continue
+		}
+		if _, err := FetchMap(info.CtrlAddr, n.key, timeout); err == nil {
+			answered = info.CtrlAddr
+			continue
+		}
+		dead[info.CtrlAddr] = true
+		for _, shard := range shards {
+			// The same durability barrier as a handoff: mesh copies may
+			// have been applied without a per-record fsync.
+			if err := n.st.SyncShard(shard); err != nil {
+				return fmt.Errorf("cluster: sync shard %d before takeover: %w", shard, err)
+			}
+			next.Owner[shard] = int32(im.self)
+		}
+	}
+	if len(dead) == 0 {
+		if answered != "" {
+			return fmt.Errorf("cluster: takeover refused: owner %s answers; move its shards with AcquireShards", answered)
+		}
+		return nil // every shard is already ours
+	}
+	if !n.installMap(next) {
+		return fmt.Errorf("cluster: takeover lost a map race, retry")
+	}
+	n.logf("cluster: took over the shards of %d unreachable owner(s) at map v%d", len(dead), next.Version)
+	return n.pushMap(next, dead, timeout)
+}
+
+// pushMap delivers a map to every peer's control endpoint except those
+// in skip (by control address). A push failure is reported but does not
+// roll back: peers that missed it converge on the next exchange (a
+// redirect chase, FetchMap, or a later push), and stale peers only cost
+// redirects, never correctness.
+func (n *Node) pushMap(m *ShardMap, skip map[string]bool, timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = defaultCtrlTimeout
 	}
 	frame := encodeMapFrame(ctrlMapPush, m, n.key)
 	var firstErr error
 	for _, info := range m.Nodes {
-		if info.CtrlAddr == n.self.CtrlAddr {
+		if info.CtrlAddr == n.self.CtrlAddr || skip[info.CtrlAddr] {
 			continue
 		}
 		if _, err := ctrlRequest(info.CtrlAddr, n.key, frame, timeout); err != nil {

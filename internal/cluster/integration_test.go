@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"net"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -65,12 +66,33 @@ type clusterServer struct {
 	srv      *transport.Server
 	addr     string
 	replAddr string
+	dir      string
+	killOnce sync.Once
+}
+
+// kill stops the node the way a dead process does: client listener,
+// control and replication endpoints and store all go away. Idempotent, so
+// a test may kill a node its cleanup would close again.
+func (cs *clusterServer) kill() {
+	cs.killOnce.Do(func() {
+		_ = cs.srv.Close()
+		_ = cs.node.Close()
+		_ = cs.st.Close()
+	})
 }
 
 // startServedCluster brings up count full nodes — store + cluster node
-// + transport server wired through the ShardRouter — and returns them
-// with every listener live.
+// + transport server wired through the ShardRouter — on the balanced map
+// and returns them with every listener live.
 func startServedCluster(t testing.TB, count, shards int, opt store.Options, retrainCfg *retrain.Config) []*clusterServer {
+	t.Helper()
+	return startServedClusterOwnedBy(t, count, shards, opt, retrainCfg, -1)
+}
+
+// startServedClusterOwnedBy is startServedCluster with every shard of the
+// version-1 map owned by one node, the others pure replicas (owner < 0
+// keeps the balanced map).
+func startServedClusterOwnedBy(t testing.TB, count, shards int, opt store.Options, retrainCfg *retrain.Config, owner int) []*clusterServer {
 	t.Helper()
 	det, _ := buildFixture(t)
 
@@ -90,10 +112,16 @@ func startServedCluster(t testing.TB, count, shards int, opt store.Options, retr
 	if err != nil {
 		t.Fatalf("BalancedMap: %v", err)
 	}
+	if owner >= 0 {
+		for shard := range m.Owner {
+			m.Owner[shard] = int32(owner)
+		}
+	}
 	opt.Shards = shards
 	out := make([]*clusterServer, count)
 	for i := range infos {
-		st := openStore(t, t.TempDir(), opt)
+		dir := t.TempDir()
+		st := openStore(t, dir, opt)
 		node, err := NewNode(NodeConfig{
 			Self:         infos[i],
 			Map:          m,
@@ -107,11 +135,12 @@ func startServedCluster(t testing.TB, count, shards int, opt store.Options, retr
 			t.Fatalf("NewNode(%d): %v", i, err)
 		}
 		srv, err := transport.NewServer(transport.ServerConfig{
-			Key:      testKey,
-			Detector: det,
-			Store:    st,
-			Router:   node,
-			Retrain:  retrainCfg,
+			Key:             testKey,
+			Detector:        det,
+			Store:           st,
+			Router:          node,
+			Retrain:         retrainCfg,
+			ReplicationInfo: node.ReplicationInfo,
 		})
 		if err != nil {
 			t.Fatalf("NewServer(%d): %v", i, err)
@@ -122,11 +151,8 @@ func startServedCluster(t testing.TB, count, shards int, opt store.Options, retr
 		if _, err := srv.StartListener(clientLns[i]); err != nil {
 			t.Fatalf("srv.Start(%d): %v", i, err)
 		}
-		cs := &clusterServer{st: st, node: node, srv: srv, addr: infos[i].ClientAddr, replAddr: infos[i].ReplAddr}
-		t.Cleanup(func() {
-			_ = cs.srv.Close()
-			_ = cs.node.Close()
-		})
+		cs := &clusterServer{st: st, node: node, srv: srv, addr: infos[i].ClientAddr, replAddr: infos[i].ReplAddr, dir: dir}
+		t.Cleanup(cs.kill)
 		out[i] = cs
 	}
 	return out
@@ -174,6 +200,10 @@ func TestClusterEndToEnd(t *testing.T) {
 		}
 		users = append(users, id)
 	}
+	// Map order would pick a random target below, and one fixture user's
+	// first window is a genuine false reject that leaves its drift state at
+	// zero windows.
+	sort.Strings(users)
 
 	// Enrolls were partitioned: no node's local write cursor covers the
 	// whole population, every node converges to all of it.

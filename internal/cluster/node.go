@@ -1,8 +1,9 @@
-// Node: one writable member of the shard-ownership cluster. It serves
-// its own store to peers (replication leader), follows every peer's
-// store (the mesh), answers the transport layer's routing questions
-// (transport.ShardRouter), and runs the control listener that moves
-// ownership during handoff.
+// Node: one member of the shard-ownership cluster — writable for the
+// shards it owns, a read replica for the rest (a node that owns none is a
+// pure replica). It serves its own store to peers (replication leader),
+// follows every peer's store (the mesh), answers the transport layer's
+// routing questions (transport.ShardRouter), and runs the control listener
+// that moves ownership during handoff.
 package cluster
 
 import (
@@ -254,8 +255,6 @@ func (n *Node) reconcileFollowers(m *ShardMap) {
 	}
 }
 
-// RouteWrite implements transport.ShardRouter: where does a write for
-// the (anonymized) user belong right now?
 // ownsShard reports whether this node owns shard under the currently
 // installed map — the replication leader's forwarding filter.
 func (n *Node) ownsShard(shard int) bool {
@@ -263,6 +262,8 @@ func (n *Node) ownsShard(shard int) bool {
 	return shard >= 0 && shard < im.m.Shards() && im.m.OwnerOf(shard) == im.self
 }
 
+// RouteWrite implements transport.ShardRouter: where does a write for
+// the (anonymized) user belong right now?
 func (n *Node) RouteWrite(anonUser string) (transport.RouteDecision, string) {
 	im := n.cur.Load()
 	shard := im.m.ShardForUser(anonUser)
@@ -299,6 +300,36 @@ func (n *Node) OwnedShards() (owned, total int) {
 		}
 	}
 	return owned, im.m.Shards()
+}
+
+// ReplicationInfo is the node's slice of the server's stats response
+// (transport.ServerConfig.ReplicationInfo): whether it owns any shard,
+// whether the mesh stream from every peer is up, the local cursors, and
+// each connected peer's acknowledged cursors and lag on the shards this
+// node owns — the number to read before a TakeOver.
+func (n *Node) ReplicationInfo() *transport.ReplicationInfo {
+	info := &transport.ReplicationInfo{Role: "replica", ShardSeqs: n.st.ShardLastSeqs()}
+	if owned, _ := n.OwnedShards(); owned > 0 {
+		info.Role = "owner"
+	}
+	// Status reads store cursors under shard locks; RouteWrite must not
+	// wait behind that on n.mu.
+	n.mu.Lock()
+	followers := make([]*replication.Follower, 0, len(n.followers))
+	for _, f := range n.followers {
+		followers = append(followers, f)
+	}
+	n.mu.Unlock()
+	info.Connected = len(followers) > 0
+	for _, f := range followers {
+		info.Connected = info.Connected && f.Status().Connected
+	}
+	if n.leader != nil {
+		for _, f := range n.leader.Status().Followers {
+			info.Followers = append(info.Followers, transport.ReplicationFollower{Addr: f.Addr, Acked: f.Acked, Lag: f.Lag})
+		}
+	}
+	return info
 }
 
 // installMap adopts a higher-version map: the routing state flips

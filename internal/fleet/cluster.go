@@ -8,58 +8,55 @@ import (
 	"time"
 
 	"smarteryou/internal/cluster"
-	"smarteryou/internal/replication"
 	"smarteryou/internal/retrain"
 	"smarteryou/internal/store"
 	"smarteryou/internal/transport"
 )
 
-// Cluster is an in-process server topology a load run targets: either a
-// single (in-memory) authentication server, or a durable leader–follower
-// pair with the client traffic aimed at the follower so redirect and
-// failover behaviour is on the hot path.
+// Cluster is an in-process server topology a load run targets: a single
+// (in-memory) authentication server, or durable shard-ownership cluster
+// nodes in one of the layouts below.
 type Cluster struct {
 	// Addr is the client-facing address load traffic should target.
 	Addr string
-	// LeaderAddr is the leader's client-facing address ("" for single
-	// topology after failover).
-	LeaderAddr string
 
 	single *transport.Server
-
-	mu          sync.Mutex // guards leaderSrv/leader handoff between Failover and Close
-	leaderSrv   *transport.Server
-	leaderStore *store.Store
-	leader      *replication.Leader
-
-	followerSrv   *transport.Server
-	followerStore *store.Store
-	follower      *replication.Follower
-
-	// multi topology: shard-ownership nodes, the last one starting
-	// outside the ownership map as the Rebalance spare.
-	multi []*multiNode
+	multi  []*multiNode
 
 	failover     sync.Once
+	failoverErr  error
 	rebalance    sync.Once
 	rebalanceErr error
 	closeOne     sync.Once
 }
 
-// multiNode is one member of the multi-node topology.
+// multiNode is one cluster member.
 type multiNode struct {
 	st   *store.Store
 	node *cluster.Node
 	srv  *transport.Server
 	addr string
+
+	srvClose sync.Once
+}
+
+// closeServer closes the node's client-facing server once: Failover
+// closes node 0's mid-run and Close must not close it again.
+func (mn *multiNode) closeServer() (err error) {
+	mn.srvClose.Do(func() {
+		if mn.srv != nil {
+			err = mn.srv.Close()
+		}
+	})
+	return err
 }
 
 // ClusterOptions configures StartCluster.
 type ClusterOptions struct {
 	// Key is the pre-shared HMAC key; required.
 	Key []byte
-	// Dir is a scratch directory for durable stores; required for the
-	// follower topology, ignored for single.
+	// Dir is a scratch directory for durable stores; required for every
+	// topology but single.
 	Dir string
 	// Logf receives server logs; nil discards them.
 	Logf func(format string, args ...any)
@@ -86,9 +83,7 @@ func StartCluster(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster, erro
 	switch sc.Cluster {
 	case ClusterSingle:
 		return startSingle(sc, w, opts)
-	case ClusterFollower:
-		return startFollowerPair(sc, w, opts)
-	case ClusterMulti:
+	case ClusterFollower, ClusterMulti:
 		return startMulti(sc, w, opts)
 	default:
 		return nil, fmt.Errorf("fleet: unknown cluster topology %q", sc.Cluster)
@@ -110,104 +105,41 @@ func startSingle(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster, error
 		_ = srv.Close()
 		return nil, fmt.Errorf("fleet: start single server: %w", err)
 	}
-	return &Cluster{Addr: addr.String(), LeaderAddr: addr.String(), single: srv}, nil
+	return &Cluster{Addr: addr.String(), single: srv}, nil
 }
 
-func startFollowerPair(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("fleet: follower topology needs ClusterOptions.Dir for durable stores")
-	}
-	c := &Cluster{}
-	fail := func(step string, err error) (*Cluster, error) {
-		_ = c.Close()
-		return nil, fmt.Errorf("fleet: %s: %w", step, err)
-	}
-
-	var err error
-	c.leaderStore, err = store.Open(filepath.Join(opts.Dir, "leader"), store.Options{})
-	if err != nil {
-		return fail("leader store", err)
-	}
-	// The detector rides the WAL to the follower like any other record,
-	// mirroring how a real follower bootstraps.
-	if err := c.leaderStore.PublishDetector(w.Detector); err != nil {
-		return fail("publish detector", err)
-	}
-	c.leaderSrv, err = transport.NewServer(transport.ServerConfig{
-		Key:      opts.Key,
-		Detector: w.Detector,
-		Logf:     opts.Logf,
-		Store:    c.leaderStore,
-		Retrain:  retrainConfig(sc.Retrain),
-	})
-	if err != nil {
-		return fail("leader server", err)
-	}
-	leaderAddr, err := c.leaderSrv.Start("127.0.0.1:0")
-	if err != nil {
-		return fail("start leader", err)
-	}
-	c.LeaderAddr = leaderAddr.String()
-
-	c.leader, err = replication.NewLeader(replication.LeaderConfig{
-		Store:         c.leaderStore,
-		Key:           opts.Key,
-		AdvertiseAddr: c.LeaderAddr,
-		Logf:          opts.Logf,
-	})
-	if err != nil {
-		return fail("replication leader", err)
-	}
-	replAddr, err := c.leader.Serve("127.0.0.1:0")
-	if err != nil {
-		return fail("replication listener", err)
-	}
-
-	c.followerStore, err = store.Open(filepath.Join(opts.Dir, "follower"), store.Options{})
-	if err != nil {
-		return fail("follower store", err)
-	}
-	c.followerSrv, err = transport.NewServer(transport.ServerConfig{
-		Key:        opts.Key,
-		Detector:   w.Detector,
-		Logf:       opts.Logf,
-		Store:      c.followerStore,
-		Follower:   true,
-		LeaderAddr: c.LeaderAddr,
-	})
-	if err != nil {
-		return fail("follower server", err)
-	}
-	c.follower, err = replication.StartFollower(replication.FollowerConfig{
-		Store:        c.followerStore,
-		Key:          opts.Key,
-		LeaderAddr:   replAddr.String(),
-		Logf:         opts.Logf,
-		OnLeaderAddr: c.followerSrv.SetLeaderAddr,
-	})
-	if err != nil {
-		return fail("replication follower", err)
-	}
-	followerAddr, err := c.followerSrv.Start("127.0.0.1:0")
-	if err != nil {
-		return fail("start follower", err)
-	}
-	c.Addr = followerAddr.String()
-	return c, nil
+// layout is how a scenario's topology name maps onto the one cluster
+// constructor: how many nodes run, how many of them the seed map lists
+// (a node beyond them starts as a spare outside the map), how many of
+// those own shards (alternating; a member that owns none is a read
+// replica), and which node the load traffic targets.
+type layout struct {
+	nodes, members, owners, target int
 }
 
-// Multi-topology sizing: three full nodes over twelve FNV shards. The
-// first two own alternating shards at start; the third is a cold spare
-// outside the ownership map until Rebalance joins it mid-run.
 const (
-	multiNodes  = 3
+	// multiShards is the store's FNV shard count in every cluster layout.
 	multiShards = 12
+	// multiNodes sizes the ClusterMulti layout.
+	multiNodes = 3
 )
+
+var layouts = map[string]layout{
+	// Primary plus read replica: node 0 owns every shard and traffic is
+	// aimed at node 1 without shard routing, so every write bounces
+	// through a redirect and Failover has a survivor to take over.
+	ClusterFollower: {nodes: 2, members: 2, owners: 1, target: 1},
+	// Three full nodes: the first two own alternating shards at start; the
+	// third is a cold spare outside the ownership map until Rebalance
+	// joins it mid-run.
+	ClusterMulti: {nodes: multiNodes, members: multiNodes - 1, owners: multiNodes - 1, target: 0},
+}
 
 func startMulti(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("fleet: cluster topology needs ClusterOptions.Dir for durable stores")
 	}
+	lay := layouts[sc.Cluster]
 	c := &Cluster{}
 	fail := func(step string, err error) (*Cluster, error) {
 		_ = c.Close()
@@ -215,10 +147,10 @@ func startMulti(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster, error)
 	}
 
 	listen := func() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
-	infos := make([]cluster.NodeInfo, multiNodes)
-	clientLns := make([]net.Listener, multiNodes)
-	replLns := make([]net.Listener, multiNodes)
-	ctrlLns := make([]net.Listener, multiNodes)
+	infos := make([]cluster.NodeInfo, lay.nodes)
+	clientLns := make([]net.Listener, lay.nodes)
+	replLns := make([]net.Listener, lay.nodes)
+	ctrlLns := make([]net.Listener, lay.nodes)
 	for i := range infos {
 		var err error
 		if clientLns[i], err = listen(); err != nil {
@@ -237,15 +169,15 @@ func startMulti(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster, error)
 		}
 	}
 
-	// The seed map covers the first two nodes only; the spare learns it
-	// at construction (membership index -1) and joins during Rebalance.
+	// A spare outside the seed map learns it at construction (membership
+	// index -1) and joins during Rebalance.
 	seed := &cluster.ShardMap{
 		Version: 1,
-		Nodes:   infos[:multiNodes-1],
+		Nodes:   infos[:lay.members],
 		Owner:   make([]int32, multiShards),
 	}
 	for shard := range seed.Owner {
-		seed.Owner[shard] = int32(shard % (multiNodes - 1))
+		seed.Owner[shard] = int32(shard % lay.owners)
 	}
 
 	for i := range infos {
@@ -273,12 +205,13 @@ func startMulti(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster, error)
 			return fail(fmt.Sprintf("node %d", i), err)
 		}
 		mn.srv, err = transport.NewServer(transport.ServerConfig{
-			Key:      opts.Key,
-			Detector: w.Detector,
-			Logf:     opts.Logf,
-			Store:    st,
-			Router:   mn.node,
-			Retrain:  retrainConfig(sc.Retrain),
+			Key:             opts.Key,
+			Detector:        w.Detector,
+			Logf:            opts.Logf,
+			Store:           st,
+			Router:          mn.node,
+			Retrain:         retrainConfig(sc.Retrain),
+			ReplicationInfo: mn.node.ReplicationInfo,
 		})
 		if err != nil {
 			return fail(fmt.Sprintf("node %d server", i), err)
@@ -290,8 +223,7 @@ func startMulti(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster, error)
 			return fail(fmt.Sprintf("serve node %d", i), err)
 		}
 	}
-	c.Addr = infos[0].ClientAddr
-	c.LeaderAddr = infos[0].ClientAddr
+	c.Addr = infos[lay.target].ClientAddr
 	return c, nil
 }
 
@@ -333,48 +265,41 @@ func (c *Cluster) Rebalance() time.Duration {
 	return took
 }
 
-// cluster's Addr keeps serving throughout. The sequence is lossless for
-// acknowledged writes: the leader's client listener closes first (every
-// acked enroll is then in the WAL), the replication stream drains into
-// the follower, and only then does the replication leader die and the
-// follower promote. Clients see the write path vanish for the transition
-// window — connection refused on the old leader, redirect-then-refused on
-// the follower — exactly the outage the harness wants to measure. Safe to
-// call once; later calls are no-ops. Returns the transition duration.
+// Failover kills node 0 — the owner of every shard in the ClusterFollower
+// layout — and has node 1, which the cluster's Addr keeps pointing at,
+// take its shards over. The sequence is lossless for acknowledged writes:
+// the owner's client listener closes first (every acked enroll is then in
+// its WAL), the mesh drains into the survivor, and only then does the
+// owner's node die and the survivor claim its shards. Clients see the
+// write path vanish for the transition window — redirected to an address
+// that refuses connections — exactly the outage the harness wants to
+// measure. Safe to call once; later calls are no-ops. Returns the
+// transition duration.
 func (c *Cluster) Failover() time.Duration {
 	var took time.Duration
 	c.failover.Do(func() {
-		if c.follower == nil {
+		if len(c.multi) < 2 {
 			return
 		}
+		owner, survivor := c.multi[0], c.multi[1]
 		start := time.Now()
-		c.mu.Lock()
-		leader, leaderSrv := c.leader, c.leaderSrv
-		c.leader, c.leaderSrv = nil, nil
-		c.mu.Unlock()
-		if leaderSrv != nil {
-			_ = leaderSrv.Close()
-		}
-		if leader != nil {
-			c.awaitCatchUp(5 * time.Second)
-			_ = leader.Close()
-		}
-		c.follower.Promote()
-		c.followerSrv.Promote()
-		c.LeaderAddr = c.Addr
+		_ = owner.closeServer()
+		awaitCatchUp(owner.st, survivor.st, 5*time.Second)
+		_ = owner.node.Close()
+		c.failoverErr = survivor.node.TakeOver(time.Second)
 		took = time.Since(start)
 	})
 	return took
 }
 
-// awaitCatchUp polls until the follower store's durable cursors reach the
-// leader store's, or the timeout lapses (the promotion then proceeds with
+// awaitCatchUp polls until the survivor store's durable cursors reach the
+// owner store's, or the timeout lapses (the takeover then proceeds with
 // whatever replicated — the acceptance test will catch real losses).
-func (c *Cluster) awaitCatchUp(timeout time.Duration) {
-	want := c.leaderStore.ShardLastSeqs()
+func awaitCatchUp(owner, survivor *store.Store, timeout time.Duration) {
+	want := owner.ShardLastSeqs()
 	deadline := time.Now().Add(timeout)
 	for {
-		got := c.followerStore.ShardLastSeqs()
+		got := survivor.ShardLastSeqs()
 		caught := true
 		for i := range want {
 			if i >= len(got) || got[i] < want[i] {
@@ -403,39 +328,15 @@ func (c *Cluster) Close() error {
 			keep(c.single.Close())
 		}
 		for _, mn := range c.multi {
-			if mn.srv != nil {
-				keep(mn.srv.Close())
-			}
+			keep(mn.closeServer())
 			if mn.node != nil {
-				keep(mn.node.Close())
+				keep(mn.node.Close()) // idempotent
 			}
 		}
 		for _, mn := range c.multi {
 			if mn.st != nil {
 				keep(mn.st.Close())
 			}
-		}
-		c.mu.Lock()
-		leader, leaderSrv := c.leader, c.leaderSrv
-		c.leader, c.leaderSrv = nil, nil
-		c.mu.Unlock()
-		if leader != nil {
-			keep(leader.Close())
-		}
-		if c.follower != nil {
-			keep(c.follower.Close())
-		}
-		if leaderSrv != nil {
-			keep(leaderSrv.Close())
-		}
-		if c.followerSrv != nil {
-			keep(c.followerSrv.Close())
-		}
-		if c.leaderStore != nil {
-			keep(c.leaderStore.Close())
-		}
-		if c.followerStore != nil {
-			keep(c.followerStore.Close())
 		}
 	})
 	return first

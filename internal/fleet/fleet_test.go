@@ -41,7 +41,7 @@ func runScenario(t *testing.T, sc Scenario, track bool) (*Report, *Cluster) {
 	if sc.FailoverAt > 0 {
 		opts.MidRun = func() {
 			took := cluster.Failover()
-			t.Logf("failover: leader killed, follower promoted in %s", took)
+			t.Logf("failover: owner killed, replica took over in %s", took)
 		}
 	}
 	if sc.RebalanceAt > 0 {
@@ -82,10 +82,10 @@ func TestScenarioSmoke(t *testing.T) {
 	}
 }
 
-// TestFailoverUnderLoad kills the leader mid-run and asserts the fleet
-// rides it out: writes bounce as redirects or wait out busy responses,
-// the error budget holds, and — the paper's durability story — no
-// acknowledged enrollment is lost across the promotion.
+// TestFailoverUnderLoad kills the shard owner mid-run and asserts the
+// fleet rides it out: writes bounce as redirects or wait out busy
+// responses, the error budget holds, and — the paper's durability story —
+// no acknowledged enrollment is lost across the replica's takeover.
 func TestFailoverUnderLoad(t *testing.T) {
 	sc, err := LoadScenario("../../scenarios/wan-follower-failover.json")
 	if err != nil {
@@ -94,16 +94,19 @@ func TestFailoverUnderLoad(t *testing.T) {
 	rep, cluster := runScenario(t, sc, true)
 	scaled := sc.Scaled(smokeUsers, smokeDuration)
 
+	if cluster.failoverErr != nil {
+		t.Fatalf("takeover failed: %v", cluster.failoverErr)
+	}
 	if rep.Redirects == 0 {
-		t.Errorf("no redirects recorded; write traffic never bounced through the follower")
+		t.Errorf("no redirects recorded; write traffic never bounced through the replica")
 	}
 	if !rep.SLO.Pass {
 		t.Errorf("SLO violated across failover:\n  %s", strings.Join(rep.SLO.Violations, "\n  "))
 	}
 
 	// Every enrollment the fleet got an ack for must exist on the
-	// promoted follower: acked writes are in the leader's WAL, and the
-	// failover drains the WAL into the follower before promotion.
+	// survivor: acked writes are in the owner's WAL, and the failover
+	// drains the WAL into the replica before the takeover.
 	unique := make(map[string]bool)
 	for _, id := range rep.Enrolled {
 		unique[id] = true
@@ -120,12 +123,12 @@ func TestFailoverUnderLoad(t *testing.T) {
 		t.Fatalf("Stats after failover: %v", err)
 	}
 	if want := scaled.ScoredUsers + len(unique); users != want {
-		t.Errorf("promoted follower serves %d users, want %d (%d cohort + %d acked enrolls) — enrollments lost",
+		t.Errorf("survivor serves %d users, want %d (%d cohort + %d acked enrolls) — enrollments lost",
 			users, want, scaled.ScoredUsers, len(unique))
 	}
 
-	// The promoted follower is a real leader: a fresh write lands without
-	// a redirect.
+	// The survivor is a real owner: a fresh write lands without a
+	// redirect.
 	w, err := BuildWorkload(scaled)
 	if err != nil {
 		t.Fatalf("BuildWorkload: %v", err)
@@ -133,7 +136,7 @@ func TestFailoverUnderLoad(t *testing.T) {
 	id := userID(scaled.Name, scaled.Users+1)
 	enroll := NewPersona(scaled.Users+1).ApplyAll(id, w.Templates[0].Enroll)
 	if _, err := client.Enroll(id, enroll); err != nil {
-		t.Errorf("enroll on promoted follower: %v", err)
+		t.Errorf("enroll on the survivor: %v", err)
 	}
 }
 

@@ -21,7 +21,7 @@ type OpReport struct {
 	OK     uint64 `json:"ok"`
 	Errors uint64 `json:"errors,omitempty"`
 	// Busy counts ops that ended on a busy response after client-side
-	// backoff; Redirects counts leader redirects followed mid-op.
+	// backoff; Redirects counts shard-owner redirects followed mid-op.
 	Busy      uint64 `json:"busy,omitempty"`
 	Redirects uint64 `json:"redirects,omitempty"`
 	// Accepted/Rejected split scoring ops (authenticate, mimicry) by the
@@ -75,7 +75,7 @@ type Report struct {
 	GenuineAccept float64 `json:"genuine_accept,omitempty"`
 	MimicAccept   float64 `json:"mimic_accept"`
 
-	// FailoverTookMs is the leader-kill-to-promoted transition time when
+	// FailoverTookMs is the owner-kill-to-takeover transition time when
 	// the scenario exercised failover.
 	FailoverTookMs float64 `json:"failover_took_ms,omitempty"`
 

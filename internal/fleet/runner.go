@@ -20,8 +20,8 @@ type RunOptions struct {
 	// or any running authserver).
 	Addr string
 	// StatsAddr is where the post-run stats snapshot (retrain counters)
-	// is fetched; default Addr. Point it at the leader when the retrain
-	// subsystem lives there.
+	// is fetched; default Addr. Point it at the shard owner when the
+	// retrains run there.
 	StatsAddr string
 	// Key is the pre-shared HMAC key.
 	Key []byte
@@ -30,7 +30,7 @@ type RunOptions struct {
 	Timeout time.Duration
 	// MidRun, when set together with the scenario's FailoverAt or
 	// RebalanceAt, fires exactly once when that fraction of the steady
-	// ops has completed — the hook a failover scenario kills the leader
+	// ops has completed — the hook a failover scenario kills the owner
 	// from, and a rebalance scenario joins the spare node from.
 	MidRun func()
 	// TrackEnrolls records the user ID of every completed enroll op on
@@ -175,7 +175,7 @@ func (wk *worker) attemptLoop(attempts int, t *tally, op func(s *transport.Sessi
 	for a := 0; a < attempts; a++ {
 		s, err := wk.session(addr)
 		if err != nil {
-			// The address is unreachable (a killed leader); fall back to
+			// The address is unreachable (a killed owner); fall back to
 			// the primary after a beat.
 			lastErr = err
 			addr = wk.primary
@@ -360,7 +360,7 @@ func Run(sc Scenario, w *Workload, opts RunOptions) (*Report, error) {
 
 // stageCohort enrolls and trains the scored cohort through the wire (no
 // network conditioning: provisioning is out of band). Redirects are
-// followed so a follower-topology target stages through its leader.
+// followed so a replica target stages through the shard owner.
 func stageCohort(sc Scenario, w *Workload, opts RunOptions) error {
 	par := sc.Workers
 	if par > sc.ScoredUsers {

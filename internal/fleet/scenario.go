@@ -101,15 +101,17 @@ type SLO struct {
 const (
 	// ClusterSingle is one read-write server.
 	ClusterSingle = "single"
-	// ClusterFollower is a leader plus a replicating read-only follower;
-	// client traffic targets the follower, so writes bounce through
-	// redirects — the WAN-replica shape.
+	// ClusterFollower is the two-node layout of the shard-ownership
+	// cluster: node 0 owns every shard, node 1 owns none and replicates;
+	// client traffic targets node 1 without shard routing, so writes
+	// bounce through redirects — the WAN-replica shape — and FailoverAt
+	// can kill the owner and have the replica take its shards over.
 	ClusterFollower = "follower"
-	// ClusterMulti is a 3-node shard-ownership cluster: every node is
-	// writable for the shards it owns and redirects the rest, with a
-	// full replication mesh keeping reads serveable anywhere. A third
-	// node starts outside the ownership map so RebalanceAt can exercise
-	// a live join-and-handoff mid-run.
+	// ClusterMulti is the three-node layout: every node is writable for
+	// the shards it owns and redirects the rest, with a full replication
+	// mesh keeping reads serveable anywhere. The third node starts outside
+	// the ownership map so RebalanceAt can exercise a live
+	// join-and-handoff mid-run.
 	ClusterMulti = "cluster"
 )
 
@@ -149,11 +151,12 @@ type Scenario struct {
 	Mix Mix `json:"mix"`
 	// Network conditions every client flow (zero = perfect loopback).
 	Network netcond.Config `json:"network"`
-	// Cluster selects the topology ("single" default, or "follower").
+	// Cluster selects the topology ("single" default, "follower" or
+	// "cluster").
 	Cluster string `json:"cluster,omitempty"`
-	// FailoverAt, in (0,1), kills the leader when that fraction of the
-	// steady-phase ops has completed and promotes the follower. Only
-	// meaningful with the follower topology.
+	// FailoverAt, in (0,1), kills the shard owner when that fraction of
+	// the steady-phase ops has completed and has the replica take its
+	// shards over. Only meaningful with the follower topology.
 	FailoverAt float64 `json:"failover_at,omitempty"`
 	// RebalanceAt, in (0,1), joins the spare node into the ownership map
 	// when that fraction of the steady-phase ops has completed and hands

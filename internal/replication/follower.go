@@ -30,9 +30,6 @@ type FollowerConfig struct {
 	// OnSnapshot, when set, observes each installed shard snapshot (the
 	// shard's state was wholesale replaced, not incrementally mutated).
 	OnSnapshot func(shard int)
-	// OnLeaderAddr, when set, receives the leader's advertised
-	// client-facing address from each welcome frame.
-	OnLeaderAddr func(addr string)
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
 	// RedialDelay spaces reconnection attempts (default 250ms).
@@ -45,14 +42,12 @@ type FollowerConfig struct {
 
 // Follower maintains a replication stream from a leader, applying
 // records into the local store and reconnecting on any failure. Create
-// with StartFollower; stop with Close or hand the store over with
-// Promote.
+// with StartFollower; stop with Close.
 type Follower struct {
 	cfg  FollowerConfig
 	logf func(format string, args ...any)
 
 	connected atomic.Bool
-	promoted  atomic.Bool
 
 	mu         sync.Mutex
 	conn       net.Conn
@@ -100,15 +95,6 @@ func (f *Follower) Close() error {
 	return nil
 }
 
-// Promote stops replicating and marks this endpoint a leader: the store
-// keeps the leader-assigned sequence numbers, so new local writes
-// continue each shard's sequence space monotonically.
-func (f *Follower) Promote() {
-	f.promoted.Store(true)
-	f.stop()
-	f.wg.Wait()
-}
-
 // stop shuts the loop down idempotently.
 func (f *Follower) stop() {
 	f.mu.Lock()
@@ -128,10 +114,6 @@ func (f *Follower) Status() Status {
 		Role:      "follower",
 		Connected: f.connected.Load(),
 		ShardSeqs: f.cfg.Store.ShardLastSeqs(),
-	}
-	if f.promoted.Load() {
-		st.Role = "leader"
-		st.Connected = false
 	}
 	f.mu.Lock()
 	st.LeaderAddr = f.leaderAddr
@@ -227,9 +209,6 @@ func (f *Follower) session() (err error) {
 		f.mu.Lock()
 		f.leaderAddr = welcome.clientAddr
 		f.mu.Unlock()
-		if f.cfg.OnLeaderAddr != nil {
-			f.cfg.OnLeaderAddr(welcome.clientAddr)
-		}
 	}
 	f.connected.Store(true)
 	f.logf("replication follower: connected to %s at cursors %v (leader at %v)",

@@ -20,7 +20,7 @@ type LeaderConfig struct {
 	// Key is the pre-shared HMAC key followers must present; required.
 	Key []byte
 	// AdvertiseAddr is the leader's client-facing address, sent to
-	// followers so their read-only servers can redirect writes here.
+	// followers in the welcome frame and reported in their Status.
 	AdvertiseAddr string
 	// Logf receives leader logs; nil discards them.
 	Logf func(format string, args ...any)
@@ -199,9 +199,20 @@ func (l *Leader) Close() error {
 	return err
 }
 
-// Status reports the leader's cursors and each follower's progress.
+// Status reports the leader's cursors and each follower's progress. Lag
+// counts only shards the ShardFilter forwards: for the rest this leader
+// ships nothing and receives no acks, so their difference says nothing.
 func (l *Leader) Status() Status {
 	lead := l.st.ShardLastSeqs()
+	forwarded := lead
+	if l.filter != nil {
+		forwarded = make([]uint64, len(lead))
+		for shard, seq := range lead {
+			if l.filter(shard) {
+				forwarded[shard] = seq
+			}
+		}
+	}
 	st := Status{
 		Role:                   "leader",
 		ShardSeqs:              lead,
@@ -217,7 +228,7 @@ func (l *Leader) Status() Status {
 		st.Followers = append(st.Followers, FollowerProgress{
 			Addr:  fc.conn.RemoteAddr().String(),
 			Acked: acked,
-			Lag:   lagBetween(lead, acked),
+			Lag:   lagBetween(forwarded, acked),
 		})
 	}
 	l.mu.Unlock()

@@ -13,9 +13,8 @@
 //  1. The follower sends a hello carrying its shard count and each
 //     shard's last durable sequence number, authenticated with an
 //     HMAC-SHA256 tag under the pre-shared key.
-//  2. The leader answers with a welcome (its advertised client address,
-//     for read-only followers to redirect writes to, and its own
-//     per-shard cursors), equally authenticated.
+//  2. The leader answers with a welcome (its advertised client address
+//     and its own per-shard cursors), equally authenticated.
 //  3. Per shard, the leader replays the on-disk log tail after the
 //     follower's cursor. If that tail was already compacted away, it
 //     ships the shard's snapshot instead — encoded from the same

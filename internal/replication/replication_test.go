@@ -1,18 +1,15 @@
 package replication
 
 import (
-	"errors"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"smarteryou/internal/ctxdetect"
 	"smarteryou/internal/features"
 	"smarteryou/internal/sensing"
 	"smarteryou/internal/store"
-	"smarteryou/internal/transport"
 )
 
 var testKey = []byte("replication-test-key")
@@ -75,194 +72,6 @@ func waitConverged(t *testing.T, follower *store.Store, want []uint64) {
 			t.Fatalf("follower never converged: have %v, want %v", got, want)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// buildFixture trains a small real context detector over synthetic users
-// so the follower can serve end-to-end authenticate calls.
-func buildFixture(t *testing.T) (*ctxdetect.Detector, map[string][]features.WindowSample) {
-	t.Helper()
-	pop, err := sensing.NewPopulation(5, 777)
-	if err != nil {
-		t.Fatalf("NewPopulation: %v", err)
-	}
-	byUser := make(map[string][]features.WindowSample)
-	var ctxTrain []features.WindowSample
-	for i, u := range pop.Users {
-		samples, err := features.Collect(u, features.CollectOptions{
-			WindowSeconds:  6,
-			SessionSeconds: 60,
-			Sessions:       1,
-			Seed:           int64(10 + i),
-		})
-		if err != nil {
-			t.Fatalf("Collect: %v", err)
-		}
-		byUser[u.ID] = samples
-		ctxTrain = append(ctxTrain, samples...)
-	}
-	det, err := ctxdetect.Train(ctxdetect.FromSamples(ctxTrain), ctxdetect.Config{Seed: 1, Trees: 10})
-	if err != nil {
-		t.Fatalf("ctxdetect.Train: %v", err)
-	}
-	return det, byUser
-}
-
-// TestLeaderFollowerFailover is the end-to-end acceptance path: a leader
-// serves enrollments and a trained model, a follower converges to the
-// same per-shard sequences and serves authenticate and fetch-model while
-// redirecting writes, and after the leader dies the promoted follower
-// accepts new enrollments with monotonically continuing sequences.
-func TestLeaderFollowerFailover(t *testing.T) {
-	det, byUser := buildFixture(t)
-
-	leaderStore := openStore(t, t.TempDir(), store.Options{Shards: 2})
-	leaderSrv, err := transport.NewServer(transport.ServerConfig{
-		Key: testKey, Detector: det, Store: leaderStore, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("NewServer leader: %v", err)
-	}
-	leaderClientAddr, err := leaderSrv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Start leader: %v", err)
-	}
-	leader, replAddr := startLeader(t, leaderStore, leaderClientAddr.String())
-
-	leaderClient, err := transport.NewClient(transport.ClientConfig{Addr: leaderClientAddr.String(), Key: testKey})
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	for id, samples := range byUser {
-		if _, err := leaderClient.Enroll(id, samples); err != nil {
-			t.Fatalf("Enroll %s: %v", id, err)
-		}
-	}
-	if _, version, err := leaderClient.TrainVersioned("user-00", transport.TrainParams{Seed: 1}); err != nil {
-		t.Fatalf("TrainVersioned: %v", err)
-	} else if version != 1 {
-		t.Fatalf("trained version %d, want 1", version)
-	}
-
-	// Follower: store, read-only server, replication stream.
-	followerStore := openStore(t, t.TempDir(), store.Options{Shards: 2})
-	followerSrv, err := transport.NewServer(transport.ServerConfig{
-		Key: testKey, Detector: det, Store: followerStore, Logf: t.Logf,
-		Follower: true,
-	})
-	if err != nil {
-		t.Fatalf("NewServer follower: %v", err)
-	}
-	follower, err := StartFollower(FollowerConfig{
-		Store:        followerStore,
-		Key:          testKey,
-		LeaderAddr:   replAddr,
-		Logf:         t.Logf,
-		OnLeaderAddr: followerSrv.SetLeaderAddr,
-	})
-	if err != nil {
-		t.Fatalf("StartFollower: %v", err)
-	}
-	followerAddr, err := followerSrv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Start follower: %v", err)
-	}
-	waitConverged(t, followerStore, leaderStore.ShardLastSeqs())
-	if !reflect.DeepEqual(leaderStore.Population(), followerStore.Population()) {
-		t.Fatalf("populations diverged after convergence")
-	}
-
-	// The leader sees the follower's progress: lag drains to zero.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := leader.Status()
-		if len(st.Followers) == 1 && st.Followers[0].Lag == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("leader never saw the follower drain: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// The follower serves reads and bounces writes to the leader.
-	followerClient, err := transport.NewClient(transport.ClientConfig{Addr: followerAddr.String(), Key: testKey})
-	if err != nil {
-		t.Fatalf("NewClient follower: %v", err)
-	}
-	if bundle, version, err := followerClient.FetchModel("user-00", 0); err != nil {
-		t.Fatalf("follower FetchModel: %v", err)
-	} else if version != 1 || bundle == nil {
-		t.Fatalf("follower served model version %d (bundle nil: %v), want 1", version, bundle == nil)
-	}
-	leaderDec, err := leaderClient.Authenticate("user-00", byUser["user-00"][0])
-	if err != nil {
-		t.Fatalf("leader Authenticate: %v", err)
-	}
-	followerDec, err := followerClient.Authenticate("user-00", byUser["user-00"][0])
-	if err != nil {
-		t.Fatalf("follower Authenticate: %v", err)
-	}
-	if !reflect.DeepEqual(leaderDec, followerDec) {
-		t.Fatalf("authenticate decisions diverged: leader %+v follower %+v", leaderDec, followerDec)
-	}
-	var redirect *transport.RedirectError
-	if _, err := followerClient.Enroll("user-00", byUser["user-00"][:1]); !errors.As(err, &redirect) {
-		t.Fatalf("follower enroll err = %v, want RedirectError", err)
-	} else if redirect.Leader != leaderClientAddr.String() {
-		t.Fatalf("redirect to %q, want %q (learned from welcome)", redirect.Leader, leaderClientAddr)
-	}
-
-	// Kill the leader, promote the follower, and keep writing: sequence
-	// numbers must continue each shard's space monotonically.
-	before := followerStore.ShardLastSeqs()
-	if err := leader.Close(); err != nil {
-		t.Fatalf("leader.Close: %v", err)
-	}
-	if err := leaderSrv.Close(); err != nil {
-		t.Fatalf("leaderSrv.Close: %v", err)
-	}
-	if err := leaderStore.Close(); err != nil {
-		t.Fatalf("leaderStore.Close: %v", err)
-	}
-	follower.Promote()
-	followerSrv.Promote()
-	if st := follower.Status(); st.Role != "leader" || st.Connected {
-		t.Fatalf("promoted follower status = %+v", st)
-	}
-
-	for i := 0; i < 6; i++ {
-		if _, err := followerClient.Enroll("user-new", fakeSamples("user-new", 2, float64(i))); err != nil {
-			t.Fatalf("promoted enroll %d: %v", i, err)
-		}
-	}
-	after := followerStore.ShardLastSeqs()
-	var grew bool
-	for i := range after {
-		if after[i] < before[i] {
-			t.Fatalf("shard %d sequence went backwards: %d -> %d", i, before[i], after[i])
-		}
-		if after[i] > before[i] {
-			grew = true
-		}
-	}
-	if !grew {
-		t.Fatalf("promoted enrollments did not advance any shard cursor: %v -> %v", before, after)
-	}
-	if _, version, err := followerClient.TrainVersioned("user-00", transport.TrainParams{Seed: 1}); err != nil {
-		t.Fatalf("promoted TrainVersioned: %v", err)
-	} else if version != 2 {
-		t.Fatalf("promoted train published version %d, want 2 (registry continued)", version)
-	}
-
-	if err := follower.Close(); err != nil {
-		t.Fatalf("follower.Close: %v", err)
-	}
-	if err := followerSrv.Close(); err != nil {
-		t.Fatalf("followerSrv.Close: %v", err)
-	}
-	if err := followerStore.Close(); err != nil {
-		t.Fatalf("followerStore.Close: %v", err)
 	}
 }
 

@@ -124,8 +124,8 @@ type ClientConfig struct {
 	// versioned shard map (from Addr) and send each write straight to the
 	// node that owns the user's shard, refreshing the map when a redirect
 	// reveals it is stale. Reads still go to Addr. Leave unset against a
-	// single server or a leader/follower pair — their redirects carry the
-	// leader address and need no map.
+	// single server (it serves no map), or to keep redirects visible to the
+	// caller — each carries the owner's address and needs no map.
 	RouteByShard bool
 }
 

@@ -42,6 +42,18 @@ type ShardRouter interface {
 	OwnedShards() (owned, total int)
 }
 
+// ownsWrite reports whether a write the server itself originates (seed,
+// scheduled retrain, drift checkpoint) for the anonymized key may land in
+// the local store: always without a router, otherwise only while this node
+// owns the key's shard and it is not sealed.
+func (s *Server) ownsWrite(anon string) bool {
+	if s.router == nil {
+		return true
+	}
+	decision, _ := s.router.RouteWrite(anon)
+	return decision == RouteLocal
+}
+
 // ShardMapInfo is the client-facing slice of the cluster's shard map:
 // enough to route any write (shard = store.ShardIndex of the anonymized
 // user id, owner = Owners[shard], address = Nodes[owner]).

@@ -3,12 +3,37 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"smarteryou/internal/retrain"
 	"smarteryou/internal/store"
 )
+
+// flipRouter is the one-owner cluster seen from a node that owns nothing:
+// every write belongs to the node at owner until local flips, which is
+// what a takeover does to the real router.
+type flipRouter struct {
+	owner string
+	local atomic.Bool
+}
+
+func (r *flipRouter) RouteWrite(string) (RouteDecision, string) {
+	if r.local.Load() {
+		return RouteLocal, ""
+	}
+	return RouteRemote, r.owner
+}
+
+func (r *flipRouter) ShardMapInfo() ShardMapInfo { return ShardMapInfo{} }
+
+func (r *flipRouter) OwnedShards() (owned, total int) {
+	if r.local.Load() {
+		return 1, 1
+	}
+	return 0, 1
+}
 
 func TestFollowerRedirectsWritesAndPromotes(t *testing.T) {
 	det, byUser := buildFixture(t)
@@ -51,14 +76,14 @@ func TestFollowerRedirectsWritesAndPromotes(t *testing.T) {
 		}
 	}
 
+	router := &flipRouter{owner: leaderAddr}
 	followerSrv, err := NewServer(ServerConfig{
-		Key:        testKey,
-		Detector:   det,
-		Store:      followerStore,
-		Follower:   true,
-		LeaderAddr: leaderAddr,
+		Key:      testKey,
+		Detector: det,
+		Store:    followerStore,
+		Router:   router,
 		ReplicationInfo: func() *ReplicationInfo {
-			return &ReplicationInfo{Role: "follower", Connected: true, LeaderAddr: leaderAddr}
+			return &ReplicationInfo{Role: "replica", Connected: true}
 		},
 	})
 	if err != nil {
@@ -93,8 +118,8 @@ func TestFollowerRedirectsWritesAndPromotes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("follower stats: %v", err)
 	}
-	if stats.Replication == nil || stats.Replication.Role != "follower" {
-		t.Fatalf("stats replication = %+v, want follower role", stats.Replication)
+	if stats.Replication == nil || stats.Replication.Role != "replica" {
+		t.Fatalf("stats replication = %+v, want replica role", stats.Replication)
 	}
 	if len(stats.Shards) == 0 {
 		t.Fatalf("follower stats missing shards")
@@ -107,13 +132,13 @@ func TestFollowerRedirectsWritesAndPromotes(t *testing.T) {
 		t.Fatalf("follower stats report zero sequence cursors: %+v", stats.Shards)
 	}
 
-	// Train must redirect too: the training pool belongs to the leader.
+	// Train must redirect too: the model publishes into the owner's shard.
 	if _, _, err := client.TrainVersioned("user-00", TrainParams{Seed: 1}); !errors.As(err, &redirect) {
 		t.Fatalf("follower train err = %v, want RedirectError", err)
 	}
 
-	// After promotion the same server accepts writes.
-	followerSrv.Promote()
+	// After a takeover the same server accepts writes.
+	router.local.Store(true)
 	if _, err := client.Enroll("user-00", byUser["user-00"][:1]); err != nil {
 		t.Fatalf("promoted enroll: %v", err)
 	}
@@ -268,12 +293,11 @@ func TestServerFollowsStoreWithoutHooks(t *testing.T) {
 	}
 
 	followerSrv, err := NewServer(ServerConfig{
-		Key:        testKey,
-		Detector:   det,
-		Store:      followerStore,
-		Follower:   true,
-		LeaderAddr: leaderAddr.String(),
-		Retrain:    &retrain.Config{Threshold: -1}, // monitor on, never fires
+		Key:      testKey,
+		Detector: det,
+		Store:    followerStore,
+		Router:   &flipRouter{owner: leaderAddr.String()},
+		Retrain:  &retrain.Config{Threshold: -1}, // monitor on, never fires
 	})
 	if err != nil {
 		t.Fatalf("NewServer follower: %v", err)

@@ -60,7 +60,8 @@ const (
 	// the user now, as if the drift monitor had emitted a candidate — an
 	// operator/device-initiated entry into the same coalesced, budgeted
 	// queue (never a direct train). Requires the server to run with the
-	// retrain subsystem enabled; followers redirect it to the leader.
+	// retrain subsystem enabled; a cluster node that does not own the
+	// user's shard redirects it to the owner.
 	TypeRetrain = "retrain"
 	// TypeShardMap asks a cluster node for the current versioned shard map
 	// (shard index → owning node's client address) so the client can route
@@ -74,13 +75,13 @@ const (
 	// TypeOK is a generic success response.
 	TypeOK = "ok"
 	// TypeBusy reports that the server's training queue (or the retrain
-	// scheduler's candidate queue) is full; the client should retry after
-	// the indicated delay. Only train and retrain requests are ever
-	// answered with TypeBusy.
+	// scheduler's candidate queue) is full, or that the user's shard is
+	// sealed mid-handoff; the client should retry after the indicated delay.
+	// Only writes (enroll, train, retrain) are ever answered with TypeBusy.
 	TypeBusy = "busy"
-	// TypeRedirect reports that this server is a read-only replication
-	// follower and the write (enroll or train) must go to the leader, whose
-	// client address is carried in the payload.
+	// TypeRedirect reports that the write (enroll, train or retrain)
+	// belongs to another cluster node — the owner of the user's shard —
+	// whose client address is carried in the payload.
 	TypeRedirect = "redirect"
 	// TypeError carries a server-side failure.
 	TypeError = "error"
@@ -294,8 +295,7 @@ type busyPayload struct {
 // redirectPayload is the body of a TypeRedirect response.
 type redirectPayload struct {
 	Message string `json:"message"`
-	// Leader is the leader's client-facing address ("" when the follower
-	// has not learned it yet).
+	// Leader is the owning node's client-facing address.
 	Leader string `json:"leader,omitempty"`
 }
 
@@ -323,19 +323,19 @@ func (e *BusyError) Error() string {
 	return fmt.Sprintf("transport: server busy (retry after %s): %s", e.RetryAfter, e.Message)
 }
 
-// RedirectError reports that the contacted server is a read-only
-// replication follower; writes must go to Leader instead. Check for it
-// with errors.As and re-issue the request against Leader.
+// RedirectError reports that the contacted server does not own the
+// user's shard; the write must go to the owner at Leader instead. Check
+// for it with errors.As and re-issue the request against Leader.
 type RedirectError struct {
 	Message string
-	// Leader is the leader's client address, "" if unknown.
+	// Leader is the owning node's client address, "" if unknown.
 	Leader string
 }
 
 // Error implements error.
 func (e *RedirectError) Error() string {
 	if e.Leader == "" {
-		return "transport: read-only follower: " + e.Message
+		return "transport: write belongs to another node: " + e.Message
 	}
-	return fmt.Sprintf("transport: read-only follower (leader at %s): %s", e.Leader, e.Message)
+	return fmt.Sprintf("transport: write belongs to another node (owner at %s): %s", e.Leader, e.Message)
 }

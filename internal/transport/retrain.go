@@ -3,9 +3,9 @@
 // needs — authenticate decisions feed the monitor, candidates feed the
 // scheduler, scheduled retrains run through the bounded training pool,
 // and monitor snapshots checkpoint into the store registry so drift
-// state survives restarts. Followers observe drift locally but defer
-// scheduling to the leader (their stores are read-only replicas); a
-// promoted follower starts scheduling from its own observed state.
+// state survives restarts. A cluster node observes drift for every user
+// it authenticates but schedules only those whose shard it owns; a node
+// that takes a shard over starts scheduling from its own observed state.
 package transport
 
 import (
@@ -86,7 +86,7 @@ type RetrainStats struct {
 	Cold        uint64 `json:"cold"`
 	Completed   uint64 `json:"completed"`
 	Failures    uint64 `json:"failures"`
-	// Deferred counts candidates a follower left for the leader.
+	// Deferred counts candidates left for the user's shard owner.
 	Deferred uint64 `json:"deferred,omitempty"`
 	// Flushes counts drift-state checkpoints written to the registry.
 	Flushes uint64 `json:"flushes,omitempty"`
@@ -98,7 +98,7 @@ type driftLoop struct {
 	monitor *retrain.Monitor
 	sched   *retrain.Scheduler
 
-	// deferred counts candidates observed while in follower mode.
+	// deferred counts candidates observed for users another node owns.
 	deferred atomic.Uint64
 	// flushes counts persisted monitor checkpoints; obsSince counts
 	// observations since the last one.
@@ -119,7 +119,9 @@ type driftLoop struct {
 // owns (minimum 1), so N nodes together still run at most ~Budget
 // scheduled retrains, instead of N×Budget. The slice is derived from
 // ownership at startup; a rebalance re-partitions it on the next server
-// restart, not live (the scheduler's budget is its goroutine count).
+// restart, not live (the scheduler's budget is its goroutine count) — so
+// a node that owned nothing at start keeps budget 1 after a takeover
+// until it is restarted.
 func (s *Server) startDrift(cfg retrain.Config) {
 	d := &driftLoop{cfg: cfg.WithDefaults()}
 	if s.router != nil {
@@ -161,10 +163,8 @@ func (s *Server) startDrift(cfg retrain.Config) {
 }
 
 // observeDrift folds one served authenticate decision into the user's
-// drift state — the monitor hook of the Fig. 7 loop. Candidates go to
-// the scheduler on leaders and are counted as deferred on followers
-// (the leader serves the same users and schedules from its own monitor).
-// Runs on the connection goroutine; both monitor and scheduler are
+// drift state — the monitor hook of the Fig. 7 loop. Runs on the
+// connection goroutine; both monitor and scheduler are
 // sharded/short-critical-section, so the authenticate hot path stays
 // cheap.
 func (s *Server) observeDrift(anon string, score float64, accepted bool) {
@@ -179,22 +179,16 @@ func (s *Server) observeDrift(anon string, score float64, accepted bool) {
 		// replicated population), but a retrain publishes a model into the
 		// user's shard, which only the owner may write. The owner sees the
 		// same drift through its own traffic; candidates observed here are
-		// counted as deferred, like on a replication follower.
-		owned := true
-		if s.router != nil {
-			decision, _ := s.router.RouteWrite(anon)
-			owned = decision == RouteLocal
-		}
-		if s.follower.Load() || !owned {
-			d.deferred.Add(1)
-		} else {
+		// counted as deferred.
+		if s.ownsWrite(anon) {
 			d.sched.Offer(cand)
+		} else {
+			d.deferred.Add(1)
 		}
 	}
 	// Checkpoint cadence: every FlushEvery observations, hand the
-	// flusher a (coalesced) wake-up. Followers never write — their store
-	// is a read-only replica of the leader's.
-	if d.flushCh != nil && !s.follower.Load() {
+	// flusher a (coalesced) wake-up.
+	if d.flushCh != nil {
 		if n := d.obsSince.Add(1); n >= int64(d.cfg.FlushEvery) {
 			d.obsSince.Store(0)
 			select {
@@ -212,13 +206,8 @@ func (s *Server) observeDrift(anon string, score float64, accepted bool) {
 // persistence existed).
 func (s *Server) flushDriftState() {
 	d := s.drift
-	if d == nil || s.persist == nil || s.follower.Load() {
+	if d == nil || s.persist == nil || !s.ownsWrite(store.DriftStateKey) {
 		return
-	}
-	if s.router != nil {
-		if decision, _ := s.router.RouteWrite(store.DriftStateKey); decision != RouteLocal {
-			return
-		}
 	}
 	snap := d.monitor.Snapshot()
 	if len(snap) == 0 {

@@ -289,9 +289,10 @@ func TestDriftRetrainEndToEnd(t *testing.T) {
 }
 
 // TestDriftFollowerDefersAndPromotedSchedules checks the replication
-// stance: a follower's monitor accumulates drift state but defers
-// candidates to the leader; once promoted, the same server schedules
-// retrains from what it observed. SevereLevel above the threshold forces
+// stance: a node that does not own the user's shard accumulates drift
+// state in its monitor but defers candidates to the owner; once it has
+// taken the shard over, the same server schedules retrains from what it
+// observed. SevereLevel above the threshold forces
 // the cold-train path, covering it end to end.
 func TestDriftFollowerDefersAndPromotedSchedules(t *testing.T) {
 	owner, enroll, impostors, det := driftServerFixture(t)
@@ -328,7 +329,7 @@ func TestDriftFollowerDefersAndPromotedSchedules(t *testing.T) {
 		t.Fatalf("close store: %v", err)
 	}
 
-	// Phase 2: the same store now backs a follower. Threshold 2 sits above
+	// Phase 2: the same store now backs a node that owns nothing. Threshold 2 sits above
 	// any achievable score, so every accepted window past MinWindows emits
 	// a candidate; SevereLevel 3 makes each one severe (cold path).
 	st2, err := store.Open(dir, store.Options{})
@@ -347,13 +348,13 @@ func TestDriftFollowerDefersAndPromotedSchedules(t *testing.T) {
 		FlushEvery:    8,
 		BusyBackoff:   10 * time.Millisecond,
 	}
+	router := &flipRouter{owner: "127.0.0.1:1"}
 	fsrv, err := NewServer(ServerConfig{
-		Key:        testKey,
-		Detector:   det,
-		Store:      st2,
-		Follower:   true,
-		LeaderAddr: "127.0.0.1:1",
-		Retrain:    rcfg,
+		Key:      testKey,
+		Detector: det,
+		Store:    st2,
+		Router:   router,
+		Retrain:  rcfg,
 	})
 	if err != nil {
 		t.Fatalf("NewServer follower: %v", err)
@@ -389,8 +390,8 @@ func TestDriftFollowerDefersAndPromotedSchedules(t *testing.T) {
 		t.Fatalf("retrain on follower: err = %v, want RedirectError", err)
 	}
 
-	// Promotion: the accumulated monitor state starts driving retrains.
-	fsrv.Promote()
+	// Takeover: the accumulated monitor state starts driving retrains.
+	router.local.Store(true)
 	authBatch(t, fsess, owner.ID, enroll[12:24])
 	got := waitForStats(t, fclient, "a cold retrain after promotion", 30*time.Second, func(fs ServerStats) bool {
 		return fs.Retrain != nil && fs.Retrain.Completed >= 1

@@ -119,7 +119,7 @@ type ServerStats struct {
 	// Train reports the training worker pool's state.
 	Train TrainPoolStats `json:"train"`
 	// Replication reports this server's replication role and progress when
-	// it participates in a leader–follower pair.
+	// it is a cluster node.
 	Replication *ReplicationInfo `json:"replication,omitempty"`
 	// Retrain reports the drift-triggered retraining subsystem when it is
 	// enabled.
@@ -143,24 +143,24 @@ type WireStats struct {
 
 // ReplicationInfo is the replication slice of the stats response.
 type ReplicationInfo struct {
-	// Role is "leader" or "follower".
+	// Role is "owner" while the node owns at least one shard, "replica"
+	// while it owns none.
 	Role string `json:"role"`
-	// Connected reports, on followers, whether the stream is up.
+	// Connected reports whether the stream from every peer is up.
 	Connected bool `json:"connected,omitempty"`
-	// LeaderAddr is, on followers, the leader's client address.
-	LeaderAddr string `json:"leader_addr,omitempty"`
 	// ShardSeqs is the local store's per-shard durable sequence cursor.
 	ShardSeqs []uint64 `json:"shard_seqs,omitempty"`
-	// Followers reports, on leaders, each connected follower's progress.
+	// Followers reports each connected peer's progress on the shards this
+	// node owns.
 	Followers []ReplicationFollower `json:"followers,omitempty"`
 }
 
-// ReplicationFollower is one follower's progress as seen by the leader.
+// ReplicationFollower is one peer's progress as seen by a shard owner.
 type ReplicationFollower struct {
 	Addr string `json:"addr"`
-	// Acked is the follower's last acknowledged sequence per shard.
+	// Acked is the peer's last acknowledged sequence per shard.
 	Acked []uint64 `json:"acked"`
-	// Lag is total outstanding records across shards.
+	// Lag is total outstanding records across the owner's shards.
 	Lag uint64 `json:"lag"`
 }
 
@@ -205,20 +205,16 @@ type Server struct {
 	// stream, a snapshot install — is served without the server being told.
 	persist *store.Store // nil: in-memory only
 
-	mu         sync.Mutex
-	mem        map[string][]features.WindowSample // store-less only: anonymized user id -> windows
-	models     map[string]cachedBundle            // anonymized user id -> decoded bundle, see currentBundle
-	leaderAddr string                             // follower mode: leader's client address
+	mu     sync.Mutex
+	mem    map[string][]features.WindowSample // store-less only: anonymized user id -> windows
+	models map[string]cachedBundle            // anonymized user id -> decoded bundle, see currentBundle
 
-	// follower makes the server read-only: enroll and train answer with a
-	// redirect to the leader while authenticate/fetch/stats keep serving.
-	follower atomic.Bool
 	replInfo func() *ReplicationInfo
 
-	// router, when non-nil, makes this server one writable node of a
-	// shard-ownership cluster: writes for shards it owns are served,
-	// everything else is redirected to the owner (or briefly refused while
-	// a handoff seals the shard).
+	// router, when non-nil, makes this server one node of a shard-ownership
+	// cluster: writes for shards it owns are served, everything else is
+	// redirected to the owner (or briefly refused while a handoff seals the
+	// shard). A node that owns nothing is a read replica.
 	router ShardRouter
 
 	pool *workerPool
@@ -274,15 +270,6 @@ type ServerConfig struct {
 	// requests are answered with a busy response instead of queuing
 	// unboundedly.
 	TrainQueueDepth int
-	// Follower starts the server read-only: enroll and train requests are
-	// answered with a redirect to LeaderAddr while authenticate,
-	// fetch-model, fetch-detector and stats keep serving from the
-	// replicated store. Promote flips the server to read-write.
-	Follower bool
-	// LeaderAddr is the leader's client-facing address carried in
-	// redirect responses; SetLeaderAddr updates it as the replication
-	// stream learns it.
-	LeaderAddr string
 	// ReplicationInfo, when set, is polled by the stats request to report
 	// this server's replication role and progress.
 	ReplicationInfo func() *ReplicationInfo
@@ -296,9 +283,10 @@ type ServerConfig struct {
 	// every served authenticate decision updates a per-user drift monitor,
 	// and users whose confidence EWMA sinks below Retrain.Threshold are
 	// retrained through a coalesced, budgeted scheduler without any client
-	// action. On followers the monitor still accumulates state (so a
-	// promoted follower schedules from what it observed) but candidates
-	// are deferred to the leader rather than scheduled locally.
+	// action. With a Router, candidates for users whose shard another node
+	// owns still accumulate monitor state (so a node that takes the shard
+	// over schedules from what it observed) but are deferred to the owner
+	// rather than scheduled locally.
 	Retrain *retrain.Config
 }
 
@@ -315,22 +303,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		logf = func(string, ...any) {}
 	}
 	s := &Server{
-		key:        cfg.Key,
-		detector:   cfg.Detector,
-		logf:       logf,
-		persist:    cfg.Store,
-		models:     make(map[string]cachedBundle),
-		leaderAddr: cfg.LeaderAddr,
-		replInfo:   cfg.ReplicationInfo,
-		router:     cfg.Router,
-		closed:     make(chan struct{}),
-		conns:      make(map[net.Conn]struct{}),
-	}
-	if cfg.Follower {
-		if cfg.Store == nil {
-			return nil, fmt.Errorf("transport: a follower server needs a durable store to replicate into")
-		}
-		s.follower.Store(true)
+		key:      cfg.Key,
+		detector: cfg.Detector,
+		logf:     logf,
+		persist:  cfg.Store,
+		models:   make(map[string]cachedBundle),
+		replInfo: cfg.ReplicationInfo,
+		router:   cfg.Router,
+		closed:   make(chan struct{}),
+		conns:    make(map[net.Conn]struct{}),
 	}
 	if cfg.Router != nil && cfg.Store == nil {
 		return nil, fmt.Errorf("transport: a cluster node needs a durable store")
@@ -354,10 +335,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 func (s *Server) SeedPopulation(byUser map[string][]features.WindowSample) {
 	for id, samples := range byUser {
 		anon := anonymize(id)
-		if s.router != nil {
-			if decision, _ := s.router.RouteWrite(anon); decision != RouteLocal {
-				continue
-			}
+		if !s.ownsWrite(anon) {
+			continue
 		}
 		if _, err := s.enrollWindows(anon, anonymizeSamples(anon, samples), false); err != nil {
 			s.logf("persist seed for %s: %v", anon, err)
@@ -407,22 +386,6 @@ func (s *Server) population() map[string][]features.WindowSample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return maps.Clone(s.mem)
-}
-
-// Promote flips a follower server to read-write: enroll and train start
-// being served locally. Call it after the replication stream is stopped
-// (Follower.Promote), so the local store is the new authority.
-func (s *Server) Promote() {
-	s.follower.Store(false)
-	s.logf("promoted: now serving writes")
-}
-
-// SetLeaderAddr updates the leader address carried in redirects (the
-// replication stream learns it from the welcome frame).
-func (s *Server) SetLeaderAddr(addr string) {
-	s.mu.Lock()
-	s.leaderAddr = addr
-	s.mu.Unlock()
 }
 
 // anonymize maps a user identifier to a stable pseudonym so that one
@@ -579,21 +542,12 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		})
 	}
 	// admitWrite is the one place a write (enroll, train, retrain) is
-	// admitted or turned away: a follower redirects to its leader; on a
-	// cluster node a remote owner becomes a redirect carrying its address
-	// (the client refreshes its shard map and follows) and a sealed shard a
-	// brief busy (the handoff publishes the new owner within the backoff).
-	// ok=false means refusal is the response to send.
+	// admitted or turned away: on a cluster node a remote owner becomes a
+	// redirect carrying its address (the client refreshes its shard map and
+	// follows) and a sealed shard a brief busy (the handoff publishes the
+	// new owner within the backoff). ok=false means refusal is the response
+	// to send.
 	admitWrite := func(userID string) (anon string, refusal Envelope, ok bool) {
-		if s.follower.Load() {
-			s.mu.Lock()
-			leader := s.leaderAddr
-			s.mu.Unlock()
-			return "", respond(TypeRedirect, redirectPayload{
-				Message: fmt.Sprintf("%s requests must go to the leader", env.Type),
-				Leader:  leader,
-			}), false
-		}
 		if userID == "" {
 			return "", fail(fmt.Errorf("%s: missing user id", env.Type)), false
 		}
@@ -925,9 +879,9 @@ func (s *Server) currentBundle(anon string) (*core.ModelBundle, error) {
 	s.mu.Unlock()
 	if cached.bundle != nil && s.drift != nil {
 		// A publish this server did not make superseded the model it was
-		// serving (the leader retrained the user): reset the drift state
-		// too, so a later promotion does not immediately re-fire on drift
-		// the new model already absorbed.
+		// serving (the shard's owner retrained the user): reset the drift
+		// state too, so a later takeover does not immediately re-fire on
+		// drift the new model already absorbed.
 		s.drift.monitor.MarkTrained(anon, time.Now())
 	}
 	return bundle, nil

@@ -261,8 +261,9 @@ type (
 	// BusyError is the typed train-queue-full rejection; errors.As against
 	// it to honour the server's retry hint.
 	BusyError = transport.BusyError
-	// RedirectError is the typed read-only-follower rejection carrying the
-	// leader's client address; errors.As and re-issue the write there.
+	// RedirectError is the typed rejection of a write that belongs to
+	// another cluster node, carrying the owner's client address; errors.As
+	// and re-issue the write there.
 	RedirectError = transport.RedirectError
 	// AuthDecision is the server-side authenticate verdict.
 	AuthDecision = transport.AuthDecision
@@ -337,9 +338,11 @@ func NewAuthClient(cfg AuthClientConfig) (*AuthClient, error) {
 	return transport.NewClient(cfg)
 }
 
-// Replication: leader–follower WAL shipping between Authentication
-// Servers, so the cloud role of Fig. 1 survives machine loss and scales
-// its read traffic across replicas.
+// Replication: leader–follower WAL shipping between population stores,
+// so the cloud role of Fig. 1 survives machine loss and scales its read
+// traffic across replicas. This is the transport layer of the cluster
+// below; an Authentication Server is replicated by making it a
+// ClusterNode, not by wiring these to it directly.
 type (
 	// ReplicationLeader streams the store's WAL to followers.
 	ReplicationLeader = replication.Leader
@@ -349,14 +352,12 @@ type (
 	ReplicationFollower = replication.Follower
 	// ReplicationFollowerConfig configures a follower.
 	ReplicationFollowerConfig = replication.FollowerConfig
-	// ReplicationStatus is a point-in-time view of either endpoint.
-	ReplicationStatus = replication.Status
 	// ReplicatedOp describes one mutation applied from the stream.
 	ReplicatedOp = store.ReplicatedOp
-	// ReplicationInfo is the replication slice of AuthServerStats; wire a
-	// provider via AuthServerConfig.ReplicationInfo.
+	// ReplicationInfo is the replication slice of AuthServerStats; wire
+	// ClusterNode.ReplicationInfo via AuthServerConfig.ReplicationInfo.
 	ReplicationInfo = transport.ReplicationInfo
-	// ReplicationFollowerInfo is one follower's progress inside
+	// ReplicationFollowerInfo is one peer's progress inside
 	// ReplicationInfo.
 	ReplicationFollowerInfo = transport.ReplicationFollower
 )
@@ -368,18 +369,21 @@ func NewReplicationLeader(cfg ReplicationLeaderConfig) (*ReplicationLeader, erro
 }
 
 // StartReplicationFollower connects to a leader and keeps the local
-// store converged with it until Close or Promote.
+// store converged with it until Close.
 func StartReplicationFollower(cfg ReplicationFollowerConfig) (*ReplicationFollower, error) {
 	return replication.StartFollower(cfg)
 }
 
-// Cluster: multi-leader shard ownership across Authentication Servers.
-// Each node owns a subset of the store's FNV shards — it is the only
-// node assigning sequence numbers there — and replicates to every peer
-// over the full mesh, so write throughput scales with node count while
-// reads stay serveable anywhere. Clients route writes by shard with a
-// cached, versioned ShardMap (AuthClientConfig.RouteByShard) and chase
-// redirects when the map moves under them.
+// Cluster: shard ownership across Authentication Servers — the one
+// topology a replicated deployment has. Each node owns a subset of the
+// store's FNV shards — it is the only node assigning sequence numbers
+// there — and replicates to every peer over the full mesh, so write
+// throughput scales with node count while reads stay serveable anywhere.
+// A primary with read replicas is the map in which one node owns every
+// shard; ClusterNode.TakeOver is how a replica claims the shards of an
+// owner that is gone. Clients route writes by shard with a cached,
+// versioned ShardMap (AuthClientConfig.RouteByShard) and chase redirects
+// when the map moves under them.
 type (
 	// ClusterNode is one cluster member: replication leader for its own
 	// store, mesh follower of every peer, and the transport server's
@@ -401,7 +405,8 @@ type (
 
 // NewClusterNode validates the config and builds a cluster node. An
 // AuthServer over the same store serves what the mesh replicates with no
-// wiring between the two beyond AuthServerConfig.Router.
+// wiring between the two beyond AuthServerConfig.Router (and, for stats,
+// AuthServerConfig.ReplicationInfo).
 func NewClusterNode(cfg ClusterNodeConfig) (*ClusterNode, error) {
 	return cluster.NewNode(cfg)
 }
