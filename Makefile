@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas bench-fleet race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark
+.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas bench-fleet race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark check-examples
 
-check: build vet fmt race race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark
+check: build vet fmt race race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark check-examples
 
 build:
 	$(GO) build ./...
@@ -170,6 +170,15 @@ check-scenarios:
 check-benchmark:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
+
+# examples/cloud is the one example that builds a server, over an
+# ephemeral store in a smarteryou-* temporary directory. Run it with
+# TMPDIR pointed at an empty directory and fail if anything is left there.
+check-examples:
+	@tmp="$$(mktemp -d)" && TMPDIR="$$tmp" $(GO) run ./examples/cloud && \
+	left="$$(ls -A "$$tmp")"; status=$$?; rm -rf "$$tmp"; \
+	if [ $$status -ne 0 ]; then exit $$status; fi; \
+	if [ -n "$$left" ]; then echo "examples/cloud left behind in TMPDIR: $$left"; exit 1; fi
 
 # Fleet-scale load benchmark: replays every shipped scenario through
 # cmd/loadgen and refreshes BENCH_fleet.json. The profiles carry full

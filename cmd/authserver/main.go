@@ -11,7 +11,9 @@
 // — no user re-enrolls. -shards partitions the store by user hash into
 // independent WAL+snapshot shards so enroll throughput scales with cores;
 // -keep-models bounds each user's registry history. Without -data-dir the
-// server is in-memory, exactly as before.
+// server runs the same store, un-fsynced, in a temporary directory that it
+// names at startup and removes at shutdown: every request works, nothing
+// survives a restart.
 //
 // On the wire the server speaks one format, the binary envelope; a frame
 // in any other format (a JSON envelope included) closes the connection.
@@ -66,8 +68,8 @@
 // Fig. 7 loop, server side): every served authenticate decision updates a
 // per-user confidence EWMA, and users that sink below -retrain-threshold
 // are retrained through a coalesced, budgeted scheduler — no client or
-// operator action. With -data-dir, drift state checkpoints into the store
-// registry so restarts resume with the accumulated drift. A cluster node
+// operator action. Drift state checkpoints into the store registry, so with
+// -data-dir restarts resume with the accumulated drift. A cluster node
 // observes drift for every user it authenticates but schedules retrains
 // only for users whose shard it owns.
 //
@@ -82,6 +84,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -105,7 +108,7 @@ func run() int {
 		key          = flag.String("key", "", "pre-shared HMAC key (required)")
 		seedUsers    = flag.Int("seed-users", 10, "synthetic users to seed the population store and train the context detector")
 		seed         = flag.Int64("seed", 1, "synthetic data seed")
-		dataDir      = flag.String("data-dir", "", "directory for the durable population store and model registry (empty: in-memory only)")
+		dataDir      = flag.String("data-dir", "", "directory for the durable population store and model registry (empty: an ephemeral store in a temporary directory, removed at shutdown)")
 		shards       = flag.Int("shards", 1, "independent WAL+snapshot shards in the durable store (fixed at store creation; reopening uses the on-disk count)")
 		keepModels   = flag.Int("keep-models", 0, "model versions retained per user in the registry (0: unbounded)")
 		trainWorkers = flag.Int("train-workers", 0, "concurrent model-training jobs (0: GOMAXPROCS); excess requests queue up to twice this, then get a busy response")
@@ -168,20 +171,36 @@ func run() int {
 		})
 	}
 
-	var store *smarteryou.PopulationStore
-	if *dataDir != "" {
+	// Without -data-dir the store lives in a temporary directory removed
+	// once run returns — after shutdown has closed the store — and skips
+	// fsync: nothing in it has to survive the process.
+	dir, ephemeral := *dataDir, *dataDir == ""
+	if ephemeral {
 		var err error
-		store, err = smarteryou.OpenStore(*dataDir, smarteryou.StoreOptions{
-			Shards:            *shards,
-			KeepModelVersions: *keepModels,
-		})
-		if err != nil {
+		if dir, err = os.MkdirTemp("", "smarteryou-*"); err != nil {
 			log.Print(err)
 			return 1
 		}
+		defer func() {
+			if err := os.RemoveAll(dir); err != nil {
+				log.Printf("remove ephemeral store: %v", err)
+			}
+		}()
+		log.Printf("no -data-dir: ephemeral store in %s, removed at shutdown", dir)
+	}
+	store, err := smarteryou.OpenStore(dir, smarteryou.StoreOptions{
+		Shards:            *shards,
+		KeepModelVersions: *keepModels,
+		NoSync:            ephemeral,
+	})
+	if err != nil {
+		log.Print(err)
+		return 1
+	}
+	if !ephemeral {
 		st := store.Stats()
 		log.Printf("durable store %s: %d shards, recovered %d users, %d windows, %d model versions (replayed %d wal records, dropped %d torn bytes)",
-			*dataDir, len(st.Shards), st.Users, st.Windows, len(st.ModelVersions), st.Recovery.Replayed, st.Recovery.TruncatedBytes)
+			dir, len(st.Shards), st.Users, st.Windows, len(st.ModelVersions), st.Recovery.Replayed, st.Recovery.TruncatedBytes)
 	}
 
 	detector, population, err := bootstrapDetector(store, *seedUsers, *seed, true)
@@ -201,19 +220,16 @@ func run() int {
 		log.Print(err)
 		return 1
 	}
-	if population != nil {
-		server.SeedPopulation(population)
+	if err := server.SeedPopulation(population); err != nil {
+		log.Print(err)
+		return 1
 	}
 	bound, err := server.Start(*addr)
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
-	popUsers := *seedUsers
-	if store != nil {
-		popUsers = store.Stats().Users
-	}
-	log.Printf("authentication server listening on %s (population: %d users)", bound, popUsers)
+	log.Printf("authentication server listening on %s (population: %d users)", bound, store.Stats().Users)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -230,16 +246,18 @@ func run() int {
 // it does, because a recovered store already holds (possibly real)
 // enrollments and reseeding would append duplicates on every restart.
 // When both are recovered the corpus generation is skipped entirely.
+// Only ErrNoModel means no detector was ever published: a registry that
+// cannot be read is an error, never a reason to train a different detector
+// and publish it over the damaged one.
 func bootstrapDetector(store *smarteryou.PopulationStore, seedUsers int, seed int64, publish bool) (*smarteryou.Detector, map[string][]smarteryou.WindowSample, error) {
-	var detector *smarteryou.Detector
-	needSeed := true
-	if store != nil {
-		if det, err := store.LatestDetector(); err == nil {
-			detector = det
-			log.Printf("loaded context detector from registry")
-		}
-		needSeed = store.Stats().Users == 0
+	detector, err := store.LatestDetector()
+	switch {
+	case err == nil:
+		log.Printf("loaded context detector from registry")
+	case !errors.Is(err, smarteryou.ErrNoModel):
+		return nil, nil, fmt.Errorf("context detector in the model registry is unreadable (authserver -store-scrub reports damaged chunks): %w", err)
 	}
+	needSeed := store.Stats().Users == 0
 	if detector != nil && !needSeed {
 		log.Printf("skipping corpus generation: detector and population recovered from store")
 		return detector, nil, nil
@@ -255,7 +273,7 @@ func bootstrapDetector(store *smarteryou.PopulationStore, seedUsers int, seed in
 		if err != nil {
 			return nil, nil, err
 		}
-		if store != nil && publish {
+		if publish {
 			if err := store.PublishDetector(detector); err != nil {
 				return nil, nil, err
 			}
@@ -270,7 +288,7 @@ func bootstrapDetector(store *smarteryou.PopulationStore, seedUsers int, seed in
 }
 
 // shutdown closes the server, then the cluster node (nil outside cluster
-// mode), then the store (nil when in-memory) and returns the exit code.
+// mode), then the store and returns the exit code.
 // The store outlives the server so in-flight requests can still append;
 // it is flushed and closed only once the listener has drained.
 func shutdown(server *smarteryou.AuthServer, node *smarteryou.ClusterNode, store *smarteryou.PopulationStore) int {
@@ -286,13 +304,11 @@ func shutdown(server *smarteryou.AuthServer, node *smarteryou.ClusterNode, store
 			code = 1
 		}
 	}
-	if store != nil {
-		if err := store.Close(); err != nil {
-			log.Printf("close store: %v", err)
-			code = 1
-		}
-		log.Printf("durable store flushed")
+	if err := store.Close(); err != nil {
+		log.Printf("close store: %v", err)
+		code = 1
 	}
+	log.Printf("durable store flushed")
 	return code
 }
 
@@ -418,7 +434,10 @@ func runCluster(cfg clusterSettings) int {
 				mine[id] = samples
 			}
 		}
-		server.SeedPopulation(mine)
+		if err := server.SeedPopulation(mine); err != nil {
+			log.Print(err)
+			return 1
+		}
 		log.Printf("seeded %d of %d synthetic users (this node's shards)", len(mine), len(population))
 	}
 

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"smarteryou"
 )
@@ -38,15 +39,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The demo keeps nothing: its store lives in a temporary directory.
+	dir, err := os.MkdirTemp("", "smarteryou-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	store, err := smarteryou.OpenStore(dir, smarteryou.StoreOptions{NoSync: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 	server, err := smarteryou.NewAuthServer(smarteryou.AuthServerConfig{
 		Key:      key,
 		Detector: detector,
+		Store:    store,
 		Logf:     func(format string, args ...any) { log.Printf("[server] "+format, args...) },
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	server.SeedPopulation(population)
+	if err := server.SeedPopulation(population); err != nil {
+		log.Fatal(err)
+	}
 	addr, err := server.Start("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -54,6 +68,9 @@ func main() {
 	defer func() {
 		if err := server.Close(); err != nil {
 			log.Printf("server close: %v", err)
+		}
+		if err := store.Close(); err != nil {
+			log.Printf("store close: %v", err)
 		}
 	}()
 	fmt.Printf("authentication server listening on %s\n", addr)

@@ -14,14 +14,13 @@ import (
 )
 
 // Cluster is an in-process server topology a load run targets: a single
-// (in-memory) authentication server, or durable shard-ownership cluster
-// nodes in one of the layouts below.
+// authentication server, or shard-ownership cluster nodes in one of the
+// layouts below.
 type Cluster struct {
 	// Addr is the client-facing address load traffic should target.
 	Addr string
 
-	single *transport.Server
-	multi  []*multiNode
+	multi []*multiNode
 
 	failover     sync.Once
 	failoverErr  error
@@ -30,7 +29,7 @@ type Cluster struct {
 	closeOne     sync.Once
 }
 
-// multiNode is one cluster member.
+// multiNode is one cluster member, or the single server (no node).
 type multiNode struct {
 	st   *store.Store
 	node *cluster.Node
@@ -55,8 +54,7 @@ func (mn *multiNode) closeServer() (err error) {
 type ClusterOptions struct {
 	// Key is the pre-shared HMAC key; required.
 	Key []byte
-	// Dir is a scratch directory for durable stores; required for every
-	// topology but single.
+	// Dir is a scratch directory for the servers' stores; required.
 	Dir string
 	// Logf receives server logs; nil discards them.
 	Logf func(format string, args ...any)
@@ -80,6 +78,9 @@ func retrainConfig(k *RetrainKnobs) *retrain.Config {
 // listeners. Close the cluster when the run finishes.
 func StartCluster(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster, error) {
 	sc = sc.withDefaults()
+	if opts.Dir == "" {
+		return nil, fmt.Errorf("fleet: every topology needs ClusterOptions.Dir for its stores")
+	}
 	switch sc.Cluster {
 	case ClusterSingle:
 		return startSingle(sc, w, opts)
@@ -90,22 +91,34 @@ func StartCluster(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster, erro
 	}
 }
 
+// startSingle is the one-server topology: a multiNode with no cluster
+// node around it. Its store skips fsync so the baseline scenarios measure
+// the server, not this host's disk.
 func startSingle(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster, error) {
-	srv, err := transport.NewServer(transport.ServerConfig{
+	st, err := store.Open(filepath.Join(opts.Dir, "single"), store.Options{NoSync: true})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: single server store: %w", err)
+	}
+	mn := &multiNode{st: st}
+	c := &Cluster{multi: []*multiNode{mn}}
+	mn.srv, err = transport.NewServer(transport.ServerConfig{
 		Key:      opts.Key,
 		Detector: w.Detector,
 		Logf:     opts.Logf,
+		Store:    st,
 		Retrain:  retrainConfig(sc.Retrain),
 	})
 	if err != nil {
+		_ = c.Close()
 		return nil, fmt.Errorf("fleet: single server: %w", err)
 	}
-	addr, err := srv.Start("127.0.0.1:0")
+	addr, err := mn.srv.Start("127.0.0.1:0")
 	if err != nil {
-		_ = srv.Close()
+		_ = c.Close()
 		return nil, fmt.Errorf("fleet: start single server: %w", err)
 	}
-	return &Cluster{Addr: addr.String(), single: srv}, nil
+	c.Addr = addr.String()
+	return c, nil
 }
 
 // layout is how a scenario's topology name maps onto the one cluster
@@ -136,9 +149,6 @@ var layouts = map[string]layout{
 }
 
 func startMulti(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("fleet: cluster topology needs ClusterOptions.Dir for durable stores")
-	}
 	lay := layouts[sc.Cluster]
 	c := &Cluster{}
 	fail := func(step string, err error) (*Cluster, error) {
@@ -236,7 +246,7 @@ func startMulti(sc Scenario, w *Workload, opts ClusterOptions) (*Cluster, error)
 func (c *Cluster) Rebalance() time.Duration {
 	var took time.Duration
 	c.rebalance.Do(func() {
-		if len(c.multi) == 0 {
+		if len(c.multi) < multiNodes {
 			return
 		}
 		spare := c.multi[len(c.multi)-1].node
@@ -323,9 +333,6 @@ func (c *Cluster) Close() error {
 			if err != nil && first == nil {
 				first = err
 			}
-		}
-		if c.single != nil {
-			keep(c.single.Close())
 		}
 		for _, mn := range c.multi {
 			keep(mn.closeServer())

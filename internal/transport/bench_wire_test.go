@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"os"
 	"sync"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"smarteryou/internal/ctxdetect"
 	"smarteryou/internal/features"
 	"smarteryou/internal/sensing"
+	"smarteryou/internal/store"
 )
 
 // The wire benches measure the per-window cost of the three ways a window
@@ -25,6 +27,7 @@ const benchBatchSize = 16
 var benchWire struct {
 	once    sync.Once
 	err     error
+	dir     string // the server's store; removed by TestMain
 	addr    string
 	userID  string
 	samples []features.WindowSample
@@ -39,6 +42,16 @@ func benchWireFixture(b *testing.B) (addr, userID string, samples []features.Win
 		b.Fatalf("wire bench fixture: %v", benchWire.err)
 	}
 	return benchWire.addr, benchWire.userID, benchWire.samples
+}
+
+// TestMain removes the wire-bench fixture's store directory: the fixture
+// outlives every single benchmark, so no b.TempDir can own it.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if benchWire.dir != "" {
+		_ = os.RemoveAll(benchWire.dir)
+	}
+	os.Exit(code)
 }
 
 func buildBenchWire() error {
@@ -65,7 +78,14 @@ func buildBenchWire() error {
 	if err != nil {
 		return err
 	}
-	srv, err := NewServer(ServerConfig{Key: testKey, Detector: det})
+	if benchWire.dir, err = os.MkdirTemp("", "smarteryou-bench-*"); err != nil {
+		return err
+	}
+	st, err := store.Open(benchWire.dir, store.Options{NoSync: true})
+	if err != nil {
+		return err
+	}
+	srv, err := NewServer(ServerConfig{Key: testKey, Detector: det, Store: st})
 	if err != nil {
 		return err
 	}
@@ -80,7 +100,9 @@ func buildBenchWire() error {
 			seed[id] = s
 		}
 	}
-	srv.SeedPopulation(seed)
+	if err := srv.SeedPopulation(seed); err != nil {
+		return err
+	}
 	client, err := NewClient(ClientConfig{Addr: addr.String(), Key: testKey})
 	if err != nil {
 		return err
@@ -91,7 +113,8 @@ func buildBenchWire() error {
 	if _, err := client.Train(user, TrainParams{Mode: core.Mode{Combined: true, UseContext: true}, Seed: 3}); err != nil {
 		return err
 	}
-	// The server (and its listener) live for the rest of the bench binary.
+	// The server, its listener and its store live for the rest of the
+	// bench binary.
 	benchWire.addr = addr.String()
 	benchWire.userID = user
 	benchWire.samples = byUser[user]

@@ -199,8 +199,9 @@ func (p busyPolicy) run(do func() error) error {
 	return err
 }
 
-// roundTrip sends one request on a fresh connection and decodes the
-// response payload into out. Use NewSession to reuse a connection across
+// roundTrip sends one request to the client's configured address and
+// decodes the response payload into out; see roundTripTo for how
+// connections are reused. Use NewSession to pin one connection across
 // multiple round trips.
 func (c *Client) roundTrip(reqType string, payload any, out any) error {
 	return c.roundTripTo(c.addr, reqType, payload, out)
@@ -321,7 +322,7 @@ func (c *Client) Train(userID string, p TrainParams) (*core.ModelBundle, error) 
 }
 
 // TrainVersioned is Train plus the registry version the server published
-// the new model under (0 when the server runs without durable storage).
+// the new model under.
 // Busy responses (saturated training pool) are retried with capped
 // exponential backoff seeded by the server's hint — busy means the job
 // never started, so a retry cannot double-train.

@@ -15,7 +15,9 @@ import (
 func TestServerConcurrentClients(t *testing.T) {
 	det, byUser := buildFixture(t)
 	srv, addr := startServer(t, det)
-	srv.SeedPopulation(byUser)
+	if err := srv.SeedPopulation(byUser); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -104,7 +106,9 @@ func TestClientMultipleRequestsSequential(t *testing.T) {
 func TestSessionReusesConnection(t *testing.T) {
 	det, byUser := buildFixture(t)
 	srv, addr := startServer(t, det)
-	srv.SeedPopulation(byUser)
+	if err := srv.SeedPopulation(byUser); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
 
 	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
 	if err != nil {

@@ -154,6 +154,7 @@ func TestTrainVersionedRetriesBusyOnce(t *testing.T) {
 	srv, err := NewServer(ServerConfig{
 		Key:             testKey,
 		Detector:        det,
+		Store:           openTestStore(t),
 		TrainWorkers:    1,
 		TrainQueueDepth: 1,
 	})
@@ -164,7 +165,9 @@ func TestTrainVersionedRetriesBusyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	srv.SeedPopulation(byUser)
+	if err := srv.SeedPopulation(byUser); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
 
 	client, err := NewClient(ClientConfig{Addr: addr.String(), Key: testKey})
 	if err != nil {

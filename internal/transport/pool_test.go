@@ -32,6 +32,7 @@ func TestTrainBackpressure(t *testing.T) {
 	srv, err := NewServer(ServerConfig{
 		Key:             testKey,
 		Detector:        det,
+		Store:           openTestStore(t),
 		TrainWorkers:    1,
 		TrainQueueDepth: 1,
 	})
@@ -58,7 +59,9 @@ func TestTrainBackpressure(t *testing.T) {
 			seed[id] = samples
 		}
 	}
-	srv.SeedPopulation(seed)
+	if err := srv.SeedPopulation(seed); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
 
 	client, err := NewClient(ClientConfig{Addr: addr.String(), Key: testKey})
 	if err != nil {
@@ -165,6 +168,7 @@ func TestTrainPoolConcurrentHammer(t *testing.T) {
 	srv, err := NewServer(ServerConfig{
 		Key:             testKey,
 		Detector:        det,
+		Store:           openTestStore(t),
 		TrainWorkers:    2,
 		TrainQueueDepth: 2,
 	})
@@ -187,7 +191,9 @@ func TestTrainPoolConcurrentHammer(t *testing.T) {
 			seed[id] = samples
 		}
 	}
-	srv.SeedPopulation(seed)
+	if err := srv.SeedPopulation(seed); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
 	client, err := NewClient(ClientConfig{Addr: addr.String(), Key: testKey})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)

@@ -9,6 +9,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -104,8 +105,7 @@ type driftLoop struct {
 	// observations since the last one.
 	flushes  atomic.Uint64
 	obsSince atomic.Int64
-	// flushCh wakes the flusher goroutine (nil when the server is
-	// in-memory only); flushDone closes when it exits.
+	// flushCh wakes the flusher goroutine; flushDone closes when it exits.
 	flushCh   chan struct{}
 	flushDone chan struct{}
 }
@@ -135,31 +135,32 @@ func (s *Server) startDrift(cfg retrain.Config) {
 		}
 	}
 	d.monitor = retrain.NewMonitor(d.cfg)
-	if s.persist != nil {
-		if blob, err := s.persist.LatestDriftState(); err == nil {
-			states, err := retrain.DecodeStates(blob)
-			if err != nil {
-				// Corrupt checkpoint: start fresh rather than refuse to
-				// serve — drift state is reconstructible from traffic.
-				s.logf("drift state checkpoint unreadable, starting fresh: %v", err)
-			} else {
-				d.monitor.Restore(states)
-				s.logf("restored drift state for %d users", len(states))
-			}
-		}
-		d.flushCh = make(chan struct{}, 1)
-		d.flushDone = make(chan struct{})
+	// Only store.ErrNoModel means no checkpoint was ever written. A
+	// checkpoint that cannot be read or decoded is logged and dropped
+	// rather than refusing to serve: drift state is reconstructible from
+	// traffic.
+	blob, err := s.persist.LatestDriftState()
+	var states map[string]retrain.UserState
+	if err == nil {
+		states, err = retrain.DecodeStates(blob)
 	}
+	switch {
+	case err == nil:
+		d.monitor.Restore(states)
+		s.logf("restored drift state for %d users", len(states))
+	case !errors.Is(err, store.ErrNoModel):
+		s.logf("drift state checkpoint unreadable, starting fresh: %v", err)
+	}
+	d.flushCh = make(chan struct{}, 1)
+	d.flushDone = make(chan struct{})
 	d.sched = retrain.NewScheduler(d.cfg, s.runScheduledRetrain)
 	s.drift = d
-	if d.flushCh != nil {
-		go func() {
-			defer close(d.flushDone)
-			for range d.flushCh {
-				s.flushDriftState()
-			}
-		}()
-	}
+	go func() {
+		defer close(d.flushDone)
+		for range d.flushCh {
+			s.flushDriftState()
+		}
+	}()
 }
 
 // observeDrift folds one served authenticate decision into the user's
@@ -188,13 +189,11 @@ func (s *Server) observeDrift(anon string, score float64, accepted bool) {
 	}
 	// Checkpoint cadence: every FlushEvery observations, hand the
 	// flusher a (coalesced) wake-up.
-	if d.flushCh != nil {
-		if n := d.obsSince.Add(1); n >= int64(d.cfg.FlushEvery) {
-			d.obsSince.Store(0)
-			select {
-			case d.flushCh <- struct{}{}:
-			default:
-			}
+	if n := d.obsSince.Add(1); n >= int64(d.cfg.FlushEvery) {
+		d.obsSince.Store(0)
+		select {
+		case d.flushCh <- struct{}{}:
+		default:
 		}
 	}
 }
@@ -202,11 +201,10 @@ func (s *Server) observeDrift(anon string, score float64, accepted bool) {
 // flushDriftState checkpoints the monitor into the store registry. On a
 // cluster node the checkpoint key lives in one shard like any other
 // record, so only that shard's owner writes it — everyone else's monitor
-// state stays in memory (reconstructible from traffic, same as before
-// persistence existed).
+// state stays in memory (reconstructible from traffic).
 func (s *Server) flushDriftState() {
 	d := s.drift
-	if d == nil || s.persist == nil || !s.ownsWrite(store.DriftStateKey) {
+	if d == nil || !s.ownsWrite(store.DriftStateKey) {
 		return
 	}
 	snap := d.monitor.Snapshot()
@@ -270,7 +268,7 @@ func (s *Server) refresh(anon string, req trainRequest, recent int) (*core.Model
 	if err != nil {
 		return nil, fmt.Errorf("refresh: previous model of %s: %w", anon, err)
 	}
-	legit := tailWindows(s.windowsOf(anon), recent)
+	legit := tailWindows(s.persist.UserWindows(anon), recent)
 	if len(legit) == 0 {
 		return nil, fmt.Errorf("refresh: user %s has no enrolled data", anon)
 	}
@@ -289,7 +287,7 @@ func (s *Server) refresh(anon string, req trainRequest, recent int) (*core.Model
 // coarse contexts are represented without copying (or shuffling) the
 // full population.
 func (s *Server) sampleImpostors(anon string, budget int) []features.WindowSample {
-	pop := s.population()
+	pop := s.persist.PopulationView()
 	delete(pop, anon)
 	others := 0
 	for _, samples := range pop {
@@ -399,9 +397,7 @@ func (s *Server) closeDrift() {
 		return
 	}
 	d.sched.Close()
-	if d.flushCh != nil {
-		close(d.flushCh)
-		<-d.flushDone
-	}
+	close(d.flushCh)
+	<-d.flushDone
 	s.flushDriftState()
 }

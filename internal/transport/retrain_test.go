@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -166,7 +167,9 @@ func TestDriftRetrainEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
-	srv.SeedPopulation(impostors)
+	if err := srv.SeedPopulation(impostors); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
 
 	// Enrollment day: upload windows, train the initial model, and
 	// establish the fresh-model baseline.
@@ -288,6 +291,59 @@ func TestDriftRetrainEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDriftCheckpointDamageIsLogged: a checkpoint the registry holds but
+// cannot produce is not "no checkpoint" — the server starts fresh, as it
+// may (drift state is reconstructible from traffic), but says so.
+func TestDriftCheckpointDamageIsLogged(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	blob := retrain.EncodeStates(map[string]retrain.UserState{
+		"anon-0123456789abcdef": {EWMA: 0.4, Primed: true, Windows: 12, LastTrainUnix: 1},
+	})
+	if err := st.PublishDriftState(blob); err != nil {
+		t.Fatalf("PublishDriftState: %v", err)
+	}
+	if err := st.Snapshot(); err != nil { // flush the chunk to disk
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close store: %v", err)
+	}
+	damageFirstChunk(t, dir, blob)
+
+	if st, err = store.Open(dir, store.Options{NoSync: true}); err != nil {
+		t.Fatalf("reopen store: %v", err)
+	}
+	defer st.Close()
+	var (
+		mu   sync.Mutex
+		logs strings.Builder
+	)
+	srv, err := NewServer(ServerConfig{
+		Key: testKey, Detector: &ctxdetect.Detector{}, Store: st, Retrain: &retrain.Config{},
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(&logs, format+"\n", args...)
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewServer over a damaged checkpoint: %v", err)
+	}
+	defer srv.Close()
+	if n := srv.drift.monitor.Count(); n != 0 {
+		t.Errorf("monitor restored %d users from a damaged checkpoint", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !strings.Contains(logs.String(), "drift state checkpoint unreadable") {
+		t.Errorf("damaged checkpoint dropped silently; logs:\n%s", logs.String())
+	}
+}
+
 // TestDriftFollowerDefersAndPromotedSchedules checks the replication
 // stance: a node that does not own the user's shard accumulates drift
 // state in its monitor but defers candidates to the owner; once it has
@@ -315,7 +371,9 @@ func TestDriftFollowerDefersAndPromotedSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
-	srv.SeedPopulation(impostors)
+	if err := srv.SeedPopulation(impostors); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
 	if _, err := client.Enroll(owner.ID, enroll); err != nil {
 		t.Fatalf("enroll: %v", err)
 	}
@@ -408,7 +466,9 @@ func TestRetrainRequestOutcomes(t *testing.T) {
 
 	// Drift disabled: the request is a hard error, not a silent no-op.
 	srvOff, addrOff := startServer(t, det)
-	srvOff.SeedPopulation(impostors)
+	if err := srvOff.SeedPopulation(impostors); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
 	clientOff, err := NewClient(ClientConfig{Addr: addrOff, Key: testKey})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -428,6 +488,7 @@ func TestRetrainRequestOutcomes(t *testing.T) {
 	srvOn, err := NewServer(ServerConfig{
 		Key:      testKey,
 		Detector: det,
+		Store:    openTestStore(t),
 		Retrain:  &retrain.Config{Threshold: 0.2, Cooldown: time.Hour},
 	})
 	if err != nil {
@@ -445,7 +506,9 @@ func TestRetrainRequestOutcomes(t *testing.T) {
 	if _, _, err := clientOn.RequestRetrain("nobody"); !errors.As(err, &remote) {
 		t.Fatalf("retrain for unknown user: err = %v, want RemoteError", err)
 	}
-	srvOn.SeedPopulation(impostors)
+	if err := srvOn.SeedPopulation(impostors); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
 	if _, err := clientOn.Enroll(owner.ID, enroll[:4]); err != nil {
 		t.Fatalf("enroll: %v", err)
 	}
@@ -503,7 +566,9 @@ func TestRetrainRaceHammer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
-	srv.SeedPopulation(impostors)
+	if err := srv.SeedPopulation(impostors); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
 	if _, err := client.Enroll(owner.ID, enroll); err != nil {
 		t.Fatalf("enroll: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -40,9 +39,8 @@ type trainRequest struct {
 	TrainParams
 }
 
-// trainResponse carries the trained bundle. Version is the model's
-// registry version when the server runs with durable storage (0 when the
-// server is in-memory only).
+// trainResponse carries the trained bundle and the registry version it
+// was published as.
 type trainResponse struct {
 	Bundle  *core.ModelBundle `json:"bundle"`
 	Version int               `json:"version,omitempty"`
@@ -98,13 +96,11 @@ type batchAuthResponse struct {
 	Decisions []authResponse `json:"decisions"`
 }
 
-// ServerStats reports the server's population store and, when the server
-// runs with durable storage, its persistence state.
+// ServerStats reports the server's population store and its persistence
+// state.
 type ServerStats struct {
 	Users   int `json:"users"`
 	Windows int `json:"windows"`
-	// Persistent is true when the server is backed by a durable store.
-	Persistent bool `json:"persistent,omitempty"`
 	// WALBytes is the current size of the write-ahead log.
 	WALBytes int64 `json:"wal_bytes,omitempty"`
 	// SnapshotAgeSeconds is the age of the last compaction snapshot
@@ -113,8 +109,8 @@ type ServerStats struct {
 	// ModelVersions is the latest registered model version per
 	// (anonymized) user.
 	ModelVersions map[string]int `json:"model_versions,omitempty"`
-	// Shards reports the durable store's per-shard record counts when it
-	// is sharded; its length is the shard count.
+	// Shards reports the store's per-shard record counts; its length is
+	// the shard count.
 	Shards []ShardStats `json:"shards,omitempty"`
 	// Train reports the training worker pool's state.
 	Train TrainPoolStats `json:"train"`
@@ -199,15 +195,14 @@ type Server struct {
 	key      []byte
 	detector *ctxdetect.Detector
 	logf     func(format string, args ...any)
-	// persist, when set, owns the population and the model registry: the
-	// server reads both through it on every request and keeps a copy of
-	// neither, so whatever writes the store — a request, a replication
-	// stream, a snapshot install — is served without the server being told.
-	persist *store.Store // nil: in-memory only
+	// persist owns the population and the model registry: the server reads
+	// both through it on every request and keeps a copy of neither, so
+	// whatever writes the store — a request, a replication stream, a
+	// snapshot install — is served without the server being told.
+	persist *store.Store
 
 	mu     sync.Mutex
-	mem    map[string][]features.WindowSample // store-less only: anonymized user id -> windows
-	models map[string]cachedBundle            // anonymized user id -> decoded bundle, see currentBundle
+	models map[string]cachedBundle // anonymized user id -> decoded bundle, see currentBundle
 
 	replInfo func() *ReplicationInfo
 
@@ -239,7 +234,7 @@ type Server struct {
 }
 
 // cachedBundle is a decoded bundle and the content hash of the registry
-// blob it came from (zero on a store-less server).
+// blob it came from.
 type cachedBundle struct {
 	bundle *core.ModelBundle
 	hash   cas.Hash
@@ -254,14 +249,15 @@ type ServerConfig struct {
 	Detector *ctxdetect.Detector
 	// Logf receives server logs; nil discards them.
 	Logf func(format string, args ...any)
-	// Store, when set, makes the population and trained models durable and
-	// is their only owner: the server appends every enroll/replace to its
-	// write-ahead log before acknowledging, publishes every trained bundle
-	// to its versioned model registry, and reads enrolled windows and
-	// current models from it on every request, so state recovered at Open
-	// or written by a replication stream is served with no further wiring.
-	// Nil keeps the population in the server's memory. The caller retains
-	// ownership and must Close the store after Close-ing the server.
+	// Store is the only owner of the population and the trained models;
+	// required. The server appends every enroll/replace to its write-ahead
+	// log before acknowledging, publishes every trained bundle to its
+	// versioned model registry, and reads enrolled windows and current
+	// models from it on every request, so state recovered at Open or
+	// written by a replication stream is served with no further wiring. A
+	// server that need not survive a restart takes a store opened in a
+	// temporary directory. The caller retains ownership and must Close the
+	// store after Close-ing the server.
 	Store *store.Store
 	// TrainWorkers bounds concurrent training jobs; 0 means GOMAXPROCS.
 	TrainWorkers int
@@ -277,7 +273,7 @@ type ServerConfig struct {
 	// writes are answered only for shards the router reports as locally
 	// owned (others redirect to the owner's client address), the shard map
 	// is served to routing clients, and the retrain scheduler's budget is
-	// partitioned by the node's owned-shard fraction. Requires Store.
+	// partitioned by the node's owned-shard fraction.
 	Router ShardRouter
 	// Retrain, when set, enables autonomous drift-triggered retraining:
 	// every served authenticate decision updates a per-user drift monitor,
@@ -298,6 +294,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Detector == nil {
 		return nil, fmt.Errorf("transport: server needs a context detector")
 	}
+	if cfg.Store == nil {
+		return nil, fmt.Errorf("transport: server needs a Store (an ephemeral server opens one in a temporary directory)")
+	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -313,12 +312,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		closed:   make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
 	}
-	if cfg.Router != nil && cfg.Store == nil {
-		return nil, fmt.Errorf("transport: a cluster node needs a durable store")
-	}
-	if s.persist == nil {
-		s.mem = make(map[string][]features.WindowSample)
-	}
 	s.pool = newWorkerPool(cfg.TrainWorkers, cfg.TrainQueueDepth, s.runTrainJob)
 	if cfg.Retrain != nil {
 		s.startDrift(*cfg.Retrain)
@@ -331,61 +324,20 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // are anonymized before storage. On a cluster node only locally-owned
 // users are seeded — writing another node's shard would fork its
 // sequence numbers — so seed each node with the same map and the
-// population lands partitioned exactly as live enrolls would.
-func (s *Server) SeedPopulation(byUser map[string][]features.WindowSample) {
+// population lands partitioned exactly as live enrolls would. It stops at
+// the first write the store refuses: a partially seeded population must
+// not be served.
+func (s *Server) SeedPopulation(byUser map[string][]features.WindowSample) error {
 	for id, samples := range byUser {
 		anon := anonymize(id)
 		if !s.ownsWrite(anon) {
 			continue
 		}
-		if _, err := s.enrollWindows(anon, anonymizeSamples(anon, samples), false); err != nil {
-			s.logf("persist seed for %s: %v", anon, err)
+		if err := s.persist.Enroll(anon, anonymizeSamples(anon, samples), false); err != nil {
+			return fmt.Errorf("transport: seed population: %s: %w", anon, err)
 		}
 	}
-}
-
-// enrollWindows, windowsOf and population are the only code that knows
-// where the population lives: in the store, or, without one, in s.mem.
-// Reads return frozen views (store.UserWindows): both homes only append
-// past a handed-out slice or replace a user's entry wholesale.
-//
-// enrollWindows stores already-anonymized windows and returns how many
-// the user then has. With a store the write is WAL-first — durable before
-// applied or acknowledged — and holds only the user's shard lock, never
-// s.mu, so other shards and every authenticate proceed during the fsync.
-func (s *Server) enrollWindows(anon string, samples []features.WindowSample, replace bool) (int, error) {
-	if s.persist != nil {
-		if err := s.persist.Enroll(anon, samples, replace); err != nil {
-			return 0, err
-		}
-		return len(s.persist.UserWindows(anon)), nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if replace {
-		s.mem[anon] = nil
-	}
-	s.mem[anon] = append(s.mem[anon], samples...)
-	return len(s.mem[anon]), nil
-}
-
-func (s *Server) windowsOf(anon string) []features.WindowSample {
-	if s.persist != nil {
-		return s.persist.UserWindows(anon)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mem[anon]
-}
-
-// population returns every user's windows; the map is the caller's.
-func (s *Server) population() map[string][]features.WindowSample {
-	if s.persist != nil {
-		return s.persist.PopulationView()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return maps.Clone(s.mem)
+	return nil
 }
 
 // anonymize maps a user identifier to a stable pseudonym so that one
@@ -576,8 +528,10 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		if !ok {
 			return refusal
 		}
-		stored, err := s.enrollWindows(anon, anonymizeSamples(anon, req.Samples), req.Replace)
-		if err != nil {
+		// The write is WAL-first — durable before applied or acknowledged —
+		// and holds only the user's shard lock, never s.mu, so other shards
+		// and every authenticate proceed during the fsync.
+		if err := s.persist.Enroll(anon, anonymizeSamples(anon, req.Samples), req.Replace); err != nil {
 			if errors.Is(err, store.ErrSealed) {
 				// The shard sealed between the route check and the append;
 				// nothing was applied.
@@ -585,7 +539,7 @@ func (s *Server) dispatch(env Envelope) Envelope {
 			}
 			return fail(fmt.Errorf("enroll: persist: %w", err))
 		}
-		return respond(TypeOK, enrollResponse{Stored: stored})
+		return respond(TypeOK, enrollResponse{Stored: len(s.persist.UserWindows(anon))})
 
 	case TypeFetchDetector:
 		if err := env.Open(s.key, nil); err != nil {
@@ -659,7 +613,7 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		if s.drift == nil {
 			return fail(fmt.Errorf("retrain: drift-triggered retraining is disabled on this server"))
 		}
-		if len(s.windowsOf(anon)) == 0 {
+		if len(s.persist.UserWindows(anon)) == 0 {
 			return fail(fmt.Errorf("retrain: user %s has no enrolled data", req.UserID))
 		}
 		// Build the candidate from the monitor's current view; a user the
@@ -694,9 +648,6 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		}
 		if req.UserID == "" {
 			return fail(fmt.Errorf("fetch-model: missing user id"))
-		}
-		if s.persist == nil {
-			return fail(fmt.Errorf("fetch-model: server has no model registry (persistence disabled)"))
 		}
 		anon := anonymize(req.UserID)
 		if req.Version == 0 && req.IfHash != "" {
@@ -744,36 +695,32 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		if err := env.Open(s.key, nil); err != nil {
 			return fail(err)
 		}
-		pop := s.population()
-		resp := statsResponse{Users: len(pop)}
-		for _, samples := range pop {
-			resp.Windows += len(samples)
+		st := s.persist.Stats()
+		resp := statsResponse{
+			Users:         st.Users,
+			Windows:       st.Windows,
+			WALBytes:      st.WALBytes,
+			ModelVersions: st.ModelVersions,
+			Train: TrainPoolStats{
+				Workers:    s.pool.workers,
+				QueueDepth: cap(s.pool.jobs),
+				InFlight:   int(s.pool.inFlight.Load()),
+				Queued:     s.pool.queued(),
+				Rejected:   s.pool.rejected.Load(),
+				Completed:  s.pool.completed.Load(),
+			},
 		}
-		resp.Train = TrainPoolStats{
-			Workers:    s.pool.workers,
-			QueueDepth: cap(s.pool.jobs),
-			InFlight:   int(s.pool.inFlight.Load()),
-			Queued:     s.pool.queued(),
-			Rejected:   s.pool.rejected.Load(),
-			Completed:  s.pool.completed.Load(),
+		if st.HasSnapshot {
+			resp.SnapshotAgeSeconds = st.SnapshotAge.Seconds()
 		}
-		if s.persist != nil {
-			st := s.persist.Stats()
-			resp.Persistent = true
-			resp.WALBytes = st.WALBytes
-			resp.ModelVersions = st.ModelVersions
-			if st.HasSnapshot {
-				resp.SnapshotAgeSeconds = st.SnapshotAge.Seconds()
-			}
-			for _, shs := range st.Shards {
-				resp.Shards = append(resp.Shards, ShardStats{
-					Users:    shs.Users,
-					Windows:  shs.Windows,
-					WALBytes: shs.WALBytes,
-					Records:  shs.Records,
-					LastSeq:  shs.LastSeq,
-				})
-			}
+		for _, shs := range st.Shards {
+			resp.Shards = append(resp.Shards, ShardStats{
+				Users:    shs.Users,
+				Windows:  shs.Windows,
+				WALBytes: shs.WALBytes,
+				Records:  shs.Records,
+				LastSeq:  shs.LastSeq,
+			})
 		}
 		if s.replInfo != nil {
 			resp.Replication = s.replInfo()
@@ -793,10 +740,10 @@ func (s *Server) dispatch(env Envelope) Envelope {
 }
 
 // runTrainJob executes one pooled training job end to end: train (cold or
-// incremental), publish to the registry when persistence is on, and cache
-// the bundle for server-side authentication. A successful publish also
-// resets the user's drift state — whoever initiated the retrain, the
-// model now reflects recent behaviour.
+// incremental), publish to the registry, and cache the bundle for
+// server-side authentication. A successful publish also resets the user's
+// drift state — whoever initiated the retrain, the model now reflects
+// recent behaviour.
 func (s *Server) runTrainJob(job trainJob) trainResult {
 	anon := job.anon
 	if anon == "" {
@@ -814,24 +761,14 @@ func (s *Server) runTrainJob(job trainJob) trainResult {
 	if err != nil {
 		return trainResult{err: err}
 	}
-	var (
-		version int
-		hash    cas.Hash
-		ours    = true
-	)
-	if s.persist != nil {
-		version, err = s.persist.PublishModel(anon, bundle)
-		if err != nil {
-			return trainResult{err: fmt.Errorf("train: publish model: %w", err)}
-		}
-		// Cache the bundle under the hash it was published as. If another
-		// publish already overtook this one, that hash is not ours: cache
-		// nothing and let currentBundle load whatever is latest.
-		var latest int
-		latest, hash, err = s.persist.LatestModelHash(anon)
-		ours = err == nil && latest == version
+	version, err := s.persist.PublishModel(anon, bundle)
+	if err != nil {
+		return trainResult{err: fmt.Errorf("train: publish model: %w", err)}
 	}
-	if ours {
+	// Cache the bundle under the hash it was published as. If another
+	// publish already overtook this one, that hash is not ours: cache
+	// nothing and let currentBundle load whatever is latest.
+	if latest, hash, err := s.persist.LatestModelHash(anon); err == nil && latest == version {
 		s.mu.Lock()
 		s.models[anon] = cachedBundle{bundle: bundle, hash: hash}
 		s.mu.Unlock()
@@ -842,8 +779,7 @@ func (s *Server) runTrainJob(job trainJob) trainResult {
 	return trainResult{bundle: bundle, version: version}
 }
 
-// currentBundle is the one place a user's serving model is resolved. A
-// store-less server serves the last bundle it trained. With a store the
+// currentBundle is the one place a user's serving model is resolved. The
 // cached bundle is served only while its hash is still the registry's
 // latest (a lock and a map lookup: no CAS read, no allocation) and is
 // reloaded otherwise, so a model that was replicated, installed with a
@@ -853,12 +789,6 @@ func (s *Server) currentBundle(anon string) (*core.ModelBundle, error) {
 	s.mu.Lock()
 	cached := s.models[anon]
 	s.mu.Unlock()
-	if s.persist == nil {
-		if cached.bundle == nil {
-			return nil, store.ErrNoModel
-		}
-		return cached.bundle, nil
-	}
 	_, latest, err := s.persist.LatestModelHash(anon)
 	if err != nil {
 		return nil, err
@@ -971,11 +901,11 @@ func tailWindows(w []features.WindowSample, n int) []features.WindowSample {
 // scheduled cold retrains that should track current behaviour), negatives
 // are every other (anonymized) user's.
 func (s *Server) train(anon string, req trainRequest, recent int) (*core.ModelBundle, error) {
-	legit := tailWindows(s.windowsOf(anon), recent)
+	legit := tailWindows(s.persist.UserWindows(anon), recent)
 	if len(legit) == 0 {
 		return nil, fmt.Errorf("train: user %s has no enrolled data", req.UserID)
 	}
-	pop := s.population()
+	pop := s.persist.PopulationView()
 	delete(pop, anon)
 	n := 0
 	for _, samples := range pop {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -128,9 +129,26 @@ func buildFixture(t *testing.T) (*ctxdetect.Detector, map[string][]features.Wind
 	return det, byUser
 }
 
+// openTestStore opens an un-fsynced store in a fresh temp directory and
+// closes it at cleanup. Cleanups run last-in first-out, so a server whose
+// own cleanup (or defer) is registered afterwards closes before its store.
+func openTestStore(t *testing.T) *store.Store {
+	t.Helper()
+	st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	t.Cleanup(func() {
+		if err := st.Close(); err != nil {
+			t.Errorf("Close store: %v", err)
+		}
+	})
+	return st
+}
+
 func startServer(t *testing.T, det *ctxdetect.Detector) (*Server, string) {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{Key: testKey, Detector: det})
+	srv, err := NewServer(ServerConfig{Key: testKey, Detector: det, Store: openTestStore(t)})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
@@ -157,7 +175,9 @@ func TestServerEndToEnd(t *testing.T) {
 			seed[id] = samples
 		}
 	}
-	srv.SeedPopulation(seed)
+	if err := srv.SeedPopulation(seed); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
 
 	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
 	if err != nil {
@@ -226,8 +246,10 @@ func TestServerEndToEnd(t *testing.T) {
 func TestServerAnonymizesPopulation(t *testing.T) {
 	det, byUser := buildFixture(t)
 	srv, _ := startServer(t, det)
-	srv.SeedPopulation(byUser)
-	for anonID, samples := range srv.population() {
+	if err := srv.SeedPopulation(byUser); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
+	for anonID, samples := range srv.persist.PopulationView() {
 		if anonID == "user-00" || anonID == "user-01" {
 			t.Errorf("store key %q leaks a real user id", anonID)
 		}
@@ -242,7 +264,9 @@ func TestServerAnonymizesPopulation(t *testing.T) {
 func TestServerTrainWithoutEnrollment(t *testing.T) {
 	det, byUser := buildFixture(t)
 	srv, addr := startServer(t, det)
-	srv.SeedPopulation(map[string][]features.WindowSample{"user-01": byUser["user-01"]})
+	if err := srv.SeedPopulation(map[string][]features.WindowSample{"user-01": byUser["user-01"]}); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
 	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -300,6 +324,9 @@ func TestClientValidation(t *testing.T) {
 	if _, err := NewServer(ServerConfig{Key: testKey}); err == nil {
 		t.Errorf("missing detector should error")
 	}
+	if _, err := NewServer(ServerConfig{Key: testKey, Detector: &ctxdetect.Detector{}}); err == nil || !strings.Contains(err.Error(), "Store") {
+		t.Errorf("missing store: err = %v, want an error naming Store", err)
+	}
 }
 
 // startPersistentServer opens a store in dir and starts a server on it.
@@ -323,21 +350,7 @@ func startPersistentServer(t *testing.T, det *ctxdetect.Detector, dir string) (*
 func TestStatsReportPersistenceState(t *testing.T) {
 	det, byUser := buildFixture(t)
 
-	// Without a store, the new fields stay at their zero values.
-	_, plainAddr := startServer(t, det)
-	plainClient, err := NewClient(ClientConfig{Addr: plainAddr, Key: testKey})
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	stats, err := plainClient.FullStats()
-	if err != nil {
-		t.Fatalf("FullStats: %v", err)
-	}
-	if stats.Persistent || stats.WALBytes != 0 || stats.ModelVersions != nil {
-		t.Errorf("in-memory server reports persistence: %+v", stats)
-	}
-
-	// With a store, stats reflect the WAL and the model registry.
+	// Stats reflect the population, the WAL and the model registry.
 	srv, st, addr := startPersistentServer(t, det, t.TempDir())
 	defer func() {
 		if err := srv.Close(); err != nil {
@@ -361,15 +374,20 @@ func TestStatsReportPersistenceState(t *testing.T) {
 	} else if version != 1 {
 		t.Errorf("first trained model has version %d, want 1", version)
 	}
-	stats, err = client.FullStats()
+	stats, err := client.FullStats()
 	if err != nil {
 		t.Fatalf("FullStats: %v", err)
 	}
-	if !stats.Persistent {
-		t.Errorf("persistent server reports Persistent=false")
-	}
 	if stats.Users != 2 || stats.Windows == 0 {
 		t.Errorf("stats population = %d users / %d windows, want 2 users", stats.Users, stats.Windows)
+	}
+	pop, popWindows := st.PopulationView(), 0
+	for _, samples := range pop {
+		popWindows += len(samples)
+	}
+	if stats.Users != len(pop) || stats.Windows != popWindows {
+		t.Errorf("stats population = %d users / %d windows, store holds %d / %d",
+			stats.Users, stats.Windows, len(pop), popWindows)
 	}
 	if stats.WALBytes == 0 {
 		t.Errorf("stats report an empty WAL after two enrollments")
@@ -485,6 +503,27 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
+// damageFirstChunk flips a byte in the on-disk file of blob's first CAS
+// chunk in the closed store at dir. Open checks that every referenced
+// chunk file exists, not what is in it, so damaging the content makes the
+// read, not the open, fail.
+func damageFirstChunk(t *testing.T, dir string, blob []byte) {
+	t.Helper()
+	man, _ := cas.ManifestOf(blob)
+	files, _ := filepath.Glob(filepath.Join(dir, "cas", man.Chunks[0].Hash.Hex()+"*"))
+	if len(files) != 1 {
+		t.Fatalf("chunk %s: found files %v, want one", man.Chunks[0].Hash.Hex(), files)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatalf("read chunk: %v", err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(files[0], data, 0o644); err != nil {
+		t.Fatalf("damage chunk: %v", err)
+	}
+}
+
 // TestAuthenticateReportsRegistryFailure: a registry that cannot produce
 // the user's model is a server fault and must say so; only a user with no
 // published model is told they have none.
@@ -518,21 +557,7 @@ func TestAuthenticateReportsRegistryFailure(t *testing.T) {
 	if err := st1.Close(); err != nil {
 		t.Fatalf("Close store: %v", err)
 	}
-	man, _ := cas.ManifestOf(blob)
-	files, _ := filepath.Glob(filepath.Join(dir, "cas", man.Chunks[0].Hash.Hex()+"*"))
-	if len(files) != 1 {
-		t.Fatalf("model chunk %s: found files %v, want one", man.Chunks[0].Hash.Hex(), files)
-	}
-	// Open checks that every referenced chunk file exists, not what is in
-	// it, so damage the content: the read, not the open, must catch it.
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatalf("read chunk: %v", err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(files[0], data, 0o644); err != nil {
-		t.Fatalf("damage chunk: %v", err)
-	}
+	damageFirstChunk(t, dir, blob)
 
 	srv2, st2, addr2 := startPersistentServer(t, det, dir)
 	defer func() {
@@ -557,16 +582,34 @@ func TestAuthenticateReportsRegistryFailure(t *testing.T) {
 	}
 }
 
-func TestFetchModelRequiresRegistry(t *testing.T) {
-	det, _ := buildFixture(t)
+// TestFetchModelOnEveryServer: the default helper server has a model
+// registry like any other — what Train returned is what FetchModel serves,
+// as version 1.
+func TestFetchModelOnEveryServer(t *testing.T) {
+	det, byUser := buildFixture(t)
 	_, addr := startServer(t, det)
 	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
-	var remote *RemoteError
-	if _, _, err := client.FetchModel("user-00", 0); !errors.As(err, &remote) {
-		t.Errorf("fetch-model on an in-memory server: err = %v, want RemoteError", err)
+	for _, id := range []string{"user-00", "user-01"} {
+		if _, err := client.Enroll(id, byUser[id]); err != nil {
+			t.Fatalf("Enroll %s: %v", id, err)
+		}
+	}
+	trained, err := client.Train("user-00", TrainParams{Seed: 1})
+	if err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	fetched, version, err := client.FetchModel("user-00", 0)
+	if err != nil {
+		t.Fatalf("FetchModel: %v", err)
+	}
+	if version != 1 {
+		t.Errorf("fetched version %d, want 1", version)
+	}
+	if !reflect.DeepEqual(fetched, trained) {
+		t.Errorf("fetched bundle differs from the one Train returned")
 	}
 }
 

@@ -27,7 +27,9 @@ func startTrainedServer(t *testing.T) (addr, userID string, samples []features.W
 			seed[id] = s
 		}
 	}
-	srv.SeedPopulation(seed)
+	if err := srv.SeedPopulation(seed); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
 	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -304,7 +306,7 @@ func TestClientRejectsOversizedServerFrame(t *testing.T) {
 // stream loops, the drift monitor and the connection teardown.
 func TestStreamHammerConcurrentClose(t *testing.T) {
 	det, byUser := buildFixture(t)
-	srv, err := NewServer(ServerConfig{Key: testKey, Detector: det})
+	srv, err := NewServer(ServerConfig{Key: testKey, Detector: det, Store: openTestStore(t)})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
@@ -319,7 +321,9 @@ func TestStreamHammerConcurrentClose(t *testing.T) {
 			seed[id] = s
 		}
 	}
-	srv.SeedPopulation(seed)
+	if err := srv.SeedPopulation(seed); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
 	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey, Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)

@@ -246,7 +246,8 @@ func UnmarshalModelBundle(data []byte) (*ModelBundle, error) {
 type (
 	// AuthServer is the cloud training service.
 	AuthServer = transport.Server
-	// AuthServerConfig configures the server.
+	// AuthServerConfig configures the server; Key, Detector and Store are
+	// required.
 	AuthServerConfig = transport.ServerConfig
 	// AuthClient is the smartphone's view of the server.
 	AuthClient = transport.Client
@@ -299,8 +300,9 @@ type (
 // versioned model registry.
 type (
 	// PopulationStore is the WAL-backed store of anonymized population
-	// windows and published models. Pass one in AuthServerConfig.Store to
-	// make the Authentication Server durable across restarts.
+	// windows and published models. Every Authentication Server needs one
+	// in AuthServerConfig.Store; opened on a directory that outlives the
+	// process it makes the server durable across restarts.
 	PopulationStore = store.Store
 	// StoreOptions tunes the store: shard count (enroll throughput scales
 	// with independent WAL shards), snapshot cadence (compaction runs on
@@ -318,6 +320,11 @@ type (
 	// live reference set.
 	CASScrubReport = cas.ScrubReport
 )
+
+// ErrNoModel is what the store's registry reads (LatestDetector,
+// LatestModel, ...) return when nothing has been published under the key;
+// any other error is a registry failure. Test with errors.Is.
+var ErrNoModel = store.ErrNoModel
 
 // OpenStore creates or recovers a durable population store rooted at dir:
 // it loads the latest snapshot, replays the write-ahead log on top
