@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas bench-fleet race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark check-examples
+.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas bench-fleet race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark check-examples paper-snapshot
 
 check: build vet fmt race race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark check-examples
 
@@ -174,11 +174,21 @@ check-benchmark:
 # examples/cloud is the one example that builds a server, over an
 # ephemeral store in a smarteryou-* temporary directory. Run it with
 # TMPDIR pointed at an empty directory and fail if anything is left there.
+# examples/drift is the one caller of the facade's DriftMonitor; it exits
+# non-zero if the attacker triggers a retrain.
 check-examples:
+	$(GO) run ./examples/drift
 	@tmp="$$(mktemp -d)" && TMPDIR="$$tmp" $(GO) run ./examples/cloud && \
 	left="$$(ls -A "$$tmp")"; status=$$?; rm -rf "$$tmp"; \
 	if [ $$status -ne 0 ]; then exit $$status; fi; \
 	if [ -n "$$left" ]; then echo "examples/cloud left behind in TMPDIR: $$left"; exit 1; fi
+
+# The one command that regenerates the checked-in paper-scale report
+# (35 users, 5 targets, seed 1; about two minutes). -time=false keeps wall
+# times out of it so two runs can be diffed; stamp the commit it was run
+# at in EXPERIMENTS.md.
+paper-snapshot:
+	$(GO) run ./cmd/experiments -run all -time=false > results_paper_scale.txt
 
 # Fleet-scale load benchmark: replays every shipped scenario through
 # cmd/loadgen and refreshes BENCH_fleet.json. The profiles carry full

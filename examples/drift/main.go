@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"smarteryou"
 )
@@ -62,11 +63,10 @@ func main() {
 		enrollCS += d.Score
 	}
 	enrollCS /= float64(len(enroll))
-	monitor := smarteryou.NewRetrainMonitor()
-	monitor.Threshold = 0.4 * enrollCS
-	monitor.SustainWindows = 15
+	threshold := 0.4 * enrollCS
+	monitor := smarteryou.NewDriftMonitor(smarteryou.ServerRetrainConfig{Threshold: threshold})
 	response := smarteryou.NewResponseModule(smarteryou.ResponsePolicy{DenyAfter: 1, LockAfter: 4})
-	fmt.Printf("enrollment mean CS %.3f; retrain threshold set to %.3f\n\n", enrollCS, monitor.Threshold)
+	fmt.Printf("enrollment mean CS %.3f; retrain threshold set to %.3f\n\n", enrollCS, threshold)
 
 	// Two retraining paths, both from Section V-I / IV-B:
 	//  - gradual drift: the confidence-score monitor fires while the user
@@ -74,7 +74,7 @@ func main() {
 	//  - abrupt change: the user gets falsely locked out, re-authenticates
 	//    explicitly (password / multi-factor), and that explicit proof of
 	//    identity authorizes retraining with her latest windows.
-	retrain := func(windows []smarteryou.WindowSample) {
+	retrain := func(windows []smarteryou.WindowSample, day float64) {
 		newBundle, err := smarteryou.Train(windows, impostorData, trainCfg)
 		if err != nil {
 			log.Fatal(err)
@@ -82,7 +82,7 @@ func main() {
 		if err := auth.SwapBundle(newBundle); err != nil {
 			log.Fatal(err)
 		}
-		monitor.Reset()
+		monitor.MarkTrained(owner.ID, dayTime(day))
 	}
 
 	fmt.Println("Watch the feedback loop: early lockouts retrain the cold-start model,")
@@ -103,12 +103,12 @@ func main() {
 			if response.Observe(d) == smarteryou.ActionLock {
 				// False lockout of the owner: explicit re-authentication
 				// proves identity and authorizes retraining.
-				retrain(windows)
+				retrain(windows, day)
 				response.Unlock()
 				note = "  <-- false lockout: explicit re-auth + retrain"
 			}
-			if monitor.Observe(d) {
-				retrain(windows)
+			if _, drifted := monitor.Observe(owner.ID, d.Score, d.Accepted, dayTime(day)); drifted {
+				retrain(windows, day)
 				note = "  <-- drift detected by CS monitor: retrained"
 			}
 		}
@@ -125,12 +125,17 @@ func main() {
 			log.Fatal(err)
 		}
 		atkSum += d.Score
-		if monitor.Observe(d) {
+		if _, drifted := monitor.Observe(owner.ID, d.Score, d.Accepted, dayTime(12)); drifted {
 			log.Fatal("attacker must not trigger retraining")
 		}
 	}
 	fmt.Printf("\nattacker mean confidence score at day 12: %.3f (never triggers retraining)\n",
 		atkSum/float64(len(attackerWindows)))
+}
+
+// dayTime is the monitor's clock: simulated days since enrollment.
+func dayTime(day float64) time.Time {
+	return time.Unix(0, 0).Add(time.Duration(day * 24 * float64(time.Hour)))
 }
 
 // collectAtDay records seconds of usage (both contexts) at a drift day.

@@ -85,21 +85,3 @@ func TestResponseModuleConcurrent(t *testing.T) {
 	// exists for the race detector and for absence of panics.
 	_ = r.Locked()
 }
-
-// TestRetrainMonitorConcurrent verifies the monitor tolerates concurrent
-// observers (e.g. two authentication streams sharing one monitor).
-func TestRetrainMonitorConcurrent(t *testing.T) {
-	m := NewRetrainMonitor()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				m.Observe(Decision{Accepted: true, Score: 0.5})
-				_ = m.Smoothed()
-			}
-		}()
-	}
-	wg.Wait()
-}

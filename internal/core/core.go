@@ -1,8 +1,8 @@
 // Package core implements the SmarterYou system of Section IV: the
 // training module (cloud side), the testing module (phone side) with its
-// context-dispatched authentication models, the response module, the
-// enrollment phase's convergence tracking, and the confidence-score
-// retraining monitor of Section V-I.
+// context-dispatched authentication models, the response module and the
+// enrollment phase's convergence tracking. The confidence-score
+// retraining monitor of Section V-I lives in internal/retrain.
 //
 // The package is the paper's primary contribution; everything else in
 // internal/ is substrate.

@@ -70,99 +70,6 @@ func TestActionString(t *testing.T) {
 	}
 }
 
-func TestRetrainMonitorSustainedLow(t *testing.T) {
-	m := &RetrainMonitor{Threshold: 0.2, SustainWindows: 5}
-	low := Decision{Accepted: true, Score: 0.1}
-	for i := 0; i < 4; i++ {
-		if m.Observe(low) {
-			t.Fatalf("retrain triggered after only %d windows", i+1)
-		}
-	}
-	if !m.Observe(low) {
-		t.Errorf("retrain should trigger on the 5th sustained low window")
-	}
-	// After triggering, the run restarts.
-	if m.Observe(low) {
-		t.Errorf("monitor should reset after triggering")
-	}
-}
-
-func TestRetrainMonitorBriefDipsDoNotTrigger(t *testing.T) {
-	// A healthy user with occasional weak windows: the smoothed score
-	// stays high, so the monitor must never fire.
-	m := &RetrainMonitor{Threshold: 0.2, SustainWindows: 3}
-	low := Decision{Accepted: true, Score: 0.05}
-	high := Decision{Accepted: true, Score: 0.9}
-	for i := 0; i < 20; i++ {
-		if m.Observe(high) || m.Observe(high) || m.Observe(high) {
-			t.Fatalf("high windows must not trigger")
-		}
-		if m.Observe(low) {
-			t.Fatalf("an isolated dip must not trigger")
-		}
-	}
-	if s := m.Smoothed(); s < 0.2 {
-		t.Fatalf("smoothed score %v should remain above threshold", s)
-	}
-}
-
-func TestRetrainMonitorAttackerCannotTrigger(t *testing.T) {
-	// An attacker produces negative scores (rejected windows); these must
-	// never count toward the sustained-low run.
-	m := &RetrainMonitor{Threshold: 0.2, SustainWindows: 2}
-	attacker := Decision{Accepted: false, Score: -0.8}
-	for i := 0; i < 50; i++ {
-		if m.Observe(attacker) {
-			t.Fatalf("attacker windows triggered retraining")
-		}
-	}
-	// And negative windows reset a partial legit run.
-	low := Decision{Accepted: true, Score: 0.1}
-	m.Observe(low)
-	m.Observe(attacker)
-	if m.Observe(low) {
-		t.Errorf("run should have been reset by the rejected window")
-	}
-}
-
-func TestRetrainMonitorReset(t *testing.T) {
-	m := &RetrainMonitor{Threshold: 0.2, SustainWindows: 2}
-	low := Decision{Accepted: true, Score: 0.1}
-	m.Observe(low)
-	m.Reset()
-	if m.Observe(low) {
-		t.Errorf("Reset should clear the run")
-	}
-}
-
-func TestRetrainMonitorDefaults(t *testing.T) {
-	m := NewRetrainMonitor()
-	if m.Threshold != 0.2 || m.SustainWindows != 20 || m.Smoothing != 0.1 {
-		t.Errorf("defaults: threshold %v, sustain %v, smoothing %v",
-			m.Threshold, m.SustainWindows, m.Smoothing)
-	}
-}
-
-func TestRetrainMonitorDriftTrajectory(t *testing.T) {
-	// A realistic drift pattern: scores decline slowly with noise. The
-	// monitor must fire once the smoothed score settles under the
-	// threshold.
-	m := &RetrainMonitor{Threshold: 0.2, SustainWindows: 10}
-	score := 0.8
-	fired := false
-	for i := 0; i < 400 && !fired; i++ {
-		score -= 0.002
-		noise := 0.3
-		if i%2 == 0 {
-			noise = -0.3
-		}
-		fired = m.Observe(Decision{Accepted: true, Score: score + noise})
-	}
-	if !fired {
-		t.Errorf("monitor never fired on a declining trajectory")
-	}
-}
-
 func TestEnrollmentForcedCompletion(t *testing.T) {
 	e := NewEnrollment()
 	e.MaxSamples = 10

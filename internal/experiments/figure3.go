@@ -170,10 +170,13 @@ func (r *Figure3Result) Render() string {
 	var b strings.Builder
 	b.WriteString("FIGURE 3: KS test p-values per feature (box-plot five-number summaries)\n")
 	b.WriteString("alpha = 0.05; a good feature has most of its p-values below alpha\n")
-	for name, rows := range map[string][]Figure3Feature{"Smartphone": r.Phone, "Smartwatch": r.Watch} {
-		fmt.Fprintf(&b, "\n[%s]\n", name)
+	for _, dev := range []struct {
+		name string
+		rows []Figure3Feature
+	}{{"Smartphone", r.Phone}, {"Smartwatch", r.Watch}} {
+		fmt.Fprintf(&b, "\n[%s]\n", dev.name)
 		fmt.Fprintf(&b, "%-14s %10s %10s %10s %10s\n", "feature", "Q1", "median", "Q3", "%<alpha")
-		for _, f := range rows {
+		for _, f := range dev.rows {
 			fmt.Fprintf(&b, "%-14s %10.2e %10.2e %10.2e %9.0f%%\n",
 				f.Sensor+" "+f.Feature, f.Box.Q1, f.Box.Median, f.Box.Q3, f.FracBelowAlpha*100)
 		}

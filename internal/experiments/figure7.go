@@ -3,9 +3,11 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"smarteryou/internal/core"
 	"smarteryou/internal/features"
+	"smarteryou/internal/retrain"
 	"smarteryou/internal/sensing"
 )
 
@@ -31,11 +33,13 @@ type Figure7Result struct {
 }
 
 // RunFigure7 trains at enrollment (day 0), replays daily usage through the
-// production core.Authenticator + RetrainMonitor, and retrains with the
-// user's recent windows when the monitor fires. Like the paper's Fig. 7 it
-// shows one representative user: drift magnitude is user-specific, so the
-// first of the target users whose drift trips the monitor within the
-// horizon is plotted (falling back to the first target).
+// production core.Authenticator and the drift monitor the Authentication
+// Server runs (retrain.Monitor at its default smoothing and warm-up), and
+// retrains with the user's recent windows when the monitor emits a
+// candidate. Like the paper's Fig. 7 it shows one representative user:
+// drift magnitude is user-specific, so the first of the target users whose
+// drift trips the monitor within the horizon is plotted (falling back to
+// the first target).
 func RunFigure7(d *Data) (*Figure7Result, error) {
 	var fallback *Figure7Result
 	limit := d.Cfg.Targets
@@ -91,10 +95,11 @@ func (d *Data) runFigure7Target(target int) (*Figure7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	monitor := &core.RetrainMonitor{Threshold: threshold, SustainWindows: 10}
+	monitor := retrain.NewMonitor(retrain.Config{Threshold: threshold})
 
 	res := &Figure7Result{Threshold: threshold, RetrainDay: -1}
 	for day := 0.0; day <= horizonDays; day += stepDays {
+		now := time.Unix(0, 0).Add(time.Duration(day * 24 * float64(time.Hour)))
 		windows, err := collectAtDay(user, d.Cfg, target, day)
 		if err != nil {
 			return nil, err
@@ -109,7 +114,7 @@ func (d *Data) runFigure7Target(target int) (*Figure7Result, error) {
 			}
 			sum += decision.Score
 			count++
-			if monitor.Observe(decision) {
+			if _, drifted := monitor.Observe(user.ID, decision.Score, decision.Accepted, now); drifted {
 				// Sustained low confidence: upload the latest behaviour
 				// and install freshly trained models (Section V-I).
 				newBundle, err := core.Train(windows, impostorPool, trainCfg)
@@ -119,7 +124,7 @@ func (d *Data) runFigure7Target(target int) (*Figure7Result, error) {
 				if err := auth.SwapBundle(newBundle); err != nil {
 					return nil, err
 				}
-				monitor.Reset()
+				monitor.MarkTrained(user.ID, now)
 				retrained = true
 				if res.RetrainDay < 0 {
 					res.RetrainDay = day

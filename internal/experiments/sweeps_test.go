@@ -103,6 +103,35 @@ func TestFigure7DriftAndRetraining(t *testing.T) {
 	}
 }
 
+// TestFigure7PaperScaleRetrains pins what Fig. 7 is about, at the scale
+// and seed of results_paper_scale.txt: the owner drifts until the served
+// drift monitor retrains her model late in the horizon, the confidence
+// score ends back above epsilon_CS, and the attacker's stays negative.
+// (Quick scale cannot show it: the owner's day-0 mean CS is negative
+// there.)
+func TestFigure7PaperScaleRetrains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale drift simulation is expensive")
+	}
+	d, err := NewData(Config{})
+	if err != nil {
+		t.Fatalf("NewData: %v", err)
+	}
+	r, err := RunFigure7(d)
+	if err != nil {
+		t.Fatalf("RunFigure7: %v", err)
+	}
+	if r.RetrainDay <= 2 || r.RetrainDay > 12 {
+		t.Errorf("first retrain at day %v, want later than day 2 and within the 12-day horizon", r.RetrainDay)
+	}
+	if last := r.Points[len(r.Points)-1]; last.MeanCS < r.Threshold {
+		t.Errorf("mean CS %.3f at day %.1f, want recovered to at least %.1f", last.MeanCS, last.Day, r.Threshold)
+	}
+	if r.AttackerMeanCS >= 0 {
+		t.Errorf("attacker mean CS = %v, want negative", r.AttackerMeanCS)
+	}
+}
+
 func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations are expensive")

@@ -168,8 +168,9 @@ func (r *Table3Result) Render() string {
 		b.WriteByte('\n')
 	}
 	b.WriteString("\nRan-Var correlations (paper: ~0.90-0.95, motivating dropping Ran):\n")
-	for k, v := range r.RanVarCorrelation() {
-		fmt.Fprintf(&b, "  %-12s %.2f\n", k, v)
+	ranVar := r.RanVarCorrelation()
+	for _, k := range []string{"phone acc", "watch acc", "phone gyr", "watch gyr"} {
+		fmt.Fprintf(&b, "  %-12s %.2f\n", k, ranVar[k])
 	}
 	return b.String()
 }

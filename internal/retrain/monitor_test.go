@@ -42,6 +42,44 @@ func TestMonitorEmitsAfterSustainedDrift(t *testing.T) {
 	}
 }
 
+// TestMonitorDefaultRule runs the documented defaults (epsilon_CS 0.2,
+// smoothing 0.1, 20 windows) against the two trajectories of Fig. 7.
+func TestMonitorDefaultRule(t *testing.T) {
+	if c := (Config{}).WithDefaults(); c.Threshold != 0.2 || c.Smoothing != 0.1 || c.MinWindows != 20 {
+		t.Fatalf("defaults: threshold %v, smoothing %v, min windows %v", c.Threshold, c.Smoothing, c.MinWindows)
+	}
+	now := time.Unix(1_700_000_000, 0)
+
+	// A healthy user with one or two weak windows among strong ones: the
+	// smoothed score stays high, so the monitor never fires.
+	healthy := NewMonitor(Config{})
+	for i := 0; i < 200; i++ {
+		score := 0.9
+		if i%4 == 3 || i%20 == 18 {
+			score = 0.05
+		}
+		if _, fire := healthy.Observe("u1", score, true, now); fire {
+			t.Fatalf("isolated dips fired at window %d", i+1)
+		}
+	}
+
+	// A slow, noisy decline fires once the smoothed score settles under
+	// the threshold.
+	drifting := NewMonitor(Config{})
+	score, fired := 0.8, false
+	for i := 0; i < 400 && !fired; i++ {
+		score -= 0.002
+		noise := 0.3
+		if i%2 == 0 {
+			noise = -0.3
+		}
+		_, fired = drifting.Observe("u1", score+noise, true, now)
+	}
+	if !fired {
+		t.Fatal("monitor never fired on a declining trajectory")
+	}
+}
+
 func TestMonitorMinWindowsGate(t *testing.T) {
 	m := NewMonitor(Config{Threshold: 0.2, Smoothing: 0.5, MinWindows: 50})
 	now := time.Now()

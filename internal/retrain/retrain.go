@@ -3,9 +3,10 @@
 // drifts from the trained model, and the system — not an operator —
 // notices and retrains on fresh data.
 //
-// The device-side RetrainMonitor in internal/core watches one user on one
-// phone. This package is its fleet-scale counterpart, split into two
-// cooperating parts:
+// This package is the one implementation of the epsilon_CS rule: the
+// Authentication Server, the Fig. 7 experiment and the facade's
+// DriftMonitor all run its Monitor. It is split into two cooperating
+// parts:
 //
 //   - Monitor: a sharded map of per-user drift states (confidence EWMA,
 //     authenticated-window counter, last-train timestamp) updated on
@@ -47,7 +48,8 @@ type Config struct {
 	// becomes a retrain candidate (paper Section V-I uses 0.2).
 	Threshold float64
 	// Smoothing is the EWMA weight of each new authenticated window
-	// (default 0.1, matching core.RetrainMonitor).
+	// (default 0.1): the paper's "period of time T" is about 1/Smoothing
+	// accepted windows.
 	Smoothing float64
 	// MinWindows is how many authenticated windows must accumulate since
 	// the last (re)train before the EWMA is trusted enough to emit a

@@ -168,8 +168,6 @@ type (
 	ResponsePolicy = core.ResponsePolicy
 	// Action is the response module's verdict.
 	Action = core.Action
-	// RetrainMonitor triggers retraining on sustained low confidence.
-	RetrainMonitor = core.RetrainMonitor
 	// Enrollment tracks the enrollment phase's convergence.
 	Enrollment = core.Enrollment
 	// OnlineAuthenticator adapts to behavioural drift window by window
@@ -213,12 +211,6 @@ func TrainOnline(det *Detector, legit, impostor []WindowSample, cfg OnlineConfig
 // NewResponseModule builds a response module with the given policy.
 func NewResponseModule(policy ResponsePolicy) *ResponseModule {
 	return core.NewResponseModule(policy)
-}
-
-// NewRetrainMonitor builds a retraining monitor with the paper's
-// threshold (epsilon_CS = 0.2).
-func NewRetrainMonitor() *RetrainMonitor {
-	return core.NewRetrainMonitor()
 }
 
 // NewEnrollment builds an enrollment tracker with the paper's defaults.
@@ -282,19 +274,30 @@ type (
 	WireStats = transport.WireStats
 )
 
-// Autonomous drift-triggered retraining: the server-side closed loop of
-// the paper's Fig. 7. Every served authenticate decision updates a
-// per-user confidence EWMA; users that sink below the threshold are
-// retrained through a coalesced, budgeted scheduler with no client or
-// operator action. (RetrainMonitor, above, is the phone-side trigger the
-// client flow uses; ServerRetrainConfig drives the cloud-side loop.)
+// Autonomous drift-triggered retraining: the closed loop of the paper's
+// Fig. 7. Every authenticate decision updates a per-user confidence EWMA;
+// a user whose EWMA sinks below the threshold is a retrain candidate. The
+// server feeds its candidates to a coalesced, budgeted scheduler with no
+// client or operator action; a phone-side flow holds a DriftMonitor of
+// its own and retrains when Observe reports a candidate. Both run the
+// same rule with the same ServerRetrainConfig.
 type (
 	// ServerRetrainConfig enables and tunes the drift-retraining loop;
 	// pass a pointer in AuthServerConfig.Retrain.
 	ServerRetrainConfig = retrain.Config
 	// ServerRetrainStats is the retrain slice of AuthServerStats.
 	ServerRetrainStats = transport.RetrainStats
+	// DriftMonitor is the epsilon_CS rule of Section V-I: per-user
+	// confidence EWMA over accepted windows, candidate below the
+	// threshold once enough windows have accumulated.
+	DriftMonitor = retrain.Monitor
 )
+
+// NewDriftMonitor builds a drift monitor; zero cfg fields take the
+// paper's defaults (epsilon_CS = 0.2).
+func NewDriftMonitor(cfg ServerRetrainConfig) *DriftMonitor {
+	return retrain.NewMonitor(cfg)
+}
 
 // Durable storage: the server's crash-recoverable population store and
 // versioned model registry.

@@ -2,6 +2,7 @@ package smarteryou_test
 
 import (
 	"testing"
+	"time"
 
 	"smarteryou"
 )
@@ -50,7 +51,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("NewAuthenticator: %v", err)
 	}
 	response := smarteryou.NewResponseModule(smarteryou.ResponsePolicy{})
-	monitor := smarteryou.NewRetrainMonitor()
+	monitor := smarteryou.NewDriftMonitor(smarteryou.ServerRetrainConfig{})
 
 	accepted := 0
 	for _, s := range ownerData {
@@ -64,7 +65,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if action := response.Observe(d); action == smarteryou.ActionLock {
 			t.Fatalf("owner locked out")
 		}
-		monitor.Observe(d)
+		monitor.Observe(owner.ID, d.Score, d.Accepted, time.Time{})
 	}
 	if frac := float64(accepted) / float64(len(ownerData)); frac < 0.85 {
 		t.Errorf("owner accepted in %v of windows", frac)
