@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas bench-fleet race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark check-examples paper-snapshot
+.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas bench-fleet race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark check-examples check-determinism paper-snapshot
 
-check: build vet fmt race race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark check-examples
+check: build vet fmt race race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark check-examples check-determinism
 
 build:
 	$(GO) build ./...
@@ -74,7 +74,7 @@ bench:
 # re-run this target and update the "after" column when the hot path
 # changes.
 bench-auth:
-	$(GO) test -run=xxx -bench='BenchmarkFFT300$$|BenchmarkFeatureExtraction6sWindow$$|BenchmarkAuthenticateWindow$$|BenchmarkEndToEndWindow$$|BenchmarkKRRTrain$$|BenchmarkIncrementalVsColdRetrain$$' -benchmem -benchtime=200x .
+	$(GO) test -run=xxx -bench='BenchmarkFFT300$$|BenchmarkFeatureExtraction6sWindow$$|BenchmarkAuthenticateWindow$$|BenchmarkEndToEndWindow$$|BenchmarkKRRTrain$$' -benchmem -benchtime=200x .
 
 # Wire-level per-window benchmarks: the three ways a window crosses the
 # wire (single request, batch burst, stream) against one trained
@@ -182,6 +182,18 @@ check-examples:
 	left="$$(ls -A "$$tmp")"; status=$$?; rm -rf "$$tmp"; \
 	if [ $$status -ne 0 ]; then exit $$status; fi; \
 	if [ -n "$$left" ]; then echo "examples/cloud left behind in TMPDIR: $$left"; exit 1; fi
+
+# Same seed, same bytes: one experiments binary runs the quick campaign
+# under GOMAXPROCS=1 and =2 and the two reports must match. overhead.txt
+# and the "Mean detection time" / "Update cost" lines are the wall-clock
+# measurements -time=false leaves in, so they are masked.
+check-determinism:
+	@tmp="$$(mktemp -d)" && mkdir "$$tmp/1" "$$tmp/2" && \
+	$(GO) build -o "$$tmp/experiments" ./cmd/experiments && \
+	GOMAXPROCS=1 "$$tmp/experiments" -quick -run all -time=false -out "$$tmp/1" >/dev/null && \
+	GOMAXPROCS=2 "$$tmp/experiments" -quick -run all -time=false -out "$$tmp/2" >/dev/null && \
+	diff -r -x overhead.txt -I 'Mean detection time' -I 'Update cost' "$$tmp/1" "$$tmp/2"; \
+	status=$$?; rm -rf "$$tmp"; exit $$status
 
 # The one command that regenerates the checked-in paper-scale report
 # (35 users, 5 targets, seed 1; about two minutes). -time=false keeps wall

@@ -677,58 +677,3 @@ func BenchmarkIncrementalKRRAddRemove(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkIncrementalVsColdRetrain compares the two paths the drift
-// scheduler chooses between when a user's confidence EWMA crosses the
-// retrain threshold: the Sherman–Morrison refresh around the previous
-// model's standardizer (mild drift) and a full cold train (severe drift).
-// The gap is the budget headroom the scheduler buys by preferring the
-// incremental path.
-func BenchmarkIncrementalVsColdRetrain(b *testing.B) {
-	pop, err := sensing.NewPopulation(6, 99)
-	if err != nil {
-		b.Fatal(err)
-	}
-	owner := pop.Users[0]
-	var impostor []features.WindowSample
-	for i, u := range pop.Users {
-		if u == owner {
-			continue
-		}
-		s, err := features.Collect(u, features.CollectOptions{SessionSeconds: 60, Sessions: 1, Seed: int64(500 + i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		impostor = append(impostor, s...)
-	}
-	enroll, err := features.Collect(owner, features.CollectOptions{SessionSeconds: 120, Sessions: 1, Seed: 41})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fresh, err := features.Collect(owner, features.CollectOptions{SessionSeconds: 120, Sessions: 1, Seed: 42})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mode := core.Mode{Combined: true, UseContext: true}
-	prev, err := core.Train(enroll, impostor, core.TrainConfig{Mode: mode, Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.RefreshBundle(prev, fresh, impostor, core.RefreshConfig{RecentWindows: 200}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Train(fresh, impostor, core.TrainConfig{Mode: mode, MaxPerClass: 200, Seed: 2}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -121,7 +121,7 @@ func run() int {
 		retrainThreshold = flag.Float64("retrain-threshold", 0.2, "confidence-EWMA level below which a user becomes a retrain candidate (the paper's epsilon_CS)")
 		retrainBudget    = flag.Int("retrain-budget", 2, "scheduled retrains allowed to run concurrently")
 		retrainCooldown  = flag.Duration("retrain-cooldown", 30*time.Minute, "minimum gap between scheduled retrains of the same user")
-		retrainRecent    = flag.Int("retrain-recent", 400, "newest stored windows a scheduled retrain trains on")
+		retrainRecent    = flag.Int("retrain-recent", 400, "newest stored windows per context a scheduled retrain trains on")
 
 		storeScrub       = flag.Bool("store-scrub", false, "offline mode: verify the -data-dir store's content-addressed chunks (hashes, references), report orphans and damage, then exit")
 		storeScrubRemove = flag.Bool("store-scrub-remove", false, "with -store-scrub, delete orphaned chunks instead of only reporting them")
@@ -158,7 +158,7 @@ func run() int {
 			Cooldown:      *retrainCooldown,
 			RecentWindows: *retrainRecent,
 		}
-		log.Printf("drift retraining enabled: threshold %.2f, budget %d, cooldown %s, recent %d windows",
+		log.Printf("drift retraining enabled: threshold %.2f, budget %d, cooldown %s, recent %d windows per context",
 			*retrainThreshold, *retrainBudget, *retrainCooldown, *retrainRecent)
 	}
 

@@ -55,6 +55,15 @@ func (m Mode) String() string {
 // unifiedKey is the model key used when context dispatch is disabled.
 const unifiedKey = "unified"
 
+// ModelKeys lists a mode's model keys in the fixed order every
+// per-context loop takes.
+func ModelKeys(m Mode) []string {
+	if !m.UseContext {
+		return []string{unifiedKey}
+	}
+	return []string{sensing.CoarseStationary.String(), sensing.CoarseMoving.String()}
+}
+
 // ContextModel is one per-context authentication model: the feature
 // standardization fitted on its training data plus the trained KRR
 // classifier (the "file containing parameters for the classification

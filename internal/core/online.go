@@ -105,12 +105,12 @@ func TrainOnline(detector *ctxdetect.Detector, legit, impostor []features.Window
 		return out
 	}
 	legitBy, impostorBy := group(legit), group(impostor)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for key, lg := range legitBy {
-		im := impostorBy[key]
-		if len(im) == 0 {
+	for i, key := range ModelKeys(cfg.Mode) {
+		lg, im := legitBy[key], impostorBy[key]
+		if len(lg) == 0 || len(im) == 0 {
 			continue
 		}
+		rng := rand.New(rand.NewSource(GroupSeed(cfg.Seed, i)))
 		model, err := newOnlineModel(lg, im, cfg, rng)
 		if err != nil {
 			return nil, fmt.Errorf("core: online %s model: %w", key, err)
@@ -198,8 +198,9 @@ func (m *onlineModel) recalibrate() error {
 	return nil
 }
 
-// modelFor picks the context model (any model as fallback, mirroring the
-// experiment harness's behaviour for contexts unseen at initialization).
+// modelFor picks the context model (the first model in key order as
+// fallback, mirroring the experiment harness's behaviour for contexts
+// unseen at initialization).
 func (o *OnlineAuthenticator) modelFor(ctx sensing.CoarseContext) *onlineModel {
 	key := unifiedKey
 	if o.mode.UseContext {
@@ -208,8 +209,10 @@ func (o *OnlineAuthenticator) modelFor(ctx sensing.CoarseContext) *onlineModel {
 	if m, ok := o.models[key]; ok {
 		return m
 	}
-	for _, m := range o.models {
-		return m
+	for _, key := range ModelKeys(o.mode) {
+		if m, ok := o.models[key]; ok {
+			return m
+		}
 	}
 	return nil
 }

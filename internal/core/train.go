@@ -92,7 +92,7 @@ func Train(legit, impostor []features.WindowSample, cfg TrainConfig) (*ModelBund
 		wg.Add(1)
 		go func(i int, g group) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(groupSeed(cfg.Seed, i)))
+			rng := rand.New(rand.NewSource(GroupSeed(cfg.Seed, i)))
 			models[i], errs[i] = trainOne(g.legit, g.impostor, cfg, rng)
 		}(i, g)
 	}
@@ -106,11 +106,13 @@ func Train(legit, impostor []features.WindowSample, cfg TrainConfig) (*ModelBund
 	return bundle, nil
 }
 
-// groupSeed derives a deterministic per-group RNG seed. Group 0 uses the
+// GroupSeed derives a deterministic per-group RNG seed. Group 0 uses the
 // configured seed unchanged (preserving unified-mode results bit-for-bit
 // with the sequential trainer); later groups mix in the index with a
-// splitmix64-style odd constant so nearby seeds do not collide.
-func groupSeed(seed int64, i int) int64 {
+// splitmix64-style odd constant so nearby seeds do not collide. Every
+// per-context training loop seeds its groups this way, so no group's
+// sample depends on the order the groups are visited in.
+func GroupSeed(seed int64, i int) int64 {
 	if i == 0 {
 		return seed
 	}

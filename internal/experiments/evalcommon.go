@@ -156,12 +156,15 @@ func trainGenericBundle(det *ctxdetect.Detector, legit, impostor []features.Wind
 		impostorBy[k] = append(impostorBy[k], s)
 	}
 
-	for key, lg := range legitBy {
-		im := impostorBy[key]
+	// Each group trains from its own seed, derived from one draw on rng, so
+	// no group's subsample depends on the order the groups train in.
+	seed := rng.Int63()
+	for i, key := range core.ModelKeys(core.Mode{UseContext: opt.UseContext}) {
+		lg, im := legitBy[key], impostorBy[key]
 		if len(lg) == 0 || len(im) == 0 {
 			continue
 		}
-		model, err := trainGenericModel(lg, im, opt, rng)
+		model, err := trainGenericModel(lg, im, opt, rand.New(rand.NewSource(core.GroupSeed(seed, i))))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: train %s model: %w", key, err)
 		}
@@ -232,13 +235,12 @@ func (b *genericBundle) authenticate(s features.WindowSample) (accepted bool, sc
 		}
 		key = detn.Context.String()
 	}
-	model, ok := b.models[key]
-	if !ok {
-		// Fall back to any model rather than failing: a context unseen in
-		// this training fold still needs a decision.
-		for _, m := range b.models {
-			model = m
-			break
+	model := b.models[key]
+	// Fall back to the first model in key order rather than failing: a
+	// context unseen in this training fold still needs a decision.
+	for _, k := range core.ModelKeys(core.Mode{UseContext: b.opt.UseContext}) {
+		if model == nil {
+			model = b.models[k]
 		}
 	}
 	raw, err := model.clf.Score(model.std.Transform(b.opt.vector(s)))

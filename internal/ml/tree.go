@@ -163,7 +163,7 @@ func (t *DecisionTree) bestSplit(x [][]float64, labels []string, idx []int, minL
 			if nLeft < minLeaf || nRight < minLeaf {
 				continue
 			}
-			g := weightedGini(leftCounts, nLeft, rightCounts, nRight)
+			g := weightedGini(t.labels, leftCounts, nLeft, rightCounts, nRight)
 			if g < bestGini {
 				bestGini = g
 				bestFeature = f
@@ -174,18 +174,21 @@ func (t *DecisionTree) bestSplit(x [][]float64, labels []string, idx []int, minL
 	return bestFeature, bestThreshold, bestFeature >= 0
 }
 
-func weightedGini(left map[string]int, nLeft int, right map[string]int, nRight int) float64 {
-	return (float64(nLeft)*gini(left, nLeft) + float64(nRight)*gini(right, nRight)) /
+func weightedGini(labels []string, left map[string]int, nLeft int, right map[string]int, nRight int) float64 {
+	return (float64(nLeft)*gini(labels, left, nLeft) + float64(nRight)*gini(labels, right, nRight)) /
 		float64(nLeft+nRight)
 }
 
-func gini(counts map[string]int, n int) float64 {
+// gini sums over the sorted labels, not the map: the order of the
+// floating-point subtractions decides near-ties between splits, so it
+// must not change from run to run.
+func gini(labels []string, counts map[string]int, n int) float64 {
 	if n == 0 {
 		return 0
 	}
 	g := 1.0
-	for _, c := range counts {
-		p := float64(c) / float64(n)
+	for _, l := range labels {
+		p := float64(counts[l]) / float64(n)
 		g -= p * p
 	}
 	return g

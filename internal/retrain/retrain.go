@@ -23,8 +23,8 @@
 //     orders runnable work by priority (drift severity × model
 //     staleness), holds a global concurrent-retrain budget, and applies
 //     a per-user cooldown so one noisy user cannot monopolise training
-//     capacity. Mild drift runs the cheap incremental refresh; severe
-//     drift (EWMA at or below SevereLevel) falls back to a cold retrain.
+//     capacity. Every dispatched candidate gets the same retrain: the
+//     server's one training path, on the user's newest windows.
 //
 // The package has no transport or store dependencies; transport.Server
 // owns the wiring (observe on authenticate, persist snapshots, execute
@@ -55,12 +55,6 @@ type Config struct {
 	// the last (re)train before the EWMA is trusted enough to emit a
 	// candidate — the "sustained period" of Fig. 7 (default 20).
 	MinWindows int
-	// SevereLevel splits incremental from cold retrains: a candidate
-	// whose EWMA is at or below it gets a cold retrain (full solve,
-	// standardizer refit), otherwise the cheap incremental refresh.
-	// Default 0 — a non-positive EWMA means the model is actively
-	// failing, not merely stale.
-	SevereLevel float64
 	// Cooldown is the minimum gap between two scheduled retrains of the
 	// same user (default 30m).
 	Cooldown time.Duration
@@ -71,9 +65,9 @@ type Config struct {
 	// MaxQueue bounds the coalesced candidate queue; offers beyond it
 	// are dropped and counted (default 1024).
 	MaxQueue int
-	// RecentWindows is the per-class sample budget of a scheduled
-	// retrain: incremental refreshes fold in at most this many of the
-	// user's freshest windows, and cold retrains use it as MaxPerClass
+	// RecentWindows is the per-context sample budget of a scheduled
+	// retrain: it trains on each coarse context's newest RecentWindows of
+	// the user's windows, against as many impostor windows per context
 	// (default 400, the paper's accuracy/latency sweet spot).
 	RecentWindows int
 	// FlushEvery is how many drift observations may accumulate before

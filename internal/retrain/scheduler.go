@@ -5,13 +5,12 @@ import (
 	"time"
 )
 
-// RetrainFunc executes one scheduled retrain. severe selects the cold
-// path (full solve) over the incremental refresh. Returning ErrBusy
-// means the training pool refused the job; the scheduler requeues the
+// RetrainFunc executes one scheduled retrain. Returning ErrBusy means
+// the training pool refused the job; the scheduler requeues the
 // candidate after a backoff. Any other error counts as a failure and
 // starts the user's cooldown so a persistently failing user cannot spin
 // the scheduler.
-type RetrainFunc func(c Candidate, severe bool) error
+type RetrainFunc func(c Candidate) error
 
 // OfferOutcome reports what the scheduler did with an offered candidate.
 type OfferOutcome int
@@ -44,9 +43,6 @@ type Counters struct {
 	QueueDrops uint64
 	// BudgetRejected counts dispatch attempts the training pool refused.
 	BudgetRejected uint64
-	// Incremental and Cold count completed retrains by kind.
-	Incremental uint64
-	Cold        uint64
 	// Completed counts all successful scheduled retrains.
 	Completed uint64
 	// Failures counts scheduled retrains that returned an error.
@@ -168,18 +164,13 @@ func (s *Scheduler) next() (Candidate, bool) {
 // finish records the outcome of one dispatched candidate. A busy pool
 // requeues (after the worker's backoff); success and failure both start
 // the user's cooldown.
-func (s *Scheduler) finish(c Candidate, severe bool, err error) {
+func (s *Scheduler) finish(c Candidate, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.inFlight, c.User)
 	switch {
 	case err == nil:
 		s.counters.Completed++
-		if severe {
-			s.counters.Cold++
-		} else {
-			s.counters.Incremental++
-		}
 		s.cooldown[c.User] = s.now().Add(s.cfg.Cooldown)
 	case err == ErrBusy:
 		s.counters.BudgetRejected++
@@ -202,8 +193,7 @@ func (s *Scheduler) worker() {
 		if !ok {
 			return
 		}
-		severe := c.EWMA <= s.cfg.SevereLevel
-		err := s.run(c, severe)
+		err := s.run(c)
 		if err == ErrBusy {
 			// Let the pool drain before contending for a slot again.
 			select {
@@ -211,7 +201,7 @@ func (s *Scheduler) worker() {
 			case <-s.done:
 			}
 		}
-		s.finish(c, severe, err)
+		s.finish(c, err)
 	}
 }
 

@@ -22,7 +22,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestSchedulerRunsCandidateAndAppliesCooldown(t *testing.T) {
 	var runs atomic.Int64
-	s := NewScheduler(Config{Budget: 1, Cooldown: time.Hour}, func(c Candidate, severe bool) error {
+	s := NewScheduler(Config{Budget: 1, Cooldown: time.Hour}, func(c Candidate) error {
 		runs.Add(1)
 		return nil
 	})
@@ -46,7 +46,7 @@ func TestSchedulerRunsCandidateAndAppliesCooldown(t *testing.T) {
 func TestSchedulerCoalescesDuplicates(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan string, 8)
-	s := NewScheduler(Config{Budget: 1, Cooldown: time.Hour}, func(c Candidate, severe bool) error {
+	s := NewScheduler(Config{Budget: 1, Cooldown: time.Hour}, func(c Candidate) error {
 		started <- c.User
 		<-release
 		return nil
@@ -85,7 +85,7 @@ func TestSchedulerPrefersHighestPriority(t *testing.T) {
 	release := make(chan struct{})
 	var order []string
 	var mu sync.Mutex
-	s := NewScheduler(Config{Budget: 1, Cooldown: time.Hour}, func(c Candidate, severe bool) error {
+	s := NewScheduler(Config{Budget: 1, Cooldown: time.Hour}, func(c Candidate) error {
 		mu.Lock()
 		order = append(order, c.User)
 		mu.Unlock()
@@ -111,35 +111,9 @@ func TestSchedulerPrefersHighestPriority(t *testing.T) {
 	}
 }
 
-func TestSchedulerSevereSelectsColdPath(t *testing.T) {
-	type run struct {
-		user   string
-		severe bool
-	}
-	runs := make(chan run, 2)
-	s := NewScheduler(Config{Budget: 1, SevereLevel: 0, Cooldown: time.Hour}, func(c Candidate, severe bool) error {
-		runs <- run{c.User, severe}
-		return nil
-	})
-	defer s.Close()
-
-	s.Offer(Candidate{User: "mild", EWMA: 0.1})
-	if r := <-runs; r.severe {
-		t.Fatalf("EWMA 0.1 above SevereLevel dispatched cold")
-	}
-	s.Offer(Candidate{User: "collapsed", EWMA: -0.3})
-	if r := <-runs; !r.severe {
-		t.Fatalf("EWMA -0.3 at/below SevereLevel dispatched incremental")
-	}
-	c := s.Counters()
-	if c.Incremental != 1 || c.Cold != 1 {
-		t.Fatalf("counters = %+v, want 1 incremental + 1 cold", c)
-	}
-}
-
 func TestSchedulerBusyRequeuesWithBackoff(t *testing.T) {
 	var calls atomic.Int64
-	s := NewScheduler(Config{Budget: 1, Cooldown: time.Hour, BusyBackoff: 5 * time.Millisecond}, func(c Candidate, severe bool) error {
+	s := NewScheduler(Config{Budget: 1, Cooldown: time.Hour, BusyBackoff: 5 * time.Millisecond}, func(c Candidate) error {
 		if calls.Add(1) == 1 {
 			return ErrBusy
 		}
@@ -160,7 +134,7 @@ func TestSchedulerBusyRequeuesWithBackoff(t *testing.T) {
 
 func TestSchedulerFailureStartsCooldown(t *testing.T) {
 	boom := errors.New("boom")
-	s := NewScheduler(Config{Budget: 1, Cooldown: time.Hour}, func(c Candidate, severe bool) error {
+	s := NewScheduler(Config{Budget: 1, Cooldown: time.Hour}, func(c Candidate) error {
 		return boom
 	})
 	defer s.Close()
@@ -173,7 +147,7 @@ func TestSchedulerFailureStartsCooldown(t *testing.T) {
 
 func TestSchedulerQueueFullSheds(t *testing.T) {
 	release := make(chan struct{})
-	s := NewScheduler(Config{Budget: 1, MaxQueue: 2, Cooldown: time.Hour}, func(c Candidate, severe bool) error {
+	s := NewScheduler(Config{Budget: 1, MaxQueue: 2, Cooldown: time.Hour}, func(c Candidate) error {
 		<-release
 		return nil
 	})
@@ -197,7 +171,7 @@ func TestSchedulerQueueFullSheds(t *testing.T) {
 // -race via make race-retrain.
 func TestRetrainSchedulerHammer(t *testing.T) {
 	var busyFlip atomic.Int64
-	s := NewScheduler(Config{Budget: 4, Cooldown: time.Millisecond, BusyBackoff: time.Millisecond, MinWindows: 1}, func(c Candidate, severe bool) error {
+	s := NewScheduler(Config{Budget: 4, Cooldown: time.Millisecond, BusyBackoff: time.Millisecond, MinWindows: 1}, func(c Candidate) error {
 		if busyFlip.Add(1)%7 == 0 {
 			return ErrBusy
 		}

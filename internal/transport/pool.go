@@ -26,9 +26,7 @@ type trainJob struct {
 	// scheduler-initiated job (the drift monitor only ever sees
 	// pseudonyms, so there is no raw id to anonymize).
 	anon string
-	// incremental selects core.RefreshBundle over a cold core.Train.
-	incremental bool
-	// recent bounds the job to the user's newest windows (0: all).
+	// recent bounds the job to each context's newest windows (0: all).
 	recent int
 }
 

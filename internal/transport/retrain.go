@@ -11,12 +11,12 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"sync/atomic"
 	"time"
 
 	"smarteryou/internal/core"
-	"smarteryou/internal/features"
 	"smarteryou/internal/retrain"
 	"smarteryou/internal/store"
 )
@@ -81,12 +81,10 @@ type RetrainStats struct {
 	QueueDrops    uint64 `json:"queue_drops"`
 	// BudgetRejected counts dispatches the training pool refused.
 	BudgetRejected uint64 `json:"budget_rejected"`
-	// Incremental and Cold count completed scheduled retrains by kind;
-	// Completed is their sum, Failures the errored ones.
-	Incremental uint64 `json:"incremental"`
-	Cold        uint64 `json:"cold"`
-	Completed   uint64 `json:"completed"`
-	Failures    uint64 `json:"failures"`
+	// Completed counts finished scheduled retrains, Failures the errored
+	// ones.
+	Completed uint64 `json:"completed"`
+	Failures  uint64 `json:"failures"`
 	// Deferred counts candidates left for the user's shard owner.
 	Deferred uint64 `json:"deferred,omitempty"`
 	// Flushes counts drift-state checkpoints written to the registry.
@@ -219,101 +217,45 @@ func (s *Server) flushDriftState() {
 }
 
 // runScheduledRetrain executes one scheduler-dispatched retrain through
-// the shared training pool. Mild drift takes the incremental refresh
-// (bounded recent windows, previous standardizer reused — cost
-// independent of history and population size); severe drift falls back
-// to a cold core.Train with RecentWindows as the per-class cap. A full
-// pool returns retrain.ErrBusy so the scheduler backs off and requeues
-// instead of dropping the candidate.
-func (s *Server) runScheduledRetrain(c retrain.Candidate, severe bool) error {
+// the shared training pool. It is the train a client would request, on
+// each context's newest RecentWindows windows against as many impostor
+// windows per context, in the serving model's mode. The seed comes from
+// the pseudonym and the version being replaced, so the same store always
+// publishes the same bundle. A full pool returns retrain.ErrBusy so the
+// scheduler backs off and requeues instead of dropping the candidate.
+func (s *Server) runScheduledRetrain(c retrain.Candidate) error {
 	anon := c.User
-	bundle, err := s.currentBundle(anon)
+	version, _, err := s.persist.LatestModelHash(anon)
+	var bundle *core.ModelBundle
+	if err == nil {
+		bundle, err = s.currentBundle(anon)
+	}
 	if err != nil {
 		s.logf("scheduled retrain %s: current model: %v", anon, err)
 		return fmt.Errorf("retrain %s: current model: %w", anon, err)
 	}
+	seed := fnv.New64a()
+	fmt.Fprintf(seed, "%s/%d", anon, version)
 	job := trainJob{
 		req: trainRequest{UserID: anon, TrainParams: TrainParams{
 			Mode:        bundle.Mode,
 			MaxPerClass: s.drift.cfg.RecentWindows,
-			Seed:        time.Now().UnixNano(),
+			Seed:        int64(seed.Sum64()),
 		}},
-		anon:        anon,
-		incremental: !severe,
-		recent:      s.drift.cfg.RecentWindows,
-		done:        make(chan trainResult, 1),
+		anon:   anon,
+		recent: s.drift.cfg.RecentWindows,
+		done:   make(chan trainResult, 1),
 	}
 	if !s.pool.trySubmit(job) {
 		return retrain.ErrBusy
 	}
 	res := <-job.done
 	if res.err != nil {
-		s.logf("scheduled retrain %s (severe=%v): %v", anon, severe, res.err)
+		s.logf("scheduled retrain %s: %v", anon, res.err)
 		return res.err
 	}
-	kind := "incremental"
-	if severe {
-		kind = "cold"
-	}
-	s.logf("scheduled retrain %s: %s, ewma %.3f over %d windows, version %d", anon, kind, c.EWMA, c.Windows, res.version)
+	s.logf("scheduled retrain %s: ewma %.3f over %d windows, version %d", anon, c.EWMA, c.Windows, res.version)
 	return nil
-}
-
-// refresh is the incremental retrain path: rebuild the user's bundle
-// from their newest windows around the previous model's standardizer
-// (core.RefreshBundle). Unlike train it copies O(sample budget) windows,
-// never the whole impostor population.
-func (s *Server) refresh(anon string, req trainRequest, recent int) (*core.ModelBundle, error) {
-	prev, err := s.currentBundle(anon)
-	if err != nil {
-		return nil, fmt.Errorf("refresh: previous model of %s: %w", anon, err)
-	}
-	legit := tailWindows(s.persist.UserWindows(anon), recent)
-	if len(legit) == 0 {
-		return nil, fmt.Errorf("refresh: user %s has no enrolled data", anon)
-	}
-	impostor := s.sampleImpostors(anon, 2*max(recent, len(legit)))
-	if len(impostor) == 0 {
-		return nil, fmt.Errorf("refresh: population store has no other users")
-	}
-	return core.RefreshBundle(prev, legit, impostor, core.RefreshConfig{
-		RecentWindows: recent,
-		TargetFRR:     req.TargetFRR,
-	})
-}
-
-// sampleImpostors draws a bounded, evenly spread impostor sample: a
-// per-user quota of evenly strided windows, so every other user and both
-// coarse contexts are represented without copying (or shuffling) the
-// full population.
-func (s *Server) sampleImpostors(anon string, budget int) []features.WindowSample {
-	pop := s.persist.PopulationView()
-	delete(pop, anon)
-	others := 0
-	for _, samples := range pop {
-		if len(samples) > 0 {
-			others++
-		}
-	}
-	if others == 0 || budget <= 0 {
-		return nil
-	}
-	quota := budget / others
-	if quota < 1 {
-		quota = 1
-	}
-	out := make([]features.WindowSample, 0, budget+others)
-	for _, samples := range pop {
-		if len(samples) <= quota {
-			out = append(out, samples...)
-			continue
-		}
-		step := float64(len(samples)) / float64(quota)
-		for i := 0; i < quota; i++ {
-			out = append(out, samples[int(float64(i)*step)])
-		}
-	}
-	return out
 }
 
 // driftStates serves the TypeDriftState request from the monitor: one
@@ -378,8 +320,6 @@ func (s *Server) driftStats() *RetrainStats {
 		CooldownSkips:  c.CooldownSkips,
 		QueueDrops:     c.QueueDrops,
 		BudgetRejected: c.BudgetRejected,
-		Incremental:    c.Incremental,
-		Cold:           c.Cold,
 		Completed:      c.Completed,
 		Failures:       c.Failures,
 		Deferred:       d.deferred.Load(),

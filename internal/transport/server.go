@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"smarteryou/internal/ctxdetect"
 	"smarteryou/internal/features"
 	"smarteryou/internal/retrain"
+	"smarteryou/internal/sensing"
 	"smarteryou/internal/store"
 )
 
@@ -739,25 +741,17 @@ func (s *Server) dispatch(env Envelope) Envelope {
 	}
 }
 
-// runTrainJob executes one pooled training job end to end: train (cold or
-// incremental), publish to the registry, and cache the bundle for
-// server-side authentication. A successful publish also resets the user's
-// drift state — whoever initiated the retrain, the model now reflects
-// recent behaviour.
+// runTrainJob executes one pooled training job end to end: train,
+// publish to the registry, and cache the bundle for server-side
+// authentication. A successful publish also resets the user's drift state
+// — whoever initiated the retrain, the model now reflects recent
+// behaviour.
 func (s *Server) runTrainJob(job trainJob) trainResult {
 	anon := job.anon
 	if anon == "" {
 		anon = anonymize(job.req.UserID)
 	}
-	var (
-		bundle *core.ModelBundle
-		err    error
-	)
-	if job.incremental {
-		bundle, err = s.refresh(anon, job.req, job.recent)
-	} else {
-		bundle, err = s.train(anon, job.req, job.recent)
-	}
+	bundle, err := s.train(anon, job.req, job.recent)
 	if err != nil {
 		return trainResult{err: err}
 	}
@@ -888,35 +882,22 @@ func (s *Server) authenticateBatch(req batchAuthRequest) (batchAuthResponse, err
 	return resp, nil
 }
 
-// tailWindows keeps the newest n windows (all of them when n <= 0).
-func tailWindows(w []features.WindowSample, n int) []features.WindowSample {
-	if n > 0 && len(w) > n {
-		return w[len(w)-n:]
-	}
-	return w
-}
+// coarseContexts is the fixed order every per-context walk takes.
+var coarseContexts = [...]sensing.CoarseContext{sensing.CoarseStationary, sensing.CoarseMoving}
 
-// train runs the training module for one user: positives are the user's
-// stored windows (optionally only the newest `recent` of them, for
-// scheduled cold retrains that should track current behaviour), negatives
-// are every other (anonymized) user's.
+// train runs the training module for one user. It is the one way the
+// server builds a model, for client trains and scheduled retrains alike:
+// positives are the user's stored windows (each context's newest `recent`
+// of them when recent > 0), negatives the impostor sample of MaxPerClass
+// windows per context (every other user's windows when 0).
 func (s *Server) train(anon string, req trainRequest, recent int) (*core.ModelBundle, error) {
-	legit := tailWindows(s.persist.UserWindows(anon), recent)
+	legit := recentPerContext(s.persist.UserWindows(anon), recent)
 	if len(legit) == 0 {
 		return nil, fmt.Errorf("train: user %s has no enrolled data", req.UserID)
 	}
-	pop := s.persist.PopulationView()
-	delete(pop, anon)
-	n := 0
-	for _, samples := range pop {
-		n += len(samples)
-	}
-	if n == 0 {
+	impostor := s.impostors(anon, req.MaxPerClass)
+	if len(impostor) == 0 {
 		return nil, fmt.Errorf("train: population store has no other users")
-	}
-	impostor := make([]features.WindowSample, 0, n)
-	for _, samples := range pop {
-		impostor = append(impostor, samples...)
 	}
 	return core.Train(legit, impostor, core.TrainConfig{
 		Mode:        req.Mode,
@@ -925,4 +906,86 @@ func (s *Server) train(anon string, req trainRequest, recent int) (*core.ModelBu
 		TargetFRR:   req.TargetFRR,
 		Seed:        req.Seed,
 	})
+}
+
+// recentPerContext keeps each coarse context's newest n windows, in
+// stored order (all of them when n <= 0), so a retrain that follows
+// current behaviour never drops a context the user has stopped visiting.
+func recentPerContext(w []features.WindowSample, n int) []features.WindowSample {
+	if n <= 0 {
+		return w
+	}
+	kept := make(map[sensing.CoarseContext]int, len(coarseContexts))
+	out := make([]features.WindowSample, 0, min(len(w), len(coarseContexts)*n))
+	for i := len(w) - 1; i >= 0; i-- {
+		if c := w[i].Context.Coarse(); kept[c] < n {
+			kept[c]++
+			out = append(out, w[i])
+		}
+	}
+	slices.Reverse(out)
+	return out
+}
+
+// impostors gathers the impostor sample of one train from every user but
+// anon, walked in sorted pseudonym order so that the same store always
+// yields the same sample in the same order. With perContext > 0 it takes
+// ⌈perContext/users⌉ evenly strided windows of each coarse context from
+// each user: a train then costs what its sample costs, not what the
+// population does, and both contexts are present even when every user's
+// windows are blocked by context.
+func (s *Server) impostors(anon string, perContext int) []features.WindowSample {
+	pop := s.persist.PopulationView()
+	delete(pop, anon)
+	ids := make([]string, 0, len(pop))
+	total := 0
+	for id, w := range pop {
+		if len(w) > 0 {
+			ids = append(ids, id)
+			total += len(w)
+		}
+	}
+	if len(ids) == 0 {
+		return nil
+	}
+	slices.Sort(ids)
+	if perContext <= 0 {
+		out := make([]features.WindowSample, 0, total)
+		for _, id := range ids {
+			out = append(out, pop[id]...)
+		}
+		return out
+	}
+	quota := (perContext + len(ids) - 1) / len(ids)
+	out := make([]features.WindowSample, 0, min(total, len(coarseContexts)*quota*len(ids)))
+	for _, id := range ids {
+		for _, c := range coarseContexts {
+			out = appendStrided(out, pop[id], c, quota)
+		}
+	}
+	return out
+}
+
+// appendStrided appends up to n evenly strided windows of context c from
+// w, in stored order.
+func appendStrided(out, w []features.WindowSample, c sensing.CoarseContext, n int) []features.WindowSample {
+	have := 0
+	for i := range w {
+		if w[i].Context.Coarse() == c {
+			have++
+		}
+	}
+	n = min(n, have)
+	// The k-th pick is the (k·have/n)-th window of context c.
+	for i, seen, k := 0, 0, 0; k < n; i++ {
+		if w[i].Context.Coarse() != c {
+			continue
+		}
+		if seen == k*have/n {
+			out = append(out, w[i])
+			k++
+		}
+		seen++
+	}
+	return out
 }

@@ -249,7 +249,7 @@ func TestServerAnonymizesPopulation(t *testing.T) {
 	if err := srv.SeedPopulation(byUser); err != nil {
 		t.Fatalf("SeedPopulation: %v", err)
 	}
-	for anonID, samples := range srv.persist.PopulationView() {
+	for anonID, samples := range srv.persist.Population() {
 		if anonID == "user-00" || anonID == "user-01" {
 			t.Errorf("store key %q leaks a real user id", anonID)
 		}
@@ -381,7 +381,7 @@ func TestStatsReportPersistenceState(t *testing.T) {
 	if stats.Users != 2 || stats.Windows == 0 {
 		t.Errorf("stats population = %d users / %d windows, want 2 users", stats.Users, stats.Windows)
 	}
-	pop, popWindows := st.PopulationView(), 0
+	pop, popWindows := st.Population(), 0
 	for _, samples := range pop {
 		popWindows += len(samples)
 	}
