@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas bench-fleet race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark check-examples check-determinism paper-snapshot
+.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas race-pool race-replication race-retrain race-cas race-cluster check-benchmark check-examples check-determinism paper-snapshot
 
-check: build vet fmt race race-pool race-replication race-retrain race-cas race-cluster check-scenarios check-benchmark check-examples check-determinism
+check: build vet fmt race race-pool race-replication race-retrain race-cas race-cluster check-benchmark check-examples check-determinism
 
 build:
 	$(GO) build ./...
@@ -26,8 +26,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over every fuzz target (wire protocol + WAL decoder +
-# binary codec).
+# Short fuzz pass over every fuzz target: WAL, snapshot and CAS decoders,
+# wire and replication frames, drift states, the shard map, and the KRR
+# and decision-tree decoders that read model bundles from the registry
+# and from fetch-model.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/store/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeBinaryPayload -fuzztime=10s ./internal/store/
@@ -41,8 +43,9 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzBatchAuthPayload -fuzztime=10s ./internal/transport/
 	$(GO) test -run=Fuzz -fuzz=FuzzReplFrame -fuzztime=10s ./internal/replication/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeDriftStates -fuzztime=10s ./internal/retrain/
-	$(GO) test -run=Fuzz -fuzz=FuzzScenarioConfig -fuzztime=10s ./internal/fleet/
 	$(GO) test -run=Fuzz -fuzz=FuzzShardMap -fuzztime=10s ./internal/cluster/
+	$(GO) test -run=Fuzz -fuzz=FuzzKRRUnmarshal -fuzztime=10s ./internal/ml/
+	$(GO) test -run=Fuzz -fuzz=FuzzTreeUnmarshal -fuzztime=10s ./internal/ml/
 
 # Line delta of the working tree (staged, unstaged and committed) against
 # BASE, split the way CHANGES.md reports it: product .go (non-test, outside
@@ -126,10 +129,13 @@ race-cas:
 # invariant all execute with full instrumentation — then race the owner's
 # death and the survivor's takeover. TestTakeOverDeadOwner pins the
 # takeover verb itself (refused against a live owner, lossless for
-# converged writes, ex-owner rejoins as a replica). Pinned by name like
-# race-pool.
+# converged writes, ex-owner rejoins as a replica).
+# TestServedWritesSurviveHandoffAndTakeOver does both over the wire: routed
+# clients chase redirects and sealed-shard busies through a handoff and a
+# takeover on a 3-node served cluster, and no acked enroll is lost.
+# Pinned by name like race-pool.
 race-cluster:
-	$(GO) test -race -run='TestHandoffUnderConcurrentWrites|TestTakeOverDeadOwner' ./internal/cluster/
+	$(GO) test -race -run='TestHandoffUnderConcurrentWrites|TestTakeOverDeadOwner|TestServedWritesSurviveHandoffAndTakeOver' ./internal/cluster/
 
 # Follower catch-up throughput: a cold follower replaying a seeded
 # leader's log over TCP. Baseline lives in BENCH_store.json.
@@ -152,15 +158,6 @@ bench-cluster:
 bench-cas:
 	$(GO) test -run=xxx -bench=BenchmarkCASDedupKeepLast5 -benchtime=10x ./internal/store/
 	$(GO) test -run=xxx -bench=BenchmarkDeltaCatchUp -benchtime=50x ./internal/replication/
-
-# Scenario regression suite under the race detector: every shipped
-# profile in scenarios/ runs at smoke scale (200-identity fleet, 30 s op
-# budget) against an in-process topology — the two-node cluster layout
-# loses its shard owner mid-run and the replica takes over, the three-node
-# one rebalances shard ownership onto a spare node mid-run — and must hold
-# its SLO. Pinned by name like race-pool.
-check-scenarios:
-	$(GO) test -race -run='TestScenarioSmoke|TestFailoverUnderLoad|TestRebalanceUnderLoad' ./internal/fleet/
 
 # The benchmark is its own module (benchmark/go.mod, replace smarteryou =>
 # ../), invisible to `go build ./...` and `go test ./...` above — so a
@@ -201,14 +198,3 @@ check-determinism:
 # at in EXPERIMENTS.md.
 paper-snapshot:
 	$(GO) run ./cmd/experiments -run all -time=false > results_paper_scale.txt
-
-# Fleet-scale load benchmark: replays every shipped scenario through
-# cmd/loadgen and refreshes BENCH_fleet.json. The profiles carry full
-# fleet sizes (1e5..2.5e5 identities); FLEET_USERS/FLEET_DURATION scale
-# the run so the default completes in minutes — raise them for a
-# long-form run (e.g. FLEET_USERS=200000 FLEET_DURATION=60).
-FLEET_USERS ?= 4000
-FLEET_DURATION ?= 20
-bench-fleet:
-	$(GO) run ./cmd/loadgen -scenarios scenarios -out BENCH_fleet.json \
-		-users $(FLEET_USERS) -duration $(FLEET_DURATION)

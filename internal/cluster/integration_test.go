@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,6 +81,43 @@ func (cs *clusterServer) kill() {
 		_ = cs.node.Close()
 		_ = cs.st.Close()
 	})
+}
+
+// drainAndKill is kill in the order that loses no acked write: the client
+// listener closes first, so every enroll the node acked is in its log; the
+// survivors' cursors then catch up with that log; only then do the node
+// and its store go away. It reports survivors that never caught up.
+func (cs *clusterServer) drainAndKill(survivors ...*clusterServer) error {
+	err := errors.New("node already killed")
+	cs.killOnce.Do(func() {
+		_ = cs.srv.Close()
+		err = awaitCursors(cs.st.ShardLastSeqs(), survivors, 10*time.Second)
+		_ = cs.node.Close()
+		_ = cs.st.Close()
+	})
+	return err
+}
+
+// awaitCursors polls until every survivor's per-shard cursors reach want.
+func awaitCursors(want []uint64, survivors []*clusterServer, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for _, cs := range survivors {
+		for {
+			got := cs.st.ShardLastSeqs()
+			caught := len(got) == len(want)
+			for i := 0; caught && i < len(want); i++ {
+				caught = got[i] >= want[i]
+			}
+			if caught {
+				break
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("survivor %s stuck at cursors %v, want %v", cs.addr, got, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	return nil
 }
 
 // startServedCluster brings up count full nodes — store + cluster node
@@ -332,5 +371,179 @@ func TestClusterPartitionsWrites(t *testing.T) {
 	}
 	if re.Leader != owner.addr {
 		t.Fatalf("redirect to %q, want %q", re.Leader, owner.addr)
+	}
+}
+
+// TestServedWritesSurviveHandoffAndTakeOver moves shard ownership twice
+// under routed wire traffic — a live handoff, then the new owner's death
+// and a takeover — and checks what a client sees: routed writers chase
+// redirects and sealed-shard busies to each new owner and keep getting
+// acks, no acked enroll goes missing, node 1's per-shard sequences have no
+// gap, and a reader authenticating against node 1 throughout never fails.
+func TestServedWritesSurviveHandoffAndTakeOver(t *testing.T) {
+	_, pop := buildFixture(t)
+	servers := startServedCluster(t, 3, 6, store.Options{NoSync: true, SnapshotEvery: -1}, nil)
+	n0, n1, n2 := servers[0], servers[1], servers[2]
+
+	ids := make([]string, 0, len(pop))
+	for id := range pop {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	reader := ids[0]
+	setup := routedClient(t, n1.addr)
+	for _, id := range ids {
+		if _, err := setup.Enroll(id, pop[id]); err != nil {
+			t.Fatalf("Enroll(%s): %v", id, err)
+		}
+	}
+	if _, _, err := setup.TrainVersioned(reader, transport.TrainParams{Seed: 1}); err != nil {
+		t.Fatalf("TrainVersioned(%s): %v", reader, err)
+	}
+	waitMeshConverged(t, meshOf(servers...))
+
+	const writers = 4
+	var (
+		acks      [writers]atomic.Int64
+		acked     sync.Map // user -> struct{}
+		authOK    atomic.Int64
+		authErrs  atomic.Int64
+		firstAuth atomic.Value
+		wg        sync.WaitGroup
+		stopOnce  sync.Once
+	)
+	stop := make(chan struct{})
+	// stopTraffic is deferred, so a t.Fatalf below stops the writers and
+	// the reader before the test returns.
+	stopTraffic := func() {
+		stopOnce.Do(func() { close(stop) })
+		wg.Wait()
+	}
+	defer stopTraffic()
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+
+	for w := 0; w < writers; w++ {
+		// Maps are fetched from a survivor, so a refresh still answers once
+		// node 2 is dead.
+		c := routedClient(t, servers[w%2].addr)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; !stopped(); i++ {
+				user := fmt.Sprintf("w%d-user-%04d", w, i)
+				src := ids[i%len(ids)]
+				deadline := time.Now().Add(15 * time.Second)
+				for {
+					_, err := c.Enroll(user, pop[src])
+					if err == nil {
+						acked.Store(user, struct{}{})
+						acks[w].Add(1)
+						break
+					}
+					// A dead owner refuses connections until the takeover
+					// publishes a map without it.
+					if stopped() {
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Errorf("writer %d: enroll %s: %v", w, user, err)
+						return
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+			}
+		}(w)
+	}
+	rc := plainClient(t, n1.addr)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		window := pop[reader][0]
+		for !stopped() {
+			if _, err := rc.Authenticate(reader, window); err != nil {
+				firstAuth.CompareAndSwap(nil, err.Error())
+				authErrs.Add(1)
+				continue
+			}
+			authOK.Add(1)
+		}
+	}()
+
+	// awaitAcks waits for every writer to be acked after what just happened.
+	awaitAcks := func(after string) {
+		t.Helper()
+		var base [writers]int64
+		for w := range base {
+			base[w] = acks[w].Load()
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for w := range base {
+			for acks[w].Load() <= base[w] {
+				if time.Now().After(deadline) {
+					t.Fatalf("writer %d got no ack after %s", w, after)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	awaitAcks("the start")
+
+	// 1. Live handoff: node 2 takes node 0's shards.
+	if err := n2.node.AcquireShards(n0.node.Map().OwnedBy(0), 10*time.Second); err != nil {
+		t.Fatalf("AcquireShards: %v", err)
+	}
+	awaitAcks("node 2 acquired node 0's shards")
+
+	// 2. Node 2, now the owner of four shards, is drained and dies.
+	if err := n2.drainAndKill(n0, n1); err != nil {
+		t.Fatalf("drain node 2: %v", err)
+	}
+	// 3. Node 1 takes the dead node's shards over.
+	if err := n1.node.TakeOver(time.Second); err != nil {
+		t.Fatalf("TakeOver: %v", err)
+	}
+	awaitAcks("node 1 took over node 2's shards")
+	stopTraffic()
+
+	if n := authErrs.Load(); n != 0 {
+		t.Errorf("reader saw %d authenticate errors against node 1 (first: %v)", n, firstAuth.Load())
+	}
+	if authOK.Load() == 0 {
+		t.Error("reader completed no authenticate")
+	}
+	waitMeshConverged(t, meshOf(n0, n1))
+	pops := []map[string][]features.WindowSample{n0.st.Population(), n1.st.Population()}
+	users := 0
+	acked.Range(func(user, _ any) bool {
+		users++
+		anon := transport.AnonymizeUser(user.(string))
+		for i, p := range pops {
+			if len(p[anon]) == 0 {
+				t.Errorf("%s: acked, missing on live node %d", user, i)
+			}
+		}
+		return true
+	})
+	t.Logf("%d acked enrolls; reader: %d authenticates", users, authOK.Load())
+	for shard, last := range n1.st.ShardLastSeqs() {
+		recs, err := n1.st.ShardRecordsSince(shard, 0)
+		if err != nil {
+			t.Fatalf("shard %d log: %v", shard, err)
+		}
+		for i, r := range recs {
+			if r.Seq != uint64(i+1) {
+				t.Fatalf("node 1 shard %d record %d has sequence %d, want %d", shard, i, r.Seq, i+1)
+			}
+		}
+		if uint64(len(recs)) != last {
+			t.Fatalf("node 1 shard %d log holds %d records, cursor says %d", shard, len(recs), last)
+		}
 	}
 }

@@ -120,18 +120,23 @@ func (t *DecisionTree) UnmarshalJSON(data []byte) error {
 		t.root = nil
 		return nil
 	}
+	// Each node may be reached once: that rules out cycles, and shared
+	// children, which would rebuild a subtree once per path to it.
+	used := make([]bool, len(m.Nodes))
 	var build func(idx int) (*treeNode, error)
 	build = func(idx int) (*treeNode, error) {
 		if idx < 0 || idx >= len(m.Nodes) {
 			return nil, fmt.Errorf("ml: tree node index %d out of range", idx)
 		}
+		if used[idx] {
+			return nil, fmt.Errorf("ml: tree node %d referenced twice", idx)
+		}
+		used[idx] = true
 		e := m.Nodes[idx]
 		n := &treeNode{feature: e.Feature, threshold: e.Threshold, label: e.Label}
 		if e.Feature >= 0 {
-			// Children always follow their parent in the flattened array,
-			// which rules out cycles.
-			if e.Left <= idx || e.Right <= idx {
-				return nil, fmt.Errorf("ml: tree node %d has non-forward child", idx)
+			if e.Feature >= m.NDim {
+				return nil, fmt.Errorf("ml: tree node %d splits on feature %d of a %d-feature model", idx, e.Feature, m.NDim)
 			}
 			var err error
 			if n.left, err = build(e.Left); err != nil {

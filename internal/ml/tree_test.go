@@ -294,4 +294,16 @@ func TestTreeUnmarshalRejectsCycles(t *testing.T) {
 	if err := json.Unmarshal([]byte(outOfRange), &tree); err == nil {
 		t.Errorf("out-of-range child index should fail to decode")
 	}
+	// Both children are node 1: a chain of such nodes would rebuild the
+	// shared subtree once per path, 2^n times.
+	shared := `{"dim":1,"labels":["a"],"nodes":[{"f":0,"t":0.5,"l":1,"r":1},{"f":-1,"lab":"a"}]}`
+	if err := json.Unmarshal([]byte(shared), &tree); err == nil {
+		t.Errorf("shared child should fail to decode")
+	}
+	// Splitting on feature 1 of a one-feature model indexed past the
+	// input vector in PredictClass.
+	badFeature := `{"dim":1,"labels":["a"],"nodes":[{"f":1,"t":0.5,"l":1,"r":2},{"f":-1,"lab":"a"},{"f":-1,"lab":"a"}]}`
+	if err := json.Unmarshal([]byte(badFeature), &tree); err == nil {
+		t.Errorf("split on a feature past dim should fail to decode")
+	}
 }

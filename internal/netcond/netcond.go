@@ -1,18 +1,17 @@
 // Package netcond conditions TCP flows with configurable network
 // pathologies — propagation delay (fixed, jittered, or
 // distribution-sampled), packet loss, reordering, and bandwidth caps — so
-// that the loopback transport used by tests and the load harness behaves
-// like the real device–cloud channels of the paper's architecture: a
-// flaky Bluetooth watch link, a phone on a congested WAN, a follower
-// replica on another continent.
+// that a loopback transport behaves like the real device–cloud channels
+// of the paper's architecture: a flaky Bluetooth watch link, a phone on a
+// congested WAN, a follower replica on another continent.
 //
 // The protocol runs over TCP, so loss and reordering never corrupt the
 // byte stream; they surface the way TCP surfaces them to an application —
 // as latency. A lost segment costs a retransmission timeout, a reordered
 // segment stalls delivery behind the gap it left, and a capped link paces
 // bytes at the configured rate. Each wrapped connection ("flow") draws its
-// randomness from its own seeded generator, so a scenario replays
-// identically for a given root seed.
+// randomness from its own seeded generator, so a run replays identically
+// for a given root seed.
 package netcond
 
 import (
@@ -24,7 +23,7 @@ import (
 
 // Config declares one direction-symmetric set of link conditions. The
 // zero value means "perfect link" and wrapping with it is a pass-through.
-// Config is what scenario files embed; it is JSON-friendly.
+// Config is JSON-friendly.
 type Config struct {
 	// DelayMs is the one-way propagation delay in milliseconds applied to
 	// the request path, and again to the first byte of the response — so a

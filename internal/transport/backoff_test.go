@@ -36,12 +36,15 @@ func TestBusyPolicyBackoff(t *testing.T) {
 	})
 
 	t.Run("zero means default", func(t *testing.T) {
-		p := newBusyPolicy(0, 0)
-		if p.retries != 3 {
-			t.Fatalf("default retries = %d, want 3", p.retries)
+		c, err := NewClient(ClientConfig{Addr: "127.0.0.1:1", Key: []byte("k")})
+		if err != nil {
+			t.Fatalf("NewClient: %v", err)
 		}
-		if p.cap != 8*time.Second {
-			t.Fatalf("default cap = %v, want 8s", p.cap)
+		if c.retry.retries != 3 {
+			t.Fatalf("default retries = %d, want 3", c.retry.retries)
+		}
+		if c.retry.cap != 8*time.Second {
+			t.Fatalf("cap = %v, want 8s", c.retry.cap)
 		}
 	})
 

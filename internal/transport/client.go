@@ -94,8 +94,8 @@ func (p *connPool) drain() {
 }
 
 // DialFunc establishes one client connection within timeout. Overriding
-// it injects link conditioning (netcond.Dialer) or custom routing under
-// the client without touching the protocol.
+// it wraps or counts the client's connections (the benchmark meters bytes
+// and syscalls this way) without touching the protocol.
 type DialFunc func(network, addr string, timeout time.Duration) (net.Conn, error)
 
 // ClientConfig configures a client.
@@ -109,25 +109,27 @@ type ClientConfig struct {
 	// delay").
 	Timeout time.Duration
 	// Dial overrides how connections are established (default
-	// net.DialTimeout). The load harness uses this to route traffic
-	// through simulated network conditions.
+	// net.DialTimeout).
 	Dial DialFunc
 	// BusyRetries caps how many times a busy response (saturated training
 	// pool, full retrain queue) is retried before the BusyError surfaces.
-	// 0 means the default of 3; negative disables retries entirely.
+	// 0 means the default of 3; negative disables retries entirely. The
+	// first retry honors the server's hint exactly; each further retry
+	// doubles it, up to 8 s.
 	BusyRetries int
-	// MaxBusyBackoff caps the exponential backoff between busy retries
-	// (default 8 s). The first retry honors the server's hint exactly;
-	// each further retry doubles it up to this cap.
-	MaxBusyBackoff time.Duration
 	// RouteByShard makes the client fetch and cache the cluster's
 	// versioned shard map (from Addr) and send each write straight to the
 	// node that owns the user's shard, refreshing the map when a redirect
-	// reveals it is stale. Reads still go to Addr. Leave unset against a
+	// reveals it is stale or the owner it names cannot be reached (the
+	// write that found it unreachable fails; the next one routes by the
+	// fresh map). Reads still go to Addr. Leave unset against a
 	// single server (it serves no map), or to keep redirects visible to the
 	// caller — each carries the owner's address and needs no map.
 	RouteByShard bool
 }
+
+// maxBusyBackoff caps the exponential backoff between busy retries.
+const maxBusyBackoff = 8 * time.Second
 
 // busyPolicy is the capped-exponential backoff applied to busy responses.
 type busyPolicy struct {
@@ -135,16 +137,14 @@ type busyPolicy struct {
 	cap     time.Duration
 }
 
-// newBusyPolicy resolves the config defaults.
+// newBusyPolicy resolves the retry-count default; clients pass
+// maxBusyBackoff as the cap, tests a shorter one.
 func newBusyPolicy(retries int, maxBackoff time.Duration) busyPolicy {
 	if retries == 0 {
 		retries = 3
 	}
 	if retries < 0 {
 		retries = 0
-	}
-	if maxBackoff <= 0 {
-		maxBackoff = 8 * time.Second
 	}
 	return busyPolicy{retries: retries, cap: maxBackoff}
 }
@@ -170,7 +170,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		key:     cfg.Key,
 		timeout: timeout,
 		dial:    dial,
-		retry:   newBusyPolicy(cfg.BusyRetries, cfg.MaxBusyBackoff),
+		retry:   newBusyPolicy(cfg.BusyRetries, maxBusyBackoff),
 	}
 	if cfg.RouteByShard {
 		c.route = &routeState{}

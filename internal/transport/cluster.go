@@ -131,7 +131,10 @@ func (c *Client) writeAddr(userID string) string {
 // refreshes the map and retries against the carried owner address; on a
 // busy response the shared busy policy backs off and the retry re-routes
 // — a sealed shard resolves to its new owner as soon as the handoff
-// publishes the map.
+// publishes the map. When the owner cannot be reached at all it may be
+// dead, its shards about to be taken over, and no node is left to
+// redirect: the error surfaces, and the cached map is dropped so the
+// caller's next write routes by a fresh one.
 func (c *Client) routedWrite(userID, reqType string, payload, out any) error {
 	if c.route == nil {
 		return c.retry.run(func() error {
@@ -149,6 +152,9 @@ func (c *Client) routedWrite(userID, reqType string, payload, out any) error {
 				addr = c.writeAddr(userID)
 			}
 			return c.roundTripTo(addr, reqType, payload, out)
+		}
+		if err != nil && !isResponseError(err) {
+			c.route.cached.Store(nil)
 		}
 		return err
 	})

@@ -326,16 +326,22 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // are anonymized before storage. On a cluster node only locally-owned
 // users are seeded — writing another node's shard would fork its
 // sequence numbers — so seed each node with the same map and the
-// population lands partitioned exactly as live enrolls would. It stops at
-// the first write the store refuses: a partially seeded population must
-// not be served.
+// population lands partitioned exactly as live enrolls would. Users are
+// written in sorted id order, so one corpus always produces the same log.
+// It stops at the first write the store refuses: a partially seeded
+// population must not be served.
 func (s *Server) SeedPopulation(byUser map[string][]features.WindowSample) error {
-	for id, samples := range byUser {
+	ids := make([]string, 0, len(byUser))
+	for id := range byUser {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
 		anon := anonymize(id)
 		if !s.ownsWrite(anon) {
 			continue
 		}
-		if err := s.persist.Enroll(anon, anonymizeSamples(anon, samples), false); err != nil {
+		if err := s.persist.Enroll(anon, anonymizeSamples(anon, byUser[id]), false); err != nil {
 			return fmt.Errorf("transport: seed population: %s: %w", anon, err)
 		}
 	}

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -256,6 +257,50 @@ func TestServerAnonymizesPopulation(t *testing.T) {
 		for _, s := range samples {
 			if s.UserID != anonID {
 				t.Errorf("stored sample carries id %q, want pseudonym %q", s.UserID, anonID)
+			}
+		}
+	}
+}
+
+// TestSeedPopulationWritesOneLog pins "same corpus, same bytes" for
+// seeding: two fresh stores seeded from one map hold the same records in
+// the same per-shard order, whatever order the map iterates in.
+func TestSeedPopulationWritesOneLog(t *testing.T) {
+	det, byUser := buildFixture(t)
+	corpus := make(map[string][]features.WindowSample, 32)
+	for i := 0; i < 32; i++ {
+		corpus[fmt.Sprintf("seed-user-%02d", i)] = byUser[fmt.Sprintf("user-%02d", i%len(byUser))][:2]
+	}
+	seedLog := func() [][]store.ReplRecord {
+		st, err := store.Open(t.TempDir(), store.Options{Shards: 2, NoSync: true})
+		if err != nil {
+			t.Fatalf("store.Open: %v", err)
+		}
+		defer st.Close()
+		srv, err := NewServer(ServerConfig{Key: testKey, Detector: det, Store: st})
+		if err != nil {
+			t.Fatalf("NewServer: %v", err)
+		}
+		defer srv.Close()
+		if err := srv.SeedPopulation(corpus); err != nil {
+			t.Fatalf("SeedPopulation: %v", err)
+		}
+		logs := make([][]store.ReplRecord, 2)
+		for shard := range logs {
+			if logs[shard], err = st.ShardRecordsSince(shard, 0); err != nil {
+				t.Fatalf("ShardRecordsSince(%d): %v", shard, err)
+			}
+		}
+		return logs
+	}
+	a, b := seedLog(), seedLog()
+	for shard := range a {
+		if len(a[shard]) != len(b[shard]) {
+			t.Fatalf("shard %d: %d vs %d records", shard, len(a[shard]), len(b[shard]))
+		}
+		for i := range a[shard] {
+			if !bytes.Equal(a[shard][i].Payload, b[shard][i].Payload) {
+				t.Fatalf("shard %d record %d differs between two seedings of one corpus", shard, i+1)
 			}
 		}
 	}
