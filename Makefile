@@ -77,7 +77,7 @@ bench:
 # re-run this target and update the "after" column when the hot path
 # changes.
 bench-auth:
-	$(GO) test -run=xxx -bench='BenchmarkFFT300$$|BenchmarkFeatureExtraction6sWindow$$|BenchmarkAuthenticateWindow$$|BenchmarkEndToEndWindow$$|BenchmarkKRRTrain$$' -benchmem -benchtime=200x .
+	$(GO) test -run=xxx -bench='BenchmarkFFT300$$|BenchmarkFeatureExtraction60sStream$$|BenchmarkAuthenticateWindow$$|BenchmarkEndToEndWindow$$|BenchmarkKRRTrain$$' -benchmem -benchtime=200x .
 
 # Wire-level per-window benchmarks: the three ways a window crosses the
 # wire (single request, batch burst, stream) against one trained

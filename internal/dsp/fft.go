@@ -1,5 +1,5 @@
 // Package dsp implements the signal-processing substrate of SmarterYou:
-// discrete Fourier transforms, sliding windows over sensor streams,
+// discrete Fourier transforms, fixed-length windows over sensor streams,
 // magnitude computation, and the time- and frequency-domain statistics that
 // Section V-C of the paper derives from each sensor window (mean, variance,
 // max, min, range, spectral peak amplitude/frequency, and secondary peak).
@@ -13,13 +13,15 @@ import (
 // an empty signal.
 var ErrEmptyInput = errors.New("dsp: empty input")
 
-// FFT computes the discrete Fourier transform of x. For power-of-two
-// lengths it uses an iterative radix-2 Cooley-Tukey algorithm; other
-// lengths are handled by Bluestein's chirp-z algorithm, so any window size
-// the authentication pipeline produces (50 Hz x 1..16 s = 50..800 samples)
-// is supported exactly. The permutation, twiddle and chirp tables come
-// from a cached per-length FFTPlan; use a plan directly for the
-// allocation-free in-place entry points.
+// FFT computes the discrete Fourier transform of x. Lengths whose only
+// prime factors are 2, 3 and 5 — every power of two and every window size
+// the authentication pipeline produces (50 Hz x 1..16 s = 50..800
+// samples) — run a mixed-radix Cooley-Tukey transform; other lengths are
+// handled by Bluestein's chirp-z algorithm over a power-of-two
+// mixed-radix convolution, so any length is supported exactly. The
+// factorization, twiddle and chirp tables come from a cached per-length
+// FFTPlan; use a plan directly for the allocation-free in-place entry
+// points.
 func FFT(x []complex128) ([]complex128, error) {
 	p, err := PlanFor(len(x))
 	if err != nil {

@@ -78,14 +78,19 @@ func TestFFTNonPowerOfTwoMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
+// naiveDFT is the O(n²) definition, X_k = Σ_j x_j·exp(-2πi·kj/n), with the
+// n roots of unity tabulated once and indexed by kj mod n.
 func naiveDFT(x []complex128) []complex128 {
 	n := len(x)
+	roots := make([]complex128, n)
+	for r := range roots {
+		roots[r] = cmplx.Exp(complex(0, -2*math.Pi*float64(r)/float64(n)))
+	}
 	out := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		var s complex128
 		for j := 0; j < n; j++ {
-			ang := -2 * math.Pi * float64(k) * float64(j) / float64(n)
-			s += x[j] * cmplx.Exp(complex(0, ang))
+			s += x[j] * roots[k*j%n]
 		}
 		out[k] = s
 	}

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"sync"
@@ -8,12 +9,15 @@ import (
 )
 
 // pipelineLengths is every window length the authentication pipeline can
-// produce (50 Hz x 1..16 s), plus power-of-two, odd and prime lengths that
-// exercise the radix-2, Bluestein and real-packing paths.
+// produce (50 Hz x 1..16 s) and every 5-smooth length up to 1024. The
+// 5-smooth ones run the mixed-radix engine; the primes 7, 31 and 101, 299
+// = 13·23 and the windows 50 x 7, 11, 13, 14 run Bluestein.
 func pipelineLengths() []int {
-	lengths := []int{1, 2, 3, 5, 7, 16, 31, 64, 101, 128, 256, 299, 512}
-	for s := 1; s <= 16; s++ {
-		lengths = append(lengths, 50*s)
+	lengths := []int{7, 31, 101, 299, 50 * 7, 50 * 11, 50 * 13, 50 * 14}
+	for n := 1; n <= 1024; n++ {
+		if _, smooth := factor(n); smooth {
+			lengths = append(lengths, n)
+		}
 	}
 	return lengths
 }
@@ -94,6 +98,68 @@ func TestRealTransformMatchesComplex(t *testing.T) {
 	}
 }
 
+// TestAmplitudeSpectrumIntoMatchesNaiveDFT checks the spectrum the feature
+// pipeline reads against its definition: 2|DFT_k|/n, with the DC bin (and
+// the Nyquist bin of an even length) at |DFT_k|/n, for odd and even lengths
+// on both engines.
+func TestAmplitudeSpectrumIntoMatchesNaiveDFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var spec Spectrum
+	for _, n := range pipelineLengths() {
+		x := make([]float64, n)
+		c := make([]complex128, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+			c[i] = complex(x[i], 0)
+		}
+		p, err := PlanFor(n)
+		if err != nil {
+			t.Fatalf("n=%d: PlanFor: %v", n, err)
+		}
+		if err := p.AmplitudeSpectrumInto(&spec, x, 50); err != nil {
+			t.Fatalf("n=%d: AmplitudeSpectrumInto: %v", n, err)
+		}
+		dft := naiveDFT(c)
+		want := make([]float64, n/2+1)
+		peak := 0.0
+		for k := range want {
+			want[k] = cmplx.Abs(dft[k]) / float64(n)
+			if k != 0 && 2*k != n {
+				want[k] *= 2
+			}
+			peak = math.Max(peak, want[k])
+		}
+		if len(spec.Amplitudes) != len(want) {
+			t.Fatalf("n=%d: got %d bins, want %d", n, len(spec.Amplitudes), len(want))
+		}
+		for k, w := range want {
+			if d := math.Abs(spec.Amplitudes[k]-w) / peak; d > 1e-12 {
+				t.Errorf("n=%d bin %d: amplitude %g, want %g (relative error %g)", n, k, spec.Amplitudes[k], w, d)
+				break
+			}
+		}
+	}
+}
+
+// TestPipelineWindowsSkipBluestein pins the point of the mixed-radix
+// engine: every window length of the Fig. 4 sweep (experiments'
+// Figure4Windows, 1..16 s at 50 Hz) is 5-smooth, so neither its plan nor
+// the half-length plan its real-input path runs builds Bluestein tables.
+func TestPipelineWindowsSkipBluestein(t *testing.T) {
+	for _, s := range []int{1, 2, 4, 6, 8, 12, 16} {
+		n := 50 * s
+		p, err := PlanFor(n)
+		if err != nil {
+			t.Fatalf("n=%d: PlanFor: %v", n, err)
+		}
+		for _, q := range []*FFTPlan{p, p.half} {
+			if q.sub != nil || q.chirp != nil || q.bhat != nil {
+				t.Errorf("n=%d: plan of length %d builds Bluestein tables", n, q.n)
+			}
+		}
+	}
+}
+
 // TestAmplitudeSpectrumIntoReuse checks the Into variant gives the same
 // spectrum as the allocating API while reusing the caller's buffers.
 func TestAmplitudeSpectrumIntoReuse(t *testing.T) {
@@ -130,38 +196,42 @@ func TestAmplitudeSpectrumIntoReuse(t *testing.T) {
 }
 
 // TestAmplitudeSpectrumIntoAllocFree asserts the per-window hot path does
-// not allocate once the plan and output buffers are warm.
+// not allocate once the plan and output buffers are warm, on the
+// mixed-radix engine (300) and through Bluestein (350).
 func TestAmplitudeSpectrumIntoAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	x := make([]float64, 300)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	p, err := PlanFor(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var spec Spectrum
-	if err := p.AmplitudeSpectrumInto(&spec, x, 50); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	for _, n := range []int{300, 350} {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		p, err := PlanFor(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spec Spectrum
 		if err := p.AmplitudeSpectrumInto(&spec, x, 50); err != nil {
 			t.Fatal(err)
 		}
-	})
-	// The scratch pool may be emptied by a GC between runs; allow a small
-	// slack rather than demanding literally zero under test instrumentation.
-	if allocs > 1 {
-		t.Fatalf("AmplitudeSpectrumInto allocates %.1f times per call on the warm path", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := p.AmplitudeSpectrumInto(&spec, x, 50); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The scratch pool may be emptied by a GC between runs; allow a
+		// small slack rather than demanding literally zero under test
+		// instrumentation.
+		if allocs > 1 {
+			t.Fatalf("n=%d: AmplitudeSpectrumInto allocates %.1f times per call on the warm path", n, allocs)
+		}
 	}
 }
 
 // TestPlanConcurrentSharing hammers one shared plan table from many
-// goroutines across mixed lengths — the -race companion to the plan
-// cache's immutability claim.
+// goroutines across mixed lengths, on both engines (350 runs Bluestein) —
+// the -race companion to the plan cache's immutability claim.
 func TestPlanConcurrentSharing(t *testing.T) {
-	lengths := []int{50, 300, 256, 750, 800}
+	lengths := []int{50, 300, 256, 350, 750, 800}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

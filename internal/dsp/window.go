@@ -40,20 +40,6 @@ func Windows(stream []float64, size int) ([][]float64, error) {
 	return out, nil
 }
 
-// SlidingWindows slices a stream into windows of size samples advancing by
-// step samples (step < size yields overlap). Trailing partial windows are
-// dropped. The returned windows alias the input.
-func SlidingWindows(stream []float64, size, step int) ([][]float64, error) {
-	if size <= 0 || step <= 0 {
-		return nil, fmt.Errorf("dsp: window size %d and step %d must be positive", size, step)
-	}
-	var out [][]float64
-	for start := 0; start+size <= len(stream); start += step {
-		out = append(out, stream[start:start+size])
-	}
-	return out, nil
-}
-
 // WindowStats holds the time-domain statistics of one sensor window
 // (Section V-C of the paper).
 type WindowStats struct {

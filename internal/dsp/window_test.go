@@ -47,27 +47,6 @@ func TestWindows(t *testing.T) {
 	}
 }
 
-func TestSlidingWindows(t *testing.T) {
-	stream := []float64{1, 2, 3, 4, 5}
-	w, err := SlidingWindows(stream, 3, 1)
-	if err != nil {
-		t.Fatalf("SlidingWindows: %v", err)
-	}
-	if len(w) != 3 {
-		t.Fatalf("got %d windows, want 3", len(w))
-	}
-	if w[2][2] != 5 {
-		t.Errorf("last window ends at %v, want 5", w[2][2])
-	}
-	if _, err := SlidingWindows(stream, 3, 0); err == nil {
-		t.Errorf("zero step should error")
-	}
-	none, err := SlidingWindows([]float64{1}, 3, 1)
-	if err != nil || len(none) != 0 {
-		t.Errorf("short stream: got %d windows (err %v), want 0", len(none), err)
-	}
-}
-
 func TestStats(t *testing.T) {
 	s, err := Stats([]float64{1, 2, 3, 4})
 	if err != nil {

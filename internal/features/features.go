@@ -250,21 +250,14 @@ func (e *Extractor) ExtractWindows(stream *sensing.Stream, windowSeconds float64
 		e.gyrMag[i] = dsp.Magnitude(smp.Gyr.X, smp.Gyr.Y, smp.Gyr.Z)
 	}
 
-	accWins, err := dsp.Windows(e.accMag, size)
-	if err != nil {
-		return nil, err
-	}
-	gyrWins, err := dsp.Windows(e.gyrMag, size)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]DeviceFeatures, len(accWins))
-	for i := range accWins {
-		acc, err := e.ExtractSensor(accWins[i], stream.Rate)
+	out := make([]DeviceFeatures, n/size)
+	for i := range out {
+		lo, hi := i*size, (i+1)*size
+		acc, err := e.ExtractSensor(e.accMag[lo:hi], stream.Rate)
 		if err != nil {
 			return nil, fmt.Errorf("features: window %d acc: %w", i, err)
 		}
-		gyr, err := e.ExtractSensor(gyrWins[i], stream.Rate)
+		gyr, err := e.ExtractSensor(e.gyrMag[lo:hi], stream.Rate)
 		if err != nil {
 			return nil, fmt.Errorf("features: window %d gyr: %w", i, err)
 		}
