@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas race-pool race-replication race-retrain race-cas race-cluster check-benchmark check-examples check-determinism paper-snapshot
+.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas race-pool race-replication race-retrain race-cas race-cluster check-imports check-benchmark check-examples check-determinism paper-snapshot
 
-check: build vet fmt race race-pool race-replication race-retrain race-cas race-cluster check-benchmark check-examples check-determinism
+check: build vet fmt check-imports race race-pool race-replication race-retrain race-cas race-cluster check-benchmark check-examples check-determinism
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,19 @@ fmt:
 
 test:
 	$(GO) test ./...
+
+# Every internal/ package must be reachable from the facade, a command or
+# an example; a package only its own tests run fails here, named.
+check-imports:
+	@deps="$$($(GO) list -deps . ./cmd/... ./examples/...)" || exit 1; \
+	pkgs="$$($(GO) list ./internal/...)" || exit 1; \
+	status=0; \
+	for p in $$pkgs; do \
+		if ! printf '%s\n' "$$deps" | grep -qxF "$$p"; then \
+			echo "imported by no product or example package: $$p"; status=1; \
+		fi; \
+	done; \
+	exit $$status
 
 race:
 	$(GO) test -race ./...
@@ -168,12 +181,17 @@ check-benchmark:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
-# examples/cloud is the one example that builds a server, over an
+# Runs every example. examples/continuous exits non-zero if the thief is
+# not locked or its audit log's hash chain does not verify (it is the one
+# caller of the facade's AuditLog). examples/drift is the one caller of the
+# facade's DriftMonitor; it exits non-zero if the attacker triggers a
+# retrain. examples/cloud is the one example that builds a server, over an
 # ephemeral store in a smarteryou-* temporary directory. Run it with
 # TMPDIR pointed at an empty directory and fail if anything is left there.
-# examples/drift is the one caller of the facade's DriftMonitor; it exits
-# non-zero if the attacker triggers a retrain.
 check-examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/continuous
+	$(GO) run ./examples/masquerade
 	$(GO) run ./examples/drift
 	@tmp="$$(mktemp -d)" && TMPDIR="$$tmp" $(GO) run ./examples/cloud && \
 	left="$$(ls -A "$$tmp")"; status=$$?; rm -rf "$$tmp"; \

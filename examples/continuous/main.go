@@ -1,7 +1,9 @@
 // Continuous authentication with the response module: the owner uses the
 // phone (stationary, then walking), then the phone is snatched by a thief
 // who tries to keep using it. The response module denies access and locks
-// the device within a few windows.
+// the device within a few windows. Every decision goes into a
+// tamper-evident audit log whose hash chain is verified at the end; the
+// program exits non-zero if the thief is not locked or the chain breaks.
 package main
 
 import (
@@ -23,6 +25,7 @@ func main() {
 		DenyAfter: 1, // one rejected window denies critical-data access
 		LockAfter: 3, // three in a row lock the device (18 s at 6 s windows)
 	})
+	audit := smarteryou.NewAuditLog()
 
 	// Timeline: owner stationary -> owner walking -> THEFT -> thief walking.
 	type phase struct {
@@ -49,6 +52,7 @@ func main() {
 			}
 			action := response.Observe(d)
 			clock += 6
+			audit.Append(clock, d, action)
 			fmt.Printf("t=%4.0fs ctx=%-10v score=%+6.2f accepted=%-5v -> %v\n",
 				clock, d.Context, d.Score, d.Accepted, action)
 			if action == smarteryou.ActionLock {
@@ -72,8 +76,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("window %d: accepted=%v -> %v\n", i, d.Accepted, response.Observe(d))
+		action := response.Observe(d)
+		clock += 6
+		audit.Append(clock, d, action)
+		fmt.Printf("window %d: accepted=%v -> %v\n", i, d.Accepted, action)
 	}
+
+	if bad := smarteryou.VerifyAuditChain(audit.Entries()); bad >= 0 {
+		log.Fatalf("audit chain broken at entry %d", bad)
+	}
+	fmt.Printf("\naudit log: %d entries, hash chain verified\n", audit.Len())
 }
 
 // buildAuthenticator trains the full stack for the owner against the rest

@@ -7,6 +7,7 @@ import (
 	"smarteryou/internal/ctxdetect"
 	"smarteryou/internal/features"
 	"smarteryou/internal/sensing"
+	"smarteryou/internal/stats"
 )
 
 // testFixture builds a small end-to-end dataset: a population, collected
@@ -71,6 +72,24 @@ func (f *testFixture) impostors(except int) []features.WindowSample {
 	return out
 }
 
+// measure authenticates every test window and tallies FRR/FAR/accuracy.
+func measure(t *testing.T, a *Authenticator, legit, impostor []features.WindowSample) stats.AuthMetrics {
+	t.Helper()
+	var m stats.AuthMetrics
+	observe := func(samples []features.WindowSample, legitimate bool) {
+		for _, s := range samples {
+			d, err := a.Authenticate(s)
+			if err != nil {
+				t.Fatalf("Authenticate: %v", err)
+			}
+			m.Observe(legitimate, d.Accepted)
+		}
+	}
+	observe(legit, true)
+	observe(impostor, false)
+	return m
+}
+
 func TestEndToEndAuthentication(t *testing.T) {
 	f := newFixture(t, 6, 90)
 	legitTrain, legitTest := split(f.perUser[0])
@@ -87,10 +106,7 @@ func TestEndToEndAuthentication(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAuthenticator: %v", err)
 	}
-	m, err := Evaluate(auth, legitTest, impTest)
-	if err != nil {
-		t.Fatalf("Evaluate: %v", err)
-	}
+	m := measure(t, auth, legitTest, impTest)
 	if m.Accuracy() < 0.9 {
 		t.Errorf("end-to-end accuracy = %v, want >= 0.9 (paper: 0.981)", m.Accuracy())
 	}
@@ -113,11 +129,7 @@ func TestContextModelsBeatUnified(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewAuthenticator: %v", err)
 		}
-		m, err := Evaluate(auth, legitTest, impTest)
-		if err != nil {
-			t.Fatalf("Evaluate: %v", err)
-		}
-		return m.Accuracy()
+		return measure(t, auth, legitTest, impTest).Accuracy()
 	}
 	withCtx := run(Mode{Combined: true, UseContext: true})
 	unified := run(Mode{Combined: true, UseContext: false})

@@ -93,7 +93,7 @@ func (s SensorFeatures) All() []float64 {
 // Extractor owns the FFT plan and scratch buffers of the per-window
 // feature pipeline: the detrend buffer, the magnitude series, and the
 // reused amplitude spectrum. Holding one across windows (and across
-// streams — see ExtractBatch) makes the hot path allocation-free where
+// streams, as Collect does) makes the hot path allocation-free where
 // the stateless package functions re-derived everything per window.
 //
 // An Extractor is NOT safe for concurrent use; give each goroutine its
@@ -274,22 +274,4 @@ func ExtractWindows(stream *sensing.Stream, windowSeconds float64) ([]DeviceFeat
 	out, err := e.ExtractWindows(stream, windowSeconds)
 	extractorPool.Put(e)
 	return out, err
-}
-
-// ExtractBatch extracts windowed features from several streams with one
-// shared plan and scratch set — the batch entry point for harnesses that
-// process whole recording campaigns. The i-th result corresponds to the
-// i-th stream.
-func ExtractBatch(streams []*sensing.Stream, windowSeconds float64) ([][]DeviceFeatures, error) {
-	e := extractorPool.Get().(*Extractor)
-	defer extractorPool.Put(e)
-	out := make([][]DeviceFeatures, len(streams))
-	for i, s := range streams {
-		wins, err := e.ExtractWindows(s, windowSeconds)
-		if err != nil {
-			return nil, fmt.Errorf("features: batch stream %d: %w", i, err)
-		}
-		out[i] = wins
-	}
-	return out, nil
 }

@@ -238,31 +238,8 @@ func (k *KRR) Predict(x []float64) (bool, error) {
 	return s > 0, nil
 }
 
-// PrimalKRR constructs a fitted primal (identity-kernel) KRR directly
-// from an explicit weight vector. The incremental-refresh path maintains
-// weights in an IncrementalKRR and uses this to package them as a
-// regular KRR, so a refreshed model serializes and scores exactly like a
-// batch-trained one.
-func PrimalKRR(rho float64, w []float64) (*KRR, error) {
-	if rho <= 0 {
-		return nil, fmt.Errorf("%w: rho must be positive, got %g", ErrBadTrainingSet, rho)
-	}
-	if len(w) == 0 {
-		return nil, fmt.Errorf("%w: empty weight vector", ErrBadTrainingSet)
-	}
-	return &KRR{
-		Rho:    rho,
-		Kernel: IdentityKernel{},
-		Mode:   KRRModePrimal,
-		w:      append([]float64(nil), w...),
-		primal: true,
-		dim:    len(w),
-	}, nil
-}
-
 // Weights returns a copy of the primal weight vector, or nil when the model
-// was trained in dual mode. The retraining monitor uses it to compute
-// confidence scores without going through the classifier.
+// was trained in dual mode.
 func (k *KRR) Weights() []float64 {
 	if !k.primal || k.w == nil {
 		return nil

@@ -116,17 +116,6 @@ func (s *Stream) AccSeries() (x, y, z []float64) {
 	return x, y, z
 }
 
-// GyrSeries returns the three gyroscope axis series.
-func (s *Stream) GyrSeries() (x, y, z []float64) {
-	x = make([]float64, len(s.Samples))
-	y = make([]float64, len(s.Samples))
-	z = make([]float64, len(s.Samples))
-	for i, smp := range s.Samples {
-		x[i], y[i], z[i] = smp.Gyr.X, smp.Gyr.Y, smp.Gyr.Z
-	}
-	return x, y, z
-}
-
 // Downsample returns a copy of the stream keeping every factor-th sample,
 // with the rate reduced accordingly. It models running the pipeline at a
 // lower sensor sampling rate — Section V-H2 notes that CPU (and energy)

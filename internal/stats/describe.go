@@ -146,19 +146,6 @@ func (s *Standardizer) Transform(v []float64) []float64 {
 	return out
 }
 
-// TransformInto standardizes v into dst, which must have the same length;
-// the allocation-free form of Transform for hot paths that reuse a buffer.
-// dst may alias v (standardization is element-wise).
-func (s *Standardizer) TransformInto(dst, v []float64) {
-	for j := range v {
-		if j < len(s.mean) {
-			dst[j] = (v[j] - s.mean[j]) / s.scale[j]
-		} else {
-			dst[j] = v[j]
-		}
-	}
-}
-
 // TransformAll standardizes every row of x into a new slice of rows.
 func (s *Standardizer) TransformAll(x [][]float64) [][]float64 {
 	out := make([][]float64, len(x))

@@ -587,9 +587,6 @@ func (s *Store) CASStats() cas.Stats { return s.cs.Stats() }
 // lagging follower already has.
 func (s *Store) CASHashes() []cas.Hash { return s.cs.Hashes() }
 
-// CASChunk returns one chunk's verified bytes by hash.
-func (s *Store) CASChunk(h cas.Hash) ([]byte, error) { return s.cs.ChunkData(h) }
-
 // ScrubCAS re-hashes every chunk file and cross-checks it against the
 // live reference set; with remove set, unreferenced chunks are deleted.
 // Corrupt or missing live chunks are reported, never removed.

@@ -440,7 +440,8 @@ func (s *Server) Close() error {
 	// Closing a tracked connection unblocks its serveConn from ReadFrame;
 	// a handler mid-dispatch finishes first and fails only on the write
 	// back. Clients treat the dropped connection as transient and retry
-	// elsewhere — exactly the failover path the load harness measures.
+	// elsewhere, the failover path that
+	// cluster.TestServedWritesSurviveHandoffAndTakeOver drives.
 	s.connMu.Lock()
 	for conn := range s.conns {
 		_ = conn.Close()

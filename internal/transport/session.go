@@ -79,9 +79,8 @@ type Session struct {
 	streaming bool
 }
 
-// NewSession dials the server once (through the client's dialer, so link
-// conditioning applies to the whole session flow) and returns a reusable
-// session. Close it when done.
+// NewSession dials the server once through the client's dialer and returns
+// a reusable session. Close it when done.
 func (c *Client) NewSession() (*Session, error) {
 	conn, err := c.dial("tcp", c.addr, c.timeout)
 	if err != nil {
