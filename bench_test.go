@@ -1,6 +1,6 @@
-// Benchmarks: one per paper artifact (tables I-VIII, figures 2-7) plus the
+// Benchmarks: one per paper artifact (BenchmarkArtifact/<id>) plus the
 // component and ablation benches DESIGN.md calls out. Artifact benches run
-// the same code paths as `cmd/experiments -run <id>` at the reduced quick
+// the registry `cmd/experiments -run <id>` runs, at the reduced quick
 // scale so `go test -bench=. -benchmem` stays tractable; the paper-scale
 // numbers in EXPERIMENTS.md come from the cmd/experiments harness.
 package smarteryou_test
@@ -49,136 +49,33 @@ func quickBenchData(b *testing.B) *experiments.Data {
 	return benchData
 }
 
-// --- Artifact benches: one per table and figure. ---
+// --- Artifact benches: one per registered paper artifact. ---
 
-func BenchmarkTable1_RelatedWorkRow(b *testing.B) {
+// BenchmarkArtifact regenerates every artifact through the experiment
+// registry, exactly as `cmd/experiments -run <id>` does, one sub-benchmark
+// per id (BenchmarkArtifact/figure6, ...). Table VII is memoised per Data,
+// so table1 and table7 time the memo after their first iteration;
+// BenchmarkTable7_Headline times the evaluation itself.
+func BenchmarkArtifact(b *testing.B) {
 	d := quickBenchData(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable1(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable2_FisherScores(b *testing.B) {
-	d := quickBenchData(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable2(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable3_FeatureCorrelations(b *testing.B) {
-	d := quickBenchData(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable3(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable4_CrossDeviceCorrelations(b *testing.B) {
-	d := quickBenchData(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable4(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable5_ContextDetection(b *testing.B) {
-	d := quickBenchData(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable5(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable6_MLComparison(b *testing.B) {
-	d := quickBenchData(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable6(d); err != nil {
-			b.Fatal(err)
-		}
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.Run(id, d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkTable7_Headline(b *testing.B) {
 	d := quickBenchData(b)
 	for i := 0; i < b.N; i++ {
-		// Table VII is memoized inside Data; benchmark the full evaluation
-		// path instead of the memo hit.
 		if _, err := d.EvaluateAuth(experiments.EvalOptions{
 			Devices:    experiments.DeviceCombination,
 			UseContext: true,
 		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable8_PowerModel(b *testing.B) {
-	d := quickBenchData(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable8(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure2_Demographics(b *testing.B) {
-	d := quickBenchData(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFigure2(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure3_KSTests(b *testing.B) {
-	d := quickBenchData(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFigure3(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure4_WindowSweep(b *testing.B) {
-	d := quickBenchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFigure4Sweep(d, []float64{6}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure5_DataSizeSweep(b *testing.B) {
-	d := quickBenchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFigure5Sweep(d, []float64{400}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure6_MasqueradeCampaign(b *testing.B) {
-	d := quickBenchData(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFigure6(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure7_DriftAndRetraining(b *testing.B) {
-	d := quickBenchData(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFigure7(d); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -161,33 +161,11 @@ func Run(auth *core.Authenticator, s Scenario) (Result, error) {
 // runTrial plays one mimicry session through the authenticator window by
 // window and returns the time of first rejection (or the horizon).
 func runTrial(auth *core.Authenticator, sess sensing.Session, window float64) (float64, error) {
-	phone, err := sess.Generate(sensing.DevicePhone)
+	samples, err := features.Record(sess, window)
 	if err != nil {
 		return 0, err
 	}
-	watch, err := sess.Generate(sensing.DeviceWatch)
-	if err != nil {
-		return 0, err
-	}
-	phoneWins, err := features.ExtractWindows(phone, window)
-	if err != nil {
-		return 0, err
-	}
-	watchWins, err := features.ExtractWindows(watch, window)
-	if err != nil {
-		return 0, err
-	}
-	n := len(phoneWins)
-	if len(watchWins) < n {
-		n = len(watchWins)
-	}
-	for k := 0; k < n; k++ {
-		sample := features.WindowSample{
-			UserID:  sess.User.ID,
-			Context: sess.Context,
-			Phone:   phoneWins[k],
-			Watch:   watchWins[k],
-		}
+	for k, sample := range samples {
 		d, err := auth.Authenticate(sample)
 		if err != nil {
 			return 0, err

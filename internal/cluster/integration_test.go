@@ -397,6 +397,10 @@ func TestServedWritesSurviveHandoffAndTakeOver(t *testing.T) {
 			t.Fatalf("Enroll(%s): %v", id, err)
 		}
 	}
+	// The reader's owner trains against the other users' windows, which
+	// reach it by replication (the links may still be dialling): wait for
+	// them, as TestClusterEndToEnd does.
+	waitMeshConverged(t, meshOf(servers...))
 	if _, _, err := setup.TrainVersioned(reader, transport.TrainParams{Seed: 1}); err != nil {
 		t.Fatalf("TrainVersioned(%s): %v", reader, err)
 	}

@@ -100,28 +100,11 @@ func TestOnlineAdaptationTracksDrift(t *testing.T) {
 	collectAt := func(day float64, seed int64) []features.WindowSample {
 		var out []features.WindowSample
 		for ci, ctx := range []sensing.Context{sensing.ContextStationaryUse, sensing.ContextMovingUse} {
-			sess := sensing.Session{User: user, Context: ctx, Day: day, Seconds: 120, Seed: seed + int64(ci)}
-			phone, err := sess.Generate(sensing.DevicePhone)
+			got, err := features.Record(sensing.Session{User: user, Context: ctx, Day: day, Seconds: 120, Seed: seed + int64(ci)}, 6)
 			if err != nil {
 				t.Fatal(err)
 			}
-			watch, err := sess.Generate(sensing.DeviceWatch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pw, err := features.ExtractWindows(phone, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ww, err := features.ExtractWindows(watch, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := range pw {
-				out = append(out, features.WindowSample{
-					UserID: user.ID, Context: ctx, Day: day, Phone: pw[k], Watch: ww[k],
-				})
-			}
+			out = append(out, got...)
 		}
 		return out
 	}

@@ -104,9 +104,10 @@ func (d *Data) evaluateSamplingRate(factor int) (AblationRow, error) {
 	if err != nil {
 		return AblationRow{}, err
 	}
-	collect := func(userIdx int) ([]features.WindowSample, error) {
-		var out []features.WindowSample
-		for ci, ctx := range []sensing.Context{sensing.ContextStationaryUse, sensing.ContextMovingUse} {
+	// Every user's downsampled recordings: one session per usage context.
+	perUser := make([][]features.WindowSample, d.Cfg.Users)
+	for userIdx := range perUser {
+		for ci, ctx := range usageContexts {
 			sess := sensing.Session{
 				User:    d.Pop.Users[userIdx],
 				Context: ctx,
@@ -115,98 +116,40 @@ func (d *Data) evaluateSamplingRate(factor int) (AblationRow, error) {
 			}
 			phone, err := sess.Generate(sensing.DevicePhone)
 			if err != nil {
-				return nil, err
+				return AblationRow{}, err
 			}
 			watch, err := sess.Generate(sensing.DeviceWatch)
 			if err != nil {
-				return nil, err
+				return AblationRow{}, err
 			}
 			if phone, err = phone.Downsample(factor); err != nil {
-				return nil, err
+				return AblationRow{}, err
 			}
 			if watch, err = watch.Downsample(factor); err != nil {
-				return nil, err
+				return AblationRow{}, err
 			}
-			phoneWins, err := features.ExtractWindows(phone, 6)
+			got, err := features.Pair(sess, phone, watch, 6)
 			if err != nil {
-				return nil, err
+				return AblationRow{}, err
 			}
-			watchWins, err := features.ExtractWindows(watch, 6)
-			if err != nil {
-				return nil, err
-			}
-			n := len(phoneWins)
-			if len(watchWins) < n {
-				n = len(watchWins)
-			}
-			for k := 0; k < n; k++ {
-				out = append(out, features.WindowSample{
-					UserID:  d.Pop.Users[userIdx].ID,
-					Context: ctx,
-					Phone:   phoneWins[k],
-					Watch:   watchWins[k],
-				})
-			}
+			perUser[userIdx] = append(perUser[userIdx], got...)
 		}
-		return out, nil
 	}
 
 	var agg stats.AuthMetrics
-	targets := d.Cfg.Targets
-	if targets > 3 {
-		targets = 3
-	}
-	for target := 0; target < targets; target++ {
-		legit, err := collect(target)
-		if err != nil {
-			return AblationRow{}, err
-		}
+	opt := EvalOptions{Devices: DeviceCombination, UseContext: true}.withDefaults()
+	for target := 0; target < min(d.Cfg.Targets, 3); target++ {
 		var impostor []features.WindowSample
-		for i := 0; i < d.Cfg.Users; i++ {
-			if i == target {
-				continue
+		for i, got := range perUser {
+			if i != target {
+				impostor = append(impostor, got...)
 			}
-			got, err := collect(i)
-			if err != nil {
-				return AblationRow{}, err
-			}
-			impostor = append(impostor, got...)
 		}
-		labels := make([]bool, 0, len(legit)+len(legit))
-		all := append([]features.WindowSample{}, legit...)
-		for range legit {
-			labels = append(labels, true)
-		}
-		impostor = sampleWindows(impostor, len(legit), rng)
-		all = append(all, impostor...)
-		for range impostor {
-			labels = append(labels, false)
-		}
-		folds, err := stats.StratifiedKFold(labels, 4, rng)
+		err := crossValidate(det, perUser[target], impostor, 4, opt, rng, func(v verdict) {
+			agg.Observe(v.legit, v.accepted)
+		})
 		if err != nil {
 			return AblationRow{}, err
-		}
-		opt := EvalOptions{Devices: DeviceCombination, UseContext: true}.withDefaults()
-		for _, fold := range folds {
-			var trLegit, trImpostor []features.WindowSample
-			for _, i := range fold.TrainIdx {
-				if labels[i] {
-					trLegit = append(trLegit, all[i])
-				} else {
-					trImpostor = append(trImpostor, all[i])
-				}
-			}
-			bundle, err := trainGenericBundle(det, trLegit, trImpostor, opt, rng)
-			if err != nil {
-				return AblationRow{}, err
-			}
-			for _, i := range fold.TestIdx {
-				accepted, _, err := bundle.authenticate(all[i])
-				if err != nil {
-					return AblationRow{}, err
-				}
-				agg.Observe(labels[i], accepted)
-			}
 		}
 	}
 	label := fmt.Sprintf("%.1f Hz", sensing.SampleRate/float64(factor))

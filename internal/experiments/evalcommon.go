@@ -107,6 +107,17 @@ func (o EvalOptions) withDefaults() EvalOptions {
 	return o
 }
 
+// headlineTraining is the served configuration — both devices,
+// per-context models, N = 800 — that Figs. 6 and 7 and the unlearning
+// extension train with core.Train.
+func (d *Data) headlineTraining() core.TrainConfig {
+	return core.TrainConfig{
+		Mode:        core.Mode{Combined: true, UseContext: true},
+		MaxPerClass: 400,
+		Seed:        d.Cfg.Seed,
+	}
+}
+
 // genericModel is one trained per-context model of the shared evaluation
 // pipeline: standardizer, classifier, operating threshold.
 type genericModel struct {
@@ -251,117 +262,32 @@ func (b *genericBundle) authenticate(s features.WindowSample) (accepted bool, sc
 	return score > 0, score, nil
 }
 
-// EvaluateAuth runs the full protocol: per target user, balance impostor
-// windows against the target's, stratified k-fold cross-validate, and
-// aggregate FRR/FAR/accuracy across folds and targets. Targets are
-// evaluated concurrently; each gets its own deterministic rng, so results
-// are reproducible regardless of scheduling.
-func (d *Data) EvaluateAuth(opt EvalOptions) (stats.AuthMetrics, error) {
-	opt = opt.withDefaults()
-	det, err := d.Detector(opt.WindowSeconds)
-	if err != nil {
-		return stats.AuthMetrics{}, err
-	}
-	// Window collection is cached per user; warm the caches concurrently
-	// once so the per-target evaluations do not serialize on generation.
-	if err := d.warmCaches(opt.WindowSeconds); err != nil {
-		return stats.AuthMetrics{}, err
-	}
-	results := make([]stats.AuthMetrics, d.Cfg.Targets)
-	err = d.forEachTarget(func(target int) error {
-		rng := rand.New(rand.NewSource(d.Cfg.Seed*31337 + int64(target)*999983))
-		m, err := d.evaluateTarget(det, target, opt, rng)
-		if err != nil {
-			return fmt.Errorf("experiments: target %d: %w", target, err)
-		}
-		results[target] = m
-		return nil
-	})
-	if err != nil {
-		return stats.AuthMetrics{}, err
-	}
-	var agg stats.AuthMetrics
-	for _, m := range results {
-		agg.Merge(m)
-	}
-	return agg, nil
+// verdict is the decision on one held-out window of a cross-validation
+// fold.
+type verdict struct {
+	sample   features.WindowSample
+	legit    bool // the window is the target's own
+	accepted bool
+	score    float64
 }
 
-// forEachTarget runs fn for every target user concurrently (bounded by
-// GOMAXPROCS) and returns the first error.
-func (d *Data) forEachTarget(fn func(target int) error) error {
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	errs := make(chan error, d.Cfg.Targets)
-	var wg sync.WaitGroup
-	for target := 0; target < d.Cfg.Targets; target++ {
-		wg.Add(1)
-		go func(target int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := fn(target); err != nil {
-				errs <- err
-			}
-		}(target)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-		return nil
-	}
-}
-
-// warmCaches collects every user's windows concurrently (idempotent).
-func (d *Data) warmCaches(windowSeconds float64) error {
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	errs := make(chan error, d.Cfg.Users)
-	var wg sync.WaitGroup
-	for i := 0; i < d.Cfg.Users; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if _, err := d.UserWindows(i, windowSeconds); err != nil {
-				errs <- err
-			}
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-		return nil
-	}
-}
-
-func (d *Data) evaluateTarget(det *ctxdetect.Detector, target int, opt EvalOptions, rng *rand.Rand) (stats.AuthMetrics, error) {
-	legit, err := d.UserWindows(target, opt.WindowSeconds)
-	if err != nil {
-		return stats.AuthMetrics{}, err
-	}
-	impostorAll, err := d.ImpostorWindows(target, opt.WindowSeconds)
-	if err != nil {
-		return stats.AuthMetrics{}, err
-	}
-	// Balance: as many impostor windows as legitimate ones, drawn evenly
-	// across the population.
-	impostor := sampleWindows(impostorAll, len(legit), rng)
-
+// crossValidate runs the protocol of Section V-A for one target user: it
+// draws as many impostor windows from the pool as the target has, splits
+// the balanced set into stratified folds, and for each fold trains on the
+// other folds and passes observe the verdict on every held-out window.
+// Every cross-validated figure of the harness comes from here.
+func crossValidate(det *ctxdetect.Detector, legit, impostorPool []features.WindowSample, folds int, opt EvalOptions, rng *rand.Rand, observe func(verdict)) error {
+	impostor := sampleWindows(impostorPool, len(legit), rng)
 	all := append(append([]features.WindowSample{}, legit...), impostor...)
 	labels := make([]bool, len(all))
 	for i := range legit {
 		labels[i] = true
 	}
-	folds, err := stats.StratifiedKFold(labels, d.Cfg.Folds, rng)
+	split, err := stats.StratifiedKFold(labels, folds, rng)
 	if err != nil {
-		return stats.AuthMetrics{}, err
+		return err
 	}
-	var agg stats.AuthMetrics
-	for _, fold := range folds {
+	for _, fold := range split {
 		var trLegit, trImpostor []features.WindowSample
 		for _, i := range fold.TrainIdx {
 			if labels[i] {
@@ -372,17 +298,17 @@ func (d *Data) evaluateTarget(det *ctxdetect.Detector, target int, opt EvalOptio
 		}
 		bundle, err := trainGenericBundle(det, trLegit, trImpostor, opt, rng)
 		if err != nil {
-			return stats.AuthMetrics{}, err
+			return err
 		}
 		for _, i := range fold.TestIdx {
-			accepted, _, err := bundle.authenticate(all[i])
+			accepted, score, err := bundle.authenticate(all[i])
 			if err != nil {
-				return stats.AuthMetrics{}, err
+				return err
 			}
-			agg.Observe(labels[i], accepted)
+			observe(verdict{sample: all[i], legit: labels[i], accepted: accepted, score: score})
 		}
 	}
-	return agg, nil
+	return nil
 }
 
 // sampleWindows draws n windows without replacement (all of them when
@@ -399,87 +325,112 @@ func sampleWindows(in []features.WindowSample, n int, rng *rand.Rand) []features
 	return out
 }
 
-// EvaluateAuthByContext runs the protocol separately for windows of each
-// coarse context — the per-context panels of Figs. 4 and 5.
-func (d *Data) EvaluateAuthByContext(opt EvalOptions) (map[sensing.CoarseContext]stats.AuthMetrics, error) {
-	opt = opt.withDefaults()
+// crossValidateTargets cross-validates every target user against the rest
+// of the population. Targets run concurrently, each on its own rng seeded
+// from seedScale and the target index, so results do not depend on
+// scheduling; observe is called from one goroutine per target.
+func (d *Data) crossValidateTargets(opt EvalOptions, seedScale int64, observe func(target int, v verdict)) error {
 	det, err := d.Detector(opt.WindowSeconds)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := d.warmCaches(opt.WindowSeconds); err != nil {
-		return nil, err
+	// Window collection is cached per user; warm the caches concurrently
+	// once so the per-target evaluations do not serialize on generation.
+	err = parallel(d.Cfg.Users, func(user int) error {
+		_, err := d.UserWindows(user, opt.WindowSeconds)
+		return err
+	})
+	if err != nil {
+		return err
 	}
+	return parallel(d.Cfg.Targets, func(target int) error {
+		rng := rand.New(rand.NewSource(d.Cfg.Seed*seedScale + int64(target)*999983))
+		legit, err := d.UserWindows(target, opt.WindowSeconds)
+		if err != nil {
+			return err
+		}
+		impostor, err := d.ImpostorWindows(target, opt.WindowSeconds)
+		if err != nil {
+			return err
+		}
+		err = crossValidate(det, legit, impostor, d.Cfg.Folds, opt, rng, func(v verdict) { observe(target, v) })
+		if err != nil {
+			return fmt.Errorf("experiments: target %d: %w", target, err)
+		}
+		return nil
+	})
+}
+
+// parallel runs fn for 0..n-1 concurrently (at most GOMAXPROCS at a time)
+// and returns the first error.
+func parallel(n int, fn func(i int) error) error {
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			if err := fn(i); err != nil {
+				errs <- err
+			}
+		}(i)
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		return err
+	default:
+		return nil
+	}
+}
+
+// EvaluateAuth runs the full protocol and aggregates FRR/FAR/accuracy
+// across folds and targets.
+func (d *Data) EvaluateAuth(opt EvalOptions) (stats.AuthMetrics, error) {
+	perTarget := make([]stats.AuthMetrics, d.Cfg.Targets)
+	err := d.crossValidateTargets(opt.withDefaults(), 31337, func(target int, v verdict) {
+		perTarget[target].Observe(v.legit, v.accepted)
+	})
+	if err != nil {
+		return stats.AuthMetrics{}, err
+	}
+	var agg stats.AuthMetrics
+	for _, m := range perTarget {
+		agg.Merge(m)
+	}
+	return agg, nil
+}
+
+// EvaluateAuthByContext runs the protocol and reports the test windows of
+// each coarse context separately — the per-context panels of Fig. 4.
+func (d *Data) EvaluateAuthByContext(opt EvalOptions) (map[sensing.CoarseContext]stats.AuthMetrics, error) {
+	opt = opt.withDefaults()
+	// Per-context reporting always trains per-context models: the panels
+	// of Fig. 4 and Fig. 5 are produced under the context-aware system.
+	opt.UseContext = true
 	perTarget := make([]map[sensing.CoarseContext]*stats.AuthMetrics, d.Cfg.Targets)
-	err = d.forEachTarget(func(target int) error {
-		rng := rand.New(rand.NewSource(d.Cfg.Seed*60013 + int64(target)*999983))
-		out := map[sensing.CoarseContext]*stats.AuthMetrics{
+	for target := range perTarget {
+		perTarget[target] = map[sensing.CoarseContext]*stats.AuthMetrics{
 			sensing.CoarseStationary: {},
 			sensing.CoarseMoving:     {},
 		}
-		if err := d.evaluateTargetByContext(det, target, opt, rng, out); err != nil {
-			return fmt.Errorf("experiments: target %d: %w", target, err)
-		}
-		perTarget[target] = out
-		return nil
+	}
+	err := d.crossValidateTargets(opt, 60013, func(target int, v verdict) {
+		perTarget[target][v.sample.Context.Coarse()].Observe(v.legit, v.accepted)
 	})
 	if err != nil {
 		return nil, err
 	}
 	final := make(map[sensing.CoarseContext]stats.AuthMetrics, 2)
-	for _, out := range perTarget {
-		for ctx, m := range out {
+	for _, byCtx := range perTarget {
+		for ctx, m := range byCtx {
 			agg := final[ctx]
 			agg.Merge(*m)
 			final[ctx] = agg
 		}
 	}
 	return final, nil
-}
-
-func (d *Data) evaluateTargetByContext(det *ctxdetect.Detector, target int, opt EvalOptions, rng *rand.Rand, out map[sensing.CoarseContext]*stats.AuthMetrics) error {
-	legit, err := d.UserWindows(target, opt.WindowSeconds)
-	if err != nil {
-		return err
-	}
-	impostorAll, err := d.ImpostorWindows(target, opt.WindowSeconds)
-	if err != nil {
-		return err
-	}
-	impostor := sampleWindows(impostorAll, len(legit), rng)
-	all := append(append([]features.WindowSample{}, legit...), impostor...)
-	labels := make([]bool, len(all))
-	for i := range legit {
-		labels[i] = true
-	}
-	folds, err := stats.StratifiedKFold(labels, d.Cfg.Folds, rng)
-	if err != nil {
-		return err
-	}
-	// Per-context reporting always trains per-context models: the panels
-	// of Fig. 4 and Fig. 5 are produced under the context-aware system.
-	ctxOpt := opt
-	ctxOpt.UseContext = true
-	for _, fold := range folds {
-		var trLegit, trImpostor []features.WindowSample
-		for _, i := range fold.TrainIdx {
-			if labels[i] {
-				trLegit = append(trLegit, all[i])
-			} else {
-				trImpostor = append(trImpostor, all[i])
-			}
-		}
-		bundle, err := trainGenericBundle(det, trLegit, trImpostor, ctxOpt, rng)
-		if err != nil {
-			return err
-		}
-		for _, i := range fold.TestIdx {
-			accepted, _, err := bundle.authenticate(all[i])
-			if err != nil {
-				return err
-			}
-			out[all[i].Context.Coarse()].Observe(labels[i], accepted)
-		}
-	}
-	return nil
 }

@@ -99,7 +99,10 @@ type Data struct {
 	table7Memo *Table7Result
 }
 
+// winKey names one user's windows of one campaign ("free-form",
+// "deployment", "fig5") at one window size.
 type winKey struct {
+	campaign      string
 	user          int
 	windowSeconds float64
 }
@@ -134,17 +137,25 @@ func (d *Data) collectOptions(userIdx int, windowSeconds float64) features.Colle
 // UserWindows returns (and caches) the free-form feature windows of one
 // user at the given window size.
 func (d *Data) UserWindows(userIdx int, windowSeconds float64) ([]features.WindowSample, error) {
-	if userIdx < 0 || userIdx >= len(d.Pop.Users) {
-		return nil, fmt.Errorf("experiments: user index %d out of range", userIdx)
+	return d.cachedWindows(winKey{"free-form", userIdx, windowSeconds}, func() ([]features.WindowSample, error) {
+		return features.Collect(d.Pop.Users[userIdx], d.collectOptions(userIdx, windowSeconds))
+	})
+}
+
+// cachedWindows returns one user's windows of one campaign, collecting
+// them on first use. Two callers racing on a cold key both collect; the
+// campaigns are deterministic, so either result is the same.
+func (d *Data) cachedWindows(key winKey, collect func() ([]features.WindowSample, error)) ([]features.WindowSample, error) {
+	if key.user < 0 || key.user >= len(d.Pop.Users) {
+		return nil, fmt.Errorf("experiments: user index %d out of range", key.user)
 	}
-	key := winKey{user: userIdx, windowSeconds: windowSeconds}
 	d.mu.Lock()
 	cached, ok := d.winCache[key]
 	d.mu.Unlock()
 	if ok {
 		return cached, nil
 	}
-	samples, err := features.Collect(d.Pop.Users[userIdx], d.collectOptions(userIdx, windowSeconds))
+	samples, err := collect()
 	if err != nil {
 		return nil, err
 	}
@@ -211,71 +222,33 @@ func (d *Data) Detector(windowSeconds float64) (*ctxdetect.Detector, error) {
 // DeploymentWindows collects held-out test sessions recorded the day
 // after the collection campaign ends (day Days+1) — the "current
 // behaviour" the fielded system sees, used by the data-size sweep of
-// Fig. 5 and the drift study of Fig. 7.
+// Fig. 5.
 func (d *Data) DeploymentWindows(userIdx int, windowSeconds float64) ([]features.WindowSample, error) {
-	if userIdx < 0 || userIdx >= len(d.Pop.Users) {
-		return nil, fmt.Errorf("experiments: user index %d out of range", userIdx)
-	}
-	key := winKey{user: -1000 - userIdx, windowSeconds: windowSeconds}
-	d.mu.Lock()
-	cached, ok := d.winCache[key]
-	d.mu.Unlock()
-	if ok {
-		return cached, nil
-	}
-	day := d.Cfg.Days + 1
-	var samples []features.WindowSample
-	for ci, ctx := range []sensing.Context{sensing.ContextStationaryUse, sensing.ContextMovingUse} {
-		sess := sensing.Session{
+	return d.cachedWindows(winKey{"deployment", userIdx, windowSeconds}, func() ([]features.WindowSample, error) {
+		return recordUsage(sensing.Session{
 			User:    d.Pop.Users[userIdx],
-			Context: ctx,
-			Day:     day,
+			Day:     d.Cfg.Days + 1,
 			Seconds: d.Cfg.SessionSeconds,
-			Seed:    d.Cfg.Seed*3_000_017 + int64(userIdx)*15485863 + int64(ci)*29,
-		}
-		got, err := collectSession(d.Pop.Users[userIdx], sess, windowSeconds)
+			Seed:    d.Cfg.Seed*3_000_017 + int64(userIdx)*15485863,
+		}, 29, windowSeconds)
+	})
+}
+
+// usageContexts are the two free-form usage contexts, in recording order.
+var usageContexts = []sensing.Context{sensing.ContextStationaryUse, sensing.ContextMovingUse}
+
+// recordUsage records sess once per usage context; the recording of
+// usageContexts[i] is seeded sess.Seed + i*seedStride.
+func recordUsage(sess sensing.Session, seedStride int64, windowSeconds float64) ([]features.WindowSample, error) {
+	var out []features.WindowSample
+	base := sess.Seed
+	for i, ctx := range usageContexts {
+		sess.Context, sess.Seed = ctx, base+int64(i)*seedStride
+		got, err := features.Record(sess, windowSeconds)
 		if err != nil {
 			return nil, err
 		}
-		samples = append(samples, got...)
-	}
-	d.mu.Lock()
-	d.winCache[key] = samples
-	d.mu.Unlock()
-	return samples, nil
-}
-
-// collectSession extracts window samples from one explicit session.
-func collectSession(u *sensing.User, sess sensing.Session, windowSeconds float64) ([]features.WindowSample, error) {
-	phone, err := sess.Generate(sensing.DevicePhone)
-	if err != nil {
-		return nil, err
-	}
-	watch, err := sess.Generate(sensing.DeviceWatch)
-	if err != nil {
-		return nil, err
-	}
-	phoneWins, err := features.ExtractWindows(phone, windowSeconds)
-	if err != nil {
-		return nil, err
-	}
-	watchWins, err := features.ExtractWindows(watch, windowSeconds)
-	if err != nil {
-		return nil, err
-	}
-	n := len(phoneWins)
-	if len(watchWins) < n {
-		n = len(watchWins)
-	}
-	out := make([]features.WindowSample, n)
-	for k := 0; k < n; k++ {
-		out[k] = features.WindowSample{
-			UserID:  u.ID,
-			Context: sess.Context,
-			Day:     sess.Day,
-			Phone:   phoneWins[k],
-			Watch:   watchWins[k],
-		}
+		out = append(out, got...)
 	}
 	return out, nil
 }

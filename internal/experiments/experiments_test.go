@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -310,6 +312,34 @@ func TestTable4WeakCrossDeviceCorrelation(t *testing.T) {
 	}
 }
 
+// TestCorrelationTablesAreBitReproducible: Tables III and IV average over
+// (user, context) groups in a fixed order, so repeated runs agree to the
+// last bit, not only to the two printed decimals.
+func TestCorrelationTablesAreBitReproducible(t *testing.T) {
+	d := quickData(t)
+	t3, err := RunTable3(d)
+	if err != nil {
+		t.Fatalf("RunTable3: %v", err)
+	}
+	t4, err := RunTable4(d)
+	if err != nil {
+		t.Fatalf("RunTable4: %v", err)
+	}
+	for run := 0; run < 5; run++ {
+		again3, err := RunTable3(d)
+		if err != nil {
+			t.Fatalf("RunTable3: %v", err)
+		}
+		again4, err := RunTable4(d)
+		if err != nil {
+			t.Fatalf("RunTable4: %v", err)
+		}
+		if !reflect.DeepEqual(again3, t3) || !reflect.DeepEqual(again4, t4) {
+			t.Fatalf("run %d differs from the first", run+1)
+		}
+	}
+}
+
 func TestTable8MatchesPaper(t *testing.T) {
 	d := quickData(t)
 	r, err := RunTable8(d)
@@ -475,6 +505,43 @@ func TestInterleaveNewestFirst(t *testing.T) {
 	}
 	if out[0].Day != maxDay {
 		t.Errorf("first interleaved entry from day %v, want newest %v", out[0].Day, maxDay)
+	}
+}
+
+// TestCrossValidateHoldsOutEveryWindowOnce pins the Section V-A protocol
+// every cross-validated artifact runs: each of the target's windows, and
+// as many impostor windows, is tested exactly once, with its true label.
+func TestCrossValidateHoldsOutEveryWindowOnce(t *testing.T) {
+	d := quickData(t)
+	det, err := d.Detector(6)
+	if err != nil {
+		t.Fatalf("Detector: %v", err)
+	}
+	legit, err := d.UserWindows(0, 6)
+	if err != nil {
+		t.Fatalf("UserWindows: %v", err)
+	}
+	pool, err := d.ImpostorWindows(0, 6)
+	if err != nil {
+		t.Fatalf("ImpostorWindows: %v", err)
+	}
+	opt := EvalOptions{UseContext: true}.withDefaults()
+	var nLegit, nImpostor int
+	err = crossValidate(det, legit, pool, 4, opt, rand.New(rand.NewSource(1)), func(v verdict) {
+		if v.legit != (v.sample.UserID == d.Pop.Users[0].ID) {
+			t.Errorf("window of %s labelled legit=%v", v.sample.UserID, v.legit)
+		}
+		if v.legit {
+			nLegit++
+		} else {
+			nImpostor++
+		}
+	})
+	if err != nil {
+		t.Fatalf("crossValidate: %v", err)
+	}
+	if nLegit != len(legit) || nImpostor != len(legit) {
+		t.Errorf("tested %d legit and %d impostor windows, want %d of each", nLegit, nImpostor, len(legit))
 	}
 }
 

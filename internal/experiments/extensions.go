@@ -29,52 +29,27 @@ func RunROC(d *Data) (*ROCResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The targets run in turn, sharing one rng.
 	rng := rand.New(rand.NewSource(d.Cfg.Seed * 77777))
-
 	var legitScores, impostorScores []float64
 	for target := 0; target < d.Cfg.Targets; target++ {
 		legit, err := d.UserWindows(target, opt.WindowSeconds)
 		if err != nil {
 			return nil, err
 		}
-		impostorAll, err := d.ImpostorWindows(target, opt.WindowSeconds)
+		impostor, err := d.ImpostorWindows(target, opt.WindowSeconds)
 		if err != nil {
 			return nil, err
 		}
-		impostor := sampleWindows(impostorAll, len(legit), rng)
-		all := append(append([]features.WindowSample{}, legit...), impostor...)
-		labels := make([]bool, len(all))
-		for i := range legit {
-			labels[i] = true
-		}
-		folds, err := stats.StratifiedKFold(labels, d.Cfg.Folds, rng)
+		err = crossValidate(det, legit, impostor, d.Cfg.Folds, opt, rng, func(v verdict) {
+			if v.legit {
+				legitScores = append(legitScores, v.score)
+			} else {
+				impostorScores = append(impostorScores, v.score)
+			}
+		})
 		if err != nil {
 			return nil, err
-		}
-		for _, fold := range folds {
-			var trLegit, trImpostor []features.WindowSample
-			for _, i := range fold.TrainIdx {
-				if labels[i] {
-					trLegit = append(trLegit, all[i])
-				} else {
-					trImpostor = append(trImpostor, all[i])
-				}
-			}
-			bundle, err := trainGenericBundle(det, trLegit, trImpostor, opt, rng)
-			if err != nil {
-				return nil, err
-			}
-			for _, i := range fold.TestIdx {
-				_, score, err := bundle.authenticate(all[i])
-				if err != nil {
-					return nil, err
-				}
-				if labels[i] {
-					legitScores = append(legitScores, score)
-				} else {
-					impostorScores = append(impostorScores, score)
-				}
-			}
 		}
 	}
 
@@ -145,30 +120,19 @@ func RunUnlearning(d *Data) (*UnlearningResult, error) {
 		return nil, err
 	}
 	collectAt := func(day float64, salt int64) ([]features.WindowSample, error) {
-		var out []features.WindowSample
-		for ci, ctx := range []sensing.Context{sensing.ContextStationaryUse, sensing.ContextMovingUse} {
-			sess := sensing.Session{
-				User:    user,
-				Context: ctx,
-				Day:     day,
-				Seconds: d.Cfg.SessionSeconds,
-				Seed:    d.Cfg.Seed*9_000_011 + salt*131 + int64(ci),
-			}
-			got, err := collectSession(user, sess, 6)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, got...)
-		}
-		return out, nil
+		return recordUsage(sensing.Session{
+			User:    user,
+			Day:     day,
+			Seconds: d.Cfg.SessionSeconds,
+			Seed:    d.Cfg.Seed*9_000_011 + salt*131,
+		}, 1, 6)
 	}
 
 	enroll, err := collectAt(0, 1)
 	if err != nil {
 		return nil, err
 	}
-	mode := core.Mode{Combined: true, UseContext: true}
-	trainCfg := core.TrainConfig{Mode: mode, MaxPerClass: 400, Seed: d.Cfg.Seed}
+	trainCfg := d.headlineTraining()
 
 	frozenBundle, err := core.Train(enroll, impostor, trainCfg)
 	if err != nil {
@@ -186,7 +150,7 @@ func RunUnlearning(d *Data) (*UnlearningResult, error) {
 	// the slide matter: old behaviour is actually unlearned rather than
 	// diluted.
 	adaptive, err := core.TrainOnline(det, enroll, impostor, core.OnlineConfig{
-		Mode: mode, Window: 120, Seed: d.Cfg.Seed,
+		Mode: trainCfg.Mode, Window: 120, Seed: d.Cfg.Seed,
 	})
 	if err != nil {
 		return nil, err

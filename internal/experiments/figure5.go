@@ -164,27 +164,15 @@ func RunFigure5Sweep(d *Data, sizes []float64) (*Figure5Result, error) {
 // short session per context per day over the collection span, so that a
 // growing retention buffer reaches back smoothly in time.
 func (d *Data) fig5Windows(userIdx int) ([]features.WindowSample, error) {
-	key := winKey{user: -2000 - userIdx, windowSeconds: 6}
-	d.mu.Lock()
-	cached, ok := d.winCache[key]
-	d.mu.Unlock()
-	if ok {
-		return cached, nil
-	}
-	samples, err := features.Collect(d.Pop.Users[userIdx], features.CollectOptions{
-		WindowSeconds:  6,
-		SessionSeconds: 51,
-		Sessions:       int(d.Cfg.Days) + 1,
-		Days:           d.Cfg.Days,
-		Seed:           d.Cfg.Seed*4_000_037 + int64(userIdx)*32452843,
+	return d.cachedWindows(winKey{"fig5", userIdx, 6}, func() ([]features.WindowSample, error) {
+		return features.Collect(d.Pop.Users[userIdx], features.CollectOptions{
+			WindowSeconds:  6,
+			SessionSeconds: 51,
+			Sessions:       int(d.Cfg.Days) + 1,
+			Days:           d.Cfg.Days,
+			Seed:           d.Cfg.Seed*4_000_037 + int64(userIdx)*32452843,
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	d.mu.Lock()
-	d.winCache[key] = samples
-	d.mu.Unlock()
-	return samples, nil
 }
 
 // interleaveNewestFirst sorts samples newest-first within each coarse

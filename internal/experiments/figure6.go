@@ -39,11 +39,7 @@ func RunFigure6(d *Data) (*Figure6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		bundle, err := core.Train(legit, impostor, core.TrainConfig{
-			Mode:        core.Mode{Combined: true, UseContext: true},
-			MaxPerClass: 400,
-			Seed:        d.Cfg.Seed,
-		})
+		bundle, err := core.Train(legit, impostor, d.headlineTraining())
 		if err != nil {
 			return nil, fmt.Errorf("figure6: train victim %d: %w", target, err)
 		}

@@ -82,11 +82,7 @@ func (d *Data) runFigure7Target(target int) (*Figure7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainCfg := core.TrainConfig{
-		Mode:        core.Mode{Combined: true, UseContext: true},
-		MaxPerClass: 400,
-		Seed:        d.Cfg.Seed,
-	}
+	trainCfg := d.headlineTraining()
 	bundle, err := core.Train(enroll, impostorPool, trainCfg)
 	if err != nil {
 		return nil, fmt.Errorf("figure7: enrollment training: %w", err)
@@ -147,15 +143,14 @@ func (d *Data) runFigure7Target(target int) (*Figure7Result, error) {
 	var atkCount int
 	for ai := 1; ai <= 5 && ai < d.Cfg.Users; ai++ {
 		attacker := d.Pop.Users[(target+ai)%d.Cfg.Users]
-		attackSess := sensing.Session{
+		attackWindows, err := features.Record(sensing.Session{
 			User:          attacker,
 			Context:       sensing.ContextMovingUse,
 			Seconds:       d.Cfg.SessionSeconds,
 			Seed:          d.Cfg.Seed*424243 + int64(ai),
 			MimicOf:       &user.Params,
 			MimicFidelity: 0.9,
-		}
-		attackWindows, err := collectSession(attacker, attackSess, 6)
+		}, 6)
 		if err != nil {
 			return nil, err
 		}
@@ -181,20 +176,16 @@ func (d *Data) runFigure7Target(target int) (*Figure7Result, error) {
 func collectAtDay(u *sensing.User, cfg Config, userIdx int, day float64) ([]features.WindowSample, error) {
 	var out []features.WindowSample
 	for si := 0; si < 3; si++ {
-		for ci, ctx := range []sensing.Context{sensing.ContextStationaryUse, sensing.ContextMovingUse} {
-			sess := sensing.Session{
-				User:    u,
-				Context: ctx,
-				Day:     day,
-				Seconds: cfg.SessionSeconds / 2,
-				Seed:    cfg.Seed*5_000_011 + int64(userIdx)*7001 + int64(day*100)*31 + int64(ci) + int64(si)*101,
-			}
-			got, err := collectSession(u, sess, 6)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, got...)
+		got, err := recordUsage(sensing.Session{
+			User:    u,
+			Day:     day,
+			Seconds: cfg.SessionSeconds / 2,
+			Seed:    cfg.Seed*5_000_011 + int64(userIdx)*7001 + int64(day*100)*31 + int64(si)*101,
+		}, 1, 6)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, got...)
 	}
 	return out, nil
 }

@@ -18,134 +18,38 @@ type runner struct {
 	run   func(*Data) (string, error)
 }
 
+// artifact registers a typed Run function: the runner calls it and renders
+// its result.
+func artifact[R interface{ Render() string }](title string, run func(*Data) (R, error)) runner {
+	return runner{title, func(d *Data) (string, error) {
+		r, err := run(d)
+		if err != nil {
+			return "", err
+		}
+		return r.Render(), nil
+	}}
+}
+
 // registry maps artifact ids to their runners.
 var registry = map[string]runner{
-	"table1": {"Table I — related-work comparison", func(d *Data) (string, error) {
-		r, err := RunTable1(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"figure2": {"Fig. 2 — participant demographics", func(d *Data) (string, error) {
-		r, err := RunFigure2(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"table2": {"Table II — Fisher scores of sensors", func(d *Data) (string, error) {
-		r, err := RunTable2(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"figure3": {"Fig. 3 — KS tests on sensor features", func(d *Data) (string, error) {
-		r, err := RunFigure3(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"table3": {"Table III — feature-pair correlations", func(d *Data) (string, error) {
-		r, err := RunTable3(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"table4": {"Table IV — phone-watch correlations", func(d *Data) (string, error) {
-		r, err := RunTable4(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"table5": {"Table V — context-detection confusion matrix", func(d *Data) (string, error) {
-		r, err := RunTable5(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"table6": {"Table VI — ML algorithm comparison", func(d *Data) (string, error) {
-		r, err := RunTable6(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"figure4": {"Fig. 4 — FRR/FAR vs window size", func(d *Data) (string, error) {
-		r, err := RunFigure4(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"figure5": {"Fig. 5 — accuracy vs data size", func(d *Data) (string, error) {
-		r, err := RunFigure5(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"table7": {"Table VII — context/device configurations", func(d *Data) (string, error) {
-		r, err := RunTable7(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"figure6": {"Fig. 6 — masquerading-attack survival", func(d *Data) (string, error) {
-		r, err := RunFigure6(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"figure7": {"Fig. 7 — confidence score and retraining", func(d *Data) (string, error) {
-		r, err := RunFigure7(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"table8": {"Table VIII — battery consumption", func(d *Data) (string, error) {
-		r, err := RunTable8(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"overhead": {"Section V-H — system overhead", func(d *Data) (string, error) {
-		r, err := RunOverhead(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"ablations": {"Extra — design-choice ablations", func(d *Data) (string, error) {
-		r, err := RunAblations(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"roc": {"Extension — ROC / EER of the headline configuration", func(d *Data) (string, error) {
-		r, err := RunROC(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"unlearning": {"Extension — machine-unlearning model maintenance", func(d *Data) (string, error) {
-		r, err := RunUnlearning(d)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
+	"table1":     artifact("Table I — related-work comparison", RunTable1),
+	"figure2":    artifact("Fig. 2 — participant demographics", RunFigure2),
+	"table2":     artifact("Table II — Fisher scores of sensors", RunTable2),
+	"figure3":    artifact("Fig. 3 — KS tests on sensor features", RunFigure3),
+	"table3":     artifact("Table III — feature-pair correlations", RunTable3),
+	"table4":     artifact("Table IV — phone-watch correlations", RunTable4),
+	"table5":     artifact("Table V — context-detection confusion matrix", RunTable5),
+	"table6":     artifact("Table VI — ML algorithm comparison", RunTable6),
+	"figure4":    artifact("Fig. 4 — FRR/FAR vs window size", RunFigure4),
+	"figure5":    artifact("Fig. 5 — accuracy vs data size", RunFigure5),
+	"table7":     artifact("Table VII — context/device configurations", RunTable7),
+	"figure6":    artifact("Fig. 6 — masquerading-attack survival", RunFigure6),
+	"figure7":    artifact("Fig. 7 — confidence score and retraining", RunFigure7),
+	"table8":     artifact("Table VIII — battery consumption", RunTable8),
+	"overhead":   artifact("Section V-H — system overhead", RunOverhead),
+	"ablations":  artifact("Extra — design-choice ablations", RunAblations),
+	"roc":        artifact("Extension — ROC / EER of the headline configuration", RunROC),
+	"unlearning": artifact("Extension — machine-unlearning model maintenance", RunUnlearning),
 }
 
 // IDs lists the registered experiment ids in stable order.

@@ -52,27 +52,42 @@ func RunTable3(d *Data) (*Table3Result, error) {
 		}
 	}
 	res := &Table3Result{Labels: labels}
-	for _, dev := range []sensing.Device{sensing.DevicePhone, sensing.DeviceWatch} {
-		matrix, err := d.averageCorrelation(labels, dev)
-		if err != nil {
-			return nil, fmt.Errorf("table3: %w", err)
-		}
-		if dev == sensing.DevicePhone {
-			res.Phone = matrix
-		} else {
-			res.Watch = matrix
-		}
+	var err error
+	if res.Phone, err = d.meanCorrelation(labels, sensing.DevicePhone, sensing.DevicePhone); err != nil {
+		return nil, fmt.Errorf("table3: %w", err)
+	}
+	if res.Watch, err = d.meanCorrelation(labels, sensing.DeviceWatch, sensing.DeviceWatch); err != nil {
+		return nil, fmt.Errorf("table3: %w", err)
 	}
 	return res, nil
 }
 
-// averageCorrelation computes the |labels| x |labels| mean correlation
-// matrix for one device. Correlations are computed within each (user,
-// coarse context) group and averaged, so the stationary-versus-moving
-// level difference — which would correlate *everything* with everything —
-// does not masquerade as feature redundancy.
-func (d *Data) averageCorrelation(labels []string, dev sensing.Device) ([][]float64, error) {
+// meanCorrelation computes the |labels| x |labels| matrix whose (i, j)
+// entry is the correlation of feature i on device rows with feature j on
+// device cols (Tables III and IV). Correlations are computed within each
+// (user, coarse context) group and averaged, so the stationary-versus-
+// moving level difference — which would correlate *everything* with
+// everything — does not masquerade as feature redundancy. Groups are
+// summed in user, then context order.
+func (d *Data) meanCorrelation(labels []string, rows, cols sensing.Device) ([][]float64, error) {
 	n := len(labels)
+	columns := func(samples []features.WindowSample, dev sensing.Device) ([][]float64, error) {
+		out := make([][]float64, n)
+		for _, s := range samples {
+			df := s.Phone
+			if dev == sensing.DeviceWatch {
+				df = s.Watch
+			}
+			for i, label := range labels {
+				v, err := featureOf(df, label)
+				if err != nil {
+					return nil, err
+				}
+				out[i] = append(out[i], v)
+			}
+		}
+		return out, nil
+	}
 	sum := make([][]float64, n)
 	for i := range sum {
 		sum[i] = make([]float64, n)
@@ -83,27 +98,23 @@ func (d *Data) averageCorrelation(labels []string, dev sensing.Device) ([][]floa
 		if err != nil {
 			return nil, err
 		}
-		for _, ctxSamples := range features.SplitByCoarseContext(samples) {
-			if len(ctxSamples) < 10 {
+		byContext := features.SplitByCoarseContext(samples)
+		for _, ctx := range []sensing.CoarseContext{sensing.CoarseStationary, sensing.CoarseMoving} {
+			group := byContext[ctx]
+			if len(group) < 10 {
 				continue
 			}
-			columns := make([][]float64, n)
-			for _, s := range ctxSamples {
-				df := s.Phone
-				if dev == sensing.DeviceWatch {
-					df = s.Watch
-				}
-				for i, label := range labels {
-					v, err := featureOf(df, label)
-					if err != nil {
-						return nil, err
-					}
-					columns[i] = append(columns[i], v)
-				}
+			rowCols, err := columns(group, rows)
+			if err != nil {
+				return nil, err
+			}
+			colCols, err := columns(group, cols)
+			if err != nil {
+				return nil, err
 			}
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
-					sum[i][j] += stats.Pearson(columns[i], columns[j])
+					sum[i][j] += stats.Pearson(rowCols[i], colCols[j])
 				}
 			}
 			groups++

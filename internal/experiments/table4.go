@@ -5,8 +5,7 @@ import (
 	"math"
 	"strings"
 
-	"smarteryou/internal/features"
-	"smarteryou/internal/stats"
+	"smarteryou/internal/sensing"
 )
 
 // table4Features are the 7 pruned features per sensor (Ran also dropped),
@@ -32,57 +31,11 @@ func RunTable4(d *Data) (*Table4Result, error) {
 			labels = append(labels, sensor+" "+f)
 		}
 	}
-	n := len(labels)
-	sum := make([][]float64, n)
-	for i := range sum {
-		sum[i] = make([]float64, n)
+	corr, err := d.meanCorrelation(labels, sensing.DeviceWatch, sensing.DevicePhone)
+	if err != nil {
+		return nil, fmt.Errorf("table4: %w", err)
 	}
-	groups := 0
-	for ui := range d.Pop.Users {
-		samples, err := d.UserWindows(ui, 6)
-		if err != nil {
-			return nil, fmt.Errorf("table4: %w", err)
-		}
-		// Within-context correlation, as in Table III: without the split,
-		// the stationary/moving level difference would correlate every
-		// phone feature with every watch feature.
-		for _, ctxSamples := range features.SplitByCoarseContext(samples) {
-			if len(ctxSamples) < 10 {
-				continue
-			}
-			watchCols := make([][]float64, n)
-			phoneCols := make([][]float64, n)
-			for _, s := range ctxSamples {
-				for i, label := range labels {
-					wv, err := featureOf(s.Watch, label)
-					if err != nil {
-						return nil, fmt.Errorf("table4: %w", err)
-					}
-					pv, err := featureOf(s.Phone, label)
-					if err != nil {
-						return nil, fmt.Errorf("table4: %w", err)
-					}
-					watchCols[i] = append(watchCols[i], wv)
-					phoneCols[i] = append(phoneCols[i], pv)
-				}
-			}
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					sum[i][j] += stats.Pearson(watchCols[i], phoneCols[j])
-				}
-			}
-			groups++
-		}
-	}
-	if groups == 0 {
-		return nil, fmt.Errorf("table4: no (user, context) group has enough windows")
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			sum[i][j] /= float64(groups)
-		}
-	}
-	return &Table4Result{Labels: labels, Corr: sum}, nil
+	return &Table4Result{Labels: labels, Corr: corr}, nil
 }
 
 // MaxAbsCorrelation returns the largest absolute cross-device correlation

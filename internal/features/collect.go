@@ -116,38 +116,55 @@ func Collect(u *sensing.User, opt CollectOptions) ([]WindowSample, error) {
 	}
 	opt = opt.withDefaults()
 	var out []WindowSample
-	// One extractor for the whole campaign: every session and both devices
-	// share the FFT plan and scratch buffers.
-	e := NewExtractor()
 	for _, sess := range SessionPlan(u, opt) {
-		phoneStream, err := sess.Generate(sensing.DevicePhone)
+		got, err := Record(sess, opt.WindowSeconds)
 		if err != nil {
-			return nil, fmt.Errorf("features: collect %s phone: %w", u.ID, err)
+			return nil, fmt.Errorf("features: collect %s: %w", u.ID, err)
 		}
-		watchStream, err := sess.Generate(sensing.DeviceWatch)
-		if err != nil {
-			return nil, fmt.Errorf("features: collect %s watch: %w", u.ID, err)
-		}
-		phoneWins, err := e.ExtractWindows(phoneStream, opt.WindowSeconds)
-		if err != nil {
-			return nil, fmt.Errorf("features: collect %s phone windows: %w", u.ID, err)
-		}
-		watchWins, err := e.ExtractWindows(watchStream, opt.WindowSeconds)
-		if err != nil {
-			return nil, fmt.Errorf("features: collect %s watch windows: %w", u.ID, err)
-		}
-		n := len(phoneWins)
-		if len(watchWins) < n {
-			n = len(watchWins)
-		}
-		for k := 0; k < n; k++ {
-			out = append(out, WindowSample{
-				UserID:  u.ID,
-				Context: sess.Context,
-				Day:     sess.Day,
-				Phone:   phoneWins[k],
-				Watch:   watchWins[k],
-			})
+		out = append(out, got...)
+	}
+	return out, nil
+}
+
+// Record generates one session on both devices and pairs their windows:
+// the one place a recording session becomes WindowSamples.
+func Record(sess sensing.Session, windowSeconds float64) ([]WindowSample, error) {
+	phone, err := sess.Generate(sensing.DevicePhone)
+	if err != nil {
+		return nil, fmt.Errorf("features: record phone: %w", err)
+	}
+	watch, err := sess.Generate(sensing.DeviceWatch)
+	if err != nil {
+		return nil, fmt.Errorf("features: record watch: %w", err)
+	}
+	return Pair(sess, phone, watch, windowSeconds)
+}
+
+// Pair extracts the windows of one session's phone and watch streams and
+// pairs them index by index, labelled with the session's user, context and
+// day; the longer stream's extra windows are dropped. Record calls it on
+// the generated streams; a caller that transforms a stream first (a lower
+// sampling rate) calls it directly.
+func Pair(sess sensing.Session, phone, watch *sensing.Stream, windowSeconds float64) ([]WindowSample, error) {
+	// One extractor for both devices: they share the FFT plan and scratch.
+	e := extractorPool.Get().(*Extractor)
+	defer extractorPool.Put(e)
+	phoneWins, err := e.ExtractWindows(phone, windowSeconds)
+	if err != nil {
+		return nil, fmt.Errorf("features: phone windows: %w", err)
+	}
+	watchWins, err := e.ExtractWindows(watch, windowSeconds)
+	if err != nil {
+		return nil, fmt.Errorf("features: watch windows: %w", err)
+	}
+	out := make([]WindowSample, min(len(phoneWins), len(watchWins)))
+	for k := range out {
+		out[k] = WindowSample{
+			UserID:  sess.User.ID,
+			Context: sess.Context,
+			Day:     sess.Day,
+			Phone:   phoneWins[k],
+			Watch:   watchWins[k],
 		}
 	}
 	return out, nil

@@ -237,6 +237,38 @@ func TestCollectDeterministic(t *testing.T) {
 	}
 }
 
+// TestPairKeepsWindowsBothDevicesHave: when one device's stream is shorter
+// (a lower rate, a lossy link), Pair keeps only the windows both devices
+// have, each labelled with the session it came from.
+func TestPairKeepsWindowsBothDevicesHave(t *testing.T) {
+	sess := sensing.Session{User: newTestUser(5), Context: sensing.ContextMovingUse, Day: 3, Seconds: 30, Seed: 21}
+	phone, err := sess.Generate(sensing.DevicePhone)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	short := sess
+	short.Seconds = 18
+	watch, err := short.Generate(sensing.DeviceWatch)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	samples, err := Pair(sess, phone, watch, 6)
+	if err != nil {
+		t.Fatalf("Pair: %v", err)
+	}
+	if len(samples) != 3 {
+		t.Fatalf("got %d samples, want the watch's 3", len(samples))
+	}
+	for _, s := range samples {
+		if s.UserID != "u" || s.Context != sess.Context || s.Day != sess.Day {
+			t.Errorf("sample labelled %q/%v/day %v, want the session's", s.UserID, s.Context, s.Day)
+		}
+	}
+	if _, err := Record(sensing.Session{Context: sensing.ContextMovingUse, Seconds: 6}, 6); err == nil {
+		t.Errorf("a session without a user should not record")
+	}
+}
+
 func TestSplitByCoarseContext(t *testing.T) {
 	samples := []WindowSample{
 		{Context: sensing.ContextStationaryUse},

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Mean returns the arithmetic mean of the sample, or NaN when empty.
@@ -72,16 +73,24 @@ func FisherScore(classes map[string][]float64) (float64, error) {
 	if len(classes) < 2 {
 		return 0, ErrInsufficientData
 	}
+	// Sum the classes in label order, so the score's last bits do not
+	// depend on map iteration order.
+	labels := make([]string, 0, len(classes))
 	var all []float64
-	for _, obs := range classes {
+	for label, obs := range classes {
 		if len(obs) == 0 {
 			return 0, ErrInsufficientData
 		}
-		all = append(all, obs...)
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	for _, label := range labels {
+		all = append(all, classes[label]...)
 	}
 	grand := Mean(all)
 	var between, within float64
-	for _, obs := range classes {
+	for _, label := range labels {
+		obs := classes[label]
 		n := float64(len(obs))
 		m := Mean(obs)
 		between += n * (m - grand) * (m - grand)

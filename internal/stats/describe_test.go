@@ -106,6 +106,29 @@ func TestFisherScoreSeparatedClasses(t *testing.T) {
 	}
 }
 
+// TestFisherScoreIsBitReproducible: Table II's scores must not depend on
+// the order a map hands out its classes.
+func TestFisherScoreIsBitReproducible(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	classes := map[string][]float64{}
+	for c := 0; c < 20; c++ {
+		obs := make([]float64, 7)
+		for i := range obs {
+			obs[i] = float64(c)*0.1 + rng.NormFloat64()
+		}
+		classes[string(rune('a'+c))] = obs
+	}
+	first, err := FisherScore(classes)
+	if err != nil {
+		t.Fatalf("FisherScore: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		if got, _ := FisherScore(classes); got != first {
+			t.Fatalf("call %d gave %v, first gave %v", i+2, got, first)
+		}
+	}
+}
+
 func TestFisherScoreErrors(t *testing.T) {
 	if _, err := FisherScore(map[string][]float64{"a": {1}}); !errors.Is(err, ErrInsufficientData) {
 		t.Errorf("single class err = %v, want ErrInsufficientData", err)

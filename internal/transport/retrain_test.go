@@ -22,39 +22,17 @@ func collectDriftDay(t *testing.T, u *sensing.User, day, seconds float64) []feat
 	t.Helper()
 	var out []features.WindowSample
 	for ci, ctx := range []sensing.Context{sensing.ContextStationaryUse, sensing.ContextMovingUse} {
-		sess := sensing.Session{
+		got, err := features.Record(sensing.Session{
 			User:    u,
 			Context: ctx,
 			Day:     day,
 			Seconds: seconds / 2,
 			Seed:    int64(day*1000) + int64(ci)*17 + 3,
-		}
-		phoneStream, err := sess.Generate(sensing.DevicePhone)
+		}, 6)
 		if err != nil {
-			t.Fatalf("generate phone: %v", err)
+			t.Fatalf("record: %v", err)
 		}
-		watchStream, err := sess.Generate(sensing.DeviceWatch)
-		if err != nil {
-			t.Fatalf("generate watch: %v", err)
-		}
-		phoneWins, err := features.ExtractWindows(phoneStream, 6)
-		if err != nil {
-			t.Fatalf("phone windows: %v", err)
-		}
-		watchWins, err := features.ExtractWindows(watchStream, 6)
-		if err != nil {
-			t.Fatalf("watch windows: %v", err)
-		}
-		n := min(len(phoneWins), len(watchWins))
-		for k := 0; k < n; k++ {
-			out = append(out, features.WindowSample{
-				UserID:  u.ID,
-				Context: ctx,
-				Day:     day,
-				Phone:   phoneWins[k],
-				Watch:   watchWins[k],
-			})
-		}
+		out = append(out, got...)
 	}
 	return out
 }
