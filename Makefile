@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas race-pool race-replication race-retrain race-cas race-cluster check-imports check-benchmark check-examples check-determinism paper-snapshot
+.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas race-pool race-replication race-retrain race-cas race-cluster check-imports check-benchmark check-examples check-determinism check-harness paper-snapshot
 
 check: build vet fmt check-imports race race-pool race-replication race-retrain race-cas race-cluster check-benchmark check-examples check-determinism
 
@@ -209,6 +209,21 @@ check-determinism:
 	GOMAXPROCS=2 "$$tmp/experiments" -quick -run all -time=false -out "$$tmp/2" >/dev/null && \
 	diff -r -x overhead.txt -I 'Mean detection time' -I 'Update cost' "$$tmp/1" "$$tmp/2"; \
 	status=$$?; rm -rf "$$tmp"; exit $$status
+
+# A refactor of the paper harness is checked by output: cmd/experiments is
+# built at BASE (checked out in a temporary git worktree) and at the
+# working tree, each runs the quick campaign, and the reports must match
+# under check-determinism's masks. It needs git history, so check does not
+# run it. `make check-harness BASE=<ref>`.
+check-harness:
+	@tmp="$$(mktemp -d)" && mkdir "$$tmp/base-out" "$$tmp/change-out" && \
+	git worktree add --detach --quiet "$$tmp/base" $(BASE) && \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/experiments-base" ./cmd/experiments) && \
+	$(GO) build -o "$$tmp/experiments-change" ./cmd/experiments && \
+	"$$tmp/experiments-base" -quick -run all -time=false -out "$$tmp/base-out" >/dev/null && \
+	"$$tmp/experiments-change" -quick -run all -time=false -out "$$tmp/change-out" >/dev/null && \
+	diff -r -x overhead.txt -I 'Mean detection time' -I 'Update cost' "$$tmp/base-out" "$$tmp/change-out"; \
+	status=$$?; git worktree remove --force "$$tmp/base" 2>/dev/null; rm -rf "$$tmp"; exit $$status
 
 # The one command that regenerates the checked-in paper-scale report
 # (35 users, 5 targets, seed 1; about two minutes). -time=false keeps wall

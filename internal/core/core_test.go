@@ -170,6 +170,58 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
+// TestDetectorLabelsDecideTheTrainingGroup pins the labelling step the
+// experiment harness trains from: a window whose recorded context
+// contradicts the detector trains in the detector's group.
+func TestDetectorLabelsDecideTheTrainingGroup(t *testing.T) {
+	f := newFixture(t, 3, 60)
+	// Every window of user 0 is recorded as stationary, the moving ones
+	// included, so by the recorded label no moving model trains.
+	legit := append([]features.WindowSample(nil), f.perUser[0]...)
+	for i := range legit {
+		legit[i].Context = sensing.ContextStationaryUse
+	}
+	cfg := TrainConfig{Mode: Mode{UseContext: true}, Seed: 1}
+	bundle, err := Train(legit, f.impostors(0), cfg)
+	if err != nil {
+		t.Fatalf("Train on recorded labels: %v", err)
+	}
+	if _, ok := bundle.Models[sensing.CoarseMoving.String()]; ok {
+		t.Fatalf("recorded labels trained a moving model")
+	}
+
+	labelled, err := f.detector.Label(legit)
+	if err != nil {
+		t.Fatalf("Label: %v", err)
+	}
+	contradicted := 0
+	for i, w := range labelled {
+		det, err := f.detector.Detect(legit[i].Phone)
+		if err != nil {
+			t.Fatalf("Detect: %v", err)
+		}
+		if w.Context.Coarse() != det.Context {
+			t.Errorf("window %d labelled %v, detector says %v", i, w.Context, det.Context)
+		}
+		if det.Context != legit[i].Context.Coarse() {
+			contradicted++
+		}
+		if legit[i].Context != sensing.ContextStationaryUse {
+			t.Fatalf("Label modified its input")
+		}
+	}
+	if contradicted == 0 {
+		t.Fatalf("no window contradicts the detector; the fixture tests nothing")
+	}
+	bundle, err = Train(labelled, f.impostors(0), cfg)
+	if err != nil {
+		t.Fatalf("Train on detector labels: %v", err)
+	}
+	if _, ok := bundle.Models[sensing.CoarseMoving.String()]; !ok {
+		t.Errorf("windows the detector calls moving trained no moving model")
+	}
+}
+
 func TestTrainMaxPerClass(t *testing.T) {
 	f := newFixture(t, 3, 60)
 	bundle, err := Train(f.perUser[0], f.impostors(0), TrainConfig{

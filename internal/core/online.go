@@ -110,7 +110,7 @@ func TrainOnline(detector *ctxdetect.Detector, legit, impostor []features.Window
 		if len(lg) == 0 || len(im) == 0 {
 			continue
 		}
-		rng := rand.New(rand.NewSource(GroupSeed(cfg.Seed, i)))
+		rng := rand.New(rand.NewSource(groupSeed(cfg.Seed, i)))
 		model, err := newOnlineModel(lg, im, cfg, rng)
 		if err != nil {
 			return nil, fmt.Errorf("core: online %s model: %w", key, err)
@@ -194,7 +194,7 @@ func (m *onlineModel) recalibrate() error {
 		}
 		impostorScores = append(impostorScores, s)
 	}
-	m.threshold = OperatingThreshold(legitScores, impostorScores, m.targetFRR)
+	m.threshold = operatingThreshold(legitScores, impostorScores, m.targetFRR)
 	return nil
 }
 

@@ -44,8 +44,50 @@ func (c TrainConfig) withDefaults() TrainConfig {
 
 // Train is the training module of Section IV-A3: it fits the per-context
 // (or unified) authentication models from the legitimate user's feature
-// windows and the anonymized population's windows.
+// windows and the anonymized population's windows. It is Fit with the
+// paper's KRR over the mode's feature vector.
 func Train(legit, impostor []features.WindowSample, cfg TrainConfig) (*ModelBundle, error) {
+	cfg = cfg.withDefaults()
+	scorers, err := Fit(legit, impostor, cfg,
+		func(s features.WindowSample) []float64 { return s.Vector(cfg.Mode.Combined) },
+		func() *ml.KRR { return ml.NewKRR(cfg.Rho) })
+	if err != nil {
+		return nil, err
+	}
+	bundle := &ModelBundle{Mode: cfg.Mode, Models: make(map[string]*ContextModel, len(scorers))}
+	for key, s := range scorers {
+		bundle.Models[key] = &ContextModel{Std: s.Std, KRR: s.Clf, Threshold: s.Threshold}
+	}
+	return bundle, nil
+}
+
+// Scorer is one model as Fit trains it: the standardizer fitted on its
+// training rows, the classifier, and the operating threshold.
+type Scorer[C ml.BinaryClassifier] struct {
+	Std       *stats.Standardizer
+	Clf       C
+	Threshold float64
+}
+
+// Score runs the model on a raw (unstandardized) feature vector: the
+// classifier's decision value less the threshold, positive accepting.
+func (s Scorer[C]) Score(vector []float64) (float64, error) {
+	raw, err := s.Clf.Score(s.Std.Transform(vector))
+	if err != nil {
+		return 0, err
+	}
+	return raw - s.Threshold, nil
+}
+
+// Fit is Train's pipeline over any classifier and feature vector. It
+// groups the windows by the coarse context each one carries (one unified
+// group when cfg.Mode.UseContext is false), skipping a context that lacks
+// either class, and fits one model per group, keyed as in ModelKeys. Each
+// group samples up to cfg.MaxPerClass windows per class, standardizes
+// them, fits newClassifier() and places the cfg.TargetFRR operating
+// threshold on the training scores. The experiment harness calls Fit for
+// the classifiers and vectors a ModelBundle cannot hold.
+func Fit[C ml.BinaryClassifier](legit, impostor []features.WindowSample, cfg TrainConfig, vector func(features.WindowSample) []float64, newClassifier func() C) (map[string]Scorer[C], error) {
 	cfg = cfg.withDefaults()
 	if len(legit) == 0 {
 		return nil, fmt.Errorf("core: no legitimate training windows")
@@ -53,7 +95,6 @@ func Train(legit, impostor []features.WindowSample, cfg TrainConfig) (*ModelBund
 	if len(impostor) == 0 {
 		return nil, fmt.Errorf("core: no impostor training windows")
 	}
-	bundle := &ModelBundle{Mode: cfg.Mode, Models: make(map[string]*ContextModel)}
 
 	type group struct {
 		key      string
@@ -85,44 +126,46 @@ func Train(legit, impostor []features.WindowSample, cfg TrainConfig) (*ModelBund
 	// deterministic regardless of goroutine scheduling; group 0 seeds
 	// with cfg.Seed itself, so single-group (unified) training subsamples
 	// exactly as the sequential implementation did.
-	models := make([]*ContextModel, len(groups))
+	scorers := make([]Scorer[C], len(groups))
 	errs := make([]error, len(groups))
 	var wg sync.WaitGroup
 	for i, g := range groups {
 		wg.Add(1)
-		go func(i int, g group) {
+		go func(i int, g group, clf C) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(GroupSeed(cfg.Seed, i)))
-			models[i], errs[i] = trainOne(g.legit, g.impostor, cfg, rng)
-		}(i, g)
+			rng := rand.New(rand.NewSource(groupSeed(cfg.Seed, i)))
+			scorers[i], errs[i] = fitOne(g.legit, g.impostor, cfg, vector, clf, rng)
+		}(i, g, newClassifier())
 	}
 	wg.Wait()
+	out := make(map[string]Scorer[C], len(groups))
 	for i, g := range groups {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("core: train %s model: %w", g.key, errs[i])
 		}
-		bundle.Models[g.key] = models[i]
+		out[g.key] = scorers[i]
 	}
-	return bundle, nil
+	return out, nil
 }
 
-// GroupSeed derives a deterministic per-group RNG seed. Group 0 uses the
+// groupSeed derives a deterministic per-group RNG seed. Group 0 uses the
 // configured seed unchanged (preserving unified-mode results bit-for-bit
 // with the sequential trainer); later groups mix in the index with a
 // splitmix64-style odd constant so nearby seeds do not collide. Every
 // per-context training loop seeds its groups this way, so no group's
 // sample depends on the order the groups are visited in.
-func GroupSeed(seed int64, i int) int64 {
+func groupSeed(seed int64, i int) int64 {
 	if i == 0 {
 		return seed
 	}
 	return seed + int64(i)*-0x61c8864680b583eb // 2^64 / golden ratio, as int64
 }
 
-// trainOne fits one context's standardizer + KRR classifier.
-func trainOne(legit, impostor []features.WindowSample, cfg TrainConfig, rng *rand.Rand) (*ContextModel, error) {
-	legitVecs := sampleVectors(legit, cfg.Mode.Combined, cfg.MaxPerClass, rng)
-	impostorVecs := sampleVectors(impostor, cfg.Mode.Combined, cfg.MaxPerClass, rng)
+// fitOne fits one group's standardizer and classifier and calibrates its
+// threshold. The legitimate sample is drawn before the impostor one.
+func fitOne[C ml.BinaryClassifier](legit, impostor []features.WindowSample, cfg TrainConfig, vector func(features.WindowSample) []float64, clf C, rng *rand.Rand) (Scorer[C], error) {
+	legitVecs := sampleVectors(legit, vector, cfg.MaxPerClass, rng)
+	impostorVecs := sampleVectors(impostor, vector, cfg.MaxPerClass, rng)
 
 	x := make([][]float64, 0, len(legitVecs)+len(impostorVecs))
 	y := make([]bool, 0, cap(x))
@@ -137,25 +180,24 @@ func trainOne(legit, impostor []features.WindowSample, cfg TrainConfig, rng *ran
 
 	std, err := stats.FitStandardizer(x)
 	if err != nil {
-		return nil, fmt.Errorf("fit standardizer: %w", err)
+		return Scorer[C]{}, fmt.Errorf("fit standardizer: %w", err)
 	}
 	xs := std.TransformAll(x)
-	krr := ml.NewKRR(cfg.Rho)
-	if err := krr.Fit(xs, y); err != nil {
-		return nil, fmt.Errorf("fit krr: %w", err)
+	if err := clf.Fit(xs, y); err != nil {
+		return Scorer[C]{}, fmt.Errorf("fit classifier: %w", err)
 	}
-	threshold, err := operatingThreshold(krr, xs, y, cfg.TargetFRR)
+	threshold, err := calibrate(clf, xs, y, cfg.TargetFRR)
 	if err != nil {
-		return nil, fmt.Errorf("calibrate threshold: %w", err)
+		return Scorer[C]{}, fmt.Errorf("calibrate threshold: %w", err)
 	}
-	return &ContextModel{Std: std, KRR: krr, Threshold: threshold}, nil
+	return Scorer[C]{Std: std, Clf: clf, Threshold: threshold}, nil
 }
 
-// operatingThreshold scores the training set and delegates to
-// OperatingThreshold. The score slices are sized exactly up front (class
-// sizes are known from y), avoiding the append-growth churn that showed
-// up on the training profile for large N.
-func operatingThreshold(krr *ml.KRR, x [][]float64, y []bool, targetFRR float64) (float64, error) {
+// calibrate scores the training set and delegates to operatingThreshold.
+// The score slices are sized exactly up front (class sizes are known from
+// y), avoiding the append-growth churn that showed up on the training
+// profile for large N.
+func calibrate(clf ml.BinaryClassifier, x [][]float64, y []bool, targetFRR float64) (float64, error) {
 	nLegit := 0
 	for _, isLegit := range y {
 		if isLegit {
@@ -165,7 +207,7 @@ func operatingThreshold(krr *ml.KRR, x [][]float64, y []bool, targetFRR float64)
 	legit := make([]float64, 0, nLegit)
 	impostor := make([]float64, 0, len(y)-nLegit)
 	for i, row := range x {
-		s, err := krr.Score(row)
+		s, err := clf.Score(row)
 		if err != nil {
 			return 0, err
 		}
@@ -178,18 +220,14 @@ func operatingThreshold(krr *ml.KRR, x [][]float64, y []bool, targetFRR float64)
 	return operatingThresholdSorted(legit, impostor, targetFRR), nil
 }
 
-// OperatingThreshold places the decision threshold midway between the
+// operatingThreshold places the decision threshold midway between the
 // lower tail of the legitimate user's training scores (the targetFRR
 // quantile) and the upper tail of the impostor population's scores (the
 // matching 1-targetFRR quantile). When the classes are separated, the
 // threshold lands in the gap between them — generalization headroom on
 // both sides; when they overlap, it lands inside the overlap, balancing
 // FRR against FAR around the paper's convenience-leaning operating point.
-//
-// It is exported so the experiment harness applies the same operating-point
-// rule to every classifier it compares (Table VI), keeping the comparison
-// fair.
-func OperatingThreshold(legitScores, impostorScores []float64, targetFRR float64) float64 {
+func operatingThreshold(legitScores, impostorScores []float64, targetFRR float64) float64 {
 	// Exact-size copies (the caller's slices must not be reordered), then
 	// sort in place — no append growth, no re-copying.
 	legit := make([]float64, len(legitScores))
@@ -199,7 +237,7 @@ func OperatingThreshold(legitScores, impostorScores []float64, targetFRR float64
 	return operatingThresholdSorted(legit, impostor, targetFRR)
 }
 
-// operatingThresholdSorted is OperatingThreshold for score slices the
+// operatingThresholdSorted is operatingThreshold for score slices the
 // caller owns: it sorts them in place and allocates nothing.
 func operatingThresholdSorted(legit, impostor []float64, targetFRR float64) float64 {
 	sort.Float64s(legit)
@@ -222,14 +260,14 @@ func clampFloat(v, lo, hi float64) float64 {
 
 // sampleVectors extracts feature vectors, subsampling uniformly without
 // replacement down to max when max > 0.
-func sampleVectors(samples []features.WindowSample, combined bool, max int, rng *rand.Rand) [][]float64 {
+func sampleVectors(samples []features.WindowSample, vector func(features.WindowSample) []float64, max int, rng *rand.Rand) [][]float64 {
 	idx := rng.Perm(len(samples))
 	if max > 0 && max < len(idx) {
 		idx = idx[:max]
 	}
 	out := make([][]float64, len(idx))
 	for i, j := range idx {
-		out[i] = samples[j].Vector(combined)
+		out[i] = vector(samples[j])
 	}
 	return out
 }

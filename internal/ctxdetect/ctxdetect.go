@@ -103,6 +103,27 @@ func (d *Detector) Detect(phone features.DeviceFeatures) (Detection, error) {
 	return det, err
 }
 
+// Label returns copies of windows whose Context is the detector's coarse
+// verdict on each — ContextStationaryUse or ContextMovingUse — the way the
+// paper's enrollment flow labels data (Section IV-A). Models trained on the
+// copies group every window by the context it will be dispatched under,
+// whatever context it was recorded with.
+func (d *Detector) Label(windows []features.WindowSample) ([]features.WindowSample, error) {
+	out := make([]features.WindowSample, len(windows))
+	for i, w := range windows {
+		det, err := d.Detect(w.Phone)
+		if err != nil {
+			return nil, err
+		}
+		w.Context = sensing.ContextStationaryUse
+		if det.Context == sensing.CoarseMoving {
+			w.Context = sensing.ContextMovingUse
+		}
+		out[i] = w
+	}
+	return out, nil
+}
+
 // vecPool recycles the 14-dim phone vectors Detect assembles; the forest
 // only reads the vector during voting, so it never escapes a call.
 var vecPool = sync.Pool{New: func() any {

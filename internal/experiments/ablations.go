@@ -32,6 +32,15 @@ type AblationResult struct {
 // combination configuration wherever applicable.
 func RunAblations(d *Data) (*AblationResult, error) {
 	res := &AblationResult{}
+	// Three rows are Table VII configurations under its seed: acc+gyr and
+	// the pruned set are the phone vector with context, and KRR is the
+	// headline. They are read from its memo rather than cross-validated
+	// again.
+	t7, err := RunTable7(d)
+	if err != nil {
+		return nil, err
+	}
+	phone := t7.Rows[2].Metrics // w/ context, smartphone
 
 	// Sensor ablation (phone only, so the comparison isolates the sensor
 	// set): accelerometer alone, like the gait literature, vs acc+gyr.
@@ -41,29 +50,17 @@ func RunAblations(d *Data) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	accGyr, err := d.evaluateVectors("acc+gyr (14 dims)", func(w features.WindowSample) []float64 {
-		return w.Phone.AuthVector()
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Sensors = []AblationRow{accOnly, accGyr}
+	res.Sensors = []AblationRow{accOnly, {Label: "acc+gyr (14 dims)", Metrics: phone}}
 
 	// Feature-pruning ablation: the pruned 7-feature set of Section V-C vs
 	// the full 9-candidate set (phone only).
-	pruned, err := d.evaluateVectors("pruned 7 features/sensor", func(w features.WindowSample) []float64 {
-		return w.Phone.AuthVector()
-	})
-	if err != nil {
-		return nil, err
-	}
 	full, err := d.evaluateVectors("all 9 features/sensor", func(w features.WindowSample) []float64 {
 		return w.Phone.FullVector()
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Features = []AblationRow{pruned, full}
+	res.Features = []AblationRow{{Label: "pruned 7 features/sensor", Metrics: phone}, full}
 
 	// k-NN baseline (Nickel et al. use k-NN over accelerometer features).
 	knn, err := d.EvaluateAuth(EvalOptions{
@@ -74,13 +71,9 @@ func RunAblations(d *Data) (*AblationResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ablation knn: %w", err)
 	}
-	krr, err := d.EvaluateAuth(EvalOptions{Devices: DeviceCombination, UseContext: true})
-	if err != nil {
-		return nil, fmt.Errorf("ablation krr: %w", err)
-	}
 	res.KNN = []AblationRow{
 		{Label: "k-NN (related work)", Metrics: knn},
-		{Label: "KRR (this paper)", Metrics: krr},
+		{Label: "KRR (this paper)", Metrics: t7.Headline()},
 	}
 
 	// Sampling-rate ablation: the same campaign downsampled. Lower rates

@@ -71,8 +71,6 @@ type EvalOptions struct {
 	// Extract overrides the feature vector extraction (used by the
 	// sensor- and feature-set ablations); nil uses Devices.
 	Extract func(features.WindowSample) []float64
-	// TargetFRR sets the operating point (default 0.03).
-	TargetFRR float64
 	// NoCalibration disables the operating-point threshold and uses the
 	// classifier's textbook decision rule (score > 0). Table VI applies
 	// this to the weak baselines, matching how the paper's comparison
@@ -98,12 +96,6 @@ func (o EvalOptions) withDefaults() EvalOptions {
 	if o.MaxPerClass == 0 {
 		o.MaxPerClass = 400
 	}
-	if o.NewClassifier == nil {
-		o.NewClassifier = func() ml.BinaryClassifier { return ml.NewKRR(1) }
-	}
-	if o.TargetFRR == 0 {
-		o.TargetFRR = 0.03
-	}
 	return o
 }
 
@@ -118,148 +110,80 @@ func (d *Data) headlineTraining() core.TrainConfig {
 	}
 }
 
-// genericModel is one trained per-context model of the shared evaluation
-// pipeline: standardizer, classifier, operating threshold.
-type genericModel struct {
-	std       *stats.Standardizer
-	clf       ml.BinaryClassifier
-	threshold float64
-}
+// authenticateFunc decides one held-out window.
+type authenticateFunc func(features.WindowSample) (accepted bool, score float64, err error)
 
-// genericBundle dispatches windows to per-context generic models, exactly
-// mirroring core.Authenticator but over any classifier and device set.
-type genericBundle struct {
-	opt    EvalOptions
-	det    *ctxdetect.Detector
-	models map[string]*genericModel
-}
-
-// trainGenericBundle fits the per-context (or unified) models on the given
-// training windows. Context labels come from the detector, as in the
-// paper's enrollment flow.
-func trainGenericBundle(det *ctxdetect.Detector, legit, impostor []features.WindowSample, opt EvalOptions, rng *rand.Rand) (*genericBundle, error) {
-	b := &genericBundle{opt: opt, det: det, models: make(map[string]*genericModel)}
-
-	groupKey := func(s features.WindowSample) (string, error) {
-		if !opt.UseContext {
-			return "unified", nil
-		}
-		detn, err := det.Detect(s.Phone)
-		if err != nil {
-			return "", err
-		}
-		return detn.Context.String(), nil
+// train fits one fold's models on windows labelled by the detector and
+// returns the decision rule for its held-out windows. The paper's KRR over
+// the phone or combination vector is core.Train scored by
+// core.Authenticator, the models and dispatch the server serves. Any other
+// classifier, extractor or device set runs the same pipeline through
+// core.Fit.
+func (o EvalOptions) train(det *ctxdetect.Detector, legit, impostor []features.WindowSample, seed int64) (authenticateFunc, error) {
+	cfg := core.TrainConfig{
+		Mode:        core.Mode{Combined: o.Devices == DeviceCombination, UseContext: o.UseContext},
+		MaxPerClass: o.MaxPerClass,
+		Seed:        seed,
 	}
-	legitBy := map[string][]features.WindowSample{}
-	impostorBy := map[string][]features.WindowSample{}
-	for _, s := range legit {
-		k, err := groupKey(s)
+	if o.NewClassifier == nil && o.Extract == nil && o.Devices != DeviceWatchOnly && !o.NoCalibration {
+		bundle, err := core.Train(legit, impostor, cfg)
 		if err != nil {
 			return nil, err
 		}
-		legitBy[k] = append(legitBy[k], s)
-	}
-	for _, s := range impostor {
-		k, err := groupKey(s)
+		completeModels(bundle.Models, cfg.Mode)
+		auth, err := core.NewAuthenticator(det, bundle)
 		if err != nil {
 			return nil, err
 		}
-		impostorBy[k] = append(impostorBy[k], s)
+		return func(s features.WindowSample) (bool, float64, error) {
+			d, err := auth.Authenticate(s)
+			return d.Accepted, d.Score, err
+		}, nil
 	}
 
-	// Each group trains from its own seed, derived from one draw on rng, so
-	// no group's subsample depends on the order the groups train in.
-	seed := rng.Int63()
-	for i, key := range core.ModelKeys(core.Mode{UseContext: opt.UseContext}) {
-		lg, im := legitBy[key], impostorBy[key]
-		if len(lg) == 0 || len(im) == 0 {
-			continue
-		}
-		model, err := trainGenericModel(lg, im, opt, rand.New(rand.NewSource(core.GroupSeed(seed, i))))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: train %s model: %w", key, err)
-		}
-		b.models[key] = model
+	newClassifier := o.NewClassifier
+	if newClassifier == nil {
+		newClassifier = func() ml.BinaryClassifier { return ml.NewKRR(1) }
 	}
-	if len(b.models) == 0 {
-		return nil, fmt.Errorf("experiments: no context had data from both classes")
-	}
-	return b, nil
-}
-
-func trainGenericModel(legit, impostor []features.WindowSample, opt EvalOptions, rng *rand.Rand) (*genericModel, error) {
-	sub := func(in []features.WindowSample) [][]float64 {
-		idx := rng.Perm(len(in))
-		if opt.MaxPerClass > 0 && opt.MaxPerClass < len(idx) {
-			idx = idx[:opt.MaxPerClass]
-		}
-		out := make([][]float64, len(idx))
-		for i, j := range idx {
-			out[i] = opt.vector(in[j])
-		}
-		return out
-	}
-	lv, iv := sub(legit), sub(impostor)
-	x := append(append([][]float64{}, lv...), iv...)
-	y := make([]bool, 0, len(x))
-	for range lv {
-		y = append(y, true)
-	}
-	for range iv {
-		y = append(y, false)
-	}
-	std, err := stats.FitStandardizer(x)
+	models, err := core.Fit(legit, impostor, cfg, o.vector, newClassifier)
 	if err != nil {
 		return nil, err
 	}
-	xs := std.TransformAll(x)
-	clf := opt.NewClassifier()
-	if err := clf.Fit(xs, y); err != nil {
-		return nil, err
-	}
-	var legitScores, impostorScores []float64
-	for i, row := range xs {
-		s, err := clf.Score(row)
-		if err != nil {
-			return nil, err
+	completeModels(models, cfg.Mode)
+	return func(s features.WindowSample) (bool, float64, error) {
+		key := core.ModelKeys(cfg.Mode)[0] // the unified model without context
+		if o.UseContext {
+			detn, err := det.Detect(s.Phone)
+			if err != nil {
+				return false, 0, err
+			}
+			key = detn.Context.String()
 		}
-		if y[i] {
-			legitScores = append(legitScores, s)
-		} else {
-			impostorScores = append(impostorScores, s)
+		m := models[key]
+		if o.NoCalibration {
+			m.Threshold = 0
 		}
-	}
-	threshold := 0.0
-	if !opt.NoCalibration {
-		threshold = core.OperatingThreshold(legitScores, impostorScores, opt.TargetFRR)
-	}
-	return &genericModel{std: std, clf: clf, threshold: threshold}, nil
+		score, err := m.Score(o.vector(s))
+		return score > 0, score, err
+	}, nil
 }
 
-// authenticate classifies one window: detect context, dispatch, score.
-func (b *genericBundle) authenticate(s features.WindowSample) (accepted bool, score float64, err error) {
-	key := "unified"
-	if b.opt.UseContext {
-		detn, err := b.det.Detect(s.Phone)
-		if err != nil {
-			return false, 0, err
-		}
-		key = detn.Context.String()
-	}
-	model := b.models[key]
-	// Fall back to the first model in key order rather than failing: a
-	// context unseen in this training fold still needs a decision.
-	for _, k := range core.ModelKeys(core.Mode{UseContext: b.opt.UseContext}) {
-		if model == nil {
-			model = b.models[k]
+// completeModels gives every context missing from a fold's models the
+// first model in core.ModelKeys order: a context with no training data in
+// the fold still needs a decision on its held-out windows.
+func completeModels[M any](models map[string]M, mode core.Mode) {
+	keys := core.ModelKeys(mode)
+	var first M
+	for i := len(keys) - 1; i >= 0; i-- {
+		if m, ok := models[keys[i]]; ok {
+			first = m
 		}
 	}
-	raw, err := model.clf.Score(model.std.Transform(b.opt.vector(s)))
-	if err != nil {
-		return false, 0, err
+	for _, key := range keys {
+		if _, ok := models[key]; !ok {
+			models[key] = first
+		}
 	}
-	score = raw - model.threshold
-	return score > 0, score, nil
 }
 
 // verdict is the decision on one held-out window of a cross-validation
@@ -287,21 +211,30 @@ func crossValidate(det *ctxdetect.Detector, legit, impostorPool []features.Windo
 	if err != nil {
 		return err
 	}
+	// Training windows carry the detector's verdict, as the paper's
+	// enrollment flow labels them; held-out windows keep their recorded
+	// context, by which the per-context figures report.
+	train := all
+	if opt.UseContext {
+		if train, err = det.Label(all); err != nil {
+			return err
+		}
+	}
 	for _, fold := range split {
 		var trLegit, trImpostor []features.WindowSample
 		for _, i := range fold.TrainIdx {
 			if labels[i] {
-				trLegit = append(trLegit, all[i])
+				trLegit = append(trLegit, train[i])
 			} else {
-				trImpostor = append(trImpostor, all[i])
+				trImpostor = append(trImpostor, train[i])
 			}
 		}
-		bundle, err := trainGenericBundle(det, trLegit, trImpostor, opt, rng)
+		authenticate, err := opt.train(det, trLegit, trImpostor, rng.Int63())
 		if err != nil {
 			return err
 		}
 		for _, i := range fold.TestIdx {
-			accepted, score, err := bundle.authenticate(all[i])
+			accepted, score, err := authenticate(all[i])
 			if err != nil {
 				return err
 			}

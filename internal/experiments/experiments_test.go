@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"smarteryou/internal/features"
 	"smarteryou/internal/sensing"
 )
 
@@ -542,6 +543,71 @@ func TestCrossValidateHoldsOutEveryWindowOnce(t *testing.T) {
 	}
 	if nLegit != len(legit) || nImpostor != len(legit) {
 		t.Errorf("tested %d legit and %d impostor windows, want %d of each", nLegit, nImpostor, len(legit))
+	}
+}
+
+// TestCrossValidateDecidesContextsMissingFromTraining: a training fold
+// with no moving windows trains no moving model, and its held-out moving
+// windows are decided by the stationary model (a core.Authenticator alone
+// returns core.ErrNoModel). Quick Fig. 4 has such folds. Both trainers are
+// covered: core.Train (combination) and core.Fit (watch only).
+func TestCrossValidateDecidesContextsMissingFromTraining(t *testing.T) {
+	d := quickData(t)
+	det, err := d.Detector(6)
+	if err != nil {
+		t.Fatalf("Detector: %v", err)
+	}
+	detected := func(w features.WindowSample) sensing.CoarseContext {
+		got, err := det.Detect(w.Phone)
+		if err != nil {
+			t.Fatalf("Detect: %v", err)
+		}
+		return got.Context
+	}
+	stationary := func(in []features.WindowSample) []features.WindowSample {
+		var out []features.WindowSample
+		for _, w := range in {
+			if detected(w) == sensing.CoarseStationary {
+				out = append(out, w)
+			}
+		}
+		return out
+	}
+	all, err := d.UserWindows(0, 6)
+	if err != nil {
+		t.Fatalf("UserWindows: %v", err)
+	}
+	pool, err := d.ImpostorWindows(0, 6)
+	if err != nil {
+		t.Fatalf("ImpostorWindows: %v", err)
+	}
+	// One moving window among the target's stationary ones, and a
+	// stationary-only impostor pool: no fold ever trains a moving model.
+	legit := stationary(all)
+	for _, w := range all {
+		if detected(w) == sensing.CoarseMoving {
+			legit = append(legit, w)
+			break
+		}
+	}
+	if len(legit) == len(stationary(all)) {
+		t.Fatalf("the target has no window the detector calls moving")
+	}
+	for _, devices := range []DeviceSet{DeviceCombination, DeviceWatchOnly} {
+		opt := EvalOptions{Devices: devices, UseContext: true}.withDefaults()
+		var decided, moving int
+		err := crossValidate(det, legit, stationary(pool), 4, opt, rand.New(rand.NewSource(1)), func(v verdict) {
+			decided++
+			if detected(v.sample) == sensing.CoarseMoving {
+				moving++
+			}
+		})
+		if err != nil {
+			t.Fatalf("%v: crossValidate: %v", devices, err)
+		}
+		if decided != 2*len(legit) || moving != 1 {
+			t.Errorf("%v: %d verdicts (%d moving), want %d (1 moving)", devices, decided, moving, 2*len(legit))
+		}
 	}
 }
 

@@ -67,8 +67,12 @@ func RunFigure5Sweep(d *Data, sizes []float64) (*Figure5Result, error) {
 		}
 		// Newest-first: the buffer retains the most recent behaviour. The
 		// two coarse contexts are interleaved so a small buffer still
-		// holds data for both per-context models.
-		legitSorted := interleaveNewestFirst(legitAll)
+		// holds data for both per-context models. Training windows carry
+		// the detector's verdict, as in crossValidate.
+		legitSorted, err := det.Label(interleaveNewestFirst(legitAll))
+		if err != nil {
+			return nil, err
+		}
 
 		legitTest, err := d.DeploymentWindows(target, 6)
 		if err != nil {
@@ -100,22 +104,19 @@ func RunFigure5Sweep(d *Data, sizes []float64) (*Figure5Result, error) {
 				nLegit = len(legitSorted)
 			}
 			legitTrain := legitSorted[:nLegit]
-			impostorTrain := sampleWindows(impostorPool, nLegit, rng)
+			impostorTrain, err := det.Label(sampleWindows(impostorPool, nLegit, rng))
+			if err != nil {
+				return nil, err
+			}
 			for _, devices := range []DeviceSet{DeviceCombination, DevicePhoneOnly, DeviceWatchOnly} {
-				bundle, err := trainGenericBundle(det, legitTrain, impostorTrain, EvalOptions{
-					Devices:       devices,
-					UseContext:    true,
-					MaxPerClass:   nLegit,
-					TargetFRR:     0.03,
-					WindowSeconds: 6,
-					NewClassifier: EvalOptions{}.withDefaults().NewClassifier,
-				}, rng)
+				opt := EvalOptions{Devices: devices, UseContext: true, MaxPerClass: nLegit}
+				authenticate, err := opt.train(det, legitTrain, impostorTrain, rng.Int63())
 				if err != nil {
 					return nil, fmt.Errorf("figure5 size=%g: %w", size, err)
 				}
 				score := func(samples []features.WindowSample, legit bool) error {
 					for _, s := range samples {
-						accepted, _, err := bundle.authenticate(s)
+						accepted, _, err := authenticate(s)
 						if err != nil {
 							return err
 						}
