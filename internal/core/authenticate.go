@@ -88,30 +88,29 @@ func (a *Authenticator) Authenticate(sample features.WindowSample) (Decision, er
 	a.mu.RUnlock()
 
 	vp := vecPool.Get().(*[]float64)
-	d, vec, err := classify(detector, bundle, sample, *vp)
+	d, vec, err := classify(detector, bundle.Mode, bundle.Models, sample, *vp)
 	*vp = vec
 	vecPool.Put(vp)
 	return d, err
 }
 
+// scorer is a model classify can dispatch to: it scores a raw feature
+// vector, positive accepting.
+type scorer interface {
+	Score(vector []float64) (float64, error)
+}
+
 // classify runs one window through context detection, model dispatch and
 // scoring, reusing vec as the feature-vector buffer; it returns the
-// (possibly grown) buffer so callers can keep it across windows.
-func classify(detector *ctxdetect.Detector, bundle *ModelBundle, sample features.WindowSample, vec []float64) (Decision, []float64, error) {
-	d := Decision{Context: sensing.CoarseStationary, ContextConfidence: 1}
-	if bundle.Mode.UseContext {
-		det, err := detector.Detect(sample.Phone)
-		if err != nil {
-			return Decision{}, vec, fmt.Errorf("core: context detection: %w", err)
-		}
-		d.Context = det.Context
-		d.ContextConfidence = det.Confidence
-	}
-	model, err := bundle.ModelFor(d.Context)
+// (possibly grown) buffer so callers can keep it across windows. It is
+// the one detect → model → score step, for the served bundle and the
+// online models alike.
+func classify[M scorer](detector *ctxdetect.Detector, mode Mode, models map[string]M, sample features.WindowSample, vec []float64) (Decision, []float64, error) {
+	d, model, err := dispatch(detector, mode, models, sample)
 	if err != nil {
 		return Decision{}, vec, err
 	}
-	vec = sample.AppendVector(vec[:0], bundle.Mode.Combined)
+	vec = sample.AppendVector(vec[:0], mode.Combined)
 	score, err := model.Score(vec)
 	if err != nil {
 		return Decision{}, vec, fmt.Errorf("core: classify: %w", err)
@@ -119,6 +118,24 @@ func classify(detector *ctxdetect.Detector, bundle *ModelBundle, sample features
 	d.Score = score
 	d.Accepted = score > 0
 	return d, vec, nil
+}
+
+// dispatch detects a window's coarse context (phone-only features,
+// Section V-E; stationary when context dispatch is off) and picks the
+// model for it.
+func dispatch[M any](detector *ctxdetect.Detector, mode Mode, models map[string]M, sample features.WindowSample) (Decision, M, error) {
+	d := Decision{Context: sensing.CoarseStationary, ContextConfidence: 1}
+	if mode.UseContext {
+		det, err := detector.Detect(sample.Phone)
+		if err != nil {
+			var none M
+			return Decision{}, none, fmt.Errorf("core: context detection: %w", err)
+		}
+		d.Context = det.Context
+		d.ContextConfidence = det.Confidence
+	}
+	m, err := modelFor(models, mode, d.Context)
+	return d, m, err
 }
 
 // AuthenticateBatch classifies many windows in one call, appending the
@@ -136,7 +153,7 @@ func (a *Authenticator) AuthenticateBatch(samples []features.WindowSample, dst [
 	var err error
 	for _, sample := range samples {
 		var d Decision
-		d, vec, err = classify(detector, bundle, sample, vec)
+		d, vec, err = classify(detector, bundle.Mode, bundle.Models, sample, vec)
 		if err != nil {
 			break
 		}

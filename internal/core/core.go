@@ -109,15 +109,41 @@ func (b *ModelBundle) ModelFor(ctx sensing.CoarseContext) (*ContextModel, error)
 	if b == nil || len(b.Models) == 0 {
 		return nil, ErrNoModel
 	}
+	return modelFor(b.Models, b.Mode, ctx)
+}
+
+// modelFor is the one context → model key lookup: ctx's model, or the
+// unified one when context dispatch is off.
+func modelFor[M any](models map[string]M, mode Mode, ctx sensing.CoarseContext) (M, error) {
 	key := unifiedKey
-	if b.Mode.UseContext {
+	if mode.UseContext {
 		key = ctx.String()
 	}
-	m, ok := b.Models[key]
+	m, ok := models[key]
 	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrNoModel, key)
+		return m, fmt.Errorf("%w %q", ErrNoModel, key)
 	}
 	return m, nil
+}
+
+// CompleteModels gives every context missing from models the first model
+// in ModelKeys order, so a context with no training data still gets a
+// decision. The served bundle does not do this: its Authenticator returns
+// ErrNoModel for a context it has no model for.
+func CompleteModels[M any](models map[string]M, mode Mode) {
+	keys := ModelKeys(mode)
+	var first M
+	for _, key := range keys {
+		if m, ok := models[key]; ok {
+			first = m
+			break
+		}
+	}
+	for _, key := range keys {
+		if _, ok := models[key]; !ok {
+			models[key] = first
+		}
+	}
 }
 
 // Marshal encodes the bundle for download to the phone.

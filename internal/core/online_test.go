@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"smarteryou/internal/features"
@@ -11,9 +13,10 @@ func TestTrainOnlineBasicAuthentication(t *testing.T) {
 	f := newFixture(t, 5, 90)
 	legit := f.perUser[0]
 	impostor := f.impostors(0)
-	online, err := TrainOnline(f.detector, legit, impostor, OnlineConfig{
-		Mode: Mode{Combined: true, UseContext: true},
-		Seed: 3,
+	online, err := TrainOnline(f.detector, legit, impostor, TrainConfig{
+		Mode:        Mode{Combined: true, UseContext: true},
+		MaxPerClass: 400,
+		Seed:        3,
 	})
 	if err != nil {
 		t.Fatalf("TrainOnline: %v", err)
@@ -48,36 +51,39 @@ func TestTrainOnlineBasicAuthentication(t *testing.T) {
 
 func TestTrainOnlineValidation(t *testing.T) {
 	f := newFixture(t, 3, 30)
-	if _, err := TrainOnline(f.detector, nil, f.perUser[1], OnlineConfig{}); err == nil {
+	if _, err := TrainOnline(f.detector, nil, f.perUser[1], TrainConfig{MaxPerClass: 400}); err == nil {
 		t.Errorf("missing legit data should error")
 	}
-	if _, err := TrainOnline(f.detector, f.perUser[0], nil, OnlineConfig{}); err == nil {
+	if _, err := TrainOnline(f.detector, f.perUser[0], nil, TrainConfig{MaxPerClass: 400}); err == nil {
 		t.Errorf("missing impostor data should error")
 	}
-	if _, err := TrainOnline(nil, f.perUser[0], f.perUser[1], OnlineConfig{
-		Mode: Mode{UseContext: true},
+	if _, err := TrainOnline(nil, f.perUser[0], f.perUser[1], TrainConfig{
+		Mode: Mode{UseContext: true}, MaxPerClass: 400,
 	}); err == nil {
 		t.Errorf("context mode without detector should error")
+	}
+	if _, err := TrainOnline(f.detector, f.perUser[0], f.perUser[1], TrainConfig{}); err == nil {
+		t.Errorf("MaxPerClass 0 (no retention window) should error")
 	}
 }
 
 func TestOnlineAdaptSlidesWindow(t *testing.T) {
 	f := newFixture(t, 3, 60)
-	online, err := TrainOnline(f.detector, f.perUser[0], f.impostors(0), OnlineConfig{
-		Mode:   Mode{Combined: true, UseContext: true},
-		Window: 20,
-		Seed:   1,
+	online, err := TrainOnline(f.detector, f.perUser[0], f.impostors(0), TrainConfig{
+		Mode:        Mode{Combined: true, UseContext: true},
+		MaxPerClass: 20,
+		Seed:        1,
 	})
 	if err != nil {
 		t.Fatalf("TrainOnline: %v", err)
 	}
-	before := online.RetainedWindows()
+	before := online.retainedWindows()
 	for _, s := range f.perUser[0][:30] {
 		if err := online.Adapt(s); err != nil {
 			t.Fatalf("Adapt: %v", err)
 		}
 	}
-	after := online.RetainedWindows()
+	after := online.retainedWindows()
 	for key, n := range after {
 		if n > 20 {
 			t.Errorf("context %q retains %d windows, want <= 20", key, n)
@@ -121,7 +127,7 @@ func TestOnlineAdaptationTracksDrift(t *testing.T) {
 	}
 
 	enroll := collectAt(0, 1000)
-	cfg := OnlineConfig{Mode: Mode{Combined: true, UseContext: false}, Window: 40, Seed: 5}
+	cfg := TrainConfig{Mode: Mode{Combined: true, UseContext: false}, MaxPerClass: 40, Seed: 5}
 	adaptive, err := TrainOnline(nil, enroll, impostor, cfg)
 	if err != nil {
 		t.Fatalf("TrainOnline adaptive: %v", err)
@@ -173,5 +179,112 @@ func TestOnlineAdaptationTracksDrift(t *testing.T) {
 	}
 	if rejected < 32 {
 		t.Errorf("adapted model rejects only %d/40 impostor windows", rejected)
+	}
+}
+
+// TestOnlineAtDayZeroIsTheServedModel: before any Adapt, the online
+// authenticator is the model Train serves, window for window, also when
+// a context holds fewer windows of a class than MaxPerClass.
+func TestOnlineAtDayZeroIsTheServedModel(t *testing.T) {
+	f := newFixture(t, 5, 60)
+	legit, impostor := f.perUser[0], f.impostors(0)
+	cfg := TrainConfig{Mode: Mode{Combined: true, UseContext: true}, MaxPerClass: 100, Seed: 7}
+	if n := len(legit); n >= cfg.MaxPerClass {
+		t.Fatalf("fixture has %d legitimate windows, want fewer than MaxPerClass", n)
+	}
+	online, err := TrainOnline(f.detector, legit, impostor, cfg)
+	if err != nil {
+		t.Fatalf("TrainOnline: %v", err)
+	}
+	bundle, err := Train(legit, impostor, cfg)
+	if err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	served, err := NewAuthenticator(f.detector, bundle)
+	if err != nil {
+		t.Fatalf("NewAuthenticator: %v", err)
+	}
+	for i, s := range append(append([]features.WindowSample(nil), legit...), impostor...) {
+		want, err := served.Authenticate(s)
+		if err != nil {
+			t.Fatalf("served Authenticate: %v", err)
+		}
+		got, err := online.Authenticate(s)
+		if err != nil {
+			t.Fatalf("online Authenticate: %v", err)
+		}
+		if got.Accepted != want.Accepted || math.Abs(got.Score-want.Score) > 1e-9 {
+			t.Errorf("window %d: online %+v, served %+v", i, got, want)
+		}
+	}
+}
+
+// TestOnlineFallsBackToTheFirstModel: a context with no enrollment data
+// uses the first model in ModelKeys order, for Authenticate and Adapt
+// alike; the served Authenticator has no model for it.
+func TestOnlineFallsBackToTheFirstModel(t *testing.T) {
+	f := newFixture(t, 3, 60)
+	stationaryOnly := func(in []features.WindowSample) []features.WindowSample {
+		var out []features.WindowSample
+		for _, s := range in {
+			if s.Context.Coarse() == sensing.CoarseStationary {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	legit, impostor := stationaryOnly(f.perUser[0]), stationaryOnly(f.impostors(0))
+	cfg := TrainConfig{Mode: Mode{Combined: true, UseContext: true}, MaxPerClass: 40, Seed: 1}
+	online, err := TrainOnline(f.detector, legit, impostor, cfg)
+	if err != nil {
+		t.Fatalf("TrainOnline: %v", err)
+	}
+	stationary := online.models[sensing.CoarseStationary.String()]
+	var moving features.WindowSample
+	found := false
+	for _, s := range f.perUser[0] {
+		det, err := f.detector.Detect(s.Phone)
+		if err != nil {
+			t.Fatalf("Detect: %v", err)
+		}
+		if det.Context == sensing.CoarseMoving {
+			moving, found = s, true
+			break
+		}
+	}
+	if !found {
+		t.Fatalf("the detector calls no window moving; the fixture tests nothing")
+	}
+
+	d, err := online.Authenticate(moving)
+	if err != nil {
+		t.Fatalf("Authenticate a moving window: %v", err)
+	}
+	want, err := stationary.Score(moving.Vector(true))
+	if err != nil {
+		t.Fatalf("stationary Score: %v", err)
+	}
+	if d.Context != sensing.CoarseMoving || d.Score != want {
+		t.Errorf("moving window decided %+v, want context moving and the stationary score %v", d, want)
+	}
+
+	before := len(stationary.Clf.legit)
+	if err := online.Adapt(moving); err != nil {
+		t.Fatalf("Adapt a moving window: %v", err)
+	}
+	if got := len(stationary.Clf.legit); got != before+1 {
+		t.Errorf("stationary model retains %d windows after adapting a moving one, want %d", got, before+1)
+	}
+
+	bundle, err := Train(legit, impostor, cfg)
+	if err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	served, err := NewAuthenticator(f.detector, bundle)
+	if err != nil {
+		t.Fatalf("NewAuthenticator: %v", err)
+	}
+	if _, err := served.Authenticate(moving); !errors.Is(err, ErrNoModel) {
+		t.Errorf("served Authenticate of a moving window: err = %v, want ErrNoModel", err)
 	}
 }

@@ -186,66 +186,47 @@ func fitOne[C ml.BinaryClassifier](legit, impostor []features.WindowSample, cfg 
 	if err := clf.Fit(xs, y); err != nil {
 		return Scorer[C]{}, fmt.Errorf("fit classifier: %w", err)
 	}
-	threshold, err := calibrate(clf, xs, y, cfg.TargetFRR)
+	threshold, err := calibrate(clf, xs[:len(legitVecs)], xs[len(legitVecs):], cfg.TargetFRR)
 	if err != nil {
 		return Scorer[C]{}, fmt.Errorf("calibrate threshold: %w", err)
 	}
 	return Scorer[C]{Std: std, Clf: clf, Threshold: threshold}, nil
 }
 
-// calibrate scores the training set and delegates to operatingThreshold.
-// The score slices are sized exactly up front (class sizes are known from
-// y), avoiding the append-growth churn that showed up on the training
-// profile for large N.
-func calibrate(clf ml.BinaryClassifier, x [][]float64, y []bool, targetFRR float64) (float64, error) {
-	nLegit := 0
-	for _, isLegit := range y {
-		if isLegit {
-			nLegit++
-		}
+// calibrate places the operating threshold from the model's scores on
+// its legitimate and impostor training rows: midway between the lower tail
+// of the legitimate user's scores (the targetFRR quantile) and the upper
+// tail of the impostor population's (the matching 1-targetFRR quantile).
+// When the classes are separated, the threshold lands in the gap between
+// them — generalization headroom on both sides; when they overlap, it
+// lands inside the overlap, balancing FRR against FAR around the paper's
+// convenience-leaning operating point.
+func calibrate(clf ml.BinaryClassifier, legitRows, impostorRows [][]float64, targetFRR float64) (float64, error) {
+	legit, err := scoreRows(clf, legitRows)
+	if err != nil {
+		return 0, err
 	}
-	legit := make([]float64, 0, nLegit)
-	impostor := make([]float64, 0, len(y)-nLegit)
-	for i, row := range x {
-		s, err := clf.Score(row)
-		if err != nil {
-			return 0, err
-		}
-		if y[i] {
-			legit = append(legit, s)
-		} else {
-			impostor = append(impostor, s)
-		}
+	impostor, err := scoreRows(clf, impostorRows)
+	if err != nil {
+		return 0, err
 	}
-	return operatingThresholdSorted(legit, impostor, targetFRR), nil
-}
-
-// operatingThreshold places the decision threshold midway between the
-// lower tail of the legitimate user's training scores (the targetFRR
-// quantile) and the upper tail of the impostor population's scores (the
-// matching 1-targetFRR quantile). When the classes are separated, the
-// threshold lands in the gap between them — generalization headroom on
-// both sides; when they overlap, it lands inside the overlap, balancing
-// FRR against FAR around the paper's convenience-leaning operating point.
-func operatingThreshold(legitScores, impostorScores []float64, targetFRR float64) float64 {
-	// Exact-size copies (the caller's slices must not be reordered), then
-	// sort in place — no append growth, no re-copying.
-	legit := make([]float64, len(legitScores))
-	copy(legit, legitScores)
-	impostor := make([]float64, len(impostorScores))
-	copy(impostor, impostorScores)
-	return operatingThresholdSorted(legit, impostor, targetFRR)
-}
-
-// operatingThresholdSorted is operatingThreshold for score slices the
-// caller owns: it sorts them in place and allocates nothing.
-func operatingThresholdSorted(legit, impostor []float64, targetFRR float64) float64 {
 	sort.Float64s(legit)
 	sort.Float64s(impostor)
 	p := clampFloat(targetFRR, 0, 1) * 100
-	lo := stats.Percentile(legit, p)
-	hi := stats.Percentile(impostor, 100-p)
-	return (lo + hi) / 2
+	return (stats.Percentile(legit, p) + stats.Percentile(impostor, 100-p)) / 2, nil
+}
+
+// scoreRows scores each (standardized) row.
+func scoreRows(clf ml.BinaryClassifier, rows [][]float64) ([]float64, error) {
+	scores := make([]float64, len(rows))
+	for i, row := range rows {
+		s, err := clf.Score(row)
+		if err != nil {
+			return nil, err
+		}
+		scores[i] = s
+	}
+	return scores, nil
 }
 
 func clampFloat(v, lo, hi float64) float64 {

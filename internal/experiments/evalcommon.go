@@ -130,7 +130,7 @@ func (o EvalOptions) train(det *ctxdetect.Detector, legit, impostor []features.W
 		if err != nil {
 			return nil, err
 		}
-		completeModels(bundle.Models, cfg.Mode)
+		core.CompleteModels(bundle.Models, cfg.Mode)
 		auth, err := core.NewAuthenticator(det, bundle)
 		if err != nil {
 			return nil, err
@@ -149,7 +149,7 @@ func (o EvalOptions) train(det *ctxdetect.Detector, legit, impostor []features.W
 	if err != nil {
 		return nil, err
 	}
-	completeModels(models, cfg.Mode)
+	core.CompleteModels(models, cfg.Mode)
 	return func(s features.WindowSample) (bool, float64, error) {
 		key := core.ModelKeys(cfg.Mode)[0] // the unified model without context
 		if o.UseContext {
@@ -166,24 +166,6 @@ func (o EvalOptions) train(det *ctxdetect.Detector, legit, impostor []features.W
 		score, err := m.Score(o.vector(s))
 		return score > 0, score, err
 	}, nil
-}
-
-// completeModels gives every context missing from a fold's models the
-// first model in core.ModelKeys order: a context with no training data in
-// the fold still needs a decision on its held-out windows.
-func completeModels[M any](models map[string]M, mode core.Mode) {
-	keys := core.ModelKeys(mode)
-	var first M
-	for i := len(keys) - 1; i >= 0; i-- {
-		if m, ok := models[keys[i]]; ok {
-			first = m
-		}
-	}
-	for _, key := range keys {
-		if _, ok := models[key]; !ok {
-			models[key] = first
-		}
-	}
 }
 
 // verdict is the decision on one held-out window of a cross-validation

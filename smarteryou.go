@@ -173,8 +173,6 @@ type (
 	// OnlineAuthenticator adapts to behavioural drift window by window
 	// using incremental learning and machine unlearning (Section V-I).
 	OnlineAuthenticator = core.OnlineAuthenticator
-	// OnlineConfig parameterizes the online authenticator.
-	OnlineConfig = core.OnlineConfig
 	// AuditLog is a tamper-evident, hash-chained record of decisions.
 	AuditLog = core.AuditLog
 	// AuditEntry is one sealed audit record.
@@ -203,8 +201,9 @@ func NewAuthenticator(det *Detector, bundle *ModelBundle) (*Authenticator, error
 // TrainOnline initializes the continuously-adapting authenticator: each of
 // the owner's windows can be folded into the model in O(M^2) while the
 // oldest retained window is exactly unlearned — the fast alternative to
-// cloud retraining that Section V-I points at.
-func TrainOnline(det *Detector, legit, impostor []WindowSample, cfg OnlineConfig) (*OnlineAuthenticator, error) {
+// cloud retraining that Section V-I points at. cfg.MaxPerClass is the
+// retention window and must be positive.
+func TrainOnline(det *Detector, legit, impostor []WindowSample, cfg TrainConfig) (*OnlineAuthenticator, error) {
 	return core.TrainOnline(det, legit, impostor, cfg)
 }
 

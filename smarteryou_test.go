@@ -81,8 +81,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Online adaptation through the facade.
-	online, err := smarteryou.TrainOnline(det, ownerData, impostorData, smarteryou.OnlineConfig{
-		Mode: smarteryou.Mode{Combined: true, UseContext: true},
+	online, err := smarteryou.TrainOnline(det, ownerData, impostorData, smarteryou.TrainConfig{
+		Mode: smarteryou.Mode{Combined: true, UseContext: true}, MaxPerClass: 400,
 	})
 	if err != nil {
 		t.Fatalf("TrainOnline: %v", err)
