@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas race-pool race-replication race-retrain race-cas race-cluster check-imports check-benchmark check-examples check-determinism check-harness paper-snapshot
+.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas race-pool race-replication race-retrain race-cas race-cluster check-imports check-benchmark check-examples check-determinism paper-snapshot
 
 check: build vet fmt check-imports race race-pool race-replication race-retrain race-cas race-cluster check-benchmark check-examples check-determinism
 
@@ -199,35 +199,23 @@ check-examples:
 	if [ -n "$$left" ]; then echo "examples/cloud left behind in TMPDIR: $$left"; exit 1; fi
 
 # Same seed, same bytes: one experiments binary runs the quick campaign
-# under GOMAXPROCS=1 and =2 and the two reports must match. overhead.txt
-# and the "Mean detection time" lines are the wall-clock measurements
-# -time=false leaves in, so they are masked.
+# under GOMAXPROCS=1 and =2, and each report must equal the golden output
+# in testdata/quick/, so a change that moves any number fails here and its
+# regenerated golden files show the move line by line. The bytes are
+# pinned for amd64: Go may fuse multiply-add on arm64.
 check-determinism:
 	@tmp="$$(mktemp -d)" && mkdir "$$tmp/1" "$$tmp/2" && \
 	$(GO) build -o "$$tmp/experiments" ./cmd/experiments && \
-	GOMAXPROCS=1 "$$tmp/experiments" -quick -run all -time=false -out "$$tmp/1" >/dev/null && \
-	GOMAXPROCS=2 "$$tmp/experiments" -quick -run all -time=false -out "$$tmp/2" >/dev/null && \
-	diff -r -x overhead.txt -I 'Mean detection time' "$$tmp/1" "$$tmp/2"; \
+	GOMAXPROCS=1 "$$tmp/experiments" -quick -run all -out "$$tmp/1" >/dev/null && \
+	GOMAXPROCS=2 "$$tmp/experiments" -quick -run all -out "$$tmp/2" >/dev/null && \
+	diff -r testdata/quick "$$tmp/1" && diff -r testdata/quick "$$tmp/2"; \
 	status=$$?; rm -rf "$$tmp"; exit $$status
 
-# A refactor of the paper harness is checked by output: cmd/experiments is
-# built at BASE (checked out in a temporary git worktree) and at the
-# working tree, each runs the quick campaign, and the reports must match
-# under check-determinism's masks. It needs git history, so check does not
-# run it. `make check-harness BASE=<ref>`.
-check-harness:
-	@tmp="$$(mktemp -d)" && mkdir "$$tmp/base-out" "$$tmp/change-out" && \
-	git worktree add --detach --quiet "$$tmp/base" $(BASE) && \
-	(cd "$$tmp/base" && $(GO) build -o "$$tmp/experiments-base" ./cmd/experiments) && \
-	$(GO) build -o "$$tmp/experiments-change" ./cmd/experiments && \
-	"$$tmp/experiments-base" -quick -run all -time=false -out "$$tmp/base-out" >/dev/null && \
-	"$$tmp/experiments-change" -quick -run all -time=false -out "$$tmp/change-out" >/dev/null && \
-	diff -r -x overhead.txt -I 'Mean detection time' "$$tmp/base-out" "$$tmp/change-out"; \
-	status=$$?; git worktree remove --force "$$tmp/base" 2>/dev/null; rm -rf "$$tmp"; exit $$status
-
-# The one command that regenerates the checked-in paper-scale report
-# (35 users, 5 targets, seed 1; about two minutes). -time=false keeps wall
-# times out of it so two runs can be diffed; stamp the commit it was run
-# at in EXPERIMENTS.md.
+# The one command that regenerates the checked-in reports: the paper-scale
+# campaign (35 users, 5 targets, seed 1; about two minutes) and the quick
+# campaign check-determinism compares against. A change that moves one
+# moves the other. Stamp the commit it was run at in EXPERIMENTS.md.
 paper-snapshot:
-	$(GO) run ./cmd/experiments -run all -time=false > results_paper_scale.txt
+	$(GO) run ./cmd/experiments -run all > results_paper_scale.txt
+	rm -f testdata/quick/*.txt
+	GOMAXPROCS=1 $(GO) run ./cmd/experiments -quick -run all -out testdata/quick >/dev/null

@@ -1,6 +1,11 @@
 // Command experiments regenerates the tables and figures of the
 // SmarterYou paper (DSN 2017) from the synthetic reproduction campaign.
 //
+// Every report is a pure function of the flags: two runs print the same
+// bytes, whatever GOMAXPROCS. Nothing here reads a clock; the paper's
+// Section V-H times are measured by the benchmark (bash benchmark/run.sh
+// and BenchmarkKRRPrimalVsDual).
+//
 // Usage:
 //
 //	experiments -run table7            # one artifact
@@ -16,7 +21,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"smarteryou/internal/experiments"
 )
@@ -33,7 +37,6 @@ func run() int {
 		users   = flag.Int("users", 0, "population size (default 35, paper scale)")
 		targets = flag.Int("targets", 0, "target users to average over (default 5)")
 		seed    = flag.Int64("seed", 0, "campaign seed (default 1)")
-		timing  = flag.Bool("time", true, "print per-experiment wall time")
 		outDir  = flag.String("out", "", "also write each report to <out>/<id>.txt")
 	)
 	flag.Parse()
@@ -80,7 +83,6 @@ func run() int {
 		ids = experiments.IDs()
 	}
 	for _, id := range ids {
-		start := time.Now()
 		report, err := experiments.Run(id, data)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, err)
@@ -95,11 +97,7 @@ func run() int {
 				return 1
 			}
 		}
-		if *timing {
-			fmt.Printf("\n(%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
-		} else {
-			fmt.Println()
-		}
+		fmt.Println()
 	}
 	return 0
 }

@@ -10,13 +10,9 @@ import (
 )
 
 // Table5Result reproduces Table V: the confusion matrix of user-agnostic
-// context detection with two smartphone sensors, plus the measured
-// detection latency.
+// context detection with two smartphone sensors.
 type Table5Result struct {
 	Confusion *stats.ConfusionMatrix
-	// DetectMicros is the mean per-window detection time in microseconds
-	// (the paper reports < 3 ms).
-	DetectMicros float64
 }
 
 // RunTable5 trains the Random Forest on lab-condition data from all users
@@ -46,8 +42,6 @@ func RunTable5(d *Data) (*Table5Result, error) {
 	}
 
 	confusion := stats.NewConfusionMatrix()
-	var totalMicros float64
-	var detections int
 	for _, fold := range userFolds {
 		var train []ctxdetect.LabeledVector
 		for _, ui := range fold.TrainIdx {
@@ -59,21 +53,15 @@ func RunTable5(d *Data) (*Table5Result, error) {
 		}
 		for _, ui := range fold.TestIdx {
 			for _, lv := range users[ui].vectors {
-				micros, got, err := timeDetect(det, lv.Vector)
+				got, err := det.DetectVector(lv.Vector)
 				if err != nil {
 					return nil, fmt.Errorf("table5: detect: %w", err)
 				}
-				totalMicros += micros
-				detections++
-				confusion.Observe(lv.Context.String(), got)
+				confusion.Observe(lv.Context.String(), got.Context.String())
 			}
 		}
 	}
-	res := &Table5Result{Confusion: confusion}
-	if detections > 0 {
-		res.DetectMicros = totalMicros / float64(detections)
-	}
-	return res, nil
+	return &Table5Result{Confusion: confusion}, nil
 }
 
 // Render formats the result in the paper's Table V layout.
@@ -82,6 +70,5 @@ func (r *Table5Result) Render() string {
 	b.WriteString("TABLE V: confusion matrix of context detection using two smartphone sensors\n")
 	b.WriteString(r.Confusion.String())
 	fmt.Fprintf(&b, "\nOverall context accuracy: %.1f%% (paper: >99%%)\n", r.Confusion.Accuracy()*100)
-	fmt.Fprintf(&b, "Mean detection time: %.0f us (paper: <3 ms)\n", r.DetectMicros)
 	return b.String()
 }

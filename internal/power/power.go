@@ -122,24 +122,6 @@ func (m Model) SmarterYouCost(s Scenario) (float64, error) {
 	return a - b, nil
 }
 
-// CPUUtilization estimates the pipeline's average CPU share (Section
-// V-H2 reports 5% average, never above 6%, on a Nexus 5): the measured
-// busy time per authentication window divided by the window period, plus
-// the constant sensor-servicing overhead of 50 Hz sampling.
-func CPUUtilization(busyPerWindow, windowSeconds float64, sensorOverheadFrac float64) (float64, error) {
-	if windowSeconds <= 0 {
-		return 0, fmt.Errorf("power: window must be positive, got %g", windowSeconds)
-	}
-	if busyPerWindow < 0 || sensorOverheadFrac < 0 {
-		return 0, fmt.Errorf("power: negative utilization inputs")
-	}
-	u := busyPerWindow/windowSeconds + sensorOverheadFrac
-	if u > 1 {
-		u = 1
-	}
-	return u, nil
-}
-
 // ScaleSamplingRate returns a copy of the model with sensor and pipeline
 // power scaled for a different sampling rate, following Section V-H2's
 // note that CPU utilization (and hence energy) scales with the sampling

@@ -107,28 +107,3 @@ func TestScaleSamplingRate(t *testing.T) {
 		t.Errorf("zero rate should error")
 	}
 }
-
-func TestCPUUtilization(t *testing.T) {
-	// 21 ms of work per 6 s window + 4% sensor servicing ~ 4.4%.
-	u, err := CPUUtilization(0.021, 6, 0.04)
-	if err != nil {
-		t.Fatalf("CPUUtilization: %v", err)
-	}
-	if math.Abs(u-0.0435) > 0.001 {
-		t.Errorf("utilization = %v, want ~0.0435", u)
-	}
-	// Saturation at 100%.
-	u, err = CPUUtilization(10, 6, 0.5)
-	if err != nil {
-		t.Fatalf("CPUUtilization: %v", err)
-	}
-	if u != 1 {
-		t.Errorf("saturated utilization = %v, want 1", u)
-	}
-	if _, err := CPUUtilization(0.01, 0, 0); err == nil {
-		t.Errorf("zero window should error")
-	}
-	if _, err := CPUUtilization(-1, 6, 0); err == nil {
-		t.Errorf("negative busy time should error")
-	}
-}
