@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz loc bench bench-auth bench-wire bench-replication bench-cluster bench-cas race-pool race-replication race-retrain race-cas race-cluster check-imports check-benchmark check-examples check-determinism paper-snapshot
+.PHONY: check build vet fmt test race fuzz loc bench-cluster race-pool race-replication race-retrain race-cas race-cluster check-imports check-benchmark check-examples check-determinism paper-snapshot
 
 check: build vet fmt check-imports race race-pool race-replication race-retrain race-cas race-cluster check-benchmark check-examples check-determinism
 
@@ -76,65 +76,52 @@ loc:
 				ta += add[k]; td += del[k] } \
 			printf "%-12s +%d -%d = %+d\n", "total", ta, td, ta - td }'
 
-# Smoke-run the store benchmarks under the race detector: one iteration
-# each, so the hot-path assertions (recovered counts, parallel enroll)
-# execute with full instrumentation without turning CI into a perf run.
-# Baseline numbers live in BENCH_store.json (recorded with -benchtime
-# high enough to be stable; see the file's "how" field).
-bench:
-	$(GO) test -race -run=xxx -bench='BenchmarkStore|BinaryRecord' -benchtime=1x ./internal/store/ .
-
-# Authentication hot-path benchmarks (FFT plan, feature extraction, the
-# authenticate fast path, end-to-end window, and KRR training as an
-# untouched control). Before/after baselines live in BENCH_auth.json;
-# re-run this target and update the "after" column when the hot path
-# changes.
-bench-auth:
-	$(GO) test -run=xxx -bench='BenchmarkFFT300$$|BenchmarkFeatureExtraction60sStream$$|BenchmarkAuthenticateWindow$$|BenchmarkEndToEndWindow$$|BenchmarkKRRTrain$$' -benchmem -benchtime=200x .
-
-# Wire-level per-window benchmarks: the three ways a window crosses the
-# wire (single request, batch burst, stream) against one trained
-# in-process server. Every bench iterates per window, so the ns/op
-# columns compare directly; the wire block in BENCH_auth.json records the
-# spread.
-bench-wire:
-	$(GO) test -run=xxx -bench='BenchmarkWireAuth' -benchmem ./internal/transport/
+# The race-* targets below run hammer tests pinned by name. A -run
+# pattern that matches no test prints "[no tests to run]" and passes, so
+# race-pinned first lists the package's tests and fails, naming it, on a
+# pinned name that is not one of them: a rename cannot drop a hammer
+# unseen. $(call race-pinned,<package>,<Name>|<Name>...)
+define race-pinned
+@listed="$$($(GO) test -race -list='$(2)' $(1))" || exit 1; \
+for n in $$(echo '$(2)' | tr '|' ' '); do \
+	printf '%s\n' "$$listed" | grep -qxF "$$n" || { echo "$(1): no test named $$n"; exit 1; }; \
+done
+$(GO) test -race -run='$(2)' $(1)
+endef
 
 # Focused race smoke over the shared FFT plan table and the server's
 # bounded train worker pool — the two concurrency surfaces of the hot
 # path. Fast enough for the tier-1 gate even though `race` already
-# covers these packages; this pins the named hammer tests so a future
-# test-file reshuffle cannot silently drop them.
+# covers these packages.
 race-pool:
-	$(GO) test -race -run='TestTrainBackpressure|TestTrainPoolConcurrentHammer|TestStreamHammerConcurrentClose' ./internal/transport/
-	$(GO) test -race -run='TestPlanConcurrentSharing' ./internal/dsp/
+	$(call race-pinned,./internal/transport/,TestTrainBackpressure|TestTrainPoolConcurrentHammer|TestStreamHammerConcurrentClose)
+	$(call race-pinned,./internal/dsp/,TestPlanConcurrentSharing)
 
 # Replication hammer under the race detector: concurrent enrollments
 # racing a cold follower's catch-up exercise the subscribe-before-scan
 # overlap, the per-connection queues, and the shard-lock notify path.
 # The transport line keeps the hookless read path — a cluster node that
 # owns nothing serving whatever replication wrote into its store — under
-# the detector too. Pinned by name for the same reason as race-pool.
+# the detector too.
 race-replication:
-	$(GO) test -race -run='TestReplicationHammer|TestFollowerCrashRestartMidStream' ./internal/replication/
-	$(GO) test -race -run='TestServerFollowsStoreWithoutHooks' ./internal/transport/
+	$(call race-pinned,./internal/replication/,TestReplicationHammer|TestFollowerCrashRestartMidStream)
+	$(call race-pinned,./internal/transport/,TestServerFollowsStoreWithoutHooks)
 
 # Drift-retraining hammer under the race detector: concurrent
 # authenticates drive the per-user drift monitor while the scheduler
 # coalesces candidates and runs retrains through the training pool, plus
-# the scheduler's own offer/dispatch hammer. Pinned by name like
-# race-pool so a test reshuffle cannot silently drop them.
+# the scheduler's own offer/dispatch hammer.
 race-retrain:
-	$(GO) test -race -run='TestRetrainRaceHammer' ./internal/transport/
-	$(GO) test -race -run='TestRetrainSchedulerHammer' ./internal/retrain/
+	$(call race-pinned,./internal/transport/,TestRetrainRaceHammer)
+	$(call race-pinned,./internal/retrain/,TestRetrainSchedulerHammer)
 
 # Content-addressed store hammer under the race detector: concurrent
 # publishes, sweeps, and reads cross the shard/CAS refcount boundary —
 # the chunk-lifetime invariant (refs ∪ pins ∪ protect) only holds if
-# every transition is correctly locked. Pinned by name like race-pool.
+# every transition is correctly locked.
 race-cas:
-	$(GO) test -race -run='TestConcurrentPutSweep' ./internal/cas/
-	$(GO) test -race -run='TestCASRaceHammer' ./internal/store/
+	$(call race-pinned,./internal/cas/,TestConcurrentPutSweep)
+	$(call race-pinned,./internal/store/,TestCASRaceHammer)
 
 # Shard-handoff hammer under the race detector: concurrent routed
 # writes race a live shard acquisition between two full cluster nodes —
@@ -146,31 +133,17 @@ race-cas:
 # TestServedWritesSurviveHandoffAndTakeOver does both over the wire: routed
 # clients chase redirects and sealed-shard busies through a handoff and a
 # takeover on a 3-node served cluster, and no acked enroll is lost.
-# Pinned by name like race-pool.
 race-cluster:
-	$(GO) test -race -run='TestHandoffUnderConcurrentWrites|TestTakeOverDeadOwner|TestServedWritesSurviveHandoffAndTakeOver' ./internal/cluster/
-
-# Follower catch-up throughput: a cold follower replaying a seeded
-# leader's log over TCP. Baseline lives in BENCH_store.json.
-bench-replication:
-	$(GO) test -run=xxx -bench=BenchmarkFollowerCatchUp -benchtime=50x ./internal/replication/
+	$(call race-pinned,./internal/cluster/,TestHandoffUnderConcurrentWrites|TestTakeOverDeadOwner|TestServedWritesSurviveHandoffAndTakeOver)
 
 # Cluster-wide enroll throughput: the same 3-process durable write load
 # against a single-leader layout (one leader + two replicas) and a
 # 3-node shard-ownership cluster, both replicating every record to three
 # stores. Same-invocation comparison is essential — this host's ambient
 # fsync latency drifts minute to minute — so both topologies run from
-# one command. Numbers land in BENCH_store.json's cluster block.
+# one command, and the ratio of its two ns/op figures is the result.
 bench-cluster:
 	$(GO) test -run=xxx -bench=BenchmarkClusterEnroll -benchtime=3s -count=3 -timeout=30m ./internal/cluster/
-
-# Content-addressed storage benchmarks: chunk-level dedup across
-# keep-last-5 incrementally retrained models (the dedup-x metric must
-# hold >=3x) and the lagging-follower delta reconnect (delta-bytes/op vs
-# full-bytes/op). Numbers land in BENCH_store.json's cas block.
-bench-cas:
-	$(GO) test -run=xxx -bench=BenchmarkCASDedupKeepLast5 -benchtime=10x ./internal/store/
-	$(GO) test -run=xxx -bench=BenchmarkDeltaCatchUp -benchtime=50x ./internal/replication/
 
 # The benchmark is its own module (benchmark/go.mod, replace smarteryou =>
 # ../), invisible to `go build ./...` and `go test ./...` above — so a

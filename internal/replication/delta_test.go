@@ -3,7 +3,6 @@ package replication
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"smarteryou/internal/core"
 	"smarteryou/internal/store"
@@ -101,6 +100,23 @@ func TestDeltaCatchUpShipsOnlyMissingChunks(t *testing.T) {
 		t.Fatalf("warm reconnect moved %d bytes, cold catch-up moved %d — delta is not saving",
 			reconnectBytes, cold.CatchupDeltaBytes)
 	}
+	// Against a full snapshot of the same state the reconnect must move
+	// at least 30x fewer bytes, and exactly as many as it does today: a
+	// count that falls lowers this figure in the same change.
+	full := 0
+	for shard := range leaderStore.ShardLastSeqs() {
+		data, _, err := leaderStore.ShardSnapshotBytes(shard)
+		if err != nil {
+			t.Fatalf("ShardSnapshotBytes(%d): %v", shard, err)
+		}
+		full += len(data)
+	}
+	if reconnectBytes*30 > uint64(full) {
+		t.Fatalf("warm reconnect moved %d bytes, a full snapshot is %d — under 30x fewer", reconnectBytes, full)
+	}
+	if reconnectBytes != 1114 {
+		t.Fatalf("warm reconnect moved %d bytes, want exactly 1114 (full snapshot %d)", reconnectBytes, full)
+	}
 
 	if !reflect.DeepEqual(leaderStore.Population(), followerStore.Population()) {
 		t.Fatal("populations diverged after delta catch-up")
@@ -147,93 +163,5 @@ func TestDisableDeltaFallsBackToFullSnapshots(t *testing.T) {
 	}
 	if !reflect.DeepEqual(leaderStore.ModelVersions(), followerStore.ModelVersions()) {
 		t.Fatal("model registries diverged on the v1 fallback path")
-	}
-}
-
-// BenchmarkDeltaCatchUp measures the lagging-follower reconnect: each
-// iteration, the leader takes a small write and compacts, and the warm
-// follower reconnects and converges via a chunk delta. The delta-bytes/op
-// and full-bytes/op metrics are the headline pair recorded in
-// BENCH_store.json: what the reconnect actually moved versus what a full
-// snapshot of the same state would have.
-func BenchmarkDeltaCatchUp(b *testing.B) {
-	leaderStore, err := store.Open(b.TempDir(), store.Options{SnapshotEvery: -1, NoSync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = leaderStore.Close() }()
-	seedBulk(b, leaderStore, 64, 16)
-	if err := leaderStore.Snapshot(); err != nil {
-		b.Fatal(err)
-	}
-	leader, err := NewLeader(LeaderConfig{Store: leaderStore, Key: testKey})
-	if err != nil {
-		b.Fatal(err)
-	}
-	addr, err := leader.Serve("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = leader.Close() }()
-
-	followerStore, err := store.Open(b.TempDir(), store.Options{SnapshotEvery: -1, NoSync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = followerStore.Close() }()
-	cfg := FollowerConfig{Store: followerStore, Key: testKey, LeaderAddr: addr.String()}
-	follower, err := StartFollower(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	waitConvergedB(b, followerStore, leaderStore)
-	if err := follower.Close(); err != nil {
-		b.Fatal(err)
-	}
-	base := leader.Status()
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := leaderStore.Enroll("anon-tick", fakeSamples("anon-tick", 1, float64(i)), false); err != nil {
-			b.Fatal(err)
-		}
-		if err := leaderStore.Snapshot(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		follower, err := StartFollower(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		waitConvergedB(b, followerStore, leaderStore)
-		b.StopTimer()
-		if err := follower.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-	b.StopTimer()
-
-	st := leader.Status()
-	deltaPerOp := float64(st.CatchupDeltaBytes-base.CatchupDeltaBytes) / float64(b.N)
-	b.ReportMetric(deltaPerOp, "delta-bytes/op")
-	full := 0
-	for shard := 0; shard < len(leaderStore.ShardLastSeqs()); shard++ {
-		data, _, err := leaderStore.ShardSnapshotBytes(shard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		full += len(data)
-	}
-	b.ReportMetric(float64(full), "full-bytes/op")
-}
-
-// waitConvergedB is waitConverged for benchmarks (no testing.T).
-func waitConvergedB(b *testing.B, follower, leader *store.Store) {
-	b.Helper()
-	want := leader.ShardLastSeqs()
-	for !reflect.DeepEqual(follower.ShardLastSeqs(), want) {
-		time.Sleep(100 * time.Microsecond)
 	}
 }

@@ -327,47 +327,45 @@ func FuzzSnapshotDelta(f *testing.F) {
 	})
 }
 
-// BenchmarkCASDedupKeepLast5 is the acceptance benchmark for the
-// content-addressed store: five retained generations of an incrementally
-// retrained model (small per-version mutations of a large blob) must
-// store at least 3x fewer bytes than the naive copy-per-version layout.
-// `make bench-cas` records the ratio in BENCH_store.json.
-func BenchmarkCASDedupKeepLast5(b *testing.B) {
+// TestCASDedupKeepLast5 is the acceptance check for the content-addressed
+// store: five retained generations of an incrementally retrained model
+// (small per-version mutations of a large blob) must store at least 3x
+// fewer bytes than the naive copy-per-version layout. The stored bytes are
+// pinned exactly; a change that lowers them lowers the figure here.
+func TestCASDedupKeepLast5(t *testing.T) {
 	const (
 		users    = 16
 		blobSize = 256 << 10
 		versions = 5
 	)
-	for i := 0; i < b.N; i++ {
-		dir := b.TempDir()
-		s, err := Open(dir, Options{KeepModelVersions: versions, SnapshotEvery: -1, NoSync: true})
-		if err != nil {
-			b.Fatal(err)
+	s, err := Open(t.TempDir(), Options{KeepModelVersions: versions, SnapshotEvery: -1, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive := int64(0)
+	for u := 0; u < users; u++ {
+		user := fmt.Sprintf("anon-%03d", u)
+		base := blobRand(int64(u+1), blobSize)
+		for v := 0; v < versions; v++ {
+			// An incremental retrain touches ~1% of the model.
+			blob := mutateBlob(base, int64(u*100+v), (v*31)%128<<10, blobSize/100)
+			publishBlob(t, s, user, blob)
+			naive += int64(len(blob))
 		}
-		naive := int64(0)
-		for u := 0; u < users; u++ {
-			user := fmt.Sprintf("anon-%03d", u)
-			base := blobRand(int64(u+1), blobSize)
-			for v := 0; v < versions; v++ {
-				// An incremental retrain touches ~1% of the model.
-				blob := mutateBlob(base, int64(u*100+v), (v*31)%128<<10, blobSize/100)
-				publishBlob(b, s, user, blob)
-				naive += int64(len(blob))
-			}
-		}
-		if err := s.Snapshot(); err != nil {
-			b.Fatal(err)
-		}
-		st := s.CASStats()
-		stored := st.DiskBytes + st.MemBytes
-		ratio := float64(naive) / float64(stored)
-		b.ReportMetric(ratio, "dedup-x")
-		b.ReportMetric(float64(stored), "stored-bytes")
-		if ratio < 3 {
-			b.Fatalf("dedup ratio %.2fx below the 3x acceptance bar (%d naive, %d stored)", ratio, naive, stored)
-		}
-		if err := s.Close(); err != nil {
-			b.Fatal(err)
-		}
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.CASStats()
+	stored := st.DiskBytes + st.MemBytes
+	ratio := float64(naive) / float64(stored)
+	if ratio < 3 {
+		t.Fatalf("dedup ratio %.2fx below the 3x acceptance bar (%d naive, %d stored)", ratio, naive, stored)
+	}
+	if naive != 20971520 || stored != 5904965 {
+		t.Fatalf("stored %d of %d naive bytes (%.3fx), want 5904965 of 20971520", stored, naive, ratio)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
