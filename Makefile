@@ -89,12 +89,13 @@ done
 $(GO) test -race -run='$(2)' $(1)
 endef
 
-# Focused race smoke over the shared FFT plan table and the server's
-# bounded train worker pool — the two concurrency surfaces of the hot
-# path. Fast enough for the tier-1 gate even though `race` already
-# covers these packages.
+# Focused race smoke over the shared FFT plan table, the server's
+# bounded train worker pool and the per-user authenticator every
+# connection shares while publishes replace it — the concurrency
+# surfaces of the hot path. Fast enough for the tier-1 gate even though
+# `race` already covers these packages.
 race-pool:
-	$(call race-pinned,./internal/transport/,TestTrainBackpressure|TestTrainPoolConcurrentHammer|TestStreamHammerConcurrentClose)
+	$(call race-pinned,./internal/transport/,TestTrainBackpressure|TestTrainPoolConcurrentHammer|TestStreamHammerConcurrentClose|TestSharedAuthenticatorHammer)
 	$(call race-pinned,./internal/dsp/,TestPlanConcurrentSharing)
 
 # Replication hammer under the race detector: concurrent enrollments

@@ -24,22 +24,30 @@ import (
 // lowered here in the same change. A /allocs row is heap allocations
 // (runtime.MemStats.Mallocs, client and server together) per operation,
 // rounded to the nearest integer; a /reads or /writes row is calls on the
-// client's connection per operation. bash benchmark/run.sh reports the
-// same paths averaged over concurrent sessions, mixed shapes and
-// background work, so its figures are near these, not equal to them.
+// client's connection per operation, a /server_reads or /server_writes
+// row the same on the server's end. bash benchmark/run.sh reports the
+// same paths averaged over concurrent sessions, several users, mixed
+// shapes and background work, so its figures are near these, not equal
+// to them.
 var exactCounts = []struct {
 	row  string
 	want float64
 }{
-	{"single/allocs", 47},           // one Session.Authenticate round trip
-	{"single/reads", 2},             // frame header, then body
-	{"single/writes", 2},            // frame header, then body
-	{"batch16/allocs", 152},         // one 16-window Session.AuthenticateBatch
-	{"batch16/reads", 2},            // per burst
-	{"batch16/writes", 2},           // per burst
-	{"stream/allocs", 10},           // one lockstep Stream.Authenticate window
-	{"stream/reads", 2},             // decision frame header, then body
+	{"single/allocs", 6},            // one Session.Authenticate round trip: scoring, the pseudonym, the request's user id
+	{"single/reads", 1},             // the response frame, buffered
+	{"single/writes", 1},            // the request frame, sealed in place
+	{"single/server_reads", 1},      // the request frame, buffered
+	{"single/server_writes", 1},     // the response frame, sealed in place
+	{"batch16/allocs", 71},          // one 16-window Session.AuthenticateBatch
+	{"batch16/reads", 1},            // per burst
+	{"batch16/writes", 1},           // per burst
+	{"batch16/server_reads", 2},     // a 5.4 KB request: a buffer's worth, then the rest
+	{"batch16/server_writes", 1},    // per burst
+	{"stream/allocs", 4},            // one lockstep Stream.Authenticate window
+	{"stream/reads", 1},             // one decision frame
 	{"stream/writes", 1},            // one window frame
+	{"stream/server_reads", 1},      // one window frame
+	{"stream/server_writes", 1},     // one decision frame
 	{"enroll16/allocs", 3},          // one NoSync store Enroll of 16 windows that replace the user's
 	{"enroll16/wal_bytes", 2682350}, // log after countWarmup+countOps such enrolls: 304.81 B a window
 	{"device/allocs", 6},            // phone + watch extraction with one Extractor, then Authenticate
@@ -77,16 +85,24 @@ func TestExactCounts(t *testing.T) {
 	}
 }
 
-// connCounts counts the calls on every connection the client dials.
+// connCounts counts the calls on a set of connections: every one the
+// client dials, or every one the server accepts.
 type connCounts struct{ reads, writes atomic.Int64 }
 
+// wireCounts is both ends of a wire path.
+type wireCounts struct{ client, server connCounts }
+
+// countingConn counts a read when it returns and a write when it is
+// issued. The server's counts are then exact whenever its client holds a
+// response: the write that sent it is counted, and the read that waits
+// for the next request is not.
 type countingConn struct {
 	net.Conn
 	c *connCounts
 }
 
 func (c countingConn) Read(p []byte) (int, error) {
-	c.c.reads.Add(1)
+	defer c.c.reads.Add(1)
 	return c.Conn.Read(p)
 }
 
@@ -103,39 +119,60 @@ func (c *connCounts) dial(network, addr string, timeout time.Duration) (net.Conn
 	return countingConn{conn, c}, nil
 }
 
+// countingListener hands the server counted connections.
+type countingListener struct {
+	net.Listener
+	c *connCounts
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{conn, l.c}, nil
+}
+
 // countPath runs op countWarmup times, then countOps times while counting,
-// and records name/allocs and, when conns is not nil, name/reads and
-// name/writes. Allocation rows are rounded; the others must divide
+// and records name/allocs and, when wire is not nil, the read and write
+// rows of both ends. Allocation rows are rounded; the others must divide
 // exactly, so a stray call shows as a fraction.
-func countPath(t *testing.T, got map[string]float64, name string, conns *connCounts, op func(i int) error) {
+func countPath(t *testing.T, got map[string]float64, name string, wire *wireCounts, op func(i int) error) {
 	t.Helper()
 	for i := 0; i < countWarmup; i++ {
 		if err := op(i); err != nil {
 			t.Fatalf("%s warm-up: %v", name, err)
 		}
 	}
-	var before, after runtime.MemStats
-	var reads, writes int64
-	if conns != nil {
-		reads, writes = conns.reads.Load(), conns.writes.Load()
+	ends := map[string]*connCounts{}
+	if wire != nil {
+		ends = map[string]*connCounts{"": &wire.client, "server_": &wire.server}
 	}
-	runtime.ReadMemStats(&before)
+	before := map[string][2]int64{}
+	for end, c := range ends {
+		before[end] = [2]int64{c.reads.Load(), c.writes.Load()}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	for i := 0; i < countOps; i++ {
 		if err := op(i); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	runtime.ReadMemStats(&after)
-	got[name+"/allocs"] = math.Round(float64(after.Mallocs-before.Mallocs) / countOps)
-	if conns != nil {
-		got[name+"/reads"] = float64(conns.reads.Load()-reads) / countOps
-		got[name+"/writes"] = float64(conns.writes.Load()-writes) / countOps
+	runtime.ReadMemStats(&m1)
+	got[name+"/allocs"] = math.Round(float64(m1.Mallocs-m0.Mallocs) / countOps)
+	for end, c := range ends {
+		got[name+"/"+end+"reads"] = float64(c.reads.Load()-before[end][0]) / countOps
+		got[name+"/"+end+"writes"] = float64(c.writes.Load()-before[end][1]) / countOps
 	}
 }
 
 // countWire counts the three ways a window crosses the wire against one
-// trained server: a five-user population, user-00 enrolled and trained
-// with the paper's combined, context-dispatched mode.
+// trained server: a five-user population, user-00 and user-01 enrolled
+// and trained with the paper's combined, context-dispatched mode. Single
+// windows alternate between the two users, as the benchmark's
+// single-window plan moves to another user on every request; a batch and
+// a stream are one user's.
 func countWire(t *testing.T, got map[string]float64) {
 	pop, err := sensing.NewPopulation(5, 777)
 	if err != nil {
@@ -167,29 +204,38 @@ func countWire(t *testing.T, got map[string]float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := srv.Start("127.0.0.1:0")
+	var wire wireCounts
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.StartListener(countingListener{ln, &wire.server})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	const user = "user-00"
-	samples := byUser[user]
-	delete(byUser, user)
+	users := []string{"user-00", "user-01"}
+	own := make([][]features.WindowSample, len(users))
+	for i, u := range users {
+		own[i] = byUser[u]
+		delete(byUser, u)
+	}
 	if err := srv.SeedPopulation(byUser); err != nil {
 		t.Fatal(err)
 	}
 
-	var conns connCounts
-	client, err := transport.NewClient(transport.ClientConfig{Addr: addr.String(), Key: key, Dial: conns.dial})
+	client, err := transport.NewClient(transport.ClientConfig{Addr: addr.String(), Key: key, Dial: wire.client.dial})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = client.Close() })
-	if _, err := client.Enroll(user, samples); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Train(user, transport.TrainParams{Mode: core.Mode{Combined: true, UseContext: true}, Seed: 3}); err != nil {
-		t.Fatal(err)
+	for i, u := range users {
+		if _, err := client.Enroll(u, own[i]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Train(u, transport.TrainParams{Mode: core.Mode{Combined: true, UseContext: true}, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sess, err := client.NewSession()
 	if err != nil {
@@ -197,15 +243,17 @@ func countWire(t *testing.T, got map[string]float64) {
 	}
 	t.Cleanup(func() { _ = sess.Close() })
 
-	countPath(t, got, "single", &conns, func(i int) error {
-		_, err := sess.Authenticate(user, samples[i%len(samples)])
+	countPath(t, got, "single", &wire, func(i int) error {
+		u := i % len(users)
+		_, err := sess.Authenticate(users[u], own[u][i/len(users)%len(own[u])])
 		return err
 	})
+	user, samples := users[0], own[0]
 	burst := make([]features.WindowSample, 16)
 	for i := range burst {
 		burst[i] = samples[i%len(samples)]
 	}
-	countPath(t, got, "batch16", &conns, func(int) error {
+	countPath(t, got, "batch16", &wire, func(int) error {
 		_, err := sess.AuthenticateBatch(user, burst)
 		return err
 	})
@@ -213,7 +261,7 @@ func countWire(t *testing.T, got map[string]float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	countPath(t, got, "stream", &conns, func(i int) error {
+	countPath(t, got, "stream", &wire, func(i int) error {
 		_, err := stream.Authenticate(samples[i%len(samples)])
 		return err
 	})

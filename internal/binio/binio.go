@@ -87,6 +87,14 @@ func (r *Reader) Uvarint() uint64 {
 
 // Str reads a uvarint-length-prefixed string.
 func (r *Reader) Str() string {
+	return r.Intern()
+}
+
+// Intern reads a string like Str, but when it equals one of known it
+// returns that string instead of a copy, so a value from a small known
+// set (a context name, the user id a request already carried) decodes
+// without allocating.
+func (r *Reader) Intern(known ...string) string {
 	n := r.Uvarint()
 	if r.err != nil {
 		return ""
@@ -95,9 +103,14 @@ func (r *Reader) Str() string {
 		r.Fail("string length %d exceeds %d remaining bytes", n, r.Remaining())
 		return ""
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s
+	for _, s := range known {
+		if string(b) == s {
+			return s
+		}
+	}
+	return string(b)
 }
 
 // Bytes reads a uvarint-length-prefixed blob into a fresh copy (the

@@ -94,10 +94,11 @@ func ReadSensorBinary(r *binio.Reader) SensorFeatures {
 	}
 }
 
-// ReadSampleBinary decodes one WindowSample.
-func ReadSampleBinary(r *binio.Reader) WindowSample {
+// ReadSampleBinary decodes one WindowSample. A user id equal to one of
+// known is that string, not a copy (see binio.Reader.Intern).
+func ReadSampleBinary(r *binio.Reader, known ...string) WindowSample {
 	var w WindowSample
-	w.UserID = r.Str()
+	w.UserID = r.Intern(known...)
 	w.Context = contextFromUint(r.Uvarint(), r)
 	w.Day = r.F64()
 	w.Phone.Acc = ReadSensorBinary(r)
@@ -108,8 +109,8 @@ func ReadSampleBinary(r *binio.Reader) WindowSample {
 }
 
 // ReadSampleListBinary decodes a count-prefixed sample list, bounding the
-// count by the remaining bytes.
-func ReadSampleListBinary(r *binio.Reader) []WindowSample {
+// count by the remaining bytes, with user ids interned against known.
+func ReadSampleListBinary(r *binio.Reader, known ...string) []WindowSample {
 	n := r.Uvarint()
 	if r.Err() != nil {
 		return nil
@@ -123,7 +124,7 @@ func ReadSampleListBinary(r *binio.Reader) []WindowSample {
 	}
 	out := make([]WindowSample, 0, n)
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		out = append(out, ReadSampleBinary(r))
+		out = append(out, ReadSampleBinary(r, known...))
 	}
 	if r.Err() != nil {
 		return nil

@@ -43,18 +43,19 @@ type cachedModel struct {
 
 // connPool caches idle connections per server address. The server holds
 // a connection open across requests (serveConn loops), so a round trip
-// normally reuses a warm connection instead of paying a TCP
-// connect/teardown — which otherwise dominates small-request CPU.
+// normally reuses a warm connection, its buffers and its keyed HMAC
+// instead of paying a TCP connect/teardown — which otherwise dominates
+// small-request CPU.
 type connPool struct {
 	mu   sync.Mutex
-	idle map[string][]net.Conn
+	idle map[string][]*wireConn
 }
 
 // poolMaxIdlePerAddr bounds cached connections per address; a burst
 // beyond it just closes the extras on return.
 const poolMaxIdlePerAddr = 32
 
-func (p *connPool) get(addr string) net.Conn {
+func (p *connPool) get(addr string) *wireConn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	conns := p.idle[addr]
@@ -66,15 +67,20 @@ func (p *connPool) get(addr string) net.Conn {
 	return conn
 }
 
-func (p *connPool) put(addr string, conn net.Conn) {
+// put returns a connection that completed a round trip to the pool. One
+// whose reader holds bytes behind the response it read is out of step
+// with its server and is closed instead. The check is best effort: it
+// sees stray bytes that arrived with the response, not ones still in
+// flight.
+func (p *connPool) put(addr string, conn *wireConn) {
 	p.mu.Lock()
-	if len(p.idle[addr]) >= poolMaxIdlePerAddr {
+	if len(p.idle[addr]) >= poolMaxIdlePerAddr || conn.r.Buffered() > 0 {
 		p.mu.Unlock()
-		_ = conn.Close()
+		_ = conn.nc.Close()
 		return
 	}
 	if p.idle == nil {
-		p.idle = make(map[string][]net.Conn)
+		p.idle = make(map[string][]*wireConn)
 	}
 	p.idle[addr] = append(p.idle[addr], conn)
 	p.mu.Unlock()
@@ -88,7 +94,7 @@ func (p *connPool) drain() {
 	p.mu.Unlock()
 	for _, conns := range idle {
 		for _, conn := range conns {
-			_ = conn.Close()
+			_ = conn.nc.Close()
 		}
 	}
 }
@@ -200,7 +206,7 @@ func (p busyPolicy) run(do func() error) error {
 }
 
 // roundTrip sends one request to the client's configured address and
-// decodes the response payload into out; see roundTripTo for how
+// decodes the response payload into out; see withConn for how
 // connections are reused. Use NewSession to pin one connection across
 // multiple round trips.
 func (c *Client) roundTrip(reqType string, payload any, out any) error {
@@ -208,31 +214,39 @@ func (c *Client) roundTrip(reqType string, payload any, out any) error {
 }
 
 // roundTripTo is roundTrip against an explicit server address — the
-// shard-routed write path picks the owner per request. It reuses a
-// pooled connection when one is available; a pooled connection that
-// turns out dead (the server restarted or closed it while idle) is
-// discarded and the request runs once more on a fresh dial.
+// shard-routed write path picks the owner per request.
 func (c *Client) roundTripTo(addr, reqType string, payload any, out any) error {
+	return c.withConn(addr, func(conn *wireConn) error {
+		return conn.request(c.timeout, reqType, payload, out)
+	})
+}
+
+// withConn runs one exchange on a connection to addr. It reuses a pooled
+// connection when one is available; a pooled connection that turns out
+// dead (the server restarted or closed it while idle) is discarded and
+// the exchange runs once more on a fresh dial.
+func (c *Client) withConn(addr string, do func(*wireConn) error) error {
 	if conn := c.pool.get(addr); conn != nil {
-		err := doRequest(conn, c.key, c.timeout, reqType, payload, out)
+		err := do(conn)
 		if err == nil || isResponseError(err) {
 			c.pool.put(addr, conn)
 			return err
 		}
-		_ = conn.Close()
+		_ = conn.nc.Close()
 		if !isStaleConnError(err) {
 			return err
 		}
 	}
-	conn, err := c.dial("tcp", addr, c.timeout)
+	nc, err := c.dial("tcp", addr, c.timeout)
 	if err != nil {
 		return fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	if err := doRequest(conn, c.key, c.timeout, reqType, payload, out); err != nil {
+	conn := newWireConn(nc, c.key)
+	if err := do(conn); err != nil {
 		if isResponseError(err) {
 			c.pool.put(addr, conn)
 		} else {
-			_ = conn.Close()
+			_ = nc.Close()
 		}
 		return err
 	}
@@ -397,13 +411,12 @@ type AuthDecision struct {
 // user's current model — the cloud-side check for services that outsource
 // the testing module. The server answers even while its training queue is
 // saturated.
-func (c *Client) Authenticate(userID string, sample features.WindowSample) (AuthDecision, error) {
-	var resp authResponse
-	err := c.roundTrip(TypeAuthenticate, authRequest{UserID: userID, Sample: sample}, &resp)
-	if err != nil {
-		return AuthDecision{}, err
-	}
-	return AuthDecision(resp), nil
+func (c *Client) Authenticate(userID string, sample features.WindowSample) (d AuthDecision, err error) {
+	err = c.withConn(c.addr, func(conn *wireConn) error {
+		d, err = conn.authenticate(c.timeout, userID, sample)
+		return err
+	})
+	return d, err
 }
 
 // decisionsFromResponses converts wire decisions to the public type.
@@ -421,13 +434,12 @@ func decisionsFromResponses(in []authResponse) []AuthDecision {
 // Section IV-B arrives in bursts (a 6 s window cadence against mobile
 // radio wake-ups), and batching amortizes the per-request overhead across
 // the burst.
-func (c *Client) AuthenticateBatch(userID string, samples []features.WindowSample) ([]AuthDecision, error) {
-	var resp batchAuthResponse
-	err := c.roundTrip(TypeAuthBatch, batchAuthRequest{UserID: userID, Samples: samples}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return decisionsFromResponses(resp.Decisions), nil
+func (c *Client) AuthenticateBatch(userID string, samples []features.WindowSample) (ds []AuthDecision, err error) {
+	err = c.withConn(c.addr, func(conn *wireConn) error {
+		ds, err = conn.authenticateBatch(c.timeout, userID, samples)
+		return err
+	})
+	return ds, err
 }
 
 // RequestRetrain nudges the server's drift-retrain scheduler to consider

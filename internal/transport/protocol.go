@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
@@ -103,7 +104,7 @@ var (
 )
 
 // Frame kinds, distinguished by the first byte of the frame body. Any
-// other first byte is rejected by ReadFrame and the server drops the
+// other first byte is rejected by envelopeFromBody and the server drops the
 // connection — '{' (0x7B) included, so a client speaking a JSON envelope
 // fails on its first frame instead of being half-understood.
 const (
@@ -123,10 +124,10 @@ type Envelope struct {
 	MAC     []byte
 }
 
-// macPools recycles HMAC states per key: hmac.New allocates two hash
-// states plus padding buffers on every call, which used to run once per
-// frame in each direction. Keys are few (one per deployment, more only in
-// tests), so the map stays tiny.
+// macPools recycles HMAC states per key for the exported Seal and Open,
+// which have no connection to keep one on: hmac.New allocates two hash
+// states plus padding buffers. Keys are few (one per deployment, more
+// only in tests), so the map stays tiny.
 var macPools sync.Map // string(key) -> *sync.Pool of hash.Hash
 
 func macPool(key []byte) *sync.Pool {
@@ -139,126 +140,213 @@ func macPool(key []byte) *sync.Pool {
 	return actual.(*sync.Pool)
 }
 
-// computeMAC tags type+payload with HMAC-SHA256, appending the tag to dst
-// (pass nil to allocate exactly one 32-byte sum).
-func computeMAC(dst, key []byte, msgType string, payload []byte) []byte {
-	pool := macPool(key)
-	mac := pool.Get().(hash.Hash)
-	mac.Reset()
-	mac.Write([]byte(msgType))
-	mac.Write([]byte{0})
-	mac.Write(payload)
-	sum := mac.Sum(dst)
-	pool.Put(mac)
-	return sum
+// macPrefix is the MAC input ahead of the payload, per type byte: the
+// type string and a 0x00 separator, so a tag binds the verb it was
+// sealed for.
+var macPrefix = func() (t [typeByteDriftState + 1][]byte) {
+	for s, b := range typeToByte {
+		t[b] = append([]byte(s), 0)
+	}
+	return t
+}()
+
+// macPrefixFor is macPrefix by type string. Seal and Open take any type
+// string, so one without a type byte gets its prefix built on the spot.
+func macPrefixFor(msgType string) []byte {
+	if tb, ok := typeToByte[msgType]; ok {
+		return macPrefix[tb]
+	}
+	return append([]byte(msgType), 0)
 }
 
-// Seal builds an authenticated envelope for the payload value. Payloads
+// sumMAC writes HMAC-SHA256(prefix || payload) into mac[:sha256.Size]
+// with h, an HMAC keyed by the pre-shared key. mac may be the MAC slot of
+// a frame whose payload follows it: the tag is written in place and no
+// byte outside the slot is touched.
+func sumMAC(h hash.Hash, mac, prefix, payload []byte) {
+	h.Reset()
+	h.Write(prefix)
+	h.Write(payload)
+	h.Sum(mac[:0])
+}
+
+// frameHeaderBytes is what precedes the payload in a request-mode frame:
+// the length prefix, then the envelope's format byte, type byte and MAC.
+const frameHeaderBytes = 4 + v2HeaderBytes
+
+// beginFrame appends the header of a frame of type tb to dst with the
+// length and the MAC left blank. The caller appends the payload straight
+// behind it and finishes the frame with sealFrame.
+func beginFrame(dst []byte, tb byte) []byte {
+	var blank [frameHeaderBytes]byte
+	blank[4], blank[5] = wireFormatV2, tb
+	return append(dst, blank[:]...)
+}
+
+// sealFrame finishes a frame begun by beginFrame: it writes the length
+// prefix and computes the MAC in place over the payload bytes already in
+// the frame, with prefix as the type input. It is the one way anything
+// in this package is sealed.
+func sealFrame(h hash.Hash, frame, prefix []byte) error {
+	n := len(frame) - 4
+	if n > MaxFrameBytes {
+		return ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	sumMAC(h, frame[6:frameHeaderBytes], prefix, frame[frameHeaderBytes:])
+	return nil
+}
+
+// appendPayload encodes a payload value behind dst. Payloads
 // implementing binaryAppender (the hot verbs) are encoded as fixed-width
 // binary; everything else stays JSON inside the frame (the payload is
 // self-describing: binary starts with binPayloadMarker, JSON with '{').
-func Seal(key []byte, msgType string, payload any) (Envelope, error) {
-	var raw []byte
+func appendPayload(dst []byte, payload any) ([]byte, error) {
 	switch enc := payload.(type) {
 	case nil:
+		return dst, nil
 	case binaryAppender:
-		buf, err := enc.appendBinary([]byte{binPayloadMarker})
-		if err != nil {
-			return Envelope{}, fmt.Errorf("transport: encode %s payload: %w", msgType, err)
-		}
-		raw = buf
+		return enc.appendBinary(append(dst, binPayloadMarker))
 	default:
 		b, err := json.Marshal(payload)
-		if err != nil {
-			return Envelope{}, fmt.Errorf("transport: marshal %s payload: %w", msgType, err)
-		}
-		raw = b
+		return append(dst, b...), err
 	}
-	return Envelope{
-		Type:    msgType,
-		Payload: raw,
-		MAC:     computeMAC(nil, key, msgType, raw),
-	}, nil
 }
 
-// Open verifies the envelope's MAC and decodes the payload into out (out
-// may be nil for payload-less messages). Binary payloads (first byte
-// binPayloadMarker) require out to implement binaryDecoder; JSON payloads
-// are unmarshalled.
-func (e Envelope) Open(key []byte, out any) error {
-	var sum [sha256.Size]byte
-	if !hmac.Equal(e.MAC, computeMAC(sum[:0], key, e.Type, e.Payload)) {
-		return ErrBadMAC
-	}
+// decodePayload decodes a verified payload into out (out may be nil for
+// payload-less messages). Binary payloads require out to implement
+// binaryDecoder; JSON payloads are unmarshalled.
+func decodePayload(msgType string, payload []byte, out any) error {
 	if out == nil {
 		return nil
 	}
-	if len(e.Payload) > 0 && e.Payload[0] == binPayloadMarker {
+	if len(payload) > 0 && payload[0] == binPayloadMarker {
 		dec, ok := out.(binaryDecoder)
 		if !ok {
-			return fmt.Errorf("transport: %s payload is binary but %T cannot decode it", e.Type, out)
+			return fmt.Errorf("transport: %s payload is binary but %T cannot decode it", msgType, out)
 		}
-		if err := dec.decodeBinary(e.Payload[1:]); err != nil {
-			return fmt.Errorf("transport: decode %s payload: %w", e.Type, err)
+		if err := dec.decodeBinary(payload[1:]); err != nil {
+			return fmt.Errorf("transport: decode %s payload: %w", msgType, err)
 		}
 		return nil
 	}
-	if err := json.Unmarshal(e.Payload, out); err != nil {
-		return fmt.Errorf("transport: unmarshal %s payload: %w", e.Type, err)
+	if err := json.Unmarshal(payload, out); err != nil {
+		return fmt.Errorf("transport: unmarshal %s payload: %w", msgType, err)
 	}
 	return nil
 }
 
-// writeLengthPrefixed writes one length-prefixed frame body.
-func writeLengthPrefixed(w io.Writer, body []byte) error {
-	if len(body) > MaxFrameBytes {
-		return ErrFrameTooLarge
+// Seal builds an authenticated envelope for the payload value: the frame
+// a connection would send, with the envelope's MAC and payload sliced out
+// of it.
+func Seal(key []byte, msgType string, payload any) (Envelope, error) {
+	frame, err := appendPayload(beginFrame(nil, typeToByte[msgType]), payload)
+	if err != nil {
+		return Envelope{}, fmt.Errorf("transport: encode %s payload: %w", msgType, err)
 	}
-	var header [4]byte
-	binary.BigEndian.PutUint32(header[:], uint32(len(body)))
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("transport: write frame header: %w", err)
+	pool := macPool(key)
+	h := pool.Get().(hash.Hash)
+	defer pool.Put(h)
+	if err := sealFrame(h, frame, macPrefixFor(msgType)); err != nil {
+		return Envelope{}, err
 	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("transport: write frame body: %w", err)
+	return Envelope{
+		Type:    msgType,
+		MAC:     frame[6:frameHeaderBytes:frameHeaderBytes],
+		Payload: frame[frameHeaderBytes:],
+	}, nil
+}
+
+// verifyMAC checks an envelope's tag with h, using sum (sha256.Size
+// bytes) as scratch.
+func verifyMAC(h hash.Hash, sum []byte, e Envelope) error {
+	sumMAC(h, sum, macPrefixFor(e.Type), e.Payload)
+	if !hmac.Equal(e.MAC, sum[:sha256.Size]) {
+		return ErrBadMAC
 	}
 	return nil
 }
 
-// readFrameBody reads one length-prefixed frame body, enforcing
-// MaxFrameBytes before allocating. Every read path — server request loop,
-// client response path, streaming frames — funnels through here, so the
-// bound holds symmetrically: a misbehaving peer on either side cannot
-// force an unbounded allocation.
-func readFrameBody(r io.Reader) ([]byte, error) {
-	var header [4]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
+// Open verifies the envelope's MAC and decodes the payload into out (out
+// may be nil for payload-less messages); see decodePayload.
+func (e Envelope) Open(key []byte, out any) error {
+	pool := macPool(key)
+	h := pool.Get().(hash.Hash)
+	err := verifyMAC(h, make([]byte, sha256.Size), e)
+	pool.Put(h)
+	if err != nil {
+		return err
+	}
+	return decodePayload(e.Type, e.Payload, out)
+}
+
+// readFrameBody reads one length-prefixed frame body into buf's backing
+// array, which is grown only when the frame does not fit, and enforces
+// MaxFrameBytes before allocating anything. Every read path — server
+// request loop, client response path, streaming frames — funnels through
+// here, so the bound holds symmetrically: a misbehaving peer on either
+// side cannot force an unbounded allocation. A connection passes its
+// bufio.Reader, so a frame that has arrived whole costs one read from the
+// socket.
+func readFrameBody(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	header := buf[:4]
+	if _, err := io.ReadFull(r, header); err != nil {
 		return nil, err // io.EOF passes through for clean shutdown
 	}
-	n := binary.BigEndian.Uint32(header[:])
+	n := binary.BigEndian.Uint32(header)
 	if n > MaxFrameBytes {
 		return nil, ErrFrameTooLarge
 	}
-	body := make([]byte, n)
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	body := buf[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, fmt.Errorf("transport: read frame body: %w", err)
 	}
 	return body, nil
 }
 
-// WriteFrame writes one envelope as a length-prefixed frame.
+// appendEnvelope lays an already sealed envelope out as a frame, length
+// prefix included.
+func appendEnvelope(dst []byte, e Envelope) ([]byte, error) {
+	tb, ok := typeToByte[e.Type]
+	if !ok {
+		return nil, fmt.Errorf("transport: type %q has no v2 type byte", e.Type)
+	}
+	if len(e.MAC) != sha256.Size {
+		return nil, fmt.Errorf("transport: v2 envelope needs a %d-byte MAC, have %d", sha256.Size, len(e.MAC))
+	}
+	if v2HeaderBytes+len(e.Payload) > MaxFrameBytes {
+		return nil, ErrFrameTooLarge
+	}
+	dst = slices.Grow(dst, frameHeaderBytes+len(e.Payload))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(v2HeaderBytes+len(e.Payload)))
+	dst = append(dst, wireFormatV2, tb)
+	dst = append(dst, e.MAC...)
+	return append(dst, e.Payload...), nil
+}
+
+// WriteFrame writes one envelope as a length-prefixed frame, with one
+// Write.
 func WriteFrame(w io.Writer, e Envelope) error {
-	body, err := encodeEnvelopeV2(e)
+	frame, err := appendEnvelope(nil, e)
 	if err != nil {
 		return err
 	}
-	return writeLengthPrefixed(w, body)
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
+	}
+	return nil
 }
 
-// ReadFrame reads one length-prefixed envelope. The MAC is not checked
-// here — Open does that.
+// ReadFrame reads one length-prefixed envelope, and not a byte past it.
+// The MAC is not checked here — Open does that.
 func ReadFrame(r io.Reader) (Envelope, error) {
-	body, err := readFrameBody(r)
+	body, err := readFrameBody(r, nil)
 	if err != nil {
 		return Envelope{}, err
 	}
@@ -266,7 +354,7 @@ func ReadFrame(r io.Reader) (Envelope, error) {
 }
 
 // envelopeFromBody decodes an already length-delimited frame body into an
-// envelope.
+// envelope whose MAC and payload alias body.
 func envelopeFromBody(body []byte) (Envelope, error) {
 	if len(body) == 0 {
 		return Envelope{}, fmt.Errorf("transport: empty frame")

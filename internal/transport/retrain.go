@@ -226,9 +226,9 @@ func (s *Server) flushDriftState() {
 func (s *Server) runScheduledRetrain(c retrain.Candidate) error {
 	anon := c.User
 	version, _, err := s.persist.LatestModelHash(anon)
-	var bundle *core.ModelBundle
+	var auth *core.Authenticator
 	if err == nil {
-		bundle, err = s.currentBundle(anon)
+		auth, err = s.currentAuth(anon)
 	}
 	if err != nil {
 		s.logf("scheduled retrain %s: current model: %v", anon, err)
@@ -238,7 +238,7 @@ func (s *Server) runScheduledRetrain(c retrain.Candidate) error {
 	fmt.Fprintf(seed, "%s/%d", anon, version)
 	job := trainJob{
 		req: trainRequest{UserID: anon, TrainParams: TrainParams{
-			Mode:        bundle.Mode,
+			Mode:        auth.Mode(),
 			MaxPerClass: s.drift.cfg.RecentWindows,
 			Seed:        int64(seed.Sum64()),
 		}},

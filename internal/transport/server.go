@@ -203,8 +203,10 @@ type Server struct {
 	// snapshot install — is served without the server being told.
 	persist *store.Store
 
-	mu     sync.Mutex
-	models map[string]cachedBundle // anonymized user id -> decoded bundle, see currentBundle
+	// models maps a pseudonym to its *cachedAuth: the authenticator every
+	// connection serving the user shares, read without a server-wide lock;
+	// see currentAuth.
+	models sync.Map
 
 	replInfo func() *ReplicationInfo
 
@@ -235,11 +237,12 @@ type Server struct {
 	wireStreamWindows  atomic.Uint64
 }
 
-// cachedBundle is a decoded bundle and the content hash of the registry
-// blob it came from.
-type cachedBundle struct {
-	bundle *core.ModelBundle
-	hash   cas.Hash
+// cachedAuth is a user's ready authenticator (safe for concurrent use,
+// so every connection serving the user shares it) and the content hash
+// of the registry blob its bundle came from.
+type cachedAuth struct {
+	auth *core.Authenticator
+	hash cas.Hash
 }
 
 // ServerConfig configures a new server.
@@ -308,7 +311,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		detector: cfg.Detector,
 		logf:     logf,
 		persist:  cfg.Store,
-		models:   make(map[string]cachedBundle),
 		replInfo: cfg.ReplicationInfo,
 		router:   cfg.Router,
 		closed:   make(chan struct{}),
@@ -352,8 +354,11 @@ func (s *Server) SeedPopulation(byUser map[string][]features.WindowSample) error
 // user's training module can use other users' feature data "but has no way
 // to know the other users' identities" (Section IV-A3).
 func anonymize(userID string) string {
-	sum := sha256.Sum256([]byte("smarteryou-anon:" + userID))
-	return "anon-" + hex.EncodeToString(sum[:8])
+	var in [64]byte // an id of up to 48 bytes is hashed without a heap copy
+	sum := sha256.Sum256(append(append(in[:0], "smarteryou-anon:"...), userID...))
+	var anon [len("anon-") + 16]byte
+	hex.Encode(anon[copy(anon[:], "anon-"):], sum[:8])
+	return string(anon[:])
 }
 
 // AnonymizeUser exposes the server's pseudonym mapping: the pure
@@ -437,7 +442,7 @@ func (s *Server) Close() error {
 	if s.listener != nil {
 		err = s.listener.Close()
 	}
-	// Closing a tracked connection unblocks its serveConn from ReadFrame;
+	// Closing a tracked connection unblocks its serveConn from its read;
 	// a handler mid-dispatch finishes first and fails only on the write
 	// back. Clients treat the dropped connection as transient and retry
 	// elsewhere, the failover path that
@@ -453,12 +458,14 @@ func (s *Server) Close() error {
 	return err
 }
 
-// serveConn handles one client connection: a loop of request frames.
-// A stream-open request hands the connection to the streaming loop; when
-// the stream closes cleanly the connection returns here.
-func (s *Server) serveConn(conn net.Conn) {
+// serveConn handles one client connection: a loop of request frames,
+// each answered with one frame. A stream-open request hands the
+// connection to the streaming loop; when the stream closes cleanly the
+// connection returns here.
+func (s *Server) serveConn(nc net.Conn) {
+	c := newWireConn(nc, s.key)
 	for {
-		env, err := ReadFrame(conn)
+		env, err := c.readEnvelope()
 		if err != nil {
 			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
 				s.logf("read frame: %v", err)
@@ -467,36 +474,40 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		s.wireV2Requests.Add(1)
 		if env.Type == TypeStreamOpen {
-			if !s.handleStream(conn, env) {
+			if !s.handleStream(c, env) {
 				return
 			}
 			continue
 		}
-		resp := s.dispatch(env)
-		if err := WriteFrame(conn, resp); err != nil {
+		r := s.dispatch(c, env)
+		if err := c.sealPayload(r.msgType, r.payload); err != nil {
+			s.logf("seal response: %v", err)
+			_ = c.sealPayload(TypeError, errorPayload{Message: "internal error"})
+		}
+		if err := c.flush(); err != nil {
 			s.logf("write frame: %v", err)
 			return
 		}
 	}
 }
 
+// reply is a response before serveConn seals it: its type and payload.
+type reply struct {
+	msgType string
+	payload any
+}
+
 // dispatch verifies and executes one request, always producing a response
-// envelope (errors become TypeError).
-func (s *Server) dispatch(env Envelope) Envelope {
-	respond := func(msgType string, payload any) Envelope {
-		out, err := Seal(s.key, msgType, payload)
-		if err != nil {
-			s.logf("seal response: %v", err)
-			fallback, _ := Seal(s.key, TypeError, errorPayload{Message: "internal error"})
-			return fallback
-		}
-		return out
+// (errors become TypeError).
+func (s *Server) dispatch(c *wireConn, env Envelope) reply {
+	respond := func(msgType string, payload any) reply {
+		return reply{msgType, payload}
 	}
-	fail := func(err error) Envelope {
+	fail := func(err error) reply {
 		s.logf("request %s failed: %v", env.Type, err)
 		return respond(TypeError, errorPayload{Message: err.Error()})
 	}
-	sealedBusy := func() Envelope {
+	sealedBusy := func() reply {
 		return respond(TypeBusy, busyPayload{
 			Message:           "shard is mid-handoff, retry shortly",
 			RetryAfterSeconds: 0.05,
@@ -508,7 +519,7 @@ func (s *Server) dispatch(env Envelope) Envelope {
 	// follows) and a sealed shard a brief busy (the handoff publishes the
 	// new owner within the backoff). ok=false means refusal is the response
 	// to send.
-	admitWrite := func(userID string) (anon string, refusal Envelope, ok bool) {
+	admitWrite := func(userID string) (anon string, refusal reply, ok bool) {
 		if userID == "" {
 			return "", fail(fmt.Errorf("%s: missing user id", env.Type)), false
 		}
@@ -524,13 +535,13 @@ func (s *Server) dispatch(env Envelope) Envelope {
 				return "", sealedBusy(), false
 			}
 		}
-		return anon, Envelope{}, true
+		return anon, reply{}, true
 	}
 
 	switch env.Type {
 	case TypeEnroll:
 		var req enrollRequest
-		if err := env.Open(s.key, &req); err != nil {
+		if err := c.open(env, &req); err != nil {
 			return fail(err)
 		}
 		anon, refusal, ok := admitWrite(req.UserID)
@@ -538,8 +549,8 @@ func (s *Server) dispatch(env Envelope) Envelope {
 			return refusal
 		}
 		// The write is WAL-first — durable before applied or acknowledged —
-		// and holds only the user's shard lock, never s.mu, so other shards
-		// and every authenticate proceed during the fsync.
+		// and holds only the user's shard lock, so other shards and every
+		// authenticate proceed during the fsync.
 		if err := s.persist.Enroll(anon, anonymizeSamples(anon, req.Samples), req.Replace); err != nil {
 			if errors.Is(err, store.ErrSealed) {
 				// The shard sealed between the route check and the append;
@@ -551,14 +562,14 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		return respond(TypeOK, enrollResponse{Stored: len(s.persist.UserWindows(anon))})
 
 	case TypeFetchDetector:
-		if err := env.Open(s.key, nil); err != nil {
+		if err := c.open(env, nil); err != nil {
 			return fail(err)
 		}
 		return respond(TypeOK, s.detector)
 
 	case TypeTrain:
 		var req trainRequest
-		if err := env.Open(s.key, &req); err != nil {
+		if err := c.open(env, &req); err != nil {
 			return fail(err)
 		}
 		anon, refusal, ok := admitWrite(req.UserID)
@@ -589,30 +600,31 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		return respond(TypeOK, trainResponse{Bundle: res.bundle, Version: res.version})
 
 	case TypeAuthenticate:
-		var req authRequest
-		if err := env.Open(s.key, &req); err != nil {
+		if err := c.open(env, &c.authReq); err != nil {
 			return fail(err)
 		}
-		resp, err := s.authenticate(req)
+		resp, err := s.authenticate(&c.authReq)
 		if err != nil {
 			return fail(err)
 		}
-		return respond(TypeOK, resp)
+		c.authResp = resp
+		return respond(TypeOK, &c.authResp)
 
 	case TypeAuthBatch:
-		var req batchAuthRequest
-		if err := env.Open(s.key, &req); err != nil {
+		if err := c.open(env, &c.batchReq); err != nil {
 			return fail(err)
 		}
-		resp, err := s.authenticateBatch(req)
+		resp, err := s.authenticateBatch(&c.batchReq)
+		c.batchReq = batchAuthRequest{} // an idle connection holds no windows
 		if err != nil {
 			return fail(err)
 		}
-		return respond(TypeOK, resp)
+		c.batchResp = resp
+		return respond(TypeOK, &c.batchResp)
 
 	case TypeRetrain:
 		var req retrainRequest
-		if err := env.Open(s.key, &req); err != nil {
+		if err := c.open(env, &req); err != nil {
 			return fail(err)
 		}
 		anon, refusal, ok := admitWrite(req.UserID)
@@ -652,7 +664,7 @@ func (s *Server) dispatch(env Envelope) Envelope {
 
 	case TypeFetchModel:
 		var req fetchModelRequest
-		if err := env.Open(s.key, &req); err != nil {
+		if err := c.open(env, &req); err != nil {
 			return fail(err)
 		}
 		if req.UserID == "" {
@@ -681,7 +693,7 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		return respond(TypeOK, fetchModelResponse{Version: version, Bundle: bundle, Hash: hashHex})
 
 	case TypeShardMap:
-		if err := env.Open(s.key, nil); err != nil {
+		if err := c.open(env, nil); err != nil {
 			return fail(err)
 		}
 		if s.router == nil {
@@ -691,7 +703,7 @@ func (s *Server) dispatch(env Envelope) Envelope {
 
 	case TypeDriftState:
 		var req driftStateRequest
-		if err := env.Open(s.key, &req); err != nil {
+		if err := c.open(env, &req); err != nil {
 			return fail(err)
 		}
 		resp, err := s.driftStates(req)
@@ -701,7 +713,7 @@ func (s *Server) dispatch(env Envelope) Envelope {
 		return respond(TypeOK, resp)
 
 	case TypeStats:
-		if err := env.Open(s.key, nil); err != nil {
+		if err := c.open(env, nil); err != nil {
 			return fail(err)
 		}
 		st := s.persist.Stats()
@@ -766,13 +778,12 @@ func (s *Server) runTrainJob(job trainJob) trainResult {
 	if err != nil {
 		return trainResult{err: fmt.Errorf("train: publish model: %w", err)}
 	}
-	// Cache the bundle under the hash it was published as. If another
-	// publish already overtook this one, that hash is not ours: cache
-	// nothing and let currentBundle load whatever is latest.
+	// Serve the bundle just published without a registry read, unless
+	// another publish already overtook it.
 	if latest, hash, err := s.persist.LatestModelHash(anon); err == nil && latest == version {
-		s.mu.Lock()
-		s.models[anon] = cachedBundle{bundle: bundle, hash: hash}
-		s.mu.Unlock()
+		if auth, err := core.NewAuthenticator(s.detector, bundle); err == nil {
+			s.install(anon, s.cached(anon), &cachedAuth{auth: auth, hash: hash})
+		}
 	}
 	if s.drift != nil {
 		s.drift.monitor.MarkTrained(anon, time.Now())
@@ -780,22 +791,33 @@ func (s *Server) runTrainJob(job trainJob) trainResult {
 	return trainResult{bundle: bundle, version: version}
 }
 
-// currentBundle is the one place a user's serving model is resolved. The
-// cached bundle is served only while its hash is still the registry's
-// latest (a lock and a map lookup: no CAS read, no allocation) and is
-// reloaded otherwise, so a model that was replicated, installed with a
-// snapshot or recovered at Open is picked up unprompted. Only
-// store.ErrNoModel means "no model"; anything else is a registry failure.
-func (s *Server) currentBundle(anon string) (*core.ModelBundle, error) {
-	s.mu.Lock()
-	cached := s.models[anon]
-	s.mu.Unlock()
+// reloadTestHook, when set, runs in currentAuth between reading a model
+// from the registry and installing it — tests use it to interleave two
+// reloads of one user.
+var reloadTestHook func(anon string)
+
+// cached returns the user's cache entry, nil when there is none.
+func (s *Server) cached(anon string) *cachedAuth {
+	v, _ := s.models.Load(anon)
+	e, _ := v.(*cachedAuth)
+	return e
+}
+
+// currentAuth is the one place a user's serving model is resolved. The
+// cached authenticator is served only while its hash is still the
+// registry's latest (a shard-lock hash compare and a lock-free map read:
+// no CAS read, no allocation) and is reloaded otherwise, so a model that
+// was replicated, installed with a snapshot or recovered at Open is
+// picked up unprompted. Only store.ErrNoModel means "no model"; anything
+// else is a registry failure.
+func (s *Server) currentAuth(anon string) (*core.Authenticator, error) {
 	_, latest, err := s.persist.LatestModelHash(anon)
 	if err != nil {
 		return nil, err
 	}
-	if cached.bundle != nil && cached.hash == latest {
-		return cached.bundle, nil
+	cached := s.cached(anon)
+	if cached != nil && cached.hash == latest {
+		return cached.auth, nil
 	}
 	blob, hash, _, err := s.persist.LatestModelBlob(anon)
 	if err != nil {
@@ -805,17 +827,38 @@ func (s *Server) currentBundle(anon string) (*core.ModelBundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("decode registry model for %s: %w", anon, err)
 	}
-	s.mu.Lock()
-	s.models[anon] = cachedBundle{bundle: bundle, hash: hash}
-	s.mu.Unlock()
-	if cached.bundle != nil && s.drift != nil {
+	auth, err := core.NewAuthenticator(s.detector, bundle)
+	if err != nil {
+		return nil, err
+	}
+	if hook := reloadTestHook; hook != nil {
+		hook(anon)
+	}
+	if s.install(anon, cached, &cachedAuth{auth: auth, hash: hash}) && cached != nil && s.drift != nil {
 		// A publish this server did not make superseded the model it was
 		// serving (the shard's owner retrained the user): reset the drift
 		// state too, so a later takeover does not immediately re-fire on
 		// drift the new model already absorbed.
 		s.drift.monitor.MarkTrained(anon, time.Now())
 	}
-	return bundle, nil
+	return auth, nil
+}
+
+// install puts next in the cache in place of old, the entry its caller
+// read, and reports whether it did. It does so only while next's hash is
+// still the registry's latest, and only if the entry is still old
+// (compare-and-swap): of two connections reloading one user at once, the
+// one holding an older bundle never overwrites the newer, and only one
+// of two holding the same bundle installs it (and resets drift).
+func (s *Server) install(anon string, old, next *cachedAuth) bool {
+	if _, latest, err := s.persist.LatestModelHash(anon); err != nil || latest != next.hash {
+		return false
+	}
+	if old == nil {
+		_, loaded := s.models.LoadOrStore(anon, next)
+		return !loaded
+	}
+	return s.models.CompareAndSwap(anon, old, next)
 }
 
 // resolveAuth maps a user to a ready authenticator over their current
@@ -826,16 +869,12 @@ func (s *Server) resolveAuth(userID string) (anon string, auth *core.Authenticat
 		return "", nil, fmt.Errorf("authenticate: missing user id")
 	}
 	anon = anonymize(userID)
-	bundle, err := s.currentBundle(anon)
+	auth, err = s.currentAuth(anon)
 	if errors.Is(err, store.ErrNoModel) {
 		return "", nil, fmt.Errorf("authenticate: user %s has no trained model", userID)
 	}
 	if err != nil {
 		return "", nil, fmt.Errorf("authenticate: model registry: %w", err)
-	}
-	auth, err = core.NewAuthenticator(s.detector, bundle)
-	if err != nil {
-		return "", nil, fmt.Errorf("authenticate: %w", err)
 	}
 	return anon, auth, nil
 }
@@ -853,7 +892,7 @@ func decisionResponse(d core.Decision) authResponse {
 // authenticate classifies one window with the user's current model. Runs
 // inline on the connection goroutine — it is microseconds of work and
 // must keep succeeding while the training pool is saturated.
-func (s *Server) authenticate(req authRequest) (authResponse, error) {
+func (s *Server) authenticate(req *authRequest) (authResponse, error) {
 	anon, auth, err := s.resolveAuth(req.UserID)
 	if err != nil {
 		return authResponse{}, err
@@ -871,7 +910,7 @@ func (s *Server) authenticate(req authRequest) (authResponse, error) {
 // resolved once and the score vector is pooled across the whole batch.
 // Decisions come back in window order; every decision still feeds the
 // drift monitor, so batching does not blind the retraining loop.
-func (s *Server) authenticateBatch(req batchAuthRequest) (batchAuthResponse, error) {
+func (s *Server) authenticateBatch(req *batchAuthRequest) (batchAuthResponse, error) {
 	anon, auth, err := s.resolveAuth(req.UserID)
 	if err != nil {
 		return batchAuthResponse{}, err

@@ -97,15 +97,13 @@ func parseStreamFrame(body []byte) (kind byte, payload []byte, err error) {
 // the connection down instead of returning it to request mode.
 type Stream struct {
 	sess    *Session
-	conn    net.Conn
+	conn    *wireConn
 	timeout time.Duration
-	key     []byte
 
 	mu      sync.Mutex
 	err     error
 	pending int
 	closed  bool
-	scratch []byte
 }
 
 // StartStream performs the stream-open handshake for userID and switches
@@ -122,30 +120,11 @@ func (s *Session) StartStream(userID string) (*Stream, error) {
 	if s.streaming {
 		return nil, fmt.Errorf("transport: session already has an open stream")
 	}
-	if err := s.conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
-		return nil, fmt.Errorf("transport: set deadline: %w", err)
-	}
-	env, err := Seal(s.key, TypeStreamOpen, streamOpenRequest{UserID: userID})
-	if err != nil {
-		return nil, err
-	}
-	if err := WriteFrame(s.conn, env); err != nil {
-		return nil, err
-	}
-	resp, err := ReadFrame(s.conn)
-	if err != nil {
-		return nil, fmt.Errorf("transport: read stream-open response: %w", err)
-	}
-	if err := decodeResponse(resp, s.key, nil); err != nil {
+	if err := s.conn.request(s.timeout, TypeStreamOpen, streamOpenRequest{UserID: userID}, nil); err != nil {
 		return nil, err
 	}
 	s.streaming = true
-	return &Stream{
-		sess:    s,
-		conn:    s.conn,
-		timeout: s.timeout,
-		key:     s.key,
-	}, nil
+	return &Stream{sess: s, conn: s.conn, timeout: s.timeout}, nil
 }
 
 // fail records the first stream error; the stream and its session are
@@ -165,14 +144,13 @@ func (st *Stream) push(sample features.WindowSample) error {
 	if st.err != nil {
 		return st.err
 	}
-	if err := st.conn.SetDeadline(time.Now().Add(st.timeout)); err != nil {
-		return st.fail(fmt.Errorf("transport: set deadline: %w", err))
+	if err := st.conn.setDeadline(st.timeout); err != nil {
+		return st.fail(err)
 	}
-	buf, start := beginStreamFrame(st.scratch[:0], streamKindWindow, features.EncodedSampleSize(sample))
-	buf = features.AppendSampleBinary(buf, sample)
-	buf = finishStreamFrame(buf, start)
-	st.scratch = buf[:0] // keep the grown backing array for reuse
-	if _, err := st.conn.Write(buf); err != nil {
+	c := st.conn
+	frame, start := beginStreamFrame(c.out[:0], streamKindWindow, features.EncodedSampleSize(sample))
+	c.out = finishStreamFrame(features.AppendSampleBinary(frame, sample), start)
+	if err := c.flush(); err != nil {
 		return st.fail(fmt.Errorf("transport: write window frame: %w", err))
 	}
 	st.pending++
@@ -190,10 +168,10 @@ func (st *Stream) recv() (AuthDecision, error) {
 	if st.pending == 0 {
 		return AuthDecision{}, fmt.Errorf("transport: no windows awaiting a decision")
 	}
-	if err := st.conn.SetDeadline(time.Now().Add(st.timeout)); err != nil {
-		return AuthDecision{}, st.fail(fmt.Errorf("transport: set deadline: %w", err))
+	if err := st.conn.setDeadline(st.timeout); err != nil {
+		return AuthDecision{}, st.fail(err)
 	}
-	body, err := readFrameBody(st.conn)
+	body, err := st.conn.readBody()
 	if err != nil {
 		return AuthDecision{}, st.fail(fmt.Errorf("transport: read decision frame: %w", err))
 	}
@@ -272,14 +250,16 @@ func (st *Stream) Close() error {
 
 // shutdown performs the close handshake. Caller holds st.mu.
 func (st *Stream) shutdown() error {
-	if err := st.conn.SetDeadline(time.Now().Add(st.timeout)); err != nil {
-		return fmt.Errorf("transport: set deadline: %w", err)
+	c := st.conn
+	if err := c.setDeadline(st.timeout); err != nil {
+		return err
 	}
-	if _, err := st.conn.Write(appendStreamFrame(nil, streamKindClose, nil)); err != nil {
+	c.out = appendStreamFrame(c.out[:0], streamKindClose, nil)
+	if err := c.flush(); err != nil {
 		return fmt.Errorf("transport: write close frame: %w", err)
 	}
 	for {
-		body, err := readFrameBody(st.conn)
+		body, err := c.readBody()
 		if err != nil {
 			return fmt.Errorf("transport: read close acknowledgement: %w", err)
 		}
@@ -298,7 +278,8 @@ func (st *Stream) shutdown() error {
 		if err != nil {
 			return err
 		}
-		return decodeResponse(env, st.key, nil)
+		_, err = c.answer(env)
+		return err
 	}
 }
 
@@ -314,49 +295,36 @@ type streamOpenRequest struct {
 // and keeps the connection in request mode; an error mid-stream tears the
 // connection down (the client's session is poisoned anyway). Returns
 // false when serveConn should stop serving the connection.
-func (s *Server) handleStream(conn net.Conn, env Envelope) bool {
-	seal := func(msgType string, payload any) (Envelope, bool) {
-		out, err := Seal(s.key, msgType, payload)
-		if err != nil {
+func (s *Server) handleStream(c *wireConn, env Envelope) bool {
+	send := func(msgType string, payload any) bool {
+		if err := c.sealPayload(msgType, payload); err != nil {
 			s.logf("seal stream response: %v", err)
-			return Envelope{}, false
-		}
-		return out, true
-	}
-	refuse := func(err error) bool {
-		s.logf("stream-open failed: %v", err)
-		resp, ok := seal(TypeError, errorPayload{Message: err.Error()})
-		if !ok {
 			return false
 		}
-		if err := WriteFrame(conn, resp); err != nil {
+		if err := c.flush(); err != nil {
 			s.logf("write frame: %v", err)
 			return false
 		}
-		return true // handshake refused, connection still healthy
+		return true
 	}
 
 	var req streamOpenRequest
-	if err := env.Open(s.key, &req); err != nil {
-		return refuse(err)
+	if err := c.open(env, &req); err != nil {
+		s.logf("stream-open failed: %v", err)
+		return send(TypeError, errorPayload{Message: err.Error()}) // handshake refused, connection still healthy
 	}
 	anon, auth, err := s.resolveAuth(req.UserID)
 	if err != nil {
-		return refuse(err)
+		s.logf("stream-open failed: %v", err)
+		return send(TypeError, errorPayload{Message: err.Error()})
 	}
-	ack, ok := seal(TypeOK, nil)
-	if !ok {
-		return false
-	}
-	if err := WriteFrame(conn, ack); err != nil {
-		s.logf("write frame: %v", err)
+	if !send(TypeOK, nil) {
 		return false
 	}
 
 	s.wireStreamSessions.Add(1)
-	var scratch []byte
 	for {
-		body, err := readFrameBody(conn)
+		body, err := c.readBody()
 		if err != nil {
 			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
 				s.logf("read stream frame: %v", err)
@@ -370,18 +338,10 @@ func (s *Server) handleStream(conn net.Conn, env Envelope) bool {
 		}
 		switch kind {
 		case streamKindClose:
-			bye, ok := seal(TypeOK, nil)
-			if !ok {
-				return false
-			}
-			if err := WriteFrame(conn, bye); err != nil {
-				s.logf("write frame: %v", err)
-				return false
-			}
-			return true // back to request mode
+			return send(TypeOK, nil) // back to request mode
 		case streamKindWindow:
 			r := binio.NewReader(payload)
-			sample := features.ReadSampleBinary(r)
+			sample := features.ReadSampleBinary(r, req.UserID)
 			if err := finish(r); err != nil {
 				s.logf("decode window frame: %v", err)
 				return false
@@ -390,7 +350,8 @@ func (s *Server) handleStream(conn net.Conn, env Envelope) bool {
 			if err != nil {
 				// Surface the failure in-band, then drop the connection: the
 				// session cannot continue past an unscorable window.
-				if _, werr := conn.Write(appendStreamFrame(nil, streamKindError, []byte(err.Error()))); werr != nil {
+				c.out = appendStreamFrame(c.out[:0], streamKindError, []byte(err.Error()))
+				if werr := c.flush(); werr != nil {
 					s.logf("write error frame: %v", werr)
 				}
 				return false
@@ -398,14 +359,10 @@ func (s *Server) handleStream(conn net.Conn, env Envelope) bool {
 			s.wireStreamWindows.Add(1)
 			s.observeDrift(anon, d.Score, d.Accepted)
 			resp := decisionResponse(d)
-			buf, start := beginStreamFrame(scratch[:0], streamKindDecision, resp.encodedSize())
-			if buf, err = resp.appendBinary(buf); err != nil {
-				s.logf("encode decision frame: %v", err)
-				return false
-			}
-			buf = finishStreamFrame(buf, start)
-			scratch = buf[:0]
-			if _, err := conn.Write(buf); err != nil {
+			frame, start := beginStreamFrame(c.out[:0], streamKindDecision, resp.encodedSize())
+			frame, _ = resp.appendBinary(frame)
+			c.out = finishStreamFrame(frame, start)
+			if err := c.flush(); err != nil {
 				s.logf("write decision frame: %v", err)
 				return false
 			}

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/base64"
 	"encoding/binary"
 	"errors"
@@ -101,9 +103,12 @@ func TestServerRejectsJSONEnvelope(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer func() { _ = conn.Close() }()
-	mac := computeMAC(nil, testKey, TypeStats, nil)
-	body := fmt.Sprintf(`{"type":"stats","mac":%q}`, base64.StdEncoding.EncodeToString(mac))
-	if err := writeLengthPrefixed(conn, []byte(body)); err != nil {
+	sealed, err := Seal(testKey, TypeStats, nil)
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	body := fmt.Sprintf(`{"type":"stats","mac":%q}`, base64.StdEncoding.EncodeToString(sealed.MAC))
+	if _, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)); err != nil {
 		t.Fatalf("write JSON frame: %v", err)
 	}
 	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
@@ -281,7 +286,7 @@ func TestClientRejectsOversizedServerFrame(t *testing.T) {
 			go func(conn net.Conn) {
 				defer func() { _ = conn.Close() }()
 				// Consume the request frame, then declare a 4 GiB response.
-				if _, err := readFrameBody(conn); err != nil {
+				if _, err := readFrameBody(conn, nil); err != nil {
 					return
 				}
 				var header [4]byte
@@ -459,34 +464,27 @@ func TestEnvelopeV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestMACPoolConsistency pins that the pooled HMAC produces the same tag
-// as a fresh computation for distinct keys used interleaved.
+// TestMACPoolConsistency pins that the pooled HMAC behind Seal and Open
+// produces the tag a fresh HMAC computes over type || 0x00 || payload, for
+// distinct keys used interleaved.
 func TestMACPoolConsistency(t *testing.T) {
 	keys := [][]byte{[]byte("k1"), []byte("k2"), testKey}
 	for round := 0; round < 3; round++ {
 		for i, key := range keys {
-			payload := []byte(fmt.Sprintf("payload-%d-%d", round, i))
-			a := computeMAC(nil, key, TypeStats, payload)
-			b := computeMAC(nil, key, TypeStats, payload)
-			env := Envelope{Type: TypeStats, Payload: payload, MAC: a}
-			if !hmacEqual(a, b) {
-				t.Fatalf("pooled MAC not deterministic")
+			payload := errorPayload{Message: fmt.Sprintf("payload-%d-%d", round, i)}
+			env, err := Seal(key, TypeError, payload)
+			if err != nil {
+				t.Fatalf("Seal: %v", err)
+			}
+			fresh := hmac.New(sha256.New, key)
+			fresh.Write([]byte(TypeError + "\x00"))
+			fresh.Write(env.Payload)
+			if !hmac.Equal(env.MAC, fresh.Sum(nil)) {
+				t.Fatalf("pooled MAC differs from a fresh one (key %d, round %d)", i, round)
 			}
 			if err := env.Open(key, nil); err != nil {
 				t.Fatalf("Open with pooled MAC: %v", err)
 			}
 		}
 	}
-}
-
-func hmacEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -8,6 +8,7 @@ import (
 	"smarteryou/internal/binio"
 	"smarteryou/internal/core"
 	"smarteryou/internal/features"
+	"smarteryou/internal/sensing"
 )
 
 // The wire envelope — the only one the server reads or writes. Hot
@@ -78,20 +79,14 @@ const (
 	v2HeaderBytes = 2 + sha256.Size // format byte + type byte + raw MAC
 )
 
-// encodeEnvelopeV2 lays a sealed envelope out as a v2 frame body.
+// encodeEnvelopeV2 lays a sealed envelope out as a v2 frame body: the
+// frame WriteFrame sends, without its length prefix.
 func encodeEnvelopeV2(e Envelope) ([]byte, error) {
-	tb, ok := typeToByte[e.Type]
-	if !ok {
-		return nil, fmt.Errorf("transport: type %q has no v2 type byte", e.Type)
+	frame, err := appendEnvelope(nil, e)
+	if err != nil {
+		return nil, err
 	}
-	if len(e.MAC) != sha256.Size {
-		return nil, fmt.Errorf("transport: v2 envelope needs a %d-byte MAC, have %d", sha256.Size, len(e.MAC))
-	}
-	body := make([]byte, 0, v2HeaderBytes+len(e.Payload))
-	body = append(body, wireFormatV2, tb)
-	body = append(body, e.MAC...)
-	body = append(body, e.Payload...)
-	return body, nil
+	return frame[4:], nil
 }
 
 // parseEnvelopeV2 decodes a v2 frame body (first byte already verified to
@@ -142,10 +137,12 @@ func (q authRequest) appendBinary(dst []byte) ([]byte, error) {
 	return features.AppendSampleBinary(dst, q.Sample), nil
 }
 
+// decodeBinary interns the window's user id against the request's: a
+// genuine window carries the id it is authenticated as.
 func (q *authRequest) decodeBinary(b []byte) error {
 	r := binio.NewReader(b)
 	q.UserID = r.Str()
-	q.Sample = features.ReadSampleBinary(r)
+	q.Sample = features.ReadSampleBinary(r, q.UserID)
 	return finish(r)
 }
 
@@ -161,11 +158,22 @@ func (p authResponse) appendBinary(dst []byte) ([]byte, error) {
 
 func (p *authResponse) decodeBinary(b []byte) error {
 	r := binio.NewReader(b)
-	p.Context = r.Str()
-	p.ContextConfidence = r.F64()
-	p.Score = r.F64()
-	p.Accepted = r.Byte() != 0
+	*p = readDecision(r)
 	return finish(r)
+}
+
+// contextNames are the values a decision's context takes, interned on
+// decode.
+var contextNames = []string{sensing.CoarseStationary.String(), sensing.CoarseMoving.String()}
+
+// readDecision reads one decision as authResponse.appendBinary wrote it.
+func readDecision(r *binio.Reader) authResponse {
+	return authResponse{
+		Context:           r.Intern(contextNames...),
+		ContextConfidence: r.F64(),
+		Score:             r.F64(),
+		Accepted:          r.Byte() != 0,
+	}
 }
 
 // minDecisionBytes bounds batch decision counts: empty context string
@@ -185,10 +193,11 @@ func (q batchAuthRequest) appendBinary(dst []byte) ([]byte, error) {
 	return features.AppendSampleListBinary(dst, q.Samples), nil
 }
 
+// decodeBinary interns the windows' user ids as authRequest's does.
 func (q *batchAuthRequest) decodeBinary(b []byte) error {
 	r := binio.NewReader(b)
 	q.UserID = r.Str()
-	q.Samples = features.ReadSampleListBinary(r)
+	q.Samples = features.ReadSampleListBinary(r, q.UserID)
 	return finish(r)
 }
 
@@ -214,12 +223,7 @@ func (p *batchAuthResponse) decodeBinary(b []byte) error {
 	}
 	p.Decisions = make([]authResponse, 0, n)
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		var d authResponse
-		d.Context = r.Str()
-		d.ContextConfidence = r.F64()
-		d.Score = r.F64()
-		d.Accepted = r.Byte() != 0
-		p.Decisions = append(p.Decisions, d)
+		p.Decisions = append(p.Decisions, readDecision(r))
 	}
 	return finish(r)
 }
