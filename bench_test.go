@@ -140,9 +140,14 @@ func BenchmarkFFT300(b *testing.B) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
+	plan, err := dsp.PlanFor(len(x))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var spec dsp.Spectrum
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dsp.AmplitudeSpectrum(x, 50); err != nil {
+		if err := plan.AmplitudeSpectrumInto(&spec, x, 50); err != nil {
 			b.Fatal(err)
 		}
 	}

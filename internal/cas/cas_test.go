@@ -263,7 +263,10 @@ func TestScrubFindsOrphansAndCorruption(t *testing.T) {
 	if _, err := s.Get(mOrphan); err == nil {
 		t.Fatal("orphan still readable after scrub remove")
 	}
-	if s.Contains(mLive.Chunks[1].Hash) == false {
+	s.mu.Lock()
+	_, live := s.chunks[mLive.Chunks[1].Hash]
+	s.mu.Unlock()
+	if !live {
 		t.Fatal("scrub removed live chunk")
 	}
 }

@@ -255,15 +255,6 @@ func (s *Store) ChunkData(h Hash) ([]byte, error) {
 	return data, nil
 }
 
-// Contains reports whether the store holds a chunk (in memory or on
-// disk).
-func (s *Store) Contains(h Hash) bool {
-	s.mu.Lock()
-	_, ok := s.chunks[h]
-	s.mu.Unlock()
-	return ok
-}
-
 // Hashes lists every chunk the store holds — what a replication follower
 // declares so the leader ships only what is missing.
 func (s *Store) Hashes() []Hash {

@@ -4,8 +4,6 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
-	"fmt"
 	"math"
 	"sync"
 )
@@ -117,21 +115,4 @@ func VerifyAuditChain(entries []AuditEntry) int {
 		prev = e.Digest
 	}
 	return -1
-}
-
-// Export serializes the log as JSON for offline storage or forensics.
-func (l *AuditLog) Export() ([]byte, error) {
-	return json.Marshal(l.Entries())
-}
-
-// ImportAuditLog parses and verifies an exported log.
-func ImportAuditLog(data []byte) ([]AuditEntry, error) {
-	var entries []AuditEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("core: decode audit log: %w", err)
-	}
-	if bad := VerifyAuditChain(entries); bad >= 0 {
-		return nil, fmt.Errorf("core: audit chain broken at entry %d", bad)
-	}
-	return entries, nil
 }

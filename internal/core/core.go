@@ -23,9 +23,6 @@ var (
 	// ErrNoModel indicates no authentication model exists for the detected
 	// context (e.g. the bundle was trained before any moving data existed).
 	ErrNoModel = errors.New("core: no model for context")
-	// ErrNotEnrolled indicates authentication was attempted before
-	// enrollment finished.
-	ErrNotEnrolled = errors.New("core: user is not enrolled")
 )
 
 // Mode selects the device and context configuration being evaluated — the
@@ -101,15 +98,6 @@ func (c *ContextModel) Score(vector []float64) (float64, error) {
 type ModelBundle struct {
 	Mode   Mode                     `json:"mode"`
 	Models map[string]*ContextModel `json:"models"`
-}
-
-// ModelFor returns the model for a detected context, or the unified model
-// when context dispatch is off.
-func (b *ModelBundle) ModelFor(ctx sensing.CoarseContext) (*ContextModel, error) {
-	if b == nil || len(b.Models) == 0 {
-		return nil, ErrNoModel
-	}
-	return modelFor(b.Models, b.Mode, ctx)
 }
 
 // modelFor is the one context → model key lookup: ctx's model, or the

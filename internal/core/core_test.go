@@ -162,10 +162,10 @@ func TestTrainErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partial-context Train: %v", err)
 	}
-	if _, err := bundle.ModelFor(sensing.CoarseMoving); !errors.Is(err, ErrNoModel) {
+	if _, err := modelFor(bundle.Models, bundle.Mode, sensing.CoarseMoving); !errors.Is(err, ErrNoModel) {
 		t.Errorf("missing moving model err = %v, want ErrNoModel", err)
 	}
-	if _, err := bundle.ModelFor(sensing.CoarseStationary); err != nil {
+	if _, err := modelFor(bundle.Models, bundle.Mode, sensing.CoarseStationary); err != nil {
 		t.Errorf("stationary model should exist: %v", err)
 	}
 }

@@ -9,6 +9,63 @@ import (
 	"testing/quick"
 )
 
+// FFT, IFFT, FFTReal and AmplitudeSpectrum are the allocating wrappers
+// the tests use as references. The product reaches the transform engine
+// only through a plan's AmplitudeSpectrumInto.
+
+// FFT is the forward DFT of x through the cached plan's transform engine,
+// the one the real-input path runs at half length.
+func FFT(x []complex128) ([]complex128, error) {
+	p, err := PlanFor(len(x))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]complex128, len(x))
+	sc := p.scratch.Get().(*fftScratch)
+	p.transform(out, x, sc.work)
+	p.scratch.Put(sc)
+	return out, nil
+}
+
+// IFFT is the inverse DFT normalized by 1/N: conj(DFT(conj(x)))/N.
+func IFFT(x []complex128) ([]complex128, error) {
+	c := make([]complex128, len(x))
+	for i, v := range x {
+		c[i] = cmplx.Conj(v)
+	}
+	out, err := FFT(c)
+	if err != nil {
+		return nil, err
+	}
+	n := float64(len(x))
+	for i, v := range out {
+		out[i] = complex(real(v)/n, -imag(v)/n)
+	}
+	return out, nil
+}
+
+// FFTReal is the full complex DFT of a real signal.
+func FFTReal(x []float64) ([]complex128, error) {
+	c := make([]complex128, len(x))
+	for i, v := range x {
+		c[i] = complex(v, 0)
+	}
+	return FFT(c)
+}
+
+// AmplitudeSpectrum is AmplitudeSpectrumInto a fresh Spectrum.
+func AmplitudeSpectrum(x []float64, sampleRate float64) (*Spectrum, error) {
+	p, err := PlanFor(len(x))
+	if err != nil {
+		return nil, err
+	}
+	out := &Spectrum{}
+	if err := p.AmplitudeSpectrumInto(out, x, sampleRate); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestFFTEmpty(t *testing.T) {
 	if _, err := FFT(nil); !errors.Is(err, ErrEmptyInput) {
 		t.Fatalf("FFT(nil) err = %v, want ErrEmptyInput", err)

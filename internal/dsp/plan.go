@@ -337,65 +337,6 @@ func scale(z complex128, f float64) complex128 {
 	return complex(real(z)*f, imag(z)*f)
 }
 
-// checkLen reports a src/dst pair that does not match the plan's length.
-func (p *FFTPlan) checkLen(dst, src []complex128) error {
-	if len(src) != p.n || len(dst) != p.n {
-		return fmt.Errorf("dsp: plan is for length %d, got src %d dst %d", p.n, len(src), len(dst))
-	}
-	return nil
-}
-
-// Transform computes the forward DFT of src into dst. dst and src must
-// both have the plan's length; dst may be the same slice as src for an
-// in-place transform, and src is left unmodified otherwise.
-func (p *FFTPlan) Transform(dst, src []complex128) error {
-	if err := p.checkLen(dst, src); err != nil {
-		return err
-	}
-	sc := p.scratch.Get().(*fftScratch)
-	p.transform(dst, src, sc.work)
-	p.scratch.Put(sc)
-	return nil
-}
-
-// InverseTransform computes the inverse DFT of src into dst, normalized
-// by 1/N. The aliasing rules of Transform apply. It runs the forward
-// transform on conjugated input: IDFT(x) = conj(DFT(conj(x)))/N.
-func (p *FFTPlan) InverseTransform(dst, src []complex128) error {
-	if err := p.checkLen(dst, src); err != nil {
-		return err
-	}
-	for i, v := range src {
-		dst[i] = cmplx.Conj(v)
-	}
-	sc := p.scratch.Get().(*fftScratch)
-	p.transform(dst, dst, sc.work)
-	p.scratch.Put(sc)
-	n := float64(p.n)
-	for i, v := range dst {
-		dst[i] = complex(real(v)/n, -imag(v)/n)
-	}
-	return nil
-}
-
-// RealTransform computes the first n/2+1 bins of the DFT of a real signal
-// — the non-redundant half of a conjugate-symmetric spectrum. dst must
-// have at least n/2+1 elements. For even lengths the signal is packed
-// into a half-length complex transform, halving the butterfly work; odd
-// lengths fall back to the full complex transform.
-func (p *FFTPlan) RealTransform(dst []complex128, x []float64) error {
-	if len(x) != p.n {
-		return fmt.Errorf("dsp: plan is for length %d, got %d", p.n, len(x))
-	}
-	if len(dst) < p.n/2+1 {
-		return fmt.Errorf("dsp: real transform needs %d output bins, got %d", p.n/2+1, len(dst))
-	}
-	sc := p.scratch.Get().(*fftScratch)
-	copy(dst, p.realBins(x, sc))
-	p.scratch.Put(sc)
-	return nil
-}
-
 // realBins computes the first n/2+1 DFT bins of x into sc.buf and returns
 // them. len(x) must equal p.n.
 func (p *FFTPlan) realBins(x []float64, sc *fftScratch) []complex128 {
@@ -439,10 +380,12 @@ func (p *FFTPlan) realBins(x []float64, sc *fftScratch) []complex128 {
 }
 
 // AmplitudeSpectrumInto computes the one-sided amplitude spectrum of a
-// real signal into out, reusing out's slices when they have capacity —
-// the allocation-free form of AmplitudeSpectrum. The caller owns out; the
-// plan only borrows it for the call. The bins come from the real-input
-// path, so an even-length window costs one half-length transform.
+// real signal sampled at sampleRate Hz into out, reusing out's slices when
+// they have capacity. Non-DC (and non-Nyquist) bins are scaled by 2/N so
+// amplitudes correspond to sinusoid amplitudes in the signal. The caller
+// owns out; the plan only borrows it for the call. The bins come from the
+// real-input path, so an even-length window costs one half-length
+// transform.
 func (p *FFTPlan) AmplitudeSpectrumInto(out *Spectrum, x []float64, sampleRate float64) error {
 	if len(x) != p.n {
 		return fmt.Errorf("dsp: plan is for length %d, got %d", p.n, len(x))

@@ -84,10 +84,9 @@ func TestRealTransformMatchesComplex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: PlanFor: %v", n, err)
 		}
-		got := make([]complex128, n/2+1)
-		if err := p.RealTransform(got, x); err != nil {
-			t.Fatalf("n=%d: RealTransform: %v", n, err)
-		}
+		sc := p.scratch.Get().(*fftScratch)
+		got := append([]complex128(nil), p.realBins(x, sc)...)
+		p.scratch.Put(sc)
 		full, err := FFTReal(x)
 		if err != nil {
 			t.Fatalf("n=%d: FFTReal: %v", n, err)
@@ -279,11 +278,8 @@ func TestPlanInvalidInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Transform(make([]complex128, 8), make([]complex128, 4)); err == nil {
-		t.Error("length-mismatched Transform should fail")
-	}
-	if err := p.RealTransform(make([]complex128, 2), make([]float64, 8)); err == nil {
-		t.Error("undersized RealTransform dst should fail")
+	if err := p.AmplitudeSpectrumInto(&Spectrum{}, make([]float64, 4), 50); err == nil {
+		t.Error("length-mismatched AmplitudeSpectrumInto should fail")
 	}
 	if err := p.AmplitudeSpectrumInto(&Spectrum{}, make([]float64, 8), 0); err == nil {
 		t.Error("non-positive sample rate should fail")

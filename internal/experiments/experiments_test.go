@@ -108,7 +108,7 @@ func TestEvaluateAuthHeadline(t *testing.T) {
 	if m.Accuracy() < 0.9 {
 		t.Errorf("headline accuracy = %v, want >= 0.9 even at quick scale", m.Accuracy())
 	}
-	if m.Total() == 0 {
+	if m.TruePositive+m.FalseNegative+m.TrueNegative+m.FalsePositive == 0 {
 		t.Errorf("no observations recorded")
 	}
 }
@@ -613,7 +613,7 @@ func TestEvaluateAuthByContextCoversBoth(t *testing.T) {
 	}
 	for _, ctx := range []sensing.CoarseContext{sensing.CoarseStationary, sensing.CoarseMoving} {
 		m, ok := byCtx[ctx]
-		if !ok || m.Total() == 0 {
+		if !ok || m.TruePositive+m.FalseNegative+m.TrueNegative+m.FalsePositive == 0 {
 			t.Errorf("context %v has no observations", ctx)
 		}
 	}

@@ -39,7 +39,7 @@ const SampleFixedBytes = 8 + 4*SensorFeatureCount*8
 const MinSampleBytes = 1 + 1 + SampleFixedBytes
 
 // AppendSensorBinary appends one sensor block (all nine candidate
-// statistics, CandidateNames order).
+// statistics, in the paper's order).
 func AppendSensorBinary(buf []byte, s SensorFeatures) []byte {
 	for _, v := range [SensorFeatureCount]float64{
 		s.Mean, s.Var, s.Max, s.Min, s.Ran, s.Peak, s.PeakF, s.Peak2, s.Peak2F,

@@ -35,18 +35,6 @@ type SensorFeatures struct {
 	Peak2F float64
 }
 
-// CandidateNames lists the nine candidate features in the paper's order.
-func CandidateNames() []string {
-	return []string{"Mean", "Var", "Max", "Min", "Ran", "Peak", "Peak f", "Peak2", "Peak2 f"}
-}
-
-// PrunedNames lists the seven features that survive the selection study:
-// Peak2_f fails the KS test (Fig. 3) and Ran is redundant with Var
-// (Table III).
-func PrunedNames() []string {
-	return []string{"Mean", "Var", "Max", "Min", "Peak", "Peak f", "Peak2"}
-}
-
 // ByName returns the named candidate feature value.
 func (s SensorFeatures) ByName(name string) (float64, error) {
 	switch name {
@@ -73,8 +61,10 @@ func (s SensorFeatures) ByName(name string) (float64, error) {
 	}
 }
 
-// Pruned returns the 7-element pruned feature slice in PrunedNames order —
-// the SP_i(k) = [SP_i^t(k), SP_i^f(k)] vector of Eq. 1 and Eq. 2.
+// Pruned returns the seven features that survive the selection study —
+// Peak2_f fails the KS test (Fig. 3) and Ran is redundant with Var
+// (Table III) — as the SP_i(k) = [SP_i^t(k), SP_i^f(k)] vector of Eq. 1
+// and Eq. 2: Mean, Var, Max, Min, Peak, Peak f, Peak2.
 func (s SensorFeatures) Pruned() []float64 {
 	return []float64{s.Mean, s.Var, s.Max, s.Min, s.Peak, s.PeakF, s.Peak2}
 }
@@ -85,7 +75,7 @@ func (s SensorFeatures) AppendPruned(dst []float64) []float64 {
 	return append(dst, s.Mean, s.Var, s.Max, s.Min, s.Peak, s.PeakF, s.Peak2)
 }
 
-// All returns all nine candidate features in CandidateNames order.
+// All returns all nine candidate features in the paper's order.
 func (s SensorFeatures) All() []float64 {
 	return []float64{s.Mean, s.Var, s.Max, s.Min, s.Ran, s.Peak, s.PeakF, s.Peak2, s.Peak2F}
 }
@@ -173,16 +163,6 @@ func (e *Extractor) ExtractSensor(window []float64, rate float64) (SensorFeature
 	}, nil
 }
 
-// ExtractSensor computes the nine candidate statistics of one magnitude
-// window using a pooled extractor. Hot paths that process many windows
-// should hold an Extractor instead.
-func ExtractSensor(window []float64, rate float64) (SensorFeatures, error) {
-	e := extractorPool.Get().(*Extractor)
-	sf, err := e.ExtractSensor(window, rate)
-	extractorPool.Put(e)
-	return sf, err
-}
-
 // DeviceFeatures summarizes one device's accelerometer and gyroscope in
 // one window.
 type DeviceFeatures struct {
@@ -219,10 +199,6 @@ func (d DeviceFeatures) AccOnlyVector() []float64 {
 func CombinedAuthVector(phone, watch DeviceFeatures) []float64 {
 	return append(phone.AuthVector(), watch.AuthVector()...)
 }
-
-// VectorDim returns the authentication vector dimensionality for a device
-// count (14 for one device, 28 for two) — Section V-F1.
-func VectorDim(devices int) int { return 14 * devices }
 
 // ExtractWindows slices a stream into non-overlapping windows of
 // windowSeconds and computes DeviceFeatures for each. Windows shorter than

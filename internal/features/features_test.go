@@ -17,7 +17,7 @@ func TestExtractSensorKnownSignal(t *testing.T) {
 		ts := float64(i) / rate
 		w[i] = 10 + 2*math.Sin(2*math.Pi*2*ts) // DC 10, 2 Hz amplitude 2
 	}
-	f, err := ExtractSensor(w, rate)
+	f, err := NewExtractor().ExtractSensor(w, rate)
 	if err != nil {
 		t.Fatalf("ExtractSensor: %v", err)
 	}
@@ -39,7 +39,7 @@ func TestExtractSensorKnownSignal(t *testing.T) {
 }
 
 func TestExtractSensorEmpty(t *testing.T) {
-	if _, err := ExtractSensor(nil, 50); err == nil {
+	if _, err := NewExtractor().ExtractSensor(nil, 50); err == nil {
 		t.Fatalf("empty window should error")
 	}
 }
@@ -58,9 +58,6 @@ func TestFeatureVectorShapes(t *testing.T) {
 	if got := len(CombinedAuthVector(d, d)); got != 28 {
 		t.Errorf("CombinedAuthVector length = %d, want 28", got)
 	}
-	if VectorDim(1) != 14 || VectorDim(2) != 28 {
-		t.Errorf("VectorDim wrong")
-	}
 }
 
 func TestByNameCoversAllCandidates(t *testing.T) {
@@ -69,7 +66,7 @@ func TestByNameCoversAllCandidates(t *testing.T) {
 		"Mean": 1, "Var": 2, "Max": 3, "Min": 4, "Ran": 5,
 		"Peak": 6, "Peak f": 7, "Peak2": 8, "Peak2 f": 9,
 	}
-	for _, name := range CandidateNames() {
+	for name := range want {
 		got, err := f.ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
@@ -81,10 +78,7 @@ func TestByNameCoversAllCandidates(t *testing.T) {
 	if _, err := f.ByName("Kurtosis"); err == nil {
 		t.Errorf("unknown feature should error")
 	}
-	if len(PrunedNames()) != 7 {
-		t.Errorf("PrunedNames length = %d, want 7", len(PrunedNames()))
-	}
-	if got := f.Pruned(); got[1] != 2 || got[6] != 8 {
+	if got := f.Pruned(); len(got) != 7 || got[1] != 2 || got[6] != 8 {
 		t.Errorf("Pruned order wrong: %v", got)
 	}
 	if got := f.All(); len(got) != 9 || got[8] != 9 {

@@ -184,25 +184,6 @@ func TestVectorOps(t *testing.T) {
 	if _, err := Dot([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("Dot mismatched err = %v", err)
 	}
-	if n := Norm2([]float64{3, 4}); n != 5 {
-		t.Errorf("Norm2 = %v, want 5", n)
-	}
-	y := []float64{1, 1}
-	if err := AXPY(2, []float64{1, 2}, y); err != nil || y[1] != 5 {
-		t.Errorf("AXPY = %v (err %v), want [3 5]", y, err)
-	}
-	if err := AXPY(1, []float64{1}, y); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("AXPY mismatched err = %v", err)
-	}
-	v := []float64{2, 4}
-	ScaleVec(0.5, v)
-	if v[0] != 1 || v[1] != 2 {
-		t.Errorf("ScaleVec = %v, want [1 2]", v)
-	}
-	s, err := SubVec([]float64{5, 5}, []float64{2, 3})
-	if err != nil || s[0] != 3 || s[1] != 2 {
-		t.Errorf("SubVec = %v (err %v)", s, err)
-	}
 	sq, err := SquaredDistance([]float64{0, 0}, []float64{3, 4})
 	if err != nil || sq != 25 {
 		t.Errorf("SquaredDistance = %v (err %v), want 25", sq, err)

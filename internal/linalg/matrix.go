@@ -1,7 +1,7 @@
 // Package linalg provides the dense linear-algebra substrate used by the
 // machine-learning algorithms in this repository: column-major-free dense
-// matrices, vector helpers, and the decompositions (Cholesky, LU) needed to
-// solve the regularized least-squares systems at the heart of kernel ridge
+// matrices, vector helpers, and the Cholesky decomposition that solves the
+// regularized least-squares systems at the heart of kernel ridge
 // regression (Eq. 6 and Eq. 7 of the SmarterYou paper).
 //
 // Everything is implemented from scratch on float64 slices; there are no
@@ -14,7 +14,6 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -41,22 +40,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFromRows builds a matrix from a slice of equal-length rows,
-// copying the data.
-func NewMatrixFromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("%w: empty row set", ErrDimensionMismatch)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrDimensionMismatch, i, len(r), m.cols)
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m, nil
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -69,47 +52,17 @@ func Identity(n int) *Matrix {
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // At returns the element at (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 
 // Set assigns the element at (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
 }
 
 // Add returns m + other.
@@ -158,47 +111,6 @@ func (m *Matrix) AddDiagonal(s float64) (*Matrix, error) {
 	return out, nil
 }
 
-// Mul returns the matrix product m * other.
-func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
-	if m.cols != other.rows {
-		return nil, fmt.Errorf("%w: mul %dx%d with %dx%d", ErrDimensionMismatch, m.rows, m.cols, other.rows, other.cols)
-	}
-	out := NewMatrix(m.rows, other.cols)
-	// ikj loop order keeps the inner loop walking both operands
-	// sequentially, which matters for the N x N kernel matrices.
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			orow := other.data[k*other.cols:]
-			crow := out.data[i*out.cols:]
-			for j := 0; j < other.cols; j++ {
-				crow[j] += a * orow[j]
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns the matrix-vector product m * v.
-func (m *Matrix) MulVec(v []float64) ([]float64, error) {
-	if m.cols != len(v) {
-		return nil, fmt.Errorf("%w: mulvec %dx%d with vector of length %d", ErrDimensionMismatch, m.rows, m.cols, len(v))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		s := 0.0
-		for j, a := range row {
-			s += a * v[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // MulVecInto computes m * v into dst, which must have length m.Rows().
 // This is the allocation-free form of MulVec for hot paths that reuse a
 // buffer (the Sherman-Morrison update applies it twice per sample).
@@ -240,66 +152,6 @@ func (m *Matrix) SubOuterScaled(u []float64, scale float64) error {
 		}
 	}
 	return nil
-}
-
-// Gram returns m^T * m (the Gram matrix of the columns of m), exploiting
-// symmetry to halve the work.
-func (m *Matrix) Gram() *Matrix {
-	out := NewMatrix(m.cols, m.cols)
-	for i := 0; i < m.cols; i++ {
-		for j := i; j < m.cols; j++ {
-			s := 0.0
-			for k := 0; k < m.rows; k++ {
-				s += m.data[k*m.cols+i] * m.data[k*m.cols+j]
-			}
-			out.data[i*out.cols+j] = s
-			out.data[j*out.cols+i] = s
-		}
-	}
-	return out
-}
-
-// OuterGram returns m * m^T (the Gram matrix of the rows of m).
-func (m *Matrix) OuterGram() *Matrix {
-	out := NewMatrix(m.rows, m.rows)
-	for i := 0; i < m.rows; i++ {
-		ri := m.data[i*m.cols : (i+1)*m.cols]
-		for j := i; j < m.rows; j++ {
-			rj := m.data[j*m.cols : (j+1)*m.cols]
-			s := 0.0
-			for k := range ri {
-				s += ri[k] * rj[k]
-			}
-			out.data[i*out.cols+j] = s
-			out.data[j*out.cols+i] = s
-		}
-	}
-	return out
-}
-
-// MaxAbs returns the largest absolute value in the matrix.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// Equal reports whether m and other have the same shape and all elements
-// within tol of each other.
-func (m *Matrix) Equal(other *Matrix, tol float64) bool {
-	if m.rows != other.rows || m.cols != other.cols {
-		return false
-	}
-	for i := range m.data {
-		if math.Abs(m.data[i]-other.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.

@@ -13,8 +13,8 @@ func TestNewMatrixFromRows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMatrixFromRows: %v", err)
 	}
-	if m.Rows() != 3 || m.Cols() != 2 {
-		t.Fatalf("got shape %dx%d, want 3x2", m.Rows(), m.Cols())
+	if m.Rows() != 3 || m.cols != 2 {
+		t.Fatalf("got shape %dx%d, want 3x2", m.Rows(), m.cols)
 	}
 	if m.At(2, 1) != 6 {
 		t.Errorf("At(2,1) = %v, want 6", m.At(2, 1))
@@ -64,11 +64,11 @@ func TestMulShapes(t *testing.T) {
 func TestTranspose(t *testing.T) {
 	m, _ := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tt := m.T()
-	if tt.Rows() != 3 || tt.Cols() != 2 {
-		t.Fatalf("transpose shape %dx%d, want 3x2", tt.Rows(), tt.Cols())
+	if tt.Rows() != 3 || tt.cols != 2 {
+		t.Fatalf("transpose shape %dx%d, want 3x2", tt.Rows(), tt.cols)
 	}
 	for i := 0; i < m.Rows(); i++ {
-		for j := 0; j < m.Cols(); j++ {
+		for j := 0; j < m.cols; j++ {
 			if m.At(i, j) != tt.At(j, i) {
 				t.Fatalf("T mismatch at (%d,%d)", i, j)
 			}
@@ -121,6 +121,9 @@ func TestMulVec(t *testing.T) {
 	if _, err := m.MulVec([]float64{1}); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("MulVec short vector err = %v, want ErrDimensionMismatch", err)
 	}
+	if err := m.MulVecInto(make([]float64, 1), []float64{1, 1, 1}); !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("MulVecInto short destination err = %v, want ErrDimensionMismatch", err)
+	}
 }
 
 func TestGramMatchesExplicitProduct(t *testing.T) {
@@ -139,27 +142,10 @@ func TestGramMatchesExplicitProduct(t *testing.T) {
 	if !gram.Equal(explicit, 1e-12) {
 		t.Errorf("Gram != T()*m")
 	}
-	outer := m.OuterGram()
-	explicitOuter, err := m.Mul(m.T())
-	if err != nil {
-		t.Fatalf("Mul: %v", err)
-	}
-	if !outer.Equal(explicitOuter, 1e-12) {
-		t.Errorf("OuterGram != m*T()")
-	}
 }
 
 func TestRowColClone(t *testing.T) {
 	m, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	r := m.Row(1)
-	r[0] = 99 // must not alias
-	if m.At(1, 0) != 3 {
-		t.Errorf("Row aliases the matrix")
-	}
-	c := m.Col(1)
-	if c[0] != 2 || c[1] != 4 {
-		t.Errorf("Col = %v, want [2 4]", c)
-	}
 	cl := m.Clone()
 	cl.Set(0, 0, -1)
 	if m.At(0, 0) != 1 {
@@ -204,13 +190,6 @@ func TestMulAssociativityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	m, _ := NewMatrixFromRows([][]float64{{1, -7}, {3, 4}})
-	if got := m.MaxAbs(); got != 7 {
-		t.Errorf("MaxAbs = %v, want 7", got)
 	}
 }
 

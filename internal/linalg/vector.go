@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) (float64, error) {
@@ -15,45 +12,6 @@ func Dot(a, b []float64) (float64, error) {
 		s += a[i] * b[i]
 	}
 	return s, nil
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// AXPY computes y += a*x in place.
-func AXPY(a float64, x, y []float64) error {
-	if len(x) != len(y) {
-		return fmt.Errorf("%w: axpy of lengths %d and %d", ErrDimensionMismatch, len(x), len(y))
-	}
-	for i := range x {
-		y[i] += a * x[i]
-	}
-	return nil
-}
-
-// ScaleVec multiplies v by a in place.
-func ScaleVec(a float64, v []float64) {
-	for i := range v {
-		v[i] *= a
-	}
-}
-
-// SubVec returns a - b as a new vector.
-func SubVec(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("%w: sub of lengths %d and %d", ErrDimensionMismatch, len(a), len(b))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out, nil
 }
 
 // SquaredDistance returns ||a-b||^2, the workhorse of the RBF kernel and

@@ -101,7 +101,7 @@ func TestLinearRegressionErrors(t *testing.T) {
 	if _, err := l.Score([]float64{1}); !errors.Is(err, ErrNotFitted) {
 		t.Errorf("unfitted Score err = %v", err)
 	}
-	if _, err := l.Predict([]float64{1}); !errors.Is(err, ErrNotFitted) {
+	if _, err := predict(l, []float64{1}); !errors.Is(err, ErrNotFitted) {
 		t.Errorf("unfitted Predict err = %v", err)
 	}
 	if err := l.Fit([][]float64{{1}}, []bool{true}); !errors.Is(err, ErrBadTrainingSet) {
@@ -139,7 +139,7 @@ func TestGaussianNBUnbalancedPriors(t *testing.T) {
 	if err := g.Fit(x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	got, err := g.Predict([]float64{0})
+	got, err := predict(g, []float64{0})
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
@@ -212,7 +212,7 @@ func TestKNNErrors(t *testing.T) {
 	if _, err := k.Score([]float64{1}); !errors.Is(err, ErrNotFitted) {
 		t.Errorf("unfitted Score err = %v", err)
 	}
-	if _, err := k.Predict([]float64{1}); !errors.Is(err, ErrNotFitted) {
+	if _, err := predict(k, []float64{1}); !errors.Is(err, ErrNotFitted) {
 		t.Errorf("unfitted Predict err = %v", err)
 	}
 	rng := rand.New(rand.NewSource(39))

@@ -80,12 +80,3 @@ func (k *KNN) Score(x []float64) (float64, error) {
 	}
 	return votes / float64(kk), nil
 }
-
-// Predict implements BinaryClassifier.
-func (k *KNN) Predict(x []float64) (bool, error) {
-	s, err := k.Score(x)
-	if err != nil {
-		return false, err
-	}
-	return s > 0, nil
-}

@@ -228,24 +228,3 @@ func (k *KRR) Score(x []float64) (float64, error) {
 		return 0, ErrNotFitted
 	}
 }
-
-// Predict implements BinaryClassifier.
-func (k *KRR) Predict(x []float64) (bool, error) {
-	s, err := k.Score(x)
-	if err != nil {
-		return false, err
-	}
-	return s > 0, nil
-}
-
-// Weights returns a copy of the primal weight vector, or nil when the model
-// was trained in dual mode.
-func (k *KRR) Weights() []float64 {
-	if !k.primal || k.w == nil {
-		return nil
-	}
-	return append([]float64(nil), k.w...)
-}
-
-// IsPrimal reports whether the fitted model used the primal (Eq. 7) solve.
-func (k *KRR) IsPrimal() bool { return k.primal }

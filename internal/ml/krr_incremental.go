@@ -29,10 +29,10 @@ type IncrementalKRR struct {
 	b   []float64      // X y
 	w   []float64      // current weights, inv * b (valid iff !wStale)
 	u   []float64      // scratch for the Sherman-Morrison vector A^{-1} x
-	// wStale defers the O(M^2) weight solve until a weight-consuming call
-	// (Score/Predict/Weights): a refresh that streams hundreds of
-	// AddSamples before its first Score pays for one solve, not one per
-	// sample — a third of the per-sample flops.
+	// wStale defers the O(M^2) weight solve until Score needs the
+	// weights: a refresh that streams hundreds of AddSamples before its
+	// first Score pays for one solve, not one per sample — a third of
+	// the per-sample flops.
 	wStale bool
 }
 
@@ -163,20 +163,5 @@ func (k *IncrementalKRR) Score(x []float64) (float64, error) {
 	return linalg.Dot(k.w, x)
 }
 
-// Predict implements BinaryClassifier.
-func (k *IncrementalKRR) Predict(x []float64) (bool, error) {
-	s, err := k.Score(x)
-	if err != nil {
-		return false, err
-	}
-	return s > 0, nil
-}
-
 // N returns the number of samples currently in the model.
 func (k *IncrementalKRR) N() int { return k.n }
-
-// Weights returns a copy of the current primal weight vector.
-func (k *IncrementalKRR) Weights() []float64 {
-	k.refreshWeights()
-	return append([]float64(nil), k.w...)
-}

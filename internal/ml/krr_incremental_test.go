@@ -8,6 +8,12 @@ import (
 	"testing/quick"
 )
 
+// weights is the incremental model's current primal weight vector.
+func weights(k *IncrementalKRR) []float64 {
+	k.refreshWeights()
+	return append([]float64(nil), k.w...)
+}
+
 func TestIncrementalKRRMatchesBatchPrimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	x, y := twoBlobs(rng, 80, 5, 1.5, 0.8)
@@ -70,7 +76,7 @@ func TestIncrementalKRRUnlearnRestoresProperty(t *testing.T) {
 				t.Fatalf("AddSample: %v", err)
 			}
 		}
-		before := inc.Weights()
+		before := weights(inc)
 		extra := make([]float64, dim)
 		for j := range extra {
 			extra[j] = rng.NormFloat64() * 2
@@ -82,7 +88,7 @@ func TestIncrementalKRRUnlearnRestoresProperty(t *testing.T) {
 		if err := inc.RemoveSample(extra, label); err != nil {
 			t.Fatalf("RemoveSample: %v", err)
 		}
-		after := inc.Weights()
+		after := weights(inc)
 		for j := range before {
 			if math.Abs(before[j]-after[j]) > 1e-7 {
 				t.Fatalf("seed %d: weight %d not restored: %v -> %v", seed, j, before[j], after[j])
@@ -152,7 +158,7 @@ func TestIncrementalKRRValidation(t *testing.T) {
 	if _, err := inc.Score([]float64{1, 2, 3}); !errors.Is(err, ErrNotFitted) {
 		t.Errorf("empty Score err = %v", err)
 	}
-	if _, err := inc.Predict([]float64{1, 2, 3}); !errors.Is(err, ErrNotFitted) {
+	if _, err := predict(inc, []float64{1, 2, 3}); !errors.Is(err, ErrNotFitted) {
 		t.Errorf("empty Predict err = %v", err)
 	}
 	if err := inc.AddSample([]float64{1}, true); !errors.Is(err, ErrBadTrainingSet) {

@@ -29,11 +29,21 @@ func twoBlobs(rng *rand.Rand, n, dim int, separation, noise float64) ([][]float6
 	return x, y
 }
 
+// predict is the classifiers' decision rule: Score(x) > 0 is the positive
+// class.
+func predict(c BinaryClassifier, x []float64) (bool, error) {
+	s, err := c.Score(x)
+	if err != nil {
+		return false, err
+	}
+	return s > 0, nil
+}
+
 func accuracy(t *testing.T, c BinaryClassifier, x [][]float64, y []bool) float64 {
 	t.Helper()
 	correct := 0
 	for i, row := range x {
-		got, err := c.Predict(row)
+		got, err := predict(c, row)
 		if err != nil {
 			t.Fatalf("Predict: %v", err)
 		}
@@ -100,11 +110,11 @@ func TestKRRAutoModeSelectsPrimalWhenCheaper(t *testing.T) {
 	if err := k.Fit(x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if !k.IsPrimal() {
+	if !k.primal {
 		t.Errorf("auto mode should choose primal for N=100, M=4")
 	}
-	if w := k.Weights(); len(w) != 4 {
-		t.Errorf("Weights length = %d, want 4", len(w))
+	if len(k.w) != 4 {
+		t.Errorf("weights length = %d, want 4", len(k.w))
 	}
 
 	x2, y2 := twoBlobs(rng, 6, 10, 2, 0.5) // N=6 < M=10 -> dual
@@ -112,11 +122,11 @@ func TestKRRAutoModeSelectsPrimalWhenCheaper(t *testing.T) {
 	if err := k2.Fit(x2, y2); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if k2.IsPrimal() {
+	if k2.primal {
 		t.Errorf("auto mode should choose dual for N=6, M=10")
 	}
-	if k2.Weights() != nil {
-		t.Errorf("dual model should not expose primal weights")
+	if k2.w != nil {
+		t.Errorf("dual model should hold no primal weights")
 	}
 }
 
@@ -152,7 +162,7 @@ func TestKRRErrors(t *testing.T) {
 	if _, err := k.Score([]float64{1}); !errors.Is(err, ErrNotFitted) {
 		t.Errorf("unfitted Score err = %v, want ErrNotFitted", err)
 	}
-	if _, err := k.Predict([]float64{1}); !errors.Is(err, ErrNotFitted) {
+	if _, err := predict(k, []float64{1}); !errors.Is(err, ErrNotFitted) {
 		t.Errorf("unfitted Predict err = %v, want ErrNotFitted", err)
 	}
 	if err := k.Fit(nil, nil); !errors.Is(err, ErrBadTrainingSet) {

@@ -74,12 +74,3 @@ func (l *LinearRegression) Score(x []float64) (float64, error) {
 	}
 	return v, nil
 }
-
-// Predict implements BinaryClassifier.
-func (l *LinearRegression) Predict(x []float64) (bool, error) {
-	v, err := l.Score(x)
-	if err != nil {
-		return false, err
-	}
-	return v > 0, nil
-}

@@ -38,8 +38,6 @@ type BinaryClassifier interface {
 	Fit(x [][]float64, y []bool) error
 	// Score returns the decision value for one feature vector.
 	Score(x []float64) (float64, error)
-	// Predict returns Score(x) > 0.
-	Predict(x []float64) (bool, error)
 }
 
 // MultiClassifier assigns one of a set of string labels to a feature

@@ -115,15 +115,6 @@ func (g *GaussianNB) Score(x []float64) (float64, error) {
 	return pos - neg, nil
 }
 
-// Predict implements BinaryClassifier.
-func (g *GaussianNB) Predict(x []float64) (bool, error) {
-	s, err := g.Score(x)
-	if err != nil {
-		return false, err
-	}
-	return s > 0, nil
-}
-
 func logGauss(x, mean, variance float64) float64 {
 	d := x - mean
 	return -0.5*math.Log(2*math.Pi*variance) - d*d/(2*variance)

@@ -47,7 +47,7 @@ func TestIncrementalKRRLongRunStability(t *testing.T) {
 	if err := batch.Fit(queue, labels); err != nil {
 		t.Fatal(err)
 	}
-	wi, wb := inc.Weights(), batch.Weights()
+	wi, wb := weights(inc), batch.w
 	var maxDiff float64
 	for j := range wi {
 		if d := math.Abs(wi[j] - wb[j]); d > maxDiff {

@@ -123,12 +123,3 @@ func (s *SVM) Score(x []float64) (float64, error) {
 	}
 	return v, nil
 }
-
-// Predict implements BinaryClassifier.
-func (s *SVM) Predict(x []float64) (bool, error) {
-	v, err := s.Score(x)
-	if err != nil {
-		return false, err
-	}
-	return v > 0, nil
-}

@@ -37,12 +37,6 @@ type treeNode struct {
 
 var _ MultiClassifier = (*DecisionTree)(nil)
 
-// NewDecisionTree returns a tree with sensible defaults for the
-// context-detection feature vectors.
-func NewDecisionTree() *DecisionTree {
-	return &DecisionTree{MaxDepth: 12, MinLeaf: 2}
-}
-
 // FitClasses implements MultiClassifier.
 func (t *DecisionTree) FitClasses(x [][]float64, labels []string) error {
 	if len(x) == 0 {
@@ -211,21 +205,4 @@ func (t *DecisionTree) PredictClass(x []float64) (string, error) {
 		}
 	}
 	return node.label, nil
-}
-
-// Depth returns the depth of the fitted tree (0 for a single leaf), for
-// tests and diagnostics.
-func (t *DecisionTree) Depth() int {
-	var walk func(n *treeNode) int
-	walk = func(n *treeNode) int {
-		if n == nil || n.feature < 0 {
-			return 0
-		}
-		l, r := walk(n.left), walk(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return walk(t.root)
 }

@@ -40,10 +40,22 @@ func classAccuracy(t *testing.T, c MultiClassifier, x [][]float64, labels []stri
 	return float64(correct) / float64(len(x))
 }
 
+// treeDepth is the depth of a fitted tree, 0 for a single leaf.
+func treeDepth(t *DecisionTree) int {
+	var walk func(n *treeNode) int
+	walk = func(n *treeNode) int {
+		if n == nil || n.feature < 0 {
+			return 0
+		}
+		return 1 + max(walk(n.left), walk(n.right))
+	}
+	return walk(t.root)
+}
+
 func TestDecisionTreeThreeClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	x, labels := threeClusters(rng, 100, 0.5)
-	tree := NewDecisionTree()
+	tree := &DecisionTree{MaxDepth: 12, MinLeaf: 2}
 	if err := tree.FitClasses(x, labels); err != nil {
 		t.Fatalf("FitClasses: %v", err)
 	}
@@ -55,11 +67,11 @@ func TestDecisionTreeThreeClusters(t *testing.T) {
 func TestDecisionTreePureLeafShortCircuit(t *testing.T) {
 	x := [][]float64{{1}, {2}, {3}}
 	labels := []string{"same", "same", "same"}
-	tree := NewDecisionTree()
+	tree := &DecisionTree{MaxDepth: 12, MinLeaf: 2}
 	if err := tree.FitClasses(x, labels); err != nil {
 		t.Fatalf("FitClasses: %v", err)
 	}
-	if d := tree.Depth(); d != 0 {
+	if d := treeDepth(tree); d != 0 {
 		t.Errorf("pure data tree depth = %d, want 0", d)
 	}
 	got, err := tree.PredictClass([]float64{99})
@@ -75,7 +87,7 @@ func TestDecisionTreeMaxDepth(t *testing.T) {
 	if err := tree.FitClasses(x, labels); err != nil {
 		t.Fatalf("FitClasses: %v", err)
 	}
-	if d := tree.Depth(); d > 2 {
+	if d := treeDepth(tree); d > 2 {
 		t.Errorf("depth = %d exceeds MaxDepth 2", d)
 	}
 }
@@ -85,7 +97,7 @@ func TestDecisionTreeConstantFeatures(t *testing.T) {
 	// fall back to a majority leaf instead of looping.
 	x := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
 	labels := []string{"a", "a", "b", "a"}
-	tree := NewDecisionTree()
+	tree := &DecisionTree{MaxDepth: 12, MinLeaf: 2}
 	if err := tree.FitClasses(x, labels); err != nil {
 		t.Fatalf("FitClasses: %v", err)
 	}
@@ -96,7 +108,7 @@ func TestDecisionTreeConstantFeatures(t *testing.T) {
 }
 
 func TestDecisionTreeErrors(t *testing.T) {
-	tree := NewDecisionTree()
+	tree := &DecisionTree{MaxDepth: 12, MinLeaf: 2}
 	if _, err := tree.PredictClass([]float64{1}); !errors.Is(err, ErrNotFitted) {
 		t.Errorf("unfitted err = %v", err)
 	}

@@ -121,18 +121,3 @@ func (m Model) SmarterYouCost(s Scenario) (float64, error) {
 	}
 	return a - b, nil
 }
-
-// ScaleSamplingRate returns a copy of the model with sensor and pipeline
-// power scaled for a different sampling rate, following Section V-H2's
-// note that CPU utilization (and hence energy) scales with the sampling
-// rate. rate is relative to the 50 Hz baseline (e.g. 0.5 for 25 Hz).
-func (m Model) ScaleSamplingRate(rate float64) (Model, error) {
-	if rate <= 0 {
-		return Model{}, fmt.Errorf("power: relative sampling rate must be positive, got %g", rate)
-	}
-	out := m
-	out.SensorsMW *= rate
-	out.PipelineIdleMW *= rate
-	out.PipelineActiveMW *= rate
-	return out, nil
-}

@@ -85,25 +85,3 @@ func TestConsumptionMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestScaleSamplingRate(t *testing.T) {
-	m := DefaultNexus5()
-	half, err := m.ScaleSamplingRate(0.5)
-	if err != nil {
-		t.Fatalf("ScaleSamplingRate: %v", err)
-	}
-	if half.SensorsMW != m.SensorsMW/2 {
-		t.Errorf("sensor power not halved")
-	}
-	if half.ScreenMW != m.ScreenMW {
-		t.Errorf("screen power should be unaffected by sampling rate")
-	}
-	costFull, _ := m.SmarterYouCost(Scenario{Hours: 12})
-	costHalf, _ := half.SmarterYouCost(Scenario{Hours: 12})
-	if costHalf >= costFull {
-		t.Errorf("halving the sampling rate should reduce SmarterYou cost (%v -> %v)", costFull, costHalf)
-	}
-	if _, err := m.ScaleSamplingRate(0); err == nil {
-		t.Errorf("zero rate should error")
-	}
-}

@@ -126,9 +126,13 @@ func TestGaitFrequencyRecoverable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MagnitudeSeries: %v", err)
 	}
-	spec, err := dsp.AmplitudeSpectrum(dsp.Detrend(mag), SampleRate)
+	plan, err := dsp.PlanFor(len(mag))
 	if err != nil {
-		t.Fatalf("AmplitudeSpectrum: %v", err)
+		t.Fatalf("PlanFor: %v", err)
+	}
+	var spec dsp.Spectrum
+	if err := plan.AmplitudeSpectrumInto(&spec, dsp.Detrend(mag), SampleRate); err != nil {
+		t.Fatalf("AmplitudeSpectrumInto: %v", err)
 	}
 	peak := spec.Peaks().PeakF
 	f := u.Params.GaitFreq
@@ -210,19 +214,6 @@ func TestPopulationDeterministic(t *testing.T) {
 	for i := range a.Users {
 		if a.Users[i].Params != b.Users[i].Params {
 			t.Fatalf("user %d params differ across identical seeds", i)
-		}
-	}
-}
-
-func TestPopulationOthers(t *testing.T) {
-	p, _ := NewPopulation(5, 3)
-	others := p.Others(2)
-	if len(others) != 4 {
-		t.Fatalf("Others returned %d users, want 4", len(others))
-	}
-	for _, u := range others {
-		if u.ID == p.Users[2].ID {
-			t.Errorf("Others includes the excluded user")
 		}
 	}
 }

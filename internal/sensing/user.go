@@ -253,16 +253,3 @@ func (p *Population) Demographics() Demographics {
 	}
 	return d
 }
-
-// Others returns every user except the one at index i — the anonymized
-// "other users" population the Authentication Server trains against
-// (Section IV-A3).
-func (p *Population) Others(i int) []*User {
-	out := make([]*User, 0, len(p.Users)-1)
-	for j, u := range p.Users {
-		if j != i {
-			out = append(out, u)
-		}
-	}
-	return out
-}

@@ -94,30 +94,3 @@ func StratifiedKFold(y []bool, k int, rng *rand.Rand) ([]Fold, error) {
 	}
 	return folds, nil
 }
-
-// Select gathers the rows of x at the given indices.
-func Select(x [][]float64, idx []int) [][]float64 {
-	out := make([][]float64, len(idx))
-	for i, j := range idx {
-		out[i] = x[j]
-	}
-	return out
-}
-
-// SelectLabels gathers the labels at the given indices.
-func SelectLabels(y []bool, idx []int) []bool {
-	out := make([]bool, len(idx))
-	for i, j := range idx {
-		out[i] = y[j]
-	}
-	return out
-}
-
-// SelectStrings gathers string labels at the given indices.
-func SelectStrings(y []string, idx []int) []string {
-	out := make([]string, len(idx))
-	for i, j := range idx {
-		out[i] = y[j]
-	}
-	return out
-}

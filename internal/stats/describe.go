@@ -34,11 +34,6 @@ func Variance(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// StdDev returns the population standard deviation of the sample.
-func StdDev(x []float64) float64 {
-	return math.Sqrt(Variance(x))
-}
-
 // Pearson computes the Pearson correlation coefficient between two
 // equal-length samples. It returns 0 for degenerate inputs (length < 2 or
 // zero variance), which is the neutral value for the redundancy analysis of

@@ -16,9 +16,6 @@ func TestMeanVariance(t *testing.T) {
 	if v := Variance(x); v != 4 {
 		t.Errorf("Variance = %v, want 4", v)
 	}
-	if s := StdDev(x); s != 2 {
-		t.Errorf("StdDev = %v, want 2", s)
-	}
 	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Variance(nil)) {
 		t.Errorf("empty Mean/Variance should be NaN")
 	}

@@ -72,11 +72,6 @@ func (m AuthMetrics) Accuracy() float64 {
 	return float64(m.TruePositive+m.TrueNegative) / float64(total)
 }
 
-// Total returns the number of observations recorded.
-func (m AuthMetrics) Total() int {
-	return m.TruePositive + m.FalseNegative + m.TrueNegative + m.FalsePositive
-}
-
 // String renders the metrics in the paper's reporting style.
 func (m AuthMetrics) String() string {
 	return fmt.Sprintf("FRR %.1f%%  FAR %.1f%%  Accuracy %.1f%%",

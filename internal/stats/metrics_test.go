@@ -30,8 +30,8 @@ func TestAuthMetrics(t *testing.T) {
 	if got := m.Accuracy(); math.Abs(got-0.9) > 1e-12 {
 		t.Errorf("Accuracy = %v, want 0.9", got)
 	}
-	if m.Total() != 30 {
-		t.Errorf("Total = %d, want 30", m.Total())
+	if n := m.TruePositive + m.FalseNegative + m.TrueNegative + m.FalsePositive; n != 30 {
+		t.Errorf("observations = %d, want 30", n)
 	}
 	if s := m.String(); !strings.Contains(s, "FRR") {
 		t.Errorf("String() = %q", s)
@@ -103,8 +103,8 @@ func TestAuthMetricsInvariantProperty(t *testing.T) {
 		if frr < 0 || frr > 1 || far < 0 || far > 1 || acc < 0 || acc > 1 {
 			return false
 		}
-		if m.Total() > 0 {
-			want := float64(int(tp)+int(tn)) / float64(m.Total())
+		if n := int(tp) + int(fn) + int(tn) + int(fp); n > 0 {
+			want := float64(int(tp)+int(tn)) / float64(n)
 			if math.Abs(acc-want) > 1e-12 {
 				return false
 			}
@@ -191,21 +191,5 @@ func TestStratifiedKFoldErrors(t *testing.T) {
 	}
 	if _, err := StratifiedKFold(y, 1, rng); err == nil {
 		t.Errorf("k=1 should error")
-	}
-}
-
-func TestSelectHelpers(t *testing.T) {
-	x := [][]float64{{1}, {2}, {3}}
-	got := Select(x, []int{2, 0})
-	if got[0][0] != 3 || got[1][0] != 1 {
-		t.Errorf("Select = %v", got)
-	}
-	y := SelectLabels([]bool{true, false, true}, []int{1, 2})
-	if y[0] || !y[1] {
-		t.Errorf("SelectLabels = %v", y)
-	}
-	s := SelectStrings([]string{"a", "b", "c"}, []int{2})
-	if s[0] != "c" {
-		t.Errorf("SelectStrings = %v", s)
 	}
 }

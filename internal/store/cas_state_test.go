@@ -71,7 +71,7 @@ func TestCASSnapshotRoundTripAcrossReopen(t *testing.T) {
 	for _, b := range blobs {
 		naive += len(b)
 	}
-	st := s.CASStats()
+	st := s.cs.Stats()
 	stored := st.DiskBytes + st.MemBytes
 	if stored >= int64(naive) {
 		t.Fatalf("no dedup: 5 near-identical versions store %d bytes, naive is %d", stored, naive)
@@ -119,7 +119,7 @@ func TestKeepLastKSweepFreesDiskBytes(t *testing.T) {
 		if err := s.Snapshot(); err != nil {
 			t.Fatalf("Snapshot gen %d: %v", gen, err)
 		}
-		st := s.CASStats()
+		st := s.cs.Stats()
 		if st.DiskBytes > 2*blobSize {
 			t.Fatalf("gen %d: sweep is not reclaiming dropped versions: %d bytes on disk for one %d-byte live model",
 				gen, st.DiskBytes, blobSize)
@@ -356,7 +356,7 @@ func TestCASDedupKeepLast5(t *testing.T) {
 	if err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	st := s.CASStats()
+	st := s.cs.Stats()
 	stored := st.DiskBytes + st.MemBytes
 	ratio := float64(naive) / float64(stored)
 	if ratio < 3 {

@@ -167,11 +167,11 @@ func TestModelVersionRetention(t *testing.T) {
 		}
 	}
 	// Versions 1-3 are GC'd; 4 and 5 remain; numbering keeps counting.
-	if _, err := s.ModelAt("u", 3); !errors.Is(err, ErrNoModel) {
-		t.Errorf("ModelAt(3) err = %v, want ErrNoModel (retained window is last 2)", err)
+	if _, _, _, err := s.ModelBlobAt("u", 3); !errors.Is(err, ErrNoModel) {
+		t.Errorf("ModelBlobAt(3) err = %v, want ErrNoModel (retained window is last 2)", err)
 	}
-	if _, err := s.ModelAt("u", 4); err != nil {
-		t.Errorf("ModelAt(4): %v", err)
+	if _, _, _, err := s.ModelBlobAt("u", 4); err != nil {
+		t.Errorf("ModelBlobAt(4): %v", err)
 	}
 	if _, v, err := s.LatestModel("u"); err != nil || v != 5 {
 		t.Errorf("LatestModel = (v%d, %v), want v5", v, err)
@@ -187,8 +187,8 @@ func TestModelVersionRetention(t *testing.T) {
 	// and the next publish continues the version sequence.
 	s2 := openStore(t, dir, Options{KeepModelVersions: 2})
 	defer func() { _ = s2.Close() }()
-	if _, err := s2.ModelAt("u", 3); !errors.Is(err, ErrNoModel) {
-		t.Errorf("reopened ModelAt(3) err = %v, want ErrNoModel", err)
+	if _, _, _, err := s2.ModelBlobAt("u", 3); !errors.Is(err, ErrNoModel) {
+		t.Errorf("reopened ModelBlobAt(3) err = %v, want ErrNoModel", err)
 	}
 	if v, err := s2.PublishModel("u", bundle); err != nil || v != 6 {
 		t.Errorf("publish after reopen = (v%d, %v), want v6", v, err)
@@ -211,7 +211,7 @@ func TestRetentionAppliesOnReplayOfUnboundedHistory(t *testing.T) {
 	}
 	s2 := openStore(t, dir, Options{KeepModelVersions: 1})
 	defer func() { _ = s2.Close() }()
-	if _, err := s2.ModelAt("u", 3); !errors.Is(err, ErrNoModel) {
+	if _, _, _, err := s2.ModelBlobAt("u", 3); !errors.Is(err, ErrNoModel) {
 		t.Errorf("version 3 survived replay with KeepModelVersions=1")
 	}
 	if _, v, err := s2.LatestModel("u"); err != nil || v != 4 {

@@ -534,19 +534,6 @@ func (s *Store) LatestModel(user string) (*core.ModelBundle, int, error) {
 	return bundle, version, nil
 }
 
-// ModelAt fetches a specific published version for the user. Versions
-// dropped by the retention policy return ErrNoModel.
-func (s *Store) ModelAt(user string, version int) (*core.ModelBundle, error) {
-	blob, _, _, err := s.shardFor(user).modelBlob(user, version)
-	if errors.Is(err, ErrNoModel) {
-		return nil, fmt.Errorf("%w: user %q version %d", ErrNoModel, user, version)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return core.UnmarshalModelBundle(blob)
-}
-
 // LatestModelHash reports the version and content hash of the user's
 // latest published model without reading it — a lock and a map lookup, no
 // CAS access — so a serving layer can validate a decoded bundle it caches
@@ -578,9 +565,6 @@ func (s *Store) LatestModelBlob(user string) ([]byte, cas.Hash, int, error) {
 func (s *Store) ModelBlobAt(user string, version int) ([]byte, cas.Hash, int, error) {
 	return s.shardFor(user).modelBlob(user, version)
 }
-
-// CASStats reports the content-addressed chunk store's occupancy.
-func (s *Store) CASStats() cas.Stats { return s.cs.Stats() }
 
 // CASHashes lists every chunk hash the store currently holds. The
 // replication hello uses it so a leader can skip shipping chunks a

@@ -337,11 +337,11 @@ func TestModelRegistryVersions(t *testing.T) {
 	if _, v, err := s.LatestModel("u"); err != nil || v != 3 {
 		t.Errorf("LatestModel = (v%d, %v), want v3", v, err)
 	}
-	if _, err := s.ModelAt("u", 2); err != nil {
-		t.Errorf("ModelAt(2): %v", err)
+	if _, _, _, err := s.ModelBlobAt("u", 2); err != nil {
+		t.Errorf("ModelBlobAt(2): %v", err)
 	}
-	if _, err := s.ModelAt("u", 9); !errors.Is(err, ErrNoModel) {
-		t.Errorf("ModelAt(9) err = %v, want ErrNoModel", err)
+	if _, _, _, err := s.ModelBlobAt("u", 9); !errors.Is(err, ErrNoModel) {
+		t.Errorf("ModelBlobAt(9) err = %v, want ErrNoModel", err)
 	}
 	if _, _, err := s.LatestModel("ghost"); !errors.Is(err, ErrNoModel) {
 		t.Errorf("LatestModel(ghost) err = %v, want ErrNoModel", err)

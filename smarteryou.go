@@ -51,22 +51,16 @@ type (
 	// User is one device owner: a generative behavioural model plus
 	// demographics.
 	User = sensing.User
-	// UserParams is a user's full behavioural parameter set.
-	UserParams = sensing.UserParams
 	// Population is a cohort of users (the study's participant pool).
 	Population = sensing.Population
 	// Session is one contiguous recording of a user in a fixed context.
 	Session = sensing.Session
 	// Stream is a fixed-rate sequence of sensor samples from one device.
 	Stream = sensing.Stream
-	// Sample is one 20 ms snapshot of all sensors on a device.
-	Sample = sensing.Sample
 	// Device identifies the smartphone or the smartwatch.
 	Device = sensing.Device
 	// Context is a fine-grained usage context (Section V-E).
 	Context = sensing.Context
-	// CoarseContext is the detected two-class context.
-	CoarseContext = sensing.CoarseContext
 )
 
 // Devices.
@@ -83,24 +77,9 @@ const (
 	ContextOnVehicle     = sensing.ContextOnVehicle
 )
 
-// Coarse contexts.
-const (
-	CoarseStationary = sensing.CoarseStationary
-	CoarseMoving     = sensing.CoarseMoving
-)
-
-// SampleRate is the 50 Hz sensor sampling rate used throughout the paper.
-const SampleRate = sensing.SampleRate
-
 // NewPopulation draws n synthetic users deterministically from a seed.
 func NewPopulation(n int, seed int64) (*Population, error) {
 	return sensing.NewPopulation(n, seed)
-}
-
-// Mimic blends an attacker's behaviour toward a victim's with the given
-// fidelity — the masquerading attack model of Section V-G.
-func Mimic(attacker, victim UserParams, fidelity float64) UserParams {
-	return sensing.Mimic(attacker, victim, fidelity)
 }
 
 // Features: windowing and the paper's feature vectors.
@@ -110,8 +89,6 @@ type (
 	WindowSample = features.WindowSample
 	// DeviceFeatures is one device's per-window feature summary.
 	DeviceFeatures = features.DeviceFeatures
-	// SensorFeatures is one sensor's nine candidate statistics.
-	SensorFeatures = features.SensorFeatures
 	// CollectOptions configures synthetic data collection for a user.
 	CollectOptions = features.CollectOptions
 )
@@ -160,31 +137,20 @@ type (
 	ModelBundle = core.ModelBundle
 	// Authenticator is the phone-side testing module.
 	Authenticator = core.Authenticator
-	// Decision is the outcome of authenticating one window.
-	Decision = core.Decision
 	// ResponseModule escalates rejected windows to deny/lock actions.
 	ResponseModule = core.ResponseModule
 	// ResponsePolicy tunes the response module.
 	ResponsePolicy = core.ResponsePolicy
-	// Action is the response module's verdict.
-	Action = core.Action
 	// Enrollment tracks the enrollment phase's convergence.
 	Enrollment = core.Enrollment
-	// OnlineAuthenticator adapts to behavioural drift window by window
-	// using incremental learning and machine unlearning (Section V-I).
-	OnlineAuthenticator = core.OnlineAuthenticator
 	// AuditLog is a tamper-evident, hash-chained record of decisions.
 	AuditLog = core.AuditLog
 	// AuditEntry is one sealed audit record.
 	AuditEntry = core.AuditEntry
 )
 
-// Response actions.
-const (
-	ActionAllow = core.ActionAllow
-	ActionDeny  = core.ActionDeny
-	ActionLock  = core.ActionLock
-)
+// ActionLock is the response module's verdict that locks the device.
+const ActionLock = core.ActionLock
 
 // Train fits the per-context (or unified) authentication models from the
 // owner's windows and the anonymized population's windows — the cloud
@@ -196,15 +162,6 @@ func Train(legit, impostor []WindowSample, cfg TrainConfig) (*ModelBundle, error
 // NewAuthenticator assembles the phone-side testing module.
 func NewAuthenticator(det *Detector, bundle *ModelBundle) (*Authenticator, error) {
 	return core.NewAuthenticator(det, bundle)
-}
-
-// TrainOnline initializes the continuously-adapting authenticator: each of
-// the owner's windows can be folded into the model in O(M^2) while the
-// oldest retained window is exactly unlearned — the fast alternative to
-// cloud retraining that Section V-I points at. cfg.MaxPerClass is the
-// retention window and must be positive.
-func TrainOnline(det *Detector, legit, impostor []WindowSample, cfg TrainConfig) (*OnlineAuthenticator, error) {
-	return core.TrainOnline(det, legit, impostor, cfg)
 }
 
 // NewResponseModule builds a response module with the given policy.
@@ -226,11 +183,6 @@ func NewAuditLog() *AuditLog {
 // the index of the first corrupted entry or -1 when intact.
 func VerifyAuditChain(entries []AuditEntry) int {
 	return core.VerifyAuditChain(entries)
-}
-
-// UnmarshalModelBundle decodes a bundle downloaded from the server.
-func UnmarshalModelBundle(data []byte) (*ModelBundle, error) {
-	return core.UnmarshalModelBundle(data)
 }
 
 // Transport: the cloud Authentication Server and the watch link.
@@ -263,11 +215,6 @@ type (
 	// including batched authentication — over one dialed, authenticated
 	// flow. Create one with AuthClient.NewSession.
 	AuthSession = transport.Session
-	// AuthStream is a streaming authentication session: the HMAC handshake
-	// and model resolution happen once, then raw window frames flow in and
-	// decision frames flow out over the envelope's stream mode. Open one
-	// with AuthSession.StartStream.
-	AuthStream = transport.Stream
 	// WireStats is the wire-protocol slice of AuthServerStats: request,
 	// batch-window and stream counters.
 	WireStats = transport.WireStats
@@ -284,8 +231,6 @@ type (
 	// ServerRetrainConfig enables and tunes the drift-retraining loop;
 	// pass a pointer in AuthServerConfig.Retrain.
 	ServerRetrainConfig = retrain.Config
-	// ServerRetrainStats is the retrain slice of AuthServerStats.
-	ServerRetrainStats = transport.RetrainStats
 	// DriftMonitor is the epsilon_CS rule of Section V-I: per-user
 	// confidence EWMA over accepted windows, candidate below the
 	// threshold once enough windows have accumulated.
@@ -310,17 +255,9 @@ type (
 	// with independent WAL shards), snapshot cadence (compaction runs on
 	// background workers), model-version retention, and fsync policy.
 	StoreOptions = store.Options
-	// StoreStats summarizes the store's size and recovery state.
-	StoreStats = store.Stats
-	// StoreShardStats is one shard's slice of StoreStats.
-	StoreShardStats = store.ShardStats
 	// CASStats reports the content-addressed chunk store's occupancy
 	// (model bundles and snapshot window blobs, deduplicated by chunk).
 	CASStats = cas.Stats
-	// CASScrubReport is the result of PopulationStore.ScrubCAS: chunk
-	// files re-hashed against their names and cross-checked against the
-	// live reference set.
-	CASScrubReport = cas.ScrubReport
 )
 
 // ErrNoModel is what the store's registry reads (LatestDetector,
@@ -361,14 +298,6 @@ type (
 	ReplicationFollower = replication.Follower
 	// ReplicationFollowerConfig configures a follower.
 	ReplicationFollowerConfig = replication.FollowerConfig
-	// ReplicatedOp describes one mutation applied from the stream.
-	ReplicatedOp = store.ReplicatedOp
-	// ReplicationInfo is the replication slice of AuthServerStats; wire
-	// ClusterNode.ReplicationInfo via AuthServerConfig.ReplicationInfo.
-	ReplicationInfo = transport.ReplicationInfo
-	// ReplicationFollowerInfo is one peer's progress inside
-	// ReplicationInfo.
-	ReplicationFollowerInfo = transport.ReplicationFollower
 )
 
 // NewReplicationLeader builds the leader side of replication over an
@@ -404,12 +333,6 @@ type (
 	ClusterNodeInfo = cluster.NodeInfo
 	// ClusterShardMap is the versioned shard→owner routing artifact.
 	ClusterShardMap = cluster.ShardMap
-	// ShardMapInfo is the client-facing slice of the shard map, as served
-	// over the wire and cached by routing clients.
-	ShardMapInfo = transport.ShardMapInfo
-	// DriftStateEntry is one user's drift-monitor state (confidence EWMA,
-	// windows since last train) as served by the drift-state request.
-	DriftStateEntry = transport.DriftStateEntry
 )
 
 // NewClusterNode validates the config and builds a cluster node. An
