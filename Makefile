@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz loc bench-cluster race-pool race-replication race-retrain race-cas race-cluster check-benchmark check-examples check-determinism paper-snapshot
+.PHONY: check build vet fmt test race counts fuzz loc bench-cluster race-pool race-replication race-retrain race-cas race-cluster check-benchmark check-examples check-determinism paper-snapshot
 
-check: build vet fmt race race-pool race-replication race-retrain race-cas race-cluster check-benchmark check-examples check-determinism
+check: build vet fmt race counts race-pool race-replication race-retrain race-cas race-cluster check-benchmark check-examples check-determinism
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The exact-count table at GOMAXPROCS 1 and 2: the train row runs Fit's
+# per-group goroutines, and the race target above skips every /allocs
+# row, so this is where make check pins them.
+counts:
+	$(GO) test -count=1 -run '^TestExactCounts$$' -cpu 1,2 .
 
 # Short fuzz pass over every fuzz target: WAL, snapshot and CAS decoders,
 # wire and replication frames, drift states, the shard map, and the KRR

@@ -33,24 +33,30 @@ var exactCounts = []struct {
 	row  string
 	want float64
 }{
-	{"single/allocs", 6},            // one Session.Authenticate round trip: scoring, the pseudonym, the request's user id
+	{"single/allocs", 2},            // one Session.Authenticate round trip: the pseudonym, the request's user id
 	{"single/reads", 1},             // the response frame, buffered
 	{"single/writes", 1},            // the request frame, sealed in place
 	{"single/server_reads", 1},      // the request frame, buffered
 	{"single/server_writes", 1},     // the response frame, sealed in place
-	{"batch16/allocs", 71},          // one 16-window Session.AuthenticateBatch
+	{"batch16/allocs", 7},           // one 16-window Session.AuthenticateBatch
 	{"batch16/reads", 1},            // per burst
 	{"batch16/writes", 1},           // per burst
 	{"batch16/server_reads", 2},     // a 5.4 KB request: a buffer's worth, then the rest
 	{"batch16/server_writes", 1},    // per burst
-	{"stream/allocs", 4},            // one lockstep Stream.Authenticate window
+	{"stream/allocs", 0},            // one lockstep Stream.Authenticate window
 	{"stream/reads", 1},             // one decision frame
 	{"stream/writes", 1},            // one window frame
 	{"stream/server_reads", 1},      // one window frame
 	{"stream/server_writes", 1},     // one decision frame
 	{"enroll16/allocs", 3},          // one NoSync store Enroll of 16 windows that replace the user's
 	{"enroll16/wal_bytes", 2682350}, // log after countWarmup+countOps such enrolls: 304.81 B a window
-	{"device/allocs", 6},            // phone + watch extraction with one Extractor, then Authenticate
+	{"device/allocs", 2},            // phone + watch extraction with one Extractor, then Authenticate
+	{"enroll8/allocs", 11},          // one Client.ReplaceEnrollment of 8 windows, WAL append without fsync
+	{"enroll8/reads", 1},            // the response frame
+	{"enroll8/writes", 1},           // the request frame
+	{"enroll8/server_reads", 1},     // the request frame
+	{"enroll8/server_writes", 1},    // the response frame
+	{"train/allocs", 76},            // one core.Train, combined + context: 8 windows against 504
 }
 
 const (
@@ -67,6 +73,7 @@ func TestExactCounts(t *testing.T) {
 	countWire(t, got)
 	countEnroll(t, got)
 	countDevice(t, got)
+	countTrain(t, got)
 
 	for _, c := range exactCounts {
 		v, ok := got[c.row]
@@ -194,7 +201,7 @@ func countWire(t *testing.T, got map[string]float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	st, err := store.Open(t.TempDir(), store.Options{SnapshotEvery: -1, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,6 +275,46 @@ func countWire(t *testing.T, got map[string]float64) {
 	if err := stream.Close(); err != nil {
 		t.Fatal(err)
 	}
+	countPath(t, got, "enroll8", &wire, func(int) error {
+		_, err := client.ReplaceEnrollment(user, samples[:8])
+		return err
+	})
+}
+
+// countTrain counts one core.Train in the paper's combined,
+// context-dispatched mode: 8 of one user's windows, 4 per coarse context,
+// against the 504 of six other users.
+func countTrain(t *testing.T, got map[string]float64) {
+	pop, err := sensing.NewPopulation(7, 777)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legit, impostor []features.WindowSample
+	for i, u := range pop.Users {
+		samples, err := features.Collect(u, features.CollectOptions{
+			WindowSeconds: 6, SessionSeconds: 252, Sessions: 1, Seed: int64(20 + i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			impostor = append(impostor, samples...)
+			continue
+		}
+		byCtx := features.SplitByCoarseContext(samples)
+		for _, ctx := range []sensing.CoarseContext{sensing.CoarseStationary, sensing.CoarseMoving} {
+			legit = append(legit, byCtx[ctx][:4]...)
+		}
+	}
+	if len(impostor) != 504 {
+		t.Fatalf("population has %d windows, want 504", len(impostor))
+	}
+	cfg := core.TrainConfig{Mode: core.Mode{Combined: true, UseContext: true}}
+	countPath(t, got, "train", nil, func(i int) error {
+		cfg.Seed = int64(i)
+		_, err := core.Train(legit, impostor, cfg)
+		return err
+	})
 }
 
 // countEnroll counts one durable-store enroll of 16 windows without fsync,

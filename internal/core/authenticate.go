@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"smarteryou/internal/ctxdetect"
@@ -72,10 +73,11 @@ func (a *Authenticator) Mode() Mode {
 	return a.bundle.Mode
 }
 
-// vecPool recycles feature-vector buffers across Authenticate calls; the
-// classifiers only read the vector, so it never escapes a call.
+// vecPool recycles feature-vector buffers across Authenticate calls: the
+// raw vector and, behind it, its standardized copy. The classifiers only
+// read them, so they never escape a call.
 var vecPool = sync.Pool{New: func() any {
-	s := make([]float64, 0, 28)
+	s := make([]float64, 0, 2*28)
 	return &s
 }}
 
@@ -95,23 +97,25 @@ func (a *Authenticator) Authenticate(sample features.WindowSample) (Decision, er
 }
 
 // scorer is a model classify can dispatch to: it scores a raw feature
-// vector, positive accepting.
+// vector, standardizing it into scratch, positive accepting.
 type scorer interface {
-	Score(vector []float64) (float64, error)
+	Score(vector, scratch []float64) (float64, error)
 }
 
 // classify runs one window through context detection, model dispatch and
-// scoring, reusing vec as the feature-vector buffer; it returns the
-// (possibly grown) buffer so callers can keep it across windows. It is
-// the one detect → model → score step, for the served bundle and the
-// online models alike.
+// scoring, reusing vec as the buffer for the feature vector and its
+// standardized copy; it returns the (possibly grown) buffer so callers
+// can keep it across windows. It is the one detect → model → score step,
+// for the served bundle and the online models alike.
 func classify[M scorer](detector *ctxdetect.Detector, mode Mode, models map[string]M, sample features.WindowSample, vec []float64) (Decision, []float64, error) {
 	d, model, err := dispatch(detector, mode, models, sample)
 	if err != nil {
 		return Decision{}, vec, err
 	}
 	vec = sample.AppendVector(vec[:0], mode.Combined)
-	score, err := model.Score(vec)
+	n := len(vec)
+	vec = slices.Grow(vec, n)[:2*n]
+	score, err := model.Score(vec[:n], vec[n:])
 	if err != nil {
 		return Decision{}, vec, fmt.Errorf("core: classify: %w", err)
 	}

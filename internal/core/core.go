@@ -80,12 +80,14 @@ type ContextModel struct {
 // Score runs the context model's decision function on a raw
 // (unstandardized) feature vector. The returned value is the paper's
 // Confidence Score for this window: positive accepts, and the magnitude is
-// the distance from the operating point.
-func (c *ContextModel) Score(vector []float64) (float64, error) {
+// the distance from the operating point. The standardized vector is
+// written into scratch, which may be vector itself; a scratch shorter
+// than vector is replaced by a new slice.
+func (c *ContextModel) Score(vector, scratch []float64) (float64, error) {
 	if c == nil || c.Std == nil || c.KRR == nil {
 		return 0, ErrNoModel
 	}
-	raw, err := c.KRR.Score(c.Std.Transform(vector))
+	raw, err := c.KRR.Score(standardize(c.Std, vector, scratch))
 	if err != nil {
 		return 0, err
 	}

@@ -264,11 +264,11 @@ func TestModelBundleSerialization(t *testing.T) {
 	}
 	// Scores must survive the round trip bit-for-bit.
 	sample := f.perUser[0][0]
-	orig, err := bundle.Models[sample.Context.Coarse().String()].Score(sample.Vector(true))
+	orig, err := bundle.Models[sample.Context.Coarse().String()].Score(sample.Vector(true), nil)
 	if err != nil {
 		t.Fatalf("orig Score: %v", err)
 	}
-	rest, err := restored.Models[sample.Context.Coarse().String()].Score(sample.Vector(true))
+	rest, err := restored.Models[sample.Context.Coarse().String()].Score(sample.Vector(true), nil)
 	if err != nil {
 		t.Fatalf("restored Score: %v", err)
 	}

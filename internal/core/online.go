@@ -83,7 +83,7 @@ func TrainOnline(detector *ctxdetect.Detector, legit, impostor []features.Window
 		return nil, fmt.Errorf("core: context mode needs a detector")
 	}
 	scorers, err := Fit(legit, impostor, cfg,
-		func(s features.WindowSample) []float64 { return s.Vector(cfg.Mode.Combined) },
+		func(dst []float64, s features.WindowSample) []float64 { return s.AppendVector(dst, cfg.Mode.Combined) },
 		func() *onlineKRR { return &onlineKRR{rho: cfg.Rho} })
 	if err != nil {
 		return nil, err

@@ -260,7 +260,7 @@ func TestOnlineFallsBackToTheFirstModel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Authenticate a moving window: %v", err)
 	}
-	want, err := stationary.Score(moving.Vector(true))
+	want, err := stationary.Score(moving.Vector(true), nil)
 	if err != nil {
 		t.Fatalf("stationary Score: %v", err)
 	}

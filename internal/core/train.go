@@ -49,7 +49,7 @@ func (c TrainConfig) withDefaults() TrainConfig {
 func Train(legit, impostor []features.WindowSample, cfg TrainConfig) (*ModelBundle, error) {
 	cfg = cfg.withDefaults()
 	scorers, err := Fit(legit, impostor, cfg,
-		func(s features.WindowSample) []float64 { return s.Vector(cfg.Mode.Combined) },
+		func(dst []float64, s features.WindowSample) []float64 { return s.AppendVector(dst, cfg.Mode.Combined) },
 		func() *ml.KRR { return ml.NewKRR(cfg.Rho) })
 	if err != nil {
 		return nil, err
@@ -71,12 +71,24 @@ type Scorer[C ml.BinaryClassifier] struct {
 
 // Score runs the model on a raw (unstandardized) feature vector: the
 // classifier's decision value less the threshold, positive accepting.
-func (s Scorer[C]) Score(vector []float64) (float64, error) {
-	raw, err := s.Clf.Score(s.Std.Transform(vector))
+// The standardized vector is written into scratch, which may be vector
+// itself; a scratch shorter than vector is replaced by a new slice.
+func (s Scorer[C]) Score(vector, scratch []float64) (float64, error) {
+	raw, err := s.Clf.Score(standardize(s.Std, vector, scratch))
 	if err != nil {
 		return 0, err
 	}
 	return raw - s.Threshold, nil
+}
+
+// standardize writes vector, standardized by std, into the front of
+// scratch and returns that part. scratch may be vector itself; when it is
+// shorter than vector, a new slice takes the result.
+func standardize(std *stats.Standardizer, vector, scratch []float64) []float64 {
+	if len(scratch) < len(vector) {
+		scratch = make([]float64, len(vector))
+	}
+	return std.TransformInto(scratch[:len(vector)], vector)
 }
 
 // Fit is Train's pipeline over any classifier and feature vector. It
@@ -85,38 +97,17 @@ func (s Scorer[C]) Score(vector []float64) (float64, error) {
 // either class, and fits one model per group, keyed as in ModelKeys. Each
 // group samples up to cfg.MaxPerClass windows per class, standardizes
 // them, fits newClassifier() and places the cfg.TargetFRR operating
-// threshold on the training scores. The experiment harness calls Fit for
-// the classifiers and vectors a ModelBundle cannot hold.
-func Fit[C ml.BinaryClassifier](legit, impostor []features.WindowSample, cfg TrainConfig, vector func(features.WindowSample) []float64, newClassifier func() C) (map[string]Scorer[C], error) {
+// threshold on the training scores. vector appends a window's raw feature
+// vector to dst and returns the extended slice. A group's rows are laid
+// end to end in one array and the classifier gets capped sub-slices of
+// it, so a classifier that keeps its rows may append to one without
+// touching the next. The experiment harness calls Fit for the
+// classifiers and vectors a ModelBundle cannot hold.
+func Fit[C ml.BinaryClassifier](legit, impostor []features.WindowSample, cfg TrainConfig, vector func(dst []float64, s features.WindowSample) []float64, newClassifier func() C) (map[string]Scorer[C], error) {
 	cfg = cfg.withDefaults()
-	if len(legit) == 0 {
-		return nil, fmt.Errorf("core: no legitimate training windows")
-	}
-	if len(impostor) == 0 {
-		return nil, fmt.Errorf("core: no impostor training windows")
-	}
-
-	type group struct {
-		key      string
-		legit    []features.WindowSample
-		impostor []features.WindowSample
-	}
-	var groups []group
-	if cfg.Mode.UseContext {
-		legitByCtx := features.SplitByCoarseContext(legit)
-		impostorByCtx := features.SplitByCoarseContext(impostor)
-		for _, ctx := range []sensing.CoarseContext{sensing.CoarseStationary, sensing.CoarseMoving} {
-			lg, im := legitByCtx[ctx], impostorByCtx[ctx]
-			if len(lg) == 0 || len(im) == 0 {
-				continue // no data for this context yet; the bundle stays partial
-			}
-			groups = append(groups, group{key: ctx.String(), legit: lg, impostor: im})
-		}
-		if len(groups) == 0 {
-			return nil, fmt.Errorf("core: no context has both legitimate and impostor data")
-		}
-	} else {
-		groups = append(groups, group{key: unifiedKey, legit: legit, impostor: impostor})
+	groups, err := fitGroups(legit, impostor, cfg.Mode)
+	if err != nil {
+		return nil, err
 	}
 
 	// The per-context models are independent given their data split, so
@@ -131,7 +122,7 @@ func Fit[C ml.BinaryClassifier](legit, impostor []features.WindowSample, cfg Tra
 	var wg sync.WaitGroup
 	for i, g := range groups {
 		wg.Add(1)
-		go func(i int, g group, clf C) {
+		go func(i int, g fitGroup, clf C) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(groupSeed(cfg.Seed, i)))
 			scorers[i], errs[i] = fitOne(g.legit, g.impostor, cfg, vector, clf, rng)
@@ -148,6 +139,42 @@ func Fit[C ml.BinaryClassifier](legit, impostor []features.WindowSample, cfg Tra
 	return out, nil
 }
 
+// fitGroup is one model's training data: its key in ModelKeys and the
+// windows of each class it samples from.
+type fitGroup struct {
+	key      string
+	legit    []features.WindowSample
+	impostor []features.WindowSample
+}
+
+// fitGroups splits the windows into Fit's groups: one per coarse context
+// that has both classes, in ModelKeys order, or one unified group.
+func fitGroups(legit, impostor []features.WindowSample, mode Mode) ([]fitGroup, error) {
+	if len(legit) == 0 {
+		return nil, fmt.Errorf("core: no legitimate training windows")
+	}
+	if len(impostor) == 0 {
+		return nil, fmt.Errorf("core: no impostor training windows")
+	}
+	if !mode.UseContext {
+		return []fitGroup{{key: unifiedKey, legit: legit, impostor: impostor}}, nil
+	}
+	var groups []fitGroup
+	legitByCtx := features.SplitByCoarseContext(legit)
+	impostorByCtx := features.SplitByCoarseContext(impostor)
+	for _, ctx := range []sensing.CoarseContext{sensing.CoarseStationary, sensing.CoarseMoving} {
+		lg, im := legitByCtx[ctx], impostorByCtx[ctx]
+		if len(lg) == 0 || len(im) == 0 {
+			continue // no data for this context yet; the bundle stays partial
+		}
+		groups = append(groups, fitGroup{key: ctx.String(), legit: lg, impostor: im})
+	}
+	if len(groups) == 0 {
+		return nil, fmt.Errorf("core: no context has both legitimate and impostor data")
+	}
+	return groups, nil
+}
+
 // groupSeed derives a deterministic per-group RNG seed. Group 0 uses the
 // configured seed unchanged (preserving unified-mode results bit-for-bit
 // with the sequential trainer); later groups mix in the index with a
@@ -162,31 +189,42 @@ func groupSeed(seed int64, i int) int64 {
 }
 
 // fitOne fits one group's standardizer and classifier and calibrates its
-// threshold. The legitimate sample is drawn before the impostor one.
-func fitOne[C ml.BinaryClassifier](legit, impostor []features.WindowSample, cfg TrainConfig, vector func(features.WindowSample) []float64, clf C, rng *rand.Rand) (Scorer[C], error) {
-	legitVecs := sampleVectors(legit, vector, cfg.MaxPerClass, rng)
-	impostorVecs := sampleVectors(impostor, vector, cfg.MaxPerClass, rng)
+// threshold. The legitimate sample is drawn before the impostor one. The
+// first row fixes the width; the rest land in one array sized for all
+// of them, and the rows are standardized in place.
+func fitOne[C ml.BinaryClassifier](legit, impostor []features.WindowSample, cfg TrainConfig, vector func([]float64, features.WindowSample) []float64, clf C, rng *rand.Rand) (Scorer[C], error) {
+	legitIdx := samplePerm(len(legit), cfg.MaxPerClass, rng)
+	impostorIdx := samplePerm(len(impostor), cfg.MaxPerClass, rng)
+	n := len(legitIdx) + len(impostorIdx)
 
-	x := make([][]float64, 0, len(legitVecs)+len(impostorVecs))
-	y := make([]bool, 0, cap(x))
-	x = append(x, legitVecs...)
-	for range legitVecs {
-		y = append(y, true)
+	x := make([][]float64, 0, n)
+	y := make([]bool, n)
+	for i := range legitIdx {
+		y[i] = true
 	}
-	x = append(x, impostorVecs...)
-	for range impostorVecs {
-		y = append(y, false)
+	var flat []float64
+	appendRows := func(samples []features.WindowSample, idx []int) {
+		for _, j := range idx {
+			a := len(flat)
+			flat = vector(flat, samples[j])
+			if a == 0 && cap(flat) < n*len(flat) {
+				flat = append(make([]float64, 0, n*len(flat)), flat...)
+			}
+			x = append(x, flat[a:len(flat):len(flat)])
+		}
 	}
+	appendRows(legit, legitIdx)
+	appendRows(impostor, impostorIdx)
 
 	std, err := stats.FitStandardizer(x)
 	if err != nil {
 		return Scorer[C]{}, fmt.Errorf("fit standardizer: %w", err)
 	}
-	xs := std.TransformAll(x)
-	if err := clf.Fit(xs, y); err != nil {
+	std.TransformAll(x)
+	if err := clf.Fit(x, y); err != nil {
 		return Scorer[C]{}, fmt.Errorf("fit classifier: %w", err)
 	}
-	threshold, err := calibrate(clf, xs[:len(legitVecs)], xs[len(legitVecs):], cfg.TargetFRR)
+	threshold, err := calibrate(clf, x[:len(legitIdx)], x[len(legitIdx):], cfg.TargetFRR)
 	if err != nil {
 		return Scorer[C]{}, fmt.Errorf("calibrate threshold: %w", err)
 	}
@@ -239,16 +277,12 @@ func clampFloat(v, lo, hi float64) float64 {
 	return v
 }
 
-// sampleVectors extracts feature vectors, subsampling uniformly without
-// replacement down to max when max > 0.
-func sampleVectors(samples []features.WindowSample, vector func(features.WindowSample) []float64, max int, rng *rand.Rand) [][]float64 {
-	idx := rng.Perm(len(samples))
+// samplePerm draws the order a class's windows are used in: a uniform
+// permutation of n, cut to max when max > 0.
+func samplePerm(n, max int, rng *rand.Rand) []int {
+	idx := rng.Perm(n)
 	if max > 0 && max < len(idx) {
 		idx = idx[:max]
 	}
-	out := make([][]float64, len(idx))
-	for i, j := range idx {
-		out[i] = vector(samples[j])
-	}
-	return out
+	return idx
 }

@@ -136,26 +136,13 @@ func (d *Detector) DetectVector(vector []float64) (Detection, error) {
 	if d == nil || d.forest == nil {
 		return Detection{}, ErrNotTrained
 	}
-	votes, err := d.forest.Votes(vector)
+	label, conf, err := d.forest.Vote(vector)
 	if err != nil {
 		return Detection{}, fmt.Errorf("ctxdetect: %w", err)
 	}
-	total := 0
-	bestLabel, bestVotes := "", -1
-	for _, label := range d.forest.Labels() {
-		v := votes[label]
-		total += v
-		if v > bestVotes {
-			bestLabel, bestVotes = label, v
-		}
-	}
-	ctx, err := parseCoarse(bestLabel)
+	ctx, err := parseCoarse(label)
 	if err != nil {
 		return Detection{}, err
-	}
-	conf := 0.0
-	if total > 0 {
-		conf = float64(bestVotes) / float64(total)
 	}
 	return Detection{Context: ctx, Confidence: conf}, nil
 }

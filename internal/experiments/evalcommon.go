@@ -145,7 +145,9 @@ func (o EvalOptions) train(det *ctxdetect.Detector, legit, impostor []features.W
 	if newClassifier == nil {
 		newClassifier = func() ml.BinaryClassifier { return ml.NewKRR(1) }
 	}
-	models, err := core.Fit(legit, impostor, cfg, o.vector, newClassifier)
+	models, err := core.Fit(legit, impostor, cfg,
+		func(dst []float64, s features.WindowSample) []float64 { return append(dst, o.vector(s)...) },
+		newClassifier)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +165,7 @@ func (o EvalOptions) train(det *ctxdetect.Detector, legit, impostor []features.W
 		if o.NoCalibration {
 			m.Threshold = 0
 		}
-		score, err := m.Score(o.vector(s))
+		score, err := m.Score(o.vector(s), nil)
 		return score > 0, score, err
 	}, nil
 }

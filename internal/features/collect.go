@@ -172,8 +172,17 @@ func Pair(sess sensing.Session, phone, watch *sensing.Stream, windowSeconds floa
 
 // SplitByCoarseContext partitions samples into the two coarse contexts,
 // the grouping the per-context authentication models are trained on.
+// A counting pass sizes each context's slice, so the split copies every
+// window once.
 func SplitByCoarseContext(samples []WindowSample) map[sensing.CoarseContext][]WindowSample {
-	out := make(map[sensing.CoarseContext][]WindowSample, 2)
+	counts := make(map[sensing.CoarseContext]int, 2)
+	for _, s := range samples {
+		counts[s.Context.Coarse()]++
+	}
+	out := make(map[sensing.CoarseContext][]WindowSample, len(counts))
+	for c, n := range counts {
+		out[c] = make([]WindowSample, 0, n)
+	}
 	for _, s := range samples {
 		c := s.Context.Coarse()
 		out[c] = append(out[c], s)

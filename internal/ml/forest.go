@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -95,40 +96,46 @@ func (rf *RandomForest) FitClasses(x [][]float64, labels []string) error {
 // PredictClass returns the majority vote of the ensemble, breaking ties on
 // sorted label order for determinism.
 func (rf *RandomForest) PredictClass(x []float64) (string, error) {
-	votes, err := rf.Votes(x)
-	if err != nil {
-		return "", err
-	}
-	best, bestVotes := "", -1
-	for _, l := range rf.labels {
-		if v := votes[l]; v > bestVotes {
-			best, bestVotes = l, v
-		}
-	}
-	return best, nil
+	label, _, err := rf.Vote(x)
+	return label, err
 }
 
-// Votes returns the raw per-label vote counts, which the context detector
-// exposes as a detection confidence.
-func (rf *RandomForest) Votes(x []float64) (map[string]int, error) {
-	if len(rf.trees) == 0 {
-		return nil, ErrNotFitted
+// Vote returns the ensemble's majority label — the first of the sorted
+// labels with the most votes — and its share of the votes, which the
+// context detector exposes as a detection confidence. Votes are counted
+// by label index, on the stack for up to eight labels.
+func (rf *RandomForest) Vote(x []float64) (string, float64, error) {
+	if len(rf.trees) == 0 || len(rf.labels) == 0 {
+		return "", 0, ErrNotFitted
 	}
 	if len(x) != rf.nDim {
-		return nil, fmt.Errorf("%w: feature length %d, model expects %d", ErrBadTrainingSet, len(x), rf.nDim)
+		return "", 0, fmt.Errorf("%w: feature length %d, model expects %d", ErrBadTrainingSet, len(x), rf.nDim)
 	}
-	votes := make(map[string]int, len(rf.labels))
+	var buf [8]int
+	var votes []int
+	if len(rf.labels) <= len(buf) {
+		votes = buf[:len(rf.labels)]
+	} else {
+		votes = make([]int, len(rf.labels))
+	}
 	for _, tree := range rf.trees {
 		label, err := tree.PredictClass(x)
 		if err != nil {
-			return nil, err
+			return "", 0, err
 		}
-		votes[label]++
+		if i := slices.Index(rf.labels, label); i >= 0 {
+			votes[i]++
+		}
 	}
-	return votes, nil
-}
-
-// Labels returns the sorted class labels seen at training time.
-func (rf *RandomForest) Labels() []string {
-	return append([]string(nil), rf.labels...)
+	best, total := 0, 0
+	for i, v := range votes {
+		total += v
+		if v > votes[best] {
+			best = i
+		}
+	}
+	if total == 0 {
+		return rf.labels[best], 0, nil
+	}
+	return rf.labels[best], float64(votes[best]) / float64(total), nil
 }

@@ -139,8 +139,8 @@ func TestRandomForestThreeClusters(t *testing.T) {
 	if acc := classAccuracy(t, rf, x, labels); acc < 0.97 {
 		t.Errorf("forest accuracy = %v, want >= 0.97", acc)
 	}
-	if got := rf.Labels(); len(got) != 3 || got[0] != "a" {
-		t.Errorf("Labels = %v", got)
+	if got := rf.labels; len(got) != 3 || got[0] != "a" {
+		t.Errorf("labels = %v", got)
 	}
 }
 
@@ -151,19 +151,20 @@ func TestRandomForestVotes(t *testing.T) {
 	if err := rf.FitClasses(x, labels); err != nil {
 		t.Fatalf("FitClasses: %v", err)
 	}
-	votes, err := rf.Votes([]float64{0, 0})
+	label, share, err := rf.Vote([]float64{0, 0})
 	if err != nil {
-		t.Fatalf("Votes: %v", err)
+		t.Fatalf("Vote: %v", err)
 	}
-	total := 0
-	for _, v := range votes {
-		total += v
+	if label != "a" || share < 12.0/15 {
+		t.Errorf("cluster-a point: Vote = %q with %v of 15 votes, want a with >= 12", label, share*15)
 	}
-	if total != 15 {
-		t.Errorf("votes sum = %d, want 15", total)
-	}
-	if votes["a"] < 12 {
-		t.Errorf("cluster-a point got only %d/15 a-votes", votes["a"])
+	// A tie goes to the first of the sorted labels.
+	tie := &RandomForest{trees: []*DecisionTree{
+		{nDim: 1, root: &treeNode{feature: -1, label: "b"}},
+		{nDim: 1, root: &treeNode{feature: -1, label: "a"}},
+	}, labels: []string{"a", "b"}, nDim: 1}
+	if label, share, err := tie.Vote([]float64{0}); err != nil || label != "a" || share != 0.5 {
+		t.Errorf("tied Vote = %q, %v, %v; want a, 0.5", label, share, err)
 	}
 }
 

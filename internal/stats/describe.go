@@ -139,24 +139,29 @@ func FitStandardizer(x [][]float64) (*Standardizer, error) {
 
 // Transform returns a standardized copy of v.
 func (s *Standardizer) Transform(v []float64) []float64 {
-	out := make([]float64, len(v))
-	for j := range v {
-		if j < len(s.mean) {
-			out[j] = (v[j] - s.mean[j]) / s.scale[j]
-		} else {
-			out[j] = v[j]
-		}
-	}
-	return out
+	return s.TransformInto(make([]float64, len(v)), v)
 }
 
-// TransformAll standardizes every row of x into a new slice of rows.
-func (s *Standardizer) TransformAll(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		out[i] = s.Transform(row)
+// TransformInto standardizes v into dst, which must be as long as v, and
+// returns dst; dst may be v itself.
+func (s *Standardizer) TransformInto(dst, v []float64) []float64 {
+	for j := range v {
+		if j < len(s.mean) {
+			dst[j] = (v[j] - s.mean[j]) / s.scale[j]
+		} else {
+			dst[j] = v[j]
+		}
 	}
-	return out
+	return dst
+}
+
+// TransformAll standardizes every row of x in place and returns x: the
+// caller owns the rows and no longer needs them raw.
+func (s *Standardizer) TransformAll(x [][]float64) [][]float64 {
+	for _, row := range x {
+		s.TransformInto(row, row)
+	}
+	return x
 }
 
 // standardizerJSON is the wire form of a fitted Standardizer, so that the

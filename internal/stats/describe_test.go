@@ -151,7 +151,20 @@ func TestStandardizer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FitStandardizer: %v", err)
 	}
+	// Transform standardizes a copy; TransformAll standardizes in place.
+	first := s.Transform(x[0])
+	if &first[0] == &x[0][0] || x[0][0] != 1 {
+		t.Errorf("Transform wrote into its input")
+	}
 	out := s.TransformAll(x)
+	for i := range x {
+		if &out[i][0] != &x[i][0] {
+			t.Errorf("TransformAll row %d is not its input row", i)
+		}
+	}
+	if out[0][0] != first[0] || out[0][1] != first[1] {
+		t.Errorf("TransformAll row 0 = %v, Transform gave %v", out[0], first)
+	}
 	// Each column must have mean 0 and variance 1 after transform.
 	for j := 0; j < 2; j++ {
 		col := []float64{out[0][j], out[1][j], out[2][j]}

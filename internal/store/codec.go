@@ -103,7 +103,7 @@ func decodeBinaryPayload(payload []byte) (walRecord, error) {
 	rec.User = r.Str()
 	switch op {
 	case opEnroll, opReplace:
-		rec.Samples = features.ReadSampleListBinary(r)
+		rec.Samples = features.ReadSampleListBinary(r, rec.User)
 	case opPublish:
 		rec.Version = int(r.Uvarint())
 		rec.Bundle = r.Bytes()
@@ -183,7 +183,7 @@ func decodeBinarySnapshot(data []byte) (snapshot, error) {
 	nUsers := r.Uvarint()
 	for i := uint64(0); i < nUsers && r.Err() == nil; i++ {
 		id := r.Str()
-		samples := features.ReadSampleListBinary(r)
+		samples := features.ReadSampleListBinary(r, id)
 		if r.Err() == nil {
 			snap.Users[id] = samples
 		}

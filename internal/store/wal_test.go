@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 func TestDecodeRecordEveryTruncationPoint(t *testing.T) {
@@ -97,6 +98,31 @@ func TestDecodeRecordUnknownFormatIsNotDamage(t *testing.T) {
 
 // TestBinaryRecordRoundTrip pins the binary codec: encode → decode must
 // be the identity, and the encoding must be much smaller than JSON.
+// TestDecodedEnrollSharesTheUserID checks that the windows of a decoded
+// enroll or replace record share the record's user id instead of each
+// holding a copy: WAL replay and a follower's apply make no string per
+// window.
+func TestDecodedEnrollSharesTheUserID(t *testing.T) {
+	for _, op := range []string{opEnroll, opReplace} {
+		payload, err := encodeBinaryPayload(walRecord{Seq: 7, Op: op, User: "user-0042", Samples: fakeSamples("user-0042", 5, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := decodeBinaryPayload(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Samples) != 5 {
+			t.Fatalf("%s: decoded %d windows, want 5", op, len(rec.Samples))
+		}
+		for i, w := range rec.Samples {
+			if w.UserID != rec.User || unsafe.StringData(w.UserID) != unsafe.StringData(rec.User) {
+				t.Errorf("%s: window %d user id %q is a copy of the record's %q", op, i, w.UserID, rec.User)
+			}
+		}
+	}
+}
+
 func TestBinaryRecordRoundTrip(t *testing.T) {
 	recs := []walRecord{
 		{Seq: 1, Op: opEnroll, User: "u", Samples: fakeSamples("u", 3, 2)},

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"smarteryou/internal/core"
 	"smarteryou/internal/features"
@@ -424,6 +425,32 @@ func TestStreamWireStats(t *testing.T) {
 
 // TestEnvelopeV2RoundTrip pins the envelope codec itself, including MAC
 // rejection.
+// TestDecodedEnrollSharesTheUserID checks that the windows of a decoded
+// enroll request share the request's user id instead of each holding a
+// copy.
+func TestDecodedEnrollSharesTheUserID(t *testing.T) {
+	windows := make([]features.WindowSample, 4)
+	for i := range windows {
+		windows[i] = features.WindowSample{UserID: "alice", Day: float64(i)}
+	}
+	b, err := enrollRequest{UserID: "alice", Replace: true, Samples: windows}.appendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q enrollRequest
+	if err := q.decodeBinary(b); err != nil {
+		t.Fatal(err)
+	}
+	if len(q.Samples) != len(windows) {
+		t.Fatalf("decoded %d windows, want %d", len(q.Samples), len(windows))
+	}
+	for i, w := range q.Samples {
+		if w.UserID != q.UserID || unsafe.StringData(w.UserID) != unsafe.StringData(q.UserID) {
+			t.Errorf("window %d user id %q is a copy of the request's %q", i, w.UserID, q.UserID)
+		}
+	}
+}
+
 func TestEnvelopeV2RoundTrip(t *testing.T) {
 	req := authRequest{UserID: "alice"}
 	req.Sample.UserID = "alice"

@@ -244,7 +244,7 @@ func (q *enrollRequest) decodeBinary(b []byte) error {
 	r := binio.NewReader(b)
 	q.UserID = r.Str()
 	q.Replace = r.Byte() != 0
-	q.Samples = features.ReadSampleListBinary(r)
+	q.Samples = features.ReadSampleListBinary(r, q.UserID)
 	return finish(r)
 }
 
