@@ -38,7 +38,7 @@ var exactCounts = []struct {
 	{"single/writes", 1},            // the request frame, sealed in place
 	{"single/server_reads", 1},      // the request frame, buffered
 	{"single/server_writes", 1},     // the response frame, sealed in place
-	{"batch16/allocs", 7},           // one 16-window Session.AuthenticateBatch
+	{"batch16/allocs", 5},           // one 16-window Session.AuthenticateBatch: pseudonym, user id, windows, decoded and returned decisions
 	{"batch16/reads", 1},            // per burst
 	{"batch16/writes", 1},           // per burst
 	{"batch16/server_reads", 2},     // a 5.4 KB request: a buffer's worth, then the rest
@@ -48,6 +48,11 @@ var exactCounts = []struct {
 	{"stream/writes", 1},            // one window frame
 	{"stream/server_reads", 1},      // one window frame
 	{"stream/server_writes", 1},     // one decision frame
+	{"stream8/allocs", 0},           // 8 Stream.Pushes, then 8 Recvs: 2.7 KB of windows
+	{"stream8/reads", 1},            // the 8 decision frames, buffered
+	{"stream8/writes", 1},           // the 8 window frames, written by the first Recv
+	{"stream8/server_reads", 1},     // the 8 window frames, buffered
+	{"stream8/server_writes", 1},    // the 8 decision frames, written before the next read
 	{"enroll16/allocs", 3},          // one NoSync store Enroll of 16 windows that replace the user's
 	{"enroll16/wal_bytes", 2682350}, // log after countWarmup+countOps such enrolls: 304.81 B a window
 	{"device/allocs", 2},            // phone + watch extraction with one Extractor, then Authenticate
@@ -56,6 +61,7 @@ var exactCounts = []struct {
 	{"enroll8/writes", 1},           // the request frame
 	{"enroll8/server_reads", 1},     // the request frame
 	{"enroll8/server_writes", 1},    // the response frame
+	{"fetch/allocs", 100},           // one full Client.FetchModel of a combined + context bundle
 	{"train/allocs", 76},            // one core.Train, combined + context: 8 windows against 504
 }
 
@@ -272,11 +278,33 @@ func countWire(t *testing.T, got map[string]float64) {
 		_, err := stream.Authenticate(samples[i%len(samples)])
 		return err
 	})
+	countPath(t, got, "stream8", &wire, func(i int) error {
+		for k := 0; k < 8; k++ {
+			if err := stream.Push(samples[(i+k)%len(samples)]); err != nil {
+				return err
+			}
+		}
+		for k := 0; k < 8; k++ {
+			if _, err := stream.Recv(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err := stream.Close(); err != nil {
 		t.Fatal(err)
 	}
 	countPath(t, got, "enroll8", &wire, func(int) error {
 		_, err := client.ReplaceEnrollment(user, samples[:8])
+		return err
+	})
+	// A second version of user-01's model: fetching versions 1 and 2 in
+	// turn misses the client's model cache every time.
+	if _, err := client.Train(users[1], transport.TrainParams{Mode: core.Mode{Combined: true, UseContext: true}, Seed: 4}); err != nil {
+		t.Fatal(err)
+	}
+	countPath(t, got, "fetch", nil, func(i int) error {
+		_, _, err := client.FetchModel(users[1], 1+i%2)
 		return err
 	})
 }

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"hash"
 	"net"
 	"time"
 
+	"smarteryou/internal/core"
 	"smarteryou/internal/features"
 )
 
@@ -16,11 +18,11 @@ import (
 // the client: a buffered reader, so a frame that arrived whole is one
 // read from the socket, and frames that arrived together (pipelined
 // stream windows) are one read between them; the buffer the last frame
-// was read into and the one the next frame is built in, so a frame is
-// sealed in place and written with one Write; and an HMAC keyed once for
-// the connection's life. A body or envelope read from it aliases the
-// read buffer and is valid until the next read; everything decoded from
-// it is a copy.
+// was read into and the one the next frames are built in, so a frame is
+// sealed in place and the frames pending are written with one Write; and
+// an HMAC keyed once for the connection's life. A body or envelope read
+// from it aliases the read buffer and is valid until the next read;
+// everything decoded from it is a copy.
 type wireConn struct {
 	nc  net.Conn
 	r   *bufio.Reader
@@ -37,6 +39,7 @@ type wireConn struct {
 	authResp  authResponse
 	batchReq  batchAuthRequest
 	batchResp batchAuthResponse
+	decisions []core.Decision // the server's scored batch, before batchResp
 }
 
 // keepBufferBytes bounds the buffers a connection keeps between frames:
@@ -62,6 +65,20 @@ func (c *wireConn) setDeadline(timeout time.Duration) error {
 		return fmt.Errorf("transport: set deadline: %w", err)
 	}
 	return nil
+}
+
+// streamFlushBytes is how much a stream end lets pile up in its write
+// buffer before it writes without waiting to be about to block on a read.
+const streamFlushBytes = 32 << 10
+
+// frameBuffered reports whether the reader already holds a whole frame,
+// so the next readBody returns without reading from the socket.
+func (c *wireConn) frameBuffered() bool {
+	if c.r.Buffered() < 4 {
+		return false
+	}
+	head, err := c.r.Peek(4)
+	return err == nil && uint64(c.r.Buffered()) >= 4+uint64(binary.BigEndian.Uint32(head))
 }
 
 // readBody reads the next frame body, request or stream frame alike.
@@ -91,27 +108,32 @@ func (c *wireConn) open(env Envelope, out any) error {
 	return decodePayload(env.Type, env.Payload, out)
 }
 
-// sealPayload builds the frame for a payload value in the write buffer:
-// the header with the MAC blank, the payload encoded straight behind it,
-// then the length and the MAC filled in place. flush sends it.
+// sealPayload builds the frame for a payload value in the write buffer,
+// behind any frames already pending there: the header with the MAC
+// blank, the payload encoded straight behind it, then the length and the
+// MAC filled in place. flush sends it.
 func (c *wireConn) sealPayload(msgType string, payload any) error {
 	tb, ok := typeToByte[msgType]
 	if !ok {
 		return fmt.Errorf("transport: type %q has no v2 type byte", msgType)
 	}
-	frame, err := appendPayload(beginFrame(c.out[:0], tb), payload)
+	start := len(c.out)
+	frame, err := appendPayload(beginFrame(c.out, tb), payload)
 	if err != nil {
 		return fmt.Errorf("transport: encode %s payload: %w", msgType, err)
 	}
-	if err := sealFrame(c.mac, frame, macPrefix[tb]); err != nil {
-		c.out = keep(frame)
+	if err := sealFrame(c.mac, frame[start:], macPrefix[tb]); err != nil {
+		c.out = frame[:start] // the frames pending before it still go out
+		if start == 0 {
+			c.out = keep(frame)
+		}
 		return err
 	}
 	c.out = frame
 	return nil
 }
 
-// flush writes the frame in the write buffer with one Write.
+// flush writes the frames in the write buffer with one Write.
 func (c *wireConn) flush() error {
 	_, err := c.nc.Write(c.out)
 	c.out = keep(c.out)

@@ -29,9 +29,9 @@ func sampleWindow(user string, day float64) features.WindowSample {
 }
 
 // TestInPlaceFrameMatchesWriteFrame pins the one frame encoder byte for
-// byte: for every type byte, a connection's frame — built in place, the
-// MAC computed over the payload already in the buffer — equals the
-// exported WriteFrame(Seal(…)).
+// byte: for every type byte, a connection's frame — built in place behind
+// the frames already pending, the MAC computed over the payload already
+// in the buffer — equals the exported WriteFrame(Seal(…)).
 func TestInPlaceFrameMatchesWriteFrame(t *testing.T) {
 	windows := []features.WindowSample{sampleWindow("alice", 1), sampleWindow("alice", 2)}
 	decision := authResponse{Context: "moving", ContextConfidence: 0.75, Score: -1.5}
@@ -71,11 +71,12 @@ func TestInPlaceFrameMatchesWriteFrame(t *testing.T) {
 			t.Errorf("%s: no representative payload in this test", msgType)
 			continue
 		}
+		start := len(c.out)
 		if err := c.sealPayload(msgType, payload); err != nil {
 			t.Fatalf("sealPayload %s: %v", msgType, err)
 		}
-		if want := exported(msgType, payload); !bytes.Equal(c.out, want) {
-			t.Errorf("%s: in-place frame\n%x\nWriteFrame(Seal(…))\n%x", msgType, c.out, want)
+		if got, want := c.out[start:], exported(msgType, payload); !bytes.Equal(got, want) {
+			t.Errorf("%s: in-place frame\n%x\nWriteFrame(Seal(…))\n%x", msgType, got, want)
 		}
 	}
 

@@ -69,6 +69,9 @@ type fetchModelResponse struct {
 	// Unchanged reports that the client's IfHash bundle is still
 	// current; Bundle is omitted.
 	Unchanged bool `json:"unchanged,omitempty"`
+	// blob is the bundle as the registry stores it, which the server
+	// sends verbatim; the client decodes it into Bundle.
+	blob []byte
 }
 
 // authRequest asks the server to classify one feature window with the
@@ -614,12 +617,11 @@ func (s *Server) dispatch(c *wireConn, env Envelope) reply {
 		if err := c.open(env, &c.batchReq); err != nil {
 			return fail(err)
 		}
-		resp, err := s.authenticateBatch(&c.batchReq)
+		err := s.authenticateBatch(c)
 		c.batchReq = batchAuthRequest{} // an idle connection holds no windows
 		if err != nil {
 			return fail(err)
 		}
-		c.batchResp = resp
 		return respond(TypeOK, &c.batchResp)
 
 	case TypeRetrain:
@@ -686,11 +688,7 @@ func (s *Server) dispatch(c *wireConn, env Envelope) reply {
 		if req.IfHash != "" && req.IfHash == hashHex {
 			return respond(TypeOK, fetchModelResponse{Version: version, Hash: hashHex, Unchanged: true})
 		}
-		bundle, err := core.UnmarshalModelBundle(blob)
-		if err != nil {
-			return fail(err)
-		}
-		return respond(TypeOK, fetchModelResponse{Version: version, Bundle: bundle, Hash: hashHex})
+		return respond(TypeOK, fetchModelResponse{Version: version, blob: blob, Hash: hashHex})
 
 	case TypeShardMap:
 		if err := c.open(env, nil); err != nil {
@@ -906,26 +904,29 @@ func (s *Server) authenticate(req *authRequest) (authResponse, error) {
 	return decisionResponse(d), nil
 }
 
-// authenticateBatch classifies many windows for one user: the model is
-// resolved once and the score vector is pooled across the whole batch.
-// Decisions come back in window order; every decision still feeds the
-// drift monitor, so batching does not blind the retraining loop.
-func (s *Server) authenticateBatch(req *batchAuthRequest) (batchAuthResponse, error) {
-	anon, auth, err := s.resolveAuth(req.UserID)
+// authenticateBatch classifies c.batchReq's windows into c.batchResp,
+// both built in the connection's scratch: the model is resolved once and
+// the score vector is pooled across the whole batch. Decisions come back
+// in window order; every decision still feeds the drift monitor, so
+// batching does not blind the retraining loop.
+func (s *Server) authenticateBatch(c *wireConn) error {
+	anon, auth, err := s.resolveAuth(c.batchReq.UserID)
 	if err != nil {
-		return batchAuthResponse{}, err
+		return err
 	}
-	decisions, err := auth.AuthenticateBatch(req.Samples, make([]core.Decision, 0, len(req.Samples)))
+	decisions, err := auth.AuthenticateBatch(c.batchReq.Samples, c.decisions[:0])
 	if err != nil {
-		return batchAuthResponse{}, fmt.Errorf("authenticate: %w", err)
+		return fmt.Errorf("authenticate: %w", err)
 	}
+	c.decisions = decisions
 	s.wireBatchWindows.Add(uint64(len(decisions)))
-	resp := batchAuthResponse{Decisions: make([]authResponse, len(decisions))}
-	for i, d := range decisions {
+	resp := c.batchResp.Decisions[:0]
+	for _, d := range decisions {
 		s.observeDrift(anon, d.Score, d.Accepted)
-		resp.Decisions[i] = decisionResponse(d)
+		resp = append(resp, decisionResponse(d))
 	}
-	return resp, nil
+	c.batchResp.Decisions = resp
+	return nil
 }
 
 // coarseContexts is the fixed order every per-context walk takes.

@@ -35,6 +35,14 @@ import (
 // An error frame (server → client) carries a message instead of a
 // decision and terminates the stream; the client surfaces it as a
 // RemoteError and poisons the session.
+//
+// Neither end writes once per frame. Each appends its frames behind the
+// ones still pending in its write buffer and writes them all with one
+// Write when it is about to block on a read (its reader holds no whole
+// frame), when it ends the stream, or once streamFlushBytes are pending.
+// No end ever waits for a frame with its own output unsent, so this adds
+// no latency: a lockstep Authenticate still makes one write a window on
+// each end, and k pipelined windows make one write on each end.
 
 // Stream frame kinds.
 const (
@@ -136,7 +144,8 @@ func (st *Stream) fail(err error) error {
 	return st.err
 }
 
-// push writes one window frame. Caller holds st.mu.
+// push appends one window frame behind the pending ones, writing them
+// only once streamFlushBytes are pending. Caller holds st.mu.
 func (st *Stream) push(sample features.WindowSample) error {
 	if st.closed {
 		return fmt.Errorf("transport: stream is closed")
@@ -144,16 +153,19 @@ func (st *Stream) push(sample features.WindowSample) error {
 	if st.err != nil {
 		return st.err
 	}
-	if err := st.conn.setDeadline(st.timeout); err != nil {
+	c := st.conn
+	frame, start := beginStreamFrame(c.out, streamKindWindow, features.EncodedSampleSize(sample))
+	c.out = finishStreamFrame(features.AppendSampleBinary(frame, sample), start)
+	st.pending++
+	if len(c.out) < streamFlushBytes {
+		return nil
+	}
+	if err := c.setDeadline(st.timeout); err != nil {
 		return st.fail(err)
 	}
-	c := st.conn
-	frame, start := beginStreamFrame(c.out[:0], streamKindWindow, features.EncodedSampleSize(sample))
-	c.out = finishStreamFrame(features.AppendSampleBinary(frame, sample), start)
 	if err := c.flush(); err != nil {
-		return st.fail(fmt.Errorf("transport: write window frame: %w", err))
+		return st.fail(fmt.Errorf("transport: write window frames: %w", err))
 	}
-	st.pending++
 	return nil
 }
 
@@ -168,10 +180,19 @@ func (st *Stream) recv() (AuthDecision, error) {
 	if st.pending == 0 {
 		return AuthDecision{}, fmt.Errorf("transport: no windows awaiting a decision")
 	}
-	if err := st.conn.setDeadline(st.timeout); err != nil {
-		return AuthDecision{}, st.fail(err)
+	c := st.conn
+	if !c.frameBuffered() {
+		// About to block on the socket: the windows it waits on go first.
+		if err := c.setDeadline(st.timeout); err != nil {
+			return AuthDecision{}, st.fail(err)
+		}
+		if len(c.out) > 0 {
+			if err := c.flush(); err != nil {
+				return AuthDecision{}, st.fail(fmt.Errorf("transport: write window frames: %w", err))
+			}
+		}
 	}
-	body, err := st.conn.readBody()
+	body, err := c.readBody()
 	if err != nil {
 		return AuthDecision{}, st.fail(fmt.Errorf("transport: read decision frame: %w", err))
 	}
@@ -194,8 +215,10 @@ func (st *Stream) recv() (AuthDecision, error) {
 	}
 }
 
-// Push sends one window frame without waiting for its decision; pair with
-// Recv to pipeline several windows per round trip.
+// Push queues one window frame without waiting for its decision; pair
+// with Recv to pipeline several windows per round trip. A pushed window
+// leaves on the next Recv that would block, on Close, or once 32 KB of
+// windows are pending, so k pushes then k Recvs are one write.
 func (st *Stream) Push(sample features.WindowSample) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -203,6 +226,8 @@ func (st *Stream) Push(sample features.WindowSample) error {
 }
 
 // Recv reads the next decision frame (decisions arrive in push order).
+// When no whole decision is already buffered, it first writes every
+// pushed window still pending, then blocks.
 func (st *Stream) Recv() (AuthDecision, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -219,11 +244,11 @@ func (st *Stream) Authenticate(sample features.WindowSample) (AuthDecision, erro
 	return st.recv()
 }
 
-// Close ends the stream: it sends a close frame, drains any decisions
-// still in flight, waits for the server's sealed acknowledgement, and
-// returns the session to request mode. If the stream failed earlier, the
-// connection state is unknown, so Close tears down the whole session
-// instead.
+// Close ends the stream: it sends a close frame, in one write with any
+// pushed windows still pending, drains any decisions still in flight,
+// waits for the server's sealed acknowledgement, and returns the session
+// to request mode. If the stream failed earlier, the connection state is
+// unknown, so Close tears down the whole session instead.
 func (st *Stream) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -254,7 +279,7 @@ func (st *Stream) shutdown() error {
 	if err := c.setDeadline(st.timeout); err != nil {
 		return err
 	}
-	c.out = appendStreamFrame(c.out[:0], streamKindClose, nil)
+	c.out = appendStreamFrame(c.out, streamKindClose, nil)
 	if err := c.flush(); err != nil {
 		return fmt.Errorf("transport: write close frame: %w", err)
 	}
@@ -324,6 +349,12 @@ func (s *Server) handleStream(c *wireConn, env Envelope) bool {
 
 	s.wireStreamSessions.Add(1)
 	for {
+		if len(c.out) >= streamFlushBytes || (len(c.out) > 0 && !c.frameBuffered()) {
+			if err := c.flush(); err != nil {
+				s.logf("write decision frames: %v", err)
+				return false
+			}
+		}
 		body, err := c.readBody()
 		if err != nil {
 			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
@@ -338,7 +369,7 @@ func (s *Server) handleStream(c *wireConn, env Envelope) bool {
 		}
 		switch kind {
 		case streamKindClose:
-			return send(TypeOK, nil) // back to request mode
+			return send(TypeOK, nil) // behind the last decisions, back to request mode
 		case streamKindWindow:
 			r := binio.NewReader(payload)
 			sample := features.ReadSampleBinary(r, req.UserID)
@@ -350,7 +381,7 @@ func (s *Server) handleStream(c *wireConn, env Envelope) bool {
 			if err != nil {
 				// Surface the failure in-band, then drop the connection: the
 				// session cannot continue past an unscorable window.
-				c.out = appendStreamFrame(c.out[:0], streamKindError, []byte(err.Error()))
+				c.out = appendStreamFrame(c.out, streamKindError, []byte(err.Error()))
 				if werr := c.flush(); werr != nil {
 					s.logf("write error frame: %v", werr)
 				}
@@ -359,13 +390,9 @@ func (s *Server) handleStream(c *wireConn, env Envelope) bool {
 			s.wireStreamWindows.Add(1)
 			s.observeDrift(anon, d.Score, d.Accepted)
 			resp := decisionResponse(d)
-			frame, start := beginStreamFrame(c.out[:0], streamKindDecision, resp.encodedSize())
+			frame, start := beginStreamFrame(c.out, streamKindDecision, resp.encodedSize())
 			frame, _ = resp.appendBinary(frame)
 			c.out = finishStreamFrame(frame, start)
-			if err := c.flush(); err != nil {
-				s.logf("write decision frame: %v", err)
-				return false
-			}
 		default:
 			s.logf("unexpected stream frame kind %d", kind)
 			return false

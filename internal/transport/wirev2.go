@@ -263,7 +263,9 @@ func (p *enrollResponse) decodeBinary(b []byte) error {
 // subsets), so like the store's publish records it travels as a
 // length-prefixed JSON blob behind a uvarint version — the envelope and
 // MAC overhead still drop, and the bundle is decoded once, not re-escaped
-// through an intermediate JSON envelope string.
+// through an intermediate JSON envelope string. A fetch-model answer
+// carries the registry's blob as stored: the server neither decodes nor
+// re-encodes it.
 
 func appendBundle(dst []byte, version int, bundle *core.ModelBundle) ([]byte, error) {
 	dst = binio.AppendUvarint(dst, uint64(version))
@@ -294,12 +296,7 @@ func (p fetchModelResponse) appendBinary(dst []byte) ([]byte, error) {
 	if p.Unchanged {
 		return append(dst, 1), nil
 	}
-	dst = append(dst, 0)
-	blob, err := json.Marshal(p.Bundle)
-	if err != nil {
-		return nil, err
-	}
-	return binio.AppendBytes(dst, blob), nil
+	return binio.AppendBytes(append(dst, 0), p.blob), nil
 }
 
 func (p *fetchModelResponse) decodeBinary(b []byte) error {
@@ -312,12 +309,11 @@ func (p *fetchModelResponse) decodeBinary(b []byte) error {
 	case 0:
 		blob := r.Bytes()
 		if r.Err() == nil {
-			var bundle core.ModelBundle
-			if err := json.Unmarshal(blob, &bundle); err != nil {
+			bundle, err := core.UnmarshalModelBundle(blob)
+			if err != nil {
 				r.Fail("bundle blob: %s", err)
-			} else {
-				p.Bundle = &bundle
 			}
+			p.Bundle = bundle
 		}
 	default:
 		r.Fail("unchanged flag %d", flag)
