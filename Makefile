@@ -33,7 +33,7 @@ counts:
 	$(GO) test -count=1 -run '^TestExactCounts$$' -cpu 1,2 .
 
 # Short fuzz pass over every fuzz target: WAL, snapshot and CAS decoders,
-# wire and replication frames, drift states, the shard map, and the KRR
+# the sealed frame every channel speaks, client and replication frames, drift states, the shard map, and the KRR
 # and decision-tree decoders that read model bundles from the registry
 # and from fetch-model.
 fuzz:
@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenWAL -fuzztime=10s ./internal/store/
 	$(GO) test -run=Fuzz -fuzz=FuzzSnapshotDelta -fuzztime=10s ./internal/store/
 	$(GO) test -run=Fuzz -fuzz=FuzzCASBlob -fuzztime=10s ./internal/cas/
+	$(GO) test -run=Fuzz -fuzz=FuzzFrame -fuzztime=10s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzReadFrame -fuzztime=10s ./internal/transport/
 	$(GO) test -run=Fuzz -fuzz=FuzzEnvelopeOpen -fuzztime=10s ./internal/transport/
 	$(GO) test -run=Fuzz -fuzz=FuzzEnvelopeV2 -fuzztime=10s ./internal/transport/
@@ -94,12 +95,13 @@ race-pool:
 
 # Replication hammer under the race detector: concurrent enrollments
 # racing a cold follower's catch-up exercise the subscribe-before-scan
-# overlap, the per-connection queues, and the shard-lock notify path.
+# overlap, the per-connection queues, and the shard-lock notify path; an
+# on-path writer's forged record is refused and the follower reconnects.
 # The transport line keeps the hookless read path — a cluster node that
 # owns nothing serving whatever replication wrote into its store — under
 # the detector too.
 race-replication:
-	$(call race-pinned,./internal/replication/,TestReplicationHammer|TestFollowerCrashRestartMidStream)
+	$(call race-pinned,./internal/replication/,TestReplicationHammer|TestFollowerCrashRestartMidStream|TestForgedRecordRefused)
 	$(call race-pinned,./internal/transport/,TestServerFollowsStoreWithoutHooks)
 
 # Drift-retraining hammer under the race detector: concurrent

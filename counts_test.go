@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"smarteryou/internal/core"
 	"smarteryou/internal/ctxdetect"
 	"smarteryou/internal/features"
+	"smarteryou/internal/replication"
 	"smarteryou/internal/sensing"
 	"smarteryou/internal/store"
 	"smarteryou/internal/transport"
@@ -25,7 +27,8 @@ import (
 // (runtime.MemStats.Mallocs, client and server together) per operation,
 // rounded to the nearest integer; a /reads or /writes row is calls on the
 // client's connection per operation, a /server_reads or /server_writes
-// row the same on the server's end. bash benchmark/run.sh reports the
+// row the same on the server's end, a /leader_reads or /leader_writes row
+// the same on a replication leader's end of its follower's connection. bash benchmark/run.sh reports the
 // same paths averaged over concurrent sessions, several users, mixed
 // shapes and background work, so its figures are near these, not equal
 // to them.
@@ -63,6 +66,9 @@ var exactCounts = []struct {
 	{"enroll8/server_writes", 1},    // the response frame
 	{"fetch/allocs", 100},           // one full Client.FetchModel of a combined + context bundle
 	{"train/allocs", 76},            // one core.Train, combined + context: 8 windows against 504
+	{"repl8/allocs", 15},            // one enroll8 with a replication leader and an in-process follower, until the follower applied it
+	{"repl8/leader_writes", 1},      // the record frame, sealed in the leader's write buffer
+	{"repl8/leader_reads", 1},       // the follower's ack: one write on its end, read whole
 }
 
 const (
@@ -146,20 +152,21 @@ func (l countingListener) Accept() (net.Conn, error) {
 	return countingConn{conn, l.c}, nil
 }
 
+// ends names both ends of a wire path by their row prefix.
+func (w *wireCounts) ends() map[string]*connCounts {
+	return map[string]*connCounts{"": &w.client, "server_": &w.server}
+}
+
 // countPath runs op countWarmup times, then countOps times while counting,
-// and records name/allocs and, when wire is not nil, the read and write
-// rows of both ends. Allocation rows are rounded; the others must divide
-// exactly, so a stray call shows as a fraction.
-func countPath(t *testing.T, got map[string]float64, name string, wire *wireCounts, op func(i int) error) {
+// and records name/allocs and the read and write rows of every end in
+// ends, keyed by row prefix. Allocation rows are rounded; the others must
+// divide exactly, so a stray call shows as a fraction.
+func countPath(t *testing.T, got map[string]float64, name string, ends map[string]*connCounts, op func(i int) error) {
 	t.Helper()
 	for i := 0; i < countWarmup; i++ {
 		if err := op(i); err != nil {
 			t.Fatalf("%s warm-up: %v", name, err)
 		}
-	}
-	ends := map[string]*connCounts{}
-	if wire != nil {
-		ends = map[string]*connCounts{"": &wire.client, "server_": &wire.server}
 	}
 	before := map[string][2]int64{}
 	for end, c := range ends {
@@ -256,7 +263,7 @@ func countWire(t *testing.T, got map[string]float64) {
 	}
 	t.Cleanup(func() { _ = sess.Close() })
 
-	countPath(t, got, "single", &wire, func(i int) error {
+	countPath(t, got, "single", wire.ends(), func(i int) error {
 		u := i % len(users)
 		_, err := sess.Authenticate(users[u], own[u][i/len(users)%len(own[u])])
 		return err
@@ -266,7 +273,7 @@ func countWire(t *testing.T, got map[string]float64) {
 	for i := range burst {
 		burst[i] = samples[i%len(samples)]
 	}
-	countPath(t, got, "batch16", &wire, func(int) error {
+	countPath(t, got, "batch16", wire.ends(), func(int) error {
 		_, err := sess.AuthenticateBatch(user, burst)
 		return err
 	})
@@ -274,11 +281,11 @@ func countWire(t *testing.T, got map[string]float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	countPath(t, got, "stream", &wire, func(i int) error {
+	countPath(t, got, "stream", wire.ends(), func(i int) error {
 		_, err := stream.Authenticate(samples[i%len(samples)])
 		return err
 	})
-	countPath(t, got, "stream8", &wire, func(i int) error {
+	countPath(t, got, "stream8", wire.ends(), func(i int) error {
 		for k := 0; k < 8; k++ {
 			if err := stream.Push(samples[(i+k)%len(samples)]); err != nil {
 				return err
@@ -294,7 +301,7 @@ func countWire(t *testing.T, got map[string]float64) {
 	if err := stream.Close(); err != nil {
 		t.Fatal(err)
 	}
-	countPath(t, got, "enroll8", &wire, func(int) error {
+	countPath(t, got, "enroll8", wire.ends(), func(int) error {
 		_, err := client.ReplaceEnrollment(user, samples[:8])
 		return err
 	})
@@ -306,6 +313,75 @@ func countWire(t *testing.T, got map[string]float64) {
 	countPath(t, got, "fetch", nil, func(i int) error {
 		_, _, err := client.FetchModel(users[1], 1+i%2)
 		return err
+	})
+	countRepl(t, got, st, key, client, user, samples[:8])
+}
+
+// countRepl counts the enroll8 path again once the server's store has a
+// replication leader and an in-process follower, each operation lasting
+// until the follower applied the record and the leader read its ack. The
+// follower dials the leader itself, so its ack writes are counted as the
+// leader end's reads of them.
+func countRepl(t *testing.T, got map[string]float64, st *store.Store, key []byte, client *transport.Client, user string, samples []features.WindowSample) {
+	leader, err := replication.NewLeader(replication.LeaderConfig{Store: st, Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaderEnd connCounts
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := leader.ServeListener(countingListener{ln, &leaderEnd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = leader.Close() })
+	fst, err := store.Open(t.TempDir(), store.Options{SnapshotEvery: -1, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fst.Close() })
+	applied := make(chan struct{}, 1)
+	follower, err := replication.StartFollower(replication.FollowerConfig{
+		Store: fst, Key: key, LeaderAddr: addr.String(),
+		OnApply: func(store.ReplicatedOp) {
+			select {
+			case applied <- struct{}{}:
+			default: // the catch-up before counting
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = follower.Close() })
+	for deadline := time.Now().Add(10 * time.Second); !slices.Equal(fst.ShardLastSeqs(), st.ShardLastSeqs()); {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never caught up: %v, leader at %v", fst.ShardLastSeqs(), st.ShardLastSeqs())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for reads := leaderEnd.reads.Load(); ; reads = leaderEnd.reads.Load() {
+		time.Sleep(10 * time.Millisecond) // the catch-up's last acks
+		if leaderEnd.reads.Load() == reads {
+			break
+		}
+	}
+	select {
+	case <-applied:
+	default:
+	}
+	countPath(t, got, "repl8", map[string]*connCounts{"leader_": &leaderEnd}, func(int) error {
+		acks := leaderEnd.reads.Load()
+		if _, err := client.ReplaceEnrollment(user, samples); err != nil {
+			return err
+		}
+		<-applied
+		for leaderEnd.reads.Load() == acks {
+			time.Sleep(20 * time.Microsecond) // parked, so the poller runs at -cpu 1
+		}
+		return nil
 	})
 }
 

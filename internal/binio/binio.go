@@ -1,7 +1,8 @@
 // Package binio holds the little-endian binary encoding primitives shared
-// by the durable store's WAL/snapshot codec (internal/store) and the wire
-// protocol's envelope v2 (internal/transport): a sticky-error cursor for
-// decoding untrusted payloads, and append-style encode helpers.
+// by the durable store's WAL/snapshot codec (internal/store) and the
+// payloads of every network channel (internal/transport, replication and
+// cluster): a sticky-error cursor for decoding untrusted payloads, and
+// append-style encode helpers.
 //
 // The Reader is designed for hostile input: the first decode error sticks,
 // every accessor returns zero values afterwards, it never reads past the
@@ -127,6 +128,17 @@ func (r *Reader) Bytes() []byte {
 	out := append([]byte(nil), r.b[r.off:r.off+int(n)]...)
 	r.off += int(n)
 	return out
+}
+
+// Rest reads every byte not yet read, aliasing the input (a caller that
+// keeps them past the input's life copies them).
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	b := r.b[r.off:]
+	r.off = len(r.b)
+	return b
 }
 
 // AppendString appends a uvarint-length-prefixed string.

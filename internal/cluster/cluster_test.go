@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -14,6 +15,7 @@ import (
 	"smarteryou/internal/sensing"
 	"smarteryou/internal/store"
 	"smarteryou/internal/transport"
+	"smarteryou/internal/wire"
 )
 
 var testKey = []byte("cluster-test-key")
@@ -307,11 +309,11 @@ func TestSealExpiresWithoutPublish(t *testing.T) {
 	n0.sealTimeout = 150 * time.Millisecond
 
 	shard := n0.Map().OwnedBy(0)[0]
-	body, err := ctrlRequest(n0.self.CtrlAddr, testKey, encodeSealRequest(sealRequest{shard: shard}, testKey), time.Second)
+	payload, err := ctrlRequest(n0.self.CtrlAddr, testKey, encodeSealRequest(sealRequest{shard: shard}), ctrlCursor, time.Second)
 	if err != nil {
 		t.Fatalf("seal: %v", err)
 	}
-	if _, err := decodeCursorResponse(body); err != nil {
+	if _, err := decodeCursorResponse(payload); err != nil {
 		t.Fatalf("cursor: %v", err)
 	}
 
@@ -674,21 +676,30 @@ func TestShardMapCodecRoundTrip(t *testing.T) {
 // TestCtrlFramesAuthenticated pins that control frames reject bad MACs
 // and decode cleanly with good ones.
 func TestCtrlFramesAuthenticated(t *testing.T) {
-	frame := encodeSealRequest(sealRequest{shard: 3}, testKey)
-	body, err := openCtrl(frame, testKey)
-	if err != nil {
-		t.Fatalf("openCtrl: %v", err)
+	var sent bytes.Buffer
+	if err := writeCtrl(newCtrlConn(&sent, testKey), encodeSealRequest(sealRequest{shard: 3})); err != nil {
+		t.Fatalf("writeCtrl: %v", err)
 	}
-	req, err := decodeSealRequest(body)
+	frame := sent.Bytes()
+	read := func(key, frame []byte) (byte, []byte, error) {
+		return newCtrlConn(bytes.NewBuffer(frame), key).Read(ctrlNames)
+	}
+	tb, payload, err := read(testKey, frame)
+	if err != nil || tb != ctrlSeal {
+		t.Fatalf("read: type %#x, %v", tb, err)
+	}
+	req, err := decodeSealRequest(payload)
 	if err != nil || req.shard != 3 {
 		t.Fatalf("decodeSealRequest = %+v, %v", req, err)
 	}
-	if _, err := openCtrl(frame, []byte("wrong-key")); err == nil {
-		t.Fatal("wrong key accepted")
+	if _, _, err := read([]byte("wrong-key"), frame); !errors.Is(err, wire.ErrBadMAC) {
+		t.Fatalf("wrong key: %v, want a MAC failure", err)
 	}
-	tampered := append([]byte(nil), frame...)
-	tampered[0] ^= 1
-	if _, err := openCtrl(tampered, testKey); err == nil {
-		t.Fatal("tampered frame accepted")
+	for i := 4; i < len(frame); i++ {
+		tampered := append([]byte(nil), frame...)
+		tampered[i] ^= 1
+		if _, _, err := read(testKey, tampered); err == nil {
+			t.Fatalf("frame with byte %d flipped accepted", i)
+		}
 	}
 }

@@ -3,11 +3,13 @@ package cluster
 import (
 	"reflect"
 	"testing"
+
+	"smarteryou/internal/wire"
 )
 
 // FuzzShardMap drives arbitrary bytes through every decoder that reads
 // peer-controlled input on the cluster control wire: the shard-map
-// codec and each control-frame body decoder. Decoders must reject or
+// codec and each control-frame payload decoder. Decoders must reject or
 // accept without panicking, and anything accepted by the map codec must
 // survive an encode/decode round trip unchanged (byte canonicality is
 // not required: uvarint readers tolerate non-minimal encodings).
@@ -23,19 +25,15 @@ func FuzzShardMap(f *testing.F) {
 	f.Add(m.AppendBinary(nil))
 	f.Add([]byte("SMAP"))
 	f.Add([]byte{})
-	// Opened control-frame bodies (post-HMAC), one per frame type.
-	key := []byte("fuzz-key")
-	if body, err := openCtrl(encodeSealRequest(sealRequest{shard: 3}, key), key); err == nil {
-		f.Add(body)
-	}
-	if body, err := openCtrl(encodeCursorResponse(99, key), key); err == nil {
-		f.Add(body)
-	}
-	if body, err := openCtrl(encodeMapFrame(ctrlMapPush, m, key), key); err == nil {
-		f.Add(body)
-	}
-	if body, err := openCtrl(encodeCtrlErr("boom", key), key); err == nil {
-		f.Add(body)
+	// Control-frame payloads, as a listener reads them once the MAC
+	// verified, one per frame type that carries one.
+	for _, frame := range [][]byte{
+		encodeSealRequest(sealRequest{shard: 3}),
+		encodeCursorResponse(99),
+		encodeMapFrame(ctrlMapPush, m),
+		encodeCtrlErr("boom"),
+	} {
+		f.Add(frame[wire.HeaderBytes:])
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -49,14 +47,10 @@ func FuzzShardMap(f *testing.F) {
 				t.Fatalf("re-decode mismatch: %+v vs %+v", again, decoded)
 			}
 		}
-		// Frame-body decoders see bytes only after HMAC verification in
+		// Payload decoders see bytes only after MAC verification in
 		// production, but they must still never panic on garbage.
 		_, _ = decodeSealRequest(data)
 		_, _ = decodeCursorResponse(data)
-		if len(data) > 0 {
-			_, _ = decodeMapFrame(data, ctrlMapPush)
-			_, _ = decodeMapFrame(data, ctrlMap)
-			_ = decodeCtrlErr(data)
-		}
+		_ = decodeCtrlErr(data)
 	})
 }

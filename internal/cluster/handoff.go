@@ -71,11 +71,11 @@ func (n *Node) AcquireShards(shards []int, timeout time.Duration) error {
 		if owner == im.self {
 			continue // already ours
 		}
-		body, err := ctrlRequest(m.Nodes[owner].CtrlAddr, n.key, encodeSealRequest(sealRequest{shard: shard}, n.key), time.Until(deadline))
+		payload, err := ctrlRequest(m.Nodes[owner].CtrlAddr, n.key, encodeSealRequest(sealRequest{shard: shard}), ctrlCursor, time.Until(deadline))
 		if err != nil {
 			return fmt.Errorf("cluster: seal shard %d at node %d: %w", shard, owner, err)
 		}
-		cursor, err := decodeCursorResponse(body)
+		cursor, err := decodeCursorResponse(payload)
 		if err != nil {
 			return fmt.Errorf("cluster: seal shard %d at node %d: %w", shard, owner, err)
 		}
@@ -198,13 +198,13 @@ func (n *Node) pushMap(m *ShardMap, skip map[string]bool, timeout time.Duration)
 	if timeout <= 0 {
 		timeout = defaultCtrlTimeout
 	}
-	frame := encodeMapFrame(ctrlMapPush, m, n.key)
+	frame := encodeMapFrame(ctrlMapPush, m)
 	var firstErr error
 	for _, info := range m.Nodes {
 		if info.CtrlAddr == n.self.CtrlAddr || skip[info.CtrlAddr] {
 			continue
 		}
-		if _, err := ctrlRequest(info.CtrlAddr, n.key, frame, timeout); err != nil {
+		if _, err := ctrlRequest(info.CtrlAddr, n.key, frame, ctrlOK, timeout); err != nil {
 			n.logf("cluster: push map v%d to %s: %v", m.Version, info.CtrlAddr, err)
 			if firstErr == nil {
 				firstErr = err

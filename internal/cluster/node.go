@@ -9,7 +9,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -430,49 +432,48 @@ func (n *Node) acceptCtrl(ln net.Listener) {
 // closes. Every frame authenticates independently.
 func (n *Node) serveCtrl(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
+	c := newCtrlConn(conn, n.key)
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(defaultSealTimeout))
-		payload, err := readCtrlFrame(conn)
+		tb, payload, err := c.Read(ctrlNames)
 		if err != nil {
-			return // EOF, timeout or framing error: drop the connection
-		}
-		body, err := openCtrl(payload, n.key)
-		if err != nil {
-			n.logf("cluster: control frame rejected: %v", err)
-			return
+			if !errors.Is(err, io.EOF) && !errors.Is(err, os.ErrDeadlineExceeded) && !errors.Is(err, net.ErrClosed) {
+				n.logf("cluster: control frame rejected: %v", err)
+			}
+			return // EOF, timeout, framing or MAC failure: drop the connection
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(defaultCtrlTimeout))
-		if err := writeCtrlFrame(conn, n.handleCtrl(body)); err != nil {
+		if err := writeCtrl(c, n.handleCtrl(tb, payload)); err != nil {
 			return
 		}
 	}
 }
 
-// handleCtrl executes one verified control frame and builds the sealed
-// response.
-func (n *Node) handleCtrl(body []byte) []byte {
-	switch body[0] {
+// handleCtrl executes one verified control frame and builds the
+// response frame.
+func (n *Node) handleCtrl(tb byte, payload []byte) []byte {
+	switch tb {
 	case ctrlMapGet:
-		return encodeMapFrame(ctrlMap, n.Map(), n.key)
+		return encodeMapFrame(ctrlMap, n.Map())
 	case ctrlMapPush:
-		m, err := decodeMapFrame(body, ctrlMapPush)
+		m, err := DecodeShardMap(payload)
 		if err != nil {
-			return encodeCtrlErr(err.Error(), n.key)
+			return encodeCtrlErr(err.Error())
 		}
 		n.installMap(m) // stale pushes are fine: already converged
-		return encodeOK(n.key)
+		return encodeOK()
 	case ctrlSeal:
-		req, err := decodeSealRequest(body)
+		req, err := decodeSealRequest(payload)
 		if err != nil {
-			return encodeCtrlErr(err.Error(), n.key)
+			return encodeCtrlErr(err.Error())
 		}
 		cursor, err := n.sealShard(req.shard)
 		if err != nil {
-			return encodeCtrlErr(err.Error(), n.key)
+			return encodeCtrlErr(err.Error())
 		}
-		return encodeCursorResponse(cursor, n.key)
+		return encodeCursorResponse(cursor)
 	default:
-		return encodeCtrlErr(fmt.Sprintf("unknown control frame %#x", body[0]), n.key)
+		return encodeCtrlErr(fmt.Sprintf("unexpected control frame %#x", tb))
 	}
 }
 
@@ -483,11 +484,11 @@ func FetchMap(ctrlAddr string, key []byte, timeout time.Duration) (*ShardMap, er
 	if timeout <= 0 {
 		timeout = defaultCtrlTimeout
 	}
-	body, err := ctrlRequest(ctrlAddr, key, encodeMapGet(key), timeout)
+	payload, err := ctrlRequest(ctrlAddr, key, encodeMapGet(), ctrlMap, timeout)
 	if err != nil {
 		return nil, err
 	}
-	return decodeMapFrame(body, ctrlMap)
+	return DecodeShardMap(payload)
 }
 
 // errNotMember reports operations that need cluster membership first.

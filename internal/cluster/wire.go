@@ -1,29 +1,21 @@
 // Control wire protocol: the tiny node-to-node channel that moves shard
 // ownership. Each exchange is one request frame and one response frame,
-//
-//	[4-byte payload length, big-endian]
-//	[4-byte CRC32 (IEEE) of the payload]
-//	[payload: frame-type byte + body + HMAC-SHA256 trailer]
-//
-// — the same length+CRC header the replication wire uses, with every
-// control frame HMAC-sealed under the pre-shared key (control messages
-// move write authority, so all of them authenticate, not just a
-// handshake). Handoff traffic is rare and small; nothing here is a hot
-// path.
+// both sealed frames of internal/wire under the pre-shared key (control
+// messages move write authority, so every one of them authenticates).
+// The control types carry names no other channel uses, so a client or
+// replication frame sealed under the same key never verifies here, nor a
+// control frame there. Handoff traffic is rare and small; nothing here is
+// a hot path.
 package cluster
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"time"
 
 	"smarteryou/internal/binio"
+	"smarteryou/internal/wire"
 )
 
 // Control frame type bytes.
@@ -37,75 +29,41 @@ const (
 	ctrlErr     = 0x65 // 'e': failure response carrying a message
 )
 
-// maxCtrlFrame bounds one control frame; maps are a few hundred bytes
-// even at hundreds of shards, so anything larger is corruption.
-const maxCtrlFrame = 8 << 20
+// ctrlNames are the control channel's MAC names.
+var ctrlNames = wire.NewNames(map[byte]string{
+	ctrlMapGet:  "ctrl.map-get",
+	ctrlMapPush: "ctrl.map-push",
+	ctrlSeal:    "ctrl.seal",
+	ctrlMap:     "ctrl.map",
+	ctrlCursor:  "ctrl.cursor",
+	ctrlOK:      "ctrl.ok",
+	ctrlErr:     "ctrl.error",
+})
 
-// ErrBadCtrlFrame is returned when a control frame fails to decode or
-// authenticate.
-var ErrBadCtrlFrame = errors.New("cluster: malformed control frame")
+// maxFrameBytes bounds one control frame body; maps are a few hundred
+// bytes even at hundreds of shards, so anything larger is corruption.
+const maxFrameBytes = 8 << 20
 
-const ctrlMACSize = sha256.Size
+// readBufferBytes is a control connection's read buffer; every control
+// frame but a large map fits in it.
+const readBufferBytes = 4 << 10
 
-// sealCtrl appends the HMAC trailer over the frame body.
-func sealCtrl(body, key []byte) []byte {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(body)
-	return mac.Sum(body)
+func newCtrlConn(rw io.ReadWriter, key []byte) *wire.Conn {
+	return wire.NewConn(rw, key, maxFrameBytes, readBufferBytes)
 }
 
-// openCtrl verifies and strips the HMAC trailer.
-func openCtrl(payload, key []byte) ([]byte, error) {
-	if len(payload) < ctrlMACSize+1 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadCtrlFrame, len(payload))
-	}
-	body, tag := payload[:len(payload)-ctrlMACSize], payload[len(payload)-ctrlMACSize:]
-	mac := hmac.New(sha256.New, key)
-	mac.Write(body)
-	if !hmac.Equal(tag, mac.Sum(nil)) {
-		return nil, fmt.Errorf("%w: authentication failed", ErrBadCtrlFrame)
-	}
-	return body, nil
-}
+// The encoders below build unsealed frames (wire.Begin, then the
+// payload); writeCtrl seals and sends one.
 
-// writeCtrlFrame writes one length+CRC framed payload.
-func writeCtrlFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxCtrlFrame {
-		return fmt.Errorf("%w: frame exceeds size limit", ErrBadCtrlFrame)
+// writeCtrl seals a frame built by one of the encoders and writes it.
+func writeCtrl(c *wire.Conn, frame []byte) error {
+	if err := c.Seal(frame, ctrlNames); err != nil {
+		return err
 	}
-	var header [8]byte
-	binary.BigEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("cluster: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("cluster: write frame body: %w", err)
+	if _, err := c.Flush(frame); err != nil {
+		return fmt.Errorf("cluster: write control frame: %w", err)
 	}
 	return nil
-}
-
-// readCtrlFrame reads one framed payload, verifying length and CRC.
-func readCtrlFrame(r io.Reader) ([]byte, error) {
-	var header [8]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(header[0:4])
-	if n > maxCtrlFrame {
-		return nil, fmt.Errorf("%w: frame exceeds size limit", ErrBadCtrlFrame)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("cluster: read frame body: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(header[4:8]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadCtrlFrame)
-	}
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("%w: empty payload", ErrBadCtrlFrame)
-	}
-	return payload, nil
 }
 
 // sealRequest asks the owner to freeze one shard and report its cursor.
@@ -113,82 +71,61 @@ type sealRequest struct {
 	shard int
 }
 
-func encodeSealRequest(req sealRequest, key []byte) []byte {
-	body := []byte{ctrlSeal}
-	body = binary.AppendUvarint(body, uint64(req.shard))
-	return sealCtrl(body, key)
+func encodeSealRequest(req sealRequest) []byte {
+	return binio.AppendUvarint(wire.Begin(nil, ctrlSeal), uint64(req.shard))
 }
 
-func decodeSealRequest(body []byte) (sealRequest, error) {
-	shard, err := decodeCtrlUvarint(body, ctrlSeal, "seal")
+func decodeSealRequest(payload []byte) (sealRequest, error) {
+	shard, err := decodeCtrlUvarint(payload, "seal")
 	return sealRequest{shard: int(shard)}, err
 }
 
-// decodeCtrlUvarint decodes a control frame body that is a type byte
-// followed by exactly one uvarint.
-func decodeCtrlUvarint(body []byte, wantType uint64, name string) (uint64, error) {
-	r := binio.NewReader(body)
-	if t := r.Uvarint(); t != wantType {
-		r.Fail("frame type %#x, want %s", t, name)
-	}
+// decodeCtrlUvarint decodes a control payload that is exactly one
+// uvarint.
+func decodeCtrlUvarint(payload []byte, name string) (uint64, error) {
+	r := binio.NewReader(payload)
 	v := r.Uvarint()
 	if r.Err() == nil && r.Remaining() != 0 {
 		r.Fail("%d trailing bytes", r.Remaining())
 	}
 	if err := r.Err(); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadCtrlFrame, err)
+		return 0, fmt.Errorf("cluster: bad %s frame: %w", name, err)
 	}
 	return v, nil
 }
 
 // encodeCursorResponse answers a seal with the shard's frozen cursor.
-func encodeCursorResponse(cursor uint64, key []byte) []byte {
-	body := []byte{ctrlCursor}
-	body = binary.AppendUvarint(body, cursor)
-	return sealCtrl(body, key)
+func encodeCursorResponse(cursor uint64) []byte {
+	return binio.AppendUvarint(wire.Begin(nil, ctrlCursor), cursor)
 }
 
-func decodeCursorResponse(body []byte) (uint64, error) {
-	return decodeCtrlUvarint(body, ctrlCursor, "cursor")
+func decodeCursorResponse(payload []byte) (uint64, error) {
+	return decodeCtrlUvarint(payload, "cursor")
 }
 
 // encodeMapFrame carries an encoded shard map as a push request or a
-// map-get response.
-func encodeMapFrame(frameType byte, m *ShardMap, key []byte) []byte {
-	body := m.AppendBinary([]byte{frameType})
-	return sealCtrl(body, key)
-}
-
-func decodeMapFrame(body []byte, wantType byte) (*ShardMap, error) {
-	if len(body) < 1 {
-		return nil, fmt.Errorf("%w: empty map frame", ErrBadCtrlFrame)
-	}
-	if body[0] != wantType {
-		return nil, fmt.Errorf("%w: frame type %#x, want %#x", ErrBadCtrlFrame, body[0], wantType)
-	}
-	return DecodeShardMap(body[1:])
+// map-get response; DecodeShardMap reads its payload.
+func encodeMapFrame(frameType byte, m *ShardMap) []byte {
+	return m.AppendBinary(wire.Begin(nil, frameType))
 }
 
 // encodeMapGet asks a node for its current map.
-func encodeMapGet(key []byte) []byte {
-	return sealCtrl([]byte{ctrlMapGet}, key)
+func encodeMapGet() []byte {
+	return wire.Begin(nil, ctrlMapGet)
 }
 
 // encodeOK is the empty success response.
-func encodeOK(key []byte) []byte {
-	return sealCtrl([]byte{ctrlOK}, key)
+func encodeOK() []byte {
+	return wire.Begin(nil, ctrlOK)
 }
 
 // encodeCtrlErr carries a failure message back to the requester.
-func encodeCtrlErr(msg string, key []byte) []byte {
-	body := []byte{ctrlErr}
-	body = binio.AppendString(body, msg)
-	return sealCtrl(body, key)
+func encodeCtrlErr(msg string) []byte {
+	return binio.AppendString(wire.Begin(nil, ctrlErr), msg)
 }
 
-func decodeCtrlErr(body []byte) string {
-	r := binio.NewReader(body)
-	r.Uvarint() // type byte
+func decodeCtrlErr(payload []byte) string {
+	r := binio.NewReader(payload)
 	msg := r.Str()
 	if r.Err() != nil {
 		return "unreadable error frame"
@@ -197,28 +134,29 @@ func decodeCtrlErr(body []byte) string {
 }
 
 // ctrlRequest performs one authenticated control exchange against a
-// peer's control address and returns the verified response body
-// (first byte is the response frame type).
-func ctrlRequest(addr string, key, frame []byte, timeout time.Duration) ([]byte, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+// peer's control address and returns the verified payload of the
+// response, which must be of type want.
+func ctrlRequest(addr string, key, frame []byte, want byte, timeout time.Duration) ([]byte, error) {
+	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial control %s: %w", addr, err)
 	}
-	defer func() { _ = conn.Close() }()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if err := writeCtrlFrame(conn, frame); err != nil {
+	defer func() { _ = nc.Close() }()
+	_ = nc.SetDeadline(time.Now().Add(timeout))
+	c := newCtrlConn(nc, key)
+	if err := writeCtrl(c, frame); err != nil {
 		return nil, err
 	}
-	payload, err := readCtrlFrame(conn)
+	tb, payload, err := c.Read(ctrlNames)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: read control response from %s: %w", addr, err)
 	}
-	body, err := openCtrl(payload, key)
-	if err != nil {
-		return nil, err
+	switch tb {
+	case want:
+		return payload, nil
+	case ctrlErr:
+		return nil, fmt.Errorf("cluster: peer %s refused: %s", addr, decodeCtrlErr(payload))
+	default:
+		return nil, fmt.Errorf("cluster: peer %s answered frame type %#x, want %#x", addr, tb, want)
 	}
-	if body[0] == ctrlErr {
-		return nil, fmt.Errorf("cluster: peer %s refused: %s", addr, decodeCtrlErr(body))
-	}
-	return body, nil
 }

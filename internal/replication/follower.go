@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -171,12 +170,11 @@ func (f *Follower) session() (err error) {
 
 	st := f.cfg.Store
 	cursors := st.ShardLastSeqs()
-	// Buffer both directions: record frames arrive many to a segment
-	// from the leader's batched writer, and acks are flushed only when
-	// the read side goes idle, so a burst of applies costs one ack
-	// syscall instead of one per record.
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 16<<10)
+	// Buffered both ways: record frames arrive many to a segment from
+	// the leader's batched writer, and acks are written only when the
+	// read side is about to block, so a burst of applies costs one ack
+	// write instead of one per record.
+	c := newConn(conn, f.cfg.Key)
 	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	hello := helloFrame{version: 2, seqs: cursors}
 	if f.cfg.DisableDelta {
@@ -186,18 +184,25 @@ func (f *Follower) session() (err error) {
 		// only what's missing.
 		hello.hashes = st.CASHashes()
 	}
-	if err := writeWireFrame(conn, encodeHello(hello, f.cfg.Key)); err != nil {
+	if err := send(c, frameHello, appendHello, hello); err != nil {
 		return fmt.Errorf("send hello: %w", err)
 	}
-	payload, err := readWireFrame(br)
+	if err := c.flush(); err != nil {
+		return fmt.Errorf("send hello: %w", err)
+	}
+	tb, payload, err := c.Read(names)
 	if err != nil {
 		return fmt.Errorf("read welcome: %w", err)
 	}
-	if payload[0] == frameError {
+	switch tb {
+	case frameWelcome:
+	case frameError:
 		msg, _ := decodeErrorFrame(payload)
 		return fmt.Errorf("leader refused: %s", msg)
+	default:
+		return fmt.Errorf("read welcome: frame type %#x", tb)
 	}
-	welcome, err := decodeWelcome(payload, f.cfg.Key)
+	welcome, err := decodeWelcome(payload)
 	if err != nil {
 		return err
 	}
@@ -224,18 +229,21 @@ func (f *Follower) session() (err error) {
 		// waits on acks (they feed lag accounting), so holding them while
 		// buffered frames remain is free, and an idle stream still acks
 		// promptly.
-		if br.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
+		if !c.FrameBuffered() {
+			if err := c.flush(); err != nil {
 				return fmt.Errorf("flush acks: %w", err)
 			}
 		}
-		payload, err := readWireFrame(br)
+		// A frame that fails its MAC ends the session here, before
+		// anything in it is applied; the next session resumes from the
+		// durable cursors.
+		tb, payload, err := c.Read(names)
 		if err != nil {
 			return fmt.Errorf("read frame: %w", err)
 		}
-		switch payload[0] {
+		switch tb {
 		case frameRecord:
-			rf, err := decodeRecordFrame(payload)
+			rf, err := decodeRecord(payload)
 			if err != nil {
 				return err
 			}
@@ -254,7 +262,7 @@ func (f *Follower) session() (err error) {
 			}
 			// Ack the durable cursor either way: a duplicate means the
 			// leader replayed overlap we already hold.
-			if err := writeWireFrame(bw, encodeAck(ackFrame{shard: rf.shard, seq: cursors[rf.shard]})); err != nil {
+			if err := send(c, frameAck, appendAck, ackFrame{shard: rf.shard, seq: cursors[rf.shard]}); err != nil {
 				return fmt.Errorf("send ack: %w", err)
 			}
 		case frameSnapshot:
@@ -281,7 +289,7 @@ func (f *Follower) session() (err error) {
 			if f.cfg.OnSnapshot != nil {
 				f.cfg.OnSnapshot(chunk.shard)
 			}
-			if err := writeWireFrame(bw, encodeAck(ackFrame{shard: chunk.shard, seq: lastSeq})); err != nil {
+			if err := send(c, frameAck, appendAck, ackFrame{shard: chunk.shard, seq: lastSeq}); err != nil {
 				return fmt.Errorf("send ack: %w", err)
 			}
 		case frameDeltaBody:
@@ -307,7 +315,7 @@ func (f *Follower) session() (err error) {
 				deltaData[d.shard] = m
 			}
 			for i, h := range d.hashes {
-				m[h] = append([]byte(nil), d.data[i]...)
+				m[h] = d.data[i]
 			}
 		case frameDeltaDone:
 			d, err := decodeDeltaDone(payload)
@@ -341,14 +349,14 @@ func (f *Follower) session() (err error) {
 			if f.cfg.OnSnapshot != nil {
 				f.cfg.OnSnapshot(d.shard)
 			}
-			if err := writeWireFrame(bw, encodeAck(ackFrame{shard: d.shard, seq: lastSeq})); err != nil {
+			if err := send(c, frameAck, appendAck, ackFrame{shard: d.shard, seq: lastSeq}); err != nil {
 				return fmt.Errorf("send ack: %w", err)
 			}
 		case frameError:
 			msg, _ := decodeErrorFrame(payload)
 			return fmt.Errorf("leader error: %s", msg)
 		default:
-			return fmt.Errorf("unexpected frame type %#x", payload[0])
+			return fmt.Errorf("unexpected frame type %#x", tb)
 		}
 	}
 }

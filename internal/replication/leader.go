@@ -1,9 +1,9 @@
 package replication
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -240,13 +240,17 @@ func (l *Leader) handle(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	remote := conn.RemoteAddr().String()
 
+	c := newConn(conn, l.key)
 	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	payload, err := readWireFrame(conn)
+	tb, payload, err := c.Read(names)
+	if err == nil && tb != frameHello {
+		err = fmt.Errorf("frame type %#x, want hello", tb)
+	}
 	if err != nil {
 		l.logf("replication %s: read hello: %v", remote, err)
 		return
 	}
-	hello, err := decodeHello(payload, l.key)
+	hello, err := decodeHello(payload)
 	if err != nil {
 		l.logf("replication %s: %v", remote, err)
 		return
@@ -255,7 +259,9 @@ func (l *Leader) handle(conn net.Conn) {
 	shards := l.st.ShardCount()
 	if err := checkShardCounts(shards, len(hello.seqs)); err != nil {
 		l.logf("replication %s: %v", remote, err)
-		_ = writeWireFrame(conn, encodeErrorFrame(err.Error()))
+		if send(c, frameError, appendErrorFrame, err.Error()) == nil {
+			_ = c.flush() // the session ends either way
+		}
 		return
 	}
 
@@ -300,29 +306,35 @@ func (l *Leader) handle(conn net.Conn) {
 	// tail) happen from this goroutine, buffered: under load many small
 	// record frames coalesce into one segment, and the stream loop
 	// flushes whenever its queue goes momentarily idle.
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	if err := writeWireFrame(bw, encodeWelcome(welcomeFrame{
+	if err := send(c, frameWelcome, appendWelcome, welcomeFrame{
 		version:    1,
 		clientAddr: l.adv,
 		seqs:       l.st.ShardLastSeqs(),
-	}, l.key)); err != nil {
+	}); err != nil {
 		l.logf("replication %s: write welcome: %v", remote, err)
 		return
 	}
-	if err := bw.Flush(); err != nil {
+	if err := c.flush(); err != nil {
 		l.logf("replication %s: write welcome: %v", remote, err)
 		return
 	}
 
-	// Reader side: acknowledgements drive the lag accounting. Buffered —
-	// followers coalesce acks under load, so several often arrive in one
-	// segment.
+	// Reader side, on its own goroutine (the connection keeps one MAC
+	// per direction): acknowledgements drive the lag accounting.
+	// Followers coalesce acks under load, so several often arrive in one
+	// read.
 	go func() {
 		defer fc.markDead()
-		br := bufio.NewReaderSize(conn, 16<<10)
 		for {
-			payload, err := readWireFrame(br)
+			tb, payload, err := c.Read(names)
 			if err != nil {
+				if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+					l.logf("replication %s: read ack: %v", remote, err)
+				}
+				return
+			}
+			if tb != frameAck {
+				l.logf("replication %s: frame type %#x, want ack", remote, tb)
 				return
 			}
 			ack, err := decodeAck(payload)
@@ -339,24 +351,24 @@ func (l *Leader) handle(conn net.Conn) {
 	}()
 
 	sent := append([]uint64(nil), hello.seqs...)
-	if err := l.catchUp(fc, bw, sent); err != nil {
+	if err := l.catchUp(fc, c, sent); err != nil {
 		l.logf("replication %s: catch-up: %v", remote, err)
 		fc.markDead()
 		return
 	}
-	if err := bw.Flush(); err != nil {
+	if err := c.flush(); err != nil {
 		l.logf("replication %s: catch-up: %v", remote, err)
 		fc.markDead()
 		return
 	}
 	l.logf("replication %s: follower caught up to %v, tailing", remote, sent)
-	l.stream(fc, bw, sent)
+	l.stream(fc, c, sent)
 }
 
 // catchUp brings one follower to the leader's durable state per shard:
 // log records when they are still on disk, a streamed snapshot when they
 // were compacted away. sent is updated to the cursor reached per shard.
-func (l *Leader) catchUp(fc *leaderConn, bw *bufio.Writer, sent []uint64) error {
+func (l *Leader) catchUp(fc *leaderConn, c *conn, sent []uint64) error {
 	for shard := range sent {
 		if l.filter != nil && !l.filter(shard) {
 			continue // not this leader's shard; its owner serves the backlog
@@ -365,7 +377,7 @@ func (l *Leader) catchUp(fc *leaderConn, bw *bufio.Writer, sent []uint64) error 
 			recs, err := l.st.ShardRecordsSince(shard, sent[shard])
 			if err == nil {
 				for _, r := range recs {
-					if err := writeWireFrame(bw, encodeRecordFrame(recordFrame{shard: shard, payload: r.Payload})); err != nil {
+					if err := send(c, frameRecord, appendRecord, recordFrame{shard: shard, payload: r.Payload}); err != nil {
 						return err
 					}
 					sent[shard] = r.Seq
@@ -382,9 +394,9 @@ func (l *Leader) catchUp(fc *leaderConn, bw *bufio.Writer, sent []uint64) error 
 			// chunks they don't hold; older ones get the full snapshot.
 			var lastSeq uint64
 			if fc.version >= 2 {
-				lastSeq, err = l.sendDelta(fc, bw, shard, sent[shard])
+				lastSeq, err = l.sendDelta(fc, c, shard, sent[shard])
 			} else {
-				lastSeq, err = l.sendFullSnapshot(bw, shard, sent[shard])
+				lastSeq, err = l.sendFullSnapshot(c, shard, sent[shard])
 			}
 			if err != nil {
 				return err
@@ -397,7 +409,7 @@ func (l *Leader) catchUp(fc *leaderConn, bw *bufio.Writer, sent []uint64) error 
 
 // sendFullSnapshot encodes and streams one full shard snapshot in
 // bounded chunks, returning the cursor it covers.
-func (l *Leader) sendFullSnapshot(bw *bufio.Writer, shard int, cursor uint64) (uint64, error) {
+func (l *Leader) sendFullSnapshot(c *conn, shard int, cursor uint64) (uint64, error) {
 	data, lastSeq, err := l.st.ShardSnapshotBytes(shard)
 	if err != nil {
 		return 0, err
@@ -416,7 +428,7 @@ func (l *Leader) sendFullSnapshot(bw *bufio.Writer, shard int, cursor uint64) (u
 		if last {
 			chunk.lastSeq = lastSeq
 		}
-		if err := writeWireFrame(bw, encodeSnapshotChunk(chunk)); err != nil {
+		if err := send(c, frameSnapshot, appendSnapshotChunk, chunk); err != nil {
 			return 0, err
 		}
 		if last {
@@ -430,7 +442,7 @@ func (l *Leader) sendFullSnapshot(bw *bufio.Writer, shard int, cursor uint64) (u
 // snapshotChunkBytes. Every shipped chunk joins the declared set — the
 // follower's CAS is store-wide, so a chunk shipped for shard 0 need not
 // ship again for shard 1.
-func (l *Leader) sendDelta(fc *leaderConn, bw *bufio.Writer, shard int, cursor uint64) (uint64, error) {
+func (l *Leader) sendDelta(fc *leaderConn, c *conn, shard int, cursor uint64) (uint64, error) {
 	body, lastSeq, chunks, err := l.st.ShardDelta(shard)
 	if err != nil {
 		return 0, err
@@ -438,7 +450,7 @@ func (l *Leader) sendDelta(fc *leaderConn, bw *bufio.Writer, shard int, cursor u
 	if lastSeq <= cursor {
 		return 0, fmt.Errorf("replication: shard %d delta at %d does not cover cursor %d", shard, lastSeq, cursor)
 	}
-	if err := writeWireFrame(bw, encodeDeltaBody(deltaBody{shard: shard, data: body})); err != nil {
+	if err := send(c, frameDeltaBody, appendDeltaBody, deltaBody{shard: shard, data: body}); err != nil {
 		return 0, err
 	}
 	sent := uint64(len(body))
@@ -448,7 +460,7 @@ func (l *Leader) sendDelta(fc *leaderConn, bw *bufio.Writer, shard int, cursor u
 		if len(batch.hashes) == 0 {
 			return nil
 		}
-		if err := writeWireFrame(bw, encodeDeltaChunks(batch)); err != nil {
+		if err := send(c, frameDeltaChunks, appendDeltaChunks, batch); err != nil {
 			return err
 		}
 		batch.hashes = batch.hashes[:0]
@@ -475,7 +487,7 @@ func (l *Leader) sendDelta(fc *leaderConn, bw *bufio.Writer, shard int, cursor u
 	if err := flush(); err != nil {
 		return 0, err
 	}
-	if err := writeWireFrame(bw, encodeDeltaDone(deltaDone{shard: shard, lastSeq: lastSeq})); err != nil {
+	if err := send(c, frameDeltaDone, appendDeltaDone, deltaDone{shard: shard, lastSeq: lastSeq}); err != nil {
 		return 0, err
 	}
 	l.deltaBytes.Add(sent)
@@ -488,12 +500,12 @@ func (l *Leader) sendDelta(fc *leaderConn, bw *bufio.Writer, shard int, cursor u
 // queue already holds into the buffered writer and flushes once — under
 // load dozens of records ride one syscall, while an isolated record
 // still goes out immediately.
-func (l *Leader) stream(fc *leaderConn, bw *bufio.Writer, sent []uint64) {
+func (l *Leader) stream(fc *leaderConn, c *conn, sent []uint64) {
 	send := func(r outRec) bool {
 		if r.seq <= sent[r.shard] {
 			return true
 		}
-		if err := writeWireFrame(bw, encodeRecordFrame(recordFrame{shard: r.shard, payload: r.payload})); err != nil {
+		if err := send(c, frameRecord, appendRecord, recordFrame{shard: r.shard, payload: r.payload}); err != nil {
 			return false
 		}
 		sent[r.shard] = r.seq
@@ -517,7 +529,7 @@ func (l *Leader) stream(fc *leaderConn, bw *bufio.Writer, sent []uint64) {
 					drained = true
 				}
 			}
-			if err := bw.Flush(); err != nil {
+			if err := c.flush(); err != nil {
 				fc.markDead()
 				return
 			}

@@ -8,23 +8,24 @@
 // (model downloads, outsourced authenticate calls), which is exactly
 // what a replicated follower provides.
 //
-// Protocol (follower dials the leader's replication listener):
+// Protocol (follower dials the leader's replication listener). Every
+// frame, both ways, is a sealed frame of internal/wire: HMAC-SHA256
+// under the pre-shared key over a type name no other channel uses.
 //
 //  1. The follower sends a hello carrying its shard count and each
-//     shard's last durable sequence number, authenticated with an
-//     HMAC-SHA256 tag under the pre-shared key.
+//     shard's last durable sequence number.
 //  2. The leader answers with a welcome (its advertised client address
-//     and its own per-shard cursors), equally authenticated.
+//     and its own per-shard cursors).
 //  3. Per shard, the leader replays the on-disk log tail after the
 //     follower's cursor. If that tail was already compacted away, it
 //     ships the shard's snapshot instead — encoded from the same
 //     copy-on-write view the background compactor uses, so leader
 //     appends never pause — and resumes the record stream from the
 //     snapshot's sequence number.
-//  4. Live records then flow as they commit: every frame is
-//     length-prefixed and CRC-checked, and record frames carry the WAL
+//  4. Live records then flow as they commit. Record frames carry the WAL
 //     payload verbatim (the store codec's format byte and all), so a
-//     follower appends byte-identical log records.
+//     follower appends byte-identical log records; a frame that fails
+//     its MAC ends the session before anything in it is applied.
 //  5. The follower acknowledges each applied (shard, sequence) pair;
 //     the leader tracks per-follower lag for the stats endpoint.
 //
@@ -60,9 +61,6 @@ var (
 	// the shard count; replication cannot proceed (recreate the follower
 	// store with the leader's shard count).
 	ErrShardMismatch = errors.New("replication: shard count mismatch")
-	// ErrBadHandshake indicates a hello/welcome that failed
-	// authentication or was malformed.
-	ErrBadHandshake = errors.New("replication: handshake failed")
 )
 
 // Status is a point-in-time view of one replication endpoint, shaped for

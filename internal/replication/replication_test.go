@@ -109,6 +109,11 @@ func TestFollowerSnapshotCatchUp(t *testing.T) {
 	defer func() { _ = follower.Close() }()
 
 	waitConverged(t, followerStore, leaderStore.ShardLastSeqs())
+	// OnSnapshot runs after the install has moved the cursor that
+	// waitConverged polls.
+	for deadline := time.Now().Add(5 * time.Second); snapshots.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if snapshots.Load() == 0 {
 		t.Fatalf("catch-up used no snapshot despite a compacted log")
 	}

@@ -1,29 +1,20 @@
 package replication
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
-	"crypto/hmac"
-	"crypto/sha256"
-
+	"smarteryou/internal/binio"
 	"smarteryou/internal/cas"
+	"smarteryou/internal/store"
+	"smarteryou/internal/wire"
 )
 
-// Wire framing: every replication message is one frame,
-//
-//	[4-byte payload length, big-endian]
-//	[4-byte CRC32 (IEEE) of the payload]
-//	[payload: frame-type byte + type-specific body]
-//
-// — the same header the store's WAL uses, so torn and corrupted frames
-// are detected the same way. Handshake frames (hello/welcome) carry an
-// additional HMAC-SHA256 trailer under the pre-shared key: they
-// authenticate the session the way transport envelopes authenticate
-// requests. Data frames rely on the CRC plus the authenticated session.
+// Every replication message, both ways, is one sealed frame of
+// internal/wire: length-prefixed and HMAC-SHA256-tagged under the
+// pre-shared key over its type's name and its payload. A forged or
+// corrupted frame, a record or an ack as much as a handshake, fails its
+// MAC and ends the session before anything in it is applied.
 //
 // Record frames embed the WAL record payload verbatim — first byte is
 // the store codec's format byte — so the follower logs exactly the bytes
@@ -46,216 +37,110 @@ const (
 	frameDeltaDone   = 0x66 // 'f': leader -> follower delta complete, install
 )
 
-// maxWireFrame bounds one replication frame. Snapshot chunks are cut at
-// snapshotChunkBytes and records are bounded by the store's own record
-// limit, so anything larger is corruption.
-const maxWireFrame = 288 << 20
+// names are the replication channel's MAC names. No other channel uses
+// them, so under the one key a deployment shares, a replication frame
+// verifies nowhere else and no other channel's frame verifies here.
+var names = wire.NewNames(map[byte]string{
+	frameHello:       "repl.hello",
+	frameWelcome:     "repl.welcome",
+	frameSnapshot:    "repl.snapshot",
+	frameRecord:      "repl.record",
+	frameAck:         "repl.ack",
+	frameError:       "repl.error",
+	frameDeltaBody:   "repl.delta-body",
+	frameDeltaChunks: "repl.delta-chunks",
+	frameDeltaDone:   "repl.delta-done",
+})
+
+// maxFrameBytes bounds one replication frame body: a WAL record at the
+// store's own limit, with room for the frame header and the shard and
+// cursor varints ahead of it. Snapshot chunks and delta chunk batches are
+// cut near snapshotChunkBytes, so anything larger is corruption.
+const maxFrameBytes = store.MaxRecordBytes + 64
+
+// readBufferBytes is each end's read buffer: under load many record
+// frames, or many acks, arrive in one segment and are one read.
+const readBufferBytes = 64 << 10
 
 // snapshotChunkBytes is the snapshot streaming chunk size: big enough to
 // amortize framing, small enough to interleave progress and bound
 // per-frame memory.
 const snapshotChunkBytes = 1 << 20
 
-// macSize is the HMAC-SHA256 trailer length on handshake frames.
-const macSize = sha256.Size
+// conn is one end of a replication session: the frame layer's connection
+// and the buffer outgoing frames are sealed in. One goroutine may read
+// while another writes.
+type conn struct {
+	*wire.Conn
+	out []byte
+}
 
-// Errors from the frame codec.
-var (
-	errFrameTooLarge = errors.New("replication: frame exceeds size limit")
-	errBadFrame      = errors.New("replication: malformed frame")
-)
+func newConn(rw io.ReadWriter, key []byte) *conn {
+	return &conn{Conn: wire.NewConn(rw, key, maxFrameBytes, readBufferBytes)}
+}
 
-// writeWireFrame writes one length+CRC framed payload.
-func writeWireFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxWireFrame {
-		return errFrameTooLarge
+// send seals one frame of type tb in the write buffer, its payload f
+// appended by appendPayload, and writes the pending frames once
+// wire.FlushBytes of them are waiting.
+func send[F any](c *conn, tb byte, appendPayload func([]byte, F) []byte, f F) error {
+	start := len(c.out)
+	c.out = appendPayload(wire.Begin(c.out, tb), f)
+	if err := c.Seal(c.out[start:], names); err != nil {
+		c.out = c.out[:start]
+		return err
 	}
-	var header [8]byte
-	binary.BigEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("replication: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("replication: write frame body: %w", err)
+	if len(c.out) >= wire.FlushBytes {
+		return c.flush()
 	}
 	return nil
 }
 
-// readWireFrame reads one framed payload, verifying length and CRC.
-func readWireFrame(r io.Reader) ([]byte, error) {
-	var header [8]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return nil, err // io.EOF passes through for clean shutdown
-	}
-	n := binary.BigEndian.Uint32(header[0:4])
-	if n > maxWireFrame {
-		return nil, errFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("replication: read frame body: %w", err)
-	}
-	if crc := crc32.ChecksumIEEE(payload); crc != binary.BigEndian.Uint32(header[4:8]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", errBadFrame)
-	}
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("%w: empty payload", errBadFrame)
-	}
-	return payload, nil
-}
-
-// wireReader is a failure-latching cursor over a frame payload, the same
-// shape as the store codec's reader: the first error sticks and every
-// later accessor returns zero values, so decoders check err once.
-type wireReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", errBadFrame, fmt.Sprintf(format, args...))
-	}
-}
-
-func (r *wireReader) remaining() int { return len(r.b) - r.off }
-
-func (r *wireReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 1 {
-		r.fail("truncated byte")
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *wireReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(r.remaining()) {
-		r.fail("string length %d exceeds %d remaining bytes", n, r.remaining())
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-// seqList decodes a uvarint-counted list of uvarint cursors, bounding
-// the count by the remaining bytes (each entry is at least one byte).
-func (r *wireReader) seqList() []uint64 {
-	n := r.uvarint()
-	if r.err != nil {
+// flush writes the pending frames, if any, with one Write.
+func (c *conn) flush() error {
+	if len(c.out) == 0 {
 		return nil
 	}
-	if n > uint64(r.remaining()) {
-		r.fail("cursor count %d exceeds %d remaining bytes", n, r.remaining())
+	var err error
+	c.out, err = c.Flush(c.out)
+	return err
+}
+
+// finish is every decoder's epilogue: the first decode error, else any
+// trailing bytes.
+func finish(r *binio.Reader, what string) error {
+	if r.Err() == nil && r.Remaining() != 0 {
+		r.Fail("%d trailing bytes", r.Remaining())
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("replication: bad %s frame: %w", what, err)
+	}
+	return nil
+}
+
+// readSeqs decodes a uvarint-counted list of uvarint cursors, bounding
+// the count by the remaining bytes (each entry is at least one byte).
+func readSeqs(r *binio.Reader) []uint64 {
+	n := r.Uvarint()
+	if r.Err() != nil {
+		return nil
+	}
+	if n > uint64(r.Remaining()) {
+		r.Fail("cursor count %d exceeds %d remaining bytes", n, r.Remaining())
 		return nil
 	}
 	out := make([]uint64, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		out = append(out, r.uvarint())
-	}
-	if r.err != nil {
-		return nil
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		out = append(out, r.Uvarint())
 	}
 	return out
 }
 
-// hash reads one raw 32-byte chunk hash.
-func (r *wireReader) hash() cas.Hash {
-	var h cas.Hash
-	if r.err != nil {
-		return h
-	}
-	if r.remaining() < cas.HashSize {
-		r.fail("truncated hash")
-		return h
-	}
-	copy(h[:], r.b[r.off:])
-	r.off += cas.HashSize
-	return h
-}
-
-// bytes reads a uvarint-length-prefixed byte slice (no copy).
-func (r *wireReader) bytes() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(r.remaining()) {
-		r.fail("byte length %d exceeds %d remaining bytes", n, r.remaining())
-		return nil
-	}
-	b := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
-
-// rest returns everything not yet consumed (no copy; callers that retain
-// it must copy).
-func (r *wireReader) rest() []byte {
-	if r.err != nil {
-		return nil
-	}
-	b := r.b[r.off:]
-	r.off = len(r.b)
-	return b
-}
-
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
 func appendSeqs(buf []byte, seqs []uint64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(seqs)))
+	buf = binio.AppendUvarint(buf, uint64(len(seqs)))
 	for _, s := range seqs {
-		buf = binary.AppendUvarint(buf, s)
+		buf = binio.AppendUvarint(buf, s)
 	}
 	return buf
-}
-
-// sealHandshake appends the HMAC trailer over buf's current contents.
-func sealHandshake(buf, key []byte) []byte {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(buf)
-	return mac.Sum(buf)
-}
-
-// openHandshake verifies and strips the HMAC trailer.
-func openHandshake(payload, key []byte) ([]byte, error) {
-	if len(payload) < macSize+1 {
-		return nil, fmt.Errorf("%w: handshake frame too short", errBadFrame)
-	}
-	body, tag := payload[:len(payload)-macSize], payload[len(payload)-macSize:]
-	mac := hmac.New(sha256.New, key)
-	mac.Write(body)
-	if !hmac.Equal(tag, mac.Sum(nil)) {
-		return nil, fmt.Errorf("%w: handshake authentication failed", ErrBadHandshake)
-	}
-	return body, nil
 }
 
 // helloFrame is the follower's opening message. Version 2 hellos also
@@ -267,45 +152,32 @@ type helloFrame struct {
 	hashes  []cas.Hash
 }
 
-func encodeHello(h helloFrame, key []byte) []byte {
-	buf := []byte{frameHello, byte(h.version)}
+func appendHello(buf []byte, h helloFrame) []byte {
+	buf = append(buf, byte(h.version))
 	buf = appendSeqs(buf, h.seqs)
 	if h.version >= 2 {
-		buf = binary.AppendUvarint(buf, uint64(len(h.hashes)))
+		buf = binio.AppendUvarint(buf, uint64(len(h.hashes)))
 		for _, hash := range h.hashes {
 			buf = append(buf, hash[:]...)
 		}
 	}
-	return sealHandshake(buf, key)
+	return buf
 }
 
-func decodeHello(payload, key []byte) (helloFrame, error) {
-	body, err := openHandshake(payload, key)
-	if err != nil {
-		return helloFrame{}, err
-	}
-	r := &wireReader{b: body}
-	if t := r.byte(); t != frameHello && r.err == nil {
-		r.fail("frame type %#x, want hello", t)
-	}
-	h := helloFrame{version: int(r.byte())}
-	h.seqs = r.seqList()
-	if h.version >= 2 && r.err == nil {
-		n := r.uvarint()
-		if n > uint64(r.remaining()/cas.HashSize) {
-			r.fail("hash count %d exceeds %d remaining bytes", n, r.remaining())
+func decodeHello(payload []byte) (helloFrame, error) {
+	r := binio.NewReader(payload)
+	h := helloFrame{version: int(r.Byte())}
+	h.seqs = readSeqs(r)
+	if h.version >= 2 && r.Err() == nil {
+		n := r.Uvarint()
+		if n > uint64(r.Remaining()/cas.HashSize) {
+			r.Fail("hash count %d exceeds %d remaining bytes", n, r.Remaining())
 		}
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			h.hashes = append(h.hashes, r.hash())
+		for i := uint64(0); i < n && r.Err() == nil; i++ {
+			h.hashes = append(h.hashes, cas.ReadHash(r))
 		}
 	}
-	if r.err == nil && r.off != len(body) {
-		r.fail("%d trailing bytes", len(body)-r.off)
-	}
-	if r.err != nil {
-		return helloFrame{}, r.err
-	}
-	return h, nil
+	return h, finish(r, "hello")
 }
 
 // welcomeFrame is the leader's handshake reply.
@@ -317,32 +189,18 @@ type welcomeFrame struct {
 	seqs       []uint64 // the leader's per-shard durable cursors
 }
 
-func encodeWelcome(w welcomeFrame, key []byte) []byte {
-	buf := []byte{frameWelcome, byte(w.version)}
-	buf = appendStr(buf, w.clientAddr)
-	buf = appendSeqs(buf, w.seqs)
-	return sealHandshake(buf, key)
+func appendWelcome(buf []byte, w welcomeFrame) []byte {
+	buf = append(buf, byte(w.version))
+	buf = binio.AppendString(buf, w.clientAddr)
+	return appendSeqs(buf, w.seqs)
 }
 
-func decodeWelcome(payload, key []byte) (welcomeFrame, error) {
-	body, err := openHandshake(payload, key)
-	if err != nil {
-		return welcomeFrame{}, err
-	}
-	r := &wireReader{b: body}
-	if t := r.byte(); t != frameWelcome && r.err == nil {
-		r.fail("frame type %#x, want welcome", t)
-	}
-	w := welcomeFrame{version: int(r.byte())}
-	w.clientAddr = r.str()
-	w.seqs = r.seqList()
-	if r.err == nil && r.off != len(body) {
-		r.fail("%d trailing bytes", len(body)-r.off)
-	}
-	if r.err != nil {
-		return welcomeFrame{}, r.err
-	}
-	return w, nil
+func decodeWelcome(payload []byte) (welcomeFrame, error) {
+	r := binio.NewReader(payload)
+	w := welcomeFrame{version: int(r.Byte())}
+	w.clientAddr = r.Str()
+	w.seqs = readSeqs(r)
+	return w, finish(r, "welcome")
 }
 
 // recordFrame carries one WAL record payload for a shard.
@@ -351,27 +209,20 @@ type recordFrame struct {
 	payload []byte // store WAL payload, format byte first
 }
 
-func encodeRecordFrame(f recordFrame) []byte {
-	buf := make([]byte, 0, 1+binary.MaxVarintLen64+len(f.payload))
-	buf = append(buf, frameRecord)
-	buf = binary.AppendUvarint(buf, uint64(f.shard))
+func appendRecord(buf []byte, f recordFrame) []byte {
+	buf = binio.AppendUvarint(buf, uint64(f.shard))
 	return append(buf, f.payload...)
 }
 
-func decodeRecordFrame(payload []byte) (recordFrame, error) {
-	r := &wireReader{b: payload}
-	if t := r.byte(); t != frameRecord && r.err == nil {
-		r.fail("frame type %#x, want record", t)
+// decodeRecord decodes a record frame; its payload aliases the input.
+func decodeRecord(payload []byte) (recordFrame, error) {
+	r := binio.NewReader(payload)
+	f := recordFrame{shard: int(r.Uvarint())}
+	f.payload = r.Rest()
+	if r.Err() == nil && len(f.payload) == 0 {
+		r.Fail("empty record payload")
 	}
-	f := recordFrame{shard: int(r.uvarint())}
-	f.payload = r.rest()
-	if r.err == nil && len(f.payload) == 0 {
-		r.fail("empty record payload")
-	}
-	if r.err != nil {
-		return recordFrame{}, r.err
-	}
-	return f, nil
+	return f, finish(r, "record")
 }
 
 // snapshotChunk is one slice of a shard snapshot. The final chunk sets
@@ -384,38 +235,32 @@ type snapshotChunk struct {
 	data    []byte
 }
 
-func encodeSnapshotChunk(c snapshotChunk) []byte {
-	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64+1+len(c.data))
-	buf = append(buf, frameSnapshot)
-	buf = binary.AppendUvarint(buf, uint64(c.shard))
+func appendSnapshotChunk(buf []byte, c snapshotChunk) []byte {
+	buf = binio.AppendUvarint(buf, uint64(c.shard))
 	if c.last {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)
 	}
-	buf = binary.AppendUvarint(buf, c.lastSeq)
+	buf = binio.AppendUvarint(buf, c.lastSeq)
 	return append(buf, c.data...)
 }
 
+// decodeSnapshotChunk decodes a snapshot chunk; its data aliases the
+// input.
 func decodeSnapshotChunk(payload []byte) (snapshotChunk, error) {
-	r := &wireReader{b: payload}
-	if t := r.byte(); t != frameSnapshot && r.err == nil {
-		r.fail("frame type %#x, want snapshot", t)
-	}
-	c := snapshotChunk{shard: int(r.uvarint())}
-	switch flag := r.byte(); flag {
+	r := binio.NewReader(payload)
+	c := snapshotChunk{shard: int(r.Uvarint())}
+	switch flag := r.Byte(); flag {
 	case 0:
 	case 1:
 		c.last = true
 	default:
-		r.fail("snapshot flag %d", flag)
+		r.Fail("snapshot flag %d", flag)
 	}
-	c.lastSeq = r.uvarint()
-	c.data = r.rest()
-	if r.err != nil {
-		return snapshotChunk{}, r.err
-	}
-	return c, nil
+	c.lastSeq = r.Uvarint()
+	c.data = r.Rest()
+	return c, finish(r, "snapshot")
 }
 
 // deltaBody carries one shard's content-addressed snapshot body — the
@@ -425,27 +270,20 @@ type deltaBody struct {
 	data  []byte
 }
 
-func encodeDeltaBody(d deltaBody) []byte {
-	buf := make([]byte, 0, 1+binary.MaxVarintLen64+len(d.data))
-	buf = append(buf, frameDeltaBody)
-	buf = binary.AppendUvarint(buf, uint64(d.shard))
+func appendDeltaBody(buf []byte, d deltaBody) []byte {
+	buf = binio.AppendUvarint(buf, uint64(d.shard))
 	return append(buf, d.data...)
 }
 
+// decodeDeltaBody decodes a delta body; its data aliases the input.
 func decodeDeltaBody(payload []byte) (deltaBody, error) {
-	r := &wireReader{b: payload}
-	if t := r.byte(); t != frameDeltaBody && r.err == nil {
-		r.fail("frame type %#x, want delta body", t)
+	r := binio.NewReader(payload)
+	d := deltaBody{shard: int(r.Uvarint())}
+	d.data = r.Rest()
+	if r.Err() == nil && len(d.data) == 0 {
+		r.Fail("empty delta body")
 	}
-	d := deltaBody{shard: int(r.uvarint())}
-	d.data = r.rest()
-	if r.err == nil && len(d.data) == 0 {
-		r.fail("empty delta body")
-	}
-	if r.err != nil {
-		return deltaBody{}, r.err
-	}
-	return d, nil
+	return d, finish(r, "delta body")
 }
 
 // deltaChunks is one batch of chunk payloads for a shard's in-flight
@@ -457,44 +295,29 @@ type deltaChunks struct {
 	data   [][]byte
 }
 
-func encodeDeltaChunks(d deltaChunks) []byte {
-	size := 1 + 2*binary.MaxVarintLen64
-	for _, c := range d.data {
-		size += cas.HashSize + binary.MaxVarintLen64 + len(c)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, frameDeltaChunks)
-	buf = binary.AppendUvarint(buf, uint64(d.shard))
-	buf = binary.AppendUvarint(buf, uint64(len(d.hashes)))
+func appendDeltaChunks(buf []byte, d deltaChunks) []byte {
+	buf = binio.AppendUvarint(buf, uint64(d.shard))
+	buf = binio.AppendUvarint(buf, uint64(len(d.hashes)))
 	for i, h := range d.hashes {
 		buf = append(buf, h[:]...)
-		buf = binary.AppendUvarint(buf, uint64(len(d.data[i])))
-		buf = append(buf, d.data[i]...)
+		buf = binio.AppendBytes(buf, d.data[i])
 	}
 	return buf
 }
 
+// decodeDeltaChunks decodes a chunk batch; each chunk's data is a copy.
 func decodeDeltaChunks(payload []byte) (deltaChunks, error) {
-	r := &wireReader{b: payload}
-	if t := r.byte(); t != frameDeltaChunks && r.err == nil {
-		r.fail("frame type %#x, want delta chunks", t)
+	r := binio.NewReader(payload)
+	d := deltaChunks{shard: int(r.Uvarint())}
+	n := r.Uvarint()
+	if r.Err() == nil && n > uint64(r.Remaining()/(cas.HashSize+1)) {
+		r.Fail("chunk count %d exceeds %d remaining bytes", n, r.Remaining())
 	}
-	d := deltaChunks{shard: int(r.uvarint())}
-	n := r.uvarint()
-	if r.err == nil && n > uint64(r.remaining()/(cas.HashSize+1)) {
-		r.fail("chunk count %d exceeds %d remaining bytes", n, r.remaining())
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		d.hashes = append(d.hashes, cas.ReadHash(r))
+		d.data = append(d.data, r.Bytes())
 	}
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		d.hashes = append(d.hashes, r.hash())
-		d.data = append(d.data, r.bytes())
-	}
-	if r.err == nil && r.off != len(payload) {
-		r.fail("%d trailing bytes", len(payload)-r.off)
-	}
-	if r.err != nil {
-		return deltaChunks{}, r.err
-	}
-	return d, nil
+	return d, finish(r, "delta chunks")
 }
 
 // deltaDone closes one shard's delta: every needed chunk has been sent
@@ -505,27 +328,15 @@ type deltaDone struct {
 	lastSeq uint64
 }
 
-func encodeDeltaDone(d deltaDone) []byte {
-	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64)
-	buf = append(buf, frameDeltaDone)
-	buf = binary.AppendUvarint(buf, uint64(d.shard))
-	return binary.AppendUvarint(buf, d.lastSeq)
+func appendDeltaDone(buf []byte, d deltaDone) []byte {
+	buf = binio.AppendUvarint(buf, uint64(d.shard))
+	return binio.AppendUvarint(buf, d.lastSeq)
 }
 
 func decodeDeltaDone(payload []byte) (deltaDone, error) {
-	r := &wireReader{b: payload}
-	if t := r.byte(); t != frameDeltaDone && r.err == nil {
-		r.fail("frame type %#x, want delta done", t)
-	}
-	d := deltaDone{shard: int(r.uvarint())}
-	d.lastSeq = r.uvarint()
-	if r.err == nil && r.off != len(payload) {
-		r.fail("%d trailing bytes", len(payload)-r.off)
-	}
-	if r.err != nil {
-		return deltaDone{}, r.err
-	}
-	return d, nil
+	r := binio.NewReader(payload)
+	d := deltaDone{shard: int(r.Uvarint()), lastSeq: r.Uvarint()}
+	return d, finish(r, "delta done")
 }
 
 // ackFrame acknowledges a durable (shard, seq) on the follower.
@@ -534,43 +345,25 @@ type ackFrame struct {
 	seq   uint64
 }
 
-func encodeAck(a ackFrame) []byte {
-	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64)
-	buf = append(buf, frameAck)
-	buf = binary.AppendUvarint(buf, uint64(a.shard))
-	return binary.AppendUvarint(buf, a.seq)
+func appendAck(buf []byte, a ackFrame) []byte {
+	buf = binio.AppendUvarint(buf, uint64(a.shard))
+	return binio.AppendUvarint(buf, a.seq)
 }
 
 func decodeAck(payload []byte) (ackFrame, error) {
-	r := &wireReader{b: payload}
-	if t := r.byte(); t != frameAck && r.err == nil {
-		r.fail("frame type %#x, want ack", t)
-	}
-	a := ackFrame{shard: int(r.uvarint())}
-	a.seq = r.uvarint()
-	if r.err == nil && r.off != len(payload) {
-		r.fail("%d trailing bytes", len(payload)-r.off)
-	}
-	if r.err != nil {
-		return ackFrame{}, r.err
-	}
-	return a, nil
+	r := binio.NewReader(payload)
+	a := ackFrame{shard: int(r.Uvarint()), seq: r.Uvarint()}
+	return a, finish(r, "ack")
 }
 
-// encodeErrorFrame carries a fatal message before the sender closes.
-func encodeErrorFrame(msg string) []byte {
-	buf := []byte{frameError}
-	return appendStr(buf, msg)
+// An error frame carries a fatal message before the sender closes.
+
+func appendErrorFrame(buf []byte, msg string) []byte {
+	return binio.AppendString(buf, msg)
 }
 
 func decodeErrorFrame(payload []byte) (string, error) {
-	r := &wireReader{b: payload}
-	if t := r.byte(); t != frameError && r.err == nil {
-		r.fail("frame type %#x, want error", t)
-	}
-	msg := r.str()
-	if r.err != nil {
-		return "", r.err
-	}
-	return msg, nil
+	r := binio.NewReader(payload)
+	msg := r.Str()
+	return msg, finish(r, "error")
 }

@@ -353,6 +353,8 @@ func (s *Store) ShardDelta(shard int) (body []byte, lastSeq uint64, chunks map[c
 // record at or below the shard's durable cursor is skipped idempotently
 // (applied=false) so an at-least-once stream is safe to replay; a record
 // beyond the next expected sequence number fails with ErrSequenceGap.
+// Nothing it keeps or hands to a replication sink aliases payload, so
+// the caller may reuse the buffer once it returns.
 func (s *Store) ApplyReplicated(shard int, payload []byte) (op ReplicatedOp, applied bool, err error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return ReplicatedOp{}, false, fmt.Errorf("store: shard %d out of range [0,%d)", shard, len(s.shards))
@@ -402,7 +404,7 @@ func (s *shard) applyReplicated(idx int, payload []byte) (ReplicatedOp, bool, er
 	s.sinceSnapshot++
 	s.apply(rec)
 	if s.notify != nil {
-		s.notify(idx, rec.Seq, payload)
+		s.notify(idx, rec.Seq, frame[recordHeaderSize:]) // the copy, not the caller's buffer
 	}
 	s.maybeCompactLocked()
 	return ReplicatedOp{Shard: idx, Seq: rec.Seq}, true, nil

@@ -185,6 +185,35 @@ func TestInstallShardSnapshot(t *testing.T) {
 	}
 }
 
+// TestApplyReplicatedKeepsNoCallerBytes pins that a replicated record
+// handed on to this store's own replication sinks (a follower that leads
+// followers of its own) is a copy: the replication follower reads every
+// frame into one reused buffer and overwrites it with the next frame.
+func TestApplyReplicatedKeepsNoCallerBytes(t *testing.T) {
+	leader := openStore(t, t.TempDir(), Options{SnapshotEvery: -1})
+	defer func() { _ = leader.Close() }()
+	follower := openStore(t, t.TempDir(), Options{SnapshotEvery: -1})
+	defer func() { _ = follower.Close() }()
+	if err := leader.Enroll("anon-a", fakeSamples("anon-a", 2, 0), false); err != nil {
+		t.Fatalf("Enroll: %v", err)
+	}
+	recs, err := leader.ShardRecordsSince(0, 0)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("ShardRecordsSince: %d records, %v", len(recs), err)
+	}
+	var forwarded []byte
+	cancel := follower.SubscribeReplication(func(_ int, _ uint64, payload []byte) { forwarded = payload })
+	defer cancel()
+	buf := append([]byte(nil), recs[0].Payload...)
+	if _, applied, err := follower.ApplyReplicated(0, buf); err != nil || !applied {
+		t.Fatalf("ApplyReplicated: applied %v, %v", applied, err)
+	}
+	clear(buf)
+	if !reflect.DeepEqual(forwarded, recs[0].Payload) {
+		t.Fatalf("the sink's payload changed with the caller's buffer")
+	}
+}
+
 func TestSubscribeReplicationDeliversInOrder(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{Shards: 2, SnapshotEvery: -1})
 	defer func() { _ = s.Close() }()

@@ -74,7 +74,7 @@ func (p *connPool) get(addr string) *wireConn {
 // flight.
 func (p *connPool) put(addr string, conn *wireConn) {
 	p.mu.Lock()
-	if len(p.idle[addr]) >= poolMaxIdlePerAddr || conn.r.Buffered() > 0 {
+	if len(p.idle[addr]) >= poolMaxIdlePerAddr || conn.Buffered() > 0 {
 		p.mu.Unlock()
 		_ = conn.nc.Close()
 		return

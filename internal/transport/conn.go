@@ -1,35 +1,26 @@
 package transport
 
 import (
-	"bufio"
-	"crypto/hmac"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"hash"
 	"net"
 	"time"
+	"unsafe"
 
 	"smarteryou/internal/core"
 	"smarteryou/internal/features"
+	"smarteryou/internal/wire"
 )
 
-// wireConn is one connection's framing state, the same on the server and
-// the client: a buffered reader, so a frame that arrived whole is one
-// read from the socket, and frames that arrived together (pipelined
-// stream windows) are one read between them; the buffer the last frame
-// was read into and the one the next frames are built in, so a frame is
-// sealed in place and the frames pending are written with one Write; and
-// an HMAC keyed once for the connection's life. A body or envelope read
+// wireConn is one client-channel connection, the same on the server and
+// the client: the frame layer's connection (internal/wire), and the
+// buffer the next frames are built in, so a frame is sealed in place and
+// the frames pending are written with one Write. A body or envelope read
 // from it aliases the read buffer and is valid until the next read;
 // everything decoded from it is a copy.
 type wireConn struct {
+	*wire.Conn
 	nc  net.Conn
-	r   *bufio.Reader
-	mac hash.Hash
-	in  []byte
 	out []byte
-	sum [sha256.Size]byte // scratch for checking a received MAC
 
 	// The authenticate verbs' values, request and response, on whichever
 	// end. They reach the payload encoder and decoder as interfaces; held
@@ -42,22 +33,22 @@ type wireConn struct {
 	decisions []core.Decision // the server's scored batch, before batchResp
 }
 
-// keepBufferBytes bounds the buffers a connection keeps between frames:
-// an authenticate or a batch reuses its buffers, and the odd bulk
-// enrollment or model download does not pin megabytes to an idle
-// connection.
-const keepBufferBytes = 64 << 10
+// readBufferBytes is the client channel's read buffer: a request or a
+// response up to it arrives in one read.
+const readBufferBytes = 4 << 10
 
 func newWireConn(nc net.Conn, key []byte) *wireConn {
-	return &wireConn{nc: nc, r: bufio.NewReader(nc), mac: hmac.New(sha256.New, key)}
+	return &wireConn{Conn: wire.NewConn(nc, key, MaxFrameBytes, readBufferBytes), nc: nc}
 }
 
-// keep returns buf emptied for reuse, or nil when it is too big to keep.
-func keep(buf []byte) []byte {
-	if cap(buf) > keepBufferBytes {
+// keepScratch is wire.Keep for a connection's scratch slices: s emptied
+// for reuse, or nil when its backing array is bigger than wire.KeepBytes.
+func keepScratch[T any](s []T) []T {
+	var zero T
+	if uintptr(cap(s))*unsafe.Sizeof(zero) > wire.KeepBytes {
 		return nil
 	}
-	return buf[:0]
+	return s[:0]
 }
 
 func (c *wireConn) setDeadline(timeout time.Duration) error {
@@ -67,33 +58,9 @@ func (c *wireConn) setDeadline(timeout time.Duration) error {
 	return nil
 }
 
-// streamFlushBytes is how much a stream end lets pile up in its write
-// buffer before it writes without waiting to be about to block on a read.
-const streamFlushBytes = 32 << 10
-
-// frameBuffered reports whether the reader already holds a whole frame,
-// so the next readBody returns without reading from the socket.
-func (c *wireConn) frameBuffered() bool {
-	if c.r.Buffered() < 4 {
-		return false
-	}
-	head, err := c.r.Peek(4)
-	return err == nil && uint64(c.r.Buffered()) >= 4+uint64(binary.BigEndian.Uint32(head))
-}
-
-// readBody reads the next frame body, request or stream frame alike.
-func (c *wireConn) readBody() ([]byte, error) {
-	body, err := readFrameBody(c.r, c.in)
-	if err != nil {
-		return nil, err
-	}
-	c.in = keep(body)
-	return body, nil
-}
-
 // readEnvelope reads the next request-mode frame.
 func (c *wireConn) readEnvelope() (Envelope, error) {
-	body, err := c.readBody()
+	body, err := c.ReadBody()
 	if err != nil {
 		return Envelope{}, err
 	}
@@ -102,7 +69,7 @@ func (c *wireConn) readEnvelope() (Envelope, error) {
 
 // open verifies env's MAC and decodes its payload into out.
 func (c *wireConn) open(env Envelope, out any) error {
-	if err := verifyMAC(c.mac, c.sum[:], env); err != nil {
+	if err := c.Verify(macPrefixFor(env.Type), env.MAC, env.Payload); err != nil {
 		return err
 	}
 	return decodePayload(env.Type, env.Payload, out)
@@ -118,14 +85,14 @@ func (c *wireConn) sealPayload(msgType string, payload any) error {
 		return fmt.Errorf("transport: type %q has no v2 type byte", msgType)
 	}
 	start := len(c.out)
-	frame, err := appendPayload(beginFrame(c.out, tb), payload)
+	frame, err := appendPayload(wire.Begin(c.out, tb), payload)
 	if err != nil {
 		return fmt.Errorf("transport: encode %s payload: %w", msgType, err)
 	}
-	if err := sealFrame(c.mac, frame[start:], macPrefix[tb]); err != nil {
+	if err := c.Seal(frame[start:], macPrefix); err != nil {
 		c.out = frame[:start] // the frames pending before it still go out
 		if start == 0 {
-			c.out = keep(frame)
+			c.out = wire.Keep(frame)
 		}
 		return err
 	}
@@ -135,8 +102,8 @@ func (c *wireConn) sealPayload(msgType string, payload any) error {
 
 // flush writes the frames in the write buffer with one Write.
 func (c *wireConn) flush() error {
-	_, err := c.nc.Write(c.out)
-	c.out = keep(c.out)
+	var err error
+	c.out, err = c.Flush(c.out)
 	return err
 }
 
@@ -145,7 +112,7 @@ func (c *wireConn) flush() error {
 // answer verifies a response envelope and returns its payload, mapping
 // the protocol-level error types onto Go errors.
 func (c *wireConn) answer(resp Envelope) ([]byte, error) {
-	if err := verifyMAC(c.mac, c.sum[:], resp); err != nil {
+	if err := c.Verify(macPrefixFor(resp.Type), resp.MAC, resp.Payload); err != nil {
 		return nil, err
 	}
 	switch resp.Type {
@@ -213,9 +180,12 @@ func (c *wireConn) authenticate(timeout time.Duration, userID string, sample fea
 func (c *wireConn) authenticateBatch(timeout time.Duration, userID string, samples []features.WindowSample) ([]AuthDecision, error) {
 	c.batchReq = batchAuthRequest{UserID: userID, Samples: samples}
 	err := c.request(timeout, TypeAuthBatch, &c.batchReq, &c.batchResp)
-	c.batchReq = batchAuthRequest{} // an idle connection holds no windows
+	decisions := c.batchResp.Decisions
+	// An idle connection holds no windows and no decisions; the decoder
+	// allocates the next response's anyway.
+	c.batchReq, c.batchResp = batchAuthRequest{}, batchAuthResponse{}
 	if err != nil {
 		return nil, err
 	}
-	return decisionsFromResponses(c.batchResp.Decisions), nil
+	return decisionsFromResponses(decisions), nil
 }

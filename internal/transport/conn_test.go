@@ -11,12 +11,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"smarteryou/internal/core"
 	"smarteryou/internal/ctxdetect"
 	"smarteryou/internal/features"
 	"smarteryou/internal/retrain"
 	"smarteryou/internal/store"
+	"smarteryou/internal/wire"
 )
 
 // sampleWindow is a window with every field set, so an encoder that
@@ -91,12 +93,72 @@ func TestOversizedFrameAllocatesNothing(t *testing.T) {
 	buf := make([]byte, 0, 64)
 	allocs := testing.AllocsPerRun(100, func() {
 		r.Reset(header)
-		if _, err := readFrameBody(r, buf); !errors.Is(err, ErrFrameTooLarge) {
+		if _, err := wire.ReadBody(r, buf, MaxFrameBytes); !errors.Is(err, wire.ErrFrameTooLarge) {
 			t.Fatalf("oversized header: %v, want ErrFrameTooLarge", err)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("oversized header allocated %v times per read, want 0", allocs)
+	}
+}
+
+// TestBatchScratchBoundedOnIdleConn pins that a connection keeps its
+// batch scratch only within the frame layer's keep budget: after a batch
+// whose decisions outgrow wire.KeepBytes, the idle connection holds no
+// decision slice, while a 16-window batch's scratch is kept for reuse.
+func TestBatchScratchBoundedOnIdleConn(t *testing.T) {
+	srv, _, addr, _, own := startStoreServer(t, ServerConfig{})
+	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	defer client.Close()
+	if _, err := client.Enroll("user-00", own); err != nil {
+		t.Fatalf("Enroll: %v", err)
+	}
+	if _, err := client.Train("user-00", TrainParams{Mode: core.Mode{Combined: true}, Seed: 3}); err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	batch := func(n int) Envelope {
+		t.Helper()
+		samples := make([]features.WindowSample, n)
+		for i := range samples {
+			samples[i] = own[i%len(own)]
+		}
+		env, err := Seal(testKey, TypeAuthBatch, batchAuthRequest{UserID: "user-00", Samples: samples})
+		if err != nil {
+			t.Fatalf("Seal: %v", err)
+		}
+		return env
+	}
+	bytesOf := func(c *wireConn) (decisions, responses uintptr) {
+		return uintptr(cap(c.decisions)) * unsafe.Sizeof(core.Decision{}),
+			uintptr(cap(c.batchResp.Decisions)) * unsafe.Sizeof(authResponse{})
+	}
+	big := 2 * wire.KeepBytes / int(unsafe.Sizeof(authResponse{}))
+
+	c := newWireConn(nil, testKey)
+	srv.respond(c, batch(big))
+	body, err := wire.ReadBody(bytes.NewReader(c.out), nil, MaxFrameBytes)
+	if err != nil {
+		t.Fatalf("read response: %v", err)
+	}
+	env, err := envelopeFromBody(body)
+	if err != nil {
+		t.Fatalf("response envelope: %v", err)
+	}
+	var resp batchAuthResponse
+	if err := env.Open(testKey, &resp); err != nil || len(resp.Decisions) != big {
+		t.Fatalf("response: %s with %d decisions, %v; want ok with %d", env.Type, len(resp.Decisions), err, big)
+	}
+	if d, r := bytesOf(c); d > wire.KeepBytes || r > wire.KeepBytes {
+		t.Errorf("after a %d-window batch the idle connection keeps %d B of decisions and %d B of responses, budget %d B", big, d, r, wire.KeepBytes)
+	}
+
+	c.out = c.out[:0]
+	srv.respond(c, batch(16))
+	if d, r := bytesOf(c); d == 0 || r == 0 {
+		t.Errorf("a 16-window batch's scratch was dropped (%d B, %d B); it is within budget and reused", d, r)
 	}
 }
 
@@ -238,7 +300,7 @@ func TestStreamWindowPipelinedBehindOpen(t *testing.T) {
 	if err != nil || ack.Type != TypeOK {
 		t.Fatalf("stream-open answer: %+v, %v", ack, err)
 	}
-	body, err := readFrameBody(conn, nil)
+	body, err := wire.ReadBody(conn, nil, MaxFrameBytes)
 	if err != nil {
 		t.Fatalf("read decision frame: %v", err)
 	}
@@ -266,7 +328,7 @@ func TestPoolKeepsOnlyDrainedConns(t *testing.T) {
 	serve := func(conn net.Conn) {
 		defer conn.Close()
 		for {
-			if _, err := readFrameBody(conn, nil); err != nil {
+			if _, err := wire.ReadBody(conn, nil, MaxFrameBytes); err != nil {
 				return
 			}
 			env, err := Seal(testKey, TypeOK, statsResponse{Users: 1})

@@ -5,10 +5,9 @@
 // Bluetooth link that streams smartwatch sensor data to the phone.
 //
 // The wire protocol is one length-prefixed binary envelope over TCP
-// (wirev2.go). Every message carries an HMAC-SHA256 tag keyed by a
-// pre-shared secret, standing in for the SSL/TLS channel protection of
-// Section IV-C (stdlib-only constraint: no certificate infrastructure, but
-// integrity and a form of origin authentication are real).
+// (wirev2.go): the sealed frame of internal/wire, whose HMAC-SHA256 tag
+// under a pre-shared secret stands in for the SSL/TLS channel protection
+// of Section IV-C.
 package transport
 
 import (
@@ -16,13 +15,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash"
 	"io"
 	"slices"
 	"sync"
 	"time"
+
+	"smarteryou/internal/wire"
 )
 
 // Message types exchanged between phone and Authentication Server.
@@ -95,22 +95,14 @@ const (
 	MaxFrameBytes = 64 << 20
 )
 
-// Errors returned by the framing layer.
-var (
-	// ErrBadMAC indicates a message failed integrity verification.
-	ErrBadMAC = errors.New("transport: message authentication failed")
-	// ErrFrameTooLarge indicates a declared frame length above the limit.
-	ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
-)
-
 // Frame kinds, distinguished by the first byte of the frame body. Any
 // other first byte is rejected by envelopeFromBody and the server drops the
 // connection — '{' (0x7B) included, so a client speaking a JSON envelope
 // fails on its first frame instead of being half-understood.
 const (
-	// wireFormatV2 marks the binary envelope: format byte, type byte, raw
-	// HMAC-SHA256, then the payload bytes.
-	wireFormatV2 byte = 0x02
+	// wireFormatV2 marks the binary envelope, a sealed frame: format
+	// byte, type byte, raw HMAC-SHA256, then the payload bytes.
+	wireFormatV2 = wire.FormatSealed
 	// wireFormatStream marks a raw streaming frame (window in, decision
 	// out) inside an open streaming session; see stream.go. Never valid in
 	// request mode.
@@ -143,12 +135,7 @@ func macPool(key []byte) *sync.Pool {
 // macPrefix is the MAC input ahead of the payload, per type byte: the
 // type string and a 0x00 separator, so a tag binds the verb it was
 // sealed for.
-var macPrefix = func() (t [typeByteDriftState + 1][]byte) {
-	for s, b := range typeToByte {
-		t[b] = append([]byte(s), 0)
-	}
-	return t
-}()
+var macPrefix = wire.NewNames(byteToType)
 
 // macPrefixFor is macPrefix by type string. Seal and Open take any type
 // string, so one without a type byte gets its prefix built on the spot.
@@ -157,44 +144,6 @@ func macPrefixFor(msgType string) []byte {
 		return macPrefix[tb]
 	}
 	return append([]byte(msgType), 0)
-}
-
-// sumMAC writes HMAC-SHA256(prefix || payload) into mac[:sha256.Size]
-// with h, an HMAC keyed by the pre-shared key. mac may be the MAC slot of
-// a frame whose payload follows it: the tag is written in place and no
-// byte outside the slot is touched.
-func sumMAC(h hash.Hash, mac, prefix, payload []byte) {
-	h.Reset()
-	h.Write(prefix)
-	h.Write(payload)
-	h.Sum(mac[:0])
-}
-
-// frameHeaderBytes is what precedes the payload in a request-mode frame:
-// the length prefix, then the envelope's format byte, type byte and MAC.
-const frameHeaderBytes = 4 + v2HeaderBytes
-
-// beginFrame appends the header of a frame of type tb to dst with the
-// length and the MAC left blank. The caller appends the payload straight
-// behind it and finishes the frame with sealFrame.
-func beginFrame(dst []byte, tb byte) []byte {
-	var blank [frameHeaderBytes]byte
-	blank[4], blank[5] = wireFormatV2, tb
-	return append(dst, blank[:]...)
-}
-
-// sealFrame finishes a frame begun by beginFrame: it writes the length
-// prefix and computes the MAC in place over the payload bytes already in
-// the frame, with prefix as the type input. It is the one way anything
-// in this package is sealed.
-func sealFrame(h hash.Hash, frame, prefix []byte) error {
-	n := len(frame) - 4
-	if n > MaxFrameBytes {
-		return ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(frame, uint32(n))
-	sumMAC(h, frame[6:frameHeaderBytes], prefix, frame[frameHeaderBytes:])
-	return nil
 }
 
 // appendPayload encodes a payload value behind dst. Payloads
@@ -240,31 +189,21 @@ func decodePayload(msgType string, payload []byte, out any) error {
 // a connection would send, with the envelope's MAC and payload sliced out
 // of it.
 func Seal(key []byte, msgType string, payload any) (Envelope, error) {
-	frame, err := appendPayload(beginFrame(nil, typeToByte[msgType]), payload)
+	frame, err := appendPayload(wire.Begin(nil, typeToByte[msgType]), payload)
 	if err != nil {
 		return Envelope{}, fmt.Errorf("transport: encode %s payload: %w", msgType, err)
 	}
 	pool := macPool(key)
 	h := pool.Get().(hash.Hash)
 	defer pool.Put(h)
-	if err := sealFrame(h, frame, macPrefixFor(msgType)); err != nil {
+	if err := wire.Seal(h, frame, macPrefixFor(msgType), MaxFrameBytes); err != nil {
 		return Envelope{}, err
 	}
 	return Envelope{
 		Type:    msgType,
-		MAC:     frame[6:frameHeaderBytes:frameHeaderBytes],
-		Payload: frame[frameHeaderBytes:],
+		MAC:     frame[6:wire.HeaderBytes:wire.HeaderBytes],
+		Payload: frame[wire.HeaderBytes:],
 	}, nil
-}
-
-// verifyMAC checks an envelope's tag with h, using sum (sha256.Size
-// bytes) as scratch.
-func verifyMAC(h hash.Hash, sum []byte, e Envelope) error {
-	sumMAC(h, sum, macPrefixFor(e.Type), e.Payload)
-	if !hmac.Equal(e.MAC, sum[:sha256.Size]) {
-		return ErrBadMAC
-	}
-	return nil
 }
 
 // Open verifies the envelope's MAC and decodes the payload into out (out
@@ -272,42 +211,12 @@ func verifyMAC(h hash.Hash, sum []byte, e Envelope) error {
 func (e Envelope) Open(key []byte, out any) error {
 	pool := macPool(key)
 	h := pool.Get().(hash.Hash)
-	err := verifyMAC(h, make([]byte, sha256.Size), e)
+	err := wire.Verify(h, new([sha256.Size]byte), macPrefixFor(e.Type), e.MAC, e.Payload)
 	pool.Put(h)
 	if err != nil {
 		return err
 	}
 	return decodePayload(e.Type, e.Payload, out)
-}
-
-// readFrameBody reads one length-prefixed frame body into buf's backing
-// array, which is grown only when the frame does not fit, and enforces
-// MaxFrameBytes before allocating anything. Every read path — server
-// request loop, client response path, streaming frames — funnels through
-// here, so the bound holds symmetrically: a misbehaving peer on either
-// side cannot force an unbounded allocation. A connection passes its
-// bufio.Reader, so a frame that has arrived whole costs one read from the
-// socket.
-func readFrameBody(r io.Reader, buf []byte) ([]byte, error) {
-	if cap(buf) < 4 {
-		buf = make([]byte, 4)
-	}
-	header := buf[:4]
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, err // io.EOF passes through for clean shutdown
-	}
-	n := binary.BigEndian.Uint32(header)
-	if n > MaxFrameBytes {
-		return nil, ErrFrameTooLarge
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	body := buf[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("transport: read frame body: %w", err)
-	}
-	return body, nil
 }
 
 // appendEnvelope lays an already sealed envelope out as a frame, length
@@ -320,11 +229,11 @@ func appendEnvelope(dst []byte, e Envelope) ([]byte, error) {
 	if len(e.MAC) != sha256.Size {
 		return nil, fmt.Errorf("transport: v2 envelope needs a %d-byte MAC, have %d", sha256.Size, len(e.MAC))
 	}
-	if v2HeaderBytes+len(e.Payload) > MaxFrameBytes {
-		return nil, ErrFrameTooLarge
+	if wire.HeaderBytes-4+len(e.Payload) > MaxFrameBytes {
+		return nil, wire.ErrFrameTooLarge
 	}
-	dst = slices.Grow(dst, frameHeaderBytes+len(e.Payload))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(v2HeaderBytes+len(e.Payload)))
+	dst = slices.Grow(dst, wire.HeaderBytes+len(e.Payload))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(wire.HeaderBytes-4+len(e.Payload)))
 	dst = append(dst, wireFormatV2, tb)
 	dst = append(dst, e.MAC...)
 	return append(dst, e.Payload...), nil
@@ -346,7 +255,7 @@ func WriteFrame(w io.Writer, e Envelope) error {
 // ReadFrame reads one length-prefixed envelope, and not a byte past it.
 // The MAC is not checked here — Open does that.
 func ReadFrame(r io.Reader) (Envelope, error) {
-	body, err := readFrameBody(r, nil)
+	body, err := wire.ReadBody(r, nil, MaxFrameBytes)
 	if err != nil {
 		return Envelope{}, err
 	}

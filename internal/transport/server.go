@@ -482,11 +482,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			}
 			continue
 		}
-		r := s.dispatch(c, env)
-		if err := c.sealPayload(r.msgType, r.payload); err != nil {
-			s.logf("seal response: %v", err)
-			_ = c.sealPayload(TypeError, errorPayload{Message: "internal error"})
-		}
+		s.respond(c, env)
 		if err := c.flush(); err != nil {
 			s.logf("write frame: %v", err)
 			return
@@ -494,7 +490,20 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 }
 
-// reply is a response before serveConn seals it: its type and payload.
+// respond executes one request and seals its response in the write
+// buffer. Once the response is sealed, a batch's scratch bigger than the
+// frame layer's keep budget is dropped: one huge batch does not pin its
+// decisions to an idle connection.
+func (s *Server) respond(c *wireConn, env Envelope) {
+	r := s.dispatch(c, env)
+	if err := c.sealPayload(r.msgType, r.payload); err != nil {
+		s.logf("seal response: %v", err)
+		_ = c.sealPayload(TypeError, errorPayload{Message: "internal error"})
+	}
+	c.decisions, c.batchResp.Decisions = keepScratch(c.decisions), keepScratch(c.batchResp.Decisions)
+}
+
+// reply is a response before respond seals it: its type and payload.
 type reply struct {
 	msgType string
 	payload any

@@ -12,6 +12,7 @@ import (
 
 	"smarteryou/internal/binio"
 	"smarteryou/internal/features"
+	"smarteryou/internal/wire"
 )
 
 // Streaming session mode. The smartwatch companion design streams sensor
@@ -43,6 +44,10 @@ import (
 // No end ever waits for a frame with its own output unsent, so this adds
 // no latency: a lockstep Authenticate still makes one write a window on
 // each end, and k pipelined windows make one write on each end.
+
+// streamFlushBytes is how much a stream end lets pile up in its write
+// buffer before it writes without waiting to be about to block on a read.
+const streamFlushBytes = wire.FlushBytes
 
 // Stream frame kinds.
 const (
@@ -81,7 +86,7 @@ func finishStreamFrame(dst []byte, start int) []byte {
 }
 
 // parseStreamFrame splits a frame body (already length-delimited by
-// readFrameBody) into kind and payload, verifying the CRC tail.
+// wire.ReadBody) into kind and payload, verifying the CRC tail.
 func parseStreamFrame(body []byte) (kind byte, payload []byte, err error) {
 	if len(body) < streamFrameOverhead {
 		return 0, nil, fmt.Errorf("transport: stream frame truncated (%d bytes)", len(body))
@@ -181,7 +186,7 @@ func (st *Stream) recv() (AuthDecision, error) {
 		return AuthDecision{}, fmt.Errorf("transport: no windows awaiting a decision")
 	}
 	c := st.conn
-	if !c.frameBuffered() {
+	if !c.FrameBuffered() {
 		// About to block on the socket: the windows it waits on go first.
 		if err := c.setDeadline(st.timeout); err != nil {
 			return AuthDecision{}, st.fail(err)
@@ -192,7 +197,7 @@ func (st *Stream) recv() (AuthDecision, error) {
 			}
 		}
 	}
-	body, err := c.readBody()
+	body, err := c.ReadBody()
 	if err != nil {
 		return AuthDecision{}, st.fail(fmt.Errorf("transport: read decision frame: %w", err))
 	}
@@ -284,7 +289,7 @@ func (st *Stream) shutdown() error {
 		return fmt.Errorf("transport: write close frame: %w", err)
 	}
 	for {
-		body, err := c.readBody()
+		body, err := c.ReadBody()
 		if err != nil {
 			return fmt.Errorf("transport: read close acknowledgement: %w", err)
 		}
@@ -349,13 +354,13 @@ func (s *Server) handleStream(c *wireConn, env Envelope) bool {
 
 	s.wireStreamSessions.Add(1)
 	for {
-		if len(c.out) >= streamFlushBytes || (len(c.out) > 0 && !c.frameBuffered()) {
+		if len(c.out) >= streamFlushBytes || (len(c.out) > 0 && !c.FrameBuffered()) {
 			if err := c.flush(); err != nil {
 				s.logf("write decision frames: %v", err)
 				return false
 			}
 		}
-		body, err := c.readBody()
+		body, err := c.ReadBody()
 		if err != nil {
 			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
 				s.logf("read stream frame: %v", err)

@@ -16,6 +16,7 @@ import (
 	"smarteryou/internal/features"
 	"smarteryou/internal/sensing"
 	"smarteryou/internal/store"
+	"smarteryou/internal/wire"
 )
 
 var testKey = []byte("test-pre-shared-key")
@@ -45,7 +46,7 @@ func TestOpenRejectsTamperedPayload(t *testing.T) {
 	}
 	env.Payload = []byte(`{"user_id":"mallory"}`)
 	var req enrollRequest
-	if err := env.Open(testKey, &req); !errors.Is(err, ErrBadMAC) {
+	if err := env.Open(testKey, &req); !errors.Is(err, wire.ErrBadMAC) {
 		t.Errorf("tampered payload err = %v, want ErrBadMAC", err)
 	}
 }
@@ -56,7 +57,7 @@ func TestOpenRejectsTamperedType(t *testing.T) {
 		t.Fatalf("Seal: %v", err)
 	}
 	env.Type = TypeTrain // replay a stats request as a train request
-	if err := env.Open(testKey, nil); !errors.Is(err, ErrBadMAC) {
+	if err := env.Open(testKey, nil); !errors.Is(err, wire.ErrBadMAC) {
 		t.Errorf("type-swapped err = %v, want ErrBadMAC", err)
 	}
 }
@@ -66,7 +67,7 @@ func TestOpenRejectsWrongKey(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	if err := env.Open([]byte("other-key"), nil); !errors.Is(err, ErrBadMAC) {
+	if err := env.Open([]byte("other-key"), nil); !errors.Is(err, wire.ErrBadMAC) {
 		t.Errorf("wrong key err = %v, want ErrBadMAC", err)
 	}
 }
@@ -96,7 +97,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestReadFrameRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadFrame(&buf); !errors.Is(err, wire.ErrFrameTooLarge) {
 		t.Errorf("oversized frame err = %v, want ErrFrameTooLarge", err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"smarteryou/internal/core"
 	"smarteryou/internal/features"
+	"smarteryou/internal/wire"
 )
 
 // startTrainedServer builds the usual fixture, enrolls user-00 and trains
@@ -287,7 +288,7 @@ func TestClientRejectsOversizedServerFrame(t *testing.T) {
 			go func(conn net.Conn) {
 				defer func() { _ = conn.Close() }()
 				// Consume the request frame, then declare a 4 GiB response.
-				if _, err := readFrameBody(conn, nil); err != nil {
+				if _, err := wire.ReadBody(conn, nil, MaxFrameBytes); err != nil {
 					return
 				}
 				var header [4]byte
@@ -300,7 +301,7 @@ func TestClientRejectsOversizedServerFrame(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
-	if _, err := client.Authenticate("user-00", features.WindowSample{}); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := client.Authenticate("user-00", features.WindowSample{}); !errors.Is(err, wire.ErrFrameTooLarge) {
 		t.Errorf("oversized response err = %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -486,7 +487,7 @@ func TestEnvelopeV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parseEnvelopeV2 tampered: %v", err)
 	}
-	if err := bad.Open(testKey, &decoded); !errors.Is(err, ErrBadMAC) {
+	if err := bad.Open(testKey, &decoded); !errors.Is(err, wire.ErrBadMAC) {
 		t.Errorf("tampered v2 envelope err = %v, want ErrBadMAC", err)
 	}
 }

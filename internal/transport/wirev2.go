@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 
@@ -9,11 +8,13 @@ import (
 	"smarteryou/internal/core"
 	"smarteryou/internal/features"
 	"smarteryou/internal/sensing"
+	"smarteryou/internal/wire"
 )
 
-// The wire envelope — the only one the server reads or writes. Hot
-// payloads reuse the store's binary WindowSample codec (internal/features)
-// so a window is never stringified on its way to the scorer.
+// The wire envelope — the only one the server reads or writes, a sealed
+// frame of internal/wire whose names are the Type* strings. Hot payloads
+// reuse the store's binary WindowSample codec (internal/features) so a
+// window is never stringified on its way to the scorer.
 //
 //	frame body:
 //	  [0]     wireFormatV2
@@ -74,11 +75,6 @@ var byteToType = func() map[byte]string {
 	return m
 }()
 
-// v2 frame body offsets.
-const (
-	v2HeaderBytes = 2 + sha256.Size // format byte + type byte + raw MAC
-)
-
 // encodeEnvelopeV2 lays a sealed envelope out as a v2 frame body: the
 // frame WriteFrame sends, without its length prefix.
 func encodeEnvelopeV2(e Envelope) ([]byte, error) {
@@ -89,21 +85,18 @@ func encodeEnvelopeV2(e Envelope) ([]byte, error) {
 	return frame[4:], nil
 }
 
-// parseEnvelopeV2 decodes a v2 frame body (first byte already verified to
-// be wireFormatV2). The MAC is not checked here — Open does that.
+// parseEnvelopeV2 decodes a v2 frame body, a sealed frame of the client
+// channel. The MAC is not checked here — Open does that.
 func parseEnvelopeV2(body []byte) (Envelope, error) {
-	if len(body) < v2HeaderBytes {
-		return Envelope{}, fmt.Errorf("transport: v2 envelope truncated (%d bytes)", len(body))
+	tb, mac, payload, err := wire.Parse(body)
+	if err != nil {
+		return Envelope{}, err
 	}
-	msgType, ok := byteToType[body[1]]
+	msgType, ok := byteToType[tb]
 	if !ok {
-		return Envelope{}, fmt.Errorf("transport: unknown v2 type byte %d", body[1])
+		return Envelope{}, fmt.Errorf("transport: unknown v2 type byte %d", tb)
 	}
-	return Envelope{
-		Type:    msgType,
-		MAC:     body[2:v2HeaderBytes],
-		Payload: body[v2HeaderBytes:],
-	}, nil
+	return Envelope{Type: msgType, MAC: mac, Payload: payload}, nil
 }
 
 // binaryAppender is the encode half of a binary payload: append the
