@@ -85,12 +85,14 @@ endef
 
 # Focused race smoke over the shared FFT plan table, the server's
 # bounded train worker pool, the per-user authenticator every
-# connection shares while publishes replace it, and the stream's
+# connection shares while publishes replace it, the stream's
 # coalesced writes (an error mid-burst, Close behind unsent windows, the
-# 32 KB flush) — the concurrency surfaces of the hot path. Fast enough for the tier-1 gate even though
-# `race` already covers these packages.
+# 32 KB flush), and each connection's identity cache (its answers, its
+# bound, and the strings two requests share) — the concurrency and
+# per-connection surfaces of the hot path. Fast enough for the tier-1
+# gate even though `race` already covers these packages.
 race-pool:
-	$(call race-pinned,./internal/transport/,TestTrainBackpressure|TestTrainPoolConcurrentHammer|TestStreamHammerConcurrentClose|TestSharedAuthenticatorHammer|TestStreamErrorMidBurstArrivesInOrder|TestStreamPushThenCloseWithoutRecv|TestStreamFlushesPastThreshold)
+	$(call race-pinned,./internal/transport/,TestTrainBackpressure|TestTrainPoolConcurrentHammer|TestStreamHammerConcurrentClose|TestSharedAuthenticatorHammer|TestStreamErrorMidBurstArrivesInOrder|TestStreamPushThenCloseWithoutRecv|TestStreamFlushesPastThreshold|TestIdentityCacheMatchesAnonymize|TestIdentityCacheBoundedOnOneConn|TestSecondRequestSharesCachedIdentity)
 	$(call race-pinned,./internal/dsp/,TestPlanConcurrentSharing)
 
 # Replication hammer under the race detector: concurrent enrollments

@@ -36,12 +36,12 @@ var exactCounts = []struct {
 	row  string
 	want float64
 }{
-	{"single/allocs", 2},            // one Session.Authenticate round trip: the pseudonym, the request's user id
+	{"single/allocs", 0},            // one Session.Authenticate round trip: id and pseudonym come from the connection's identity cache
 	{"single/reads", 1},             // the response frame, buffered
 	{"single/writes", 1},            // the request frame, sealed in place
 	{"single/server_reads", 1},      // the request frame, buffered
 	{"single/server_writes", 1},     // the response frame, sealed in place
-	{"batch16/allocs", 5},           // one 16-window Session.AuthenticateBatch: pseudonym, user id, windows, decoded and returned decisions
+	{"batch16/allocs", 3},           // one 16-window Session.AuthenticateBatch: the decoded windows, the decoded and the returned decisions
 	{"batch16/reads", 1},            // per burst
 	{"batch16/writes", 1},           // per burst
 	{"batch16/server_reads", 2},     // a 5.4 KB request: a buffer's worth, then the rest
@@ -56,17 +56,17 @@ var exactCounts = []struct {
 	{"stream8/writes", 1},           // the 8 window frames, written by the first Recv
 	{"stream8/server_reads", 1},     // the 8 window frames, buffered
 	{"stream8/server_writes", 1},    // the 8 decision frames, written before the next read
-	{"enroll16/allocs", 3},          // one NoSync store Enroll of 16 windows that replace the user's
+	{"enroll16/allocs", 2},          // one NoSync store Enroll of 16 windows that replace the user's: the WAL record, the stored windows
 	{"enroll16/wal_bytes", 2682350}, // log after countWarmup+countOps such enrolls: 304.81 B a window
 	{"device/allocs", 2},            // phone + watch extraction with one Extractor, then Authenticate
-	{"enroll8/allocs", 11},          // one Client.ReplaceEnrollment of 8 windows, WAL append without fsync
+	{"enroll8/allocs", 3},           // one Client.ReplaceEnrollment of 8 windows, WAL append without fsync: decoded windows, WAL record, stored windows
 	{"enroll8/reads", 1},            // the response frame
 	{"enroll8/writes", 1},           // the request frame
 	{"enroll8/server_reads", 1},     // the request frame
 	{"enroll8/server_writes", 1},    // the response frame
-	{"fetch/allocs", 100},           // one full Client.FetchModel of a combined + context bundle
+	{"fetch/allocs", 93},            // one full Client.FetchModel of a combined + context bundle
 	{"train/allocs", 76},            // one core.Train, combined + context: 8 windows against 504
-	{"repl8/allocs", 15},            // one enroll8 with a replication leader and an in-process follower, until the follower applied it
+	{"repl8/allocs", 7},             // one enroll8 with a replication leader and an in-process follower, until the follower applied it
 	{"repl8/leader_writes", 1},      // the record frame, sealed in the leader's write buffer
 	{"repl8/leader_reads", 1},       // the follower's ack: one write on its end, read whole
 }

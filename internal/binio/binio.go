@@ -96,16 +96,7 @@ func (r *Reader) Str() string {
 // set (a context name, the user id a request already carried) decodes
 // without allocating.
 func (r *Reader) Intern(known ...string) string {
-	n := r.Uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(r.Remaining()) {
-		r.Fail("string length %d exceeds %d remaining bytes", n, r.Remaining())
-		return ""
-	}
-	b := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
+	b := r.StrBytes()
 	for _, s := range known {
 		if string(b) == s {
 			return s
@@ -114,20 +105,33 @@ func (r *Reader) Intern(known ...string) string {
 	return string(b)
 }
 
+// StrBytes reads a string like Str, but returns its bytes aliasing the
+// input, so a caller that looks the string up (m[string(b)]) decodes a
+// string it has seen before without allocating.
+func (r *Reader) StrBytes() []byte {
+	return r.prefixed("string")
+}
+
 // Bytes reads a uvarint-length-prefixed blob into a fresh copy (the
 // result outlives the input buffer).
 func (r *Reader) Bytes() []byte {
+	return append([]byte(nil), r.prefixed("blob")...)
+}
+
+// prefixed reads a uvarint length and that many bytes, aliasing the
+// input; what names the value in the error of a length past the input.
+func (r *Reader) prefixed(what string) []byte {
 	n := r.Uvarint()
 	if r.err != nil {
 		return nil
 	}
 	if n > uint64(r.Remaining()) {
-		r.Fail("blob length %d exceeds %d remaining bytes", n, r.Remaining())
+		r.Fail("%s length %d exceeds %d remaining bytes", what, n, r.Remaining())
 		return nil
 	}
-	out := append([]byte(nil), r.b[r.off:r.off+int(n)]...)
+	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return out
+	return b
 }
 
 // Rest reads every byte not yet read, aliasing the input (a caller that

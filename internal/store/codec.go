@@ -63,16 +63,19 @@ func opString(b byte) (string, error) {
 	}
 }
 
-// encodeBinaryPayload encodes a record in the v1 binary format.
-func encodeBinaryPayload(rec walRecord) ([]byte, error) {
+// binaryPayloadSize bounds a record's v1 binary encoding from above.
+func binaryPayloadSize(rec walRecord) int {
+	size := 10 + binio.UvarintLen(uint64(len(rec.User))) + len(rec.User) + binary.MaxVarintLen64
+	size += features.EncodedSampleListSize(rec.Samples)
+	return size + binary.MaxVarintLen64 + len(rec.Bundle)
+}
+
+// appendBinaryPayload appends a record in the v1 binary format to buf.
+func appendBinaryPayload(buf []byte, rec walRecord) ([]byte, error) {
 	op, err := opByte(rec.Op)
 	if err != nil {
 		return nil, err
 	}
-	size := 10 + binio.UvarintLen(uint64(len(rec.User))) + len(rec.User) + binary.MaxVarintLen64
-	size += features.EncodedSampleListSize(rec.Samples)
-	size += binary.MaxVarintLen64 + len(rec.Bundle)
-	buf := make([]byte, 0, size)
 	buf = append(buf, binFormatV1, op)
 	buf = binio.AppendU64(buf, rec.Seq)
 	buf = binio.AppendString(buf, rec.User)

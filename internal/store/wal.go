@@ -65,26 +65,36 @@ type walRecord struct {
 }
 
 // encodeRecord frames a record for appending to the WAL, in the binary
-// payload format.
+// payload format: the payload is encoded behind room left for the
+// header, in the one buffer the record is written from.
 func encodeRecord(rec walRecord) ([]byte, error) {
-	payload, err := encodeBinaryPayload(rec)
+	buf := make([]byte, recordHeaderSize, recordHeaderSize+binaryPayloadSize(rec))
+	buf, err := appendBinaryPayload(buf, rec)
 	if err != nil {
 		return nil, fmt.Errorf("store: encode wal record: %w", err)
 	}
+	payload := buf[recordHeaderSize:]
 	if len(payload) > MaxRecordBytes {
 		return nil, fmt.Errorf("store: wal record of %d bytes exceeds limit", len(payload))
 	}
-	return frameHeader(payload), nil
+	putRecordHeader(buf, payload)
+	return buf, nil
 }
 
-// frameHeader prefixes a record payload with the length+CRC header. The
-// replication path uses it to re-frame shipped payloads byte-identically.
+// frameHeader prefixes a copy of a record payload with the length+CRC
+// header. The replication path uses it to re-frame shipped payloads
+// byte-identically.
 func frameHeader(payload []byte) []byte {
-	buf := make([]byte, recordHeaderSize+len(payload))
+	buf := make([]byte, recordHeaderSize, recordHeaderSize+len(payload))
+	putRecordHeader(buf, payload)
+	return append(buf, payload...)
+}
+
+// putRecordHeader writes payload's length and CRC into the header at the
+// start of buf.
+func putRecordHeader(buf, payload []byte) {
 	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[recordHeaderSize:], payload)
-	return buf
 }
 
 // decodeRecord decodes the first record in b, returning the record and the

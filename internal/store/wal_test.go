@@ -11,6 +11,36 @@ import (
 	"unsafe"
 )
 
+// encodeBinaryPayload is a record's binary payload on its own, in a
+// buffer of its own.
+func encodeBinaryPayload(rec walRecord) ([]byte, error) {
+	return appendBinaryPayload(make([]byte, 0, binaryPayloadSize(rec)), rec)
+}
+
+// TestRecordBuiltInPlaceMatchesFramedPayload pins the WAL bytes of the
+// one-buffer encoder: for every op, a record equals its payload encoded on
+// its own and then framed, the way the replication path frames a shipped
+// payload.
+func TestRecordBuiltInPlaceMatchesFramedPayload(t *testing.T) {
+	for _, rec := range []walRecord{
+		{Seq: 1, Op: opEnroll, User: "user-0042", Samples: fakeSamples("user-0042", 8, 2)},
+		{Seq: 1 << 40, Op: opReplace, User: "u"},
+		{Seq: 3, Op: opPublish, User: "anon-00", Version: 300, Bundle: json.RawMessage(`{"mode":{}}`)},
+	} {
+		got, err := encodeRecord(rec)
+		if err != nil {
+			t.Fatalf("encodeRecord %s: %v", rec.Op, err)
+		}
+		payload, err := encodeBinaryPayload(rec)
+		if err != nil {
+			t.Fatalf("encodeBinaryPayload %s: %v", rec.Op, err)
+		}
+		if want := frameHeader(payload); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s record built in place differs from its framed payload", rec.Op)
+		}
+	}
+}
+
 func TestDecodeRecordEveryTruncationPoint(t *testing.T) {
 	full, err := encodeRecord(walRecord{Seq: 7, Op: opReplace, User: "u", Samples: fakeSamples("u", 2, 3)})
 	if err != nil {

@@ -193,8 +193,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // so backoff behaviour stays in one place.
 func (p busyPolicy) run(do func() error) error {
 	err := do()
-	var busy *BusyError
-	for attempt := 0; attempt < p.retries && errors.As(err, &busy); attempt++ {
+	for attempt := 0; attempt < p.retries && err != nil; attempt++ {
+		var busy *BusyError
+		if !errors.As(err, &busy) {
+			break
+		}
 		backoff := busy.RetryAfter << attempt
 		if backoff <= 0 || backoff > p.cap {
 			backoff = p.cap
@@ -210,13 +213,7 @@ func (p busyPolicy) run(do func() error) error {
 // connections are reused. Use NewSession to pin one connection across
 // multiple round trips.
 func (c *Client) roundTrip(reqType string, payload any, out any) error {
-	return c.roundTripTo(c.addr, reqType, payload, out)
-}
-
-// roundTripTo is roundTrip against an explicit server address — the
-// shard-routed write path picks the owner per request.
-func (c *Client) roundTripTo(addr, reqType string, payload any, out any) error {
-	return c.withConn(addr, func(conn *wireConn) error {
+	return c.withConn(c.addr, func(conn *wireConn) error {
 		return conn.request(c.timeout, reqType, payload, out)
 	})
 }
@@ -296,17 +293,21 @@ func asRedirect(err error) (*RedirectError, bool) {
 // owning the user's shard; a write caught in a shard handoff backs off
 // briefly and retries against the new owner.
 func (c *Client) Enroll(userID string, samples []features.WindowSample) (stored int, err error) {
-	var resp enrollResponse
-	err = c.routedWrite(userID, TypeEnroll, enrollRequest{UserID: userID, Samples: samples}, &resp)
-	return resp.Stored, err
+	return c.enroll(userID, false, samples)
 }
 
 // ReplaceEnrollment uploads the user's latest behaviour, discarding the
 // stale windows — the retraining upload of Section V-I.
 func (c *Client) ReplaceEnrollment(userID string, samples []features.WindowSample) (stored int, err error) {
-	var resp enrollResponse
-	err = c.routedWrite(userID, TypeEnroll, enrollRequest{UserID: userID, Replace: true, Samples: samples}, &resp)
-	return resp.Stored, err
+	return c.enroll(userID, true, samples)
+}
+
+func (c *Client) enroll(userID string, replace bool, samples []features.WindowSample) (stored int, err error) {
+	err = c.routedWrite(userID, func(conn *wireConn) error {
+		stored, err = conn.enroll(c.timeout, userID, replace, samples)
+		return err
+	})
+	return stored, err
 }
 
 // FetchDetector downloads the user-agnostic context-detection model.
@@ -343,7 +344,9 @@ func (c *Client) Train(userID string, p TrainParams) (*core.ModelBundle, error) 
 func (c *Client) TrainVersioned(userID string, p TrainParams) (*core.ModelBundle, int, error) {
 	req := trainRequest{UserID: userID, TrainParams: p}
 	var resp trainResponse
-	err := c.routedWrite(userID, TypeTrain, req, &resp)
+	err := c.routedWrite(userID, func(conn *wireConn) error {
+		return conn.request(c.timeout, TypeTrain, req, &resp)
+	})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -451,7 +454,9 @@ func (c *Client) AuthenticateBatch(userID string, samples []features.WindowSampl
 // hint.
 func (c *Client) RequestRetrain(userID string) (queued bool, reason string, err error) {
 	var resp retrainResponse
-	err = c.routedWrite(userID, TypeRetrain, retrainRequest{UserID: userID}, &resp)
+	err = c.routedWrite(userID, func(conn *wireConn) error {
+		return conn.request(c.timeout, TypeRetrain, retrainRequest{UserID: userID}, &resp)
+	})
 	return resp.Queued, resp.Reason, err
 }
 

@@ -126,7 +126,7 @@ func (c *Client) writeAddr(userID string) string {
 	return c.addr
 }
 
-// routedWrite performs one write round trip against the user's owning
+// routedWrite runs one write exchange, do, against the user's owning
 // node. On a redirect (stale map: ownership moved, or a node joined) it
 // refreshes the map and retries against the carried owner address; on a
 // busy response the shared busy policy backs off and the retry re-routes
@@ -135,14 +135,14 @@ func (c *Client) writeAddr(userID string) string {
 // dead, its shards about to be taken over, and no node is left to
 // redirect: the error surfaces, and the cached map is dropped so the
 // caller's next write routes by a fresh one.
-func (c *Client) routedWrite(userID, reqType string, payload, out any) error {
+func (c *Client) routedWrite(userID string, do func(*wireConn) error) error {
 	if c.route == nil {
 		return c.retry.run(func() error {
-			return c.roundTripTo(c.addr, reqType, payload, out)
+			return c.withConn(c.addr, do)
 		})
 	}
 	return c.retry.run(func() error {
-		err := c.roundTripTo(c.writeAddr(userID), reqType, payload, out)
+		err := c.withConn(c.writeAddr(userID), do)
 		if re, ok := asRedirect(err); ok {
 			if _, mapErr := c.ShardMap(); mapErr != nil && re.Leader == "" {
 				return err
@@ -151,7 +151,7 @@ func (c *Client) routedWrite(userID, reqType string, payload, out any) error {
 			if addr == "" {
 				addr = c.writeAddr(userID)
 			}
-			return c.roundTripTo(addr, reqType, payload, out)
+			return c.withConn(addr, do)
 		}
 		if err != nil && !isResponseError(err) {
 			c.route.cached.Store(nil)

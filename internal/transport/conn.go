@@ -6,6 +6,7 @@ import (
 	"time"
 	"unsafe"
 
+	"smarteryou/internal/binio"
 	"smarteryou/internal/core"
 	"smarteryou/internal/features"
 	"smarteryou/internal/wire"
@@ -22,15 +23,88 @@ type wireConn struct {
 	nc  net.Conn
 	out []byte
 
-	// The authenticate verbs' values, request and response, on whichever
-	// end. They reach the payload encoder and decoder as interfaces; held
-	// here rather than on the stack, they do so without a heap copy per
-	// request.
-	authReq   authRequest
-	authResp  authResponse
-	batchReq  batchAuthRequest
-	batchResp batchAuthResponse
-	decisions []core.Decision // the server's scored batch, before batchResp
+	// ids is the server end's identity cache: the user ids its requests
+	// carried and their pseudonyms.
+	ids identityCache
+
+	// The authenticate and enroll verbs' values, request and response, on
+	// whichever end. They reach the payload encoder and decoder as
+	// interfaces; held here rather than on the stack, they do so without a
+	// heap copy per request.
+	authReq    authRequest
+	authResp   authResponse
+	batchReq   batchAuthRequest
+	batchResp  batchAuthResponse
+	decisions  []core.Decision // the server's scored batch, before batchResp
+	enrollReq  enrollRequest
+	enrollResp enrollResponse
+}
+
+// identity is a user id as requests carry it and the pseudonym the
+// server stores, routes and scores it under.
+type identity struct {
+	userID, anon string
+}
+
+// identityCache maps the user ids one connection's requests carry to
+// their identities. A connection serves a bounded set of users — one
+// phone's, or one service's — and revisits them request after request,
+// so a user it has seen decodes without a copy of the id and resolves
+// without hashing it again. Its ids and pseudonyms are bounded by
+// wire.KeepBytes, the connection's other retention limit; past it the
+// cache starts over.
+type identityCache struct {
+	m     map[string]identity
+	bytes int
+}
+
+// lookup returns the identity of the user id b. A hit allocates nothing;
+// b is never kept, so it may alias the read buffer.
+func (ic *identityCache) lookup(b []byte) identity {
+	if id, ok := ic.m[string(b)]; ok {
+		return id
+	}
+	return ic.add(string(b))
+}
+
+// of is lookup for an id that is already a string: a request decoded
+// through the cache, or one decoded from JSON.
+func (ic *identityCache) of(userID string) identity {
+	if id, ok := ic.m[userID]; ok {
+		return id
+	}
+	return ic.add(userID)
+}
+
+func (ic *identityCache) add(userID string) identity {
+	id := identity{userID: userID, anon: anonymize(userID)}
+	size := len(id.userID) + len(id.anon)
+	if size > wire.KeepBytes {
+		return id
+	}
+	if ic.bytes+size > wire.KeepBytes {
+		clear(ic.m)
+		ic.bytes = 0
+	}
+	if ic.m == nil {
+		ic.m = make(map[string]identity)
+	}
+	ic.m[userID] = id
+	ic.bytes += size
+	return id
+}
+
+// readUserID reads a request's user id through the cache. Without one (a
+// decoder outside a server connection) the id is a copy.
+func (ic *identityCache) readUserID(r *binio.Reader) string {
+	if ic == nil {
+		return r.Str()
+	}
+	b := r.StrBytes()
+	if r.Err() != nil {
+		return ""
+	}
+	return ic.lookup(b).userID
 }
 
 // readBufferBytes is the client channel's read buffer: a request or a
@@ -67,12 +141,13 @@ func (c *wireConn) readEnvelope() (Envelope, error) {
 	return envelopeFromBody(body)
 }
 
-// open verifies env's MAC and decodes its payload into out.
+// open verifies env's MAC and decodes its payload into out, reading user
+// ids through the connection's identity cache.
 func (c *wireConn) open(env Envelope, out any) error {
 	if err := c.Verify(macPrefixFor(env.Type), env.MAC, env.Payload); err != nil {
 		return err
 	}
-	return decodePayload(env.Type, env.Payload, out)
+	return decodePayload(env.Type, env.Payload, out, &c.ids)
 }
 
 // sealPayload builds the frame for a payload value in the write buffer,
@@ -120,13 +195,13 @@ func (c *wireConn) answer(resp Envelope) ([]byte, error) {
 		return resp.Payload, nil
 	case TypeError:
 		var ep errorPayload
-		if err := decodePayload(resp.Type, resp.Payload, &ep); err != nil {
+		if err := decodePayload(resp.Type, resp.Payload, &ep, nil); err != nil {
 			return nil, err
 		}
 		return nil, &RemoteError{Message: ep.Message}
 	case TypeBusy:
 		var bp busyPayload
-		if err := decodePayload(resp.Type, resp.Payload, &bp); err != nil {
+		if err := decodePayload(resp.Type, resp.Payload, &bp, nil); err != nil {
 			return nil, err
 		}
 		return nil, &BusyError{
@@ -135,7 +210,7 @@ func (c *wireConn) answer(resp Envelope) ([]byte, error) {
 		}
 	case TypeRedirect:
 		var rp redirectPayload
-		if err := decodePayload(resp.Type, resp.Payload, &rp); err != nil {
+		if err := decodePayload(resp.Type, resp.Payload, &rp, nil); err != nil {
 			return nil, err
 		}
 		return nil, &RedirectError{Message: rp.Message, Leader: rp.Leader}
@@ -164,7 +239,7 @@ func (c *wireConn) request(timeout time.Duration, reqType string, payload, out a
 	if err != nil {
 		return err
 	}
-	return decodePayload(TypeOK, raw, out)
+	return decodePayload(TypeOK, raw, out, nil)
 }
 
 // authenticate is request for one window.
@@ -174,6 +249,18 @@ func (c *wireConn) authenticate(timeout time.Duration, userID string, sample fea
 		return AuthDecision{}, err
 	}
 	return AuthDecision(c.authResp), nil
+}
+
+// enroll is request for an upload of windows, replacing the user's
+// stored ones when replace is set.
+func (c *wireConn) enroll(timeout time.Duration, userID string, replace bool, samples []features.WindowSample) (int, error) {
+	c.enrollReq = enrollRequest{UserID: userID, Replace: replace, Samples: samples}
+	err := c.request(timeout, TypeEnroll, &c.enrollReq, &c.enrollResp)
+	c.enrollReq = enrollRequest{} // an idle connection holds no windows
+	if err != nil {
+		return 0, err
+	}
+	return c.enrollResp.Stored, nil
 }
 
 // authenticateBatch is request for a burst of windows.

@@ -309,7 +309,7 @@ func TestStreamWindowPipelinedBehindOpen(t *testing.T) {
 		t.Fatalf("decision frame: kind %d, %v", kind, err)
 	}
 	var got authResponse
-	if err := got.decodeBinary(payload); err != nil {
+	if err := got.decodeBinary(payload, nil); err != nil {
 		t.Fatalf("decode decision: %v", err)
 	}
 	if AuthDecision(got) != want {

@@ -3,6 +3,8 @@ package transport
 import (
 	"bytes"
 	"testing"
+
+	"smarteryou/internal/core"
 )
 
 // FuzzReadFrame throws arbitrary bytes at the framing layer: it must never
@@ -68,6 +70,8 @@ func FuzzEnvelopeV2(f *testing.F) {
 	seed(TypeEnroll, enrollRequest{UserID: "u", Replace: true})
 	seed(TypeAuthBatch, batchAuthRequest{UserID: "u"})
 	seed(TypeStreamOpen, streamOpenRequest{UserID: "u"})
+	seed(TypeTrain, trainRequest{UserID: "u", TrainParams: TrainParams{Mode: core.Mode{Combined: true}, Seed: 3}})
+	seed(TypeFetchModel, fetchModelRequest{UserID: "u", Version: 1, IfHash: "00"})
 	seed(TypeOK, authResponse{Context: "walking", Score: 1.5, Accepted: true})
 	seed(TypeStats, nil)
 	f.Add([]byte{wireFormatV2})
@@ -91,6 +95,10 @@ func FuzzEnvelopeV2(f *testing.F) {
 		_ = env.Open(key, &decision)
 		var model fetchModelResponse
 		_ = env.Open(key, &model)
+		var train trainRequest
+		_ = env.Open(key, &train)
+		var fetch fetchModelRequest
+		_ = env.Open(key, &fetch)
 	})
 }
 
@@ -116,7 +124,7 @@ func FuzzBatchAuthPayload(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var q batchAuthRequest
-		if err := q.decodeBinary(data); err == nil {
+		if err := q.decodeBinary(data, nil); err == nil {
 			// A payload that decodes must re-encode and decode to the same
 			// value (the codec is canonical).
 			out, err := q.appendBinary(nil)
@@ -124,11 +132,11 @@ func FuzzBatchAuthPayload(f *testing.F) {
 				t.Fatalf("re-encode decoded payload: %v", err)
 			}
 			var q2 batchAuthRequest
-			if err := q2.decodeBinary(out); err != nil {
+			if err := q2.decodeBinary(out, nil); err != nil {
 				t.Fatalf("re-decode canonical payload: %v", err)
 			}
 		}
 		var p batchAuthResponse
-		_ = p.decodeBinary(data)
+		_ = p.decodeBinary(data, nil)
 	})
 }

@@ -164,8 +164,9 @@ func appendPayload(dst []byte, payload any) ([]byte, error) {
 
 // decodePayload decodes a verified payload into out (out may be nil for
 // payload-less messages). Binary payloads require out to implement
-// binaryDecoder; JSON payloads are unmarshalled.
-func decodePayload(msgType string, payload []byte, out any) error {
+// binaryDecoder, and read user ids through ids (nil: copies); JSON
+// payloads are unmarshalled.
+func decodePayload(msgType string, payload []byte, out any, ids *identityCache) error {
 	if out == nil {
 		return nil
 	}
@@ -174,7 +175,7 @@ func decodePayload(msgType string, payload []byte, out any) error {
 		if !ok {
 			return fmt.Errorf("transport: %s payload is binary but %T cannot decode it", msgType, out)
 		}
-		if err := dec.decodeBinary(payload[1:]); err != nil {
+		if err := dec.decodeBinary(payload[1:], ids); err != nil {
 			return fmt.Errorf("transport: decode %s payload: %w", msgType, err)
 		}
 		return nil
@@ -216,7 +217,7 @@ func (e Envelope) Open(key []byte, out any) error {
 	if err != nil {
 		return err
 	}
-	return decodePayload(e.Type, e.Payload, out)
+	return decodePayload(e.Type, e.Payload, out, nil)
 }
 
 // appendEnvelope lays an already sealed envelope out as a frame, length

@@ -491,15 +491,17 @@ func (s *Server) serveConn(nc net.Conn) {
 }
 
 // respond executes one request and seals its response in the write
-// buffer. Once the response is sealed, a batch's scratch bigger than the
-// frame layer's keep budget is dropped: one huge batch does not pin its
-// decisions to an idle connection.
+// buffer. Once the response is sealed, an enroll's windows are dropped
+// and a batch's scratch bigger than the frame layer's keep budget is too:
+// an idle connection pins neither an upload nor one huge batch's
+// decisions.
 func (s *Server) respond(c *wireConn, env Envelope) {
 	r := s.dispatch(c, env)
 	if err := c.sealPayload(r.msgType, r.payload); err != nil {
 		s.logf("seal response: %v", err)
 		_ = c.sealPayload(TypeError, errorPayload{Message: "internal error"})
 	}
+	c.enrollReq = enrollRequest{}
 	c.decisions, c.batchResp.Decisions = keepScratch(c.decisions), keepScratch(c.batchResp.Decisions)
 }
 
@@ -535,7 +537,7 @@ func (s *Server) dispatch(c *wireConn, env Envelope) reply {
 		if userID == "" {
 			return "", fail(fmt.Errorf("%s: missing user id", env.Type)), false
 		}
-		anon = anonymize(userID)
+		anon = c.ids.of(userID).anon
 		if s.router != nil {
 			switch decision, owner := s.router.RouteWrite(anon); decision {
 			case RouteRemote:
@@ -552,18 +554,22 @@ func (s *Server) dispatch(c *wireConn, env Envelope) reply {
 
 	switch env.Type {
 	case TypeEnroll:
-		var req enrollRequest
-		if err := c.open(env, &req); err != nil {
+		req := &c.enrollReq
+		if err := c.open(env, req); err != nil {
 			return fail(err)
 		}
 		anon, refusal, ok := admitWrite(req.UserID)
 		if !ok {
 			return refusal
 		}
-		// The write is WAL-first — durable before applied or acknowledged —
-		// and holds only the user's shard lock, so other shards and every
-		// authenticate proceed during the fsync.
-		if err := s.persist.Enroll(anon, anonymizeSamples(anon, req.Samples), req.Replace); err != nil {
+		// The windows were decoded for this request alone, so they take the
+		// pseudonym in place. The write is WAL-first — durable before
+		// applied or acknowledged — and holds only the user's shard lock, so
+		// other shards and every authenticate proceed during the fsync.
+		for i := range req.Samples {
+			req.Samples[i].UserID = anon
+		}
+		if err := s.persist.Enroll(anon, req.Samples, req.Replace); err != nil {
 			if errors.Is(err, store.ErrSealed) {
 				// The shard sealed between the route check and the append;
 				// nothing was applied.
@@ -571,7 +577,8 @@ func (s *Server) dispatch(c *wireConn, env Envelope) reply {
 			}
 			return fail(fmt.Errorf("enroll: persist: %w", err))
 		}
-		return respond(TypeOK, enrollResponse{Stored: len(s.persist.UserWindows(anon))})
+		c.enrollResp = enrollResponse{Stored: len(s.persist.UserWindows(anon))}
+		return respond(TypeOK, &c.enrollResp)
 
 	case TypeFetchDetector:
 		if err := c.open(env, nil); err != nil {
@@ -615,7 +622,7 @@ func (s *Server) dispatch(c *wireConn, env Envelope) reply {
 		if err := c.open(env, &c.authReq); err != nil {
 			return fail(err)
 		}
-		resp, err := s.authenticate(&c.authReq)
+		resp, err := s.authenticate(c)
 		if err != nil {
 			return fail(err)
 		}
@@ -681,7 +688,7 @@ func (s *Server) dispatch(c *wireConn, env Envelope) reply {
 		if req.UserID == "" {
 			return fail(fmt.Errorf("fetch-model: missing user id"))
 		}
-		anon := anonymize(req.UserID)
+		anon := c.ids.of(req.UserID).anon
 		if req.Version == 0 && req.IfHash != "" {
 			// Answer from the registry entry alone rather than reassemble a
 			// blob that would not be sent; the read below reports failures.
@@ -868,14 +875,15 @@ func (s *Server) install(anon string, old, next *cachedAuth) bool {
 	return s.models.CompareAndSwap(anon, old, next)
 }
 
-// resolveAuth maps a user to a ready authenticator over their current
-// model. Single-window, batch and streaming authentication all start
-// here; batch and stream pay the cost once for many windows.
-func (s *Server) resolveAuth(userID string) (anon string, auth *core.Authenticator, err error) {
+// resolveAuth maps a user of c's requests to their pseudonym and a ready
+// authenticator over their current model. Single-window, batch and
+// streaming authentication all start here; batch and stream pay the cost
+// once for many windows.
+func (s *Server) resolveAuth(c *wireConn, userID string) (anon string, auth *core.Authenticator, err error) {
 	if userID == "" {
 		return "", nil, fmt.Errorf("authenticate: missing user id")
 	}
-	anon = anonymize(userID)
+	anon = c.ids.of(userID).anon
 	auth, err = s.currentAuth(anon)
 	if errors.Is(err, store.ErrNoModel) {
 		return "", nil, fmt.Errorf("authenticate: user %s has no trained model", userID)
@@ -896,15 +904,15 @@ func decisionResponse(d core.Decision) authResponse {
 	}
 }
 
-// authenticate classifies one window with the user's current model. Runs
-// inline on the connection goroutine — it is microseconds of work and
-// must keep succeeding while the training pool is saturated.
-func (s *Server) authenticate(req *authRequest) (authResponse, error) {
-	anon, auth, err := s.resolveAuth(req.UserID)
+// authenticate classifies c.authReq's window with the user's current
+// model. Runs inline on the connection goroutine — it is microseconds of
+// work and must keep succeeding while the training pool is saturated.
+func (s *Server) authenticate(c *wireConn) (authResponse, error) {
+	anon, auth, err := s.resolveAuth(c, c.authReq.UserID)
 	if err != nil {
 		return authResponse{}, err
 	}
-	d, err := auth.Authenticate(req.Sample)
+	d, err := auth.Authenticate(c.authReq.Sample)
 	if err != nil {
 		return authResponse{}, fmt.Errorf("authenticate: %w", err)
 	}
@@ -919,7 +927,7 @@ func (s *Server) authenticate(req *authRequest) (authResponse, error) {
 // in window order; every decision still feeds the drift monitor, so
 // batching does not blind the retraining loop.
 func (s *Server) authenticateBatch(c *wireConn) error {
-	anon, auth, err := s.resolveAuth(c.batchReq.UserID)
+	anon, auth, err := s.resolveAuth(c, c.batchReq.UserID)
 	if err != nil {
 		return err
 	}

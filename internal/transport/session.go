@@ -68,17 +68,21 @@ func (s *Session) roundTrip(reqType string, payload, out any) error {
 
 // Enroll uploads feature windows on the session connection.
 func (s *Session) Enroll(userID string, samples []features.WindowSample) (stored int, err error) {
-	var resp enrollResponse
-	err = s.roundTrip(TypeEnroll, enrollRequest{UserID: userID, Samples: samples}, &resp)
-	return resp.Stored, err
+	return s.enroll(userID, false, samples)
 }
 
 // ReplaceEnrollment uploads the user's latest behaviour, discarding stale
 // windows.
 func (s *Session) ReplaceEnrollment(userID string, samples []features.WindowSample) (stored int, err error) {
-	var resp enrollResponse
-	err = s.roundTrip(TypeEnroll, enrollRequest{UserID: userID, Replace: true, Samples: samples}, &resp)
-	return resp.Stored, err
+	return s.enroll(userID, true, samples)
+}
+
+func (s *Session) enroll(userID string, replace bool, samples []features.WindowSample) (stored int, err error) {
+	err = s.use(func(c *wireConn) error {
+		stored, err = c.enroll(s.timeout, userID, replace, samples)
+		return err
+	})
+	return stored, err
 }
 
 // FetchDetector downloads the context-detection model.

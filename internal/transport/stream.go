@@ -208,7 +208,7 @@ func (st *Stream) recv() (AuthDecision, error) {
 	switch kind {
 	case streamKindDecision:
 		var resp authResponse
-		if err := resp.decodeBinary(payload); err != nil {
+		if err := resp.decodeBinary(payload, nil); err != nil {
 			return AuthDecision{}, st.fail(fmt.Errorf("transport: decode decision frame: %w", err))
 		}
 		st.pending--
@@ -343,7 +343,7 @@ func (s *Server) handleStream(c *wireConn, env Envelope) bool {
 		s.logf("stream-open failed: %v", err)
 		return send(TypeError, errorPayload{Message: err.Error()}) // handshake refused, connection still healthy
 	}
-	anon, auth, err := s.resolveAuth(req.UserID)
+	anon, auth, err := s.resolveAuth(c, req.UserID)
 	if err != nil {
 		s.logf("stream-open failed: %v", err)
 		return send(TypeError, errorPayload{Message: err.Error()})

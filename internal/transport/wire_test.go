@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -424,8 +426,6 @@ func TestStreamWireStats(t *testing.T) {
 	}
 }
 
-// TestEnvelopeV2RoundTrip pins the envelope codec itself, including MAC
-// rejection.
 // TestDecodedEnrollSharesTheUserID checks that the windows of a decoded
 // enroll request share the request's user id instead of each holding a
 // copy.
@@ -439,7 +439,7 @@ func TestDecodedEnrollSharesTheUserID(t *testing.T) {
 		t.Fatal(err)
 	}
 	var q enrollRequest
-	if err := q.decodeBinary(b); err != nil {
+	if err := q.decodeBinary(b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(q.Samples) != len(windows) {
@@ -448,6 +448,67 @@ func TestDecodedEnrollSharesTheUserID(t *testing.T) {
 	for i, w := range q.Samples {
 		if w.UserID != q.UserID || unsafe.StringData(w.UserID) != unsafe.StringData(q.UserID) {
 			t.Errorf("window %d user id %q is a copy of the request's %q", i, w.UserID, q.UserID)
+		}
+	}
+}
+
+// TestTrainAndFetchRequestCodecs round-trips the binary train and
+// fetch-model requests through Seal and Open, and has a server answer
+// both in their JSON form too.
+func TestTrainAndFetchRequestCodecs(t *testing.T) {
+	train := trainRequest{UserID: "user-00", TrainParams: TrainParams{
+		Mode: core.Mode{Combined: true, UseContext: true}, Rho: 0.25, MaxPerClass: -3, TargetFRR: 0.05, Seed: -1 << 62,
+	}}
+	fetch := fetchModelRequest{UserID: "user-00", Version: 2, IfHash: strings.Repeat("ab", 32)}
+	for _, tc := range []struct {
+		msgType   string
+		in        any
+		out, want any
+	}{
+		{TypeTrain, train, &trainRequest{}, &train},
+		{TypeFetchModel, fetch, &fetchModelRequest{}, &fetch},
+	} {
+		env, err := Seal(testKey, tc.msgType, tc.in)
+		if err != nil {
+			t.Fatalf("Seal %s: %v", tc.msgType, err)
+		}
+		if env.Payload[0] != binPayloadMarker {
+			t.Errorf("%s payload is not binary", tc.msgType)
+		}
+		if err := env.Open(testKey, tc.out); err != nil {
+			t.Fatalf("Open %s: %v", tc.msgType, err)
+		}
+		if !reflect.DeepEqual(tc.out, tc.want) {
+			t.Errorf("%s round trip: got %+v, want %+v", tc.msgType, tc.out, tc.want)
+		}
+	}
+
+	srv, _, addr, _, own := startStoreServer(t, ServerConfig{})
+	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	defer client.Close()
+	if _, err := client.Enroll("user-00", own); err != nil {
+		t.Fatalf("Enroll: %v", err)
+	}
+	c := newWireConn(nil, testKey)
+	for _, tc := range []struct {
+		msgType string
+		json    map[string]any
+	}{
+		{TypeTrain, map[string]any{"user_id": "user-00", "mode": map[string]bool{"combined": true}, "seed": 3}},
+		{TypeFetchModel, map[string]any{"user_id": "user-00", "version": 1}},
+	} {
+		env, err := Seal(testKey, tc.msgType, tc.json)
+		if err != nil {
+			t.Fatalf("Seal %s: %v", tc.msgType, err)
+		}
+		if env.Payload[0] != '{' {
+			t.Fatalf("%s payload is not JSON", tc.msgType)
+		}
+		if r := srv.dispatch(c, env); r.msgType != TypeOK {
+			t.Errorf("JSON %s: answered %s %+v", tc.msgType, r.msgType, r.payload)
 		}
 	}
 }

@@ -23,8 +23,10 @@ import (
 //	  [34:]   payload bytes
 //
 // The payload is self-describing: binPayloadMarker (0x01) introduces a
-// binary payload (hot types: authenticate, batch, enroll, model
-// downloads), '{' a JSON one (everything else — stats, detector, errors).
+// binary payload (authenticate, batch, stream open, enroll, train and
+// fetch-model requests, and their answers), '{' a JSON one (everything
+// else — stats, detector, errors). The server reads either form of every
+// request.
 
 // binPayloadMarker introduces a binary payload inside an envelope. Like
 // the store's format byte it can never collide with '{'.
@@ -106,9 +108,10 @@ type binaryAppender interface {
 }
 
 // binaryDecoder is the decode half, implemented on payload pointers. The
-// input excludes the binPayloadMarker byte and must be fully consumed.
+// input excludes the binPayloadMarker byte and must be fully consumed. A
+// request reads its user id through ids (see identityCache.readUserID).
 type binaryDecoder interface {
-	decodeBinary(b []byte) error
+	decodeBinary(b []byte, ids *identityCache) error
 }
 
 // finish is the common decoder epilogue: surface the first decode error,
@@ -132,9 +135,9 @@ func (q authRequest) appendBinary(dst []byte) ([]byte, error) {
 
 // decodeBinary interns the window's user id against the request's: a
 // genuine window carries the id it is authenticated as.
-func (q *authRequest) decodeBinary(b []byte) error {
+func (q *authRequest) decodeBinary(b []byte, ids *identityCache) error {
 	r := binio.NewReader(b)
-	q.UserID = r.Str()
+	q.UserID = ids.readUserID(r)
 	q.Sample = features.ReadSampleBinary(r, q.UserID)
 	return finish(r)
 }
@@ -149,7 +152,7 @@ func (p authResponse) appendBinary(dst []byte) ([]byte, error) {
 	return append(dst, 0), nil
 }
 
-func (p *authResponse) decodeBinary(b []byte) error {
+func (p *authResponse) decodeBinary(b []byte, _ *identityCache) error {
 	r := binio.NewReader(b)
 	*p = readDecision(r)
 	return finish(r)
@@ -187,9 +190,9 @@ func (q batchAuthRequest) appendBinary(dst []byte) ([]byte, error) {
 }
 
 // decodeBinary interns the windows' user ids as authRequest's does.
-func (q *batchAuthRequest) decodeBinary(b []byte) error {
+func (q *batchAuthRequest) decodeBinary(b []byte, ids *identityCache) error {
 	r := binio.NewReader(b)
-	q.UserID = r.Str()
+	q.UserID = ids.readUserID(r)
 	q.Samples = features.ReadSampleListBinary(r, q.UserID)
 	return finish(r)
 }
@@ -205,7 +208,7 @@ func (p batchAuthResponse) appendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-func (p *batchAuthResponse) decodeBinary(b []byte) error {
+func (p *batchAuthResponse) decodeBinary(b []byte, _ *identityCache) error {
 	r := binio.NewReader(b)
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
@@ -233,9 +236,9 @@ func (q enrollRequest) appendBinary(dst []byte) ([]byte, error) {
 	return features.AppendSampleListBinary(dst, q.Samples), nil
 }
 
-func (q *enrollRequest) decodeBinary(b []byte) error {
+func (q *enrollRequest) decodeBinary(b []byte, ids *identityCache) error {
 	r := binio.NewReader(b)
-	q.UserID = r.Str()
+	q.UserID = ids.readUserID(r)
 	q.Replace = r.Byte() != 0
 	q.Samples = features.ReadSampleListBinary(r, q.UserID)
 	return finish(r)
@@ -245,7 +248,7 @@ func (p enrollResponse) appendBinary(dst []byte) ([]byte, error) {
 	return binio.AppendUvarint(dst, uint64(p.Stored)), nil
 }
 
-func (p *enrollResponse) decodeBinary(b []byte) error {
+func (p *enrollResponse) decodeBinary(b []byte, _ *identityCache) error {
 	r := binio.NewReader(b)
 	p.Stored = int(r.Uvarint())
 	return finish(r)
@@ -292,7 +295,7 @@ func (p fetchModelResponse) appendBinary(dst []byte) ([]byte, error) {
 	return binio.AppendBytes(append(dst, 0), p.blob), nil
 }
 
-func (p *fetchModelResponse) decodeBinary(b []byte) error {
+func (p *fetchModelResponse) decodeBinary(b []byte, _ *identityCache) error {
 	r := binio.NewReader(b)
 	p.Version = int(r.Uvarint())
 	p.Hash = r.Str()
@@ -314,11 +317,62 @@ func (p *fetchModelResponse) decodeBinary(b []byte) error {
 	return finish(r)
 }
 
+func (q fetchModelRequest) appendBinary(dst []byte) ([]byte, error) {
+	dst = binio.AppendString(dst, q.UserID)
+	dst = binio.AppendUvarint(dst, uint64(q.Version))
+	return binio.AppendString(dst, q.IfHash), nil
+}
+
+func (q *fetchModelRequest) decodeBinary(b []byte, ids *identityCache) error {
+	r := binio.NewReader(b)
+	q.UserID = ids.readUserID(r)
+	q.Version = int(r.Uvarint())
+	q.IfHash = r.Str()
+	return finish(r)
+}
+
+// Train mode flags, one bit per core.Mode field.
+const (
+	modeCombined   byte = 1 << 0
+	modeUseContext byte = 1 << 1
+)
+
+func (q trainRequest) appendBinary(dst []byte) ([]byte, error) {
+	dst = binio.AppendString(dst, q.UserID)
+	var mode byte
+	if q.Mode.Combined {
+		mode |= modeCombined
+	}
+	if q.Mode.UseContext {
+		mode |= modeUseContext
+	}
+	dst = append(dst, mode)
+	dst = binio.AppendF64(dst, q.Rho)
+	dst = binio.AppendUvarint(dst, uint64(q.MaxPerClass))
+	dst = binio.AppendF64(dst, q.TargetFRR)
+	return binio.AppendU64(dst, uint64(q.Seed)), nil
+}
+
+func (q *trainRequest) decodeBinary(b []byte, ids *identityCache) error {
+	r := binio.NewReader(b)
+	q.UserID = ids.readUserID(r)
+	mode := r.Byte()
+	if mode&^(modeCombined|modeUseContext) != 0 {
+		r.Fail("train mode flags %#x", mode)
+	}
+	q.Mode = core.Mode{Combined: mode&modeCombined != 0, UseContext: mode&modeUseContext != 0}
+	q.Rho = r.F64()
+	q.MaxPerClass = int(r.Uvarint())
+	q.TargetFRR = r.F64()
+	q.Seed = int64(r.U64())
+	return finish(r)
+}
+
 func (p trainResponse) appendBinary(dst []byte) ([]byte, error) {
 	return appendBundle(dst, p.Version, p.Bundle)
 }
 
-func (p *trainResponse) decodeBinary(b []byte) error {
+func (p *trainResponse) decodeBinary(b []byte, _ *identityCache) error {
 	r := binio.NewReader(b)
 	p.Version, p.Bundle = readBundle(r)
 	return finish(r)
@@ -330,8 +384,8 @@ func (q streamOpenRequest) appendBinary(dst []byte) ([]byte, error) {
 	return binio.AppendString(dst, q.UserID), nil
 }
 
-func (q *streamOpenRequest) decodeBinary(b []byte) error {
+func (q *streamOpenRequest) decodeBinary(b []byte, ids *identityCache) error {
 	r := binio.NewReader(b)
-	q.UserID = r.Str()
+	q.UserID = ids.readUserID(r)
 	return finish(r)
 }
