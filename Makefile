@@ -35,7 +35,8 @@ counts:
 # Short fuzz pass over every fuzz target: WAL, snapshot and CAS decoders,
 # the sealed frame every channel speaks, client and replication frames, drift states, the shard map, and the KRR
 # and decision-tree decoders that read model bundles from the registry
-# and from fetch-model.
+# and from fetch-model; and the spectral peak search, against the whole
+# spectrum it replaces.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/store/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeBinaryPayload -fuzztime=10s ./internal/store/
@@ -53,6 +54,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzShardMap -fuzztime=10s ./internal/cluster/
 	$(GO) test -run=Fuzz -fuzz=FuzzKRRUnmarshal -fuzztime=10s ./internal/ml/
 	$(GO) test -run=Fuzz -fuzz=FuzzTreeUnmarshal -fuzztime=10s ./internal/ml/
+	$(GO) test -run=Fuzz -fuzz=FuzzPeaksMatchSpectrum -fuzztime=10s ./internal/dsp/
 
 # Line delta of the working tree (staged, unstaged and committed) against
 # BASE, split the way CHANGES.md reports it: product .go (non-test, outside
@@ -83,7 +85,8 @@ done
 $(GO) test -race -run='$(2)' $(1)
 endef
 
-# Focused race smoke over the shared FFT plan table, the server's
+# Focused race smoke over the shared FFT plan table and its batched peak
+# search, the server's
 # bounded train worker pool, the per-user authenticator every
 # connection shares while publishes replace it, the stream's
 # coalesced writes (an error mid-burst, Close behind unsent windows, the
@@ -93,7 +96,7 @@ endef
 # gate even though `race` already covers these packages.
 race-pool:
 	$(call race-pinned,./internal/transport/,TestTrainBackpressure|TestTrainPoolConcurrentHammer|TestStreamHammerConcurrentClose|TestSharedAuthenticatorHammer|TestStreamErrorMidBurstArrivesInOrder|TestStreamPushThenCloseWithoutRecv|TestStreamFlushesPastThreshold|TestIdentityCacheMatchesAnonymize|TestIdentityCacheBoundedOnOneConn|TestSecondRequestSharesCachedIdentity)
-	$(call race-pinned,./internal/dsp/,TestPlanConcurrentSharing)
+	$(call race-pinned,./internal/dsp/,TestPlanConcurrentSharing|TestPeaksIntoConcurrentSharing)
 
 # Replication hammer under the race detector: concurrent enrollments
 # racing a cold follower's catch-up exercise the subscribe-before-scan

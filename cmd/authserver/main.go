@@ -96,6 +96,7 @@ import (
 	"time"
 
 	"smarteryou"
+	"smarteryou/internal/dsp"
 )
 
 func main() {
@@ -267,6 +268,10 @@ func bootstrapDetector(store *smarteryou.PopulationStore, seedUsers int, seed in
 	if err != nil {
 		return nil, nil, err
 	}
+	// A window length off the 5-smooth fast path shows here as Bluestein
+	// plans.
+	calls, plans := dsp.Counts()
+	log.Printf("corpus: %d windows from %d dsp engine calls, %d Bluestein plans", len(ctxTrain), calls, plans)
 	if detector == nil {
 		detector, err = smarteryou.TrainContextDetector(
 			smarteryou.ContextTrainingData(ctxTrain), smarteryou.DetectorConfig{Seed: seed})

@@ -14,6 +14,7 @@ import (
 
 	"smarteryou/internal/core"
 	"smarteryou/internal/ctxdetect"
+	"smarteryou/internal/dsp"
 	"smarteryou/internal/features"
 	"smarteryou/internal/replication"
 	"smarteryou/internal/sensing"
@@ -59,6 +60,8 @@ var exactCounts = []struct {
 	{"enroll16/allocs", 2},          // one NoSync store Enroll of 16 windows that replace the user's: the WAL record, the stored windows
 	{"enroll16/wal_bytes", 2682350}, // log after countWarmup+countOps such enrolls: 304.81 B a window
 	{"device/allocs", 2},            // phone + watch extraction with one Extractor, then Authenticate
+	{"device/transforms", 2},        // dsp engine calls: one batch of both sensors per device
+	{"device/bluestein_plans", 0},   // a 6 s window is 300 samples, transformed at 150: both 5-smooth
 	{"enroll8/allocs", 3},           // one Client.ReplaceEnrollment of 8 windows, WAL append without fsync: decoded windows, WAL record, stored windows
 	{"enroll8/reads", 1},            // the response frame
 	{"enroll8/writes", 1},           // the request frame
@@ -447,9 +450,11 @@ func countEnroll(t *testing.T, got map[string]float64) {
 
 // countDevice counts the on-phone continuous path: one 6 s slice of a
 // phone and a watch recording through one reused Extractor, then
-// Authenticate.
+// Authenticate. The dsp engine's counters give its transforms per op and
+// the Bluestein plans built from the streams on, warm-up included.
 func countDevice(t *testing.T, got map[string]float64) {
 	auth, _ := buildBenchAuthenticator(t)
+	calls0, plans0 := dsp.Counts()
 	phone, watch := benchStreams(t)
 	per := int(6 * sensing.SampleRate)
 	var slices [][2]*sensing.Stream
@@ -473,4 +478,7 @@ func countDevice(t *testing.T, got map[string]float64) {
 		_, err = auth.Authenticate(features.WindowSample{Context: sensing.ContextMovingUse, Phone: pw[0], Watch: ww[0]})
 		return err
 	})
+	calls1, plans1 := dsp.Counts()
+	got["device/transforms"] = float64(calls1-calls0) / (countWarmup + countOps)
+	got["device/bluestein_plans"] = float64(plans1 - plans0)
 }

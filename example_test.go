@@ -36,27 +36,33 @@ func ExampleSession_Generate() {
 	// Output: 600 50
 }
 
-// Feature extraction turns a stream into the paper's 6 s windows.
-func ExampleExtractWindows() {
+// Feature extraction turns a phone and a watch recording of one session
+// into the paper's 6 s windows, paired into 28-feature vectors.
+func ExamplePair() {
 	pop, err := smarteryou.NewPopulation(1, 7)
 	if err != nil {
 		panic(err)
 	}
-	stream, err := smarteryou.Session{
+	sess := smarteryou.Session{
 		User:    pop.Users[0],
 		Context: smarteryou.ContextStationaryUse,
 		Seconds: 30,
 		Seed:    1,
-	}.Generate(smarteryou.DeviceWatch)
+	}
+	phone, err := sess.Generate(smarteryou.DevicePhone)
 	if err != nil {
 		panic(err)
 	}
-	windows, err := smarteryou.ExtractWindows(stream, 6)
+	watch, err := sess.Generate(smarteryou.DeviceWatch)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(len(windows), len(windows[0].AuthVector()))
-	// Output: 5 14
+	windows, err := smarteryou.Pair(sess, phone, watch, 6)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(len(windows), len(windows[0].Vector(true)))
+	// Output: 5 28
 }
 
 // The end-to-end flow: enroll, train, authenticate.

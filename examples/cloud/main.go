@@ -145,22 +145,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	phoneWins, err := smarteryou.ExtractWindows(phoneStream, 6)
-	if err != nil {
-		log.Fatal(err)
-	}
-	watchWins, err := smarteryou.ExtractWindows(watchStream, 6)
+	samples, err := smarteryou.Pair(session, phoneStream, watchStream, 6)
 	if err != nil {
 		log.Fatal(err)
 	}
 	accepted := 0
-	for k := range phoneWins {
-		d, err := auth.Authenticate(smarteryou.WindowSample{
-			UserID:  owner.ID,
-			Context: smarteryou.ContextMovingUse,
-			Phone:   phoneWins[k],
-			Watch:   watchWins[k],
-		})
+	for _, s := range samples {
+		d, err := auth.Authenticate(s)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -169,5 +160,5 @@ func main() {
 		}
 	}
 	fmt.Printf("owner authenticated in %d/%d windows over the lossy watch link\n",
-		accepted, len(phoneWins))
+		accepted, len(samples))
 }

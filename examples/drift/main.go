@@ -142,40 +142,17 @@ func dayTime(day float64) time.Time {
 func collectAtDay(u *smarteryou.User, day, seconds float64) []smarteryou.WindowSample {
 	var out []smarteryou.WindowSample
 	for ci, ctx := range []smarteryou.Context{smarteryou.ContextStationaryUse, smarteryou.ContextMovingUse} {
-		stream := func(dev smarteryou.Device) *smarteryou.Stream {
-			s, err := smarteryou.Session{
-				User:    u,
-				Context: ctx,
-				Day:     day,
-				Seconds: seconds / 2,
-				Seed:    int64(day*1000) + int64(ci)*17 + 3,
-			}.Generate(dev)
-			if err != nil {
-				log.Fatal(err)
-			}
-			return s
-		}
-		phoneWins, err := smarteryou.ExtractWindows(stream(smarteryou.DevicePhone), 6)
+		samples, err := smarteryou.Record(smarteryou.Session{
+			User:    u,
+			Context: ctx,
+			Day:     day,
+			Seconds: seconds / 2,
+			Seed:    int64(day*1000) + int64(ci)*17 + 3,
+		}, 6)
 		if err != nil {
 			log.Fatal(err)
 		}
-		watchWins, err := smarteryou.ExtractWindows(stream(smarteryou.DeviceWatch), 6)
-		if err != nil {
-			log.Fatal(err)
-		}
-		n := len(phoneWins)
-		if len(watchWins) < n {
-			n = len(watchWins)
-		}
-		for k := 0; k < n; k++ {
-			out = append(out, smarteryou.WindowSample{
-				UserID:  u.ID,
-				Context: ctx,
-				Day:     day,
-				Phone:   phoneWins[k],
-				Watch:   watchWins[k],
-			})
-		}
+		out = append(out, samples...)
 	}
 	return out
 }

@@ -30,36 +30,3 @@ type SpectralPeaks struct {
 	Peak2  float64 // amplitude of the secondary frequency
 	Peak2F float64 // the secondary frequency in Hz
 }
-
-// Peaks extracts the two largest non-DC spectral components. Neighbouring
-// bins of the primary peak are excluded when searching for the secondary
-// peak so that spectral leakage of the main component is not reported as a
-// distinct second peak.
-func (s *Spectrum) Peaks() SpectralPeaks {
-	var p SpectralPeaks
-	best := -1
-	for k := 1; k < len(s.Amplitudes); k++ {
-		if best == -1 || s.Amplitudes[k] > s.Amplitudes[best] {
-			best = k
-		}
-	}
-	if best == -1 {
-		return p
-	}
-	p.Peak = s.Amplitudes[best]
-	p.PeakF = s.Frequencies[best]
-	second := -1
-	for k := 1; k < len(s.Amplitudes); k++ {
-		if k >= best-1 && k <= best+1 {
-			continue
-		}
-		if second == -1 || s.Amplitudes[k] > s.Amplitudes[second] {
-			second = k
-		}
-	}
-	if second != -1 {
-		p.Peak2 = s.Amplitudes[second]
-		p.Peak2F = s.Frequencies[second]
-	}
-	return p
-}

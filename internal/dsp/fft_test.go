@@ -22,7 +22,7 @@ func FFT(x []complex128) ([]complex128, error) {
 	}
 	out := make([]complex128, len(x))
 	sc := p.scratch.Get().(*fftScratch)
-	p.transform(out, x, sc.work)
+	p.transform(out, x, sc.work, 1)
 	p.scratch.Put(sc)
 	return out, nil
 }
@@ -51,6 +51,41 @@ func FFTReal(x []float64) ([]complex128, error) {
 		c[i] = complex(v, 0)
 	}
 	return FFT(c)
+}
+
+// Peaks is the reference peak rule over a whole amplitude spectrum, the
+// oracle PeaksInto must match bit for bit. It extracts the two largest
+// non-DC spectral components, first index on ties. Neighbouring
+// bins of the primary peak are excluded when searching for the secondary
+// peak so that spectral leakage of the main component is not reported as a
+// distinct second peak.
+func (s *Spectrum) Peaks() SpectralPeaks {
+	var p SpectralPeaks
+	best := -1
+	for k := 1; k < len(s.Amplitudes); k++ {
+		if best == -1 || s.Amplitudes[k] > s.Amplitudes[best] {
+			best = k
+		}
+	}
+	if best == -1 {
+		return p
+	}
+	p.Peak = s.Amplitudes[best]
+	p.PeakF = s.Frequencies[best]
+	second := -1
+	for k := 1; k < len(s.Amplitudes); k++ {
+		if k >= best-1 && k <= best+1 {
+			continue
+		}
+		if second == -1 || s.Amplitudes[k] > s.Amplitudes[second] {
+			second = k
+		}
+	}
+	if second != -1 {
+		p.Peak2 = s.Amplitudes[second]
+		p.Peak2F = s.Frequencies[second]
+	}
+	return p
 }
 
 // AmplitudeSpectrum is AmplitudeSpectrumInto a fresh Spectrum.

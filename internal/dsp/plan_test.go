@@ -85,7 +85,7 @@ func TestRealTransformMatchesComplex(t *testing.T) {
 			t.Fatalf("n=%d: PlanFor: %v", n, err)
 		}
 		sc := p.scratch.Get().(*fftScratch)
-		got := append([]complex128(nil), p.realBins(x, sc)...)
+		got := append([]complex128(nil), p.bins(x, 1, sc)...)
 		p.scratch.Put(sc)
 		full, err := FFTReal(x)
 		if err != nil {

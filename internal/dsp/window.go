@@ -54,6 +54,41 @@ type WindowStats struct {
 // population variance (dividing by N), which is the convention for signal
 // energy statistics over fixed windows.
 func Stats(w []float64) (WindowStats, error) {
+	s, err := spread(w)
+	if err != nil {
+		return s, err
+	}
+	ss := 0.0
+	for _, v := range w {
+		d := v - s.Mean
+		ss += d * d
+	}
+	s.Var = ss / float64(len(w))
+	return s, nil
+}
+
+// StatsDetrend is Stats(w) and Detrend(w) in two passes instead of four:
+// the first finds sum, max and min, the second writes w minus its mean to
+// dst[:len(w)] and sums the squares. Every operation, and its order, is
+// Stats' and Detrend's, so the results are theirs bit for bit.
+func StatsDetrend(dst, w []float64) (WindowStats, error) {
+	s, err := spread(w)
+	if err != nil {
+		return s, err
+	}
+	dst = dst[:len(w)]
+	ss := 0.0
+	for i, v := range w {
+		d := v - s.Mean
+		dst[i] = d
+		ss += d * d
+	}
+	s.Var = ss / float64(len(w))
+	return s, nil
+}
+
+// spread is the first pass of Stats: mean, max, min and range.
+func spread(w []float64) (WindowStats, error) {
 	if len(w) == 0 {
 		return WindowStats{}, ErrEmptyInput
 	}
@@ -71,12 +106,6 @@ func Stats(w []float64) (WindowStats, error) {
 		}
 	}
 	s.Mean = sum / float64(len(w))
-	ss := 0.0
-	for _, v := range w {
-		d := v - s.Mean
-		ss += d * d
-	}
-	s.Var = ss / float64(len(w))
 	s.Ran = s.Max - s.Min
 	return s, nil
 }

@@ -36,6 +36,20 @@ func (w WindowSample) AppendVector(dst []float64, combined bool) []float64 {
 	return dst
 }
 
+// CheckFinite refuses windows that carry a NaN or infinite feature on
+// either device, naming the first. Such a window scores NaN against any
+// model, and trained beside other users' windows it makes their
+// training matrices singular, so the server stores none.
+func CheckFinite(samples []WindowSample) error {
+	for i := range samples {
+		if !samples[i].Phone.Acc.finite() || !samples[i].Phone.Gyr.finite() ||
+			!samples[i].Watch.Acc.finite() || !samples[i].Watch.Gyr.finite() {
+			return fmt.Errorf("features: window %d has a NaN or infinite feature", i)
+		}
+	}
+	return nil
+}
+
 // WatchVector returns the watch-only 14-dim vector, for the device
 // ablation of Fig. 4 / Fig. 5.
 func (w WindowSample) WatchVector() []float64 {

@@ -15,6 +15,7 @@ package features
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"smarteryou/internal/dsp"
@@ -33,6 +34,16 @@ type SensorFeatures struct {
 	PeakF  float64
 	Peak2  float64
 	Peak2F float64
+}
+
+// finite reports whether all nine features are finite numbers.
+func (s *SensorFeatures) finite() bool {
+	for _, v := range [...]float64{s.Mean, s.Var, s.Max, s.Min, s.Ran, s.Peak, s.PeakF, s.Peak2, s.Peak2F} {
+		if !(math.Abs(v) <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
 }
 
 // ByName returns the named candidate feature value.
@@ -81,17 +92,17 @@ func (s SensorFeatures) All() []float64 {
 }
 
 // Extractor owns the FFT plan and scratch buffers of the per-window
-// feature pipeline: the detrend buffer, the magnitude series, and the
-// reused amplitude spectrum. Holding one across windows (and across
-// streams, as Collect does) makes the hot path allocation-free where
-// the stateless package functions re-derived everything per window.
+// feature pipeline: the detrended windows, the magnitude series, and the
+// peaks of one batch. Holding one across windows (and across streams, as
+// Collect does) makes the hot path allocation-free where the stateless
+// package functions re-derived everything per window.
 //
 // An Extractor is NOT safe for concurrent use; give each goroutine its
 // own, or use the package-level functions, which draw from a shared pool.
 type Extractor struct {
 	plan    *dsp.FFTPlan
-	spec    dsp.Spectrum
-	detrend []float64
+	detrend []float64 // the batch's detrended windows, back to back
+	peaks   [2]dsp.SpectralPeaks
 	accMag  []float64
 	gyrMag  []float64
 }
@@ -128,39 +139,33 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// ExtractSensor computes the nine candidate statistics of one magnitude
-// window sampled at rate Hz. The spectral statistics are computed on the
-// detrended window so the DC component (gravity, for the accelerometer)
+// extract computes the nine candidate statistics of up to two magnitude
+// windows of one length, sampled at rate Hz: one fused time-domain pass
+// per window detrends it next to the others, then one engine call finds
+// the peaks of all. The spectral statistics are computed on the
+// detrended windows so the DC component (gravity, for the accelerometer)
 // does not mask the motion spectrum.
-func (e *Extractor) ExtractSensor(window []float64, rate float64) (SensorFeatures, error) {
-	ts, err := dsp.Stats(window)
-	if err != nil {
-		return SensorFeatures{}, fmt.Errorf("features: time-domain stats: %w", err)
+func (e *Extractor) extract(out []SensorFeatures, windows [][]float64, rate float64) error {
+	n := len(windows[0])
+	e.detrend = growFloats(e.detrend, len(windows)*n)
+	for j, w := range windows {
+		ts, err := dsp.StatsDetrend(e.detrend[j*n:], w)
+		if err != nil {
+			return fmt.Errorf("features: time-domain stats: %w", err)
+		}
+		out[j] = SensorFeatures{Mean: ts.Mean, Var: ts.Var, Max: ts.Max, Min: ts.Min, Ran: ts.Ran}
 	}
-	if err := e.ensurePlan(len(window)); err != nil {
-		return SensorFeatures{}, fmt.Errorf("features: spectrum: %w", err)
+	if err := e.ensurePlan(n); err != nil {
+		return fmt.Errorf("features: spectrum: %w", err)
 	}
-	// Detrend into the reused buffer: same subtraction as dsp.Detrend,
-	// without the per-window allocation.
-	e.detrend = growFloats(e.detrend, len(window))
-	for i, v := range window {
-		e.detrend[i] = v - ts.Mean
+	peaks := e.peaks[:len(windows)]
+	if err := e.plan.PeaksInto(peaks, e.detrend, rate); err != nil {
+		return fmt.Errorf("features: spectrum: %w", err)
 	}
-	if err := e.plan.AmplitudeSpectrumInto(&e.spec, e.detrend, rate); err != nil {
-		return SensorFeatures{}, fmt.Errorf("features: spectrum: %w", err)
+	for j, p := range peaks {
+		out[j].Peak, out[j].PeakF, out[j].Peak2, out[j].Peak2F = p.Peak, p.PeakF, p.Peak2, p.Peak2F
 	}
-	peaks := e.spec.Peaks()
-	return SensorFeatures{
-		Mean:   ts.Mean,
-		Var:    ts.Var,
-		Max:    ts.Max,
-		Min:    ts.Min,
-		Ran:    ts.Ran,
-		Peak:   peaks.Peak,
-		PeakF:  peaks.PeakF,
-		Peak2:  peaks.Peak2,
-		Peak2F: peaks.Peak2F,
-	}, nil
+	return nil
 }
 
 // DeviceFeatures summarizes one device's accelerometer and gyroscope in
@@ -210,6 +215,9 @@ func (e *Extractor) ExtractWindows(stream *sensing.Stream, windowSeconds float64
 	if windowSeconds <= 0 {
 		return nil, fmt.Errorf("features: window must be positive, got %g", windowSeconds)
 	}
+	if !(stream.Rate > 0) || math.IsInf(stream.Rate, 1) {
+		return nil, fmt.Errorf("features: sample rate must be positive and finite, got %g", stream.Rate)
+	}
 	size := int(windowSeconds * stream.Rate)
 	if size <= 0 {
 		return nil, fmt.Errorf("features: window of %g s at %g Hz has no samples", windowSeconds, stream.Rate)
@@ -226,18 +234,15 @@ func (e *Extractor) ExtractWindows(stream *sensing.Stream, windowSeconds float64
 		e.gyrMag[i] = dsp.Magnitude(smp.Gyr.X, smp.Gyr.Y, smp.Gyr.Z)
 	}
 
+	// Both sensors of a window go through the engine as one batch.
 	out := make([]DeviceFeatures, n/size)
+	var pair [2]SensorFeatures
 	for i := range out {
 		lo, hi := i*size, (i+1)*size
-		acc, err := e.ExtractSensor(e.accMag[lo:hi], stream.Rate)
-		if err != nil {
-			return nil, fmt.Errorf("features: window %d acc: %w", i, err)
+		if err := e.extract(pair[:], [][]float64{e.accMag[lo:hi], e.gyrMag[lo:hi]}, stream.Rate); err != nil {
+			return nil, fmt.Errorf("features: window %d: %w", i, err)
 		}
-		gyr, err := e.ExtractSensor(e.gyrMag[lo:hi], stream.Rate)
-		if err != nil {
-			return nil, fmt.Errorf("features: window %d gyr: %w", i, err)
-		}
-		out[i] = DeviceFeatures{Acc: acc, Gyr: gyr}
+		out[i] = DeviceFeatures{Acc: pair[0], Gyr: pair[1]}
 	}
 	return out, nil
 }

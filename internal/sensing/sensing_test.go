@@ -130,11 +130,11 @@ func TestGaitFrequencyRecoverable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PlanFor: %v", err)
 	}
-	var spec dsp.Spectrum
-	if err := plan.AmplitudeSpectrumInto(&spec, dsp.Detrend(mag), SampleRate); err != nil {
-		t.Fatalf("AmplitudeSpectrumInto: %v", err)
+	var peaks [1]dsp.SpectralPeaks
+	if err := plan.PeaksInto(peaks[:], dsp.Detrend(mag), SampleRate); err != nil {
+		t.Fatalf("PeaksInto: %v", err)
 	}
-	peak := spec.Peaks().PeakF
+	peak := peaks[0].PeakF
 	f := u.Params.GaitFreq
 	ok := false
 	for _, h := range []float64{1, 2, 3} {

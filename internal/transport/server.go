@@ -334,13 +334,19 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // population lands partitioned exactly as live enrolls would. Users are
 // written in sorted id order, so one corpus always produces the same log.
 // It stops at the first write the store refuses: a partially seeded
-// population must not be served.
+// population must not be served. A corpus with a NaN or infinite feature
+// anywhere is refused before anything is written.
 func (s *Server) SeedPopulation(byUser map[string][]features.WindowSample) error {
 	ids := make([]string, 0, len(byUser))
 	for id := range byUser {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
+	for _, id := range ids {
+		if err := features.CheckFinite(byUser[id]); err != nil {
+			return fmt.Errorf("transport: seed population: %s: %w", anonymize(id), err)
+		}
+	}
 	for _, id := range ids {
 		anon := anonymize(id)
 		if !s.ownsWrite(anon) {
@@ -561,6 +567,9 @@ func (s *Server) dispatch(c *wireConn, env Envelope) reply {
 		anon, refusal, ok := admitWrite(req.UserID)
 		if !ok {
 			return refusal
+		}
+		if err := features.CheckFinite(req.Samples); err != nil {
+			return fail(fmt.Errorf("enroll: %w", err))
 		}
 		// The windows were decoded for this request alone, so they take the
 		// pseudonym in place. The write is WAL-first — durable before

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -722,5 +724,62 @@ func TestBluetoothLinkValidation(t *testing.T) {
 	}.Generate(sensing.DeviceWatch)
 	if _, err := (BluetoothLink{DropRate: 1.5}).Transmit(stream); err == nil {
 		t.Errorf("bad drop rate should error")
+	}
+}
+
+// TestNonFiniteEnrollRefused: a window with a NaN or infinite feature is
+// refused at admission — enroll, replace-enroll and SeedPopulation alike —
+// and nothing of it is stored. Stored, it would reach every other user's
+// impostor sample and make their trains fail on a singular matrix.
+func TestNonFiniteEnrollRefused(t *testing.T) {
+	det, byUser := buildFixture(t)
+	srv, addr := startServer(t, det)
+	seed := make(map[string][]features.WindowSample)
+	for _, id := range []string{"user-02", "user-03", "user-04"} {
+		seed[id] = byUser[id]
+	}
+	if err := srv.SeedPopulation(seed); err != nil {
+		t.Fatalf("SeedPopulation: %v", err)
+	}
+	a, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	if _, err := a.Enroll("user-00", byUser["user-00"]); err != nil {
+		t.Fatalf("A's enroll: %v", err)
+	}
+
+	b, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	poisoned := func(k int, set func(w *features.WindowSample)) []features.WindowSample {
+		ws := slices.Clone(byUser["user-01"])
+		set(&ws[k])
+		return ws
+	}
+	if _, err := b.Enroll("user-01", poisoned(3, func(w *features.WindowSample) { w.Phone.Acc.Mean = math.NaN() })); err == nil {
+		t.Error("B's enroll with a NaN feature was acked")
+	}
+	if _, err := b.ReplaceEnrollment("user-01", poisoned(0, func(w *features.WindowSample) { w.Watch.Gyr.Peak2F = math.Inf(1) })); err == nil {
+		t.Error("B's replace-enroll with a +Inf feature was acked")
+	}
+	if w := srv.persist.UserWindows(anonymize("user-01")); len(w) != 0 {
+		t.Errorf("%d of B's windows stored", len(w))
+	}
+	bad := map[string][]features.WindowSample{
+		"user-05": byUser["user-01"],
+		"user-06": poisoned(1, func(w *features.WindowSample) { w.Phone.Gyr.Var = math.Inf(-1) }),
+	}
+	if err := srv.SeedPopulation(bad); err == nil {
+		t.Error("SeedPopulation with a -Inf feature succeeded")
+	}
+	if w := srv.persist.UserWindows(anonymize("user-05")); len(w) != 0 {
+		t.Errorf("a refused seeding stored %d windows of its finite user", len(w))
+	}
+
+	// A's train samples every other user's windows as impostors.
+	if _, err := a.Train("user-00", TrainParams{Mode: core.Mode{Combined: true, UseContext: true}, Seed: 3}); err != nil {
+		t.Fatalf("A's train: %v", err)
 	}
 }

@@ -87,8 +87,6 @@ type (
 	// WindowSample is one authentication observation: both devices'
 	// features for the same time window.
 	WindowSample = features.WindowSample
-	// DeviceFeatures is one device's per-window feature summary.
-	DeviceFeatures = features.DeviceFeatures
 	// CollectOptions configures synthetic data collection for a user.
 	CollectOptions = features.CollectOptions
 )
@@ -99,9 +97,17 @@ func Collect(u *User, opt CollectOptions) ([]WindowSample, error) {
 	return features.Collect(u, opt)
 }
 
-// ExtractWindows slices a raw stream into windows and computes features.
-func ExtractWindows(stream *Stream, windowSeconds float64) ([]DeviceFeatures, error) {
-	return features.ExtractWindows(stream, windowSeconds)
+// Record generates one session on both devices and pairs their windows
+// into WindowSamples labelled with the session's user, context and day.
+func Record(sess Session, windowSeconds float64) ([]WindowSample, error) {
+	return features.Record(sess, windowSeconds)
+}
+
+// Pair extracts the windows of one session's phone and watch streams —
+// say, after the watch stream crossed a lossy link — and pairs them index
+// by index, up to the shorter stream's windows.
+func Pair(sess Session, phone, watch *Stream, windowSeconds float64) ([]WindowSample, error) {
+	return features.Pair(sess, phone, watch, windowSeconds)
 }
 
 // Context detection.

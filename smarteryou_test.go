@@ -105,12 +105,13 @@ func TestFacadeSensing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPopulation: %v", err)
 	}
-	stream, err := smarteryou.Session{
+	sess := smarteryou.Session{
 		User:    pop.Users[0],
 		Context: smarteryou.ContextMovingUse,
 		Seconds: 12,
 		Seed:    3,
-	}.Generate(smarteryou.DeviceWatch)
+	}
+	stream, err := sess.Generate(smarteryou.DeviceWatch)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
@@ -121,12 +122,23 @@ func TestFacadeSensing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Transmit: %v", err)
 	}
-	wins, err := smarteryou.ExtractWindows(lossy, 6)
+	phone, err := sess.Generate(smarteryou.DevicePhone)
 	if err != nil {
-		t.Fatalf("ExtractWindows: %v", err)
+		t.Fatalf("Generate: %v", err)
+	}
+	wins, err := smarteryou.Pair(sess, phone, lossy, 6)
+	if err != nil {
+		t.Fatalf("Pair: %v", err)
 	}
 	if len(wins) != 2 {
 		t.Errorf("got %d windows, want 2", len(wins))
+	}
+	recorded, err := smarteryou.Record(sess, 6)
+	if err != nil {
+		t.Fatalf("Record: %v", err)
+	}
+	if len(recorded) != 2 || recorded[0].Phone != wins[0].Phone {
+		t.Errorf("Record gave %d windows; its phone features must equal Pair's", len(recorded))
 	}
 }
 
