@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,20 +27,27 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run() int {
+// run parses args and writes every report to stdout (and, with -out, to
+// <out>/<id>.txt). It returns the process exit code.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		runID   = flag.String("run", "", "experiment id to run, or 'all'")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		quick   = flag.Bool("quick", false, "use the reduced quick campaign")
-		users   = flag.Int("users", 0, "population size (default 35, paper scale)")
-		targets = flag.Int("targets", 0, "target users to average over (default 5)")
-		seed    = flag.Int64("seed", 0, "campaign seed (default 1)")
-		outDir  = flag.String("out", "", "also write each report to <out>/<id>.txt")
+		runID   = fs.String("run", "", "experiment id to run, or 'all'")
+		list    = fs.Bool("list", false, "list experiment ids and exit")
+		quick   = fs.Bool("quick", false, "use the reduced quick campaign")
+		users   = fs.Int("users", 0, "population size (default 35, paper scale)")
+		targets = fs.Int("targets", 0, "target users to average over (default 5)")
+		seed    = fs.Int64("seed", 0, "campaign seed (default 1)")
+		outDir  = fs.String("out", "", "also write each report to <out>/<id>.txt")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
@@ -48,7 +56,7 @@ func run() int {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
 			}
-			fmt.Printf("%-10s %s\n", id, title)
+			fmt.Fprintf(stdout, "%-10s %s\n", id, title)
 		}
 		return 0
 	}
@@ -88,8 +96,8 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, err)
 			return 1
 		}
-		fmt.Printf("=== %s: %s ===\n\n", report.ID, report.Title)
-		fmt.Println(strings.TrimRight(report.Text, "\n"))
+		fmt.Fprintf(stdout, "=== %s: %s ===\n\n", report.ID, report.Title)
+		fmt.Fprintln(stdout, strings.TrimRight(report.Text, "\n"))
 		if *outDir != "" {
 			path := filepath.Join(*outDir, report.ID+".txt")
 			if err := os.WriteFile(path, []byte(report.Text), 0o644); err != nil {
@@ -97,7 +105,7 @@ func run() int {
 				return 1
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	return 0
 }

@@ -81,29 +81,36 @@ const (
 
 // TestExactCounts drives each hot path countOps times after a warm-up,
 // over an in-process server on loopback for the wire paths, and compares
-// what it counted with exactCounts. Under the race detector the
-// instrumentation allocates, so only the allocation rows are skipped.
+// what it counted with exactCounts, at GOMAXPROCS 1 and at 2: the train
+// row runs Fit's per-group goroutines, and the wire rows run the client,
+// the server and the poller on one P or on two. Under the race detector
+// the instrumentation allocates, so only the allocation rows are skipped.
 func TestExactCounts(t *testing.T) {
-	got := map[string]float64{}
-	countWire(t, got)
-	countEnroll(t, got)
-	countDevice(t, got)
-	countTrain(t, got)
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			got := map[string]float64{}
+			countWire(t, got)
+			countEnroll(t, got)
+			countDevice(t, got)
+			countTrain(t, got)
 
-	for _, c := range exactCounts {
-		v, ok := got[c.row]
-		delete(got, c.row)
-		switch {
-		case !ok:
-			t.Errorf("%s: not measured", c.row)
-		case raceEnabled && strings.HasSuffix(c.row, "/allocs"):
-		case v != c.want:
-			t.Errorf("%s = %s, table says %s: a rise is a regression, a fall lowers the table",
-				c.row, strconv.FormatFloat(v, 'f', -1, 64), strconv.FormatFloat(c.want, 'f', -1, 64))
-		}
-	}
-	for row, v := range got {
-		t.Errorf("%s = %s has no row in exactCounts", row, strconv.FormatFloat(v, 'f', -1, 64))
+			for _, c := range exactCounts {
+				v, ok := got[c.row]
+				delete(got, c.row)
+				switch {
+				case !ok:
+					t.Errorf("%s: not measured", c.row)
+				case raceEnabled && strings.HasSuffix(c.row, "/allocs"):
+				case v != c.want:
+					t.Errorf("%s = %s, table says %s: a rise is a regression, a fall lowers the table",
+						c.row, strconv.FormatFloat(v, 'f', -1, 64), strconv.FormatFloat(c.want, 'f', -1, 64))
+				}
+			}
+			for row, v := range got {
+				t.Errorf("%s = %s has no row in exactCounts", row, strconv.FormatFloat(v, 'f', -1, 64))
+			}
+		})
 	}
 }
 

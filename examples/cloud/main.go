@@ -14,10 +14,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	key := []byte("demo-pre-shared-key")
 	pop, err := smarteryou.NewPopulation(8, 23)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	owner := pop.Users[0]
 
@@ -29,7 +35,7 @@ func main() {
 			WindowSeconds: 6, SessionSeconds: 120, Sessions: 2, Seed: int64(700 + i),
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		population[u.ID] = samples
 		ctxTrain = append(ctxTrain, samples...)
@@ -37,18 +43,23 @@ func main() {
 	detector, err := smarteryou.TrainContextDetector(
 		smarteryou.ContextTrainingData(ctxTrain), smarteryou.DetectorConfig{Seed: 1})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// The demo keeps nothing: its store lives in a temporary directory.
 	dir, err := os.MkdirTemp("", "smarteryou-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	store, err := smarteryou.OpenStore(dir, smarteryou.StoreOptions{NoSync: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer func() {
+		if err := store.Close(); err != nil {
+			log.Printf("store close: %v", err)
+		}
+	}()
 	server, err := smarteryou.NewAuthServer(smarteryou.AuthServerConfig{
 		Key:      key,
 		Detector: detector,
@@ -56,21 +67,18 @@ func main() {
 		Logf:     func(format string, args ...any) { log.Printf("[server] "+format, args...) },
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := server.SeedPopulation(population); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	addr, err := server.Start("127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer func() {
 		if err := server.Close(); err != nil {
 			log.Printf("server close: %v", err)
-		}
-		if err := store.Close(); err != nil {
-			log.Printf("store close: %v", err)
 		}
 	}()
 	fmt.Printf("authentication server listening on %s\n", addr)
@@ -81,7 +89,7 @@ func main() {
 		Key:  key,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Enrollment phase: collect until the feature distribution converges.
@@ -90,7 +98,7 @@ func main() {
 		WindowSeconds: 6, SessionSeconds: 300, Sessions: 3, Days: 6, Seed: 9,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, s := range enrollData {
 		if enrollment.Add(s) {
@@ -101,29 +109,29 @@ func main() {
 
 	stored, err := client.Enroll(owner.ID, enrollment.Samples())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("uploaded %d windows to the training module\n", stored)
 
 	// Download the context detector and the trained models.
 	downloadedDetector, err := client.FetchDetector()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	bundle, err := client.Train(owner.ID, smarteryou.TrainParams{
 		Mode: smarteryou.Mode{Combined: true, UseContext: true},
 		Seed: 11,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	auth, err := smarteryou.NewAuthenticator(downloadedDetector, bundle)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	users, windows, err := client.Stats()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("server population: %d users, %d windows (anonymized)\n", users, windows)
 
@@ -135,25 +143,25 @@ func main() {
 	}
 	phoneStream, err := session.Generate(smarteryou.DevicePhone)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	watchRaw, err := session.Generate(smarteryou.DeviceWatch)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	watchStream, err := link.Transmit(watchRaw)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	samples, err := smarteryou.Pair(session, phoneStream, watchStream, 6)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	accepted := 0
 	for _, s := range samples {
 		d, err := auth.Authenticate(s)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if d.Accepted {
 			accepted++
@@ -161,4 +169,5 @@ func main() {
 	}
 	fmt.Printf("owner authenticated in %d/%d windows over the lossy watch link\n",
 		accepted, len(samples))
+	return nil
 }

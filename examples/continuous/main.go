@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -14,13 +15,22 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	pop, err := smarteryou.NewPopulation(8, 7)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	owner, thief := pop.Users[0], pop.Users[5]
 
-	auth := buildAuthenticator(pop, owner)
+	auth, err := buildAuthenticator(pop, owner)
+	if err != nil {
+		return err
+	}
 	response := smarteryou.NewResponseModule(smarteryou.ResponsePolicy{
 		DenyAfter: 1, // one rejected window denies critical-data access
 		LockAfter: 3, // three in a row lock the device (18 s at 6 s windows)
@@ -44,11 +54,14 @@ func main() {
 	clock := 0.0
 	for _, p := range timeline {
 		fmt.Printf("\n--- %s ---\n", p.label)
-		samples := collect(p.who, p.context, p.seconds, p.seed)
+		samples, err := collect(p.who, p.context, p.seconds, p.seed)
+		if err != nil {
+			return err
+		}
 		for _, s := range samples {
 			d, err := auth.Authenticate(s)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			action := response.Observe(d)
 			clock += 6
@@ -65,16 +78,20 @@ func main() {
 		}
 	}
 	if !response.Locked() {
-		log.Fatal("expected the thief to be locked out")
+		return errors.New("expected the thief to be locked out")
 	}
 
 	// The owner unlocks explicitly (password / fingerprint) and continues.
 	response.Unlock()
 	fmt.Println("\n--- owner back after explicit unlock ---")
-	for i, s := range collect(owner, smarteryou.ContextStationaryUse, 30, 14) {
+	back, err := collect(owner, smarteryou.ContextStationaryUse, 30, 14)
+	if err != nil {
+		return err
+	}
+	for i, s := range back {
 		d, err := auth.Authenticate(s)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		action := response.Observe(d)
 		clock += 6
@@ -83,19 +100,20 @@ func main() {
 	}
 
 	if bad := smarteryou.VerifyAuditChain(audit.Entries()); bad >= 0 {
-		log.Fatalf("audit chain broken at entry %d", bad)
+		return fmt.Errorf("audit chain broken at entry %d", bad)
 	}
 	fmt.Printf("\naudit log: %d entries, hash chain verified\n", audit.Len())
+	return nil
 }
 
 // buildAuthenticator trains the full stack for the owner against the rest
 // of the cohort.
-func buildAuthenticator(pop *smarteryou.Population, owner *smarteryou.User) *smarteryou.Authenticator {
+func buildAuthenticator(pop *smarteryou.Population, owner *smarteryou.User) (*smarteryou.Authenticator, error) {
 	ownerData, err := smarteryou.Collect(owner, smarteryou.CollectOptions{
 		WindowSeconds: 6, SessionSeconds: 120, Sessions: 3, Days: 13, Seed: 1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	var impostorData []smarteryou.WindowSample
 	for i, u := range pop.Users {
@@ -106,40 +124,32 @@ func buildAuthenticator(pop *smarteryou.Population, owner *smarteryou.User) *sma
 			WindowSeconds: 6, SessionSeconds: 120, Sessions: 2, Seed: int64(200 + i),
 		})
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		impostorData = append(impostorData, samples...)
 	}
 	det, err := smarteryou.TrainContextDetector(
 		smarteryou.ContextTrainingData(impostorData), smarteryou.DetectorConfig{Seed: 2})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	bundle, err := smarteryou.Train(ownerData, impostorData, smarteryou.TrainConfig{
 		Mode: smarteryou.Mode{Combined: true, UseContext: true},
 		Seed: 3,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	auth, err := smarteryou.NewAuthenticator(det, bundle)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return auth
+	return smarteryou.NewAuthenticator(det, bundle)
 }
 
 // collect records one session and returns its feature windows.
-func collect(u *smarteryou.User, ctx smarteryou.Context, seconds float64, seed int64) []smarteryou.WindowSample {
-	samples, err := smarteryou.Collect(u, smarteryou.CollectOptions{
+func collect(u *smarteryou.User, ctx smarteryou.Context, seconds float64, seed int64) ([]smarteryou.WindowSample, error) {
+	return smarteryou.Collect(u, smarteryou.CollectOptions{
 		WindowSeconds:  6,
 		SessionSeconds: seconds,
 		Sessions:       1,
 		Contexts:       []smarteryou.Context{ctx},
 		Seed:           seed,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return samples
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -13,9 +14,15 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	pop, err := smarteryou.NewPopulation(8, 22)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	owner := pop.Users[3] // a user whose habits drift substantially over the two weeks
 
@@ -26,14 +33,14 @@ func main() {
 			WindowSeconds: 6, SessionSeconds: 120, Sessions: 2, Seed: int64(500 + i),
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		impostorData = append(impostorData, samples...)
 	}
 	det, err := smarteryou.TrainContextDetector(
 		smarteryou.ContextTrainingData(impostorData), smarteryou.DetectorConfig{Seed: 1})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Enroll at day 0 and train.
@@ -41,14 +48,17 @@ func main() {
 		Mode: smarteryou.Mode{Combined: true, UseContext: true},
 		Seed: 2,
 	}
-	enroll := collectAtDay(owner, 0, 600)
+	enroll, err := collectAtDay(owner, 0, 600)
+	if err != nil {
+		return err
+	}
 	bundle, err := smarteryou.Train(enroll, impostorData, trainCfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	auth, err := smarteryou.NewAuthenticator(det, bundle)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Calibrate the drift threshold to this user's enrollment-time
@@ -58,7 +68,7 @@ func main() {
 	for _, w := range enroll {
 		d, err := auth.Authenticate(w)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		enrollCS += d.Score
 	}
@@ -74,15 +84,13 @@ func main() {
 	//  - abrupt change: the user gets falsely locked out, re-authenticates
 	//    explicitly (password / multi-factor), and that explicit proof of
 	//    identity authorizes retraining with her latest windows.
-	retrain := func(windows []smarteryou.WindowSample, day float64) {
+	retrain := func(windows []smarteryou.WindowSample, day float64) error {
 		newBundle, err := smarteryou.Train(windows, impostorData, trainCfg)
 		if err != nil {
-			log.Fatal(err)
-		}
-		if err := auth.SwapBundle(newBundle); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		monitor.MarkTrained(owner.ID, dayTime(day))
+		return auth.SwapBundle(newBundle)
 	}
 
 	fmt.Println("Watch the feedback loop: early lockouts retrain the cold-start model,")
@@ -91,24 +99,31 @@ func main() {
 	fmt.Println()
 	fmt.Println("day   mean confidence score")
 	for day := 0.0; day <= 12; day++ {
-		windows := collectAtDay(owner, day, 300)
+		windows, err := collectAtDay(owner, day, 300)
+		if err != nil {
+			return err
+		}
 		var sum float64
 		note := ""
 		for _, w := range windows {
 			d, err := auth.Authenticate(w)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			sum += d.Score
 			if response.Observe(d) == smarteryou.ActionLock {
 				// False lockout of the owner: explicit re-authentication
 				// proves identity and authorizes retraining.
-				retrain(windows, day)
+				if err := retrain(windows, day); err != nil {
+					return err
+				}
 				response.Unlock()
 				note = "  <-- false lockout: explicit re-auth + retrain"
 			}
 			if _, drifted := monitor.Observe(owner.ID, d.Score, d.Accepted, dayTime(day)); drifted {
-				retrain(windows, day)
+				if err := retrain(windows, day); err != nil {
+					return err
+				}
 				note = "  <-- drift detected by CS monitor: retrained"
 			}
 		}
@@ -117,20 +132,24 @@ func main() {
 
 	// The attacker cannot trigger retraining: his scores are negative.
 	attacker := pop.Users[2]
-	attackerWindows := collectAtDay(attacker, 12, 300)
+	attackerWindows, err := collectAtDay(attacker, 12, 300)
+	if err != nil {
+		return err
+	}
 	var atkSum float64
 	for _, w := range attackerWindows {
 		d, err := auth.Authenticate(w)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		atkSum += d.Score
 		if _, drifted := monitor.Observe(owner.ID, d.Score, d.Accepted, dayTime(12)); drifted {
-			log.Fatal("attacker must not trigger retraining")
+			return errors.New("attacker must not trigger retraining")
 		}
 	}
 	fmt.Printf("\nattacker mean confidence score at day 12: %.3f (never triggers retraining)\n",
 		atkSum/float64(len(attackerWindows)))
+	return nil
 }
 
 // dayTime is the monitor's clock: simulated days since enrollment.
@@ -139,7 +158,7 @@ func dayTime(day float64) time.Time {
 }
 
 // collectAtDay records seconds of usage (both contexts) at a drift day.
-func collectAtDay(u *smarteryou.User, day, seconds float64) []smarteryou.WindowSample {
+func collectAtDay(u *smarteryou.User, day, seconds float64) ([]smarteryou.WindowSample, error) {
 	var out []smarteryou.WindowSample
 	for ci, ctx := range []smarteryou.Context{smarteryou.ContextStationaryUse, smarteryou.ContextMovingUse} {
 		samples, err := smarteryou.Record(smarteryou.Session{
@@ -150,9 +169,9 @@ func collectAtDay(u *smarteryou.User, day, seconds float64) []smarteryou.WindowS
 			Seed:    int64(day*1000) + int64(ci)*17 + 3,
 		}, 6)
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		out = append(out, samples...)
 	}
-	return out
+	return out, nil
 }

@@ -13,12 +13,21 @@ import (
 )
 
 func main() {
-	pop, err := smarteryou.NewPopulation(8, 99)
-	if err != nil {
+	if err := run(); err != nil {
 		log.Fatal(err)
 	}
+}
+
+func run() error {
+	pop, err := smarteryou.NewPopulation(8, 99)
+	if err != nil {
+		return err
+	}
 	victim := pop.Users[0]
-	auth := buildAuthenticator(pop, victim)
+	auth, err := buildAuthenticator(pop, victim)
+	if err != nil {
+		return err
+	}
 
 	fmt.Println("masquerading attack vs mimicry fidelity")
 	fmt.Printf("%-10s %14s %14s %14s\n", "fidelity", "caught<=6s", "caught<=18s", "mean time")
@@ -33,7 +42,7 @@ func main() {
 			Seed:           2027,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Printf("%-10.1f %13.0f%% %13.0f%% %12.1fs\n",
 			fidelity,
@@ -53,21 +62,22 @@ func main() {
 		Seed:           2028,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println("\nsurvival curve at fidelity 0.9:")
 	times, fractions := res.SurvivalCurve()
 	for i, t := range times {
 		fmt.Printf("t=%2.0fs  %5.1f%% of adversaries still have access\n", t, fractions[i]*100)
 	}
+	return nil
 }
 
-func buildAuthenticator(pop *smarteryou.Population, victim *smarteryou.User) *smarteryou.Authenticator {
+func buildAuthenticator(pop *smarteryou.Population, victim *smarteryou.User) (*smarteryou.Authenticator, error) {
 	victimData, err := smarteryou.Collect(victim, smarteryou.CollectOptions{
 		WindowSeconds: 6, SessionSeconds: 150, Sessions: 3, Days: 13, Seed: 1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	var impostorData []smarteryou.WindowSample
 	for i, u := range pop.Users {
@@ -78,25 +88,21 @@ func buildAuthenticator(pop *smarteryou.Population, victim *smarteryou.User) *sm
 			WindowSeconds: 6, SessionSeconds: 150, Sessions: 2, Seed: int64(300 + i),
 		})
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		impostorData = append(impostorData, samples...)
 	}
 	det, err := smarteryou.TrainContextDetector(
 		smarteryou.ContextTrainingData(impostorData), smarteryou.DetectorConfig{Seed: 2})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	bundle, err := smarteryou.Train(victimData, impostorData, smarteryou.TrainConfig{
 		Mode: smarteryou.Mode{Combined: true, UseContext: true},
 		Seed: 3,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	auth, err := smarteryou.NewAuthenticator(det, bundle)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return auth
+	return smarteryou.NewAuthenticator(det, bundle)
 }

@@ -10,11 +10,17 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	// A synthetic cohort stands in for real sensor data: user 0 will be
 	// the device owner, the rest form the anonymized impostor population.
 	pop, err := smarteryou.NewPopulation(10, 42)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	owner := pop.Users[0]
 
@@ -28,7 +34,7 @@ func main() {
 		Seed:           1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("enrolled %q with %d feature windows\n", owner.ID, len(ownerData))
 
@@ -42,7 +48,7 @@ func main() {
 			Seed:           int64(100 + i),
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		impostorData = append(impostorData, samples...)
 	}
@@ -51,7 +57,7 @@ func main() {
 	detector, err := smarteryou.TrainContextDetector(
 		smarteryou.ContextTrainingData(impostorData), smarteryou.DetectorConfig{Seed: 1})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Train the per-context authentication models (the paper's best
@@ -62,11 +68,11 @@ func main() {
 		Seed:        7,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	auth, err := smarteryou.NewAuthenticator(detector, bundle)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Fresh windows from the owner must authenticate...
@@ -74,7 +80,7 @@ func main() {
 		WindowSeconds: 6, SessionSeconds: 60, Sessions: 1, Seed: 999,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// ...and fresh windows from a stranger must not.
 	stranger := pop.Users[3]
@@ -82,30 +88,32 @@ func main() {
 		WindowSeconds: 6, SessionSeconds: 60, Sessions: 1, Seed: 998,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	report := func(who string, samples []smarteryou.WindowSample) {
+	for _, r := range []struct {
+		who     string
+		samples []smarteryou.WindowSample
+	}{{"owner", ownerTest}, {"stranger", strangerTest}} {
 		accepted := 0
-		for _, s := range samples {
+		for _, s := range r.samples {
 			d, err := auth.Authenticate(s)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if d.Accepted {
 				accepted++
 			}
 		}
-		fmt.Printf("%-10s accepted in %2d/%2d windows\n", who, accepted, len(samples))
+		fmt.Printf("%-10s accepted in %2d/%2d windows\n", r.who, accepted, len(r.samples))
 	}
-	report("owner", ownerTest)
-	report("stranger", strangerTest)
 
 	// Per-window detail for one owner window: context + confidence score.
 	d, err := auth.Authenticate(ownerTest[0])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("\nsample decision: context=%v (confidence %.2f), score=%.3f, accepted=%v\n",
 		d.Context, d.ContextConfidence, d.Score, d.Accepted)
+	return nil
 }

@@ -40,8 +40,9 @@ type ResponsePolicy struct {
 	DenyAfter int
 	// LockAfter consecutive rejected windows, the device locks and
 	// explicit authentication is required (default 3, i.e. 18 s at the
-	// paper's 6 s window — the time by which Fig. 6 shows every
-	// masquerader is caught).
+	// paper's 6 s window — the time by which the paper's Fig. 6 catches
+	// every masquerader; the reproduction's Fig. 6 catches 92.4 % by then,
+	// see results_paper_scale.txt).
 	LockAfter int
 }
 

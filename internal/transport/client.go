@@ -210,8 +210,8 @@ func (p busyPolicy) run(do func() error) error {
 
 // roundTrip sends one request to the client's configured address and
 // decodes the response payload into out; see withConn for how
-// connections are reused. Use NewSession to pin one connection across
-// multiple round trips.
+// connections are reused. Use NewSession to pin one connection for
+// authentication.
 func (c *Client) roundTrip(reqType string, payload any, out any) error {
 	return c.withConn(c.addr, func(conn *wireConn) error {
 		return conn.request(c.timeout, reqType, payload, out)

@@ -2,10 +2,12 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
-	"smarteryou/internal/core"
 	"smarteryou/internal/features"
 )
 
@@ -101,16 +103,17 @@ func TestClientMultipleRequestsSequential(t *testing.T) {
 	}
 }
 
-// TestSessionReusesConnection runs the full retraining flow — upload,
-// detector download, training — over one session connection.
+// TestSessionReusesConnection runs single and batched authenticates and
+// a stream, then authenticates again, over one session: the client dials
+// once.
 func TestSessionReusesConnection(t *testing.T) {
-	det, byUser := buildFixture(t)
-	srv, addr := startServer(t, det)
-	if err := srv.SeedPopulation(byUser); err != nil {
-		t.Fatalf("SeedPopulation: %v", err)
-	}
-
-	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
+	addr, userID, samples := startTrainedServer(t)
+	var dials atomic.Int32
+	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey,
+		Dial: func(network, addr string, timeout time.Duration) (net.Conn, error) {
+			dials.Add(1)
+			return net.DialTimeout(network, addr, timeout)
+		}})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
@@ -124,41 +127,41 @@ func TestSessionReusesConnection(t *testing.T) {
 		}
 	}()
 
-	if _, err := session.Enroll("session-user", byUser["user-00"]); err != nil {
-		t.Fatalf("session Enroll: %v", err)
+	if _, err := session.Authenticate(userID, samples[0]); err != nil {
+		t.Fatalf("session Authenticate: %v", err)
 	}
-	if _, err := session.FetchDetector(); err != nil {
-		t.Fatalf("session FetchDetector: %v", err)
+	if _, err := session.AuthenticateBatch(userID, samples[:4]); err != nil {
+		t.Fatalf("session AuthenticateBatch: %v", err)
 	}
-	bundle, err := session.Train("session-user", TrainParams{
-		Mode: core.Mode{Combined: true, UseContext: false},
-		Seed: 2,
-	})
+	stream, err := session.StartStream(userID)
 	if err != nil {
-		t.Fatalf("session Train: %v", err)
+		t.Fatalf("StartStream: %v", err)
 	}
-	if bundle == nil || len(bundle.Models) == 0 {
-		t.Fatalf("session Train returned empty bundle")
+	if _, err := stream.Authenticate(samples[1]); err != nil {
+		t.Fatalf("stream Authenticate: %v", err)
 	}
-	if _, err := session.ReplaceEnrollment("session-user", byUser["user-00"][:5]); err != nil {
-		t.Fatalf("session ReplaceEnrollment: %v", err)
+	if err := stream.Close(); err != nil {
+		t.Fatalf("stream Close: %v", err)
 	}
-	users, windows, err := session.Stats()
-	if err != nil {
-		t.Fatalf("session Stats: %v", err)
+	if _, err := session.Authenticate(userID, samples[2]); err != nil {
+		t.Fatalf("session Authenticate after the stream: %v", err)
 	}
-	if users == 0 || windows == 0 {
-		t.Errorf("stats = %d users / %d windows", users, windows)
+	if n := dials.Load(); n != 1 {
+		t.Errorf("dials = %d, want 1", n)
 	}
 }
 
-// TestSessionConcurrentUse serializes concurrent calls on one connection.
+// TestSessionConcurrentUse serializes concurrent authenticates on one
+// connection: every caller gets its own window's decision.
 func TestSessionConcurrentUse(t *testing.T) {
-	det, byUser := buildFixture(t)
-	_, addr := startServer(t, det)
+	addr, userID, samples := startTrainedServer(t)
 	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
+	}
+	want, err := client.AuthenticateBatch(userID, samples[:8])
+	if err != nil {
+		t.Fatalf("AuthenticateBatch: %v", err)
 	}
 	session, err := client.NewSession()
 	if err != nil {
@@ -173,7 +176,11 @@ func TestSessionConcurrentUse(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if _, err := session.Enroll(fmt.Sprintf("cc-%d", w), byUser["user-01"][:2]); err != nil {
+				d, err := session.Authenticate(userID, samples[w])
+				if err == nil && d != want[w] {
+					err = fmt.Errorf("window %d: decision %+v, want %+v", w, d, want[w])
+				}
+				if err != nil {
 					errs <- err
 					return
 				}
@@ -189,7 +196,7 @@ func TestSessionConcurrentUse(t *testing.T) {
 }
 
 func TestSessionClosed(t *testing.T) {
-	det, _ := buildFixture(t)
+	det, byUser := buildFixture(t)
 	_, addr := startServer(t, det)
 	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
 	if err != nil {
@@ -205,7 +212,10 @@ func TestSessionClosed(t *testing.T) {
 	if err := session.Close(); err != nil {
 		t.Errorf("double Close should be a no-op, got %v", err)
 	}
-	if _, _, err := session.Stats(); err == nil {
+	if _, err := session.Authenticate("user-00", byUser["user-00"][0]); err == nil {
 		t.Errorf("request on closed session should error")
+	}
+	if _, err := session.StartStream("user-00"); err == nil {
+		t.Errorf("stream on closed session should error")
 	}
 }

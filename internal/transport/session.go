@@ -5,19 +5,17 @@ import (
 	"sync"
 	"time"
 
-	"smarteryou/internal/core"
-	"smarteryou/internal/ctxdetect"
 	"smarteryou/internal/features"
 )
 
-// Session is a connection-reusing view of the Authentication Server: the
-// retraining flow (upload then train then download) runs several round
-// trips back to back, and reusing one TCP connection avoids repeated
-// handshakes on the metered mobile link. Safe for concurrent use; requests
-// are serialized on the single connection.
+// Session is one pinned connection for authentication: single and
+// batched authenticates, and streams (StartStream), run on it without a
+// dial or a handshake each. Safe for concurrent use; requests are
+// serialized on the single connection. Writes, training and the other
+// verbs go through Client, which retries busy answers and follows
+// redirects.
 type Session struct {
 	timeout time.Duration
-	retry   busyPolicy
 
 	mu        sync.Mutex
 	conn      *wireConn
@@ -31,7 +29,7 @@ func (c *Client) NewSession() (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", c.addr, err)
 	}
-	return &Session{timeout: c.timeout, retry: c.retry, conn: newWireConn(nc, c.key)}, nil
+	return &Session{timeout: c.timeout, conn: newWireConn(nc, c.key)}, nil
 }
 
 // Close releases the underlying connection.
@@ -60,68 +58,6 @@ func (s *Session) use(do func(*wireConn) error) error {
 	return do(s.conn)
 }
 
-func (s *Session) roundTrip(reqType string, payload, out any) error {
-	return s.use(func(c *wireConn) error {
-		return c.request(s.timeout, reqType, payload, out)
-	})
-}
-
-// Enroll uploads feature windows on the session connection.
-func (s *Session) Enroll(userID string, samples []features.WindowSample) (stored int, err error) {
-	return s.enroll(userID, false, samples)
-}
-
-// ReplaceEnrollment uploads the user's latest behaviour, discarding stale
-// windows.
-func (s *Session) ReplaceEnrollment(userID string, samples []features.WindowSample) (stored int, err error) {
-	return s.enroll(userID, true, samples)
-}
-
-func (s *Session) enroll(userID string, replace bool, samples []features.WindowSample) (stored int, err error) {
-	err = s.use(func(c *wireConn) error {
-		stored, err = c.enroll(s.timeout, userID, replace, samples)
-		return err
-	})
-	return stored, err
-}
-
-// FetchDetector downloads the context-detection model.
-func (s *Session) FetchDetector() (*ctxdetect.Detector, error) {
-	var det ctxdetect.Detector
-	if err := s.roundTrip(TypeFetchDetector, nil, &det); err != nil {
-		return nil, err
-	}
-	return &det, nil
-}
-
-// Train asks the server to train and returns the model bundle. Like
-// Client.TrainVersioned, busy responses are retried with capped
-// exponential backoff from the server's hint.
-func (s *Session) Train(userID string, p TrainParams) (*core.ModelBundle, error) {
-	req := trainRequest{UserID: userID, TrainParams: p}
-	var resp trainResponse
-	err := s.retry.run(func() error {
-		return s.roundTrip(TypeTrain, req, &resp)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Bundle == nil {
-		return nil, fmt.Errorf("transport: server returned no model bundle")
-	}
-	return resp.Bundle, nil
-}
-
-// RequestRetrain nudges the drift-retrain scheduler on the session
-// connection; see Client.RequestRetrain.
-func (s *Session) RequestRetrain(userID string) (queued bool, reason string, err error) {
-	var resp retrainResponse
-	err = s.retry.run(func() error {
-		return s.roundTrip(TypeRetrain, retrainRequest{UserID: userID}, &resp)
-	})
-	return resp.Queued, resp.Reason, err
-}
-
 // Authenticate asks the server to classify one feature window with the
 // user's current model on the session connection.
 func (s *Session) Authenticate(userID string, sample features.WindowSample) (d AuthDecision, err error) {
@@ -140,11 +76,4 @@ func (s *Session) AuthenticateBatch(userID string, samples []features.WindowSamp
 		return err
 	})
 	return ds, err
-}
-
-// Stats fetches the server's population summary.
-func (s *Session) Stats() (users, windows int, err error) {
-	var resp statsResponse
-	err = s.roundTrip(TypeStats, nil, &resp)
-	return resp.Users, resp.Windows, err
 }

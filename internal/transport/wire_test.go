@@ -165,7 +165,7 @@ func TestStreamRoundTrip(t *testing.T) {
 
 	// While the stream is open, request-mode calls must fail fast instead
 	// of corrupting the connection.
-	if _, _, err := sess.Stats(); err == nil {
+	if _, err := sess.Authenticate(userID, samples[0]); err == nil {
 		t.Errorf("session request during an open stream should fail")
 	}
 
@@ -204,8 +204,8 @@ func TestStreamRoundTrip(t *testing.T) {
 
 	// The connection is back in request mode: the same session serves a
 	// normal request, and a second stream can open.
-	if _, _, err := sess.Stats(); err != nil {
-		t.Fatalf("Stats after stream close: %v", err)
+	if _, err := sess.Authenticate(userID, samples[0]); err != nil {
+		t.Fatalf("Authenticate after stream close: %v", err)
 	}
 	stream2, err := sess.StartStream(userID)
 	if err != nil {
@@ -244,8 +244,8 @@ func TestStreamCloseDrainsPending(t *testing.T) {
 	if err := stream.Close(); err != nil {
 		t.Fatalf("Close with pending decisions: %v", err)
 	}
-	if _, _, err := sess.Stats(); err != nil {
-		t.Fatalf("Stats after draining close: %v", err)
+	if _, err := sess.Authenticate(userID, samples[0]); err != nil {
+		t.Fatalf("Authenticate after draining close: %v", err)
 	}
 }
 
@@ -253,7 +253,7 @@ func TestStreamCloseDrainsPending(t *testing.T) {
 // answers with a sealed error and the connection stays usable in request
 // mode.
 func TestStreamOpenUnknownUser(t *testing.T) {
-	addr, _, _ := startTrainedServer(t)
+	addr, userID, samples := startTrainedServer(t)
 	client, err := NewClient(ClientConfig{Addr: addr, Key: testKey})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -267,8 +267,8 @@ func TestStreamOpenUnknownUser(t *testing.T) {
 	if _, err := sess.StartStream("ghost"); !errors.As(err, &remote) {
 		t.Fatalf("StartStream for unknown user: err = %v, want RemoteError", err)
 	}
-	if _, _, err := sess.Stats(); err != nil {
-		t.Errorf("Stats after refused stream-open: %v", err)
+	if _, err := sess.Authenticate(userID, samples[0]); err != nil {
+		t.Errorf("Authenticate after refused stream-open: %v", err)
 	}
 }
 

@@ -57,8 +57,6 @@ type (
 	Session = sensing.Session
 	// Stream is a fixed-rate sequence of sensor samples from one device.
 	Stream = sensing.Stream
-	// Device identifies the smartphone or the smartwatch.
-	Device = sensing.Device
 	// Context is a fine-grained usage context (Section V-E).
 	Context = sensing.Context
 )
@@ -217,9 +215,9 @@ type (
 	RedirectError = transport.RedirectError
 	// AuthDecision is the server-side authenticate verdict.
 	AuthDecision = transport.AuthDecision
-	// AuthSession is a kept-alive client connection: many round trips —
-	// including batched authentication — over one dialed, authenticated
-	// flow. Create one with AuthClient.NewSession.
+	// AuthSession is one pinned client connection for authentication:
+	// single and batched authenticates and streams over one dialed flow.
+	// Create one with AuthClient.NewSession.
 	AuthSession = transport.Session
 	// WireStats is the wire-protocol slice of AuthServerStats: request,
 	// batch-window and stream counters.

@@ -30,11 +30,10 @@ var unrunMethods = map[string]string{
 
 // unrunAllowed are the exported names kept with no caller in the tree.
 var unrunAllowed = map[string]string{
-	"internal/ml.KRRModeDual":                   "the paper's Eq. 6 solve; BenchmarkKRRPrimalVsDual selects it",
-	"internal/transport.Client.DriftState":      "operator verb; its caller is the admin surface (ROADMAP 6)",
-	"internal/transport.Client.DriftStates":     "operator verb; its caller is the admin surface (ROADMAP 6)",
-	"internal/transport.Client.RequestRetrain":  "operator verb; its caller is the admin surface (ROADMAP 6)",
-	"internal/transport.Session.RequestRetrain": "goes when Session folds into Client (ROADMAP 4 (k))",
+	"internal/ml.KRRModeDual":                  "the paper's Eq. 6 solve; BenchmarkKRRPrimalVsDual selects it",
+	"internal/transport.Client.DriftState":     "operator verb; its caller is the admin surface (ROADMAP 6)",
+	"internal/transport.Client.DriftStates":    "operator verb; its caller is the admin surface (ROADMAP 6)",
+	"internal/transport.Client.RequestRetrain": "operator verb; its caller is the admin surface (ROADMAP 6)",
 }
 
 func TestNothingUnrun(t *testing.T) {
