@@ -117,10 +117,11 @@ race-retrain:
 # Content-addressed store hammer under the race detector: concurrent
 # publishes, sweeps, and reads cross the shard/CAS refcount boundary —
 # the chunk-lifetime invariant (refs ∪ pins ∪ protect) only holds if
-# every transition is correctly locked.
+# every transition is correctly locked. The registry-head hammer races
+# publishes on one shard against lock-free LatestModelHash reads.
 race-cas:
 	$(call race-pinned,./internal/cas/,TestConcurrentPutSweep)
-	$(call race-pinned,./internal/store/,TestCASRaceHammer)
+	$(call race-pinned,./internal/store/,TestCASRaceHammer|TestModelHeadHammer)
 
 # Shard-handoff hammer under the race detector: concurrent routed
 # writes race a live shard acquisition between two full cluster nodes —

@@ -68,8 +68,8 @@ var exactCounts = []struct {
 	{"enroll8/server_reads", 1},     // the request frame
 	{"enroll8/server_writes", 1},    // the response frame
 	{"fetch/allocs", 93},            // one full Client.FetchModel of a combined + context bundle
-	{"train/allocs", 76},            // one core.Train, combined + context: 8 windows against 504
-	{"repl8/allocs", 7},             // one enroll8 with a replication leader and an in-process follower, until the follower applied it
+	{"train/allocs", 68},            // one core.Train, combined + context: 8 windows against 504, grouped in place
+	{"repl8/allocs", 5},             // one enroll8 with a replication leader and an in-process follower, until the follower applied it: the follower reuses its pseudonym and its frame buffer
 	{"repl8/leader_writes", 1},      // the record frame, sealed in the leader's write buffer
 	{"repl8/leader_reads", 1},       // the follower's ack: one write on its end, read whole
 }

@@ -47,16 +47,36 @@ func HashOf(b []byte) Hash { return sha256.Sum256(b) }
 // the wire/ETag form).
 func (h Hash) Hex() string { return hex.EncodeToString(h[:]) }
 
-// ParseHex decodes a lowercase-hex content address.
+// ParseHex decodes a hex content address (as Hex writes it; upper-case
+// digits are accepted too). It reads s in place, so a valid address
+// decodes without allocating.
 func ParseHex(s string) (Hash, error) {
 	var h Hash
 	if len(s) != 2*HashSize {
 		return Hash{}, fmt.Errorf("cas: hash hex length %d, want %d", len(s), 2*HashSize)
 	}
-	if _, err := hex.Decode(h[:], []byte(s)); err != nil {
-		return Hash{}, fmt.Errorf("cas: decode hash: %w", err)
+	for i := range h {
+		hi, okHi := fromHexChar(s[2*i])
+		lo, okLo := fromHexChar(s[2*i+1])
+		if !okHi || !okLo {
+			return Hash{}, fmt.Errorf("cas: decode hash: invalid byte in %q", s)
+		}
+		h[i] = hi<<4 | lo
 	}
 	return h, nil
+}
+
+// fromHexChar converts one hex digit to its value.
+func fromHexChar(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10, true
+	}
+	return 0, false
 }
 
 // Chunk is one content-defined slice of a blob, as referenced by a

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -305,4 +306,25 @@ func TestConcurrentPutSweep(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestParseHexInPlace: ParseHex inverts Hex, takes upper-case digits as
+// hex.Decode does, refuses a wrong length or a non-hex byte, and decodes
+// without allocating.
+func TestParseHexInPlace(t *testing.T) {
+	h := HashOf([]byte("model"))
+	for _, s := range []string{h.Hex(), strings.ToUpper(h.Hex())} {
+		if got, err := ParseHex(s); err != nil || got != h {
+			t.Errorf("ParseHex(%q) = %x, %v; want %x", s, got, err, h)
+		}
+	}
+	for _, s := range []string{"", h.Hex()[1:], h.Hex() + "0", "g" + h.Hex()[1:], h.Hex()[:63] + " "} {
+		if _, err := ParseHex(s); err == nil {
+			t.Errorf("ParseHex(%q) succeeded", s)
+		}
+	}
+	s := h.Hex()
+	if n := testing.AllocsPerRun(100, func() { _, _ = ParseHex(s) }); n != 0 {
+		t.Errorf("ParseHex allocates %v times", n)
+	}
 }

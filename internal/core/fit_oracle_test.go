@@ -28,15 +28,37 @@ func sampleVectors(samples []features.WindowSample, vector func(features.WindowS
 	return out
 }
 
-// fitRowByRow is Fit with one slice per sampled window and a standardized
-// copy of every row, its groups fitted one after another: the oracle Fit's
-// shared row array and in-place standardization must match bit for bit.
+// oracleGroup is one of the oracle's groups: a copy of each class's
+// windows of one context.
+type oracleGroup struct {
+	key             string
+	legit, impostor []features.WindowSample
+}
+
+// oracleGroups splits the windows as Fit documents it, by copying them:
+// one unified group, or one per coarse context with both classes, in
+// ModelKeys order.
+func oracleGroups(legit, impostor []features.WindowSample, mode Mode) []oracleGroup {
+	if !mode.UseContext {
+		return []oracleGroup{{unifiedKey, legit, impostor}}
+	}
+	legitBy, impostorBy := features.SplitByCoarseContext(legit), features.SplitByCoarseContext(impostor)
+	var out []oracleGroup
+	for _, ctx := range []sensing.CoarseContext{sensing.CoarseStationary, sensing.CoarseMoving} {
+		if lg, im := legitBy[ctx], impostorBy[ctx]; len(lg) > 0 && len(im) > 0 {
+			out = append(out, oracleGroup{ctx.String(), lg, im})
+		}
+	}
+	return out
+}
+
+// fitRowByRow is Fit with copied groups, one slice per sampled window and
+// a standardized copy of every row, its groups fitted one after another:
+// the oracle Fit's in-place groups, shared row array and in-place
+// standardization must match bit for bit.
 func fitRowByRow[C ml.BinaryClassifier](legit, impostor []features.WindowSample, cfg TrainConfig, vector func(features.WindowSample) []float64, newClassifier func() C) (map[string]Scorer[C], error) {
 	cfg = cfg.withDefaults()
-	groups, err := fitGroups(legit, impostor, cfg.Mode)
-	if err != nil {
-		return nil, err
-	}
+	groups := oracleGroups(legit, impostor, cfg.Mode)
 	out := make(map[string]Scorer[C], len(groups))
 	for i, g := range groups {
 		rng := rand.New(rand.NewSource(groupSeed(cfg.Seed, i)))

@@ -45,10 +45,19 @@ func (c TrainConfig) withDefaults() TrainConfig {
 // Train is the training module of Section IV-A3: it fits the per-context
 // (or unified) authentication models from the legitimate user's feature
 // windows and the anonymized population's windows. It is Fit with the
-// paper's KRR over the mode's feature vector.
+// paper's KRR over the mode's feature vector, and TrainPopulation with
+// the population in one segment.
 func Train(legit, impostor []features.WindowSample, cfg TrainConfig) (*ModelBundle, error) {
+	return TrainPopulation(legit, [][]features.WindowSample{impostor}, cfg)
+}
+
+// TrainPopulation is Train with the impostor windows held in place: they
+// are the windows of the segments laid end to end, in order (a
+// population's per-user slices), and no window is copied. The bundle is
+// the one Train builds on the segments' concatenation.
+func TrainPopulation(legit []features.WindowSample, impostor [][]features.WindowSample, cfg TrainConfig) (*ModelBundle, error) {
 	cfg = cfg.withDefaults()
-	scorers, err := Fit(legit, impostor, cfg,
+	scorers, err := fit(legit, impostor, cfg,
 		func(dst []float64, s features.WindowSample) []float64 { return s.AppendVector(dst, cfg.Mode.Combined) },
 		func() *ml.KRR { return ml.NewKRR(cfg.Rho) })
 	if err != nil {
@@ -104,6 +113,12 @@ func standardize(std *stats.Standardizer, vector, scratch []float64) []float64 {
 // touching the next. The experiment harness calls Fit for the
 // classifiers and vectors a ModelBundle cannot hold.
 func Fit[C ml.BinaryClassifier](legit, impostor []features.WindowSample, cfg TrainConfig, vector func(dst []float64, s features.WindowSample) []float64, newClassifier func() C) (map[string]Scorer[C], error) {
+	return fit(legit, [][]features.WindowSample{impostor}, cfg, vector, newClassifier)
+}
+
+// fit is Fit with the impostor windows in segments, as TrainPopulation
+// takes them.
+func fit[C ml.BinaryClassifier](legit []features.WindowSample, impostor [][]features.WindowSample, cfg TrainConfig, vector func(dst []float64, s features.WindowSample) []float64, newClassifier func() C) (map[string]Scorer[C], error) {
 	cfg = cfg.withDefaults()
 	groups, err := fitGroups(legit, impostor, cfg.Mode)
 	if err != nil {
@@ -140,34 +155,65 @@ func Fit[C ml.BinaryClassifier](legit, impostor []features.WindowSample, cfg Tra
 }
 
 // fitGroup is one model's training data: its key in ModelKeys and the
-// windows of each class it samples from.
+// windows of each class it samples from, as pointers into the caller's
+// slices.
 type fitGroup struct {
 	key      string
-	legit    []features.WindowSample
-	impostor []features.WindowSample
+	legit    []*features.WindowSample
+	impostor []*features.WindowSample
 }
 
 // fitGroups splits the windows into Fit's groups: one per coarse context
-// that has both classes, in ModelKeys order, or one unified group.
-func fitGroups(legit, impostor []features.WindowSample, mode Mode) ([]fitGroup, error) {
+// that has both classes, in ModelKeys order, or one unified group. A
+// group lists its windows in the order of legit and of the impostor
+// segments end to end, and points at them where they are: the split
+// copies no window, and every group's lists share one array.
+func fitGroups(legit []features.WindowSample, impostor [][]features.WindowSample, mode Mode) ([]fitGroup, error) {
+	n := 0
+	for _, seg := range impostor {
+		n += len(seg)
+	}
 	if len(legit) == 0 {
 		return nil, fmt.Errorf("core: no legitimate training windows")
 	}
-	if len(impostor) == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("core: no impostor training windows")
 	}
-	if !mode.UseContext {
-		return []fitGroup{{key: unifiedKey, legit: legit, impostor: impostor}}, nil
+	// A window is in at most one group, so the array never grows.
+	refs := make([]*features.WindowSample, 0, len(legit)+n)
+	take := func(seg []features.WindowSample, ctx sensing.CoarseContext) {
+		for i := range seg {
+			if !mode.UseContext || seg[i].Context.Coarse() == ctx {
+				refs = append(refs, &seg[i])
+			}
+		}
 	}
-	var groups []fitGroup
-	legitByCtx := features.SplitByCoarseContext(legit)
-	impostorByCtx := features.SplitByCoarseContext(impostor)
+	// group takes one group's windows after refs[:start] and reports
+	// whether it has both classes.
+	group := func(start int, ctx sensing.CoarseContext) (fitGroup, bool) {
+		take(legit, ctx)
+		mid := len(refs)
+		for _, seg := range impostor {
+			take(seg, ctx)
+		}
+		g := fitGroup{legit: refs[start:mid:mid], impostor: refs[mid:len(refs):len(refs)]}
+		return g, len(g.legit) > 0 && len(g.impostor) > 0
+	}
+	if !mode.UseContext {
+		g, _ := group(0, 0)
+		g.key = unifiedKey
+		return []fitGroup{g}, nil
+	}
+	groups := make([]fitGroup, 0, 2)
 	for _, ctx := range []sensing.CoarseContext{sensing.CoarseStationary, sensing.CoarseMoving} {
-		lg, im := legitByCtx[ctx], impostorByCtx[ctx]
-		if len(lg) == 0 || len(im) == 0 {
+		start := len(refs)
+		g, ok := group(start, ctx)
+		if !ok {
+			refs = refs[:start]
 			continue // no data for this context yet; the bundle stays partial
 		}
-		groups = append(groups, fitGroup{key: ctx.String(), legit: lg, impostor: im})
+		g.key = ctx.String()
+		groups = append(groups, g)
 	}
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("core: no context has both legitimate and impostor data")
@@ -192,7 +238,7 @@ func groupSeed(seed int64, i int) int64 {
 // threshold. The legitimate sample is drawn before the impostor one. The
 // first row fixes the width; the rest land in one array sized for all
 // of them, and the rows are standardized in place.
-func fitOne[C ml.BinaryClassifier](legit, impostor []features.WindowSample, cfg TrainConfig, vector func([]float64, features.WindowSample) []float64, clf C, rng *rand.Rand) (Scorer[C], error) {
+func fitOne[C ml.BinaryClassifier](legit, impostor []*features.WindowSample, cfg TrainConfig, vector func([]float64, features.WindowSample) []float64, clf C, rng *rand.Rand) (Scorer[C], error) {
 	legitIdx := samplePerm(len(legit), cfg.MaxPerClass, rng)
 	impostorIdx := samplePerm(len(impostor), cfg.MaxPerClass, rng)
 	n := len(legitIdx) + len(impostorIdx)
@@ -203,10 +249,10 @@ func fitOne[C ml.BinaryClassifier](legit, impostor []features.WindowSample, cfg 
 		y[i] = true
 	}
 	var flat []float64
-	appendRows := func(samples []features.WindowSample, idx []int) {
+	appendRows := func(samples []*features.WindowSample, idx []int) {
 		for _, j := range idx {
 			a := len(flat)
-			flat = vector(flat, samples[j])
+			flat = vector(flat, *samples[j])
 			if a == 0 && cap(flat) < n*len(flat) {
 				flat = append(make([]float64, 0, n*len(flat)), flat...)
 			}

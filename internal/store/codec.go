@@ -89,10 +89,18 @@ func appendBinaryPayload(buf []byte, rec walRecord) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeBinaryPayload decodes a v1 binary payload (the caller has already
-// checked the format byte). The payload must be fully consumed — trailing
-// bytes mean a framing bug or corruption.
+// decodeBinaryPayload is decodeBinaryPayloadIn against no stored users.
 func decodeBinaryPayload(payload []byte) (walRecord, error) {
+	return decodeBinaryPayloadIn(payload, nil)
+}
+
+// decodeBinaryPayloadIn decodes a v1 binary payload (the caller has
+// already checked the format byte). The payload must be fully consumed —
+// trailing bytes mean a framing bug or corruption. The record's user is
+// resolved against users, the shard's stored windows (storedUser), so a
+// record for a user the shard holds decodes without allocating the
+// pseudonym.
+func decodeBinaryPayloadIn(payload []byte, users map[string][]features.WindowSample) (walRecord, error) {
 	r := binio.NewReader(payload)
 	if fb := r.Byte(); fb != binFormatV1 {
 		return walRecord{}, fmt.Errorf("unsupported binary format %d", fb)
@@ -103,7 +111,7 @@ func decodeBinaryPayload(payload []byte) (walRecord, error) {
 	}
 	rec := walRecord{Op: op}
 	rec.Seq = r.U64()
-	rec.User = r.Str()
+	rec.User = storedUser(users, r.StrBytes())
 	switch op {
 	case opEnroll, opReplace:
 		rec.Samples = features.ReadSampleListBinary(r, rec.User)
@@ -118,6 +126,19 @@ func decodeBinaryPayload(payload []byte) (walRecord, error) {
 		return walRecord{}, fmt.Errorf("%d trailing bytes after record", r.Remaining())
 	}
 	return rec, nil
+}
+
+// storedUser returns the pseudonym b spells: the string users already
+// holds for it, as its key and as the user id of its windows, when the
+// user has windows that carry it, else a copy of b. A decoded window
+// whose user id is its record's user takes the record's string, so a
+// follower and a replay at open find the key for a user whose windows
+// came that way, from the user's second record on.
+func storedUser(users map[string][]features.WindowSample, b []byte) string {
+	if w := users[string(b)]; len(w) > 0 && w[0].UserID == string(b) {
+		return w[0].UserID
+	}
+	return string(b)
 }
 
 // Binary full-snapshot format — the body of a replication full-snapshot

@@ -21,6 +21,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -107,9 +108,14 @@ func (s *Store) SubscribeReplication(sink ReplSink) (cancel func()) {
 
 // notifyRepl fans one appended record out to the registered sinks. It
 // runs under the appending shard's mutex, which is what serializes
-// per-shard delivery in sequence order.
-func (s *Store) notifyRepl(shard int, seq uint64, payload []byte) {
+// per-shard delivery in sequence order. A borrowed payload is a buffer
+// the shard reuses: the sinks get one copy of it, made only when there
+// is a sink.
+func (s *Store) notifyRepl(shard int, seq uint64, payload []byte, borrowed bool) {
 	s.replMu.RLock()
+	if borrowed && len(s.replSinks) > 0 {
+		payload = bytes.Clone(payload)
+	}
 	for _, sink := range s.replSinks {
 		sink(shard, seq, payload)
 	}
@@ -131,7 +137,7 @@ func (s *Store) SealShard(shard int) (uint64, error) {
 	sh := s.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.closed {
+	if sh.closed.Load() {
 		return 0, ErrClosed
 	}
 	sh.sealed = true
@@ -150,7 +156,7 @@ func (s *Store) SyncShard(shard int) error {
 	sh := s.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.closed {
+	if sh.closed.Load() {
 		return ErrClosed
 	}
 	if err := sh.wal.Sync(); err != nil {
@@ -189,7 +195,7 @@ func (s *Store) ShardRecordsSince(shard int, fromSeq uint64) ([]ReplRecord, erro
 func (s *shard) recordsSince(fromSeq uint64) ([]ReplRecord, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	if fromSeq < s.snapBaseSeq {
@@ -204,7 +210,7 @@ func (s *shard) recordsSince(fromSeq uint64) ([]ReplRecord, error) {
 	scan := func(data []byte) error {
 		off := 0
 		for off < len(data) {
-			rec, n, err := decodeRecord(data[off:])
+			rec, n, err := decodeRecordIn(data[off:], s.users)
 			if err != nil {
 				// Live segments hold only intact records (failed appends
 				// roll back); damage here means the disk changed under us.
@@ -252,7 +258,7 @@ func (s *Store) ShardSnapshotBytes(shard int) ([]byte, uint64, error) {
 	}
 	sh := s.shards[shard]
 	sh.mu.Lock()
-	if sh.closed {
+	if sh.closed.Load() {
 		sh.mu.Unlock()
 		return nil, 0, ErrClosed
 	}
@@ -301,7 +307,7 @@ func (s *Store) ShardDelta(shard int) (body []byte, lastSeq uint64, chunks map[c
 	}
 	sh := s.shards[shard]
 	sh.mu.Lock()
-	if sh.closed {
+	if sh.closed.Load() {
 		sh.mu.Unlock()
 		return nil, 0, nil, ErrClosed
 	}
@@ -366,21 +372,25 @@ func (s *shard) applyReplicated(idx int, payload []byte) (ReplicatedOp, bool, er
 	if len(payload) > MaxRecordBytes {
 		return ReplicatedOp{}, false, fmt.Errorf("store: replicated record of %d bytes exceeds limit", len(payload))
 	}
-	// Validate by framing + decoding through the exact replay decoder, so
-	// a follower never logs bytes it could not recover from.
-	frame := frameRecordPayload(payload)
-	rec, n, err := decodeRecord(frame)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return ReplicatedOp{}, false, ErrClosed
+	}
+	// The record is framed in the shard's reused buffer: nothing the
+	// shard keeps aliases it (the decode copies), and the sinks get their
+	// own copy (notifyRepl).
+	s.frameBuf = appendFrame(s.frameBuf[:0], payload)
+	frame := s.frameBuf
+	// Validate by decoding through the exact replay decoder, so a follower
+	// never logs bytes it could not recover from; under the lock, so the
+	// record's user resolves to the string the shard already holds.
+	rec, n, err := decodeRecordIn(frame, s.users)
 	if err != nil {
 		return ReplicatedOp{}, false, fmt.Errorf("store: replicated record: %w", err)
 	}
 	if n != len(frame) {
 		return ReplicatedOp{}, false, fmt.Errorf("store: replicated record: %d trailing bytes", len(frame)-n)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ReplicatedOp{}, false, ErrClosed
 	}
 	switch {
 	case rec.Seq < s.nextSeq:
@@ -404,16 +414,10 @@ func (s *shard) applyReplicated(idx int, payload []byte) (ReplicatedOp, bool, er
 	s.sinceSnapshot++
 	s.apply(rec)
 	if s.notify != nil {
-		s.notify(idx, rec.Seq, frame[recordHeaderSize:]) // the copy, not the caller's buffer
+		s.notify(idx, rec.Seq, frame[recordHeaderSize:], true)
 	}
 	s.maybeCompactLocked()
 	return ReplicatedOp{Shard: idx, Seq: rec.Seq}, true, nil
-}
-
-// frameRecordPayload wraps an already-encoded record payload in the WAL
-// length+CRC header (the inverse of what ShardRecordsSince strips).
-func frameRecordPayload(payload []byte) []byte {
-	return frameHeader(payload)
 }
 
 // InstallShardSnapshot atomically replaces a shard's entire state with a
@@ -435,7 +439,7 @@ func (s *shard) installSnapshot(data []byte) (uint64, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return 0, ErrClosed
 	}
 	if snap.LastSeq < s.nextSeq-1 {
@@ -472,6 +476,7 @@ func (s *shard) installSnapshot(data []byte) (uint64, error) {
 	for id, refs := range newModels {
 		s.models[id] = s.trimVersions(id, refs)
 	}
+	s.resetHeadsLocked()
 	s.nextSeq = snap.LastSeq + 1
 	s.snapBaseSeq = snap.LastSeq
 	s.hasSnapshot = true
@@ -563,7 +568,7 @@ func (s *shard) installDelta(body []byte, chunks map[cas.Hash][]byte) (uint64, e
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return 0, ErrClosed
 	}
 	if decoded.LastSeq < s.nextSeq-1 {
@@ -586,6 +591,7 @@ func (s *shard) installDelta(body []byte, chunks map[cas.Hash][]byte) (uint64, e
 	for id, refs := range decoded.Models {
 		s.models[id] = s.trimVersions(id, refs)
 	}
+	s.resetHeadsLocked()
 	s.nextSeq = decoded.LastSeq + 1
 	s.snapBaseSeq = decoded.LastSeq
 	s.hasSnapshot = true

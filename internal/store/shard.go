@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"smarteryou/internal/cas"
@@ -50,7 +51,8 @@ type compactJob struct {
 }
 
 // shard is one partition of the store. All fields after mu are guarded by
-// it; the compaction worker only touches shared state under mu.
+// it, except that heads and closed are also read without it; the
+// compaction worker only touches shared state under mu.
 type shard struct {
 	dir string
 	opt Options
@@ -58,10 +60,11 @@ type shard struct {
 	// and snapshot window blobs live there, the registry holds manifests.
 	cs *cas.Store
 	// idx is the shard's index in its parent store; notify, when set,
-	// receives every durable append (the replication fan-out). Both are
-	// fixed before the store is handed to any caller.
+	// receives every durable append (the replication fan-out), with
+	// borrowed set when the payload is frameBuf's. Both are fixed before
+	// the store is handed to any caller.
 	idx    int
-	notify func(shard int, seq uint64, payload []byte)
+	notify func(shard int, seq uint64, payload []byte, borrowed bool)
 
 	mu   sync.Mutex
 	cond *sync.Cond // pending/compacting/closing transitions
@@ -81,9 +84,18 @@ type shard struct {
 	hasSnapshot   bool
 	users         map[string][]features.WindowSample
 	models        map[string][]modelRef
-	recovery      Recovery
-	closed        bool
-	closing       bool
+	// heads is each registry key's latest (version, hash), for readers
+	// that must not wait on mu (head.go): written under mu at every change
+	// of models, read without it.
+	heads    sync.Map // registry key → *modelHead
+	recovery Recovery
+	// frameBuf is the WAL frame of the replicated record being applied,
+	// reused from record to record.
+	frameBuf []byte
+	// closed is set under mu by close and read without it by heads'
+	// readers.
+	closed  atomic.Bool
+	closing bool
 	// sealed freezes local mutations (enroll, publish) during a cluster
 	// shard handoff; replicated applies still land, since the new owner's
 	// records must keep flowing into this replica after the transfer.
@@ -134,6 +146,7 @@ func openShard(dir string, opt Options, cs *cas.Store) (*shard, error) {
 	if err := s.replay(lastSeq, &lastSeq); err != nil {
 		return nil, err
 	}
+	s.resetHeadsLocked()
 	s.nextSeq = lastSeq + 1
 	go s.worker()
 	return s, nil
@@ -247,7 +260,7 @@ func (s *shard) replay(snapSeq uint64, lastSeq *uint64) error {
 func (s *shard) replayBuf(data []byte, snapSeq uint64, lastSeq *uint64) (int, error) {
 	off := 0
 	for off < len(data) {
-		rec, n, err := decodeRecord(data[off:])
+		rec, n, err := decodeRecordIn(data[off:], s.users)
 		if err != nil {
 			if errors.Is(err, ErrUnsupportedFormat) {
 				return off, fmt.Errorf("record at offset %d: %w", off, err)
@@ -283,6 +296,7 @@ func (s *shard) apply(rec walRecord) {
 		// next snapshot flushes its chunks); the registry keeps a pointer.
 		ref := modelRef{Version: rec.Version, Man: s.cs.Put(rec.Bundle)}
 		s.models[rec.User] = s.trimVersions(rec.User, append(s.models[rec.User], ref))
+		s.setHeadLocked(rec.User)
 	}
 }
 
@@ -334,7 +348,7 @@ func (s *shard) releaseModels(models map[string][]modelRef) {
 // the reassembly.
 func (s *shard) modelBlob(id string, version int) ([]byte, cas.Hash, int, error) {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return nil, cas.Hash{}, 0, ErrClosed
 	}
@@ -399,7 +413,7 @@ func (s *shard) append(rec walRecord) ([]byte, error) {
 func (s *shard) enroll(user string, samples []features.WindowSample, replace bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	if s.sealed {
@@ -416,7 +430,7 @@ func (s *shard) enroll(user string, samples []features.WindowSample, replace boo
 	}
 	s.apply(walRecord{Op: op, User: user, Samples: samples})
 	if s.notify != nil {
-		s.notify(s.idx, seq, payload)
+		s.notify(s.idx, seq, payload, false)
 	}
 	s.maybeCompactLocked()
 	return nil
@@ -425,7 +439,7 @@ func (s *shard) enroll(user string, samples []features.WindowSample, replace boo
 func (s *shard) publishModel(user string, blob []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return 0, ErrClosed
 	}
 	if s.sealed {
@@ -442,7 +456,7 @@ func (s *shard) publishModel(user string, blob []byte) (int, error) {
 	}
 	s.apply(rec)
 	if s.notify != nil {
-		s.notify(s.idx, rec.Seq, payload)
+		s.notify(s.idx, rec.Seq, payload, false)
 	}
 	s.maybeCompactLocked()
 	return version, nil
@@ -586,7 +600,7 @@ func (s *shard) drainLocked() error {
 func (s *shard) snapshotSync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	s.queueCompactionLocked()
@@ -601,11 +615,11 @@ func (s *shard) snapshotSync() error {
 // close drains the compaction worker, then flushes and closes the log.
 func (s *shard) close() error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
+	s.closed.Store(true)
 	drainErr := s.drainLocked()
 	s.closing = true
 	s.cond.Broadcast()

@@ -421,12 +421,19 @@ func (s *Store) Enroll(user string, samples []features.WindowSample, replace boo
 // PublishModel registers a trained bundle under the user's next version
 // number and returns that version.
 func (s *Store) PublishModel(user string, bundle *core.ModelBundle) (int, error) {
-	if user == "" {
-		return 0, fmt.Errorf("store: publish: empty user id")
-	}
 	blob, err := bundle.Marshal()
 	if err != nil {
 		return 0, fmt.Errorf("store: encode model bundle: %w", err)
+	}
+	return s.PublishModelBlob(user, blob)
+}
+
+// PublishModelBlob is PublishModel for a bundle its caller has already
+// encoded with ModelBundle.Marshal: blob is stored as given, and is what
+// LatestModelBlob returns for that version.
+func (s *Store) PublishModelBlob(user string, blob []byte) (int, error) {
+	if user == "" {
+		return 0, fmt.Errorf("store: publish: empty user id")
 	}
 	return s.shardFor(user).publishModel(user, blob)
 }
@@ -535,22 +542,13 @@ func (s *Store) LatestModel(user string) (*core.ModelBundle, int, error) {
 }
 
 // LatestModelHash reports the version and content hash of the user's
-// latest published model without reading it — a lock and a map lookup, no
-// CAS access — so a serving layer can validate a decoded bundle it caches
-// and answer a conditional fetch. ErrNoModel is returned bare.
+// latest published model without reading it, and without the shard lock
+// (head.go): an atomic read and a map lookup, no CAS access, no
+// allocation, so a serving layer can validate a decoded bundle it caches
+// and answer a conditional fetch while a write holds the shard.
+// ErrNoModel is returned bare.
 func (s *Store) LatestModelHash(user string) (int, cas.Hash, error) {
-	sh := s.shardFor(user)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.closed {
-		return 0, cas.Hash{}, ErrClosed
-	}
-	vs := sh.models[user]
-	if len(vs) == 0 {
-		return 0, cas.Hash{}, ErrNoModel
-	}
-	latest := vs[len(vs)-1]
-	return latest.Version, latest.Man.Sum, nil
+	return s.shardFor(user).head(user)
 }
 
 // LatestModelBlob fetches the latest published bundle for a registry key

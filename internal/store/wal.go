@@ -81,13 +81,14 @@ func encodeRecord(rec walRecord) ([]byte, error) {
 	return buf, nil
 }
 
-// frameHeader prefixes a copy of a record payload with the length+CRC
-// header. The replication path uses it to re-frame shipped payloads
+// appendFrame appends a record payload behind its length+CRC header to
+// dst. The replication path uses it to re-frame shipped payloads
 // byte-identically.
-func frameHeader(payload []byte) []byte {
-	buf := make([]byte, recordHeaderSize, recordHeaderSize+len(payload))
-	putRecordHeader(buf, payload)
-	return append(buf, payload...)
+func appendFrame(dst, payload []byte) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, recordHeaderSize)...)
+	putRecordHeader(dst[n:], payload)
+	return append(dst, payload...)
 }
 
 // putRecordHeader writes payload's length and CRC into the header at the
@@ -97,13 +98,17 @@ func putRecordHeader(buf, payload []byte) {
 	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
 }
 
-// decodeRecord decodes the first record in b, returning the record and the
-// number of bytes it occupied. ErrTruncatedRecord means b ends mid-record
+// decodeRecord is decodeRecordIn against no stored users.
+func decodeRecord(b []byte) (walRecord, int, error) { return decodeRecordIn(b, nil) }
+
+// decodeRecordIn decodes the first record in b, returning the record and
+// the number of bytes it occupied, with its user resolved against users
+// (decodeBinaryPayloadIn). ErrTruncatedRecord means b ends mid-record
 // (recoverable: truncate the log there); ErrCorruptRecord means the bytes
 // at the head of b are not a valid record; ErrUnsupportedFormat means they
 // are an intact record (length and checksum hold) in a payload format
 // this build cannot read. It never panics, whatever b holds.
-func decodeRecord(b []byte) (walRecord, int, error) {
+func decodeRecordIn(b []byte, users map[string][]features.WindowSample) (walRecord, int, error) {
 	if len(b) < recordHeaderSize {
 		return walRecord{}, 0, ErrTruncatedRecord
 	}
@@ -124,7 +129,7 @@ func decodeRecord(b []byte) (walRecord, int, error) {
 	if payload[0] != binFormatV1 {
 		return walRecord{}, 0, fmt.Errorf("%w: wal record payload format byte %#x", ErrUnsupportedFormat, payload[0])
 	}
-	rec, err := decodeBinaryPayload(payload)
+	rec, err := decodeBinaryPayloadIn(payload, users)
 	if err != nil {
 		return walRecord{}, 0, fmt.Errorf("%w: %v", ErrCorruptRecord, err)
 	}

@@ -35,7 +35,7 @@ func TestRecordBuiltInPlaceMatchesFramedPayload(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encodeBinaryPayload %s: %v", rec.Op, err)
 		}
-		if want := frameHeader(payload); !reflect.DeepEqual(got, want) {
+		if want := appendFrame(nil, payload); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s record built in place differs from its framed payload", rec.Op)
 		}
 	}

@@ -4,13 +4,12 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"smarteryou/internal/core"
 )
 
 // trainResult is the outcome of one pooled training job.
 type trainResult struct {
-	bundle  *core.ModelBundle
+	// blob is the bundle as the registry stored it, version its version.
+	blob    []byte
 	version int
 	err     error
 }

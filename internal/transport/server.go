@@ -46,6 +46,9 @@ type trainRequest struct {
 type trainResponse struct {
 	Bundle  *core.ModelBundle `json:"bundle"`
 	Version int               `json:"version,omitempty"`
+	// blob is the bundle as the registry stored it, which the server
+	// sends verbatim; the client decodes it into Bundle.
+	blob []byte
 }
 
 // fetchModelRequest downloads a previously published model from the
@@ -625,7 +628,7 @@ func (s *Server) dispatch(c *wireConn, env Envelope) reply {
 			}
 			return fail(res.err)
 		}
-		return respond(TypeOK, trainResponse{Bundle: res.bundle, Version: res.version})
+		return respond(TypeOK, trainResponse{Version: res.version, blob: res.blob})
 
 	case TypeAuthenticate:
 		if err := c.open(env, &c.authReq); err != nil {
@@ -698,10 +701,18 @@ func (s *Server) dispatch(c *wireConn, env Envelope) reply {
 			return fail(fmt.Errorf("fetch-model: missing user id"))
 		}
 		anon := c.ids.of(req.UserID).anon
-		if req.Version == 0 && req.IfHash != "" {
+		// The client's hash is compared decoded, so only a full answer
+		// spells the served hash out in hex; one that does not decode
+		// matches nothing.
+		ifHash, haveIf := cas.Hash{}, false
+		if req.IfHash != "" {
+			h, err := cas.ParseHex(req.IfHash)
+			ifHash, haveIf = h, err == nil
+		}
+		if req.Version == 0 && haveIf {
 			// Answer from the registry entry alone rather than reassemble a
 			// blob that would not be sent; the read below reports failures.
-			if version, hash, err := s.persist.LatestModelHash(anon); err == nil && hash.Hex() == req.IfHash {
+			if version, hash, err := s.persist.LatestModelHash(anon); err == nil && hash == ifHash {
 				return respond(TypeOK, fetchModelResponse{Version: version, Hash: req.IfHash, Unchanged: true})
 			}
 		}
@@ -709,11 +720,10 @@ func (s *Server) dispatch(c *wireConn, env Envelope) reply {
 		if err != nil {
 			return fail(err)
 		}
-		hashHex := hash.Hex()
-		if req.IfHash != "" && req.IfHash == hashHex {
-			return respond(TypeOK, fetchModelResponse{Version: version, Hash: hashHex, Unchanged: true})
+		if haveIf && hash == ifHash {
+			return respond(TypeOK, fetchModelResponse{Version: version, Hash: req.IfHash, Unchanged: true})
 		}
-		return respond(TypeOK, fetchModelResponse{Version: version, blob: blob, Hash: hashHex})
+		return respond(TypeOK, fetchModelResponse{Version: version, blob: blob, Hash: hash.Hex()})
 
 	case TypeShardMap:
 		if err := c.open(env, nil); err != nil {
@@ -797,7 +807,11 @@ func (s *Server) runTrainJob(job trainJob) trainResult {
 	if err != nil {
 		return trainResult{err: err}
 	}
-	version, err := s.persist.PublishModel(anon, bundle)
+	blob, err := bundle.Marshal()
+	if err != nil {
+		return trainResult{err: fmt.Errorf("train: encode model: %w", err)}
+	}
+	version, err := s.persist.PublishModelBlob(anon, blob)
 	if err != nil {
 		return trainResult{err: fmt.Errorf("train: publish model: %w", err)}
 	}
@@ -811,7 +825,7 @@ func (s *Server) runTrainJob(job trainJob) trainResult {
 	if s.drift != nil {
 		s.drift.monitor.MarkTrained(anon, time.Now())
 	}
-	return trainResult{bundle: bundle, version: version}
+	return trainResult{blob: blob, version: version}
 }
 
 // reloadTestHook, when set, runs in currentAuth between reading a model
@@ -972,7 +986,7 @@ func (s *Server) train(anon string, req trainRequest, recent int) (*core.ModelBu
 	if len(impostor) == 0 {
 		return nil, fmt.Errorf("train: population store has no other users")
 	}
-	return core.Train(legit, impostor, core.TrainConfig{
+	return core.TrainPopulation(legit, impostor, core.TrainConfig{
 		Mode:        req.Mode,
 		Rho:         req.Rho,
 		MaxPerClass: req.MaxPerClass,
@@ -1002,12 +1016,15 @@ func recentPerContext(w []features.WindowSample, n int) []features.WindowSample 
 
 // impostors gathers the impostor sample of one train from every user but
 // anon, walked in sorted pseudonym order so that the same store always
-// yields the same sample in the same order. With perContext > 0 it takes
-// ⌈perContext/users⌉ evenly strided windows of each coarse context from
-// each user: a train then costs what its sample costs, not what the
-// population does, and both contexts are present even when every user's
-// windows are blocked by context.
-func (s *Server) impostors(anon string, perContext int) []features.WindowSample {
+// yields the same sample in the same order, as segments for
+// core.TrainPopulation. With perContext <= 0 the sample is every other
+// user's windows, and the segments are the store's own slices: no window
+// is copied. With perContext > 0 it is one segment of ⌈perContext/users⌉
+// evenly strided windows of each coarse context from each user: a train
+// then costs what its sample costs, not what the population does, and
+// both contexts are present even when every user's windows are blocked by
+// context.
+func (s *Server) impostors(anon string, perContext int) [][]features.WindowSample {
 	pop := s.persist.PopulationView()
 	delete(pop, anon)
 	ids := make([]string, 0, len(pop))
@@ -1023,11 +1040,11 @@ func (s *Server) impostors(anon string, perContext int) []features.WindowSample 
 	}
 	slices.Sort(ids)
 	if perContext <= 0 {
-		out := make([]features.WindowSample, 0, total)
-		for _, id := range ids {
-			out = append(out, pop[id]...)
+		segs := make([][]features.WindowSample, len(ids))
+		for i, id := range ids {
+			segs[i] = pop[id]
 		}
-		return out
+		return segs
 	}
 	quota := (perContext + len(ids) - 1) / len(ids)
 	out := make([]features.WindowSample, 0, min(total, len(coarseContexts)*quota*len(ids)))
@@ -1036,7 +1053,7 @@ func (s *Server) impostors(anon string, perContext int) []features.WindowSample 
 			out = appendStrided(out, pop[id], c, quota)
 		}
 	}
-	return out
+	return [][]features.WindowSample{out}
 }
 
 // appendStrided appends up to n evenly strided windows of context c from

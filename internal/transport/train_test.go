@@ -109,7 +109,8 @@ func TestServedModelsAreDeterministic(t *testing.T) {
 // TestImpostorsSampleEveryContextInSortedOrder: at a quota of one window
 // per context per user, users whose windows are blocked by context (the
 // way features.Collect emits them) still give both contexts, and the
-// sample walks the users in sorted pseudonym order.
+// sample walks the users in sorted pseudonym order. With no budget the
+// sample is the store's own slices, in the same order.
 func TestImpostorsSampleEveryContextInSortedOrder(t *testing.T) {
 	srv, err := NewServer(ServerConfig{Key: testKey, Detector: &ctxdetect.Detector{}, Store: openTestStore(t)})
 	if err != nil {
@@ -129,16 +130,24 @@ func TestImpostorsSampleEveryContextInSortedOrder(t *testing.T) {
 	}
 
 	var got, want []string
-	for _, w := range srv.impostors("anon-self", 3) {
+	for _, w := range slices.Concat(srv.impostors("anon-self", 3)...) {
 		got = append(got, fmt.Sprintf("%s/%s", w.UserID, w.Context.Coarse()))
 	}
-	for _, user := range []string{"anon-a", "anon-b", "anon-c"} {
+	others := []string{"anon-a", "anon-b", "anon-c"}
+	for _, user := range others {
 		want = append(want, user+"/stationary", user+"/moving")
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("impostors at quota 1 = %v, want %v", got, want)
 	}
-	if n := len(srv.impostors("anon-self", 0)); n != 30 {
-		t.Errorf("impostors with no budget = %d windows, want all 30", n)
+	segs := srv.impostors("anon-self", 0)
+	if len(segs) != len(others) {
+		t.Fatalf("impostors with no budget = %d segments, want one per other user", len(segs))
+	}
+	for i, user := range others {
+		stored := srv.persist.UserWindows(user)
+		if len(segs[i]) != len(stored) || &segs[i][0] != &stored[0] {
+			t.Errorf("segment %d is not %s's stored windows in place", i, user)
+		}
 	}
 }

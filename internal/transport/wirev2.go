@@ -259,18 +259,9 @@ func (p *enrollResponse) decodeBinary(b []byte, _ *identityCache) error {
 // subsets), so like the store's publish records it travels as a
 // length-prefixed JSON blob behind a uvarint version — the envelope and
 // MAC overhead still drop, and the bundle is decoded once, not re-escaped
-// through an intermediate JSON envelope string. A fetch-model answer
-// carries the registry's blob as stored: the server neither decodes nor
-// re-encodes it.
-
-func appendBundle(dst []byte, version int, bundle *core.ModelBundle) ([]byte, error) {
-	dst = binio.AppendUvarint(dst, uint64(version))
-	blob, err := json.Marshal(bundle)
-	if err != nil {
-		return nil, err
-	}
-	return binio.AppendBytes(dst, blob), nil
-}
+// through an intermediate JSON envelope string. A train or fetch-model
+// answer carries the registry's blob as stored: the server encodes a
+// bundle once, to publish it, and never decodes one to send it.
 
 func readBundle(r *binio.Reader) (int, *core.ModelBundle) {
 	version := int(r.Uvarint())
@@ -369,7 +360,8 @@ func (q *trainRequest) decodeBinary(b []byte, ids *identityCache) error {
 }
 
 func (p trainResponse) appendBinary(dst []byte) ([]byte, error) {
-	return appendBundle(dst, p.Version, p.Bundle)
+	dst = binio.AppendUvarint(dst, uint64(p.Version))
+	return binio.AppendBytes(dst, p.blob), nil
 }
 
 func (p *trainResponse) decodeBinary(b []byte, _ *identityCache) error {
