@@ -118,10 +118,13 @@ race-retrain:
 # publishes, sweeps, and reads cross the shard/CAS refcount boundary —
 # the chunk-lifetime invariant (refs ∪ pins ∪ protect) only holds if
 # every transition is correctly locked. The registry-head hammer races
-# publishes on one shard against lock-free LatestModelHash reads.
+# publishes on one shard against lock-free LatestModelHash reads. The
+# committer hammer races, on one shard, enrolls, replaces and publishes
+# through the group committer against a follower applying every record,
+# seals, snapshots and Close.
 race-cas:
 	$(call race-pinned,./internal/cas/,TestConcurrentPutSweep)
-	$(call race-pinned,./internal/store/,TestCASRaceHammer|TestModelHeadHammer)
+	$(call race-pinned,./internal/store/,TestCASRaceHammer|TestModelHeadHammer|TestCommitterHammer)
 
 # Shard-handoff hammer under the race detector: concurrent routed
 # writes race a live shard acquisition between two full cluster nodes —

@@ -57,19 +57,19 @@ var exactCounts = []struct {
 	{"stream8/writes", 1},           // the 8 window frames, written by the first Recv
 	{"stream8/server_reads", 1},     // the 8 window frames, buffered
 	{"stream8/server_writes", 1},    // the 8 decision frames, written before the next read
-	{"enroll16/allocs", 2},          // one NoSync store Enroll of 16 windows that replace the user's: the WAL record, the stored windows
+	{"enroll16/allocs", 1},          // one NoSync store Enroll of 16 windows that replace the user's: the stored windows (the WAL record goes into the shard's reused batch buffer)
 	{"enroll16/wal_bytes", 2682350}, // log after countWarmup+countOps such enrolls: 304.81 B a window
 	{"device/allocs", 2},            // phone + watch extraction with one Extractor, then Authenticate
 	{"device/transforms", 2},        // dsp engine calls: one batch of both sensors per device
 	{"device/bluestein_plans", 0},   // a 6 s window is 300 samples, transformed at 150: both 5-smooth
-	{"enroll8/allocs", 3},           // one Client.ReplaceEnrollment of 8 windows, WAL append without fsync: decoded windows, WAL record, stored windows
+	{"enroll8/allocs", 2},           // one Client.ReplaceEnrollment of 8 windows, WAL append without fsync: decoded windows, stored windows
 	{"enroll8/reads", 1},            // the response frame
 	{"enroll8/writes", 1},           // the request frame
 	{"enroll8/server_reads", 1},     // the request frame
 	{"enroll8/server_writes", 1},    // the response frame
 	{"fetch/allocs", 93},            // one full Client.FetchModel of a combined + context bundle
 	{"train/allocs", 68},            // one core.Train, combined + context: 8 windows against 504, grouped in place
-	{"repl8/allocs", 5},             // one enroll8 with a replication leader and an in-process follower, until the follower applied it: the follower reuses its pseudonym and its frame buffer
+	{"repl8/allocs", 4},             // one enroll8 with a replication leader and an in-process follower, until the follower applied it: the sink's copy of the record; the follower reuses its pseudonym and its batch buffer and decodes the windows into the slice it stores
 	{"repl8/leader_writes", 1},      // the record frame, sealed in the leader's write buffer
 	{"repl8/leader_reads", 1},       // the follower's ack: one write on its end, read whole
 }

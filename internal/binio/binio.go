@@ -134,6 +134,19 @@ func (r *Reader) prefixed(what string) []byte {
 	return b
 }
 
+// Skip moves past n bytes without reading them, failing as a read of
+// them would when fewer remain.
+func (r *Reader) Skip(n int) {
+	if r.err != nil {
+		return
+	}
+	if r.Remaining() < n {
+		r.Fail("truncated: %d bytes wanted, %d remain", n, r.Remaining())
+		return
+	}
+	r.off += n
+}
+
 // Rest reads every byte not yet read, aliasing the input (a caller that
 // keeps them past the input's life copies them).
 func (r *Reader) Rest() []byte {

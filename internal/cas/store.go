@@ -1,12 +1,16 @@
 package cas
 
 import (
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // chunkSuffix names chunk files: <dir>/<hex sha256>.chunk. The name is
@@ -15,6 +19,11 @@ import (
 const chunkSuffix = ".chunk"
 
 const tmpSuffix = ".tmp"
+
+// flushTestHook, when set, is called by every flush that has chunk files
+// to write, after it collected them and before it writes them, without
+// the store lock. Tests use it to hold a flush in flight.
+var flushTestHook func()
 
 // entry tracks one chunk's lifetime. data is the in-memory copy, kept
 // until the chunk is made durable (then dropped — disk is the source of
@@ -67,8 +76,13 @@ func (r ScrubReport) Clean() bool { return len(r.Corrupt) == 0 && len(r.Missing)
 // Store is a refcounted, disk-backed chunk store shared by every shard of
 // one population store. All methods are safe for concurrent use.
 type Store struct {
-	dir    string
 	noSync bool
+	// prefix is the chunk directory with a trailing separator: a chunk's
+	// path is prefix, its hex hash and chunkSuffix.
+	prefix string
+	// tmpSeq numbers flushes' temporary files: two flushes (two shards
+	// compacting) may write the same chunk at once.
+	tmpSeq atomic.Uint64
 
 	mu     sync.Mutex
 	chunks map[Hash]*entry
@@ -88,9 +102,13 @@ func Open(dir string, noSync bool) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cas: create chunk directory: %w", err)
 	}
+	prefix := filepath.Clean(dir)
+	if !strings.HasSuffix(prefix, string(filepath.Separator)) {
+		prefix += string(filepath.Separator)
+	}
 	s := &Store{
-		dir:     dir,
 		noSync:  noSync,
+		prefix:  prefix,
 		chunks:  make(map[Hash]*entry),
 		pins:    make(map[string]map[Hash]struct{}),
 		protect: make(map[string]map[Hash]struct{}),
@@ -129,8 +147,16 @@ func parseChunkName(name string) (Hash, bool) {
 	return h, true
 }
 
+// chunkPath is h's chunk file, built in one allocation.
 func (s *Store) chunkPath(h Hash) string {
-	return filepath.Join(s.dir, h.Hex()+chunkSuffix)
+	var name [2 * HashSize]byte
+	hex.Encode(name[:], h[:])
+	var b strings.Builder
+	b.Grow(len(s.prefix) + len(name) + len(chunkSuffix))
+	b.WriteString(s.prefix)
+	b.Write(name[:])
+	b.WriteString(chunkSuffix)
+	return b.String()
 }
 
 // Put interns a blob: chunks it, adds one reference per chunk occurrence,
@@ -273,13 +299,8 @@ func (s *Store) Hashes() []Hash {
 // reused chunks alike are protected under token until Unprotect.
 func (s *Store) WriteBlob(token string, blob []byte) (Manifest, error) {
 	m, parts := ManifestOf(blob)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, c := range m.Chunks {
-		if err := s.flushLocked(c.Hash, parts[i]); err != nil {
-			return Manifest{}, err
-		}
-		s.protectLocked(token, c.Hash)
+	if err := s.flush(token, m.Chunks, parts); err != nil {
+		return Manifest{}, err
 	}
 	return m, nil
 }
@@ -287,15 +308,7 @@ func (s *Store) WriteBlob(token string, blob []byte) (Manifest, error) {
 // EnsureDurable makes every chunk of an existing manifest durable (flushes
 // in-memory data to disk) and protects it under token.
 func (s *Store) EnsureDurable(token string, m Manifest) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range m.Chunks {
-		if err := s.flushLocked(c.Hash, nil); err != nil {
-			return err
-		}
-		s.protectLocked(token, c.Hash)
-	}
-	return nil
+	return s.flush(token, m.Chunks, nil)
 }
 
 // PutChunk verifies data against its declared hash, makes it durable, and
@@ -304,33 +317,83 @@ func (s *Store) PutChunk(token string, h Hash, data []byte) error {
 	if HashOf(data) != h {
 		return fmt.Errorf("cas: chunk %s failed content verification on receive", h.Hex())
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flushLocked(h, data); err != nil {
-		return err
-	}
-	s.protectLocked(token, h)
-	return nil
+	return s.flush(token, []Chunk{{Hash: h, Size: len(data)}}, [][]byte{data})
 }
 
-// flushLocked writes one chunk file if it is not already durable, using
-// data (when given) or the entry's in-memory copy. Once durable, the
-// in-memory copy is dropped — reads fall through to disk.
-func (s *Store) flushLocked(h Hash, data []byte) error {
-	e := s.chunks[h]
-	if e != nil && e.onDisk {
-		e.data = nil
+// flush makes chunks durable and protects them under token; parts, when
+// given, holds their bytes, else each chunk's in-memory copy is written.
+// Chunk files are written without the store lock, so Put, Retain, Get and
+// Release do not wait on the disk: under the lock flush protects every
+// chunk (no sweep deletes one while it is written) and collects the ones
+// not on disk; it writes those; then under the lock it marks them durable
+// and drops their in-memory copies (reads fall through to disk).
+func (s *Store) flush(token string, chunks []Chunk, parts [][]byte) error {
+	type pendingChunk struct {
+		h    Hash
+		data []byte
+	}
+	var todo []pendingChunk
+	s.mu.Lock()
+	for i, c := range chunks {
+		s.protectLocked(token, c.Hash)
+		e := s.chunks[c.Hash]
+		if e != nil && e.onDisk {
+			e.data = nil
+			continue
+		}
+		var data []byte
+		switch {
+		case parts != nil:
+			data = parts[i]
+		case e != nil && e.data != nil:
+			data = e.data
+		default:
+			s.mu.Unlock()
+			return fmt.Errorf("cas: flush: missing chunk %s", c.Hash.Hex())
+		}
+		if !slices.ContainsFunc(todo, func(p pendingChunk) bool { return p.h == c.Hash }) {
+			todo = append(todo, pendingChunk{c.Hash, data})
+		}
+	}
+	s.mu.Unlock()
+	if len(todo) == 0 {
 		return nil
 	}
-	if data == nil {
-		if e == nil || e.data == nil {
-			return fmt.Errorf("cas: flush: missing chunk %s", h.Hex())
-		}
-		data = e.data
+
+	if hook := flushTestHook; hook != nil {
+		hook()
 	}
+	var err error
+	written := 0
+	for _, c := range todo {
+		if err = s.writeChunk(c.h, c.data); err != nil {
+			break
+		}
+		written++
+	}
+
+	s.mu.Lock()
+	for _, c := range todo[:written] {
+		e := s.chunks[c.h]
+		if e == nil {
+			e = &entry{size: len(c.data)}
+			s.chunks[c.h] = e
+		}
+		e.onDisk = true
+		e.data = nil
+	}
+	s.mu.Unlock()
+	return err
+}
+
+// writeChunk publishes one chunk file: a temporary file of its own,
+// fsynced unless noSync, renamed over the chunk's name. A chunk's bytes
+// are its name, so two flushes renaming the same chunk agree.
+func (s *Store) writeChunk(h Hash, data []byte) error {
 	path := s.chunkPath(h)
-	tmp := path + tmpSuffix
+	tmp := path + "." + strconv.FormatUint(s.tmpSeq.Add(1), 10) + tmpSuffix
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		_ = os.Remove(tmp)
 		return fmt.Errorf("cas: write chunk %s: %w", h.Hex(), err)
 	}
 	if !s.noSync {
@@ -340,14 +403,9 @@ func (s *Store) flushLocked(h Hash, data []byte) error {
 		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
+		_ = os.Remove(tmp)
 		return fmt.Errorf("cas: publish chunk %s: %w", h.Hex(), err)
 	}
-	if e == nil {
-		e = &entry{size: len(data)}
-		s.chunks[h] = e
-	}
-	e.onDisk = true
-	e.data = nil
 	return nil
 }
 
@@ -365,7 +423,15 @@ func (s *Store) protectLocked(token string, h Hash) {
 // become sweepable orphans, never dangling references).
 func (s *Store) Unprotect(token string) {
 	s.mu.Lock()
+	set := s.protect[token]
 	delete(s.protect, token)
+	// A chunk a failed flush protected but never wrote, released meanwhile,
+	// is freed as Release would have freed it.
+	for h := range set {
+		if e := s.chunks[h]; e != nil && e.refs == 0 && !e.onDisk && !s.heldLocked(h) {
+			delete(s.chunks, h)
+		}
+	}
 	s.mu.Unlock()
 }
 

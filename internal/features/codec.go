@@ -111,25 +111,51 @@ func ReadSampleBinary(r *binio.Reader, known ...string) WindowSample {
 // ReadSampleListBinary decodes a count-prefixed sample list, bounding the
 // count by the remaining bytes, with user ids interned against known.
 func ReadSampleListBinary(r *binio.Reader, known ...string) []WindowSample {
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil
-	}
-	if n > uint64(r.Remaining()/MinSampleBytes)+1 {
-		r.Fail("sample count %d exceeds %d remaining bytes", n, r.Remaining())
-		return nil
-	}
+	n := ReadSampleCount(r)
 	if n == 0 {
 		return nil
 	}
-	out := make([]WindowSample, 0, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		out = append(out, ReadSampleBinary(r, known...))
-	}
+	out := ReadSamplesBinary(r, make([]WindowSample, 0, n), n, known...)
 	if r.Err() != nil {
 		return nil
 	}
 	return out
+}
+
+// ReadSampleCount reads a sample list's count prefix, bounded by the
+// remaining bytes: 0 on a decode error.
+func ReadSampleCount(r *binio.Reader) int {
+	n := r.Uvarint()
+	if r.Err() != nil {
+		return 0
+	}
+	if n > uint64(r.Remaining()/MinSampleBytes)+1 {
+		r.Fail("sample count %d exceeds %d remaining bytes", n, r.Remaining())
+		return 0
+	}
+	return int(n)
+}
+
+// ReadSamplesBinary decodes n samples onto the end of dst, so a caller
+// that owns dst's spare capacity decodes into it without allocating. On a
+// decode error the windows past len(dst) are garbage and r.Err says so.
+func ReadSamplesBinary(r *binio.Reader, dst []WindowSample, n int, known ...string) []WindowSample {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		dst = append(dst, ReadSampleBinary(r, known...))
+	}
+	return dst
+}
+
+// SkipSamplesBinary moves r past n encoded samples without decoding
+// them, failing where ReadSamplesBinary would: it checks what a decode
+// checks (the id's length, the context's range, the fixed part's length)
+// and reads no float.
+func SkipSamplesBinary(r *binio.Reader, n int) {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		r.StrBytes()
+		contextFromUint(r.Uvarint(), r)
+		r.Skip(SampleFixedBytes)
+	}
 }
 
 // contextFromUint narrows a decoded context value. sensing.Context is a

@@ -89,21 +89,44 @@ func appendBinaryPayload(buf []byte, rec walRecord) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeBinaryPayload is decodeBinaryPayloadIn against no stored users.
+// decodeBinaryPayload decodes a v1 binary payload (the caller has
+// already checked the format byte). The payload must be fully consumed —
+// trailing bytes mean a framing bug or corruption. Each window's user id
+// that equals the record's user shares its string.
 func decodeBinaryPayload(payload []byte) (walRecord, error) {
-	return decodeBinaryPayloadIn(payload, nil)
+	r := binio.NewReader(payload)
+	rec, n := readPayloadHead(r, nil)
+	if n > 0 {
+		rec.Samples = features.ReadSamplesBinary(r, make([]features.WindowSample, 0, n), n, rec.User)
+	}
+	if err := endPayload(r); err != nil {
+		return walRecord{}, err
+	}
+	rec.Bundle = append([]byte(nil), rec.Bundle...) // outlives payload
+	return rec, nil
 }
 
-// decodeBinaryPayloadIn decodes a v1 binary payload (the caller has
-// already checked the format byte). The payload must be fully consumed —
-// trailing bytes mean a framing bug or corruption. The record's user is
-// resolved against users, the shard's stored windows (storedUser), so a
-// record for a user the shard holds decodes without allocating the
-// pseudonym.
-func decodeBinaryPayloadIn(payload []byte, users map[string][]features.WindowSample) (walRecord, error) {
+// checkBinaryPayload refuses what decodeBinaryPayload refuses, but keeps
+// no window: the record comes back without Samples, and its Bundle
+// aliases payload.
+func checkBinaryPayload(payload []byte, users map[string][]features.WindowSample) (walRecord, error) {
 	r := binio.NewReader(payload)
-	if fb := r.Byte(); fb != binFormatV1 {
-		return walRecord{}, fmt.Errorf("unsupported binary format %d", fb)
+	rec, n := readPayloadHead(r, users)
+	features.SkipSamplesBinary(r, n)
+	if err := endPayload(r); err != nil {
+		return walRecord{}, err
+	}
+	return rec, nil
+}
+
+// readPayloadHead reads a v1 payload up to its windows: the format byte,
+// the op, the sequence number, the user (resolved against users, see
+// storedUser) and a publish's version and bundle, which aliases the
+// payload. For an enroll or a replace it returns the window count and
+// leaves r at the first window.
+func readPayloadHead(r *binio.Reader, users map[string][]features.WindowSample) (walRecord, int) {
+	if fb := r.Byte(); fb != binFormatV1 && r.Err() == nil {
+		r.Fail("unsupported binary format %d", fb)
 	}
 	op, err := opString(r.Byte())
 	if err != nil && r.Err() == nil {
@@ -112,20 +135,29 @@ func decodeBinaryPayloadIn(payload []byte, users map[string][]features.WindowSam
 	rec := walRecord{Op: op}
 	rec.Seq = r.U64()
 	rec.User = storedUser(users, r.StrBytes())
+	n := 0
 	switch op {
 	case opEnroll, opReplace:
-		rec.Samples = features.ReadSampleListBinary(r, rec.User)
+		n = features.ReadSampleCount(r)
 	case opPublish:
 		rec.Version = int(r.Uvarint())
-		rec.Bundle = r.Bytes()
+		rec.Bundle = r.StrBytes()
 	}
+	if r.Err() != nil {
+		return walRecord{}, 0
+	}
+	return rec, n
+}
+
+// endPayload reports r's decode error, or bytes left after the record.
+func endPayload(r *binio.Reader) error {
 	if err := r.Err(); err != nil {
-		return walRecord{}, err
+		return err
 	}
 	if r.Remaining() != 0 {
-		return walRecord{}, fmt.Errorf("%d trailing bytes after record", r.Remaining())
+		return fmt.Errorf("%d trailing bytes after record", r.Remaining())
 	}
-	return rec, nil
+	return nil
 }
 
 // storedUser returns the pseudonym b spells: the string users already

@@ -10,8 +10,8 @@ import (
 
 // The registry head: every authenticate asks whether the model it serves
 // is still a user's latest (Store.LatestModelHash), so that question is
-// answered without the shard lock, which a publish or an enroll holds
-// across its WAL write, its CAS put and its replication hand-off.
+// answered without the shard lock, which a committer holds across its
+// batch's apply, its CAS puts and its replication hand-off.
 //
 // Invariant: a shard's heads map holds, for every key of its models map,
 // that key's latest (version, hash), and no other key. It is written

@@ -10,11 +10,10 @@
 //     from ShardSnapshotBytes — the same copy-on-write view the
 //     background compactor uses, so appends never pause — and installs it
 //     with InstallShardSnapshot;
-//   - ApplyReplicated appends a leader-assigned record into the local
-//     shard WAL first (durable before acknowledged, exactly like a local
-//     enroll) and then applies it in memory, preserving the leader's
-//     sequence numbers so a promoted follower continues the same
-//     per-shard sequence space.
+//   - ApplyReplicated commits a leader-assigned record through the local
+//     shard's committer (durable before acknowledged, exactly like a local
+//     enroll), preserving the leader's sequence numbers so a promoted
+//     follower continues the same per-shard sequence space.
 //
 // The wire protocol that moves these bytes between machines lives in
 // internal/replication; this file is deliberately its only store surface.
@@ -66,7 +65,8 @@ type ReplicatedOp struct {
 }
 
 // ReplSink receives every durably appended record. It is invoked
-// synchronously under the appending shard's lock — per-shard delivery is
+// synchronously under the appending shard's lock, by the committer of the
+// record's batch once the batch is durable — per-shard delivery is
 // therefore in strict sequence order — so implementations must be fast
 // and must never block (hand the record to a queue and return).
 type ReplSink func(shard int, seq uint64, payload []byte)
@@ -80,7 +80,7 @@ func (s *Store) ShardLastSeqs() []uint64 {
 	out := make([]uint64, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		out[i] = sh.nextSeq - 1
+		out[i] = sh.durableSeq
 		sh.mu.Unlock()
 	}
 	return out
@@ -108,12 +108,12 @@ func (s *Store) SubscribeReplication(sink ReplSink) (cancel func()) {
 
 // notifyRepl fans one appended record out to the registered sinks. It
 // runs under the appending shard's mutex, which is what serializes
-// per-shard delivery in sequence order. A borrowed payload is a buffer
-// the shard reuses: the sinks get one copy of it, made only when there
-// is a sink.
-func (s *Store) notifyRepl(shard int, seq uint64, payload []byte, borrowed bool) {
+// per-shard delivery in sequence order. The payload is borrowed from a
+// batch buffer the shard reuses: the sinks get one copy of it, made only
+// when there is a sink.
+func (s *Store) notifyRepl(shard int, seq uint64, payload []byte) {
 	s.replMu.RLock()
-	if borrowed && len(s.replSinks) > 0 {
+	if len(s.replSinks) > 0 {
 		payload = bytes.Clone(payload)
 	}
 	for _, sink := range s.replSinks {
@@ -123,10 +123,10 @@ func (s *Store) notifyRepl(shard int, seq uint64, payload []byte, borrowed bool)
 }
 
 // SealShard freezes local mutations (enroll, publish) on one shard and
-// returns its last durable sequence number — the handoff cursor. The
-// flag and the cursor read are atomic under the shard lock, so no local
-// write can land after the returned cursor: once the new owner has
-// converged to it, the sequence space transfers with no concurrent
+// returns its last durable sequence number — the handoff cursor. It
+// returns once every batch open when the flag was set has committed, so
+// no local write can land after the returned cursor: once the new owner
+// has converged to it, the sequence space transfers with no concurrent
 // writer. Replicated applies are exempt (they carry owner-assigned
 // sequence numbers). Sealing an already-sealed shard just re-reads the
 // cursor.
@@ -141,7 +141,14 @@ func (s *Store) SealShard(shard int) (uint64, error) {
 		return 0, ErrClosed
 	}
 	sh.sealed = true
-	return sh.nextSeq - 1, nil
+	gen := sh.gen
+	if len(sh.open.writes) == 0 {
+		gen-- // the batch in flight, if any
+	}
+	for sh.doneGen < gen {
+		sh.batchCond.Wait()
+	}
+	return sh.durableSeq, nil
 }
 
 // SyncShard fsyncs one shard's WAL. Under Options.ReplicaNoSync this is
@@ -205,12 +212,18 @@ func (s *shard) recordsSince(fromSeq uint64) ([]ReplRecord, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The scan does not wait for a commit at work: it reads the durable
+	// records only. A segment the committer is sealing is not installed
+	// yet — its records are read through s.wal below, whatever its name —
+	// and the active segment is read up to walBytes, short of any batch
+	// being written.
+	sealing := filepath.Join(s.dir, sealedSegmentName(s.sealCounter))
 	var out []ReplRecord
 	next := fromSeq + 1
 	scan := func(data []byte) error {
 		off := 0
 		for off < len(data) {
-			rec, n, err := decodeRecordIn(data[off:], s.users)
+			rec, n, err := checkRecordIn(data[off:], s.users)
 			if err != nil {
 				// Live segments hold only intact records (failed appends
 				// roll back); damage here means the disk changed under us.
@@ -229,6 +242,9 @@ func (s *shard) recordsSince(fromSeq uint64) ([]ReplRecord, error) {
 		return nil
 	}
 	for _, path := range sealed {
+		if path == sealing {
+			continue
+		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("store: read sealed segment: %w", err)
@@ -237,8 +253,8 @@ func (s *shard) recordsSince(fromSeq uint64) ([]ReplRecord, error) {
 			return nil, err
 		}
 	}
-	data, err := os.ReadFile(filepath.Join(s.dir, walFile))
-	if err != nil && !os.IsNotExist(err) {
+	data := make([]byte, s.walBytes)
+	if _, err := s.wal.ReadAt(data, 0); err != nil {
 		return nil, fmt.Errorf("store: read wal: %w", err)
 	}
 	if err := scan(data); err != nil {
@@ -262,7 +278,7 @@ func (s *Store) ShardSnapshotBytes(shard int) ([]byte, uint64, error) {
 		sh.mu.Unlock()
 		return nil, 0, ErrClosed
 	}
-	lastSeq := sh.nextSeq - 1
+	lastSeq := sh.durableSeq
 	users := make(map[string][]features.WindowSample, len(sh.users))
 	for id, samples := range sh.users {
 		users[id] = samples
@@ -311,7 +327,7 @@ func (s *Store) ShardDelta(shard int) (body []byte, lastSeq uint64, chunks map[c
 		sh.mu.Unlock()
 		return nil, 0, nil, ErrClosed
 	}
-	lastSeq = sh.nextSeq - 1
+	lastSeq = sh.durableSeq
 	users := make(map[string][]features.WindowSample, len(sh.users))
 	for id, samples := range sh.users {
 		users[id] = samples
@@ -356,7 +372,7 @@ func (s *Store) ShardDelta(shard int) (body []byte, lastSeq uint64, chunks map[c
 
 // ApplyReplicated durably appends one leader-assigned record (WAL-first,
 // preserving the embedded sequence number) and applies it in memory. A
-// record at or below the shard's durable cursor is skipped idempotently
+// record below the shard's next sequence number is skipped idempotently
 // (applied=false) so an at-least-once stream is safe to replay; a record
 // beyond the next expected sequence number fails with ErrSequenceGap.
 // Nothing it keeps or hands to a replication sink aliases payload, so
@@ -377,46 +393,36 @@ func (s *shard) applyReplicated(idx int, payload []byte) (ReplicatedOp, bool, er
 	if s.closed.Load() {
 		return ReplicatedOp{}, false, ErrClosed
 	}
-	// The record is framed in the shard's reused buffer: nothing the
-	// shard keeps aliases it (the decode copies), and the sinks get their
-	// own copy (notifyRepl).
-	s.frameBuf = appendFrame(s.frameBuf[:0], payload)
-	frame := s.frameBuf
-	// Validate by decoding through the exact replay decoder, so a follower
-	// never logs bytes it could not recover from; under the lock, so the
-	// record's user resolves to the string the shard already holds.
-	rec, n, err := decodeRecordIn(frame, s.users)
-	if err != nil {
-		return ReplicatedOp{}, false, fmt.Errorf("store: replicated record: %w", err)
-	}
-	if n != len(frame) {
-		return ReplicatedOp{}, false, fmt.Errorf("store: replicated record: %d trailing bytes", len(frame)-n)
+	// The record is framed at the end of the open batch (nothing the
+	// shard keeps aliases payload) and checked by the replay decoder, so
+	// a follower never logs bytes it could not recover from; under the
+	// lock, so the record's user resolves to the string the shard already
+	// holds.
+	off := len(s.open.buf)
+	s.open.buf = appendFrame(s.open.buf, payload)
+	rec, _, err := checkRecordIn(s.open.buf[off:], s.users)
+	if err != nil || rec.Seq != s.nextSeq {
+		s.open.buf = s.open.buf[:off]
 	}
 	switch {
+	case err != nil:
+		return ReplicatedOp{}, false, fmt.Errorf("store: replicated record: %w", err)
 	case rec.Seq < s.nextSeq:
-		// Already durable here (a reconnect replayed the tail): ack, skip.
+		// Already here (a reconnect replayed the tail): ack, skip. A
+		// record whose number a batch still holds is skipped too: should
+		// that batch fail, the next record is a gap, and the stream
+		// restarts from the durable cursor.
 		return ReplicatedOp{}, false, nil
 	case rec.Seq > s.nextSeq:
 		return ReplicatedOp{}, false, fmt.Errorf("%w: got %d, expected %d", ErrSequenceGap, rec.Seq, s.nextSeq)
 	}
-	if _, err := s.wal.Write(frame); err != nil {
-		_ = s.wal.Truncate(s.walBytes)
-		_, _ = s.wal.Seek(s.walBytes, io.SeekStart)
-		return ReplicatedOp{}, false, fmt.Errorf("store: append replicated record: %w", err)
-	}
-	if !s.opt.NoSync && !s.opt.ReplicaNoSync {
-		if err := s.wal.Sync(); err != nil {
-			return ReplicatedOp{}, false, fmt.Errorf("store: sync wal: %w", err)
-		}
-	}
-	s.walBytes += int64(len(frame))
+	rec.Bundle = nil // aliases payload; the apply decodes the logged frame
+	s.open.writes = append(s.open.writes, pendingWrite{rec: rec, off: off, end: len(s.open.buf), replicated: true})
+	s.open.sync = s.open.sync || !(s.opt.NoSync || s.opt.ReplicaNoSync)
 	s.nextSeq++
-	s.sinceSnapshot++
-	s.apply(rec)
-	if s.notify != nil {
-		s.notify(idx, rec.Seq, frame[recordHeaderSize:], true)
+	if err := s.awaitLocked(s.gen); err != nil {
+		return ReplicatedOp{}, false, err
 	}
-	s.maybeCompactLocked()
 	return ReplicatedOp{Shard: idx, Seq: rec.Seq}, true, nil
 }
 
@@ -442,8 +448,9 @@ func (s *shard) installSnapshot(data []byte) (uint64, error) {
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
-	if snap.LastSeq < s.nextSeq-1 {
-		return 0, fmt.Errorf("store: snapshot at seq %d behind shard at %d", snap.LastSeq, s.nextSeq-1)
+	s.waitCommitsLocked()
+	if snap.LastSeq < s.durableSeq {
+		return 0, fmt.Errorf("store: snapshot at seq %d behind shard at %d", snap.LastSeq, s.durableSeq)
 	}
 	// Wait out any in-flight compaction so its (older) snapshot cannot
 	// land after ours.
@@ -477,7 +484,7 @@ func (s *shard) installSnapshot(data []byte) (uint64, error) {
 		s.models[id] = s.trimVersions(id, refs)
 	}
 	s.resetHeadsLocked()
-	s.nextSeq = snap.LastSeq + 1
+	s.nextSeq, s.durableSeq = snap.LastSeq+1, snap.LastSeq
 	s.snapBaseSeq = snap.LastSeq
 	s.hasSnapshot = true
 	s.snapshotTime = time.Now()
@@ -571,8 +578,9 @@ func (s *shard) installDelta(body []byte, chunks map[cas.Hash][]byte) (uint64, e
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
-	if decoded.LastSeq < s.nextSeq-1 {
-		return 0, fmt.Errorf("store: delta at seq %d behind shard at %d", decoded.LastSeq, s.nextSeq-1)
+	s.waitCommitsLocked()
+	if decoded.LastSeq < s.durableSeq {
+		return 0, fmt.Errorf("store: delta at seq %d behind shard at %d", decoded.LastSeq, s.durableSeq)
 	}
 	if err := s.drainLocked(); err != nil {
 		return 0, fmt.Errorf("store: drain before delta install: %w", err)
@@ -592,7 +600,7 @@ func (s *shard) installDelta(body []byte, chunks map[cas.Hash][]byte) (uint64, e
 		s.models[id] = s.trimVersions(id, refs)
 	}
 	s.resetHeadsLocked()
-	s.nextSeq = decoded.LastSeq + 1
+	s.nextSeq, s.durableSeq = decoded.LastSeq+1, decoded.LastSeq
 	s.snapBaseSeq = decoded.LastSeq
 	s.hasSnapshot = true
 	s.snapshotTime = time.Now()

@@ -3,10 +3,14 @@
 // different shards never contend on a lock or an fsync, and enroll
 // throughput scales with shards up to the core/disk budget.
 //
+// Writes are group-committed (commit.go): one committer per shard writes
+// and fsyncs a batch of records without the shard lock.
+//
 // Compaction is off the request path. When a shard crosses its
-// SnapshotEvery threshold, the enroll that crossed it only *seals* the
-// active WAL segment (an O(1) rename) and hands a copy-on-write view of
-// the in-memory state to the shard's compaction worker; the worker writes
+// SnapshotEvery threshold, the committer of the batch that crossed it
+// only *seals* the active WAL segment — a rename and a file create, done
+// without the shard lock — and hands a copy-on-write view of the
+// in-memory state to the shard's compaction worker; the worker writes
 // the snapshot and deletes the sealed segments it covers while enrolls
 // keep appending to a fresh segment. The COW view is a shallow copy of
 // the user/model maps: mutations only ever append beyond a captured
@@ -26,11 +30,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"smarteryou/internal/binio"
 	"smarteryou/internal/cas"
 	"smarteryou/internal/features"
 )
@@ -51,8 +57,9 @@ type compactJob struct {
 }
 
 // shard is one partition of the store. All fields after mu are guarded by
-// it, except that heads and closed are also read without it; the
-// compaction worker only touches shared state under mu.
+// it, except that heads and closed are also read without it, and that a
+// committer uses wal and sealCounter without it while committing is set;
+// the compaction worker only touches shared state under mu.
 type shard struct {
 	dir string
 	opt Options
@@ -60,21 +67,35 @@ type shard struct {
 	// and snapshot window blobs live there, the registry holds manifests.
 	cs *cas.Store
 	// idx is the shard's index in its parent store; notify, when set,
-	// receives every durable append (the replication fan-out), with
-	// borrowed set when the payload is frameBuf's. Both are fixed before
+	// receives every durable append (the replication fan-out), its payload
+	// borrowed from a batch buffer the shard reuses. Both are fixed before
 	// the store is handed to any caller.
 	idx    int
-	notify func(shard int, seq uint64, payload []byte, borrowed bool)
+	notify func(shard int, seq uint64, payload []byte)
 
-	mu   sync.Mutex
-	cond *sync.Cond // pending/compacting/closing transitions
+	mu sync.Mutex
+	// cond signals pending/compacting/closing transitions to the
+	// compaction worker and its drainers; batchCond signals batch
+	// transitions (commit.go), so a commit does not wake the worker.
+	cond, batchCond *sync.Cond
 
 	wal         *os.File // active segment (walFile)
 	walBytes    int64    // bytes in the active segment
 	sealedBytes int64    // bytes across sealed, not-yet-compacted segments
 	sealCounter uint64   // next sealed segment index
 
-	nextSeq uint64
+	// nextSeq is the next sequence number to assign; durableSeq is the
+	// last one whose record is written, synced and applied — what readers
+	// and the replication cursors see. Records in between are in a batch.
+	nextSeq    uint64
+	durableSeq uint64
+	// The committer's state (commit.go): the batch writers join, the batch
+	// being written, whether a commit is at work, the open batch's
+	// generation, the last finished one, and failed batches' errors.
+	open, flight batch
+	committing   bool
+	gen, doneGen uint64
+	failed       []batchFailure
 	// snapBaseSeq is the last sequence number covered by the published
 	// snapshot; records at or below it are no longer on disk as log
 	// records. The replication catch-up reader compares cursors to it.
@@ -89,9 +110,6 @@ type shard struct {
 	// of models, read without it.
 	heads    sync.Map // registry key → *modelHead
 	recovery Recovery
-	// frameBuf is the WAL frame of the replicated record being applied,
-	// reused from record to record.
-	frameBuf []byte
 	// closed is set under mu by close and read without it by heads'
 	// readers.
 	closed  atomic.Bool
@@ -102,7 +120,7 @@ type shard struct {
 	sealed bool
 
 	pending      *compactJob // coalesced queue of depth one
-	orphanSealed []string    // sealed segments awaiting the next snapshot
+	orphanSealed []string    // sealed segments awaiting the next snapshot (compactJob.sealed)
 	compacting   bool
 	compactErr   error
 	workerDone   chan struct{}
@@ -122,8 +140,9 @@ func openShard(dir string, opt Options, cs *cas.Store) (*shard, error) {
 		users:      make(map[string][]features.WindowSample),
 		models:     make(map[string][]modelRef),
 		workerDone: make(chan struct{}),
+		gen:        1,
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.cond, s.batchCond = sync.NewCond(&s.mu), sync.NewCond(&s.mu)
 
 	state, mtime, ok, err := loadShardState(dir, cs)
 	if err != nil {
@@ -147,7 +166,7 @@ func openShard(dir string, opt Options, cs *cas.Store) (*shard, error) {
 		return nil, err
 	}
 	s.resetHeadsLocked()
-	s.nextSeq = lastSeq + 1
+	s.nextSeq, s.durableSeq = lastSeq+1, lastSeq
 	go s.worker()
 	return s, nil
 }
@@ -260,7 +279,7 @@ func (s *shard) replay(snapSeq uint64, lastSeq *uint64) error {
 func (s *shard) replayBuf(data []byte, snapSeq uint64, lastSeq *uint64) (int, error) {
 	off := 0
 	for off < len(data) {
-		rec, n, err := decodeRecordIn(data[off:], s.users)
+		rec, n, err := checkRecordIn(data[off:], s.users)
 		if err != nil {
 			if errors.Is(err, ErrUnsupportedFormat) {
 				return off, fmt.Errorf("record at offset %d: %w", off, err)
@@ -269,7 +288,8 @@ func (s *shard) replayBuf(data []byte, snapSeq uint64, lastSeq *uint64) (int, er
 			return off, nil
 		}
 		if rec.Seq > snapSeq {
-			s.apply(rec)
+			// Cannot fail: checkRecordIn accepted the record.
+			_ = s.applyPayload(data[off+recordHeaderSize : off+n])
 			s.recovery.Replayed++
 			if rec.Seq > *lastSeq {
 				*lastSeq = rec.Seq
@@ -290,7 +310,7 @@ func (s *shard) apply(rec walRecord) {
 	case opEnroll:
 		s.users[rec.User] = append(s.users[rec.User], rec.Samples...)
 	case opReplace:
-		s.users[rec.User] = append([]features.WindowSample(nil), rec.Samples...)
+		s.users[rec.User] = append(replaced(len(rec.Samples)), rec.Samples...)
 	case opPublish:
 		// The bundle is interned into the CAS (memory-resident until the
 		// next snapshot flushes its chunks); the registry keeps a pointer.
@@ -298,6 +318,43 @@ func (s *shard) apply(rec walRecord) {
 		s.models[rec.User] = s.trimVersions(rec.User, append(s.models[rec.User], ref))
 		s.setHeadLocked(rec.User)
 	}
+}
+
+// applyPayload is apply for a logged record's payload — one replayed at
+// Open or replicated — decoding its windows where they are kept: an
+// enroll's onto the end of the user's slice, a replace's into a slice
+// from replaced. A payload that does not decode changes nothing: the
+// windows it wrote past the user's slice's length belong to no view.
+func (s *shard) applyPayload(payload []byte) error {
+	r := binio.NewReader(payload)
+	rec, n := readPayloadHead(r, s.users)
+	var w []features.WindowSample
+	switch rec.Op {
+	case opEnroll:
+		w = features.ReadSamplesBinary(r, slices.Grow(s.users[rec.User], n), n, rec.User)
+	case opReplace:
+		w = features.ReadSamplesBinary(r, replaced(n), n, rec.User)
+	}
+	if err := endPayload(r); err != nil {
+		return err
+	}
+	if rec.Op == opPublish {
+		s.apply(rec) // the CAS put copies the bundle
+	} else {
+		s.users[rec.User] = w
+	}
+	return nil
+}
+
+// replaced is the slice a replace of n windows stores them in: room for
+// as many again, so the enroll that follows a retraining upload appends
+// without copying the windows again. A replaced user holds up to twice
+// its windows' memory until that enroll.
+func replaced(n int) []features.WindowSample {
+	if n == 0 {
+		return nil
+	}
+	return make([]features.WindowSample, 0, 2*n)
 }
 
 // trimVersions applies the retention policy to one registry entry's
@@ -385,31 +442,6 @@ func (s *shard) modelBlob(id string, version int) ([]byte, cas.Hash, int, error)
 	return blob, ref.Man.Sum, ref.Version, nil
 }
 
-// append logs one record (WAL-first: the caller applies it in memory only
-// after this succeeds) and returns the record's encoded payload for the
-// replication fan-out. A failed write rolls the file back to the last
-// record boundary so the in-process log never carries a torn prefix.
-func (s *shard) append(rec walRecord) ([]byte, error) {
-	buf, err := encodeRecord(rec)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := s.wal.Write(buf); err != nil {
-		_ = s.wal.Truncate(s.walBytes)
-		_, _ = s.wal.Seek(s.walBytes, io.SeekStart)
-		return nil, fmt.Errorf("store: append wal record: %w", err)
-	}
-	if !s.opt.NoSync {
-		if err := s.wal.Sync(); err != nil {
-			return nil, fmt.Errorf("store: sync wal: %w", err)
-		}
-	}
-	s.walBytes += int64(len(buf))
-	s.nextSeq++
-	s.sinceSnapshot++
-	return buf[recordHeaderSize:], nil
-}
-
 func (s *shard) enroll(user string, samples []features.WindowSample, replace bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -423,17 +455,7 @@ func (s *shard) enroll(user string, samples []features.WindowSample, replace boo
 	if replace {
 		op = opReplace
 	}
-	seq := s.nextSeq
-	payload, err := s.append(walRecord{Seq: seq, Op: op, User: user, Samples: samples})
-	if err != nil {
-		return err
-	}
-	s.apply(walRecord{Op: op, User: user, Samples: samples})
-	if s.notify != nil {
-		s.notify(s.idx, seq, payload, false)
-	}
-	s.maybeCompactLocked()
-	return nil
+	return s.commitLocked(walRecord{Op: op, User: user, Samples: samples})
 }
 
 func (s *shard) publishModel(user string, blob []byte) (int, error) {
@@ -445,67 +467,71 @@ func (s *shard) publishModel(user string, blob []byte) (int, error) {
 	if s.sealed {
 		return 0, ErrSealed
 	}
-	version := 1
-	if vs := s.models[user]; len(vs) > 0 {
-		version = vs[len(vs)-1].Version + 1
-	}
-	rec := walRecord{Seq: s.nextSeq, Op: opPublish, User: user, Version: version, Bundle: blob}
-	payload, err := s.append(rec)
-	if err != nil {
+	version := s.nextVersionLocked(user)
+	if err := s.commitLocked(walRecord{Op: opPublish, User: user, Version: version, Bundle: blob}); err != nil {
 		return 0, err
 	}
-	s.apply(rec)
-	if s.notify != nil {
-		s.notify(s.idx, rec.Seq, payload, false)
-	}
-	s.maybeCompactLocked()
 	return version, nil
 }
 
-// maybeCompactLocked queues a background compaction when enough records
-// accumulated. It never blocks on the compaction itself.
-func (s *shard) maybeCompactLocked() {
-	if s.opt.SnapshotEvery < 0 || s.sinceSnapshot < s.opt.SnapshotEvery {
-		return
+// sealSegment renames the active WAL segment to the next sealed name and
+// opens a fresh one: a rename and a file create. Unless synced says the
+// segment's last write was fsynced, it fsyncs the segment first (not
+// under NoSync). The caller has the WAL to itself: it is the committer,
+// or it holds mu while no commit is at work.
+func (s *shard) sealSegment(synced bool) (string, *os.File, error) {
+	if !synced && !s.opt.NoSync {
+		if err := s.wal.Sync(); err != nil {
+			return "", nil, fmt.Errorf("store: sync segment before seal: %w", err)
+		}
 	}
-	s.queueCompactionLocked()
+	walPath := filepath.Join(s.dir, walFile)
+	sealedPath := filepath.Join(s.dir, sealedSegmentName(s.sealCounter))
+	if err := os.Rename(walPath, sealedPath); err != nil {
+		return "", nil, fmt.Errorf("store: seal wal segment: %w", err)
+	}
+	fresh, err := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		// Roll the seal back: the old fd still points at the renamed
+		// file, so un-renaming restores the exact previous state.
+		_ = os.Rename(sealedPath, walPath)
+		return "", nil, fmt.Errorf("store: open fresh wal segment: %w", err)
+	}
+	return sealedPath, fresh, nil
 }
 
-// queueCompactionLocked seals the active WAL segment and hands a
-// copy-on-write view of the state to the compaction worker. Called with
-// s.mu held; the only I/O on this path is an O(1) rename + file create.
-func (s *shard) queueCompactionLocked() {
-	var sealed []string
-	if s.walBytes > 0 {
-		if !s.opt.NoSync {
-			if err := s.wal.Sync(); err != nil {
-				s.compactErr = fmt.Errorf("store: sync segment before seal: %w", err)
-				return
-			}
-		}
-		walPath := filepath.Join(s.dir, walFile)
-		sealedPath := filepath.Join(s.dir, sealedSegmentName(s.sealCounter))
-		if err := os.Rename(walPath, sealedPath); err != nil {
-			s.compactErr = fmt.Errorf("store: seal wal segment: %w", err)
-			return
-		}
-		fresh, err := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o644)
-		if err != nil {
-			// Roll the seal back: the old fd still points at the renamed
-			// file, so un-renaming restores the exact previous state.
-			_ = os.Rename(sealedPath, walPath)
-			s.compactErr = fmt.Errorf("store: open fresh wal segment: %w", err)
-			return
-		}
-		_ = s.wal.Close()
-		s.wal = fresh
-		s.sealCounter++
-		s.sealedBytes += s.walBytes
-		s.walBytes = 0
-		sealed = append(sealed, sealedPath)
+// installSealLocked makes the fresh segment sealSegment opened the active
+// one and queues the sealed one for the next snapshot; a seal that failed
+// is recorded for drainLocked instead, and false returned.
+func (s *shard) installSealLocked(sealedPath string, fresh *os.File, err error) bool {
+	if err != nil {
+		s.compactErr = err
+		return false
 	}
-	s.sinceSnapshot = 0
+	_ = s.wal.Close()
+	s.wal = fresh
+	s.sealCounter++
+	s.sealedBytes += s.walBytes
+	s.walBytes = 0
+	s.orphanSealed = append(s.orphanSealed, sealedPath)
+	return true
+}
 
+// queueCompactionLocked seals the active WAL segment, if it holds
+// records, and queues a compaction. Called with s.mu held and no commit
+// at work: the seal's rename and file create run under the lock here, as
+// only an explicit Snapshot takes this path.
+func (s *shard) queueCompactionLocked() {
+	if s.walBytes > 0 && !s.installSealLocked(s.sealSegment(false)) {
+		return
+	}
+	s.queueJobLocked()
+}
+
+// queueJobLocked hands a copy-on-write view of the durable state, and
+// every sealed segment it covers, to the compaction worker.
+func (s *shard) queueJobLocked() {
+	s.sinceSnapshot = 0
 	users := make(map[string][]features.WindowSample, len(s.users))
 	for id, samples := range s.users {
 		users[id] = samples
@@ -517,9 +543,8 @@ func (s *shard) queueCompactionLocked() {
 	// The job owns a reference on every captured manifest so a trim that
 	// lands before the snapshot write cannot free chunks the write needs.
 	s.retainModels(models)
-	sealed = append(sealed, s.orphanSealed...)
+	job := &compactJob{lastSeq: s.durableSeq, users: users, models: models, sealed: s.orphanSealed}
 	s.orphanSealed = nil
-	job := &compactJob{lastSeq: s.nextSeq - 1, users: users, models: models, sealed: sealed}
 	if s.pending != nil {
 		// Coalesce: the newer view supersedes the queued one; carry its
 		// sealed segments forward so they are still deleted, and drop the
@@ -603,6 +628,9 @@ func (s *shard) snapshotSync() error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
+	for s.committing {
+		s.batchCond.Wait()
+	}
 	s.queueCompactionLocked()
 	if s.compactErr != nil {
 		err := s.compactErr
@@ -620,6 +648,7 @@ func (s *shard) close() error {
 		return nil
 	}
 	s.closed.Store(true)
+	s.waitCommitsLocked()
 	drainErr := s.drainLocked()
 	s.closing = true
 	s.cond.Broadcast()
@@ -643,8 +672,8 @@ func (s *shard) stats() ShardStats {
 	st := ShardStats{
 		Users:    len(s.users),
 		WALBytes: s.walBytes + s.sealedBytes,
-		Records:  s.nextSeq - 1,
-		LastSeq:  s.nextSeq - 1,
+		Records:  s.durableSeq,
+		LastSeq:  s.durableSeq,
 	}
 	for _, samples := range s.users {
 		st.Windows += len(samples)

@@ -89,7 +89,11 @@ type Options struct {
 	KeepModelVersions int
 	// NoSync skips the fsync after each append. Throughput over
 	// durability: a crash may lose recent acknowledged writes, but the log
-	// stays recoverable. Intended for tests and bulk loads.
+	// stays recoverable. Intended for tests and bulk loads. It does not
+	// order compaction's writes: chunk files are not fsynced, but the
+	// snapshot that names them is, and then the sealed segments it covers
+	// are deleted — so after a power loss the snapshot may name chunks
+	// that never reached the disk, with no segment left to replay.
 	NoSync bool
 	// ReplicaNoSync skips the per-record fsync in ApplyReplicated only —
 	// local mutations still sync. Safe whenever every replicated record's
@@ -603,7 +607,13 @@ func (s *Store) UserWindows(user string) []features.WindowSample {
 	sh := s.shardFor(user)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.users[user]
+	return frozen(sh.users[user])
+}
+
+// frozen caps a handed-out view at its length: the store appends into
+// the spare capacity past it, so an append by the caller must copy.
+func frozen(w []features.WindowSample) []features.WindowSample {
+	return w[:len(w):len(w)]
 }
 
 // PopulationView returns every user's stored windows by (anonymized)
@@ -614,7 +624,7 @@ func (s *Store) PopulationView() map[string][]features.WindowSample {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for id, samples := range sh.users {
-			out[id] = samples
+			out[id] = frozen(samples)
 		}
 		sh.mu.Unlock()
 	}

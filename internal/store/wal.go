@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"smarteryou/internal/features"
 )
@@ -64,20 +65,21 @@ type walRecord struct {
 	Bundle  json.RawMessage
 }
 
-// encodeRecord frames a record for appending to the WAL, in the binary
-// payload format: the payload is encoded behind room left for the
-// header, in the one buffer the record is written from.
-func encodeRecord(rec walRecord) ([]byte, error) {
-	buf := make([]byte, recordHeaderSize, recordHeaderSize+binaryPayloadSize(rec))
-	buf, err := appendBinaryPayload(buf, rec)
+// appendRecord appends a record to dst framed for the WAL, the payload
+// encoded in place behind room left for the header. On an error dst comes
+// back as it was.
+func appendRecord(dst []byte, rec walRecord) ([]byte, error) {
+	n := len(dst)
+	dst = slices.Grow(dst, recordHeaderSize+binaryPayloadSize(rec))
+	buf, err := appendBinaryPayload(dst[:n+recordHeaderSize], rec)
 	if err != nil {
-		return nil, fmt.Errorf("store: encode wal record: %w", err)
+		return dst[:n], fmt.Errorf("store: encode wal record: %w", err)
 	}
-	payload := buf[recordHeaderSize:]
+	payload := buf[n+recordHeaderSize:]
 	if len(payload) > MaxRecordBytes {
-		return nil, fmt.Errorf("store: wal record of %d bytes exceeds limit", len(payload))
+		return dst[:n], fmt.Errorf("store: wal record of %d bytes exceeds limit", len(payload))
 	}
-	putRecordHeader(buf, payload)
+	putRecordHeader(buf[n:], payload)
 	return buf, nil
 }
 
@@ -98,40 +100,63 @@ func putRecordHeader(buf, payload []byte) {
 	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
 }
 
-// decodeRecord is decodeRecordIn against no stored users.
-func decodeRecord(b []byte) (walRecord, int, error) { return decodeRecordIn(b, nil) }
-
-// decodeRecordIn decodes the first record in b, returning the record and
-// the number of bytes it occupied, with its user resolved against users
-// (decodeBinaryPayloadIn). ErrTruncatedRecord means b ends mid-record
-// (recoverable: truncate the log there); ErrCorruptRecord means the bytes
-// at the head of b are not a valid record; ErrUnsupportedFormat means they
-// are an intact record (length and checksum hold) in a payload format
-// this build cannot read. It never panics, whatever b holds.
-func decodeRecordIn(b []byte, users map[string][]features.WindowSample) (walRecord, int, error) {
-	if len(b) < recordHeaderSize {
-		return walRecord{}, 0, ErrTruncatedRecord
+// decodeRecord decodes the first record in b, returning the record and
+// the number of bytes it occupied. ErrTruncatedRecord means b ends
+// mid-record (recoverable: truncate the log there); ErrCorruptRecord means
+// the bytes at the head of b are not a valid record; ErrUnsupportedFormat
+// means they are an intact record (length and checksum hold) in a payload
+// format this build cannot read. It never panics, whatever b holds.
+func decodeRecord(b []byte) (walRecord, int, error) {
+	payload, n, err := splitRecord(b)
+	if err != nil {
+		return walRecord{}, 0, err
 	}
-	n := binary.BigEndian.Uint32(b[0:4])
-	if n > MaxRecordBytes {
-		return walRecord{}, 0, fmt.Errorf("%w: implausible length %d", ErrCorruptRecord, n)
-	}
-	if len(b) < recordHeaderSize+int(n) {
-		return walRecord{}, 0, ErrTruncatedRecord
-	}
-	payload := b[recordHeaderSize : recordHeaderSize+int(n)]
-	if crc := crc32.ChecksumIEEE(payload); crc != binary.BigEndian.Uint32(b[4:8]) {
-		return walRecord{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorruptRecord)
-	}
-	if len(payload) == 0 {
-		return walRecord{}, 0, fmt.Errorf("%w: empty payload", ErrCorruptRecord)
-	}
-	if payload[0] != binFormatV1 {
-		return walRecord{}, 0, fmt.Errorf("%w: wal record payload format byte %#x", ErrUnsupportedFormat, payload[0])
-	}
-	rec, err := decodeBinaryPayloadIn(payload, users)
+	rec, err := decodeBinaryPayload(payload)
 	if err != nil {
 		return walRecord{}, 0, fmt.Errorf("%w: %v", ErrCorruptRecord, err)
 	}
-	return rec, recordHeaderSize + int(n), nil
+	return rec, n, nil
+}
+
+// checkRecordIn refuses what decodeRecord refuses, but keeps no window
+// (checkBinaryPayload): replay, the replication scan and a follower's
+// check of a shipped record use it. The record's user is resolved
+// against users, the shard's stored windows (storedUser).
+func checkRecordIn(b []byte, users map[string][]features.WindowSample) (walRecord, int, error) {
+	payload, n, err := splitRecord(b)
+	if err != nil {
+		return walRecord{}, 0, err
+	}
+	rec, err := checkBinaryPayload(payload, users)
+	if err != nil {
+		return walRecord{}, 0, fmt.Errorf("%w: %v", ErrCorruptRecord, err)
+	}
+	return rec, n, nil
+}
+
+// splitRecord checks the frame at the head of b — length, checksum and
+// format byte, with decodeRecord's errors — and returns its payload and
+// the bytes the record occupies.
+func splitRecord(b []byte) ([]byte, int, error) {
+	if len(b) < recordHeaderSize {
+		return nil, 0, ErrTruncatedRecord
+	}
+	n := binary.BigEndian.Uint32(b[0:4])
+	if n > MaxRecordBytes {
+		return nil, 0, fmt.Errorf("%w: implausible length %d", ErrCorruptRecord, n)
+	}
+	if len(b) < recordHeaderSize+int(n) {
+		return nil, 0, ErrTruncatedRecord
+	}
+	payload := b[recordHeaderSize : recordHeaderSize+int(n)]
+	if crc := crc32.ChecksumIEEE(payload); crc != binary.BigEndian.Uint32(b[4:8]) {
+		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorruptRecord)
+	}
+	if len(payload) == 0 {
+		return nil, 0, fmt.Errorf("%w: empty payload", ErrCorruptRecord)
+	}
+	if payload[0] != binFormatV1 {
+		return nil, 0, fmt.Errorf("%w: wal record payload format byte %#x", ErrUnsupportedFormat, payload[0])
+	}
+	return payload, recordHeaderSize + int(n), nil
 }

@@ -17,6 +17,9 @@ func encodeBinaryPayload(rec walRecord) ([]byte, error) {
 	return appendBinaryPayload(make([]byte, 0, binaryPayloadSize(rec)), rec)
 }
 
+// encodeRecord is a record framed for the WAL in a buffer of its own.
+func encodeRecord(rec walRecord) ([]byte, error) { return appendRecord(nil, rec) }
+
 // TestRecordBuiltInPlaceMatchesFramedPayload pins the WAL bytes of the
 // one-buffer encoder: for every op, a record equals its payload encoded on
 // its own and then framed, the way the replication path frames a shipped
