@@ -24,9 +24,10 @@
 // frames out). Server stats report per-shape traffic counters.
 //
 // On disk likewise: the store reads only what it writes (snapshot.cas plus
-// a binary WAL). A -data-dir written in an earlier format is refused at
-// startup, untouched, with an error naming the offending file; see the
-// README's "Upgrading a data directory".
+// a binary WAL in each shard-NNNN directory, shard-0000 alone with the
+// default -shards 1). A -data-dir written in an earlier format or layout
+// is refused at startup, untouched, with an error naming the offending
+// file; see the README's "Upgrading a data directory".
 //
 // The server runs in one of two modes. Without -cluster-peers it is a
 // single server. With -cluster-peers it is one node of a shard-ownership
@@ -110,7 +111,7 @@ func run() int {
 		seedUsers    = flag.Int("seed-users", 10, "synthetic users to seed the population store and train the context detector")
 		seed         = flag.Int64("seed", 1, "synthetic data seed")
 		dataDir      = flag.String("data-dir", "", "directory for the durable population store and model registry (empty: an ephemeral store in a temporary directory, removed at shutdown)")
-		shards       = flag.Int("shards", 1, "independent WAL+snapshot shards in the durable store (fixed at store creation; reopening uses the on-disk count)")
+		shards       = flag.Int("shards", 1, "independent WAL+snapshot shards in the durable store, one shard-NNNN directory each (fixed at store creation; reopening uses the on-disk count)")
 		keepModels   = flag.Int("keep-models", 0, "model versions retained per user in the registry (0: unbounded)")
 		trainWorkers = flag.Int("train-workers", 0, "concurrent model-training jobs (0: GOMAXPROCS); excess requests queue up to twice this, then get a busy response")
 

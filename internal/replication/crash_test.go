@@ -50,7 +50,7 @@ func TestFollowerCrashRestartMidStream(t *testing.T) {
 	if err := followerStore.Close(); err != nil {
 		t.Fatalf("followerStore.Close: %v", err)
 	}
-	walPath := filepath.Join(followerDir, "wal.log")
+	walPath := filepath.Join(followerDir, "shard-0000", "wal.log")
 	intact, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatalf("read wal: %v", err)

@@ -16,7 +16,10 @@ import (
 // windows each. It returns the file's size in bytes.
 func writeBenchWAL(b *testing.B, dir string, records, windowsPer int) int64 {
 	b.Helper()
-	f, err := os.Create(filepath.Join(dir, walFile))
+	if err := os.MkdirAll(filepath.Join(dir, "shard-0000"), 0o755); err != nil {
+		b.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(dir, "shard-0000", walFile))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -248,36 +248,10 @@ func writeStateCAS(dir string, cs *cas.Store, lastSeq uint64, users map[string][
 			}
 		}
 	}
-	if err := writeCASBodyFile(dir, encodeCASBody(body)); err != nil {
+	if err := writeFileDurable(dir, casSnapshotFile, encodeCASBody(body)); err != nil {
 		return err
 	}
 	cs.SetPins(dir, body.hashes())
-	return nil
-}
-
-// writeCASBodyFile atomically replaces snapshot.cas: temp file, fsync,
-// rename, directory fsync.
-func writeCASBodyFile(dir string, data []byte) error {
-	tmp := filepath.Join(dir, casSnapshotFile+tmpSuffix)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: create cas snapshot temp: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("store: write cas snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("store: sync cas snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: close cas snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, casSnapshotFile)); err != nil {
-		return fmt.Errorf("store: publish cas snapshot: %w", err)
-	}
-	syncDir(dir)
 	return nil
 }
 

@@ -80,7 +80,7 @@ func TestCASSnapshotRoundTripAcrossReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	if _, err := os.Stat(filepath.Join(dir, casSnapshotFile)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "shard-0000", casSnapshotFile)); err != nil {
 		t.Fatalf("snapshot.cas missing after compaction: %v", err)
 	}
 

@@ -70,7 +70,7 @@ func TestNothingVisibleBeforeTheFsync(t *testing.T) {
 	}
 
 	armed.Store(true)
-	walBefore := fileSize(t, filepath.Join(dir, walFile))
+	walBefore := fileSize(t, filepath.Join(dir, "shard-0000", walFile))
 	enrolled := make(chan error, 1)
 	go func() { enrolled <- s.Enroll("anon-a", fakeSamples("anon-a", 3, 1), false) }()
 	<-paused
@@ -81,7 +81,7 @@ func TestNothingVisibleBeforeTheFsync(t *testing.T) {
 	}()
 	waitAssigned(t, s, 3)
 
-	if got := fileSize(t, filepath.Join(dir, walFile)); got <= walBefore {
+	if got := fileSize(t, filepath.Join(dir, "shard-0000", walFile)); got <= walBefore {
 		t.Fatalf("paused before its fsync, the batch is not in the log (%d bytes, was %d)", got, walBefore)
 	}
 	if n := len(s.UserWindows("anon-a")); n != 2 {
@@ -189,7 +189,7 @@ func TestFailedFsyncFailsTheBatchAndTheQueue(t *testing.T) {
 	if err := s.Enroll("anon-ok", fakeSamples("anon-ok", 2, 0), false); err != nil {
 		t.Fatalf("Enroll: %v", err)
 	}
-	walBefore := fileSize(t, filepath.Join(dir, walFile))
+	walBefore := fileSize(t, filepath.Join(dir, "shard-0000", walFile))
 
 	armed.Store(true)
 	errs := make(chan error, 3)
@@ -207,7 +207,7 @@ func TestFailedFsyncFailsTheBatchAndTheQueue(t *testing.T) {
 			t.Errorf("writer %d: %v, want the injected error", i, err)
 		}
 	}
-	if got := fileSize(t, filepath.Join(dir, walFile)); got != walBefore {
+	if got := fileSize(t, filepath.Join(dir, "shard-0000", walFile)); got != walBefore {
 		t.Errorf("log is %d bytes after the failed batch, want %d", got, walBefore)
 	}
 	if seqs := s.ShardLastSeqs(); seqs[0] != 1 {

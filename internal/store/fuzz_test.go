@@ -157,7 +157,10 @@ func FuzzOpenWAL(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		walPath := filepath.Join(dir, walFile)
+		walPath := filepath.Join(dir, "shard-0000", walFile)
+		if err := os.MkdirAll(filepath.Dir(walPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(walPath, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

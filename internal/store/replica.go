@@ -585,7 +585,7 @@ func (s *shard) installDelta(body []byte, chunks map[cas.Hash][]byte) (uint64, e
 	if err := s.drainLocked(); err != nil {
 		return 0, fmt.Errorf("store: drain before delta install: %w", err)
 	}
-	if err := writeCASBodyFile(s.dir, body); err != nil {
+	if err := writeFileDurable(s.dir, casSnapshotFile, body); err != nil {
 		return 0, err
 	}
 	s.cs.SetPins(s.dir, decoded.hashes())

@@ -62,99 +62,110 @@ func TestShardedRoundTripAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestShardCountPinnedByMeta: reopening a sharded store with a different
-// Shards option must keep the on-disk count — rehashing users across a
-// different count would break replace semantics.
+// TestShardCountPinnedByMeta: reopening a store with a different Shards
+// option must keep the on-disk count, one shard included — rehashing
+// users across a different count would break replace semantics.
 func TestShardCountPinnedByMeta(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, Options{Shards: 3})
-	if err := s.Enroll("u", fakeSamples("u", 2, 1), false); err != nil {
-		t.Fatalf("Enroll: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	s2 := openStore(t, dir, Options{Shards: 8})
-	defer func() { _ = s2.Close() }()
-	if got := len(s2.Stats().Shards); got != 3 {
-		t.Errorf("reopen with Shards=8 produced %d shards, want the pinned 3", got)
-	}
-	if got := len(s2.Population()["u"]); got != 2 {
-		t.Errorf("population lost across pinned reopen: %d windows", got)
-	}
-}
-
-// TestReshardSingleDirStore is the reshard round-trip: a single-directory
-// (Shards: 1) store with a compacted snapshot plus a live WAL tail,
-// reopened with Shards > 1, must recover every record, convert to the
-// sharded layout, and keep working there.
-func TestReshardSingleDirStore(t *testing.T) {
-	dir := t.TempDir()
-	want := make(map[string][]features.WindowSample)
-	enroll := func(s *Store, users []string, bias float64) {
-		t.Helper()
-		for i, user := range users {
-			samples := fakeSamples(user, 4, bias+float64(i))
-			if err := s.Enroll(user, samples, false); err != nil {
-				t.Fatalf("Enroll %s: %v", user, err)
+	for _, tc := range []struct{ created, reopened int }{{3, 8}, {1, 4}} {
+		t.Run(fmt.Sprintf("%d_reopened_as_%d", tc.created, tc.reopened), func(t *testing.T) {
+			dir := t.TempDir()
+			s := openStore(t, dir, Options{Shards: tc.created})
+			want := make(map[string][]features.WindowSample)
+			for i := 0; i < 4; i++ {
+				user := fmt.Sprintf("anon-%d", i)
+				want[user] = fakeSamples(user, 2, float64(i))
+				if err := s.Enroll(user, want[user], false); err != nil {
+					t.Fatalf("Enroll: %v", err)
+				}
 			}
-			want[user] = append(want[user], samples...)
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+
+			s2 := openStore(t, dir, Options{Shards: tc.reopened})
+			defer func() { _ = s2.Close() }()
+			if got := len(s2.Stats().Shards); got != tc.created {
+				t.Errorf("reopen with Shards=%d produced %d shards, want the pinned %d", tc.reopened, got, tc.created)
+			}
+			if got := s2.Population(); !reflect.DeepEqual(got, want) {
+				t.Errorf("population lost across pinned reopen: got %d users, want %d", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestReopenAfterMovingOneShardStore walks the upgrade recipe for a
+// directory of the earlier layout, which kept a one-shard store's WAL,
+// sealed segments and snapshot at the top level: Open refuses those
+// files where they are, changing nothing, and opens the same population
+// once they are moved into shard-0000/.
+func TestReopenAfterMovingOneShardStore(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{SnapshotEvery: -1, NoSync: true})
+	for i, user := range []string{"anon-a", "anon-b", "anon-c", "anon-d"} {
+		if i == 2 { // two users compacted, two left in the WAL
+			if err := s.Snapshot(); err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+		}
+		if err := s.Enroll(user, fakeSamples(user, 3, float64(i)), false); err != nil {
+			t.Fatalf("Enroll %s: %v", user, err)
 		}
 	}
-	single := openStore(t, dir, Options{Shards: 1, SnapshotEvery: -1})
-	enroll(single, []string{"anon-a", "anon-b", "anon-c"}, 0)
-	if err := single.Snapshot(); err != nil {
-		t.Fatalf("Snapshot: %v", err)
+	if _, err := s.PublishModel("anon-a", trainBundle(t)); err != nil {
+		t.Fatalf("PublishModel: %v", err)
 	}
-	enroll(single, []string{"anon-c", "anon-d", "anon-e", "anon-f"}, 100)
-	if err := single.Close(); err != nil {
+	want := s.Population()
+	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-
-	s := openStore(t, dir, Options{Shards: 4})
+	s = openStore(t, dir, Options{SnapshotEvery: -1, NoSync: true})
 	if got := s.Population(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("reshard lost data: got %d users / %d windows", len(got), countWindows(got))
-	}
-	if rec := s.Stats().Recovery; rec.Replayed != 4 {
-		t.Errorf("reshard replayed %d wal records, want 4", rec.Replayed)
-	}
-	// The top-level files must be gone; shard dirs and meta must exist.
-	for _, name := range []string{walFile, casSnapshotFile} {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Errorf("top-level %s survived the reshard", name)
-		}
-	}
-	meta, ok, err := readMeta(dir)
-	if err != nil || !ok || meta.Shards != 4 {
-		t.Errorf("meta after reshard = (%+v, %v, %v), want 4 shards", meta, ok, err)
-	}
-
-	// The resharded store must keep accepting writes in the new layout...
-	if err := s.Enroll("anon-a", fakeSamples("anon-a", 2, 50), false); err != nil {
-		t.Fatalf("Enroll after reshard: %v", err)
+		t.Fatalf("one-shard store reopened onto %d users, want %d", len(got), len(want))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// ...and a plain reopen (even with the Shards=1 default) must see
-	// everything, pinned to the new count.
-	s2 := openStore(t, dir, Options{})
-	defer func() { _ = s2.Close() }()
-	if got := len(s2.Stats().Shards); got != 4 {
-		t.Errorf("reopen after reshard: %d shards, want 4", got)
-	}
-	if got := len(s2.Population()["anon-a"]); got != 4+2 {
-		t.Errorf("anon-a has %d windows after reshard+append+reopen, want 6", got)
-	}
-}
 
-func countWindows(pop map[string][]features.WindowSample) int {
-	n := 0
-	for _, s := range pop {
-		n += len(s)
+	shardDir := filepath.Join(dir, "shard-0000")
+	move := func(from, to string) {
+		t.Helper()
+		entries, err := os.ReadDir(from)
+		if err != nil {
+			t.Fatalf("read %s: %v", from, err)
+		}
+		for _, e := range entries {
+			if isShardFile(e.Name()) {
+				if err := os.Rename(filepath.Join(from, e.Name()), filepath.Join(to, e.Name())); err != nil {
+					t.Fatalf("move %s: %v", e.Name(), err)
+				}
+			}
+		}
 	}
-	return n
+	move(shardDir, dir)
+	if err := os.Remove(shardDir); err != nil {
+		t.Fatalf("remove emptied shard directory: %v", err)
+	}
+	before := treeDigest(t, dir)
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrUnsupportedFormat) {
+		t.Fatalf("Open with a top-level one-shard store: err = %v, want ErrUnsupportedFormat", err)
+	}
+	if after := treeDigest(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused Open changed the data directory:\nbefore %v\nafter  %v", before, after)
+	}
+
+	if err := os.Mkdir(shardDir, 0o755); err != nil {
+		t.Fatalf("create shard directory: %v", err)
+	}
+	move(dir, shardDir)
+	s = openStore(t, dir, Options{})
+	defer func() { _ = s.Close() }()
+	if got := s.Population(); !reflect.DeepEqual(got, want) {
+		t.Errorf("moved store opened onto %d users, want %d", len(got), len(want))
+	}
+	if _, v, err := s.LatestModel("anon-a"); err != nil || v != 1 {
+		t.Errorf("LatestModel after the move = (v%d, %v), want v1", v, err)
+	}
 }
 
 func TestModelVersionRetention(t *testing.T) {
@@ -288,11 +299,11 @@ func TestCrashMidBackgroundCompactionLosesNothing(t *testing.T) {
 
 	// The sealed segment must exist and the snapshot must not, or the
 	// test is not photographing the window it claims to.
-	sealed, _, err := sealedSegments(dir)
+	sealed, _, err := sealedSegments(filepath.Join(dir, "shard-0000"))
 	if err != nil || len(sealed) == 0 {
 		t.Fatalf("no sealed segment while compaction wedged (err=%v)", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, casSnapshotFile)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "shard-0000", casSnapshotFile)); !os.IsNotExist(err) {
 		t.Fatalf("snapshot present while worker wedged")
 	}
 
@@ -371,7 +382,7 @@ func TestOrphanSealedSegmentsCleanedByNextCompaction(t *testing.T) {
 	if err := s2.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	if sealed, _, _ := sealedSegments(crashDir); len(sealed) != 0 {
+	if sealed, _, _ := sealedSegments(filepath.Join(crashDir, "shard-0000")); len(sealed) != 0 {
 		t.Errorf("%d orphan sealed segments survived a compaction", len(sealed))
 	}
 	if err := s2.Close(); err != nil {

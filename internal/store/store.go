@@ -25,9 +25,9 @@
 // continuing. Corruption is reported, never panicked on. The store reads
 // only the formats it writes: a directory holding a snapshot file or an
 // intact WAL record from another format generation is refused with
-// ErrUnsupportedFormat, untouched, rather than opened around. Opening a
-// single-directory store with Shards > 1 reshards it in one pass; the
-// shard count is then pinned in a meta file so later opens route users
+// ErrUnsupportedFormat, untouched, rather than opened around. Every
+// store, one shard or many, keeps shard i in shard-%04d/, and the shard
+// count is pinned in a meta file at creation so later opens route users
 // identically.
 //
 // The store also acts as the versioned model registry: each published
@@ -60,9 +60,11 @@ var (
 	// not the requested version).
 	ErrNoModel = errors.New("store: no such model")
 	// ErrUnsupportedFormat indicates the directory holds state in a format
-	// this build does not read: a snapshot.json or snapshot.bin file, or a
-	// WAL record that is intact (length and checksum hold) but carries an
-	// unknown payload format byte. The error names the offending file and
+	// this build does not read: a snapshot.json or snapshot.bin file, a
+	// meta.json of another format, a WAL, sealed segment or snapshot.cas
+	// at the top level instead of in a shard directory, or a WAL record
+	// that is intact (length and checksum hold) but carries an unknown
+	// payload format byte. The error names the offending file and
 	// Open has truncated and removed nothing. Such a directory was written
 	// by another build and must be rewritten by one that reads its format
 	// (README, "Upgrading a data directory").
@@ -72,11 +74,8 @@ var (
 // Options tunes a store.
 type Options struct {
 	// Shards partitions the store into this many independent
-	// WAL+snapshot shards (default 1, which keeps the original
-	// single-directory layout). The count is fixed at creation: reopening
-	// an existing store uses the shard count recorded on disk, except
-	// that a single-directory store opened with Shards > 1 is migrated
-	// into the sharded layout.
+	// WAL+snapshot shards (default 1). The count is fixed at creation:
+	// reopening an existing store uses the shard count recorded on disk.
 	Shards int
 	// SnapshotEvery compacts a shard's WAL into a snapshot after this
 	// many appended records (default 256; negative disables automatic
@@ -173,8 +172,12 @@ type Stats struct {
 }
 
 // metaFile pins the shard count (and format generation) of a store
-// directory so every open routes users to the same shard.
-const metaFile = "meta.json"
+// directory so every open routes users to the same shard. It is written
+// once, when the store is created.
+const (
+	metaFile   = "meta.json"
+	metaFormat = 1
+)
 
 type storeMeta struct {
 	Format int `json:"format"`
@@ -191,9 +194,6 @@ type Store struct {
 	// model bundles and snapshot window blobs are chunked into it, shared
 	// across versions and shards, and garbage-collected by sweep.
 	cs *cas.Store
-	// migration holds recovery counters from a single-directory reshard,
-	// folded into Stats so the caller sees the full recovery picture.
-	migration Recovery
 
 	// replMu guards the replication sink registry (replica.go).
 	replMu     sync.RWMutex
@@ -203,57 +203,48 @@ type Store struct {
 
 // Open creates or recovers a store rooted at dir: every shard loads its
 // snapshot (if any), replays its WAL segments on top, truncates any torn
-// tail, and leaves its log open for appends. A single-directory store
-// opened with Shards > 1 is resharded first. A directory in a format this
-// build does not read fails with ErrUnsupportedFormat.
+// tail, and leaves its log open for appends. Shard i lives in
+// dir/shard-%04d, whatever the count. A directory in a format this build
+// does not read fails with ErrUnsupportedFormat, untouched.
 func Open(dir string, opt Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
-	if err := refuseRetiredSnapshots(dir); err != nil {
+	if err := refuseUnsupportedFiles(dir); err != nil {
+		return nil, err
+	}
+	meta, hasMeta, err := readMeta(dir)
+	if err != nil {
 		return nil, err
 	}
 	opt = opt.withDefaults()
+	if hasMeta {
+		// The recorded count wins, whatever the caller asked for: rehashing
+		// users across a different count would break replace semantics.
+		opt.Shards = meta.Shards
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create directory: %w", err)
 	}
 
-	st := &Store{dir: dir}
+	st := &Store{dir: dir, opt: opt}
 	cs, err := cas.Open(filepath.Join(dir, casDirName), opt.NoSync)
 	if err != nil {
 		return nil, err
 	}
 	st.cs = cs
-	meta, hasMeta, err := readMeta(dir)
-	if err != nil {
-		return nil, err
-	}
-	shardCount := opt.Shards
-	switch {
-	case hasMeta && meta.Shards > 1:
-		// Sharded layout on disk: the recorded count wins, whatever the
-		// caller asked for — rehashing users across a different count
-		// would break replace semantics.
-		shardCount = meta.Shards
-	case shardCount > 1 && hasSingleDirState(dir):
-		// A Shards=1 store being opened with more shards: reshard in one
-		// pass. (An empty single-shard store just takes the new count.)
-		rec, err := reshardSingleDir(dir, opt, shardCount, cs)
+	if !hasMeta {
+		data, err := json.Marshal(storeMeta{Format: metaFormat, Shards: opt.Shards})
 		if err != nil {
+			return nil, fmt.Errorf("store: encode meta: %w", err)
+		}
+		if err := writeFileDurable(dir, metaFile, data); err != nil {
 			return nil, err
 		}
-		st.migration = rec
-	}
-	opt.Shards = shardCount
-	st.opt = opt
-
-	if err := writeMeta(dir, storeMeta{Format: 1, Shards: shardCount}); err != nil {
-		return nil, err
 	}
 
-	for i := 0; i < shardCount; i++ {
-		sd := shardDir(dir, i, shardCount)
-		sh, err := openShard(sd, opt, cs)
+	for i := 0; i < opt.Shards; i++ {
+		sh, err := openShard(filepath.Join(dir, fmt.Sprintf("shard-%04d", i)), opt, cs)
 		if err != nil {
 			for _, prev := range st.shards {
 				_ = prev.close()
@@ -269,126 +260,27 @@ func Open(dir string, opt Options) (*Store, error) {
 	return st, nil
 }
 
-// shardDir maps a shard index to its directory. A single-shard store
-// lives directly in dir.
-func shardDir(dir string, i, count int) string {
-	if count <= 1 {
-		return dir
-	}
-	return filepath.Join(dir, fmt.Sprintf("shard-%04d", i))
-}
-
-// hasSingleDirState reports whether dir holds a single-shard store's
-// state (an active WAL, sealed segments or a snapshot at the top level).
-func hasSingleDirState(dir string) bool {
-	for _, name := range []string{walFile, casSnapshotFile} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			return true
-		}
-	}
-	if sealed, _, err := sealedSegments(dir); err == nil && len(sealed) > 0 {
-		return true
-	}
-	return false
-}
-
-// reshardSingleDir rewrites a single-directory (Shards=1) store into
-// count shard directories: its state is recovered through the normal
-// shard open path (so torn tails are handled the same way), partitioned
-// by user hash, and written as one snapshot per shard. The top-level
-// files are removed only after every shard snapshot has been atomically
-// published, so a crash mid-reshard just reshards again from the
-// untouched single-directory state.
-func reshardSingleDir(dir string, opt Options, count int, cs *cas.Store) (Recovery, error) {
-	singleOpt := opt
-	singleOpt.Shards = 1
-	singleOpt.SnapshotEvery = -1 // recovery only; no compaction churn
-	single, err := openShard(dir, singleOpt, cs)
-	if err != nil {
-		return Recovery{}, fmt.Errorf("store: open single-directory store for resharding: %w", err)
-	}
-	rec := single.recovery
-	users := single.users
-	models := single.models
-	if err := single.close(); err != nil {
-		return Recovery{}, fmt.Errorf("store: close single-directory store: %w", err)
-	}
-
-	partUsers := make([]map[string][]features.WindowSample, count)
-	partModels := make([]map[string][]modelRef, count)
-	for i := 0; i < count; i++ {
-		partUsers[i] = make(map[string][]features.WindowSample)
-		partModels[i] = make(map[string][]modelRef)
-	}
-	for id, samples := range users {
-		partUsers[shardIndex(id, count)][id] = samples
-	}
-	for id, versions := range models {
-		partModels[shardIndex(id, count)][id] = versions
-	}
-	for i := 0; i < count; i++ {
-		sd := shardDir(dir, i, count)
-		if err := os.MkdirAll(sd, 0o755); err != nil {
-			return Recovery{}, fmt.Errorf("store: create shard directory: %w", err)
-		}
-		if err := writeStateCAS(sd, cs, 0, partUsers[i], partModels[i]); err != nil {
-			return Recovery{}, fmt.Errorf("store: write shard %d snapshot: %w", i, err)
-		}
-	}
-	// Every record now lives in a shard snapshot; retire the top-level
-	// files and the single shard's transient CAS references (each shard's
-	// open will re-retain from its own snapshot). A crash before this point
-	// leaves the single-directory state untouched and reshards again; the
-	// already written shard snapshots and chunks are simply rewritten.
-	for _, name := range []string{walFile, casSnapshotFile} {
-		_ = os.Remove(filepath.Join(dir, name))
-	}
-	if sealed, _, err := sealedSegments(dir); err == nil {
-		for _, p := range sealed {
-			_ = os.Remove(p)
-		}
-	}
-	syncDir(dir)
-	for _, vs := range models {
-		for _, mv := range vs {
-			cs.Release(mv.Man)
-		}
-	}
-	cs.SetPins(dir, nil)
-	return rec, nil
-}
-
-func readMeta(dir string) (storeMeta, bool, error) {
-	data, err := os.ReadFile(filepath.Join(dir, metaFile))
+// readMeta reads dir's meta.json, reporting ok=false when there is none
+// (a new store). A meta.json of another format is refused.
+func readMeta(dir string) (m storeMeta, ok bool, err error) {
+	path := filepath.Join(dir, metaFile)
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return storeMeta{}, false, nil
 	}
 	if err != nil {
 		return storeMeta{}, false, fmt.Errorf("store: read meta: %w", err)
 	}
-	var m storeMeta
 	if err := json.Unmarshal(data, &m); err != nil {
 		return storeMeta{}, false, fmt.Errorf("store: decode meta: %w", err)
+	}
+	if m.Format != metaFormat {
+		return storeMeta{}, false, fmt.Errorf("%w: %s declares format %d", ErrUnsupportedFormat, path, m.Format)
 	}
 	if m.Shards < 1 {
 		return storeMeta{}, false, fmt.Errorf("store: meta declares %d shards", m.Shards)
 	}
 	return m, true, nil
-}
-
-func writeMeta(dir string, m storeMeta) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("store: encode meta: %w", err)
-	}
-	tmp := filepath.Join(dir, metaFile+tmpSuffix)
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("store: write meta: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, metaFile)); err != nil {
-		return fmt.Errorf("store: publish meta: %w", err)
-	}
-	return nil
 }
 
 // ShardIndex routes a user id to a shard by FNV-1a hash. It is exported
@@ -646,7 +538,6 @@ func (s *Store) Population() map[string][]features.WindowSample {
 func (s *Store) Stats() Stats {
 	st := Stats{
 		ModelVersions: make(map[string]int),
-		Recovery:      s.migration,
 		Shards:        make([]ShardStats, 0, len(s.shards)),
 	}
 	for _, sh := range s.shards {

@@ -166,7 +166,7 @@ func TestCrashRecoveryTruncatedTail(t *testing.T) {
 	}
 
 	// Tear the final record: chop a few bytes off the log.
-	walPath := filepath.Join(dir, walFile)
+	walPath := filepath.Join(dir, "shard-0000", walFile)
 	info, err := os.Stat(walPath)
 	if err != nil {
 		t.Fatalf("stat wal: %v", err)
@@ -220,7 +220,7 @@ func TestCorruptMidLogTruncates(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	walPath := filepath.Join(dir, walFile)
+	walPath := filepath.Join(dir, "shard-0000", walFile)
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatalf("read wal: %v", err)
@@ -293,7 +293,7 @@ func TestStaleWALAfterSnapshotIsSkipped(t *testing.T) {
 	}
 	// Preserve the pre-snapshot log, snapshot, then restore the stale log
 	// as if the in-place reset never happened.
-	walPath := filepath.Join(dir, walFile)
+	walPath := filepath.Join(dir, "shard-0000", walFile)
 	stale, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatalf("read wal: %v", err)
@@ -378,7 +378,10 @@ func TestOpenValidation(t *testing.T) {
 
 func TestStaleSnapshotTempIsRemoved(t *testing.T) {
 	dir := t.TempDir()
-	tmp := filepath.Join(dir, casSnapshotFile+tmpSuffix)
+	tmp := filepath.Join(dir, "shard-0000", casSnapshotFile+tmpSuffix)
+	if err := os.MkdirAll(filepath.Dir(tmp), 0o755); err != nil {
+		t.Fatalf("create shard directory: %v", err)
+	}
 	if err := os.WriteFile(tmp, []byte("half-written"), 0o644); err != nil {
 		t.Fatalf("plant temp: %v", err)
 	}
@@ -386,6 +389,32 @@ func TestStaleSnapshotTempIsRemoved(t *testing.T) {
 	defer func() { _ = s.Close() }()
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Errorf("interrupted snapshot temp survived Open")
+	}
+}
+
+// TestMetaWrittenOnceAtCreation: meta.json is the only record of the
+// shard count, so a reopen must leave it as the file creation wrote, not
+// replace it — a crash mid-replace could leave it empty, and the store
+// unopenable.
+func TestMetaWrittenOnceAtCreation(t *testing.T) {
+	dir := t.TempDir()
+	metaPath := filepath.Join(dir, metaFile)
+	if err := openStore(t, dir, Options{Shards: 2}).Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	before, err := os.Stat(metaPath)
+	if err != nil {
+		t.Fatalf("stat meta: %v", err)
+	}
+	if err := openStore(t, dir, Options{Shards: 2}).Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	after, err := os.Stat(metaPath)
+	if err != nil {
+		t.Fatalf("stat meta: %v", err)
+	}
+	if !os.SameFile(before, after) {
+		t.Errorf("reopen replaced %s", metaFile)
 	}
 }
 
@@ -416,23 +445,34 @@ func treeDigest(t *testing.T, dir string) map[string]string {
 
 // TestOpenRefusesUnsupportedFormats pins "the store reads only what it
 // writes" from the refusing side: a snapshot file of an earlier
-// generation, or an intact WAL record whose format byte this build does
-// not know, fails Open with ErrUnsupportedFormat naming the file, and the
-// data directory is byte-identical afterwards. Opening around such state
-// (ignoring the file, or truncating the log at the record as if it were
-// torn) would silently drop enrollments another build acknowledged.
+// generation, a one-shard store's files at the top level (the earlier
+// layout), a meta.json of another format, or an intact WAL record whose
+// format byte this build does not know, fails Open with
+// ErrUnsupportedFormat naming the file, and the data directory is
+// byte-identical afterwards. Opening around such state (ignoring the
+// file, or truncating the log at the record as if it were torn) would
+// silently drop enrollments another build acknowledged.
 func TestOpenRefusesUnsupportedFormats(t *testing.T) {
 	jsonRecord := frame([]byte(`{"seq":9,"op":"enroll","user":"anon-z"}`))
+	record, err := encodeRecord(walRecord{Seq: 1, Op: opEnroll, User: "anon-z", Samples: fakeSamples("anon-z", 1, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name, file string // file is relative to the store directory
 		data       []byte
 		extend     bool // append to the existing file instead of creating it
+		overwrite  bool // replace the existing file's contents
 	}{
 		{name: "snapshot.json", file: "snapshot.json", data: []byte(`{"last_seq":1,"users":{},"models":{}}`)},
 		{name: "snapshot.bin", file: "shard-0001/snapshot.bin", data: encodeBinarySnapshot(snapshot{LastSeq: 1})},
 		{name: "json record in wal.log", file: "shard-0000/" + walFile, data: jsonRecord, extend: true},
 		{name: "json record in a sealed segment", file: "shard-0001/" + sealedSegmentName(0), data: jsonRecord},
 		{name: "format byte 0x7F in wal.log", file: "shard-0001/" + walFile, data: frame([]byte{0x7F, 1, 2, 3}), extend: true},
+		{name: "top-level wal.log", file: walFile, data: record},
+		{name: "top-level sealed segment", file: sealedSegmentName(0), data: record},
+		{name: "top-level snapshot.cas", file: casSnapshotFile, data: encodeCASBody(casBody{LastSeq: 1})},
+		{name: "meta.json of format 2", file: metaFile, data: []byte(`{"format":2,"shards":2}`), overwrite: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -461,6 +501,9 @@ func TestOpenRefusesUnsupportedFormats(t *testing.T) {
 			flags := os.O_WRONLY | os.O_CREATE | os.O_EXCL
 			if tc.extend {
 				flags = os.O_WRONLY | os.O_APPEND
+			}
+			if tc.overwrite {
+				flags = os.O_WRONLY | os.O_TRUNC
 			}
 			f, err := os.OpenFile(path, flags, 0o644)
 			if err == nil {
